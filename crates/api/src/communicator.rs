@@ -35,6 +35,23 @@ use motor_runtime::MotorThread;
 const OSCATTER_TAG: Tag = Tag::new(2_000);
 const OGATHER_TAG: Tag = Tag::new(2_001);
 
+/// A zeroed buffer of the length an `Oomp` size header announces. The
+/// header is the peer's claim: a length this process cannot allocate is an
+/// error, not a capacity-overflow panic.
+fn announced_buf(size: [u8; 8]) -> Result<Vec<u8>> {
+    let len = u64::from_le_bytes(size);
+    let mut buf = Vec::new();
+    match usize::try_from(len) {
+        Ok(n) if buf.try_reserve_exact(n).is_ok() => buf.resize(n, 0),
+        _ => {
+            return Err(Error::Decode(format!(
+                "size header announces {len} bytes: cannot allocate"
+            )))
+        }
+    }
+    Ok(buf)
+}
+
 fn as_bytes<T: MpcPrim>(s: &[T]) -> &[u8] {
     // SAFETY: MpcPrim types are plain-old-data; any byte pattern is valid.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
@@ -329,12 +346,11 @@ impl<'t, C: Comm> Communicator<'t, C> {
     fn recv_sized(&self, src: Source, tag: Tag) -> Result<(Vec<u8>, Status)> {
         let mut size = [0u8; 8];
         let st = self.comm.recv_bytes(&mut size, src, tag)?;
-        let len = u64::from_le_bytes(size) as usize;
-        let mut buf = vec![0u8; len];
+        let mut buf = announced_buf(size)?;
         let st2 =
             self.comm
                 .recv_bytes(&mut buf, Source::Rank(st.source as usize), Tag::new(st.tag))?;
-        debug_assert_eq!(st2.count, len);
+        debug_assert_eq!(st2.count, buf.len());
         Ok((buf, st))
     }
 
@@ -382,7 +398,7 @@ impl<'t, C: Comm> Communicator<'t, C> {
         } else {
             let mut size = [0u8; 8];
             self.comm.bcast_bytes(&mut size, root)?;
-            let mut data = vec![0u8; u64::from_le_bytes(size) as usize];
+            let mut data = announced_buf(size)?;
             self.comm.bcast_bytes(&mut data, root)?;
             Ok(Some(wire::decode(&data)?))
         }

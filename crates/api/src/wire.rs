@@ -1,18 +1,16 @@
 //! Compile-time split-representation wire codec.
 //!
 //! This module speaks **exactly** the representation produced by the
-//! reflective managed serializer (`motor-core::serial`, paper §7.5):
-//!
-//! ```text
-//! [u32 type_count][type entries...][u32 record_count][records...]
-//! ```
-//!
-//! but where the managed path walks class metadata per record at run time,
+//! reflective managed serializer (`motor_core::serial`, paper §7.5). The
+//! format itself — diagram, writer, validating parser — is
+//! `motor_core::wire`, which both share; this module is its second client.
+//! Where the managed path walks class metadata per record at run time,
 //! here `#[derive(Transportable)]` bakes the traversal into straight-line
-//! `write_fields`/`read_fields` bodies.  The derive monomorphizes down to
-//! the same byte sequence the reflective path emits — asserted by the
-//! byte-identity tests in `tests/derive_roundtrip.rs` — so a native rank
-//! using this codec interoperates with managed ranks using `Oomp`.
+//! `write_fields`/`read_fields` bodies over [`Encoder`] and
+//! [`FieldReader`].  The derive monomorphizes down to the same byte
+//! sequence the reflective path emits — asserted by the byte-identity
+//! tests in `crates/api/tests/derive_wire.rs` — so a native rank using
+//! this codec interoperates with managed ranks using `Oomp`.
 //!
 //! Two deliberate semantic restrictions relative to the managed graph
 //! walker, both consequences of modelling objects as *owned* Rust values:
@@ -26,39 +24,32 @@
 //! * **No managed handles.** The codec reads and writes plain byte
 //!   buffers; pinning and GC interactions stay in `motor-core`.
 
+use motor_core::wire::{self as format, ClassEntry, Doc, Field, Record, Writer};
+use motor_runtime::ElemKind;
+
 use crate::error::{Error, Result};
 use crate::Transportable;
-
-pub(crate) const TT_CLASS: u8 = 0;
-pub(crate) const TT_PRIM_ARRAY: u8 = 1;
-pub(crate) const TT_OBJ_ARRAY: u8 = 2;
-pub(crate) const TT_MD_ARRAY: u8 = 3;
-pub(crate) const NULL_REF: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
 // primitives
 // ---------------------------------------------------------------------------
 
-/// A Rust primitive with a managed `ElemKind` wire identity.
-///
-/// `TAG` values mirror `motor_runtime::ElemKind::tag` (`char` — managed
-/// UTF-16 code unit — has no safe Rust mirror and is intentionally absent).
+/// A Rust primitive with a managed `ElemKind` wire identity (`char` —
+/// managed UTF-16 code unit — has no safe Rust mirror and is
+/// intentionally absent).
 pub trait WirePrim: Copy + Default + PartialEq + std::fmt::Debug + 'static {
-    /// The managed `ElemKind` tag.
-    const TAG: u8;
-    /// Wire size in bytes.
-    const SIZE: usize;
+    /// The managed element kind; its tag and size are the wire's.
+    const KIND: ElemKind;
     /// Append the little-endian representation.
     fn write_le(self, out: &mut Vec<u8>);
-    /// Read from exactly `SIZE` little-endian bytes.
+    /// Read from exactly `KIND.size()` little-endian bytes.
     fn read_le(b: &[u8]) -> Self;
 }
 
 macro_rules! wire_prim {
-    ($($t:ty => $tag:expr),* $(,)?) => {$(
+    ($($t:ty => $kind:ident),* $(,)?) => {$(
         impl WirePrim for $t {
-            const TAG: u8 = $tag;
-            const SIZE: usize = std::mem::size_of::<$t>();
+            const KIND: ElemKind = ElemKind::$kind;
             fn write_le(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
@@ -70,13 +61,12 @@ macro_rules! wire_prim {
 }
 
 wire_prim! {
-    u8 => 1, i8 => 2, i16 => 3, u16 => 4, i32 => 6,
-    u32 => 7, i64 => 8, u64 => 9, f32 => 10, f64 => 11,
+    u8 => U8, i8 => I8, i16 => I16, u16 => U16, i32 => I32,
+    u32 => U32, i64 => I64, u64 => U64, f32 => F32, f64 => F64,
 }
 
 impl WirePrim for bool {
-    const TAG: u8 = 0;
-    const SIZE: usize = 1;
+    const KIND: ElemKind = ElemKind::Bool;
     fn write_le(self, out: &mut Vec<u8>) {
         out.push(self as u8);
     }
@@ -85,49 +75,13 @@ impl WirePrim for bool {
     }
 }
 
-/// Wire size of an `ElemKind` tag (mirrors `ElemKind::size`).
-fn tag_size(tag: u8) -> Result<usize> {
-    Ok(match tag {
-        0..=2 => 1,      // bool, u8, i8
-        3..=5 => 2,      // i16, u16, char
-        6 | 7 | 10 => 4, // i32, u32, f32
-        8 | 9 | 11 => 8, // i64, u64, f64
-        t => return Err(Error::Decode(format!("unknown element tag {t}"))),
-    })
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
-
 // -- type-entry builders used by derive-generated `type_entry` bodies ------
 
-/// Begin a class type entry: kind byte, name, field count.
-pub fn class_entry_header(out: &mut Vec<u8>, name: &str, nfields: u16) {
-    out.push(TT_CLASS);
-    put_str(out, name);
-    put_u16(out, nfields);
-}
+pub use format::{class_entry_header, ref_field};
 
 /// Append a primitive field declaration.
 pub fn prim_field<P: WirePrim>(out: &mut Vec<u8>, name: &str) {
-    out.push(0);
-    out.push(P::TAG);
-    put_str(out, name);
-}
-
-/// Append a reference field declaration with its Transportable bit.
-pub fn ref_field(out: &mut Vec<u8>, name: &str, transportable: bool) {
-    out.push(1);
-    out.push(transportable as u8);
-    put_str(out, name);
+    format::prim_field(out, P::KIND, name);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,8 +93,8 @@ pub fn ref_field(out: &mut Vec<u8>, name: &str, transportable: bool) {
 pub enum TypeKey {
     /// A class, identified by its managed type name.
     Class(&'static str),
-    /// A primitive array, identified by its element tag.
-    PrimArray(u8),
+    /// A primitive array, identified by its element kind.
+    PrimArray(ElemKind),
 }
 
 /// One serializable value in the object graph.  Implemented by
@@ -165,11 +119,10 @@ impl<P: WirePrim> Node for Vec<P> {
         self.as_ptr() as usize
     }
     fn type_key(&self) -> TypeKey {
-        TypeKey::PrimArray(P::TAG)
+        TypeKey::PrimArray(P::KIND)
     }
     fn type_entry(&self, out: &mut Vec<u8>) {
-        out.push(TT_PRIM_ARRAY);
-        out.push(P::TAG);
+        format::prim_array_entry(out, P::KIND);
     }
     fn write_record<'a>(&'a self, enc: &mut Encoder<'a>) {
         enc.put_prim(self.len() as u32);
@@ -181,124 +134,75 @@ impl<P: WirePrim> Node for Vec<P> {
 
 /// Streaming encoder for the split representation.
 ///
-/// Mirrors `serial.rs::serialize_addrs`: breadth-first discovery order,
+/// Mirrors the managed serializer's walk: breadth-first discovery order,
 /// types interned at record-emission time, the synthetic split root (when
-/// present) as record 0 with element indices offset by one.
+/// present) as record 0.
+#[derive(Default)]
 pub struct Encoder<'a> {
+    /// Discovery worklist; a node's position is its discovery index.
     nodes: Vec<&'a dyn Node>,
-    emitted: usize,
-    index_offset: u32,
-    type_keys: Vec<Option<TypeKey>>,
-    type_entries: Vec<Vec<u8>>,
-    obj_data: Vec<u8>,
-    records: u32,
+    w: Writer<TypeKey>,
 }
 
 impl<'a> Encoder<'a> {
-    fn new(index_offset: u32) -> Encoder<'a> {
-        Encoder {
-            nodes: Vec::new(),
-            emitted: 0,
-            index_offset,
-            type_keys: Vec::new(),
-            type_entries: Vec::new(),
-            obj_data: Vec::new(),
-            records: 0,
-        }
-    }
-
-    /// Assign the next discovery index to `node` and queue it for emission.
-    fn discover(&mut self, node: &'a dyn Node) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        idx
-    }
-
-    /// Intern a type entry by key, filling it with `fill` on first use.
-    fn intern_with(&mut self, key: TypeKey, fill: impl FnOnce(&mut Vec<u8>)) -> u32 {
-        for (i, k) in self.type_keys.iter().enumerate() {
-            if *k == Some(key) {
-                return i as u32;
-            }
-        }
-        let idx = self.type_entries.len() as u32;
-        let mut e = Vec::new();
-        fill(&mut e);
-        self.type_keys.push(Some(key));
-        self.type_entries.push(e);
-        idx
+    /// Write a reference slot, queuing the target's record unless null.
+    fn put_node(&mut self, node: Option<&'a dyn Node>) {
+        let idx = node.map(|n| {
+            self.nodes.push(n);
+            (self.nodes.len() - 1) as u32
+        });
+        self.w.put_ref(idx);
     }
 
     /// Emit queued records in discovery order (the list grows as record
     /// payloads discover further references — breadth-first, exactly like
-    /// the managed emission loop).
-    fn run(&mut self) {
-        while self.emitted < self.nodes.len() {
-            let node = self.nodes[self.emitted];
-            self.emitted += 1;
-            self.records += 1;
-            let tidx = self.intern_with(node.type_key(), |e| node.type_entry(e));
-            put_u32(&mut self.obj_data, tidx);
-            node.write_record(self);
+    /// the managed emission loop) and assemble the representation.
+    fn finish(mut self) -> Vec<u8> {
+        let mut emitted = 0;
+        while emitted < self.nodes.len() {
+            let node = self.nodes[emitted];
+            emitted += 1;
+            let ty = self.w.intern(node.type_key(), |_, e| node.type_entry(e));
+            self.w.begin_record(ty);
+            node.write_record(&mut self);
         }
-    }
-
-    fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.obj_data.len() + 64);
-        put_u32(&mut out, self.type_entries.len() as u32);
-        for e in &self.type_entries {
-            out.extend_from_slice(e);
-        }
-        put_u32(&mut out, self.records);
-        out.extend_from_slice(&self.obj_data);
-        out
+        self.w.finish()
     }
 
     // -- field writers invoked by derive-generated `write_fields` ----------
 
     /// Write an inline primitive value.
     pub fn put_prim<P: WirePrim>(&mut self, v: P) {
-        v.write_le(&mut self.obj_data);
+        v.write_le(self.w.payload());
     }
 
     /// Write a reference to a primitive array, queuing its record.
     pub fn put_prim_array<P: WirePrim>(&mut self, v: &'a Vec<P>) {
-        let idx = self.discover(v);
-        put_u32(&mut self.obj_data, idx + self.index_offset);
+        self.put_node(Some(v));
     }
 
     /// Write a nullable reference to a primitive array.
     pub fn put_opt_prim_array<P: WirePrim>(&mut self, v: &'a Option<Vec<P>>) {
-        match v {
-            None => put_u32(&mut self.obj_data, NULL_REF),
-            Some(a) => self.put_prim_array(a),
-        }
+        self.put_node(v.as_ref().map(|a| a as &dyn Node));
     }
 
     /// Write a nullable reference to a nested transportable object.
     pub fn put_class_ref<T: Node>(&mut self, v: &'a Option<Box<T>>) {
-        match v {
-            None => put_u32(&mut self.obj_data, NULL_REF),
-            Some(b) => {
-                let idx = self.discover(&**b);
-                put_u32(&mut self.obj_data, idx + self.index_offset);
-            }
-        }
+        self.put_node(v.as_deref().map(|b| b as &dyn Node));
     }
 
     /// Write the always-null reference of a non-transportable field
     /// ("references are replaced with null", §4.2.2).
     pub fn put_null_ref(&mut self) {
-        put_u32(&mut self.obj_data, NULL_REF);
+        self.put_node(None);
     }
 }
 
 /// Encode one transportable object graph — the byte-for-byte equivalent of
 /// `Serializer::serialize` over the mirrored managed class.
 pub fn encode<T: Transportable>(root: &T) -> Vec<u8> {
-    let mut enc = Encoder::new(0);
-    enc.discover(root);
-    enc.run();
+    let mut enc = Encoder::default();
+    enc.nodes.push(root);
     enc.finish()
 }
 
@@ -306,40 +210,27 @@ pub fn encode<T: Transportable>(root: &T) -> Vec<u8> {
 /// a synthetic object-array root (record 0) over the elements, exactly as
 /// `Serializer::serialize_array_range` emits one scatter/gather part.
 pub fn encode_slice<T: Transportable>(items: &[T]) -> Vec<u8> {
-    let mut enc = Encoder::new(1);
-    // The element class is interned (and thus keyed) first; the synthetic
-    // object-array entry is appended un-keyed, mirroring the managed path.
-    let elem_idx = enc.intern_with(TypeKey::Class(T::TYPE_NAME), |e| {
+    let mut enc = Encoder::default();
+    // The element class is interned first, as on the managed path.
+    let elem_type = enc.w.intern(TypeKey::Class(T::TYPE_NAME), |_, e| {
         <T as Transportable>::type_entry(e)
     });
-    let tidx = enc.type_entries.len() as u32;
-    let mut e = Vec::new();
-    e.push(TT_OBJ_ARRAY);
-    put_u32(&mut e, elem_idx);
-    enc.type_keys.push(None);
-    enc.type_entries.push(e);
-    enc.records += 1;
-    put_u32(&mut enc.obj_data, tidx);
-    put_u32(&mut enc.obj_data, items.len() as u32);
+    enc.w
+        .split_root(items.len(), |e| format::obj_array_entry(e, elem_type));
     for it in items {
-        let idx = enc.discover(it);
-        put_u32(&mut enc.obj_data, idx + 1);
+        enc.put_node(Some(it));
     }
-    enc.run();
     enc.finish()
 }
 
-/// Encode a primitive slice as a split-representation part (the
-/// `RangeRoot::Prims` form used when scattering primitive arrays).
+/// Encode a primitive slice as a split-representation part (the form
+/// `serialize_array_range` emits when scattering primitive arrays).
 pub fn encode_prim_slice<P: WirePrim>(data: &[P]) -> Vec<u8> {
-    let mut enc = Encoder::new(1);
-    enc.type_keys.push(None);
-    enc.type_entries.push(vec![TT_PRIM_ARRAY, P::TAG]);
-    enc.records += 1;
-    put_u32(&mut enc.obj_data, 0);
-    put_u32(&mut enc.obj_data, data.len() as u32);
+    let mut enc = Encoder::default();
+    enc.w
+        .split_root(data.len(), |e| format::prim_array_entry(e, P::KIND));
     for &v in data {
-        v.write_le(&mut enc.obj_data);
+        enc.put_prim(v);
     }
     enc.finish()
 }
@@ -348,225 +239,16 @@ pub fn encode_prim_slice<P: WirePrim>(data: &[P]) -> Vec<u8> {
 // decoding
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.b.len() {
-            return Err(Error::Decode(format!(
-                "truncated representation at byte {} (+{n})",
-                self.pos
-            )));
+/// The elements of a primitive-array record, as `P`.
+fn prim_vec<P: WirePrim>(rec: &Record<'_>) -> Result<Vec<P>> {
+    match rec {
+        Record::PrimArray { elem, data } if *elem == P::KIND => {
+            Ok(data.chunks_exact(P::KIND.size()).map(P::read_le).collect())
         }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<&'a str> {
-        let n = self.u16()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|_| Error::Decode("non-UTF8 type name".into()))
-    }
-}
-
-#[derive(Debug)]
-struct WField<'a> {
-    name: &'a str,
-    /// `Some(tag)` for a primitive field, `None` for a reference.
-    prim: Option<u8>,
-}
-
-#[derive(Debug)]
-enum WType<'a> {
-    Class {
-        name: &'a str,
-        fields: Vec<WField<'a>>,
-    },
-    PrimArray(u8),
-    ObjArray,
-    MdArray,
-}
-
-#[derive(Debug)]
-enum WVal<'a> {
-    Prim(&'a [u8]),
-    Ref(u32),
-}
-
-#[derive(Debug)]
-enum WRecord<'a> {
-    Class { t: u32, vals: Vec<WVal<'a>> },
-    PrimArray { elem: u8, data: &'a [u8] },
-    ObjArray { elems: Vec<u32> },
-}
-
-/// A parsed representation: type table plus records, still borrowing the
-/// incoming byte buffer (payloads are zero-copy slices).
-pub struct Doc<'a> {
-    types: Vec<WType<'a>>,
-    records: Vec<WRecord<'a>>,
-}
-
-impl<'a> Doc<'a> {
-    /// Parse the three-section representation.
-    pub fn parse(bytes: &'a [u8]) -> Result<Doc<'a>> {
-        let mut r = Reader { b: bytes, pos: 0 };
-        let ntypes = r.u32()? as usize;
-        let mut types = Vec::with_capacity(ntypes);
-        for _ in 0..ntypes {
-            types.push(match r.u8()? {
-                TT_CLASS => {
-                    let name = r.str()?;
-                    let nfields = r.u16()? as usize;
-                    let mut fields = Vec::with_capacity(nfields);
-                    for _ in 0..nfields {
-                        let kind = r.u8()?;
-                        let second = r.u8()?;
-                        let name = r.str()?;
-                        fields.push(WField {
-                            name,
-                            prim: if kind == 0 { Some(second) } else { None },
-                        });
-                    }
-                    WType::Class { name, fields }
-                }
-                TT_PRIM_ARRAY => WType::PrimArray(r.u8()?),
-                TT_OBJ_ARRAY => {
-                    let _elem = r.u32()?;
-                    WType::ObjArray
-                }
-                TT_MD_ARRAY => {
-                    let _elem = r.u8()?;
-                    let _rank = r.u8()?;
-                    WType::MdArray
-                }
-                t => return Err(Error::Decode(format!("unknown type-entry kind {t}"))),
-            });
-        }
-        let nrecords = r.u32()? as usize;
-        let mut records = Vec::with_capacity(nrecords);
-        for _ in 0..nrecords {
-            let t = r.u32()?;
-            let ty = types
-                .get(t as usize)
-                .ok_or_else(|| Error::Decode(format!("record type index {t} out of range")))?;
-            records.push(match ty {
-                WType::Class { fields, .. } => {
-                    let mut vals = Vec::with_capacity(fields.len());
-                    for f in fields {
-                        vals.push(match f.prim {
-                            Some(tag) => WVal::Prim(r.take(tag_size(tag)?)?),
-                            None => WVal::Ref(r.u32()?),
-                        });
-                    }
-                    WRecord::Class { t, vals }
-                }
-                WType::PrimArray(tag) => {
-                    let len = r.u32()? as usize;
-                    WRecord::PrimArray {
-                        elem: *tag,
-                        data: r.take(len * tag_size(*tag)?)?,
-                    }
-                }
-                WType::ObjArray => {
-                    let len = r.u32()? as usize;
-                    let mut elems = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        elems.push(r.u32()?);
-                    }
-                    WRecord::ObjArray { elems }
-                }
-                WType::MdArray => {
-                    // Md arrays are not representable as derive fields.
-                    return Err(Error::Decode(
-                        "multi-dimensional array records are not supported by the typed codec"
-                            .into(),
-                    ));
-                }
-            });
-        }
-        Ok(Doc { types, records })
-    }
-}
-
-/// Check that a wire class entry structurally matches `T`'s layout: same
-/// name, same field names in order, same primitive kinds.  The
-/// Transportable bit is deliberately ignored, matching the managed
-/// deserializer's layout verification.
-fn verify_layout<T: Transportable>(ty: &WType<'_>) -> Result<()> {
-    let WType::Class { name, fields } = ty else {
-        return Err(Error::Decode(format!(
-            "expected a class record for `{}`",
-            T::TYPE_NAME
-        )));
-    };
-    if *name != T::TYPE_NAME {
-        return Err(Error::Decode(format!(
-            "type mismatch: received `{name}`, expected `{}`",
-            T::TYPE_NAME
-        )));
-    }
-    let mut local = Vec::new();
-    <T as Transportable>::type_entry(&mut local);
-    let parsed = Doc::parse_entry(&local)?;
-    let WType::Class {
-        fields: lfields, ..
-    } = &parsed
-    else {
-        unreachable!("derive emits class entries");
-    };
-    if fields.len() != lfields.len() {
-        return Err(Error::Decode(format!(
-            "layout mismatch for `{name}`: {} wire fields vs {} local",
-            fields.len(),
-            lfields.len()
-        )));
-    }
-    for (wf, lf) in fields.iter().zip(lfields) {
-        if wf.name != lf.name || wf.prim != lf.prim {
-            return Err(Error::Decode(format!(
-                "layout mismatch for `{name}` field `{}`",
-                wf.name
-            )));
-        }
-    }
-    Ok(())
-}
-
-impl<'a> Doc<'a> {
-    /// Parse a single type entry (used to introspect locally generated
-    /// entries during layout verification).
-    fn parse_entry(bytes: &'a [u8]) -> Result<WType<'a>> {
-        let mut r = Reader { b: bytes, pos: 0 };
-        match r.u8()? {
-            TT_CLASS => {
-                let name = r.str()?;
-                let nfields = r.u16()? as usize;
-                let mut fields = Vec::with_capacity(nfields);
-                for _ in 0..nfields {
-                    let kind = r.u8()?;
-                    let second = r.u8()?;
-                    let name = r.str()?;
-                    fields.push(WField {
-                        name,
-                        prim: if kind == 0 { Some(second) } else { None },
-                    });
-                }
-                Ok(WType::Class { name, fields })
-            }
-            t => Err(Error::Decode(format!("unexpected local entry kind {t}"))),
-        }
+        other => Err(Error::Decode(format!(
+            "expected a {:?} array record, found {other:?}",
+            P::KIND
+        ))),
     }
 }
 
@@ -574,81 +256,60 @@ impl<'a> Doc<'a> {
 /// derive-generated `read_fields` bodies.
 pub struct FieldReader<'d, 'a> {
     doc: &'d Doc<'a>,
-    vals: std::slice::Iter<'d, WVal<'a>>,
+    fields: std::slice::Iter<'d, Field<'a>>,
+    values: &'a [u8],
     in_progress: &'d mut [bool],
 }
 
 impl<'d, 'a> FieldReader<'d, 'a> {
-    fn next_val(&mut self) -> Result<&'d WVal<'a>> {
-        self.vals
+    fn next_field(&mut self) -> Result<&'d Field<'a>> {
+        self.fields
             .next()
             .ok_or_else(|| Error::Decode("record has fewer fields than the local type".into()))
     }
 
     /// Read an inline primitive field.
     pub fn prim<P: WirePrim>(&mut self) -> Result<P> {
-        match self.next_val()? {
-            WVal::Prim(b) if b.len() == P::SIZE => Ok(P::read_le(b)),
-            WVal::Prim(b) => Err(Error::Decode(format!(
-                "primitive width mismatch: {} wire bytes vs {} local",
-                b.len(),
-                P::SIZE
+        let f = self.next_field()?;
+        match f.prim {
+            Some(kind) if kind == P::KIND => Ok(P::read_le(f.bytes(self.values))),
+            found => Err(Error::Decode(format!(
+                "field `{}`: expected {:?}, found {found:?}",
+                f.name,
+                P::KIND
             ))),
-            WVal::Ref(_) => Err(Error::Decode("expected primitive, found reference".into())),
         }
     }
 
-    fn reference(&mut self) -> Result<u32> {
-        match self.next_val()? {
-            WVal::Ref(i) => Ok(*i),
-            WVal::Prim(_) => Err(Error::Decode("expected reference, found primitive".into())),
-        }
-    }
-
-    fn prim_array_at<P: WirePrim>(&self, idx: u32) -> Result<Vec<P>> {
-        match self.doc.records.get(idx as usize) {
-            Some(WRecord::PrimArray { elem, data }) if *elem == P::TAG => {
-                Ok(data.chunks_exact(P::SIZE).map(P::read_le).collect())
-            }
-            Some(WRecord::PrimArray { elem, .. }) => Err(Error::Decode(format!(
-                "primitive array tag mismatch: wire {elem} vs local {}",
-                P::TAG
-            ))),
-            Some(_) => Err(Error::Decode(
-                "reference does not lead to a primitive array".into(),
-            )),
-            None => Err(Error::Decode(format!("dangling reference {idx}"))),
+    /// The next field as a reference: the target's record index.
+    fn reference(&mut self) -> Result<Option<u32>> {
+        let f = self.next_field()?;
+        match f.prim {
+            None => Ok(f.target(self.values)),
+            Some(_) => Err(Error::Decode("expected reference, found primitive".into())),
         }
     }
 
     /// Read a `Vec<P>` field; a NULL reference (sender had a null or
     /// non-transportable array) decodes as an empty vector.
     pub fn prim_array<P: WirePrim>(&mut self) -> Result<Vec<P>> {
-        match self.reference()? {
-            NULL_REF => Ok(Vec::new()),
-            idx => self.prim_array_at(idx),
-        }
+        Ok(self.opt_prim_array()?.unwrap_or_default())
     }
 
     /// Read an `Option<Vec<P>>` field; NULL decodes as `None`.
     pub fn opt_prim_array<P: WirePrim>(&mut self) -> Result<Option<Vec<P>>> {
-        match self.reference()? {
-            NULL_REF => Ok(None),
-            idx => Ok(Some(self.prim_array_at(idx)?)),
-        }
+        let doc = self.doc;
+        self.reference()?
+            .map(|idx| prim_vec(&doc.records()[idx as usize]))
+            .transpose()
     }
 
     /// Read an `Option<Box<T>>` field, recursively decoding the nested
     /// class record.
     pub fn class_ref<T: Transportable>(&mut self) -> Result<Option<Box<T>>> {
-        match self.reference()? {
-            NULL_REF => Ok(None),
-            idx => Ok(Some(Box::new(read_class::<T>(
-                self.doc,
-                idx,
-                self.in_progress,
-            )?))),
-        }
+        self.reference()?
+            .map(|idx| read_class::<T>(self.doc, idx, self.in_progress).map(Box::new))
+            .transpose()
     }
 
     /// Consume a reference field the local type does not transport; the
@@ -659,12 +320,12 @@ impl<'d, 'a> FieldReader<'d, 'a> {
     }
 }
 
+/// Decode record `idx` (in range: `Doc::parse` checked every reference)
+/// as a `T`, once the sender's class entry is seen to have `T`'s layout.
+/// The Transportable bit is deliberately ignored, matching the managed
+/// deserializer's layout verification.
 fn read_class<T: Transportable>(doc: &Doc<'_>, idx: u32, in_progress: &mut [bool]) -> Result<T> {
-    let rec = doc
-        .records
-        .get(idx as usize)
-        .ok_or_else(|| Error::Decode(format!("dangling reference {idx}")))?;
-    let WRecord::Class { t, vals } = rec else {
+    let Record::Class { ty, values } = &doc.records()[idx as usize] else {
         return Err(Error::Decode(format!(
             "record {idx} is not a class record (expected `{}`)",
             T::TYPE_NAME
@@ -675,10 +336,14 @@ fn read_class<T: Transportable>(doc: &Doc<'_>, idx: u32, in_progress: &mut [bool
             "cyclic object graph at record {idx}: owned Rust values cannot represent cycles"
         )));
     }
-    verify_layout::<T>(&doc.types[*t as usize])?;
+    let class = doc.class(*ty);
+    let mut local = Vec::new();
+    <T as Transportable>::type_entry(&mut local);
+    class.check_layout(&ClassEntry::parse(&local)?)?;
     let mut r = FieldReader {
         doc,
-        vals: vals.iter(),
+        fields: class.fields.iter(),
+        values,
         in_progress,
     };
     let v = T::read_fields(&mut r)?;
@@ -690,49 +355,32 @@ fn read_class<T: Transportable>(doc: &Doc<'_>, idx: u32, in_progress: &mut [bool
 /// and of the managed `Serializer::serialize`.
 pub fn decode<T: Transportable>(bytes: &[u8]) -> Result<T> {
     let doc = Doc::parse(bytes)?;
-    if doc.records.is_empty() {
-        return Err(Error::Decode("empty representation".into()));
-    }
-    let mut in_progress = vec![false; doc.records.len()];
-    read_class::<T>(&doc, 0, &mut in_progress)
+    read_class::<T>(&doc, 0, &mut vec![false; doc.records().len()])
 }
 
 /// Decode a split representation (synthetic object-array root) into a
 /// vector — the inverse of [`encode_slice`].
 pub fn decode_vec<T: Transportable>(bytes: &[u8]) -> Result<Vec<T>> {
     let doc = Doc::parse(bytes)?;
-    let Some(WRecord::ObjArray { elems }) = doc.records.first() else {
+    let Record::ObjArray { elems, .. } = &doc.records()[0] else {
         return Err(Error::Decode("expected an object-array root record".into()));
     };
-    let mut out = Vec::with_capacity(elems.len());
-    let mut in_progress = vec![false; doc.records.len()];
-    for &e in elems {
-        if e == NULL_REF {
-            return Err(Error::Decode(
+    let mut in_progress = vec![false; doc.records().len()];
+    elems
+        .iter()
+        .map(|e| match e {
+            Some(idx) => read_class::<T>(&doc, idx, &mut in_progress),
+            None => Err(Error::Decode(
                 "null element in object array cannot decode into a by-value Vec".into(),
-            ));
-        }
-        out.push(read_class::<T>(&doc, e, &mut in_progress)?);
-    }
-    Ok(out)
+            )),
+        })
+        .collect()
 }
 
 /// Decode a primitive-array split part — the inverse of
 /// [`encode_prim_slice`].
 pub fn decode_prim_vec<P: WirePrim>(bytes: &[u8]) -> Result<Vec<P>> {
-    let doc = Doc::parse(bytes)?;
-    match doc.records.first() {
-        Some(WRecord::PrimArray { elem, data }) if *elem == P::TAG => {
-            Ok(data.chunks_exact(P::SIZE).map(P::read_le).collect())
-        }
-        Some(WRecord::PrimArray { elem, .. }) => Err(Error::Decode(format!(
-            "primitive array tag mismatch: wire {elem} vs local {}",
-            P::TAG
-        ))),
-        _ => Err(Error::Decode(
-            "expected a primitive-array root record".into(),
-        )),
-    }
+    prim_vec(&Doc::parse(bytes)?.records()[0])
 }
 
 #[cfg(test)]
@@ -866,6 +514,25 @@ mod tests {
         let bytes = encode(&chain(2));
         for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode::<Pair>(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        // Length-field inflation: a type_count of u32::MAX, and a
+        // record_count of u32::MAX behind an empty and behind a valid type
+        // table (six records: the first u32 equal to 6 is their count).
+        // Every entry point answers with a typed error, not a reservation.
+        let at = bytes.windows(4).position(|w| w == 6u32.to_le_bytes());
+        let mut inflated = bytes.clone();
+        inflated[at.unwrap()..][..4].fill(0xff);
+        for hostile in [
+            &[0xff; 4][..],
+            &[0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
+            &inflated,
+        ] {
+            assert!(matches!(decode::<Pair>(hostile), Err(Error::Decode(_))));
+            assert!(matches!(decode_vec::<Pair>(hostile), Err(Error::Decode(_))));
+            assert!(matches!(
+                decode_prim_vec::<i64>(hostile),
+                Err(Error::Decode(_))
+            ));
         }
     }
 }

@@ -223,3 +223,38 @@ fn native_root_scatters_managed_leaves() {
     })
     .unwrap();
 }
+
+/// The size header is the sender's claim. A raw 8-byte header of
+/// `u64::MAX` on the tag (or down the broadcast tree) must come back from
+/// every receive side as a typed error, not a capacity-overflow panic.
+#[test]
+fn hostile_size_header_is_a_typed_error() {
+    use motor_api::Error;
+    use motor_core::CoreError;
+    const HEADER: [u8; 8] = u64::MAX.to_le_bytes();
+    run_cluster_default(2, define_packet, |proc| {
+        let mp = proc.mp();
+        if mp.rank() == 0 {
+            mp.comm().send_bytes(&HEADER, 1, 9).unwrap();
+            mp.comm().send_bytes(&HEADER, 1, 10).unwrap();
+            mp.comm().bcast_bytes(&mut { HEADER }, 0).unwrap();
+            mp.comm().bcast_bytes(&mut { HEADER }, 0).unwrap();
+        } else {
+            let (oomp, comm) = (proc.oomp(), Communicator::bind(proc.mp()));
+            assert!(matches!(oomp.orecv(0, 9), Err(CoreError::Serialization(_))));
+            assert!(matches!(
+                comm.recv_obj::<Packet>(0, 10),
+                Err(Error::Decode(_))
+            ));
+            assert!(matches!(
+                oomp.obcast(None, 0),
+                Err(CoreError::Serialization(_))
+            ));
+            assert!(matches!(
+                comm.bcast_obj::<Packet>(None, 0),
+                Err(Error::Decode(_))
+            ));
+        }
+    })
+    .unwrap();
+}

@@ -11,6 +11,7 @@
 //! oriented operations do not need to pin memory because the Motor custom
 //! serialization mechanism provides a static memory buffer").
 
+use std::collections::TryReserveError;
 use std::sync::{Arc, OnceLock};
 
 use motor_obs::{Metric, MetricsRegistry};
@@ -69,30 +70,41 @@ impl BufPool {
     /// recently returned buffer that fits (stack discipline, as in the
     /// paper). `epoch` is the VM's current collection epoch.
     pub fn get(&self, capacity: usize, epoch: u64) -> PoolBuf {
+        self.try_get(capacity, epoch)
+            .expect("transport buffer allocation")
+    }
+
+    /// [`BufPool::get`] for a `capacity` that is another rank's claim: one
+    /// that cannot be allocated is an error, not a panic or an abort.
+    pub fn try_get(&self, capacity: usize, _epoch: u64) -> Result<PoolBuf, TryReserveError> {
         self.meter(Metric::PoolGets);
         let mut stack = self.stack.lock();
         // Prefer the top of the stack (hot buffer).
         if let Some(pos) = stack.iter().rposition(|e| e.buf.capacity() >= capacity) {
             let mut e = stack.remove(pos);
-            e.buf.clear();
-            let _ = epoch;
             drop(stack);
+            e.buf.clear();
             self.meter(Metric::PoolHits);
-            return PoolBuf { buf: e.buf };
+            return Ok(PoolBuf { buf: e.buf });
         }
         // Take any buffer and let it grow, or make a new one.
-        if let Some(mut e) = stack.pop() {
-            e.buf.clear();
-            e.buf.reserve(capacity);
-            drop(stack);
-            self.meter(Metric::PoolPartialHits);
-            return PoolBuf { buf: e.buf };
-        }
+        let reused = stack.pop();
         drop(stack);
-        self.meter(Metric::PoolMisses);
-        PoolBuf {
-            buf: Vec::with_capacity(capacity),
-        }
+        let buf = match reused {
+            Some(mut e) => {
+                self.meter(Metric::PoolPartialHits);
+                e.buf.clear();
+                e.buf.try_reserve(capacity)?;
+                e.buf
+            }
+            None => {
+                self.meter(Metric::PoolMisses);
+                let mut buf = Vec::new();
+                buf.try_reserve_exact(capacity)?;
+                buf
+            }
+        };
+        Ok(PoolBuf { buf })
     }
 
     /// Return a buffer to the stack, stamping the epoch of its last use.

@@ -20,7 +20,7 @@ use motor_mpc::Source;
 use motor_runtime::{ClassId, ElemKind, Handle, MotorThread, TypeKind};
 
 use crate::error::{CoreError, CoreResult};
-use crate::mp::{Mp, MpRequest};
+use crate::mp::{Mp, MpRequest, Proof};
 use crate::oomp::Oomp;
 
 /// An active FCall frame.
@@ -150,7 +150,7 @@ fn dest_of(peer: i64) -> Result<usize, TrapKind> {
 /// exactly once before its function returns, so the table cannot leak.
 ///
 /// When the interpreter runs a module carrying the `motor-analyze`
-/// transport proof, raw transports take the *trusted* bindings and the
+/// transport proof, raw transports run under `Proof::Proved` and the
 /// per-send transportability walk is elided ([`MpIntrinsics::elided`]
 /// counts them — the measurable win of load-time verification).
 pub struct MpIntrinsics<'t> {
@@ -227,11 +227,14 @@ impl<'t> MpIntrinsics<'t> {
             .ok_or(TrapKind::Fcall("request already completed"))
     }
 
-    fn note_elided(&self, trusted: bool) -> bool {
+    /// The proof a raw transport runs under, counting the elided checks.
+    fn proof(&self, trusted: bool) -> Proof {
         if trusted {
             self.elided.set(self.elided.get() + 1);
+            Proof::Proved
+        } else {
+            Proof::Checked
         }
-        trusted
     }
 }
 
@@ -242,48 +245,38 @@ impl FcallHost for MpIntrinsics<'_> {
                 let buf = self.buf_arg(arg(args, 0)?)?;
                 let dest = dest_of(int_arg(arg(args, 1)?, "send dest must be an int")?)?;
                 let tag = int_arg(arg(args, 2)?, "tag must be an int")? as i32;
-                if self.note_elided(trusted) {
-                    self.mp.send_trusted(buf, dest, tag)
-                } else {
-                    self.mp.send(buf, dest, tag)
-                }
-                .map_err(|e| trap(&e))?;
+                self.mp
+                    .send_with(buf, None, dest, tag.into(), self.proof(trusted))
+                    .map_err(|e| trap(&e))?;
                 Ok(None)
             }
             FCallId::MpRecv => {
                 let buf = self.buf_arg(arg(args, 0)?)?;
                 let src = source_of(int_arg(arg(args, 1)?, "recv source must be an int")?);
                 let tag = int_arg(arg(args, 2)?, "tag must be an int")? as i32;
-                if self.note_elided(trusted) {
-                    self.mp.recv_trusted(buf, src, tag)
-                } else {
-                    self.mp.recv(buf, src, tag)
-                }
-                .map_err(|e| trap(&e))?;
+                self.mp
+                    .recv_with(buf, None, src, tag.into(), self.proof(trusted))
+                    .map_err(|e| trap(&e))?;
                 Ok(None)
             }
             FCallId::MpIsend => {
                 let buf = self.buf_arg(arg(args, 0)?)?;
                 let dest = dest_of(int_arg(arg(args, 1)?, "isend dest must be an int")?)?;
                 let tag = int_arg(arg(args, 2)?, "tag must be an int")? as i32;
-                let req = if self.note_elided(trusted) {
-                    self.mp.isend_trusted(buf, dest, tag)
-                } else {
-                    self.mp.isend(buf, dest, tag)
-                }
-                .map_err(|e| trap(&e))?;
+                let req = self
+                    .mp
+                    .isend_with(buf, dest, tag.into(), self.proof(trusted))
+                    .map_err(|e| trap(&e))?;
                 Ok(Some(Value::Req(self.park(req))))
             }
             FCallId::MpIrecv => {
                 let buf = self.buf_arg(arg(args, 0)?)?;
                 let src = source_of(int_arg(arg(args, 1)?, "irecv source must be an int")?);
                 let tag = int_arg(arg(args, 2)?, "tag must be an int")? as i32;
-                let req = if self.note_elided(trusted) {
-                    self.mp.irecv_trusted(buf, src, tag)
-                } else {
-                    self.mp.irecv(buf, src, tag)
-                }
-                .map_err(|e| trap(&e))?;
+                let req = self
+                    .mp
+                    .irecv_with(buf, src, tag.into(), self.proof(trusted))
+                    .map_err(|e| trap(&e))?;
                 Ok(Some(Value::Req(self.park(req))))
             }
             FCallId::MpWait => {
@@ -298,12 +291,9 @@ impl FcallHost for MpIntrinsics<'_> {
             FCallId::MpBcast => {
                 let buf = self.buf_arg(arg(args, 0)?)?;
                 let root = dest_of(int_arg(arg(args, 1)?, "bcast root must be an int")?)?;
-                if self.note_elided(trusted) {
-                    self.mp.bcast_trusted(buf, root)
-                } else {
-                    self.mp.bcast(buf, root)
-                }
-                .map_err(|e| trap(&e))?;
+                self.mp
+                    .bcast_with(buf, root, self.proof(trusted))
+                    .map_err(|e| trap(&e))?;
                 Ok(None)
             }
             FCallId::Osend => {

@@ -14,9 +14,11 @@
 //!   blocking operations pin only on entering the polling wait, and
 //!   non-blocking operations register *conditional* pins the collector
 //!   resolves during its mark phase.
-//! * [`serial`] — the custom serializer (type table + side-by-side object
-//!   data, Transportable-bit traversal, linear/hashed visited structures,
-//!   split representation).
+//! * [`wire`] — the object wire format (type table + side-by-side object
+//!   data, split representation): layout, writer, validating parser.
+//! * [`serial`] — the custom serializer: the Transportable-bit graph walk
+//!   (linear/hashed visited structures) and the heap materializer, over
+//!   [`wire`].
 //! * [`oomp`] — the extended object-oriented operations: `OSend`,
 //!   `ORecv`, `OBcast`, `OScatter`, `OGather`.
 //! * [`bufpool`] — the reusable native buffer stack trimmed at GC.
@@ -58,6 +60,7 @@ pub mod oomp;
 pub mod pinning;
 pub mod serial;
 pub mod telemetry;
+pub mod wire;
 
 pub use cluster::{
     run_cluster, run_cluster_default, ClusterConfig, ClusterConfigBuilder, ClusterMetrics,

@@ -68,6 +68,18 @@ pub(crate) fn resolve_bounds(
     Ok((start, end - start))
 }
 
+/// Whether a buffer's transportability must be checked at the call
+/// ([`Proof::Checked`], what every public operation does) or was proved when
+/// the module was loaded ([`Proof::Proved`]): the `motor-analyze` transport
+/// pass established that every value reaching the site has a
+/// reference-free, transportable class, so the per-send registry walk is
+/// elided. Nullness stays a runtime property and is checked either way.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Proof {
+    Checked,
+    Proved,
+}
+
 /// Peer value recorded in trace span args: the rank, or `u32::MAX` for
 /// a wildcard ([`Source::Any`]) receive.
 fn source_peer(src: Source) -> usize {
@@ -236,52 +248,39 @@ impl<'t> Mp<'t> {
     // Window resolution
     // ------------------------------------------------------------------
 
-    /// Validate and resolve the whole-object window.
-    fn window(&self, fc: &Fcall<'_>, obj: Handle) -> CoreResult<(*mut u8, usize)> {
-        fc.check_transportable_raw(obj)?;
-        Ok(fc.data_window(obj))
-    }
-
-    /// Window resolution for a *statically proven* buffer: the
-    /// `motor-analyze` transport pass already established that every value
-    /// reaching this site has a reference-free, transportable class, so
-    /// the per-send registry walk is elided. Nullness stays a runtime
-    /// property and is still checked.
-    fn resolve_window(
+    /// Validate `obj` as a transport buffer and resolve its zero-copy
+    /// window: the whole object, or the `(offset, count)` elements of an
+    /// array ("transporting portions of an array is supported", §4.2.1).
+    fn window(
         &self,
         fc: &Fcall<'_>,
         obj: Handle,
-        trusted: bool,
+        sub: Option<(usize, usize)>,
+        proof: Proof,
     ) -> CoreResult<(*mut u8, usize)> {
-        if trusted {
-            fc.check_not_null(obj)?;
-            Ok(fc.data_window(obj))
-        } else {
-            self.window(fc, obj)
+        match proof {
+            Proof::Checked => drop(fc.check_transportable_raw(obj)?),
+            Proof::Proved => fc.check_not_null(obj)?,
         }
-    }
-
-    /// Validate and resolve an array sub-range window (element offset and
-    /// count), per the array overloads of §4.2.1.
-    fn range_window(
-        &self,
-        fc: &Fcall<'_>,
-        obj: Handle,
-        offset: usize,
-        count: usize,
-    ) -> CoreResult<(*mut u8, usize)> {
-        fc.check_transportable_raw(obj)?;
+        let (ptr, bytes) = fc.data_window(obj);
+        let Some((offset, count)) = sub else {
+            return Ok((ptr, bytes));
+        };
         let kind = fc
             .elem_kind(obj)
             .ok_or_else(|| CoreError::Serialization("range transport requires an array".into()))?;
         let len = self.thread.array_len(obj);
-        if offset + count > len {
+        if offset.checked_add(count).is_none_or(|end| end > len) {
             return Err(CoreError::RangeOutOfBounds { offset, count, len });
         }
-        let (ptr, _) = fc.data_window(obj);
         let es = kind.size();
         // SAFETY: offset bounds-checked against the array length.
         Ok((unsafe { ptr.add(offset * es) }, count * es))
+    }
+
+    fn span(&self, kind: SpanKind, peer: usize, tag: Tag) -> motor_obs::SpanGuard<'_> {
+        let arg = span_arg_peer_tag(peer, tag.to_device());
+        self.thread.vm().metrics().span(kind, arg)
     }
 
     // ------------------------------------------------------------------
@@ -304,33 +303,7 @@ impl<'t> Mp<'t> {
 
     /// Blocking standard-mode send of a whole object.
     pub fn send(&self, obj: Handle, dest: usize, tag: impl Into<Tag>) -> CoreResult<()> {
-        self.send_impl(obj, dest, tag.into(), false)
-    }
-
-    /// `send` with the transportability check elided (statically proven
-    /// buffer; used by [`crate::fcall::MpIntrinsics`]).
-    pub(crate) fn send_trusted(
-        &self,
-        obj: Handle,
-        dest: usize,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<()> {
-        self.send_impl(obj, dest, tag.into(), true)
-    }
-
-    fn send_impl(&self, obj: Handle, dest: usize, tag: Tag, trusted: bool) -> CoreResult<()> {
-        let _span = self
-            .thread
-            .vm()
-            .metrics()
-            .span(SpanKind::MpSend, span_arg_peer_tag(dest, tag.to_device()));
-        let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.resolve_window(&fc, obj, trusted)?;
-        // SAFETY: window stability is maintained by the pinning policy
-        // inside `finish_blocking` (no poll happens before the pin).
-        let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
-        self.finish_blocking(obj, req)?;
-        Ok(())
+        self.send_with(obj, None, dest, tag.into(), Proof::Checked)
     }
 
     /// Blocking send of an array sub-range given as a Rust range, e.g.
@@ -342,39 +315,23 @@ impl<'t> Mp<'t> {
         dest: usize,
         tag: impl Into<Tag>,
     ) -> CoreResult<()> {
-        let (offset, count) = resolve_bounds(range, self.thread.array_len(obj))?;
-        self.send_range_impl(obj, offset, count, dest, tag.into())
+        let sub = resolve_bounds(range, self.thread.array_len(obj))?;
+        self.send_with(obj, Some(sub), dest, tag.into(), Proof::Checked)
     }
 
-    /// Blocking send of an array sub-range (element offset and count).
-    #[deprecated(since = "0.6.0", note = "use `send_sub` with a Rust range instead")]
-    pub fn send_range(
+    pub(crate) fn send_with(
         &self,
         obj: Handle,
-        offset: usize,
-        count: usize,
-        dest: usize,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<()> {
-        self.send_range_impl(obj, offset, count, dest, tag.into())
-    }
-
-    fn send_range_impl(
-        &self,
-        obj: Handle,
-        offset: usize,
-        count: usize,
+        sub: Option<(usize, usize)>,
         dest: usize,
         tag: Tag,
+        proof: Proof,
     ) -> CoreResult<()> {
-        let _span = self
-            .thread
-            .vm()
-            .metrics()
-            .span(SpanKind::MpSend, span_arg_peer_tag(dest, tag.to_device()));
+        let _span = self.span(SpanKind::MpSend, dest, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.range_window(&fc, obj, offset, count)?;
-        // SAFETY: as in `send`.
+        let (ptr, len) = self.window(&fc, obj, sub, proof)?;
+        // SAFETY: window stability is maintained by the pinning policy
+        // inside `finish_blocking` (no poll happens before the pin).
         let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
         self.finish_blocking(obj, req)?;
         Ok(())
@@ -383,13 +340,9 @@ impl<'t> Mp<'t> {
     /// Blocking synchronous-mode send (completes only when matched).
     pub fn ssend(&self, obj: Handle, dest: usize, tag: impl Into<Tag>) -> CoreResult<()> {
         let tag = tag.into();
-        let _span = self
-            .thread
-            .vm()
-            .metrics()
-            .span(SpanKind::MpSsend, span_arg_peer_tag(dest, tag.to_device()));
+        let _span = self.span(SpanKind::MpSsend, dest, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.window(&fc, obj)?;
+        let (ptr, len) = self.window(&fc, obj, None, Proof::Checked)?;
         // SAFETY: as in `send`.
         let req = unsafe { self.comm.issend_ptr(ptr, len, dest, tag)? };
         self.finish_blocking(obj, req)?;
@@ -404,30 +357,7 @@ impl<'t> Mp<'t> {
         src: impl Into<Source>,
         tag: impl Into<Tag>,
     ) -> CoreResult<MpStatus> {
-        self.recv_impl(obj, src.into(), tag.into(), false)
-    }
-
-    /// `recv` with the transportability check elided (statically proven
-    /// buffer).
-    pub(crate) fn recv_trusted(
-        &self,
-        obj: Handle,
-        src: impl Into<Source>,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<MpStatus> {
-        self.recv_impl(obj, src.into(), tag.into(), true)
-    }
-
-    fn recv_impl(&self, obj: Handle, src: Source, tag: Tag, trusted: bool) -> CoreResult<MpStatus> {
-        let _span = self.thread.vm().metrics().span(
-            SpanKind::MpRecv,
-            span_arg_peer_tag(source_peer(src), tag.to_device()),
-        );
-        let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.resolve_window(&fc, obj, trusted)?;
-        // SAFETY: as in `send`.
-        let req = unsafe { self.comm.irecv_ptr(ptr, len, src, tag)? };
-        self.finish_blocking(obj, req)
+        self.recv_with(obj, None, src.into(), tag.into(), Proof::Checked)
     }
 
     /// Blocking receive into an array sub-range given as a Rust range,
@@ -439,37 +369,21 @@ impl<'t> Mp<'t> {
         src: impl Into<Source>,
         tag: impl Into<Tag>,
     ) -> CoreResult<MpStatus> {
-        let (offset, count) = resolve_bounds(range, self.thread.array_len(obj))?;
-        self.recv_range_impl(obj, offset, count, src.into(), tag.into())
+        let sub = resolve_bounds(range, self.thread.array_len(obj))?;
+        self.recv_with(obj, Some(sub), src.into(), tag.into(), Proof::Checked)
     }
 
-    /// Blocking receive into an array sub-range (element offset and count).
-    #[deprecated(since = "0.6.0", note = "use `recv_sub` with a Rust range instead")]
-    pub fn recv_range(
+    pub(crate) fn recv_with(
         &self,
         obj: Handle,
-        offset: usize,
-        count: usize,
-        src: impl Into<Source>,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<MpStatus> {
-        self.recv_range_impl(obj, offset, count, src.into(), tag.into())
-    }
-
-    fn recv_range_impl(
-        &self,
-        obj: Handle,
-        offset: usize,
-        count: usize,
+        sub: Option<(usize, usize)>,
         src: Source,
         tag: Tag,
+        proof: Proof,
     ) -> CoreResult<MpStatus> {
-        let _span = self.thread.vm().metrics().span(
-            SpanKind::MpRecv,
-            span_arg_peer_tag(source_peer(src), tag.to_device()),
-        );
+        let _span = self.span(SpanKind::MpRecv, source_peer(src), tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.range_window(&fc, obj, offset, count)?;
+        let (ptr, len) = self.window(&fc, obj, sub, proof)?;
         // SAFETY: as in `send`.
         let req = unsafe { self.comm.irecv_ptr(ptr, len, src, tag)? };
         self.finish_blocking(obj, req)
@@ -479,53 +393,44 @@ impl<'t> Mp<'t> {
     // Non-blocking (immediate) point-to-point
     // ------------------------------------------------------------------
 
-    /// Immediate send. The buffer is protected by a conditional pin that
-    /// the collector releases once the transport finishes (paper §4.3).
-    pub fn isend(&self, obj: Handle, dest: usize, tag: impl Into<Tag>) -> CoreResult<MpRequest> {
-        self.isend_impl(obj, dest, tag.into(), false)
-    }
-
-    /// `isend` with the transportability check elided (statically proven
-    /// buffer).
-    pub(crate) fn isend_trusted(
-        &self,
-        obj: Handle,
-        dest: usize,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<MpRequest> {
-        self.isend_impl(obj, dest, tag.into(), true)
-    }
-
-    fn isend_impl(
-        &self,
-        obj: Handle,
-        dest: usize,
-        tag: Tag,
-        trusted: bool,
-    ) -> CoreResult<MpRequest> {
-        let _span = self
-            .thread
-            .vm()
-            .metrics()
-            .span(SpanKind::MpIsend, span_arg_peer_tag(dest, tag.to_device()));
-        let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.resolve_window(&fc, obj, trusted)?;
-        // SAFETY: the conditional pin registered below keeps the window
-        // stable for the transport's lifetime; no poll intervenes.
-        let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
+    /// Wrap a started transport in an [`MpRequest`]: protect the buffer
+    /// (a conditional pin the collector releases once the transport
+    /// finishes, paper §4.3) and register the operation as in flight.
+    fn track(&self, kind: SpanKind, peer: usize, tag: Tag, obj: Handle, req: Request) -> MpRequest {
         let hard_pin = pinning::pin_for_nonblocking(self.thread, self.policy, obj, &req);
         let registry = Arc::clone(self.thread.vm().metrics());
-        let inflight =
-            registry.op_begin(SpanKind::MpIsend, span_arg_peer_tag(dest, tag.to_device()));
+        let inflight = registry.op_begin(kind, span_arg_peer_tag(peer, tag.to_device()));
         registry.async_op_begin();
-        Ok(MpRequest {
+        MpRequest {
             inner: req,
             buf: obj,
             hard_pin,
             registry,
             inflight,
             async_live: true,
-        })
+        }
+    }
+
+    /// Immediate send. The buffer is protected by a conditional pin that
+    /// the collector releases once the transport finishes (paper §4.3).
+    pub fn isend(&self, obj: Handle, dest: usize, tag: impl Into<Tag>) -> CoreResult<MpRequest> {
+        self.isend_with(obj, dest, tag.into(), Proof::Checked)
+    }
+
+    pub(crate) fn isend_with(
+        &self,
+        obj: Handle,
+        dest: usize,
+        tag: Tag,
+        proof: Proof,
+    ) -> CoreResult<MpRequest> {
+        let _span = self.span(SpanKind::MpIsend, dest, tag);
+        let fc = Fcall::enter(self.thread);
+        let (ptr, len) = self.window(&fc, obj, None, proof)?;
+        // SAFETY: the conditional pin `track` registers keeps the window
+        // stable for the transport's lifetime; no poll intervenes.
+        let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
+        Ok(self.track(SpanKind::MpIsend, dest, tag, obj, req))
     }
 
     /// Immediate receive.
@@ -535,50 +440,23 @@ impl<'t> Mp<'t> {
         src: impl Into<Source>,
         tag: impl Into<Tag>,
     ) -> CoreResult<MpRequest> {
-        self.irecv_impl(obj, src.into(), tag.into(), false)
+        self.irecv_with(obj, src.into(), tag.into(), Proof::Checked)
     }
 
-    /// `irecv` with the transportability check elided (statically proven
-    /// buffer).
-    pub(crate) fn irecv_trusted(
-        &self,
-        obj: Handle,
-        src: impl Into<Source>,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<MpRequest> {
-        self.irecv_impl(obj, src.into(), tag.into(), true)
-    }
-
-    fn irecv_impl(
+    pub(crate) fn irecv_with(
         &self,
         obj: Handle,
         src: Source,
         tag: Tag,
-        trusted: bool,
+        proof: Proof,
     ) -> CoreResult<MpRequest> {
-        let _span = self.thread.vm().metrics().span(
-            SpanKind::MpIrecv,
-            span_arg_peer_tag(source_peer(src), tag.to_device()),
-        );
+        let peer = source_peer(src);
+        let _span = self.span(SpanKind::MpIrecv, peer, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.resolve_window(&fc, obj, trusted)?;
+        let (ptr, len) = self.window(&fc, obj, None, proof)?;
         // SAFETY: as in `isend`.
         let req = unsafe { self.comm.irecv_ptr(ptr, len, src, tag)? };
-        let hard_pin = pinning::pin_for_nonblocking(self.thread, self.policy, obj, &req);
-        let registry = Arc::clone(self.thread.vm().metrics());
-        let inflight = registry.op_begin(
-            SpanKind::MpIrecv,
-            span_arg_peer_tag(source_peer(src), tag.to_device()),
-        );
-        registry.async_op_begin();
-        Ok(MpRequest {
-            inner: req,
-            buf: obj,
-            hard_pin,
-            registry,
-            inflight,
-            async_live: true,
-        })
+        Ok(self.track(SpanKind::MpIrecv, peer, tag, obj, req))
     }
 
     /// Wait for an immediate operation, polling the collector while
@@ -619,10 +497,7 @@ impl<'t> Mp<'t> {
         let fc = Fcall::enter(self.thread);
         let src = src.into();
         let tag = tag.into();
-        let _span = self.thread.vm().metrics().span(
-            SpanKind::MpProbe,
-            span_arg_peer_tag(source_peer(src), tag.to_device()),
-        );
+        let _span = self.span(SpanKind::MpProbe, source_peer(src), tag);
         loop {
             fc.poll();
             if let Some(s) = self.comm.iprobe(src, tag)? {
@@ -666,19 +541,13 @@ impl<'t> Mp<'t> {
 
     /// Broadcast a whole object from `root`.
     pub fn bcast(&self, obj: Handle, root: usize) -> CoreResult<()> {
-        self.bcast_impl(obj, root, false)
+        self.bcast_with(obj, root, Proof::Checked)
     }
 
-    /// `bcast` with the transportability check elided (statically proven
-    /// buffer).
-    pub(crate) fn bcast_trusted(&self, obj: Handle, root: usize) -> CoreResult<()> {
-        self.bcast_impl(obj, root, true)
-    }
-
-    fn bcast_impl(&self, obj: Handle, root: usize, trusted: bool) -> CoreResult<()> {
+    pub(crate) fn bcast_with(&self, obj: Handle, root: usize, proof: Proof) -> CoreResult<()> {
         let _phase = self.thread.vm().metrics().phase_scope(TimeBucket::CommWait);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.resolve_window(&fc, obj, trusted)?;
+        let (ptr, len) = self.window(&fc, obj, None, proof)?;
         let pin = self.pin_for_collective(obj);
         // SAFETY: window pinned (or elder/stable) for the duration.
         let buf = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
@@ -693,11 +562,11 @@ impl<'t> Mp<'t> {
     pub fn scatter(&self, send: Option<Handle>, recv: Handle, root: usize) -> CoreResult<()> {
         let _phase = self.thread.vm().metrics().phase_scope(TimeBucket::CommWait);
         let fc = Fcall::enter(self.thread);
-        let (rptr, rlen) = self.window(&fc, recv)?;
+        let (rptr, rlen) = self.window(&fc, recv, None, Proof::Checked)?;
         let rpin = self.pin_for_collective(recv);
         let spin_and_window = match (self.comm.rank() == root, send) {
             (true, Some(s)) => {
-                let w = self.window(&fc, s)?;
+                let w = self.window(&fc, s, None, Proof::Checked)?;
                 Some((self.pin_for_collective(s), w))
             }
             (true, None) => return Err(CoreError::NullBuffer),
@@ -724,11 +593,11 @@ impl<'t> Mp<'t> {
     pub fn gather(&self, send: Handle, recv: Option<Handle>, root: usize) -> CoreResult<()> {
         let _phase = self.thread.vm().metrics().phase_scope(TimeBucket::CommWait);
         let fc = Fcall::enter(self.thread);
-        let (sptr, slen) = self.window(&fc, send)?;
+        let (sptr, slen) = self.window(&fc, send, None, Proof::Checked)?;
         let spin = self.pin_for_collective(send);
         let rpin_and_window = match (self.comm.rank() == root, recv) {
             (true, Some(r)) => {
-                let w = self.window(&fc, r)?;
+                let w = self.window(&fc, r, None, Proof::Checked)?;
                 Some((self.pin_for_collective(r), w))
             }
             (true, None) => return Err(CoreError::NullBuffer),
@@ -759,8 +628,8 @@ impl<'t> Mp<'t> {
         let kind = fc
             .elem_kind(send)
             .ok_or_else(|| CoreError::Serialization("allreduce requires arrays".into()))?;
-        let (sptr, slen) = self.window(&fc, send)?;
-        let (rptr, rlen) = self.window(&fc, recv)?;
+        let (sptr, slen) = self.window(&fc, send, None, Proof::Checked)?;
+        let (rptr, rlen) = self.window(&fc, recv, None, Proof::Checked)?;
         if slen != rlen {
             return Err(CoreError::Serialization(
                 "allreduce buffer length mismatch".into(),

@@ -23,7 +23,7 @@ use motor_mpc::{Comm, Source, Tag};
 use motor_obs::{span_arg_peer_tag, Hist, Metric, MetricsRegistry, SpanKind};
 use motor_runtime::{Handle, MotorThread};
 
-use crate::bufpool::BufPool;
+use crate::bufpool::{BufPool, PoolBuf};
 use crate::error::{CoreError, CoreResult};
 use crate::fcall::Fcall;
 use crate::mp::MpStatus;
@@ -106,19 +106,34 @@ impl<'t> Oomp<'t> {
         Ok(())
     }
 
+    /// A zeroed pooled buffer of the length a size header announces. The
+    /// header is the peer's claim: a length this process cannot allocate
+    /// is an error, not a capacity-overflow panic.
+    fn announced_buf(&self, size: [u8; 8]) -> CoreResult<PoolBuf> {
+        let len = u64::from_le_bytes(size);
+        let buf = usize::try_from(len).ok().and_then(|n| {
+            let mut buf = self.pool.try_get(n, self.current_epoch()).ok()?;
+            buf.buf_mut().resize(n, 0);
+            Some(buf)
+        });
+        buf.ok_or_else(|| {
+            CoreError::Serialization(format!(
+                "size header announces {len} bytes: cannot allocate"
+            ))
+        })
+    }
+
     /// Receive a size header, then the data into a pooled buffer. Returns
     /// the buffer and the sender's status.
-    fn recv_sized(&self, src: Source, tag: Tag) -> CoreResult<(crate::bufpool::PoolBuf, MpStatus)> {
+    fn recv_sized(&self, src: Source, tag: Tag) -> CoreResult<(PoolBuf, MpStatus)> {
         let mut size = [0u8; 8];
         let st = self.comm.recv_bytes(&mut size, src, tag)?;
-        let len = u64::from_le_bytes(size) as usize;
-        let mut buf = self.pool.get(len, self.current_epoch());
-        buf.buf_mut().resize(len, 0);
+        let mut buf = self.announced_buf(size)?;
         // Pair with the same sender to keep size/data streams aligned.
         let st2 = self
             .comm
             .recv_bytes(buf.buf_mut(), st.source as usize, st.tag)?;
-        debug_assert_eq!(st2.count, len);
+        debug_assert_eq!(st2.count, buf.as_slice().len());
         Ok((buf, st.into()))
     }
 
@@ -128,24 +143,12 @@ impl<'t> Oomp<'t> {
 
     /// Transport an object (tree) to `dest` — the `OSend` of Figure 4.
     pub fn osend(&self, obj: Handle, dest: usize, tag: impl Into<Tag>) -> CoreResult<()> {
-        let tag = tag.into();
-        let _span = self
-            .metrics()
-            .span(SpanKind::Osend, span_arg_peer_tag(dest, tag.to_device()));
-        let _fc = Fcall::enter(self.thread);
-        self.maintain_pool();
-        self.metrics().bump(Metric::OompOsends);
-        let (bytes, _) = self.serializer().serialize(obj)?;
-        self.metrics()
-            .record(Hist::SerializedGraphBytes, bytes.len() as u64);
-        self.send_sized(&bytes, dest, tag)?;
-        // Recycle the serialization buffer through the pool.
-        self.pool.adopt(bytes, self.current_epoch());
-        Ok(())
+        self.osend_with(obj, None, dest, tag.into())
     }
 
     /// Transport a sub-range of an array given as a Rust range, e.g.
-    /// `oomp.osend_sub(arr, 1..3, dest, tag)`.
+    /// `oomp.osend_sub(arr, 1..3, dest, tag)` — `OSend` with offset and
+    /// numcomponents (Figure 4).
     pub fn osend_sub(
         &self,
         obj: Handle,
@@ -153,29 +156,14 @@ impl<'t> Oomp<'t> {
         dest: usize,
         tag: impl Into<Tag>,
     ) -> CoreResult<()> {
-        let (offset, count) = crate::mp::resolve_bounds(range, self.thread.array_len(obj))?;
-        self.osend_range_impl(obj, offset, count, dest, tag.into())
+        let sub = crate::mp::resolve_bounds(range, self.thread.array_len(obj))?;
+        self.osend_with(obj, Some(sub), dest, tag.into())
     }
 
-    /// Transport a sub-range of an array — `OSend` with offset and
-    /// numcomponents (Figure 4).
-    #[deprecated(since = "0.6.0", note = "use `osend_sub` with a Rust range instead")]
-    pub fn osend_range(
+    fn osend_with(
         &self,
         obj: Handle,
-        offset: usize,
-        count: usize,
-        dest: usize,
-        tag: impl Into<Tag>,
-    ) -> CoreResult<()> {
-        self.osend_range_impl(obj, offset, count, dest, tag.into())
-    }
-
-    fn osend_range_impl(
-        &self,
-        obj: Handle,
-        offset: usize,
-        count: usize,
+        sub: Option<(usize, usize)>,
         dest: usize,
         tag: Tag,
     ) -> CoreResult<()> {
@@ -185,12 +173,15 @@ impl<'t> Oomp<'t> {
         let _fc = Fcall::enter(self.thread);
         self.maintain_pool();
         self.metrics().bump(Metric::OompOsends);
-        let (bytes, _) = self
-            .serializer()
-            .serialize_array_range(obj, offset, count)?;
+        let ser = self.serializer();
+        let (bytes, _) = match sub {
+            None => ser.serialize(obj)?,
+            Some((offset, count)) => ser.serialize_array_range(obj, offset, count)?,
+        };
         self.metrics()
             .record(Hist::SerializedGraphBytes, bytes.len() as u64);
         self.send_sized(&bytes, dest, tag)?;
+        // Recycle the serialization buffer through the pool.
         self.pool.adopt(bytes, self.current_epoch());
         Ok(())
     }
@@ -243,9 +234,7 @@ impl<'t> Oomp<'t> {
         } else {
             let mut size = [0u8; 8];
             self.comm.bcast_bytes(&mut size, root)?;
-            let len = u64::from_le_bytes(size) as usize;
-            let mut buf = self.pool.get(len, self.current_epoch());
-            buf.buf_mut().resize(len, 0);
+            let mut buf = self.announced_buf(size)?;
             self.comm.bcast_bytes(buf.buf_mut(), root)?;
             let h = self.serializer().deserialize(buf.as_slice())?;
             self.pool.put(buf, self.current_epoch());

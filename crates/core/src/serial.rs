@@ -1,11 +1,7 @@
-//! The Motor custom serialization mechanism (paper §7.5).
-//!
-//! Produces "a flat object-tree representation with two parts: a type
-//! table, which details class information; and object data, which consists
-//! of the objects laid out side-by-side, prefixed with an internal type
-//! reference. Object references are exchanged for their local internal
-//! equivalent. References to objects not included in the serialization are
-//! swapped to null."
+//! The Motor custom serialization mechanism (paper §7.5): the graph walk
+//! that turns managed objects into the representation of [`crate::wire`],
+//! and the materializer that allocates them back. The byte layout lives in
+//! that module; this one holds what is specific to the managed heap.
 //!
 //! Traversal follows the opt-in `[Transportable]` attribute: class fields
 //! are propagated only when their `FieldDesc` carries the Transportable
@@ -27,37 +23,20 @@
 //!   using the reflection library ... is a relatively slow operation").
 //!
 //! The **split representation** required by scatter/gather is provided by
-//! [`Serializer::serialize_array_range`]: each part is a complete,
-//! independently deserializable representation (own type table) whose root
-//! is the sub-array — "a single split representation is constructed of
-//! many regular representations ... each individually deserialisable at
-//! the receiving end."
-//!
-//! ## Wire format
-//!
-//! ```text
-//! [u32 type_count] type entries...
-//!   class:      [0][name][u16 nfields] per field: [0,prim_tag]|[1,transportable] [name]
-//!   prim array: [1][elem_tag]
-//!   obj array:  [2][u32 elem_type_index]
-//!   md array:   [3][elem_tag][rank]
-//! [u32 object_count] object records...
-//!   each: [u32 type_index] + payload
-//!   class payload:       field values in declaration order
-//!                        (prims raw LE; refs as u32 object index / NULL)
-//!   prim array payload:  [u32 len][data]
-//!   obj array payload:   [u32 len][u32 index/NULL ...]
-//!   md array payload:    [u8 rank][u32 dims...][data]
-//! Root object = record 0.
-//! ```
+//! [`Serializer::serialize_array_range`] — "a single split representation
+//! is constructed of many regular representations ... each individually
+//! deserialisable at the receiving end."
 
 use std::collections::HashMap;
 
 use motor_obs::{alloc_span_id, EventKind, Metric};
 use motor_runtime::object::ObjectRef;
-use motor_runtime::{ClassId, ElemKind, FieldType, Handle, MotorThread, TypeKind};
+use motor_runtime::{
+    ClassId, ElemKind, FieldType, Handle, MethodTable, MotorThread, TypeKind, TypeRegistry,
+};
 
 use crate::error::{CoreError, CoreResult};
+use crate::wire::{self, ClassEntry, Doc, Record, TypeEntry, Writer};
 
 /// How visited objects are recorded during the graph walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,14 +69,6 @@ pub struct SerializeStats {
     pub bytes: usize,
 }
 
-/// Null reference marker in the object data.
-const NULL_REF: u32 = u32::MAX;
-
-const TT_CLASS: u8 = 0;
-const TT_PRIM_ARRAY: u8 = 1;
-const TT_OBJ_ARRAY: u8 = 2;
-const TT_MD_ARRAY: u8 = 3;
-
 /// The Motor serializer bound to a managed thread.
 pub struct Serializer<'t> {
     thread: &'t MotorThread,
@@ -105,179 +76,152 @@ pub struct Serializer<'t> {
     attrs: AttrLookup,
 }
 
-/// Visited-object record: address → object index. The linear variant is a
-/// plain address array whose position *is* the object index (discovery
-/// order), scanned per lookup — the paper's "linear structure to record
-/// objects visited during serialization".
-enum Visited {
-    Linear(Vec<usize>),
-    Hashed(HashMap<usize, u32>),
-}
-
-impl Visited {
-    fn new(strategy: VisitedStrategy) -> Visited {
-        match strategy {
-            VisitedStrategy::Linear => Visited::Linear(Vec::new()),
-            VisitedStrategy::Hashed => Visited::Hashed(HashMap::new()),
-        }
-    }
-
-    fn get(&self, addr: usize, probes: &mut u64) -> Option<u32> {
-        match self {
-            Visited::Linear(v) => {
-                if let Some(i) = v.iter().position(|&a| a == addr) {
-                    *probes += i as u64 + 1;
-                    return Some(i as u32);
-                }
-                *probes += v.len() as u64;
-                None
-            }
-            Visited::Hashed(m) => {
-                *probes += 1;
-                m.get(&addr).copied()
-            }
-        }
-    }
-
-    fn insert(&mut self, addr: usize, idx: u32) {
-        match self {
-            Visited::Linear(v) => {
-                debug_assert_eq!(idx as usize, v.len(), "discovery order is the index");
-                v.push(addr);
-            }
-            Visited::Hashed(m) => {
-                m.insert(addr, idx);
-            }
+/// Write the type entry of a class.
+fn class_entry(e: &mut Vec<u8>, mt: &MethodTable) {
+    wire::class_entry_header(e, &mt.name, mt.fields.len() as u16);
+    for f in &mt.fields {
+        match f.ty {
+            FieldType::Prim(k) => wire::prim_field(e, k, &f.name),
+            FieldType::Ref(_) => wire::ref_field(e, &f.name, f.is_transportable()),
         }
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Sequential reader over a serialized buffer.
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(b: &'a [u8]) -> Reader<'a> {
-        Reader { b, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> CoreResult<&'a [u8]> {
-        if self.pos + n > self.b.len() {
-            return Err(CoreError::Serialization(format!(
-                "truncated representation at byte {} (+{n})",
-                self.pos
-            )));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> CoreResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> CoreResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> CoreResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> CoreResult<String> {
-        let n = self.u16()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec())
-            .map_err(|_| CoreError::Serialization("non-UTF8 type name".into()))
-    }
-}
-
-/// Serialization working state.
-struct SerState<'r> {
-    reg: &'r motor_runtime::TypeRegistry,
-    visited: Visited,
-    probes: u64,
-    /// Discovery-ordered object addresses.
-    objects: Vec<usize>,
-    /// Sender ClassId → type-table index.
-    type_index: HashMap<u32, u32>,
-    type_entries: Vec<Vec<u8>>,
-}
-
-impl SerState<'_> {
-    /// Register a type (recursively interning object-array element types),
-    /// returning its table index.
-    fn intern_type(&mut self, mt_id: u32) -> u32 {
-        if let Some(&i) = self.type_index.get(&mt_id) {
-            return i;
-        }
-        // Reserve the slot first so recursion on self-referential shapes
-        // terminates.
-        let idx = self.type_entries.len() as u32;
-        self.type_index.insert(mt_id, idx);
-        self.type_entries.push(Vec::new());
-
-        let (kind, name, fields) = {
-            let mt = self.reg.table(ClassId(mt_id));
-            (mt.kind.clone(), mt.name.clone(), mt.fields.clone())
-        };
-        let mut e = Vec::new();
-        match kind {
-            TypeKind::Class => {
-                e.push(TT_CLASS);
-                put_str(&mut e, &name);
-                put_u16(&mut e, fields.len() as u16);
-                for f in &fields {
-                    match f.ty {
-                        FieldType::Prim(k) => {
-                            e.push(0);
-                            e.push(k.tag());
-                        }
-                        FieldType::Ref(_) => {
-                            e.push(1);
-                            e.push(if f.is_transportable() { 1 } else { 0 });
-                        }
-                    }
-                    put_str(&mut e, &f.name);
-                }
-            }
-            TypeKind::PrimArray(k) => {
-                e.push(TT_PRIM_ARRAY);
-                e.push(k.tag());
-            }
+/// Type-table index of the method table `mt_id`, writing its entry (and,
+/// for an object array, its element type's) on first use.
+fn intern_type(w: &mut Writer<u32>, reg: &TypeRegistry, mt_id: u32) -> u32 {
+    w.intern(mt_id, |w, e| {
+        let mt = reg.table(ClassId(mt_id));
+        match &mt.kind {
+            TypeKind::Class => class_entry(e, mt),
+            TypeKind::PrimArray(k) => wire::prim_array_entry(e, *k),
             TypeKind::ObjArray(elem) => {
-                let elem_idx = self.intern_type(elem.0);
-                e.push(TT_OBJ_ARRAY);
-                put_u32(&mut e, elem_idx);
+                let elem_type = intern_type(w, reg, elem.0);
+                wire::obj_array_entry(e, elem_type);
             }
-            TypeKind::MdArray { elem, rank } => {
-                e.push(TT_MD_ARRAY);
-                e.push(elem.tag());
-                e.push(rank);
-            }
+            TypeKind::MdArray { elem, rank } => wire::md_array_entry(e, *elem, *rank),
         }
-        self.type_entries[idx as usize] = e;
-        idx
-    }
+    })
+}
 
+/// One serialization pass: the graph walk's state over a [`Writer`] keyed
+/// by the sender's class ids.
+struct Walk<'r> {
+    reg: &'r TypeRegistry,
+    /// Object addresses in discovery order; the position is the object
+    /// index. Scanned per lookup, it is also the paper's "linear structure
+    /// to record objects visited during serialization".
+    objects: Vec<usize>,
+    /// Address → object index, under [`VisitedStrategy::Hashed`].
+    index: Option<HashMap<usize, u32>>,
+    probes: u64,
+    w: Writer<u32>,
+}
+
+impl Walk<'_> {
     /// Assign an object index, discovering the object if new.
     fn discover(&mut self, addr: usize) -> u32 {
-        if let Some(idx) = self.visited.get(addr, &mut self.probes) {
-            return idx;
+        let known = match &self.index {
+            None => {
+                let pos = self.objects.iter().position(|&a| a == addr);
+                self.probes += pos.map_or(self.objects.len(), |i| i + 1) as u64;
+                pos.map(|i| i as u32)
+            }
+            Some(index) => {
+                self.probes += 1;
+                index.get(&addr).copied()
+            }
+        };
+        known.unwrap_or_else(|| {
+            let idx = self.objects.len() as u32;
+            if let Some(index) = &mut self.index {
+                index.insert(addr, idx);
+            }
+            self.objects.push(addr);
+            idx
+        })
+    }
+
+    /// Write a reference slot, discovering the target unless it is null.
+    fn put_ref(&mut self, addr: usize) {
+        let target = (addr != 0).then(|| self.discover(addr));
+        self.w.put_ref(target);
+    }
+
+    /// Append `len` bytes of instance data.
+    ///
+    /// # Safety
+    /// `p..p + len` lies inside a live object and no safepoint poll
+    /// happens during the walk (cooperative FCall context).
+    unsafe fn put_raw(&mut self, p: *const u8, len: usize) {
+        // SAFETY: the caller's contract.
+        let raw = unsafe { std::slice::from_raw_parts(p, len) };
+        self.w.payload().extend_from_slice(raw);
+    }
+
+    /// Emit records in discovery order; the list grows as references
+    /// discover further objects.
+    fn emit(&mut self, ser: &Serializer<'_>) {
+        let reg = self.reg;
+        let mut next = 0usize;
+        while next < self.objects.len() {
+            let obj = ObjectRef(self.objects[next]);
+            next += 1;
+            // SAFETY: cooperative, non-polling FCall context.
+            let (mt_id, extra) = unsafe {
+                let h = obj.header();
+                (h.mt, h.extra as usize)
+            };
+            let ty = intern_type(&mut self.w, reg, mt_id);
+            self.w.begin_record(ty);
+            let mt = reg.table(ClassId(mt_id));
+            match &mt.kind {
+                TypeKind::Class => {
+                    for (fi, f) in mt.fields.iter().enumerate() {
+                        match f.ty {
+                            // SAFETY: method-table offsets.
+                            FieldType::Prim(k) => unsafe {
+                                self.put_raw(obj.payload_ptr().add(f.offset as usize), k.size());
+                            },
+                            FieldType::Ref(_) => {
+                                // SAFETY: as above.
+                                let v = unsafe { obj.read_ref_at(f.offset as usize) };
+                                // "References are replaced with null"
+                                // unless marked Transportable (§4.2.2).
+                                let follow = !v.is_null() && ser.is_transportable(mt, fi);
+                                self.put_ref(if follow { v.0 } else { 0 });
+                            }
+                        }
+                    }
+                }
+                TypeKind::PrimArray(k) => {
+                    self.w.put_u32(extra as u32);
+                    // SAFETY: array data window.
+                    unsafe {
+                        let (p, bytes) = obj.prim_array_data(k.size());
+                        self.put_raw(p, bytes);
+                    }
+                }
+                TypeKind::ObjArray(_) => {
+                    self.w.put_u32(extra as u32);
+                    for i in 0..extra {
+                        // SAFETY: i < length.
+                        self.put_ref(unsafe { *obj.obj_array_slot(i) });
+                    }
+                }
+                TypeKind::MdArray { elem, rank } => {
+                    self.w.payload().push(*rank);
+                    // SAFETY: md accessors.
+                    unsafe {
+                        for d in obj.md_dims(*rank) {
+                            self.w.put_u32(d);
+                        }
+                        let (p, bytes) = obj.md_data(*rank, elem.size());
+                        self.put_raw(p, bytes);
+                    }
+                }
+            }
         }
-        let idx = self.objects.len() as u32;
-        self.visited.insert(addr, idx);
-        self.objects.push(addr);
-        idx
     }
 }
 
@@ -304,7 +248,7 @@ impl<'t> Serializer<'t> {
         self
     }
 
-    fn is_transportable(&self, mt: &motor_runtime::MethodTable, field_idx: usize) -> bool {
+    fn is_transportable(&self, mt: &MethodTable, field_idx: usize) -> bool {
         match self.attrs {
             AttrLookup::FieldDescBit => mt.fields[field_idx].is_transportable(),
             AttrLookup::Reflection => {
@@ -324,7 +268,9 @@ impl<'t> Serializer<'t> {
             return Err(CoreError::NullBuffer);
         }
         let addr = self.thread.vm().handle_addr(root);
-        self.serialize_addrs(&[addr], None)
+        Ok(self.run(|walk| {
+            walk.discover(addr);
+        }))
     }
 
     /// Serialize a sub-range of an array as an independently
@@ -340,207 +286,66 @@ impl<'t> Serializer<'t> {
             return Err(CoreError::NullBuffer);
         }
         let len = self.thread.array_len(arr);
-        if offset + count > len {
+        if offset.checked_add(count).is_none_or(|end| end > len) {
             return Err(CoreError::RangeOutOfBounds { offset, count, len });
         }
         let vm = self.thread.vm();
-        let addr = vm.handle_addr(arr);
-        let obj = ObjectRef(addr);
+        let obj = ObjectRef(vm.handle_addr(arr));
         // SAFETY: cooperative, non-polling FCall context: stable address.
         let mt_id = unsafe { obj.header().mt };
-        let reg = vm.registry();
-        match reg.table(ClassId(mt_id)).kind.clone() {
-            TypeKind::ObjArray(elem) => {
-                // Synthetic object-array root over the range elements.
-                let mut elems = Vec::with_capacity(count);
+        // The registry guard must go before `run` takes its own.
+        let kind = vm.registry().table(ClassId(mt_id)).kind.clone();
+        match kind {
+            TypeKind::ObjArray(elem) => Ok(self.run(|walk| {
+                let elem_type = intern_type(&mut walk.w, walk.reg, elem.0);
+                walk.w
+                    .split_root(count, |e| wire::obj_array_entry(e, elem_type));
                 for i in offset..offset + count {
                     // SAFETY: bounds checked above.
-                    elems.push(unsafe { *obj.obj_array_slot(i) });
+                    walk.put_ref(unsafe { *obj.obj_array_slot(i) });
                 }
-                drop(reg);
-                self.serialize_addrs(
-                    &[],
-                    Some(RangeRoot::Objects {
-                        elem: elem.0,
-                        elems,
-                    }),
-                )
-            }
-            TypeKind::PrimArray(k) => {
-                let mut data = vec![0u8; count * k.size()];
-                // SAFETY: bounds checked; cooperative context.
+            })),
+            TypeKind::PrimArray(k) => Ok(self.run(|walk| {
+                walk.w.split_root(count, |e| wire::prim_array_entry(e, k));
+                // SAFETY: bounds checked above; cooperative context.
                 unsafe {
                     let (p, _) = obj.prim_array_data(k.size());
-                    std::ptr::copy_nonoverlapping(
-                        p.add(offset * k.size()),
-                        data.as_mut_ptr(),
-                        data.len(),
-                    );
+                    walk.put_raw(p.add(offset * k.size()), count * k.size());
                 }
-                drop(reg);
-                self.serialize_addrs(&[], Some(RangeRoot::Prims { kind: k, data }))
-            }
+            })),
             _ => Err(CoreError::Serialization(
                 "range serialization requires an array".into(),
             )),
         }
     }
 
-    /// Core serialization over explicit roots. `range_root`, if present,
-    /// becomes record 0 (the synthetic split-representation root).
-    fn serialize_addrs(
-        &self,
-        roots: &[usize],
-        range_root: Option<RangeRoot>,
-    ) -> CoreResult<(Vec<u8>, SerializeStats)> {
+    /// One pass: `roots` discovers the root object, or writes a synthetic
+    /// split root (record 0) and discovers its elements; the walk then
+    /// emits everything reachable.
+    fn run(&self, roots: impl FnOnce(&mut Walk<'_>)) -> (Vec<u8>, SerializeStats) {
         let vm = self.thread.vm();
         // Trace the whole pass: `a` is a process-unique pass id the trace
         // merger pairs begin/end on; the end event carries the output size.
         let pass = alloc_span_id();
         vm.metrics().event3(EventKind::SerBegin, pass, 0, 0);
         let reg = vm.registry();
-        let mut st = SerState {
+        let mut walk = Walk {
             reg: &reg,
-            visited: Visited::new(self.strategy),
-            probes: 0,
             objects: Vec::new(),
-            type_index: HashMap::new(),
-            type_entries: Vec::new(),
+            index: (self.strategy == VisitedStrategy::Hashed).then(HashMap::new),
+            probes: 0,
+            w: Writer::default(),
         };
-        let mut obj_data: Vec<u8> = Vec::new();
-        let mut record_count = 0usize;
-
-        // Synthetic root first, if any.
-        if let Some(rr) = &range_root {
-            match rr {
-                RangeRoot::Objects { elem, elems } => {
-                    // An object-array type entry over the element class.
-                    let elem_idx_entry = st.intern_type(*elem);
-                    let tidx = st.type_entries.len() as u32;
-                    let mut e = Vec::new();
-                    e.push(TT_OBJ_ARRAY);
-                    put_u32(&mut e, elem_idx_entry);
-                    st.type_entries.push(e);
-                    put_u32(&mut obj_data, tidx);
-                    put_u32(&mut obj_data, elems.len() as u32);
-                    for &a in elems {
-                        if a == 0 {
-                            put_u32(&mut obj_data, NULL_REF);
-                        } else {
-                            // Offset element indices by one: the synthetic
-                            // root is record 0 and discovered objects start
-                            // at record 1.
-                            put_u32(&mut obj_data, st.discover(a) + 1);
-                        }
-                    }
-                }
-                RangeRoot::Prims { kind, data } => {
-                    let tidx = st.type_entries.len() as u32;
-                    st.type_entries.push(vec![TT_PRIM_ARRAY, kind.tag()]);
-                    put_u32(&mut obj_data, tidx);
-                    put_u32(&mut obj_data, (data.len() / kind.size()) as u32);
-                    obj_data.extend_from_slice(data);
-                }
-            }
-            record_count += 1;
-        }
-        let index_offset: u32 = if range_root.is_some() { 1 } else { 0 };
-        for &r in roots {
-            st.discover(r);
-        }
-
-        // Emit in discovery order; the list grows as references intern.
-        let mut emit = 0usize;
-        while emit < st.objects.len() {
-            let addr = st.objects[emit];
-            emit += 1;
-            record_count += 1;
-            let obj = ObjectRef(addr);
-            // SAFETY: cooperative, non-polling FCall context.
-            let (mt_id, extra) = unsafe {
-                let h = obj.header();
-                (h.mt, h.extra as usize)
-            };
-            let tidx = st.intern_type(mt_id);
-            put_u32(&mut obj_data, tidx);
-            // `st.reg` is a plain `&'r` copy, so `mt` borrows the registry
-            // directly and `st` stays mutably usable below.
-            let mt: &motor_runtime::MethodTable = st.reg.table(ClassId(mt_id));
-            match &mt.kind {
-                TypeKind::Class => {
-                    for (fi, f) in mt.fields.iter().enumerate() {
-                        match f.ty {
-                            FieldType::Prim(k) => {
-                                // SAFETY: method-table offsets.
-                                unsafe {
-                                    let p = obj.payload_ptr().add(f.offset as usize);
-                                    obj_data
-                                        .extend_from_slice(std::slice::from_raw_parts(p, k.size()));
-                                }
-                            }
-                            FieldType::Ref(_) => {
-                                // SAFETY: as above.
-                                let v = unsafe { obj.read_ref_at(f.offset as usize) };
-                                if v.is_null() || !self.is_transportable(mt, fi) {
-                                    // "References are replaced with null"
-                                    // unless marked Transportable (§4.2.2).
-                                    put_u32(&mut obj_data, NULL_REF);
-                                } else {
-                                    put_u32(&mut obj_data, st.discover(v.0) + index_offset);
-                                }
-                            }
-                        }
-                    }
-                }
-                TypeKind::PrimArray(k) => {
-                    put_u32(&mut obj_data, extra as u32);
-                    // SAFETY: array data window.
-                    unsafe {
-                        let (p, bytes) = obj.prim_array_data(k.size());
-                        obj_data.extend_from_slice(std::slice::from_raw_parts(p, bytes));
-                    }
-                }
-                TypeKind::ObjArray(_) => {
-                    put_u32(&mut obj_data, extra as u32);
-                    for i in 0..extra {
-                        // SAFETY: i < length.
-                        let elem = unsafe { *obj.obj_array_slot(i) };
-                        if elem == 0 {
-                            put_u32(&mut obj_data, NULL_REF);
-                        } else {
-                            put_u32(&mut obj_data, st.discover(elem) + index_offset);
-                        }
-                    }
-                }
-                TypeKind::MdArray { elem, rank } => {
-                    let (elem, rank) = (*elem, *rank);
-                    // SAFETY: md accessors.
-                    unsafe {
-                        let dims = obj.md_dims(rank);
-                        obj_data.push(rank);
-                        for d in &dims {
-                            put_u32(&mut obj_data, *d);
-                        }
-                        let (p, bytes) = obj.md_data(rank, elem.size());
-                        obj_data.extend_from_slice(std::slice::from_raw_parts(p, bytes));
-                    }
-                }
-            }
-        }
-
-        let mut out = Vec::with_capacity(obj_data.len() + 64);
-        put_u32(&mut out, st.type_entries.len() as u32);
-        for e in &st.type_entries {
-            out.extend_from_slice(e);
-        }
-        put_u32(&mut out, record_count as u32);
-        out.extend_from_slice(&obj_data);
+        roots(&mut walk);
+        walk.emit(self);
+        let objects = walk.w.record_count() as usize;
+        let out = walk.w.finish();
         let stats = SerializeStats {
-            objects: record_count,
-            visited_probes: st.probes,
+            objects,
+            visited_probes: walk.probes,
             bytes: out.len(),
         };
-        let reg = self.thread.vm().metrics();
+        let reg = vm.metrics();
         reg.bump(Metric::SerOps);
         reg.add(Metric::SerObjects, stats.objects as u64);
         reg.add(Metric::SerBytes, stats.bytes as u64);
@@ -551,297 +356,120 @@ impl<'t> Serializer<'t> {
             stats.bytes as u64,
             stats.objects as u64,
         );
-        Ok((out, stats))
+        (out, stats)
+    }
+
+    /// The local class of each wire type an instance or an object array
+    /// is allocated from: a known class whose layout matches the sender's,
+    /// or a primitive array. Everything that can make this VM refuse a
+    /// representation is found here, before anything is allocated.
+    fn resolve_types(&self, doc: &Doc<'_>) -> CoreResult<Vec<Option<ClassId>>> {
+        let resolve = |ty: &TypeEntry<'_>| match ty {
+            TypeEntry::Class(class) => self.resolve_class(class).map(Some),
+            TypeEntry::PrimArray(k) => Ok(Some(self.thread.array_class(*k))),
+            TypeEntry::MdArray(..) => Ok(None),
+            TypeEntry::ObjArray(elem_type) => match doc.types()[*elem_type as usize] {
+                TypeEntry::Class(_) | TypeEntry::PrimArray(_) => Ok(None),
+                _ => Err(CoreError::Serialization(
+                    "object arrays of object or md arrays are not supported".into(),
+                )),
+            },
+        };
+        doc.types().iter().map(resolve).collect()
+    }
+
+    /// Find the sender's class by name and verify its layout against ours.
+    fn resolve_class(&self, wire: &ClassEntry<'_>) -> CoreResult<ClassId> {
+        let reg = self.thread.vm().registry();
+        let class = reg
+            .by_name(wire.name)
+            .filter(|&c| matches!(reg.table(c).kind, TypeKind::Class))
+            .ok_or_else(|| CoreError::UnknownType(wire.name.into()))?;
+        let mut local = Vec::new();
+        class_entry(&mut local, reg.table(class));
+        wire.check_layout(&ClassEntry::parse(&local)?)?;
+        Ok(class)
     }
 
     /// Reconstruct the object graph; returns a handle to the root object
     /// (record 0). Every intermediate handle is released.
     pub fn deserialize(&self, data: &[u8]) -> CoreResult<Handle> {
-        let reg = self.thread.vm().metrics();
+        let t = self.thread;
+        let reg = t.vm().metrics();
         reg.bump(Metric::DeserOps);
         reg.add(Metric::DeserBytes, data.len() as u64);
         let pass = alloc_span_id();
         reg.event3(EventKind::DeserBegin, pass, data.len() as u64, 0);
-        let mut r = Reader::new(data);
-        let type_count = r.u32()? as usize;
-        let vm = self.thread.vm();
+        let doc = Doc::parse(data)?;
+        let classes = self.resolve_types(&doc)?;
+        let class_of =
+            |ty: u32| classes[ty as usize].expect("resolve_types checked every type in use");
 
-        // ---- Type table → local types ----
-        let mut types: Vec<LocalType> = Vec::with_capacity(type_count);
-        for _ in 0..type_count {
-            match r.u8()? {
-                TT_CLASS => {
-                    let name = r.str()?;
-                    let nf = r.u16()? as usize;
-                    let mut wire_fields = Vec::with_capacity(nf);
-                    for _ in 0..nf {
-                        let ftag = r.u8()?;
-                        let prim = if ftag == 0 {
-                            Some(ElemKind::from_tag(r.u8()?).ok_or_else(|| {
-                                CoreError::Serialization("bad element tag".into())
-                            })?)
-                        } else {
-                            let _transportable = r.u8()?;
-                            None
-                        };
-                        let fname = r.str()?;
-                        wire_fields.push((fname, prim));
-                    }
-                    let class = vm
-                        .registry()
-                        .by_name(&name)
-                        .ok_or_else(|| CoreError::UnknownType(name.clone()))?;
-                    // Layout verification against the local class.
-                    {
-                        let reg = vm.registry();
-                        let mt = reg.table(class);
-                        if mt.fields.len() != nf {
-                            return Err(CoreError::Serialization(format!(
-                                "type `{name}`: sender has {nf} fields, receiver {}",
-                                mt.fields.len()
-                            )));
+        // Allocate every object and fill its primitive content. Nothing
+        // below can fail, so no handle is left behind.
+        let handles: Vec<Handle> = doc
+            .records()
+            .iter()
+            .map(|rec| match rec {
+                Record::Class { ty, values } => {
+                    let h = t.alloc_instance(class_of(*ty));
+                    for (fi, f) in doc.class(*ty).fields.iter().enumerate() {
+                        if let Some(k) = f.prim {
+                            write_prim_field(t, h, fi, k, f.bytes(values));
                         }
-                        for (lf, (wname, wprim)) in mt.fields.iter().zip(&wire_fields) {
-                            let ok = match (lf.ty, wprim) {
-                                (FieldType::Prim(a), Some(b)) => a == *b,
-                                (FieldType::Ref(_), None) => true,
-                                _ => false,
-                            };
-                            if lf.name != *wname || !ok {
-                                return Err(CoreError::Serialization(format!(
-                                    "type `{name}`: field `{wname}` mismatch"
-                                )));
-                            }
-                        }
-                    }
-                    let fields = wire_fields.into_iter().map(|(_, prim)| prim).collect();
-                    types.push(LocalType::Class { class, fields });
-                }
-                TT_PRIM_ARRAY => {
-                    let k = ElemKind::from_tag(r.u8()?)
-                        .ok_or_else(|| CoreError::Serialization("bad element tag".into()))?;
-                    types.push(LocalType::PrimArray(k));
-                }
-                TT_OBJ_ARRAY => {
-                    let elem_idx = r.u32()? as usize;
-                    types.push(LocalType::ObjArray {
-                        elem_type: elem_idx,
-                    });
-                }
-                TT_MD_ARRAY => {
-                    let k = ElemKind::from_tag(r.u8()?)
-                        .ok_or_else(|| CoreError::Serialization("bad element tag".into()))?;
-                    let rank = r.u8()?;
-                    types.push(LocalType::MdArray { elem: k, rank });
-                }
-                other => return Err(CoreError::Serialization(format!("bad type kind {other}"))),
-            }
-        }
-        // Resolve object-array element classes (may reference later
-        // entries, hence the second pass).
-        let elem_class_of = |types: &[LocalType], idx: usize| -> CoreResult<ClassId> {
-            match types.get(idx) {
-                Some(LocalType::Class { class, .. }) => Ok(*class),
-                Some(LocalType::PrimArray(k)) => Ok(self.thread.array_class(*k)),
-                Some(LocalType::ObjArray { .. }) | Some(LocalType::MdArray { .. }) => {
-                    Err(CoreError::Serialization(
-                        "nested array element classes are resolved lazily; \
-                         unsupported element type"
-                            .into(),
-                    ))
-                }
-                None => Err(CoreError::Serialization(format!(
-                    "bad elem type index {idx}"
-                ))),
-            }
-        };
-
-        // ---- Phase A: parse all records ----
-        let object_count = r.u32()? as usize;
-        if object_count == 0 {
-            return Err(CoreError::Serialization("empty representation".into()));
-        }
-        enum Parsed<'a> {
-            Class {
-                t: usize,
-                prims: Vec<(usize, &'a [u8])>,
-                refs: Vec<(usize, u32)>,
-            },
-            PrimArray {
-                t: usize,
-                data: &'a [u8],
-            },
-            ObjArray {
-                t: usize,
-                elems: Vec<u32>,
-            },
-            MdArray {
-                t: usize,
-                dims: Vec<u32>,
-                data: &'a [u8],
-            },
-        }
-        let mut parsed: Vec<Parsed> = Vec::with_capacity(object_count);
-        for _ in 0..object_count {
-            let t = r.u32()? as usize;
-            match types.get(t) {
-                Some(LocalType::Class { fields, .. }) => {
-                    let mut prims = Vec::new();
-                    let mut refs = Vec::new();
-                    for (fi, f) in fields.iter().enumerate() {
-                        match f {
-                            Some(k) => prims.push((fi, r.take(k.size())?)),
-                            None => {
-                                let idx = r.u32()?;
-                                if idx != NULL_REF {
-                                    refs.push((fi, idx));
-                                }
-                            }
-                        }
-                    }
-                    parsed.push(Parsed::Class { t, prims, refs });
-                }
-                Some(LocalType::PrimArray(k)) => {
-                    let len = r.u32()? as usize;
-                    parsed.push(Parsed::PrimArray {
-                        t,
-                        data: r.take(len * k.size())?,
-                    });
-                }
-                Some(LocalType::ObjArray { .. }) => {
-                    let len = r.u32()? as usize;
-                    let mut elems = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        elems.push(r.u32()?);
-                    }
-                    parsed.push(Parsed::ObjArray { t, elems });
-                }
-                Some(LocalType::MdArray { elem, rank }) => {
-                    let wire_rank = r.u8()?;
-                    if wire_rank != *rank {
-                        return Err(CoreError::Serialization("md rank mismatch".into()));
-                    }
-                    let mut dims = Vec::with_capacity(*rank as usize);
-                    for _ in 0..*rank {
-                        dims.push(r.u32()?);
-                    }
-                    let count: usize = dims.iter().map(|&d| d as usize).product();
-                    parsed.push(Parsed::MdArray {
-                        t,
-                        dims,
-                        data: r.take(count * elem.size())?,
-                    });
-                }
-                None => return Err(CoreError::Serialization(format!("bad type index {t}"))),
-            }
-        }
-
-        // ---- Phase B: allocate and fill primitive content ----
-        let mut handles: Vec<Handle> = Vec::with_capacity(object_count);
-        for p in &parsed {
-            let h = match p {
-                Parsed::Class { t, prims, .. } => {
-                    let (class, fields) = match &types[*t] {
-                        LocalType::Class { class, fields } => (*class, fields),
-                        _ => unreachable!(),
-                    };
-                    let h = self.thread.alloc_instance(class);
-                    for &(fi, raw) in prims {
-                        let k = fields[fi].expect("prim field");
-                        write_prim_field(self.thread, h, fi, k, raw);
                     }
                     h
                 }
-                Parsed::PrimArray { t, data } => {
-                    let k = match &types[*t] {
-                        LocalType::PrimArray(k) => *k,
-                        _ => unreachable!(),
-                    };
-                    let h = self.thread.alloc_prim_array(k, data.len() / k.size());
-                    write_array_bytes(self.thread, h, data);
+                Record::PrimArray { elem, data } => {
+                    let h = t.alloc_prim_array(*elem, data.len() / elem.size());
+                    write_array_bytes(t, h, data);
                     h
                 }
-                Parsed::ObjArray { t, elems } => {
-                    let elem_type = match &types[*t] {
-                        LocalType::ObjArray { elem_type } => *elem_type,
-                        _ => unreachable!(),
-                    };
-                    let elem_class = elem_class_of(&types, elem_type)?;
-                    self.thread.alloc_obj_array(elem_class, elems.len())
+                Record::ObjArray { elem_type, elems } => {
+                    t.alloc_obj_array(class_of(*elem_type), elems.iter().len())
                 }
-                Parsed::MdArray { t, dims, data } => {
-                    let elem = match &types[*t] {
-                        LocalType::MdArray { elem, .. } => *elem,
-                        _ => unreachable!(),
-                    };
-                    let h = self.thread.alloc_md_array(elem, dims);
-                    write_array_bytes(self.thread, h, data);
+                Record::MdArray { elem, dims, data } => {
+                    let h = t.alloc_md_array(*elem, dims);
+                    write_array_bytes(t, h, data);
                     h
                 }
-            };
-            handles.push(h);
-        }
+            })
+            .collect();
 
-        // ---- Phase C: patch references ----
-        let get_target = |handles: &[Handle], idx: u32| -> CoreResult<Handle> {
-            handles
-                .get(idx as usize)
-                .copied()
-                .ok_or_else(|| CoreError::Serialization(format!("bad object index {idx}")))
-        };
-        for (oi, p) in parsed.iter().enumerate() {
-            match p {
-                Parsed::Class { refs, .. } => {
-                    for &(fi, idx) in refs {
-                        let target = get_target(&handles, idx)?;
-                        self.thread.set_ref(handles[oi], fi, target);
-                    }
-                }
-                Parsed::ObjArray { elems, .. } => {
-                    for (ei, &idx) in elems.iter().enumerate() {
-                        if idx != NULL_REF {
-                            let target = get_target(&handles, idx)?;
-                            self.thread.obj_array_set(handles[oi], ei, target);
+        // Patch references, now that every target exists.
+        for (rec, &h) in doc.records().iter().zip(&handles) {
+            match rec {
+                Record::Class { ty, values } => {
+                    for (fi, f) in doc.class(*ty).fields.iter().enumerate() {
+                        if let Some(target) = f.target(values) {
+                            t.set_ref(h, fi, handles[target as usize]);
                         }
                     }
                 }
-                _ => {}
+                Record::ObjArray { elems, .. } => {
+                    for (ei, target) in elems.iter().enumerate() {
+                        if let Some(target) = target {
+                            t.obj_array_set(h, ei, handles[target as usize]);
+                        }
+                    }
+                }
+                Record::PrimArray { .. } | Record::MdArray { .. } => {}
             }
         }
 
         // Keep the root; release the rest.
         let root = handles[0];
-        for h in handles.into_iter().skip(1) {
-            self.thread.release(h);
+        for &h in &handles[1..] {
+            t.release(h);
         }
-        self.thread.vm().metrics().event3(
+        reg.event3(
             EventKind::DeserEnd,
             pass,
             data.len() as u64,
-            object_count as u64,
+            handles.len() as u64,
         );
         Ok(root)
     }
-}
-
-enum LocalType {
-    Class {
-        class: ClassId,
-        fields: Vec<Option<ElemKind>>,
-    },
-    PrimArray(ElemKind),
-    ObjArray {
-        elem_type: usize,
-    },
-    MdArray {
-        elem: ElemKind,
-        rank: u8,
-    },
-}
-
-enum RangeRoot {
-    Objects { elem: u32, elems: Vec<usize> },
-    Prims { kind: ElemKind, data: Vec<u8> },
 }
 
 fn write_prim_field(t: &MotorThread, h: Handle, fi: usize, k: ElemKind, raw: &[u8]) {
@@ -1168,17 +796,51 @@ mod tests {
     }
 
     #[test]
+    fn a_class_entry_cannot_name_an_array_type() {
+        // Array types are registered by name too ("I32[]"); a class entry
+        // claiming that name must not reach `alloc_instance`.
+        let f = fixture();
+        let t = MotorThread::attach(Arc::clone(&f.vm));
+        let name = f.vm.registry().table(f.arr_i32).name.clone();
+        let mut w = Writer::<u32>::default();
+        let ty = w.intern(0, |_, e| wire::class_entry_header(e, &name, 0));
+        w.begin_record(ty);
+        assert!(matches!(
+            Serializer::new(&t).deserialize(&w.finish()),
+            Err(CoreError::UnknownType(n)) if n == name
+        ));
+    }
+
+    #[test]
     fn truncated_buffers_are_rejected() {
         let f = fixture();
         let t = MotorThread::attach(Arc::clone(&f.vm));
         let head = build_list(&t, &f, 3, 4);
-        let (buf, _) = Serializer::new(&t).serialize(head).unwrap();
+        let (buf, stats) = Serializer::new(&t).serialize(head).unwrap();
         let ser = Serializer::new(&t);
         for cut in [1usize, buf.len() / 2, buf.len() - 1] {
             assert!(
                 ser.deserialize(&buf[..cut]).is_err(),
                 "cut at {cut} must not deserialize"
             );
+        }
+        // Length-field inflation: a count the bytes cannot back is a typed
+        // error, not a reservation. First a type_count of u32::MAX, then a
+        // record_count of u32::MAX behind an empty and behind a valid type
+        // table (the record count is the first u32 equal to it).
+        let count = (stats.objects as u32).to_le_bytes();
+        let at = buf.windows(4).position(|w| w == count).unwrap();
+        let mut inflated = buf.clone();
+        inflated[at..at + 4].fill(0xff);
+        for hostile in [
+            &[0xff; 4][..],
+            &[0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
+            &inflated,
+        ] {
+            assert!(matches!(
+                ser.deserialize(hostile),
+                Err(CoreError::Serialization(_))
+            ));
         }
     }
 

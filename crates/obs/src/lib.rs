@@ -161,7 +161,7 @@ define_metrics! {
     CollAlltoall => "coll_alltoall",
 
     // ---- System.MP.OO (object-passing operations) ----
-    /// `osend`/`osend_range` calls.
+    /// `osend`/`osend_sub` calls.
     OompOsends => "oomp_osends",
     /// `orecv` calls.
     OompOrecvs => "oomp_orecvs",

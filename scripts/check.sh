@@ -173,4 +173,7 @@ for w in cg ablation_overlap; do
   done
 done
 
+echo "==> non-test Rust lines per crate (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "OK"

@@ -59,18 +59,16 @@ fn api_surface_metrics_consistency() {
                 mp.recv(rx, Source::Any, 3).unwrap();
             }
 
-            // --- sub-range transfers (Range form + deprecated offset/count) ---
+            // --- sub-range transfers, twice over ---
             if rank == 2 {
                 let big = t.alloc_prim_array(ElemKind::U8, 512);
                 mp.send_sub(big, 128..384, 3, 4).unwrap();
-                #[allow(deprecated)]
-                mp.send_range(big, 128, 256, 3, 4).unwrap();
+                mp.send_sub(big, 128..384, 3, 4).unwrap();
             } else if rank == 3 {
                 let big = t.alloc_prim_array(ElemKind::U8, 512);
                 let st = mp.recv_sub(big, ..256, Source::Rank(2), 4).unwrap();
                 assert_eq!(st.bytes, 256);
-                #[allow(deprecated)]
-                let st = mp.recv_range(big, 0, 256, Source::Rank(2), 4).unwrap();
+                let st = mp.recv_sub(big, 0..256, Source::Rank(2), 4).unwrap();
                 assert_eq!(st.bytes, 256);
             }
 
@@ -154,8 +152,7 @@ fn api_surface_metrics_consistency() {
             assert_eq!(st.source, left);
             assert_eq!(t.get_prim::<i32>(got_o, fid), left as i32);
 
-            // osend_sub: ship the middle two of a four-element array
-            // (plus the deprecated offset/count spelling).
+            // osend_sub: ship the middle two of a four-element array, twice.
             if rank == 1 {
                 let arr = t.alloc_obj_array(cls, 4);
                 for i in 0..4 {
@@ -164,8 +161,7 @@ fn api_surface_metrics_consistency() {
                     t.release(e);
                 }
                 oomp.osend_sub(arr, 1..3, 2, 7).unwrap();
-                #[allow(deprecated)]
-                oomp.osend_range(arr, 1, 2, 2, 7).unwrap();
+                oomp.osend_sub(arr, 1..=2, 2, 7).unwrap();
             } else if rank == 2 {
                 for _ in 0..2 {
                     let (sub, _) = oomp.orecv(Source::Rank(1), 7).unwrap();

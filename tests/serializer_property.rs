@@ -1,9 +1,12 @@
 //! Property-based tests: the Motor serializer over random object graphs,
-//! the split representation, and GC content preservation under random
-//! mutation schedules.
+//! the split representation, GC content preservation under random
+//! mutation schedules, and the one wire parser under hostile mutation of
+//! what both encoders produce.
 
 use std::sync::Arc;
 
+use motor::api::{wire, Transportable};
+use motor::core::wire::{Doc, Record, TypeEntry};
 use motor::core::{Serializer, VisitedStrategy};
 use motor::runtime::heap::HeapConfig;
 use motor::runtime::{ClassId, ElemKind, Handle, MotorThread, Vm, VmConfig};
@@ -143,8 +146,185 @@ fn signature(t: &MotorThread, node: ClassId, root: Handle) -> Vec<i64> {
     sig
 }
 
+/// Rust mirror of `PNode` for the derive codec.
+#[derive(Transportable, Debug, Default, Clone, PartialEq)]
+struct PNode {
+    tag: i32,
+    #[transportable]
+    array: Option<Vec<i32>>,
+    #[transportable]
+    next: Option<Box<PNode>>,
+    side: Option<Box<PNode>>,
+}
+
+/// The `next` chain of `spec` from its root as an owned value, cut where
+/// it would revisit a node (owned values cannot alias).
+fn owned_chain(spec: &GraphSpec) -> PNode {
+    let mut path = vec![spec.root];
+    while let Some(n) = spec.nodes[*path.last().unwrap()].next {
+        if path.contains(&n) {
+            break;
+        }
+        path.push(n);
+    }
+    let mut next = None;
+    for &i in path.iter().rev() {
+        let ns = &spec.nodes[i];
+        next = Some(Box::new(PNode {
+            tag: ns.tag,
+            array: ns.array_len.map(|len| vec![ns.tag; len]),
+            next,
+            side: None,
+        }));
+    }
+    *next.unwrap()
+}
+
+/// Where the `u32` slots of a valid encoding sit, by role — read off the
+/// parsed `Doc`, whose records lie back to back at the end of the buffer.
+#[derive(Default)]
+struct Slots {
+    /// type_count, record_count, array lengths, md dimensions.
+    counts: Vec<usize>,
+    /// Every record's type index and every object array's element type.
+    type_indices: Vec<usize>,
+    /// Reference fields and object-array elements.
+    refs: Vec<usize>,
+    types: u32,
+    records: u32,
+}
+
+fn slots(bytes: &[u8]) -> Slots {
+    let doc = Doc::parse(bytes).expect("the encoders emit valid representations");
+    let size = |r: &Record<'_>| {
+        4 + match r {
+            Record::Class { values, .. } => values.len(),
+            Record::PrimArray { data, .. } => 4 + data.len(),
+            Record::ObjArray { elems, .. } => 4 + 4 * elems.iter().len(),
+            Record::MdArray { dims, data, .. } => 1 + 4 * dims.len() + data.len(),
+        }
+    };
+    let mut at = bytes.len() - doc.records().iter().map(size).sum::<usize>();
+    let mut s = Slots {
+        counts: vec![0, at - 4],
+        types: doc.types().len() as u32,
+        records: doc.records().len() as u32,
+        ..Slots::default()
+    };
+    // An object-array entry is its kind byte and the element type index;
+    // in these encodings the 5 bytes before the record count are one
+    // whenever the last entry is the synthetic root's.
+    if let Some(TypeEntry::ObjArray(_)) = doc.types().last() {
+        s.type_indices.push(at - 8);
+    }
+    for r in doc.records() {
+        s.type_indices.push(at);
+        match r {
+            Record::Class { ty, .. } => {
+                let mut field_at = at + 4;
+                for f in &doc.class(*ty).fields {
+                    if f.prim.is_none() {
+                        s.refs.push(field_at);
+                    }
+                    field_at += f.prim.map_or(4, ElemKind::size);
+                }
+            }
+            Record::PrimArray { .. } => s.counts.push(at + 4),
+            Record::ObjArray { elems, .. } => {
+                s.counts.push(at + 4);
+                s.refs
+                    .extend((0..elems.iter().len()).map(|i| at + 8 + 4 * i));
+            }
+            Record::MdArray { dims, .. } => {
+                s.counts.extend((0..dims.len()).map(|i| at + 5 + 4 * i));
+            }
+        }
+        at += size(r);
+    }
+    s
+}
+
+/// One structure-aware mutation of `valid`: (0) truncation, (1)
+/// length-field inflation, (2) type-index corruption, (3) reference
+/// retargeting — to any record, which is how cycles, sharing and
+/// references into the wrong kind of record get injected.
+fn mutate(valid: &[u8], s: &Slots, (kind, pick, value): (u8, u32, u32)) -> Vec<u8> {
+    let (slots, new) = match kind {
+        0 => return valid[..pick as usize % valid.len()].to_vec(),
+        1 => (
+            &s.counts,
+            [u32::MAX, value, value % 64, 1 << 31][pick as usize % 4],
+        ),
+        2 => (&s.type_indices, value % (s.types + 2)),
+        _ => (&s.refs, value % (s.records + 1)),
+    };
+    let mut out = valid.to_vec();
+    if !slots.is_empty() {
+        let at = slots[pick as usize % slots.len()];
+        out[at..at + 4].copy_from_slice(&new.to_le_bytes());
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_mutations_yield_typed_errors_and_bounded_docs(
+        spec in graph_strategy(),
+        muts in proptest::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 24..48),
+    ) {
+        let (vm, node) = fresh_vm();
+        let t = MotorThread::attach(Arc::clone(&vm));
+        let ser = Serializer::new(&t);
+        // Valid encodings from both encoders, whole and split.
+        let root = build_graph(&t, node, &spec);
+        let arr = t.alloc_obj_array(node, 3);
+        t.obj_array_set(arr, 0, root);
+        t.obj_array_set(arr, 2, root);
+        let chain = owned_chain(&spec);
+        let valid = [
+            ser.serialize(root).unwrap().0,
+            ser.serialize_array_range(arr, 0, 3).unwrap().0,
+            wire::encode(&chain),
+            wire::encode_slice(&[chain.clone(), chain.clone()]),
+            wire::encode_prim_slice(&[chain.tag; 5]),
+        ]
+        .map(|bytes| (slots(&bytes), bytes));
+        for (i, m) in muts.into_iter().enumerate() {
+            let (slots, valid) = &valid[i % valid.len()];
+            let bytes = mutate(valid, slots, m);
+            // Whatever the bytes, every entry point returns: `Ok`, or an
+            // error of its declared type. None panics, aborts or reserves
+            // beyond the input.
+            match Doc::parse(&bytes) {
+                Ok(doc) => {
+                    let fields = doc.types().iter().map(|ty| match ty {
+                        TypeEntry::Class(c) => c.fields.len(),
+                        _ => 0,
+                    });
+                    let entries = doc.types().len() + fields.sum::<usize>() + doc.records().len();
+                    prop_assert!(entries <= bytes.len(), "{entries} entries from {} bytes", bytes.len());
+                }
+                Err(_) => {
+                    prop_assert!(ser.deserialize(&bytes).is_err(), "materialized unparsable bytes");
+                    prop_assert!(wire::decode::<PNode>(&bytes).is_err());
+                }
+            }
+            if let Ok(h) = ser.deserialize(&bytes) {
+                t.release(h);
+            }
+            let _ = wire::decode::<PNode>(&bytes);
+            let _ = wire::decode_vec::<PNode>(&bytes);
+            let _ = wire::decode_prim_vec::<i32>(&bytes);
+        }
+        // Retargeted references built cycles and odd sharing on the heap;
+        // the collector must still be able to walk and reclaim it.
+        t.collect_full();
+        motor::runtime::verify_heap(&vm).map_err(|e| {
+            proptest::test_runner::TestCaseError::fail(format!("heap invariant: {e}"))
+        })?;
+    }
 
     #[test]
     fn roundtrip_preserves_transportable_graph(spec in graph_strategy()) {
