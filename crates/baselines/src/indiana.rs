@@ -158,7 +158,6 @@ impl<'t> Indiana<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use motor_runtime::stats::GcStats;
     use motor_runtime::ElemKind;
 
     fn pingpong_pair(host: HostProfile, f: impl Fn(&Indiana<'_>, &MotorThread) + Send + Sync) {
@@ -171,7 +170,6 @@ mod tests {
             },
         )
         .unwrap();
-        let _ = GcStats::new();
     }
 
     #[test]

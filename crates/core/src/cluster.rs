@@ -172,7 +172,7 @@ impl ClusterConfigBuilder {
 /// Per-rank metrics snapshots collected when a cluster run exits.
 #[derive(Debug, Clone)]
 pub struct ClusterMetrics {
-    /// One merged (transport + runtime + GC-bridge) snapshot per rank, in
+    /// One merged (transport + runtime) snapshot per rank, in
     /// rank order.
     pub per_rank: Vec<MetricsSnapshot>,
     /// Per-rank clock-offset estimates (nanoseconds this rank's clock is
@@ -300,8 +300,8 @@ impl MotorProc {
     }
 
     /// Merged metrics for this rank: the transport-side registry (channel,
-    /// device, collectives), the runtime-side registry (safepoints,
-    /// serializer, buffer pool) and the GC counters bridged in.
+    /// device, collectives) and the runtime-side registry (GC and pinning,
+    /// safepoints, serializer, buffer pool).
     pub fn metrics(&self) -> MetricsSnapshot {
         crate::doctor::merged_metrics(self.comm.device(), &self.vm)
     }

@@ -31,47 +31,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use motor_mpc::Device;
-use motor_obs::{Anomaly, DoctorConfig, FlightRecord, Metric, MetricsSnapshot};
-use motor_runtime::stats::GcStatsSnapshot;
+use motor_obs::{Anomaly, DoctorConfig, FlightRecord, MetricsSnapshot};
 use motor_runtime::Vm;
 use parking_lot::Mutex;
 
 use crate::telemetry::{classify_observations, Collector, Observation};
 
-/// The GC-bridge pairs merged into a rank's snapshot (the VM's GC
-/// counters live in `GcStats`, not in a `MetricsRegistry`).
-pub(crate) fn gc_bridge_pairs(gc: &GcStatsSnapshot) -> [(Metric, u64); 15] {
-    [
-        (Metric::GcMinorCollections, gc.minor_collections),
-        (Metric::GcFullCollections, gc.full_collections),
-        (Metric::GcObjectsPromoted, gc.objects_promoted),
-        (Metric::GcBytesPromoted, gc.bytes_promoted),
-        (Metric::GcPinnedBlockPromotions, gc.pinned_block_promotions),
-        (Metric::GcPins, gc.pins),
-        (Metric::GcUnpins, gc.unpins),
-        (Metric::GcCondPinsRegistered, gc.conditional_pins_registered),
-        (Metric::GcCondPinsHeld, gc.conditional_pins_held),
-        (Metric::GcCondPinsReleased, gc.conditional_pins_released),
-        (Metric::GcPinsAvoidedElder, gc.pins_avoided_elder),
-        (
-            Metric::GcPinsAvoidedFastBlocking,
-            gc.pins_avoided_fast_blocking,
-        ),
-        (Metric::GcObjectsSwept, gc.objects_swept),
-        (Metric::GcBytesSwept, gc.bytes_swept),
-        (Metric::GcPinChecksElided, gc.pin_checks_elided),
-    ]
-}
-
-/// Merged per-rank snapshot: transport-side registry + VM-side registry +
-/// GC bridge (the same merge [`MotorProc::metrics`] performs).
+/// Merged per-rank snapshot: the transport-side registry plus the VM-side
+/// one (the same merge [`MotorProc::metrics`] performs). No counter is
+/// bumped on both, so the sum is each counter's one value.
 ///
 /// [`MotorProc::metrics`]: crate::cluster::MotorProc::metrics
 pub(crate) fn merged_metrics(device: &Device, vm: &Vm) -> MetricsSnapshot {
-    let mut snap = device.metrics().snapshot();
-    snap.merge(&vm.metrics().snapshot());
-    snap.set_gc_bridge(&gc_bridge_pairs(&vm.stats_snapshot()));
-    snap
+    device.metrics().snapshot().merged(&vm.metrics().snapshot())
 }
 
 /// The cluster watchdog: anomaly classification, deduplication, and

@@ -498,11 +498,13 @@ impl<'t> Mp<'t> {
         let src = src.into();
         let tag = tag.into();
         let _span = self.span(SpanKind::MpProbe, source_peer(src), tag);
+        let mut backoff = motor_pal::Backoff::with_config(self.comm.device().wait_backoff());
         loop {
             fc.poll();
             if let Some(s) = self.comm.iprobe(src, tag)? {
                 return Ok(s.into());
             }
+            backoff.snooze();
         }
     }
 

@@ -30,7 +30,7 @@
 use std::sync::Arc;
 
 use motor_mpc::Request;
-use motor_runtime::stats::GcStats;
+use motor_obs::Metric;
 use motor_runtime::types::ClassId;
 use motor_runtime::{Handle, MotorThread, PinToken};
 
@@ -68,7 +68,7 @@ pub fn pin_for_polling_wait(thread: &MotorThread, policy: PinPolicy, buf: Handle
             if thread.is_young(buf) {
                 HeldPin::Hard(thread.pin(buf))
             } else {
-                GcStats::bump(&thread.vm().stats().pins_avoided_elder);
+                thread.vm().metrics().bump(Metric::GcPinsAvoidedElder);
                 HeldPin::None
             }
         }
@@ -81,7 +81,10 @@ pub fn pin_for_polling_wait(thread: &MotorThread, policy: PinPolicy, buf: Handle
 /// never entered the polling wait (and therefore never pinned).
 pub fn note_fast_blocking_completion(thread: &MotorThread, policy: PinPolicy, buf: Handle) {
     if policy == PinPolicy::Motor && thread.is_young(buf) {
-        GcStats::bump(&thread.vm().stats().pins_avoided_fast_blocking);
+        thread
+            .vm()
+            .metrics()
+            .bump(Metric::GcPinsAvoidedFastBlocking);
     }
 }
 
@@ -108,7 +111,7 @@ pub fn pin_for_nonblocking(
                 let r = Arc::clone(req);
                 thread.pin_conditional(buf, Arc::new(move || r.in_flight()));
             } else {
-                GcStats::bump(&thread.vm().stats().pins_avoided_elder);
+                thread.vm().metrics().bump(Metric::GcPinsAvoidedElder);
             }
             None
         }

@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use motor_obs::{alloc_span_id, EventKind, Metric};
+use motor_obs::{Metric, SpanKind};
 use motor_runtime::object::ObjectRef;
 use motor_runtime::{
     ClassId, ElemKind, FieldType, Handle, MethodTable, MotorThread, TypeKind, TypeRegistry,
@@ -324,10 +324,8 @@ impl<'t> Serializer<'t> {
     /// emits everything reachable.
     fn run(&self, roots: impl FnOnce(&mut Walk<'_>)) -> (Vec<u8>, SerializeStats) {
         let vm = self.thread.vm();
-        // Trace the whole pass: `a` is a process-unique pass id the trace
-        // merger pairs begin/end on; the end event carries the output size.
-        let pass = alloc_span_id();
-        vm.metrics().event3(EventKind::SerBegin, pass, 0, 0);
+        // The whole pass is one span; its end carries the output size.
+        let mut pass = vm.metrics().span(SpanKind::Serialize, 0);
         let reg = vm.registry();
         let mut walk = Walk {
             reg: &reg,
@@ -350,12 +348,7 @@ impl<'t> Serializer<'t> {
         reg.add(Metric::SerObjects, stats.objects as u64);
         reg.add(Metric::SerBytes, stats.bytes as u64);
         reg.add(Metric::SerVisitedProbes, stats.visited_probes);
-        reg.event3(
-            EventKind::SerEnd,
-            pass,
-            stats.bytes as u64,
-            stats.objects as u64,
-        );
+        pass.set_arg(stats.bytes as u64);
         (out, stats)
     }
 
@@ -398,8 +391,7 @@ impl<'t> Serializer<'t> {
         let reg = t.vm().metrics();
         reg.bump(Metric::DeserOps);
         reg.add(Metric::DeserBytes, data.len() as u64);
-        let pass = alloc_span_id();
-        reg.event3(EventKind::DeserBegin, pass, data.len() as u64, 0);
+        let _pass = reg.span(SpanKind::Deserialize, data.len() as u64);
         let doc = Doc::parse(data)?;
         let classes = self.resolve_types(&doc)?;
         let class_of =
@@ -462,12 +454,6 @@ impl<'t> Serializer<'t> {
         for &h in &handles[1..] {
             t.release(h);
         }
-        reg.event3(
-            EventKind::DeserEnd,
-            pass,
-            data.len() as u64,
-            handles.len() as u64,
-        );
         Ok(root)
     }
 }

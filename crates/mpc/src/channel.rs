@@ -284,35 +284,45 @@ impl LinkState {
                     if frame_len == 0 {
                         return Err(MpcError::Protocol("zero-length frame".into()));
                     }
+                    // The header is the peer's say-so: refuse a length no
+                    // frame of this kind can have before buffering for it.
                     let body = frame_len - 1;
+                    let plausible = match kind {
+                        PacketKind::Eager => body >= ENVELOPE_LEN,
+                        PacketKind::RndvRts => body == ENVELOPE_LEN,
+                        PacketKind::RndvCts => body == 16,
+                        PacketKind::SyncAck => body == 8,
+                        PacketKind::RndvData => body >= 8,
+                    };
+                    if !plausible {
+                        return Err(MpcError::Protocol(format!(
+                            "{kind:?} frame with a {body}-byte body"
+                        )));
+                    }
                     self.in_state = match kind {
-                        PacketKind::RndvData => {
-                            if body < 8 {
-                                return Err(MpcError::Protocol("short rndv frame".into()));
-                            }
-                            InState::RndvPrefix {
-                                buf: [0; 8],
-                                got: 0,
-                                data_len: body - 8,
-                            }
-                        }
+                        PacketKind::RndvData => InState::RndvPrefix {
+                            buf: [0; 8],
+                            got: 0,
+                            data_len: body - 8,
+                        },
                         k => InState::Body {
                             kind: k,
                             need: body,
-                            buf: Vec::with_capacity(body),
+                            buf: Vec::new(),
                         },
                     };
                 }
                 InState::Body { kind, need, buf } => {
-                    let missing = *need - buf.len();
-                    if missing > 0 {
-                        let start = buf.len();
-                        buf.resize(*need, 0);
-                        let n = self.link.try_read(&mut buf[start..])?;
-                        buf.truncate(start + n);
+                    if buf.len() < *need {
+                        // Grow the body only by bytes the link delivered
+                        // (through the scratch buffer), never by what the
+                        // header claimed is still to come.
+                        let want = (*need - buf.len()).min(self.scratch.len());
+                        let n = self.link.try_read(&mut self.scratch[..want])?;
                         if n == 0 {
                             return Ok(progressed);
                         }
+                        buf.extend_from_slice(&self.scratch[..n]);
                         progressed = true;
                         *bytes_in += n as u64;
                         if buf.len() < *need {
@@ -326,29 +336,16 @@ impl LinkState {
                         got: 0,
                     };
                     *frames_in += 1;
+                    // Lengths were checked against the kind at header time.
+                    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
                     match kind {
                         PacketKind::Eager => {
                             let env = Envelope::decode(&body)?;
                             sink.on_eager(env, &body[ENVELOPE_LEN..]);
                         }
-                        PacketKind::RndvRts => {
-                            let env = Envelope::decode(&body)?;
-                            sink.on_rts(env);
-                        }
-                        PacketKind::RndvCts => {
-                            if body.len() != 16 {
-                                return Err(MpcError::Protocol("bad CTS".into()));
-                            }
-                            let sreq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                            let rreq = u64::from_le_bytes(body[8..16].try_into().unwrap());
-                            sink.on_cts(sreq, rreq);
-                        }
-                        PacketKind::SyncAck => {
-                            if body.len() != 8 {
-                                return Err(MpcError::Protocol("bad SyncAck".into()));
-                            }
-                            sink.on_sync_ack(u64::from_le_bytes(body[0..8].try_into().unwrap()));
-                        }
+                        PacketKind::RndvRts => sink.on_rts(Envelope::decode(&body)?),
+                        PacketKind::RndvCts => sink.on_cts(word(0), word(8)),
+                        PacketKind::SyncAck => sink.on_sync_ack(word(0)),
                         PacketKind::RndvData => unreachable!("handled in Header state"),
                     }
                 }
@@ -564,6 +561,64 @@ mod tests {
         pump_until_idle(&mut tx, &mut rx, &mut sink);
         assert_eq!(sink.eager.len(), 1);
         assert!(sink.eager[0].1.is_empty());
+    }
+
+    /// Capacity held for a partially received control/eager body.
+    fn buffered_capacity(link: &LinkState) -> usize {
+        match &link.in_state {
+            InState::Body { buf, .. } => buf.capacity(),
+            _ => 0,
+        }
+    }
+
+    fn raw_frame(claimed_len: u32, kind: PacketKind, body: &[u8]) -> Vec<u8> {
+        let mut frame = claimed_len.to_le_bytes().to_vec();
+        frame.push(kind as u8);
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    #[test]
+    fn inflated_eager_header_buffers_only_what_arrives() {
+        // A header claiming a 4 GiB eager body, three body bytes, then the
+        // peer goes away: what is held is what was sent, and the failure
+        // is the transport's.
+        let (mut tx, mut rx) = pair();
+        let frame = raw_frame(u32::MAX, PacketKind::Eager, &[1, 2, 3]);
+        let written = frame.len();
+        tx.queue_bytes(frame);
+        tx.pump_out().unwrap();
+        let mut sink = RecordingSink::default();
+        assert!(rx.pump_in(&mut sink).unwrap());
+        assert!(matches!(rx.in_state, InState::Body { .. }));
+        assert!(buffered_capacity(&rx) <= written);
+        drop(tx);
+        assert!(matches!(rx.pump_in(&mut sink), Err(MpcError::Transport(_))));
+        assert!(buffered_capacity(&rx) <= written);
+        assert!(sink.eager.is_empty());
+    }
+
+    #[test]
+    fn wrong_length_control_frames_are_refused_at_the_header() {
+        for (kind, body) in [
+            (PacketKind::RndvCts, 24),
+            (PacketKind::RndvCts, 8),
+            (PacketKind::SyncAck, 16),
+            (PacketKind::RndvRts, ENVELOPE_LEN + 1),
+            (PacketKind::Eager, ENVELOPE_LEN - 1),
+            (PacketKind::RndvData, 7),
+        ] {
+            let (mut tx, mut rx) = pair();
+            tx.queue_bytes(raw_frame(body as u32 + 1, kind, &vec![0; body]));
+            tx.pump_out().unwrap();
+            let mut sink = RecordingSink::default();
+            match rx.pump_in(&mut sink) {
+                Err(MpcError::Protocol(why)) => assert!(why.contains(&format!("{kind:?}"))),
+                other => panic!("{kind:?}/{body}: expected Protocol, got {other:?}"),
+            }
+            assert_eq!(buffered_capacity(&rx), 0, "nothing buffered for {kind:?}");
+            assert!(sink.cts.is_empty() && sink.acks.is_empty() && sink.rts.is_empty());
+        }
     }
 
     #[test]

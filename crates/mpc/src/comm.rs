@@ -290,15 +290,17 @@ impl Comm {
     }
 
     /// Blocking probe: status of the next matching message without
-    /// receiving it.
+    /// receiving it. Backs off like a wait; fails with `PeerClosed` once
+    /// the probed peer's link is gone.
     pub fn probe(&self, src: impl Into<Source>, tag: impl Into<Tag>) -> MpcResult<Status> {
-        let src = src.into();
+        let src = src.into().to_device();
         let tag = tag.into().to_device();
+        let mut backoff = motor_pal::Backoff::with_config(self.device.wait_backoff());
         loop {
-            if let Some(s) = self.device.iprobe(src.to_device(), tag, self.context)? {
+            if let Some(s) = self.device.iprobe(src, tag, self.context)? {
                 return Ok(s);
             }
-            std::hint::spin_loop();
+            backoff.snooze();
         }
     }
 

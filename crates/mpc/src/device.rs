@@ -165,6 +165,58 @@ impl MatchState {
     fn is_dead(&self, peer: usize) -> bool {
         self.dead.get(peer).copied().unwrap_or(false)
     }
+
+    /// Whether a receive or probe that found nothing buffered can never be
+    /// satisfied because its peer's link is gone. Only context 0 (the
+    /// world communicator) is checked — there comm rank equals global
+    /// rank, which is what the dead-peer table is indexed by.
+    fn awaits_dead_peer(&self, src: i32, context: u32) -> bool {
+        context == 0 && src >= 0 && self.is_dead(src as usize)
+    }
+
+    /// Remove the first posted receive `env` satisfies (arrival order:
+    /// non-overtaking).
+    fn take_posted(&mut self, env: &Envelope, metrics: &MetricsRegistry) -> Option<PostedRecv> {
+        take_first(&mut self.posted, metrics, |p| {
+            envelope_matches(env, p.src, p.tag, p.context)
+        })
+    }
+
+    /// Remove the first unexpected message a receive for `(src, tag,
+    /// context)` accepts.
+    fn take_unexpected(
+        &mut self,
+        src: i32,
+        tag: i32,
+        context: u32,
+        metrics: &MetricsRegistry,
+    ) -> Option<Unexpected> {
+        take_first(&mut self.unexpected, metrics, |u| {
+            envelope_matches(u.envelope(), src, tag, context)
+        })
+    }
+
+    /// Queue a message no posted receive matched.
+    fn push_unexpected(&mut self, msg: Unexpected, metrics: &MetricsRegistry) {
+        self.unexpected.push_back(msg);
+        metrics.record_max(Metric::UnexpectedQueuePeak, self.unexpected.len() as u64);
+    }
+}
+
+/// The one match scan: remove the first entry `hit` accepts, charging
+/// `MatchAttempts` one comparison per entry looked at (the whole queue on
+/// a miss).
+fn take_first<T>(
+    queue: &mut VecDeque<T>,
+    metrics: &MetricsRegistry,
+    hit: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let pos = queue.iter().position(hit);
+    metrics.add(
+        Metric::MatchAttempts,
+        pos.map_or(queue.len(), |p| p + 1) as u64,
+    );
+    queue.remove(pos?)
 }
 
 /// One process's message-passing device.
@@ -373,7 +425,7 @@ impl Device {
                 env.tag as i64 as u64,
                 len as u64,
             );
-            self.send_to_self(env, ptr, len, &req);
+            self.send_to_self(env, data, &req);
             return Ok(req);
         }
         // Stamp the send initiation for cross-rank edge matching; the high
@@ -440,46 +492,18 @@ impl Device {
     }
 
     /// Self-send: deliver without touching any link.
-    fn send_to_self(&self, env: Envelope, ptr: *const u8, len: usize, req: &Request) {
+    fn send_to_self(&self, env: Envelope, data: &[u8], req: &Request) {
         self.metrics.bump(Metric::SendsSelf);
         let mut ms = self.match_state.lock();
-        // Try to match a posted receive directly.
-        let pos = ms
-            .posted
-            .iter()
-            .position(|p| envelope_matches(&env, p.src, p.tag, p.context));
-        self.metrics.add(
-            Metric::MatchAttempts,
-            pos.map_or(ms.posted.len(), |p| p + 1) as u64,
-        );
-        if let Some(pos) = pos {
-            let p = ms.posted.remove(pos).unwrap();
-            let n = len.min(p.cap);
-            // SAFETY: both windows are caller-guaranteed; self-send means
-            // sender and receiver windows belong to this process.
-            unsafe {
-                std::ptr::copy_nonoverlapping(ptr, p.ptr as *mut u8, n);
-            }
-            if len > p.cap {
-                p.req.mark_truncated();
-            }
-            self.metrics.event3(
-                EventKind::MsgRecv,
-                env.gsrc as u64,
-                env.tag as i64 as u64,
-                n as u64,
-            );
-            p.req.complete_with(env.src, env.tag, n);
-            req.complete();
-        } else {
+        match ms.take_posted(&env, &self.metrics) {
+            Some(p) => self.deliver(&env, data, &p),
             // Buffer a copy, as the eager path would.
-            // SAFETY: window valid per caller contract.
-            let data = unsafe { std::slice::from_raw_parts(ptr, len) }.to_vec();
-            ms.unexpected.push_back(Unexpected::Eager { env, data });
-            self.metrics
-                .record_max(Metric::UnexpectedQueuePeak, ms.unexpected.len() as u64);
-            req.complete();
+            None => {
+                let data = data.to_vec();
+                ms.push_unexpected(Unexpected::Eager { env, data }, &self.metrics);
+            }
         }
+        req.complete();
         drop(ms);
         self.waker.notify();
     }
@@ -502,65 +526,40 @@ impl Device {
         cap: usize,
     ) -> MpcResult<Request> {
         let req = self.new_request();
+        let posted = PostedRecv {
+            src,
+            tag,
+            context,
+            ptr: ptr as usize,
+            cap,
+            req: Arc::clone(&req),
+        };
         // Reply frame (sync-ack or CTS) generated while matching; queued
         // after `match_state` drops (lock order: never match_state → link).
         let mut reply: Option<(usize, Vec<u8>)> = None;
         let mut ms = self.match_state.lock();
         // Unexpected queue first, preserving arrival order (non-overtaking).
-        let pos = ms
-            .unexpected
-            .iter()
-            .position(|u| envelope_matches(u.envelope(), src, tag, context));
-        self.metrics.add(
-            Metric::MatchAttempts,
-            pos.map_or(ms.unexpected.len(), |p| p + 1) as u64,
-        );
-        if let Some(pos) = pos {
+        let buffered = ms.take_unexpected(src, tag, context, &self.metrics);
+        if buffered.is_some() {
             self.metrics.bump(Metric::RecvsUnexpected);
-            match ms.unexpected.remove(pos).unwrap() {
-                Unexpected::Eager { env, data } => {
-                    let n = data.len().min(cap);
-                    // SAFETY: caller-guaranteed window.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(data.as_ptr(), ptr, n);
-                    }
-                    if data.len() > cap {
-                        req.mark_truncated();
-                    }
-                    if env.is_sync() && env.gsrc as usize != self.rank {
-                        reply = Some((env.gsrc as usize, packet::encode_sync_ack(env.sreq)));
-                    }
-                    self.metrics.event3(
-                        EventKind::MsgRecv,
-                        env.gsrc as u64,
-                        env.tag as i64 as u64,
-                        n as u64,
-                    );
-                    req.complete_with(env.src, env.tag, n);
+        }
+        match buffered {
+            Some(Unexpected::Eager { env, data }) => {
+                if env.is_sync() && env.gsrc as usize != self.rank {
+                    reply = Some((env.gsrc as usize, packet::encode_sync_ack(env.sreq)));
                 }
-                Unexpected::Rts { env } => {
-                    reply = self.match_rts(&mut ms, env, ptr, cap, &req);
+                self.deliver(&env, &data, &posted);
+            }
+            Some(Unexpected::Rts { env }) => reply = Some(self.match_rts(&mut ms, env, posted)),
+            None => {
+                if ms.awaits_dead_peer(src, context) {
+                    return Err(MpcError::PeerClosed(src as usize));
                 }
+                ms.posted.push_back(posted);
+                self.metrics.bump(Metric::RecvsPosted);
+                self.metrics
+                    .record_max(Metric::PostedQueuePeak, ms.posted.len() as u64);
             }
-        } else {
-            // Nothing buffered from the peer and its link is gone: this
-            // receive can never be satisfied. Only context 0 (the world
-            // communicator) is checked — there comm rank equals global
-            // rank, which is what the dead-peer table is indexed by.
-            if context == 0 && src >= 0 && ms.is_dead(src as usize) {
-                return Err(MpcError::PeerClosed(src as usize));
-            }
-            ms.posted.push_back(PostedRecv {
-                src,
-                tag,
-                context,
-                ptr: ptr as usize,
-                cap,
-                req: Arc::clone(&req),
-            });
-            self.metrics.bump(Metric::RecvsPosted);
-            self.metrics
-                .record_max(Metric::PostedQueuePeak, ms.posted.len() as u64);
         }
         drop(ms);
         if let Some((dst, bytes)) = reply {
@@ -570,50 +569,44 @@ impl Device {
         Ok(req)
     }
 
-    /// Handle a matched RTS: for remote senders build the CTS reply (the
-    /// caller queues it after dropping `match_state`); for self-sends copy
-    /// directly out of the pending send window.
-    fn match_rts(
-        &self,
-        ms: &mut MatchState,
-        env: Envelope,
-        ptr: *mut u8,
-        cap: usize,
-        req: &Request,
-    ) -> Option<(usize, Vec<u8>)> {
-        if env.gsrc as usize == self.rank {
-            let ps = ms
-                .pending_sends
-                .remove(&env.sreq)
-                .expect("self rendezvous with vanished pending send");
-            let n = ps.len.min(cap);
-            // SAFETY: both windows caller-guaranteed within this process.
-            unsafe {
-                std::ptr::copy_nonoverlapping(ps.ptr as *const u8, ptr, n);
-            }
-            if ps.len > cap {
-                req.mark_truncated();
-            }
-            self.metrics.event3(
-                EventKind::MsgRecv,
-                env.gsrc as u64,
-                env.tag as i64 as u64,
-                n as u64,
-            );
-            req.complete_with(env.src, env.tag, n);
-            ps.req.complete();
-            return None;
+    /// Complete the receive `p` with an eager payload: copy into its
+    /// window, flag truncation, stamp `MsgRecv`.
+    fn deliver(&self, env: &Envelope, data: &[u8], p: &PostedRecv) {
+        let n = data.len().min(p.cap);
+        // SAFETY: a `PostedRecv` is only ever built by `irecv_raw`, whose
+        // caller guarantees the window valid and stable until `p.req`
+        // completes — which it does below, after the copy.
+        unsafe {
+            std::ptr::copy_nonoverlapping(data.as_ptr(), p.ptr as *mut u8, n);
         }
-        if env.len as usize > cap {
-            req.mark_truncated();
+        if data.len() > p.cap {
+            p.req.mark_truncated();
         }
+        self.metrics.event3(
+            EventKind::MsgRecv,
+            env.gsrc as u64,
+            env.tag as i64 as u64,
+            n as u64,
+        );
+        p.req.complete_with(env.src, env.tag, n);
+    }
+
+    /// A rendezvous announcement met its receive: register the stream's
+    /// destination and build the CTS reply `(dst, frame)`, which the
+    /// caller queues after dropping `match_state`. Always a remote sender:
+    /// self-sends never announce, `send_to_self` delivers or buffers them.
+    fn match_rts(&self, ms: &mut MatchState, env: Envelope, p: PostedRecv) -> (usize, Vec<u8>) {
+        if env.len as usize > p.cap {
+            p.req.mark_truncated();
+        }
+        let rreq = p.req.id();
         ms.active_recvs.insert(
-            req.id(),
+            rreq,
             ActiveRecv {
-                ptr: ptr as usize,
-                cap,
+                ptr: p.ptr,
+                cap: p.cap,
                 env,
-                req: Arc::clone(req),
+                req: p.req,
             },
         );
         self.metrics.event3(
@@ -622,7 +615,7 @@ impl Device {
             env.len,
             rndv_ctl(env.gsrc as usize, true),
         );
-        Some((env.gsrc as usize, packet::encode_cts(env.sreq, req.id())))
+        (env.gsrc as usize, packet::encode_cts(env.sreq, rreq))
     }
 
     // ------------------------------------------------------------------
@@ -630,25 +623,28 @@ impl Device {
     // ------------------------------------------------------------------
 
     /// Non-blocking probe: status of the first matching unexpected message,
-    /// without consuming it.
+    /// without consuming it. Like a receive, a probe for a peer whose link
+    /// is gone (and that left nothing buffered) fails with `PeerClosed`.
     pub fn iprobe(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
         self.progress()?;
         let ms = self.match_state.lock();
         self.metrics
             .add(Metric::MatchAttempts, ms.unexpected.len() as u64);
-        Ok(ms
+        let hit = ms
             .unexpected
             .iter()
-            .find(|u| envelope_matches(u.envelope(), src, tag, context))
-            .map(|u| {
-                let e = u.envelope();
-                Status {
-                    source: e.src,
-                    tag: e.tag,
-                    count: e.len as usize,
-                    truncated: false,
-                }
-            }))
+            .map(Unexpected::envelope)
+            .find(|e| envelope_matches(e, src, tag, context));
+        match hit {
+            Some(e) => Ok(Some(Status {
+                source: e.src,
+                tag: e.tag,
+                count: e.len as usize,
+                truncated: false,
+            })),
+            None if ms.awaits_dead_peer(src, context) => Err(MpcError::PeerClosed(src as usize)),
+            None => Ok(None),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -885,41 +881,23 @@ impl Device {
     /// Once past the spin tier, the waiter also lends its cycles to
     /// sibling devices when a steal set is installed.
     pub fn wait_with(&self, req: &Request, mut yield_poll: impl FnMut()) -> MpcResult<Status> {
-        let start = self.metrics.now_nanos();
-        self.metrics.event(EventKind::OpBegin, req.id(), 0);
-        let inflight = self.metrics.op_begin(SpanKind::DeviceWait, req.id());
+        let wait = self.metrics.span(SpanKind::DeviceWait, req.id());
         let mut backoff = motor_pal::Backoff::with_config(self.config.wait_backoff);
         loop {
             yield_poll();
             if req.is_complete() {
-                let waited = self.metrics.now_nanos().saturating_sub(start);
-                self.metrics.op_end(inflight);
-                self.metrics.record(Hist::WaitNanos, waited);
-                self.metrics.event(EventKind::OpEnd, req.id(), waited);
+                self.metrics.record(Hist::WaitNanos, wait.finish());
                 return Ok(req.status());
             }
             if let Some(peer) = req.failed_peer() {
-                self.metrics.op_end(inflight);
                 return Err(MpcError::PeerClosed(peer));
             }
             // Generation snapshot *before* the pass: progress made by
             // another thread after this line bumps the generation, so the
             // park below returns immediately rather than missing it.
             let gen = self.waker.generation();
-            let moved = match self.progress() {
-                Ok(m) => m,
-                Err(e) => {
-                    self.metrics.op_end(inflight);
-                    return Err(e);
-                }
-            };
-            if moved {
-                self.metrics.op_beat(inflight);
-                backoff.reset();
-                continue;
-            }
-            if backoff.is_yielding() && self.steal_once() {
-                self.metrics.op_beat(inflight);
+            if self.progress()? || (backoff.is_yielding() && self.steal_once()) {
+                wait.heartbeat();
                 backoff.reset();
                 continue;
             }
@@ -993,98 +971,42 @@ struct DeviceSink<'a> {
 
 impl PacketSink for DeviceSink<'_> {
     fn on_eager(&mut self, env: Envelope, data: &[u8]) {
-        let mut ms = self.dev.match_state.lock();
-        let pos = ms
-            .posted
-            .iter()
-            .position(|p| envelope_matches(&env, p.src, p.tag, p.context));
-        self.dev.metrics.add(
-            Metric::MatchAttempts,
-            pos.map_or(ms.posted.len(), |p| p + 1) as u64,
-        );
-        if let Some(pos) = pos {
-            let p = ms.posted.remove(pos).unwrap();
-            let n = data.len().min(p.cap);
-            // SAFETY: posted window is caller-guaranteed stable until the
-            // request completes.
-            unsafe {
-                std::ptr::copy_nonoverlapping(data.as_ptr(), p.ptr as *mut u8, n);
+        let dev = self.dev;
+        let mut ms = dev.match_state.lock();
+        match ms.take_posted(&env, &dev.metrics) {
+            Some(p) => {
+                if env.is_sync() {
+                    self.deferred.push(Deferred::Frame {
+                        dst: env.gsrc as usize,
+                        bytes: packet::encode_sync_ack(env.sreq),
+                    });
+                }
+                dev.deliver(&env, data, &p);
+                *self.completions += 1;
             }
-            if data.len() > p.cap {
-                p.req.mark_truncated();
+            None => {
+                let data = data.to_vec();
+                ms.push_unexpected(Unexpected::Eager { env, data }, &dev.metrics);
             }
-            if env.is_sync() {
-                self.deferred.push(Deferred::Frame {
-                    dst: env.gsrc as usize,
-                    bytes: packet::encode_sync_ack(env.sreq),
-                });
-            }
-            self.dev.metrics.event3(
-                EventKind::MsgRecv,
-                env.gsrc as u64,
-                env.tag as i64 as u64,
-                n as u64,
-            );
-            p.req.complete_with(env.src, env.tag, n);
-            *self.completions += 1;
-        } else {
-            ms.unexpected.push_back(Unexpected::Eager {
-                env,
-                data: data.to_vec(),
-            });
-            self.dev
-                .metrics
-                .record_max(Metric::UnexpectedQueuePeak, ms.unexpected.len() as u64);
         }
     }
 
     fn on_rts(&mut self, env: Envelope) {
-        self.dev.metrics.bump(Metric::RndvRtsIn);
-        self.dev.metrics.event3(
+        let dev = self.dev;
+        dev.metrics.bump(Metric::RndvRtsIn);
+        dev.metrics.event3(
             EventKind::RndvRts,
             env.sreq,
             env.len,
             rndv_ctl(env.gsrc as usize, false),
         );
-        let mut ms = self.dev.match_state.lock();
-        let pos = ms
-            .posted
-            .iter()
-            .position(|p| envelope_matches(&env, p.src, p.tag, p.context));
-        self.dev.metrics.add(
-            Metric::MatchAttempts,
-            pos.map_or(ms.posted.len(), |p| p + 1) as u64,
-        );
-        if let Some(pos) = pos {
-            let p = ms.posted.remove(pos).unwrap();
-            if env.len as usize > p.cap {
-                p.req.mark_truncated();
+        let mut ms = dev.match_state.lock();
+        match ms.take_posted(&env, &dev.metrics) {
+            Some(p) => {
+                let (dst, bytes) = dev.match_rts(&mut ms, env, p);
+                self.deferred.push(Deferred::Frame { dst, bytes });
             }
-            let rreq_id = p.req.id();
-            ms.active_recvs.insert(
-                rreq_id,
-                ActiveRecv {
-                    ptr: p.ptr,
-                    cap: p.cap,
-                    env,
-                    req: p.req,
-                },
-            );
-            self.dev.metrics.event3(
-                EventKind::RndvCts,
-                env.sreq,
-                env.len,
-                rndv_ctl(env.gsrc as usize, true),
-            );
-            self.deferred.push(Deferred::Frame {
-                dst: env.gsrc as usize,
-                bytes: packet::encode_cts(env.sreq, rreq_id),
-            });
-        } else {
-            ms.unexpected.push_back(Unexpected::Rts { env });
-            self.dev
-                .metrics
-                .record_max(Metric::UnexpectedQueuePeak, ms.unexpected.len() as u64);
+            None => ms.push_unexpected(Unexpected::Rts { env }, &dev.metrics),
         }
     }
 

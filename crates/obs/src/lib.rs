@@ -235,7 +235,8 @@ define_metrics! {
     /// Possible (imprecision-qualified) lint diagnostics reported.
     LintPossible => "lint_possible",
 
-    // ---- GC bridge (copied from GcStats at snapshot time) ----
+    // ---- GC and pinning (bumped on the VM-side registry by the
+    // ---- collector, `MotorThread::pin*` and the pin policy) ----
     /// Minor collections.
     GcMinorCollections => "gc_minor_collections",
     /// Full collections.
@@ -272,12 +273,6 @@ impl Metric {
     /// High-water marks merge by `max` instead of `+` and survive `diff`.
     pub fn is_peak(self) -> bool {
         matches!(self, Metric::PostedQueuePeak | Metric::UnexpectedQueuePeak)
-    }
-
-    /// GC-bridge counters are copied wholesale from [`GcStats`]-style
-    /// snapshots rather than bumped through the registry.
-    pub fn is_gc_bridge(self) -> bool {
-        (self as usize) >= (Metric::GcMinorCollections as usize)
     }
 
     /// The synthesized phase counter for each [`profile::TimeBucket`],
@@ -342,111 +337,79 @@ pub fn log2_bucket(value: u64) -> usize {
     }
 }
 
-/// Kinds of entries in the event-trace ring.
+/// Kinds of entries in the event-trace ring. Every timed region is a
+/// [`span`] (one begin/end pair carrying its [`SpanKind`]); the other
+/// kinds are point events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u64)]
 pub enum EventKind {
-    /// A blocking operation started (`a` = request/op id, `b` = peer|tag).
-    OpBegin = 0,
-    /// A blocking operation finished (`a` = request/op id, `b` = nanos).
-    OpEnd = 1,
-    /// Rendezvous RTS observed (`a` = send id, `b` = payload bytes).
-    RndvRts = 2,
-    /// Rendezvous CTS observed (`a` = send id, `b` = payload bytes).
-    RndvCts = 3,
-    /// Rendezvous transfer completed (`a` = send id, `b` = payload bytes).
-    RndvDone = 4,
-    /// A mutator stalled at a safepoint (`a` = nanos stalled, `b` unused).
-    SafepointStall = 5,
-    /// A collection started (`a` = 0 minor / 1 full, `b` = epoch).
-    GcBegin = 6,
-    /// A collection finished (`a` = 0 minor / 1 full, `b` = nanos).
-    GcEnd = 7,
     /// A [`span`] opened (`a` = span id, `b` = [`SpanKind`] as u64,
     /// `c` = kind-specific argument, usually [`span_arg_peer_tag`]).
-    SpanBegin = 8,
-    /// A [`span`] closed (payload mirrors [`EventKind::SpanBegin`]).
-    SpanEnd = 9,
+    SpanBegin,
+    /// A [`span`] closed (payload mirrors [`EventKind::SpanBegin`]; `c`
+    /// is the argument as of the close, see [`SpanGuard::set_arg`]).
+    SpanEnd,
+    /// Rendezvous RTS observed (`a` = send id, `b` = payload bytes,
+    /// `c` = [`trace::rndv_ctl`]).
+    RndvRts,
+    /// Rendezvous CTS observed (payload as [`EventKind::RndvRts`]).
+    RndvCts,
+    /// Rendezvous transfer completed (payload as [`EventKind::RndvRts`]).
+    RndvDone,
     /// A point-to-point payload left this rank (`a` = destination global
     /// rank, `b` = tag as i64, `c` = payload bytes). Stamped when the send
     /// is initiated; the cross-rank trace matches it FIFO against the
     /// peer's [`EventKind::MsgRecv`] with the same `(src, dst, tag)`.
-    MsgSend = 10,
+    MsgSend,
     /// A point-to-point receive completed (`a` = source global rank,
     /// `b` = tag as i64, `c` = bytes delivered).
-    MsgRecv = 11,
+    MsgRecv,
     /// A buffer was pinned (`a` = object address, `b` = 1 if the pin is
     /// conditional — released by the collector when the transport
     /// finishes — 0 for a hard pin).
-    PinAcquire = 12,
+    PinAcquire,
     /// A hard pin was released (`a` = object address).
-    PinRelease = 13,
-    /// A serializer pass started (`a` = pass id from [`alloc_span_id`]).
-    SerBegin = 14,
-    /// A serializer pass finished (`a` = pass id, `b` = wire bytes
-    /// produced, `c` = objects walked).
-    SerEnd = 15,
-    /// A deserializer pass started (`a` = pass id).
-    DeserBegin = 16,
-    /// A deserializer pass finished (`a` = pass id, `b` = wire bytes
-    /// consumed).
-    DeserEnd = 17,
+    PinRelease,
     /// A profiler sample of the rank's interpreter state
     /// (`a` = `(func + 1) << 32 | pc`, 0 when no IL is running;
     /// `b` = the native [`profile::TimeBucket`] index at the sample;
     /// `c` = IL shadow-stack depth).
-    ProfSample = 18,
+    ProfSample,
 }
 
 impl EventKind {
+    /// Every kind, in discriminant order.
+    pub const ALL: [EventKind; 10] = [
+        EventKind::SpanBegin,
+        EventKind::SpanEnd,
+        EventKind::RndvRts,
+        EventKind::RndvCts,
+        EventKind::RndvDone,
+        EventKind::MsgSend,
+        EventKind::MsgRecv,
+        EventKind::PinAcquire,
+        EventKind::PinRelease,
+        EventKind::ProfSample,
+    ];
+
     /// Stable export name.
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::OpBegin => "op_begin",
-            EventKind::OpEnd => "op_end",
+            EventKind::SpanBegin => "span_begin",
+            EventKind::SpanEnd => "span_end",
             EventKind::RndvRts => "rndv_rts",
             EventKind::RndvCts => "rndv_cts",
             EventKind::RndvDone => "rndv_done",
-            EventKind::SafepointStall => "safepoint_stall",
-            EventKind::GcBegin => "gc_begin",
-            EventKind::GcEnd => "gc_end",
-            EventKind::SpanBegin => "span_begin",
-            EventKind::SpanEnd => "span_end",
             EventKind::MsgSend => "msg_send",
             EventKind::MsgRecv => "msg_recv",
             EventKind::PinAcquire => "pin_acquire",
             EventKind::PinRelease => "pin_release",
-            EventKind::SerBegin => "ser_begin",
-            EventKind::SerEnd => "ser_end",
-            EventKind::DeserBegin => "deser_begin",
-            EventKind::DeserEnd => "deser_end",
             EventKind::ProfSample => "prof_sample",
         }
     }
 
     fn from_u64(v: u64) -> Option<EventKind> {
-        Some(match v {
-            0 => EventKind::OpBegin,
-            1 => EventKind::OpEnd,
-            2 => EventKind::RndvRts,
-            3 => EventKind::RndvCts,
-            4 => EventKind::RndvDone,
-            5 => EventKind::SafepointStall,
-            6 => EventKind::GcBegin,
-            7 => EventKind::GcEnd,
-            8 => EventKind::SpanBegin,
-            9 => EventKind::SpanEnd,
-            10 => EventKind::MsgSend,
-            11 => EventKind::MsgRecv,
-            12 => EventKind::PinAcquire,
-            13 => EventKind::PinRelease,
-            14 => EventKind::SerBegin,
-            15 => EventKind::SerEnd,
-            16 => EventKind::DeserBegin,
-            17 => EventKind::DeserEnd,
-            18 => EventKind::ProfSample,
-            _ => return None,
-        })
+        EventKind::ALL.get(v as usize).copied()
     }
 }
 
@@ -490,17 +453,6 @@ impl EventSlot {
             c: AtomicU64::new(0),
         }
     }
-}
-
-/// Process-wide span/pass id allocator. Ids must be unique across every
-/// registry of a rank (each rank carries a transport-side *and* a
-/// VM-side registry whose event streams are merged), so they come from
-/// one shared counter rather than per-registry state.
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Allocate a fresh id for a span or serializer pass (1-based).
-pub fn alloc_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Lock-free per-rank metrics: counters, histograms, event ring, and the
@@ -619,18 +571,12 @@ impl MetricsRegistry {
     }
 
     /// Register an in-flight op in this registry's live table; pair with
-    /// [`Self::op_end`]. Spans do this automatically — use these directly
-    /// only for registrations that outlive a stack frame (outstanding
-    /// `Isend`/`Irecv`, device-level waits).
+    /// [`Self::op_end`]. Spans do this themselves — the one direct caller
+    /// is the registration that outlives a stack frame, an outstanding
+    /// `Isend`/`Irecv` request.
     #[inline]
     pub fn op_begin(&self, kind: SpanKind, arg: u64) -> usize {
         self.inflight.begin(kind, arg, self.now_nanos())
-    }
-
-    /// Heartbeat a registered op: the op (and the rank) made progress.
-    #[inline]
-    pub fn op_beat(&self, slot: usize) {
-        self.inflight.beat(slot, self.now_nanos());
     }
 
     /// Deregister an in-flight op.
@@ -699,12 +645,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Overwrite a counter (used by the GC bridge at snapshot time).
-    #[inline]
-    pub fn set(&self, m: Metric, v: u64) {
-        self.counters[m as usize].store(v, Ordering::Relaxed);
-    }
-
     /// Current value of a counter.
     #[inline]
     pub fn get(&self, m: Metric) -> u64 {
@@ -760,11 +700,18 @@ impl MetricsRegistry {
     /// its payload loads (with an acquire fence in between) is guaranteed
     /// an untorn event.
     pub fn event3(&self, kind: EventKind, a: u64, b: u64, c: u64) {
+        self.event_at(self.now_nanos(), kind, a, b, c);
+    }
+
+    /// [`Self::event3`] stamped with a clock reading the caller already
+    /// took (a span edge shares one reading between the ring, the phase
+    /// machine and the in-flight table).
+    fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = &self.slots[(seq - 1) as usize % self.slots.len()];
         slot.seq.store(0, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.t_nanos.store(self.now_nanos(), Ordering::Relaxed);
+        slot.t_nanos.store(t_nanos, Ordering::Relaxed);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
@@ -1082,16 +1029,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Copy a GC-stats snapshot into the `gc_*` bridge counters. The
-    /// arguments follow `GcStatsSnapshot` field order; a slice keeps
-    /// `motor-obs` free of a dependency on the runtime crate.
-    pub fn set_gc_bridge(&mut self, values: &[(Metric, u64)]) {
-        for &(m, v) in values {
-            debug_assert!(m.is_gc_bridge(), "{} is not a GC bridge counter", m.name());
-            self.counters[m as usize] = v;
-        }
-    }
-
     /// Header for [`csv_row`](Self::csv_row): `label`, every counter name,
     /// and `<hist>_count`/`<hist>_p50`/`<hist>_p99`/`<hist>_max` per
     /// histogram.
@@ -1239,12 +1176,12 @@ mod tests {
     fn event_ring_overwrites_oldest() {
         let r = MetricsRegistry::with_event_capacity(4);
         for i in 0..10u64 {
-            r.event(EventKind::OpBegin, i, 0);
+            r.event(EventKind::MsgSend, i, 0);
         }
         let s = r.snapshot();
         let seqs: Vec<u64> = s.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9, 10]);
-        assert!(s.events().iter().all(|e| e.kind == EventKind::OpBegin));
+        assert!(s.events().iter().all(|e| e.kind == EventKind::MsgSend));
         // Payloads are the newest four writes, oldest first.
         let payloads: Vec<u64> = s.events().iter().map(|e| e.a).collect();
         assert_eq!(payloads, vec![6, 7, 8, 9]);
@@ -1254,7 +1191,7 @@ mod tests {
     fn wrapped_ring_events_stay_ordered_and_capacity_bounded() {
         let r = MetricsRegistry::with_event_capacity(8);
         for i in 0..1000u64 {
-            r.event3(EventKind::OpBegin, i, i * 2, i * 3);
+            r.event3(EventKind::MsgSend, i, i * 2, i * 3);
         }
         let s = r.snapshot();
         assert_eq!(s.events().len(), r.event_capacity());
@@ -1285,7 +1222,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..20_000u64 {
                         let a = (w << 32) | i;
-                        r.event3(EventKind::OpBegin, a, !a, a ^ SALT);
+                        r.event3(EventKind::MsgSend, a, !a, a ^ SALT);
                     }
                 })
             })
@@ -1296,10 +1233,13 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut seen = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
+                    // Check `stop` after the pass, so a reader first
+                    // scheduled once the writers are done still reads.
+                    loop {
+                        let done = stop.load(Ordering::Relaxed);
                         let s = r.snapshot();
                         for e in s.events() {
-                            assert_eq!(e.kind, EventKind::OpBegin);
+                            assert_eq!(e.kind, EventKind::MsgSend);
                             assert_eq!(e.b, !e.a, "torn event payload");
                             assert_eq!(e.c, e.a ^ SALT, "torn event payload");
                             seen += 1;
@@ -1309,8 +1249,10 @@ mod tests {
                         for w in s.events().windows(2) {
                             assert!(w[1].seq > w[0].seq);
                         }
+                        if done {
+                            return seen;
+                        }
                     }
-                    seen
                 })
             })
             .collect();
@@ -1346,7 +1288,7 @@ mod tests {
                     for i in 0..10_000u64 {
                         r.bump(Metric::MatchAttempts);
                         if i % 64 == 0 {
-                            r.event(EventKind::OpEnd, i, 0);
+                            r.event(EventKind::MsgRecv, i, 0);
                         }
                     }
                 })
@@ -1363,7 +1305,7 @@ mod tests {
         let r = MetricsRegistry::new();
         r.bump(Metric::CollBarrier);
         r.record(Hist::WaitNanos, 1500);
-        r.event(EventKind::SafepointStall, 12, 0);
+        r.event(EventKind::PinAcquire, 12, 0);
         let s = r.snapshot();
         let header = MetricsSnapshot::csv_header();
         let row = s.csv_row("rank0");
@@ -1372,15 +1314,16 @@ mod tests {
         assert!(row.starts_with("rank0,"));
         let json = s.to_json();
         assert!(json.contains("\"coll_barrier\":1"));
-        assert!(json.contains("\"kind\":\"safepoint_stall\""));
+        assert!(json.contains("\"kind\":\"pin_acquire\""));
     }
 
     #[test]
-    fn gc_bridge_sets_exact_values() {
-        let mut s = MetricsSnapshot::empty();
-        s.set_gc_bridge(&[(Metric::GcPins, 10), (Metric::GcPinsAvoidedElder, 3)]);
-        assert_eq!(s.get(Metric::GcPins), 10);
-        assert_eq!(s.get(Metric::GcPinsAvoidedElder), 3);
+    fn event_kinds_decode_by_discriminant() {
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{} out of order in ALL", k.name());
+            assert_eq!(EventKind::from_u64(i as u64), Some(k));
+        }
+        assert_eq!(EventKind::from_u64(EventKind::ALL.len() as u64), None);
     }
 
     #[test]
@@ -1413,7 +1356,7 @@ mod tests {
         let vm = MetricsRegistry::new();
         vm.add(Metric::SafepointStalls, 2);
         vm.record_max(Metric::PostedQueuePeak, 1);
-        vm.event(EventKind::SafepointStall, 9, 0);
+        vm.event(EventKind::PinAcquire, 9, 0);
         let mut merged = device.snapshot();
         merged.merge(&vm.snapshot());
         assert_eq!(merged.get(Metric::SendsEager), 3);
@@ -1447,14 +1390,14 @@ mod tests {
     fn dropped_ring_events_are_counted() {
         let r = MetricsRegistry::with_event_capacity(4);
         for i in 0..10u64 {
-            r.event(EventKind::OpBegin, i, 0);
+            r.event(EventKind::MsgSend, i, 0);
         }
         let s = r.snapshot();
         assert_eq!(s.get(Metric::TraceEventsDropped), 6);
         assert_eq!(s.events().len(), 4);
         // A ring that never wrapped reports zero.
         let quiet = MetricsRegistry::with_event_capacity(64);
-        quiet.event(EventKind::OpBegin, 1, 0);
+        quiet.event(EventKind::MsgSend, 1, 0);
         assert_eq!(quiet.snapshot().get(Metric::TraceEventsDropped), 0);
     }
 

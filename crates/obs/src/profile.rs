@@ -5,7 +5,11 @@
 //! rank thread — with any number of concurrent readers (the sampling
 //! profiler thread, `motor-doctor`, snapshot collection). Writes are
 //! relaxed atomics; a racing reader can observe a slightly stale value
-//! but never a torn or corrupt one.
+//! but never a torn or corrupt one. The phase stack enforces its writer:
+//! the thread that starts the clock owns it, and a span opened on any
+//! other thread (a helper mutator's collection or safepoint stall) is
+//! recorded on the timeline but does not enter a bucket — the buckets
+//! partition the *rank thread's* wall clock.
 //!
 //! # Time buckets
 //!
@@ -114,10 +118,19 @@ impl PhaseSnapshot {
     }
 }
 
+/// A cheap identity for the calling thread: the address of one of its
+/// thread-locals (unique among live threads, one TLS read to get).
+fn thread_tag() -> usize {
+    thread_local!(static TAG: u8 = const { 0 });
+    TAG.with(|t| t as *const u8 as usize)
+}
+
 /// Online per-rank time-bucket and overlap accounting (see module docs).
 #[derive(Debug)]
 pub struct PhaseStats {
     started: AtomicBool,
+    /// [`thread_tag`] of the thread that called [`Self::start_at`].
+    owner: AtomicUsize,
     last_flush: AtomicU64,
     cur: AtomicUsize,
     depth: AtomicUsize,
@@ -140,6 +153,7 @@ impl PhaseStats {
     pub fn new() -> PhaseStats {
         PhaseStats {
             started: AtomicBool::new(false),
+            owner: AtomicUsize::new(0),
             last_flush: AtomicU64::new(0),
             cur: AtomicUsize::new(TimeBucket::Compute as usize),
             depth: AtomicUsize::new(0),
@@ -181,6 +195,7 @@ impl PhaseStats {
         if self.started.swap(true, Ordering::Relaxed) {
             return;
         }
+        self.owner.store(thread_tag(), Ordering::Relaxed);
         self.last_flush.store(now, Ordering::Relaxed);
         self.cur
             .store(TimeBucket::Compute as usize, Ordering::Relaxed);
@@ -191,7 +206,7 @@ impl PhaseStats {
     /// the push was recorded — the caller must pop iff it was.
     #[inline]
     pub fn push_at(&self, bucket: TimeBucket, now: u64) -> bool {
-        if !self.started() {
+        if !self.started() || self.owner.load(Ordering::Relaxed) != thread_tag() {
             return false;
         }
         self.flush_to(now);
@@ -484,6 +499,20 @@ mod tests {
         assert_eq!(p.read_at(100), PhaseSnapshot::default());
         p.start_at(100);
         assert_eq!(p.read_at(150).wall_nanos(), 50);
+    }
+
+    #[test]
+    fn only_the_starting_thread_enters_buckets() {
+        let p = PhaseStats::new();
+        p.start_at(0);
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(!p.push_at(TimeBucket::Gc, 10)));
+        });
+        assert!(p.push_at(TimeBucket::Gc, 20));
+        p.pop_at(30);
+        let s = p.read_at(30);
+        assert_eq!(s.bucket_nanos[TimeBucket::Gc as usize], 10);
+        assert_eq!(s.bucket_nanos[TimeBucket::Compute as usize], 20);
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
         // 4-slot ring and check the counter travels the Prometheus path.
         let r = MetricsRegistry::with_event_capacity(4);
         for i in 0..10u64 {
-            r.event(crate::EventKind::OpBegin, i, 0);
+            r.event(crate::EventKind::MsgSend, i, 0);
         }
         let text = to_prometheus(&r.snapshot(), &[("rank", "0")]);
         assert!(text.contains("# TYPE motor_trace_events_dropped counter"));

@@ -1,18 +1,30 @@
-//! Begin/end span pairs over the event ring.
+//! Begin/end span pairs over the event ring — the one way a timed region
+//! is recorded.
 //!
 //! A [`SpanGuard`] stamps a [`SpanBegin`](crate::EventKind::SpanBegin)
 //! event when created and the matching
 //! [`SpanEnd`](crate::EventKind::SpanEnd) when dropped, both carrying a
-//! process-unique span id. The post-mortem [`trace`](crate::trace) module
-//! pairs them back into intervals, so every `System.MP` / `System.MP.OO`
-//! operation, rendezvous phase, serializer pass, GC pause and safepoint
-//! stall becomes a slice on the cluster timeline.
+//! process-unique span id; while it lives the operation sits in the
+//! registry's in-flight table and, if its kind maps to a
+//! [`TimeBucket`](crate::profile::TimeBucket), on the phase stack. Every
+//! `System.MP` / `System.MP.OO` operation, device wait, serializer pass,
+//! collection and safepoint stall is such a guard, opened by the code
+//! that runs the region. The post-mortem [`trace`](crate::trace) module
+//! pairs the two events back into one slice on the cluster timeline.
 //!
-//! Recording a span costs two ring writes (a `fetch_add` plus a handful
-//! of relaxed stores each) and never takes a lock, so guards are cheap
-//! enough for the hot paths the paper measures.
+//! Each edge reads the clock once and costs one ring write (a
+//! `fetch_add` plus a handful of relaxed stores) and never takes a lock,
+//! so guards are cheap enough for the hot paths the paper measures.
 
-use crate::{alloc_span_id, EventKind, MetricsRegistry};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::{EventKind, MetricsRegistry};
+
+/// Process-wide span id allocator (1-based). Ids must be unique across
+/// every registry of a rank (each rank carries a transport-side *and* a
+/// VM-side registry whose event streams are merged), so they come from
+/// one shared counter rather than per-registry state.
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 macro_rules! define_span_kinds {
     ($( $(#[$doc:meta])* $variant:ident => $name:literal ),+ $(,)?) => {
@@ -98,20 +110,22 @@ define_span_kinds! {
     /// Object-array gather.
     Ogather => "ogather",
 
-    // ---- runtime phases (synthesized from non-span events too) ----
-    /// Serializer pass (paired from `SerBegin`/`SerEnd`).
+    // ---- runtime phases ----
+    /// Serializer pass (argument: wire bytes produced).
     Serialize => "serialize",
-    /// Deserializer pass (paired from `DeserBegin`/`DeserEnd`).
+    /// Deserializer pass (argument: wire bytes consumed).
     Deserialize => "deserialize",
-    /// Transport-level blocking wait (paired from `OpBegin`/`OpEnd`).
+    /// Transport-level blocking wait (argument: device request id).
     DeviceWait => "device_wait",
     /// Rendezvous handshake on the sender (RTS out → transfer done).
+    /// Not lexical: derived by [`crate::trace`] from `RndvRts`/`RndvDone`.
     RndvHandshake => "rndv_handshake",
-    /// Garbage collection pause (paired from `GcBegin`/`GcEnd`).
+    /// Garbage collection pause (argument: 0 minor / 1 full).
     Gc => "gc",
-    /// Mutator stalled at a safepoint (synthesized from `SafepointStall`).
+    /// Mutator stalled at a safepoint.
     SafepointStall => "safepoint_stall",
-    /// Pin lifetime (paired from `PinAcquire`/`PinRelease`).
+    /// Pin lifetime. Not lexical: derived by [`crate::trace`] from
+    /// `PinAcquire`/`PinRelease`.
     PinHeld => "pin_held",
 }
 
@@ -188,6 +202,7 @@ pub struct SpanGuard<'r> {
     id: u64,
     kind: SpanKind,
     arg: u64,
+    t_begin: u64,
     inflight: usize,
     phase_pushed: bool,
 }
@@ -208,18 +223,33 @@ impl SpanGuard<'_> {
     /// still advancing (call from polling loops so a long-but-live wait
     /// is not mistaken for a stall).
     pub fn heartbeat(&self) {
-        self.registry.op_beat(self.inflight);
+        let r = self.registry;
+        r.inflight.beat(self.inflight, r.now_nanos());
+    }
+
+    /// Close the span now and return how long it was open (nanoseconds),
+    /// measured by the same clock reading that stamps the end event.
+    pub fn finish(mut self) -> u64 {
+        let dur = self.close();
+        std::mem::forget(self);
+        dur
+    }
+
+    fn close(&mut self) -> u64 {
+        let r = self.registry;
+        let now = r.now_nanos();
+        if self.phase_pushed {
+            r.phases.pop_at(now);
+        }
+        r.inflight.end(self.inflight);
+        r.event_at(now, EventKind::SpanEnd, self.id, self.kind as u64, self.arg);
+        now.saturating_sub(self.t_begin)
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if self.phase_pushed {
-            self.registry.phases().pop_at(self.registry.now_nanos());
-        }
-        self.registry.op_end(self.inflight);
-        self.registry
-            .event3(EventKind::SpanEnd, self.id, self.kind as u64, self.arg);
+        self.close();
     }
 }
 
@@ -231,19 +261,17 @@ impl MetricsRegistry {
     /// maps to a time bucket, the span's lifetime is also attributed to
     /// that bucket.
     pub fn span(&self, kind: SpanKind, arg: u64) -> SpanGuard<'_> {
-        let id = alloc_span_id();
-        self.event3(EventKind::SpanBegin, id, kind as u64, arg);
-        let phase_pushed = match kind.bucket() {
-            Some(b) => self.phases().push_at(b, self.now_nanos()),
-            None => false,
-        };
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let now = self.now_nanos();
+        self.event_at(now, EventKind::SpanBegin, id, kind as u64, arg);
         SpanGuard {
             registry: self,
             id,
             kind,
             arg,
-            inflight: self.op_begin(kind, arg),
-            phase_pushed,
+            t_begin: now,
+            inflight: self.inflight.begin(kind, arg, now),
+            phase_pushed: kind.bucket().is_some_and(|b| self.phases.push_at(b, now)),
         }
     }
 }

@@ -11,10 +11,12 @@
 //!
 //! Three artifacts come out:
 //!
-//! * [`TraceSpan`]s — explicit [`SpanBegin`]/[`SpanEnd`] pairs plus
-//!   intervals synthesized from paired runtime events (device waits from
-//!   `OpBegin`/`OpEnd`, GC pauses, safepoint stalls, serializer passes,
-//!   pin lifetimes, sender-side rendezvous handshakes).
+//! * [`TraceSpan`]s — the [`SpanBegin`]/[`SpanEnd`] pairs every timed
+//!   region records (see [`crate::span`]), plus the two intervals that
+//!   are not lexical scopes and so cannot be a guard: a pin's lifetime
+//!   (`PinAcquire` → `PinRelease`, possibly on another call path) and the
+//!   sender-side rendezvous handshake (`RndvRts` out → `RndvDone`, which
+//!   the progress engine stamps whenever the last byte leaves).
 //! * [`MessageEdge`]s — the k-th [`MsgSend`] from `src` to `dst` with tag
 //!   `t` matched FIFO against the k-th [`MsgRecv`] on `dst` from `src`
 //!   with tag `t` (sound because the device layer is non-overtaking per
@@ -69,9 +71,8 @@ pub fn estimate_clock_offset(t0_local: u64, t1_local: u64, t_peer: u64) -> i64 {
 /// One interval on the cluster timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
-    /// Process-unique id (from [`crate::alloc_span_id`] for explicit
-    /// spans and serializer passes; freshly assigned for intervals
-    /// synthesized from other event pairs).
+    /// Process-unique id (the guard's own for recorded spans; freshly
+    /// assigned for pin and rendezvous-handshake intervals).
     pub id: u64,
     /// Which rank the interval belongs to.
     pub rank: usize,
@@ -200,10 +201,10 @@ pub struct ClusterTrace {
     /// taken ([`crate::Metric::TraceEventsDropped`]). Nonzero entries mean
     /// the timeline is a *suffix* of the run, not the whole of it.
     pub dropped_events: Vec<u64>,
-    /// Per-rank count of end-type events (span/serializer/op ends) whose
-    /// begin was already overwritten by ring wraparound. Each one is an
-    /// interval silently missing from [`ClusterTrace::spans`], so any
-    /// nonzero entry means the wait breakdown *under-reports* that rank.
+    /// Per-rank count of span ends whose begin was already overwritten by
+    /// ring wraparound. Each one is an interval silently missing from
+    /// [`ClusterTrace::spans`], so any nonzero entry means the wait
+    /// breakdown *under-reports* that rank.
     pub orphaned_ends: Vec<u64>,
 }
 
@@ -244,12 +245,7 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
         .iter()
         .flat_map(|s| s.events())
         .filter_map(|e| match e.kind {
-            EventKind::SpanBegin
-            | EventKind::SpanEnd
-            | EventKind::SerBegin
-            | EventKind::SerEnd
-            | EventKind::DeserBegin
-            | EventKind::DeserEnd => Some(e.a),
+            EventKind::SpanBegin | EventKind::SpanEnd => Some(e.a),
             _ => None,
         })
         .max()
@@ -278,10 +274,6 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
 
         // Open-interval state, keyed as each pairing rule requires.
         let mut open_spans: HashMap<u64, (SpanKind, i64, u64)> = HashMap::new();
-        let mut open_ser: HashMap<u64, i64> = HashMap::new();
-        let mut open_deser: HashMap<u64, i64> = HashMap::new();
-        let mut open_ops: HashMap<u64, (i64, u64)> = HashMap::new();
-        let mut open_gc: Option<i64> = None;
         let mut open_pins: HashMap<u64, Vec<i64>> = HashMap::new();
         let mut open_rndv: HashMap<u64, (i64, u64)> = HashMap::new();
 
@@ -306,83 +298,6 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
                     } else {
                         trace.orphaned_ends[rank] += 1;
                     }
-                }
-                EventKind::SerBegin => {
-                    open_ser.insert(e.a, t);
-                }
-                EventKind::SerEnd => {
-                    if let Some(t0) = open_ser.remove(&e.a) {
-                        trace.spans.push(TraceSpan {
-                            id: e.a,
-                            rank,
-                            kind: SpanKind::Serialize,
-                            t_begin: t0,
-                            t_end: t,
-                            arg: e.b,
-                        });
-                    } else {
-                        trace.orphaned_ends[rank] += 1;
-                    }
-                }
-                EventKind::DeserBegin => {
-                    open_deser.insert(e.a, t);
-                }
-                EventKind::DeserEnd => {
-                    if let Some(t0) = open_deser.remove(&e.a) {
-                        trace.spans.push(TraceSpan {
-                            id: e.a,
-                            rank,
-                            kind: SpanKind::Deserialize,
-                            t_begin: t0,
-                            t_end: t,
-                            arg: e.b,
-                        });
-                    } else {
-                        trace.orphaned_ends[rank] += 1;
-                    }
-                }
-                EventKind::OpBegin => {
-                    open_ops.insert(e.a, (t, e.b));
-                }
-                EventKind::OpEnd => {
-                    if let Some((t0, peer_tag)) = open_ops.remove(&e.a) {
-                        trace.spans.push(TraceSpan {
-                            id: syn_id(),
-                            rank,
-                            kind: SpanKind::DeviceWait,
-                            t_begin: t0,
-                            t_end: t,
-                            arg: peer_tag,
-                        });
-                    } else {
-                        trace.orphaned_ends[rank] += 1;
-                    }
-                }
-                EventKind::GcBegin => {
-                    open_gc = Some(t);
-                }
-                EventKind::GcEnd => {
-                    if let Some(t0) = open_gc.take() {
-                        trace.spans.push(TraceSpan {
-                            id: syn_id(),
-                            rank,
-                            kind: SpanKind::Gc,
-                            t_begin: t0,
-                            t_end: t,
-                            arg: e.a, // 0 minor / 1 full
-                        });
-                    }
-                }
-                EventKind::SafepointStall => {
-                    // Stamped once, at the end of the stall; `a` = nanos.
-                    trace.spans.push(TraceSpan {
-                        id: syn_id(),
-                        rank,
-                        kind: SpanKind::SafepointStall,
-                        t_begin: t - e.a as i64,
-                        t_end: t,
-                        arg: 0,
-                    });
                 }
                 EventKind::PinAcquire => {
                     open_pins.entry(e.a).or_default().push(t);
@@ -826,28 +741,28 @@ mod tests {
 
     #[test]
     fn synthesized_spans_from_runtime_events() {
+        // The two intervals no guard can cover: a pin released on another
+        // call path, and a rendezvous the progress engine completes.
         let r = MetricsRegistry::new();
-        r.event3(EventKind::OpBegin, 5, 0, 0);
-        r.event3(EventKind::OpEnd, 5, 0, 0);
-        r.event3(EventKind::GcBegin, 1, 0, 0);
-        r.event3(EventKind::GcEnd, 1, 12345, 0);
-        r.event3(EventKind::SafepointStall, 1000, 0, 0);
+        let recorded = r.span(SpanKind::Gc, 1).id();
         r.event3(EventKind::PinAcquire, 0xdead, 0, 0);
+        r.event3(EventKind::PinAcquire, 0xbeef, 1, 0); // conditional: never released
         r.event3(EventKind::PinRelease, 0xdead, 0, 0);
-        r.event3(EventKind::SerBegin, 99, 0, 0);
-        r.event3(EventKind::SerEnd, 99, 64, 3);
+        r.event3(EventKind::RndvRts, 7, 4096, rndv_ctl(1, true));
+        r.event3(EventKind::RndvCts, 7, 4096, rndv_ctl(1, false));
+        r.event3(EventKind::RndvDone, 7, 4096, rndv_ctl(1, true));
+        r.event3(EventKind::RndvRts, 8, 64, rndv_ctl(1, false)); // inbound: no handshake
         let t = build_cluster_trace(&[r.snapshot()]);
-        let kinds: HashSet<SpanKind> = t.spans.iter().map(|s| s.kind).collect();
-        for k in [
-            SpanKind::DeviceWait,
-            SpanKind::Gc,
-            SpanKind::SafepointStall,
-            SpanKind::PinHeld,
-            SpanKind::Serialize,
-        ] {
-            assert!(kinds.contains(&k), "missing synthesized {k:?}");
-        }
-        // Ids are unique across real and synthetic spans.
+        let of = |k| t.spans.iter().filter(|s| s.kind == k).collect::<Vec<_>>();
+        assert_eq!(of(SpanKind::Gc)[0].id, recorded);
+        let pins = of(SpanKind::PinHeld);
+        assert_eq!(pins.len(), 1, "only the released hard pin is an interval");
+        assert_eq!(pins[0].arg, 0xdead);
+        let rndv = of(SpanKind::RndvHandshake);
+        assert_eq!(rndv.len(), 1, "only the sender side opens a handshake");
+        assert_eq!(rndv[0].arg, 4096);
+        // Ids are unique across recorded and synthesized spans.
         assert_eq!(t.span_ids().len(), t.spans.len());
+        assert_eq!(t.orphaned_ends, vec![0]);
     }
 }

@@ -23,12 +23,13 @@
 
 use std::collections::HashSet;
 
+use motor_obs::{Metric, MetricsRegistry};
+
 use crate::handles::HandleTable;
 use crate::heap::{FreeBlock, Heap};
 use crate::layout::{obj_flags, HEADER_SIZE};
 use crate::object::{for_each_ref_slot, ObjectRef};
 use crate::pin::PinTable;
-use crate::stats::GcStats;
 use crate::types::{ClassId, TypeRegistry};
 
 /// Borrowed view of everything a collection touches.
@@ -44,8 +45,8 @@ pub struct CollectCtx<'a> {
     pub remset: &'a mut HashSet<usize>,
     /// Type registry (for ref-slot scanning).
     pub registry: &'a TypeRegistry,
-    /// Counters.
-    pub stats: &'a GcStats,
+    /// Where the `Metric::Gc*` counters are bumped.
+    pub metrics: &'a MetricsRegistry,
     /// Per-class never-transported proof bits (indexed by `ClassId`),
     /// when the static-analysis escape pass installed one. A proven
     /// class's instances can never be transport buffers, so the minor
@@ -60,7 +61,7 @@ struct Evacuator<'a> {
     /// Objects whose reference slots still need scanning (new elder copies
     /// and in-place pinned young objects).
     scan: Vec<usize>,
-    stats: &'a GcStats,
+    metrics: &'a MetricsRegistry,
     /// Never-transported proof bits (see [`CollectCtx::never_transported`]).
     never_transported: Option<&'a [bool]>,
 }
@@ -86,7 +87,7 @@ impl Evacuator<'_> {
                 .and_then(|bits| bits.get(obj.header().mt as usize).copied())
                 .unwrap_or(false);
             if proven_unpinned {
-                GcStats::bump(&self.stats.pin_checks_elided);
+                self.metrics.bump(Metric::GcPinChecksElided);
                 debug_assert!(
                     !self.pinned_young.contains(&addr),
                     "object of a never-transported class found in the pinned set"
@@ -117,8 +118,8 @@ impl Evacuator<'_> {
             let nh = ObjectRef(new_addr).header_mut();
             nh.flags = (h.flags | obj_flags::IN_OLD) & !(obj_flags::MARK | obj_flags::FORWARDED);
             obj.forward_to(ObjectRef(new_addr));
-            GcStats::bump(&self.stats.objects_promoted);
-            GcStats::add(&self.stats.bytes_promoted, size as u64);
+            self.metrics.bump(Metric::GcObjectsPromoted);
+            self.metrics.add(Metric::GcBytesPromoted, size as u64);
             self.scan.push(new_addr);
             new_addr
         }
@@ -127,12 +128,12 @@ impl Evacuator<'_> {
 
 /// Perform a minor (young-generation) collection.
 pub fn minor(ctx: &mut CollectCtx<'_>) {
-    GcStats::bump(&ctx.stats.minor_collections);
+    ctx.metrics.bump(Metric::GcMinorCollections);
 
     // Mark-phase resolution of conditional pin requests (paper §7.4).
     let (held, released) = ctx.pins.resolve_conditionals();
-    GcStats::add(&ctx.stats.conditional_pins_held, held.len() as u64);
-    GcStats::add(&ctx.stats.conditional_pins_released, released);
+    ctx.metrics.add(Metric::GcCondPinsHeld, held.len() as u64);
+    ctx.metrics.add(Metric::GcCondPinsReleased, released);
 
     // The set of young objects that must not move.
     let mut pinned_young: HashSet<usize> = HashSet::new();
@@ -151,7 +152,7 @@ pub fn minor(ctx: &mut CollectCtx<'_>) {
         heap: &mut *ctx.heap,
         pinned_young: &pinned_young,
         scan: Vec::new(),
-        stats: ctx.stats,
+        metrics: ctx.metrics,
         never_transported: ctx.never_transported,
     };
 
@@ -196,7 +197,7 @@ pub fn minor(ctx: &mut CollectCtx<'_>) {
     } else {
         // Pinned objects present: free the non-pinned remains in place,
         // then assign the entire young block to the elder generation.
-        GcStats::bump(&ctx.stats.pinned_block_promotions);
+        ctx.metrics.bump(Metric::GcPinnedBlockPromotions);
         let mut free_blocks: Vec<FreeBlock> = Vec::new();
         let mut run_start: Option<usize> = None;
         let mut run_len = 0usize;
@@ -252,7 +253,7 @@ pub fn minor(ctx: &mut CollectCtx<'_>) {
 /// (paper §5.2), so no reference rewriting is needed.
 pub fn full(ctx: &mut CollectCtx<'_>) {
     minor(ctx);
-    GcStats::bump(&ctx.stats.full_collections);
+    ctx.metrics.bump(Metric::GcFullCollections);
 
     // Mark.
     let mut stack: Vec<usize> = Vec::new();
@@ -265,8 +266,8 @@ pub fn full(ctx: &mut CollectCtx<'_>) {
     // Conditional pins still in flight (resolved during the minor phase)
     // are roots too: the transport is reading/writing those buffers.
     let (held, released) = ctx.pins.resolve_conditionals();
-    GcStats::add(&ctx.stats.conditional_pins_held, held.len() as u64);
-    GcStats::add(&ctx.stats.conditional_pins_released, released);
+    ctx.metrics.add(Metric::GcCondPinsHeld, held.len() as u64);
+    ctx.metrics.add(Metric::GcCondPinsReleased, released);
     stack.extend(held);
 
     while let Some(addr) = stack.pop() {
@@ -340,7 +341,7 @@ pub fn full(ctx: &mut CollectCtx<'_>) {
             });
         }
     }
-    GcStats::add(&ctx.stats.objects_swept, swept_objects);
-    GcStats::add(&ctx.stats.bytes_swept, newly_freed as u64);
+    ctx.metrics.add(Metric::GcObjectsSwept, swept_objects);
+    ctx.metrics.add(Metric::GcBytesSwept, newly_freed as u64);
     ctx.heap.set_free_list(free_blocks, newly_freed);
 }

@@ -18,10 +18,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
-use motor_obs::{EventKind, Hist, Metric, MetricsRegistry, SpanKind, INFLIGHT_NONE};
-use parking_lot::{Condvar, Mutex};
+use motor_obs::{Hist, Metric, MetricsRegistry, SpanKind};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 #[derive(Debug, Default)]
 struct SpInner {
@@ -59,13 +58,29 @@ impl Safepoint {
         let _ = self.metrics.set(registry);
     }
 
-    fn record_stall(&self, since: Instant) {
-        if let Some(r) = self.metrics.get() {
-            let ns = since.elapsed().as_nanos() as u64;
-            r.bump(Metric::SafepointStalls);
-            r.record(Hist::SafepointStallNanos, ns);
-            r.event(EventKind::SafepointStall, ns, 0);
+    /// Park at the safepoint while a collection is pending or in progress;
+    /// returns whether the thread had to. The wait is a `safepoint_stall`
+    /// span on the attached registry, so it shows on the timeline, in the
+    /// in-flight table while it lasts, and in the `gc` time bucket.
+    fn park_while_collecting(&self, g: &mut MutexGuard<'_, SpInner>) -> bool {
+        if !g.collecting {
+            return false;
         }
+        let stall = self
+            .metrics
+            .get()
+            .map(|r| (r, r.span(SpanKind::SafepointStall, 0)));
+        while g.collecting {
+            g.parked += 1;
+            self.cvar.notify_all();
+            self.cvar.wait(g);
+            g.parked -= 1;
+        }
+        if let Some((r, span)) = stall {
+            r.bump(Metric::SafepointStalls);
+            r.record(Hist::SafepointStallNanos, span.finish());
+        }
+        true
     }
 
     /// Attach the calling thread (cooperative).
@@ -95,30 +110,7 @@ impl Safepoint {
 
     #[cold]
     fn poll_slow(&self) {
-        let t0 = Instant::now();
-        let mut stalled = false;
-        let mut inflight = INFLIGHT_NONE;
-        {
-            let mut g = self.inner.lock();
-            while g.collecting {
-                if !stalled {
-                    stalled = true;
-                    if let Some(r) = self.metrics.get() {
-                        inflight = r.op_begin(SpanKind::SafepointStall, 0);
-                    }
-                }
-                g.parked += 1;
-                self.cvar.notify_all();
-                self.cvar.wait(&mut g);
-                g.parked -= 1;
-            }
-        }
-        if stalled {
-            if let Some(r) = self.metrics.get() {
-                r.op_end(inflight);
-            }
-            self.record_stall(t0);
-        }
+        self.park_while_collecting(&mut self.inner.lock());
     }
 
     /// Attempt to become the collector. Returns `true` if the calling
@@ -129,18 +121,8 @@ impl Safepoint {
     /// [`end_gc`]: Safepoint::end_gc
     pub fn try_begin_gc(&self) -> bool {
         let mut g = self.inner.lock();
-        if g.collecting {
-            // Someone else is collecting: park like a poll and report that
-            // a collection happened.
-            let t0 = Instant::now();
-            while g.collecting {
-                g.parked += 1;
-                self.cvar.notify_all();
-                self.cvar.wait(&mut g);
-                g.parked -= 1;
-            }
-            drop(g);
-            self.record_stall(t0);
+        if self.park_while_collecting(&mut g) {
+            // Someone else collected while this thread parked like a poll.
             return false;
         }
         g.collecting = true;

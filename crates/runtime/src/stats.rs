@@ -1,120 +1,47 @@
-//! Collection and pinning counters.
+//! Collection and pinning counters, as a typed view.
 //!
 //! The paper's argument for the pinning policy is quantitative ("it does
 //! minimise the performance overhead imposed by pinning unnecessarily for
-//! each operation", §7.4). These counters let the tests assert the policy's
-//! behaviour directly — e.g. that a ping-pong over elder-resident buffers
-//! performs zero pin operations — and feed the ablation benchmarks.
+//! each operation", §7.4). The collector, `MotorThread::pin*` and the pin
+//! policy bump `Metric::Gc*` on the VM's [`MetricsRegistry`] — the only
+//! place the numbers live; [`GcStatsSnapshot`] reads them back under the
+//! names the tests and ablation benchmarks assert on.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use motor_obs::{Metric, MetricsRegistry};
 
-/// Monotonic counters describing one VM's GC and pinning activity.
-#[derive(Debug, Default)]
-pub struct GcStats {
-    /// Minor (young-generation) collections performed.
-    pub minor_collections: AtomicU64,
-    /// Full (mark-sweep) collections performed.
-    pub full_collections: AtomicU64,
-    /// Objects copied (promoted) out of the young generation.
-    pub objects_promoted: AtomicU64,
-    /// Bytes copied during promotion.
-    pub bytes_promoted: AtomicU64,
-    /// Times the whole young block was transferred to the elder generation
-    /// because pinned objects were present.
-    pub pinned_block_promotions: AtomicU64,
-    /// Hard pin operations performed.
-    pub pins: AtomicU64,
-    /// Hard unpin operations performed.
-    pub unpins: AtomicU64,
-    /// Conditional pin requests registered (non-blocking operations).
-    pub conditional_pins_registered: AtomicU64,
-    /// Conditional pin requests found still in flight at mark time (object
-    /// kept pinned through the collection).
-    pub conditional_pins_held: AtomicU64,
-    /// Conditional pin requests found complete at mark time (request
-    /// discarded, object released).
-    pub conditional_pins_released: AtomicU64,
-    /// Pins skipped by the policy because the object was already
-    /// elder-resident.
-    pub pins_avoided_elder: AtomicU64,
-    /// Pins skipped because a blocking operation completed without entering
-    /// the polling wait.
-    pub pins_avoided_fast_blocking: AtomicU64,
-    /// Objects reclaimed by full collections.
-    pub objects_swept: AtomicU64,
-    /// Bytes reclaimed by full collections.
-    pub bytes_swept: AtomicU64,
-    /// Young-object pinned-set membership checks skipped by the minor
-    /// collector because the object's class carries a never-transported
-    /// proof (motor-analyze escape pass): such objects can never be
-    /// transport buffers, hence never pinned.
-    pub pin_checks_elided: AtomicU64,
-}
-
-impl GcStats {
-    /// Create zeroed stats.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bump a counter by one.
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Add to a counter.
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Read a counter.
-    #[inline]
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot all counters into a plain struct for reporting.
-    pub fn snapshot(&self) -> GcStatsSnapshot {
-        GcStatsSnapshot {
-            minor_collections: Self::get(&self.minor_collections),
-            full_collections: Self::get(&self.full_collections),
-            objects_promoted: Self::get(&self.objects_promoted),
-            bytes_promoted: Self::get(&self.bytes_promoted),
-            pinned_block_promotions: Self::get(&self.pinned_block_promotions),
-            pins: Self::get(&self.pins),
-            unpins: Self::get(&self.unpins),
-            conditional_pins_registered: Self::get(&self.conditional_pins_registered),
-            conditional_pins_held: Self::get(&self.conditional_pins_held),
-            conditional_pins_released: Self::get(&self.conditional_pins_released),
-            pins_avoided_elder: Self::get(&self.pins_avoided_elder),
-            pins_avoided_fast_blocking: Self::get(&self.pins_avoided_fast_blocking),
-            objects_swept: Self::get(&self.objects_swept),
-            bytes_swept: Self::get(&self.bytes_swept),
-            pin_checks_elided: Self::get(&self.pin_checks_elided),
+macro_rules! gc_stats_view {
+    ($( $field:ident => $metric:ident ),+ $(,)?) => {
+        /// A point-in-time copy of one VM's GC and pinning counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct GcStatsSnapshot {
+            $( #[doc = concat!("[`Metric::", stringify!($metric), "`].")] pub $field: u64 ),+
         }
-    }
+
+        impl GcStatsSnapshot {
+            /// Read the counters off the VM's registry.
+            pub(crate) fn read(registry: &MetricsRegistry) -> Self {
+                GcStatsSnapshot { $( $field: registry.get(Metric::$metric) ),+ }
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of [`GcStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStatsSnapshot {
-    pub minor_collections: u64,
-    pub full_collections: u64,
-    pub objects_promoted: u64,
-    pub bytes_promoted: u64,
-    pub pinned_block_promotions: u64,
-    pub pins: u64,
-    pub unpins: u64,
-    pub conditional_pins_registered: u64,
-    pub conditional_pins_held: u64,
-    pub conditional_pins_released: u64,
-    pub pins_avoided_elder: u64,
-    pub pins_avoided_fast_blocking: u64,
-    pub objects_swept: u64,
-    pub bytes_swept: u64,
-    pub pin_checks_elided: u64,
+gc_stats_view! {
+    minor_collections => GcMinorCollections,
+    full_collections => GcFullCollections,
+    objects_promoted => GcObjectsPromoted,
+    bytes_promoted => GcBytesPromoted,
+    pinned_block_promotions => GcPinnedBlockPromotions,
+    pins => GcPins,
+    unpins => GcUnpins,
+    conditional_pins_registered => GcCondPinsRegistered,
+    conditional_pins_held => GcCondPinsHeld,
+    conditional_pins_released => GcCondPinsReleased,
+    pins_avoided_elder => GcPinsAvoidedElder,
+    pins_avoided_fast_blocking => GcPinsAvoidedFastBlocking,
+    objects_swept => GcObjectsSwept,
+    bytes_swept => GcBytesSwept,
+    pin_checks_elided => GcPinChecksElided,
 }
 
 impl GcStatsSnapshot {
@@ -130,24 +57,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let s = GcStats::new();
-        GcStats::bump(&s.pins);
-        GcStats::bump(&s.pins);
-        GcStats::add(&s.bytes_promoted, 100);
-        let snap = s.snapshot();
-        assert_eq!(snap.pins, 2);
-        assert_eq!(snap.bytes_promoted, 100);
-        assert_eq!(snap.pin_traffic(), 2);
-    }
-
-    #[test]
-    fn snapshot_is_stable_copy() {
-        let s = GcStats::new();
-        let a = s.snapshot();
-        GcStats::bump(&s.minor_collections);
-        let b = s.snapshot();
+    fn view_reads_the_registry_and_is_a_stable_copy() {
+        let r = MetricsRegistry::new();
+        r.add(Metric::GcPins, 2);
+        r.bump(Metric::GcUnpins);
+        r.add(Metric::GcBytesPromoted, 100);
+        let a = GcStatsSnapshot::read(&r);
+        assert_eq!((a.pins, a.unpins, a.bytes_promoted), (2, 1, 100));
+        assert_eq!(a.pin_traffic(), 3);
+        r.bump(Metric::GcMinorCollections);
         assert_eq!(a.minor_collections, 0);
-        assert_eq!(b.minor_collections, 1);
+        assert_eq!(GcStatsSnapshot::read(&r).minor_collections, 1);
     }
 }

@@ -16,6 +16,8 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
+use motor_obs::{EventKind, Metric};
+
 use crate::handles::Handle;
 use crate::heap::AllocPressure;
 use crate::layout::{self, ObjHeader};
@@ -301,20 +303,18 @@ impl MotorThread {
         let mut st = self.vm.state();
         let addr = st.handles.get(h);
         assert!(addr != 0, "pin on null handle");
-        crate::stats::GcStats::bump(&self.vm.stats().pins);
-        self.vm
-            .metrics()
-            .event(motor_obs::EventKind::PinAcquire, addr as u64, 0);
+        let reg = self.vm.metrics();
+        reg.bump(Metric::GcPins);
+        reg.event(EventKind::PinAcquire, addr as u64, 0);
         st.pins.pin(addr)
     }
 
     /// Release a hard pin.
     pub fn unpin(&self, token: PinToken) {
         let mut st = self.vm.state();
-        crate::stats::GcStats::bump(&self.vm.stats().unpins);
-        self.vm
-            .metrics()
-            .event(motor_obs::EventKind::PinRelease, token.addr() as u64, 0);
+        let reg = self.vm.metrics();
+        reg.bump(Metric::GcUnpins);
+        reg.event(EventKind::PinRelease, token.addr() as u64, 0);
         st.pins.unpin(token);
     }
 
@@ -326,10 +326,9 @@ impl MotorThread {
         let mut st = self.vm.state();
         let addr = st.handles.get(h);
         assert!(addr != 0, "pin_conditional on null handle");
-        crate::stats::GcStats::bump(&self.vm.stats().conditional_pins_registered);
-        self.vm
-            .metrics()
-            .event(motor_obs::EventKind::PinAcquire, addr as u64, 1);
+        let reg = self.vm.metrics();
+        reg.bump(Metric::GcCondPinsRegistered);
+        reg.event(EventKind::PinAcquire, addr as u64, 1);
         st.pins.pin_conditional(addr, cond);
     }
 
@@ -830,6 +829,15 @@ mod tests {
         let snap = vm.stats_snapshot();
         assert_eq!(snap.pinned_block_promotions, 1);
         t.unpin(tok);
+        // The view and the registry are one store, and the pause is a span.
+        let m = vm.metrics().snapshot();
+        assert_eq!(m.get(Metric::GcPins), vm.stats_snapshot().pins);
+        assert_eq!((m.get(Metric::GcPins), m.get(Metric::GcUnpins)), (1, 1));
+        let pauses = m
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::SpanEnd && e.b == motor_obs::SpanKind::Gc as u64);
+        assert_eq!(pauses.count(), 1);
         let mut buf = vec![0u8; 64];
         t.prim_read(h, 0, &mut buf);
         assert_eq!(buf, vec![0xEEu8; 64]);

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use motor_obs::{EventKind, MetricsRegistry};
+use motor_obs::{MetricsRegistry, SpanKind};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::gc;
@@ -16,7 +16,7 @@ use crate::handles::{Handle, HandleTable};
 use crate::heap::{AllocPressure, Heap, HeapConfig};
 use crate::pin::PinTable;
 use crate::safepoint::Safepoint;
-use crate::stats::{GcStats, GcStatsSnapshot};
+use crate::stats::GcStatsSnapshot;
 use crate::types::{ClassId, TypeRegistry};
 
 /// VM construction parameters.
@@ -50,7 +50,6 @@ pub struct Vm {
     state: Mutex<VmState>,
     registry: RwLock<TypeRegistry>,
     safepoint: Safepoint,
-    stats: GcStats,
     metrics: Arc<MetricsRegistry>,
     /// Per-class never-transported proof bits (indexed by `ClassId`),
     /// installed by the static-analysis escape pass. `None` until a
@@ -81,7 +80,6 @@ impl Vm {
             }),
             registry: RwLock::new(TypeRegistry::new()),
             safepoint,
-            stats: GcStats::new(),
             metrics,
             never_transported: RwLock::new(None),
         })
@@ -102,20 +100,16 @@ impl Vm {
         self.registry.write()
     }
 
-    /// GC / pinning counters.
-    pub fn stats(&self) -> &GcStats {
-        &self.stats
-    }
-
-    /// Runtime-side metrics registry (safepoint stalls, serializer and
-    /// buffer-pool traffic, GC trace events).
+    /// Runtime-side metrics registry: GC and pinning counters, safepoint
+    /// stalls, serializer and buffer-pool traffic, and the spans of all
+    /// of them.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
 
-    /// Snapshot of the counters.
+    /// The GC and pinning counters of [`Self::metrics`], by field name.
     pub fn stats_snapshot(&self) -> GcStatsSnapshot {
-        self.stats.snapshot()
+        GcStatsSnapshot::read(&self.metrics)
     }
 
     /// The safepoint coordinator.
@@ -214,22 +208,15 @@ impl Vm {
             pins,
             remset,
             registry: &reg,
-            stats: &self.stats,
+            metrics: &self.metrics,
             never_transported: nt.as_deref(),
         };
         let full = matches!(kind, AllocPressure::NeedsFull);
-        let t0 = std::time::Instant::now();
-        self.metrics
-            .event(EventKind::GcBegin, full as u64, self.safepoint.epoch());
+        let _pause = self.metrics.span(SpanKind::Gc, full as u64);
         match kind {
             AllocPressure::NeedsMinor => gc::minor(&mut ctx),
             AllocPressure::NeedsFull => gc::full(&mut ctx),
         }
-        self.metrics.event(
-            EventKind::GcEnd,
-            full as u64,
-            t0.elapsed().as_nanos() as u64,
-        );
     }
 
     /// Current address behind a handle (0 = null). The address is only

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints (warnings are errors), and the full test
-# suite. Runs fully offline (see README "Offline builds").
+# CI gate: formatting, lints (warnings are errors), the full test suite,
+# the separately-workspaced benchmark package, and the smoke tests. Runs
+# fully offline (see README "Offline builds").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,13 @@ cargo clippy -p motor-runtime -p motor-pal --all-targets -- \
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> benchmark package builds against the stack (--smoke)"
+# benchmark/ is a workspace of its own — the benchmark pipeline builds it
+# from its checkout — so nothing above compiles it. A change to the
+# stack's public surface that breaks it must fail this gate, not the
+# pipeline; `--smoke` is the one mode a debug build is allowed to run.
+cargo run --offline --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
 echo "==> interpreter builds with profiling compiled out"
 # The bench crate turns the interpreter's `profile` feature on for the

@@ -1,8 +1,9 @@
 //! The whole public `System.MP` surface, driven through the prelude on a
 //! four-rank cluster, with the `motor-obs` metrics asserted consistent at
-//! the end: eager and rendezvous sends both observed, the GC bridge in
-//! the merged snapshot equal to the VM's own `GcStats`, and the
-//! serializer/buffer-pool counters accounting for every object shipped.
+//! the end: eager and rendezvous sends both observed, the `gc_*` counters
+//! of the merged snapshot equal to the VM's own `stats_snapshot()` view,
+//! and the serializer/buffer-pool counters accounting for every object
+//! shipped.
 
 use motor::prelude::*;
 
@@ -199,8 +200,8 @@ fn api_surface_metrics_consistency() {
             }
             mp.barrier().unwrap();
 
-            // --- per-rank: the merged snapshot's GC bridge must agree
-            // with the VM's own statistics, counter for counter. ---
+            // --- per-rank: the merged snapshot's GC counters must agree
+            // with the VM's own view of them, counter for counter. ---
             let m = proc.metrics();
             let gc = proc.vm().stats_snapshot();
             assert_eq!(m.get(Metric::GcPins), gc.pins);

@@ -17,7 +17,8 @@
 //! * collective results independent of schedule and fault timing;
 //! * the Oomp object serializer round-tripping under a byte trickle;
 //! * a peer closing its link mid-rendezvous surfacing a clean
-//!   `MpcError::PeerClosed` (and a doctor `LinkDrop` anomaly), not a hang.
+//!   `MpcError::PeerClosed` (and a doctor `LinkDrop` anomaly), not a hang;
+//! * a blocking probe on a dead peer doing the same.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -457,6 +458,40 @@ fn mid_rendezvous_close_threaded_returns_error() {
     })
     .unwrap();
     assert!(dropped.load(Ordering::Relaxed) >= 1);
+}
+
+/// A blocking probe on a peer whose link is gone returns `PeerClosed`
+/// instead of spinning on an `iprobe` that can only ever say "nothing
+/// yet" — inside a poll budget the backoff ladder keeps small.
+#[test]
+fn probe_on_dead_peer_returns_peer_closed() {
+    let fabric = SimFabric::new(7, FaultPlan::clean());
+    let cfg = UniverseConfig {
+        link_factory: Some(fabric.factory()),
+        ..UniverseConfig::default()
+    };
+    let polls = AtomicU64::new(0);
+    Universe::run_with(2, cfg, |proc| {
+        let world = proc.world();
+        if world.rank() == 0 {
+            fabric.close_link(0, 1);
+            match world.probe(1, 5) {
+                Err(MpcError::PeerClosed(1)) => {}
+                other => panic!("expected PeerClosed(1), got {other:?}"),
+            }
+            match world.iprobe(1, 5) {
+                Err(MpcError::PeerClosed(1)) => {}
+                other => panic!("iprobe: expected PeerClosed(1), got {other:?}"),
+            }
+            let snap = proc.device().metrics().snapshot();
+            polls.store(snap.get(Metric::ProgressPolls), Ordering::Relaxed);
+        }
+    })
+    .unwrap();
+    assert!(
+        polls.load(Ordering::Relaxed) < 10_000,
+        "the dead link is noticed by the first pump, not after a spin"
+    );
 }
 
 /// Identical seeds replay identical runs: schedule, virtual time and the

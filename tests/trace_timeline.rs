@@ -153,3 +153,101 @@ fn four_rank_trace_matches_every_p2p_op() {
     assert_eq!(back, trace);
     assert!(!back.edges.is_empty());
 }
+
+/// The runtime's timed regions are spans like any other: bouncing a
+/// Figure-10 linked list through a young generation small enough to force
+/// minor collections must accrue `serialize` and `gc` wall clock in the
+/// rank's merged metrics (both buckets were structurally zero while those
+/// regions were hand-rolled event pairs the phase machine never saw), keep
+/// the five buckets a partition of the window, and still put serializer,
+/// collector and device-wait slices on the merged timeline.
+#[test]
+fn serializer_and_gc_spans_accrue_their_time_buckets() {
+    use motor::obs::Metric;
+    use motor::runtime::heap::HeapConfig;
+    use motor::runtime::{ClassId, VmConfig};
+
+    const NODES: usize = 64;
+    const BOUNCES: usize = 40;
+    let config = ClusterConfig::builder()
+        .ranks(2)
+        .event_capacity(1 << 16)
+        .vm(VmConfig {
+            heap: HeapConfig {
+                young_bytes: 16 * 1024,
+                ..HeapConfig::default()
+            },
+            ..VmConfig::default()
+        })
+        .build();
+    let define = |reg: &mut motor::runtime::TypeRegistry| {
+        let arr = reg.prim_array(ElemKind::I32);
+        let next = ClassId(reg.len() as u32);
+        reg.define_class("LinkedArray")
+            .transportable("array", arr)
+            .transportable("next", next)
+            .build();
+    };
+    let metrics = run_cluster(config, define, |proc| {
+        let window = std::time::Instant::now();
+        let (t, oomp) = (proc.thread(), proc.oomp());
+        let node = proc.vm().registry().by_name("LinkedArray").unwrap();
+        let (farr, fnext) = (t.field_index(node, "array"), t.field_index(node, "next"));
+        let mut list = t.null_handle();
+        if proc.rank() == 0 {
+            for i in 0..NODES as i32 {
+                let (h, a) = (
+                    t.alloc_instance(node),
+                    t.alloc_prim_array(ElemKind::I32, 16),
+                );
+                t.prim_write(a, 0, &[i; 16]);
+                t.set_ref(h, farr, a);
+                t.set_ref(h, fnext, list);
+                t.release(a);
+                t.release(list);
+                list = h;
+            }
+        }
+        let peer = 1 - proc.rank();
+        for _ in 0..BOUNCES {
+            if proc.rank() == 0 {
+                oomp.osend(list, peer, 10).unwrap();
+            }
+            t.release(list);
+            list = oomp.orecv(peer, 10).unwrap().0;
+            if proc.rank() == 1 {
+                oomp.osend(list, peer, 10).unwrap();
+            }
+        }
+
+        let wall = window.elapsed().as_nanos() as u64;
+        let m = proc.metrics();
+        let rank = proc.rank();
+        assert!(m.get(Metric::GcMinorCollections) > 0, "rank {rank}: no GC");
+        assert!(m.get(Metric::ProfSerializeNanos) > 0, "rank {rank}");
+        assert!(m.get(Metric::ProfGcNanos) > 0, "rank {rank}");
+        let accounted: u64 = m.bucket_nanos().iter().sum();
+        assert!(
+            accounted as f64 >= 0.95 * wall as f64,
+            "rank {rank}: buckets cover {accounted} of {wall} ns"
+        );
+    })
+    .unwrap();
+
+    let trace = metrics.trace();
+    assert_eq!(trace.orphaned_ends, vec![0, 0]);
+    assert_eq!(trace.dropped_events, vec![0, 0]);
+    for rank in 0..2 {
+        for kind in [
+            SpanKind::Serialize,
+            SpanKind::Deserialize,
+            SpanKind::Gc,
+            SpanKind::DeviceWait,
+        ] {
+            assert!(
+                trace.spans.iter().any(|s| s.rank == rank && s.kind == kind),
+                "rank {rank}: no {kind:?} span on the merged timeline"
+            );
+        }
+    }
+}
