@@ -461,6 +461,7 @@ where
         if let Some((c, t)) = &mp.monitor {
             c.mark_done(*t);
         }
+        finalize_before_heap_drops(&mp);
     });
     if let Some(m) = monitor {
         m.stop();
@@ -487,6 +488,17 @@ where
         clock_offset_estimates: offs.into_iter().map(|(_, o)| o).collect(),
         anomalies,
     })
+}
+
+/// Last step of a rank body, while `mp`'s `Vm` — and with it the heap —
+/// is still alive: a body may return with a rendezvous send nobody waited
+/// for (a forgotten `PendingArray`, a dropped `MpRequest`, an early `?`),
+/// whose window lies in that heap and which the device would otherwise
+/// still serve from the universe's post-body drain, after the heap is
+/// gone. A drain error means a peer is gone; the sends are ended all the
+/// same.
+fn finalize_before_heap_drops(mp: &MotorProc) {
+    let _ = mp.comm.device().finalize();
 }
 
 /// [`run_cluster`] on `n` ranks with otherwise default configuration.
@@ -576,6 +588,7 @@ where
             if let Some((c, t)) = &mp.monitor {
                 c.mark_done(*t);
             }
+            finalize_before_heap_drops(&mp);
         })?;
     Ok(inter)
 }

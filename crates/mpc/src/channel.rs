@@ -7,17 +7,32 @@
 //! * **Outgoing**: a queue of pending frames. Control and eager frames are
 //!   owned byte vectors; rendezvous payloads are *raw windows* into the
 //!   sender's buffer — the zero-copy path that makes pinning necessary in
-//!   a managed environment (paper §2.3).
+//!   a managed environment (paper §2.3). An item may carry a request that
+//!   completes when the item has been handed to the transport.
 //! * **Incoming**: an incremental parser that buffers control/eager frames
 //!   whole but streams rendezvous data directly into the posted receive
 //!   buffer (zero-copy on the receive side), asking the device for the
 //!   destination window via the [`PacketSink`] callback interface.
+//!
+//! A rendezvous is one of two conversations, and the link decides which
+//! (see the device's module docs). Over a link without a shared window
+//! table — TCP, simulated, wrapped — it is **streamed**: RTS, CTS, then a
+//! `RndvData` frame whose body is the raw window above, two copies (into
+//! the transport, out of it). Over an in-process link, whose two ends
+//! share a table ([`LinkState::windows`]), it is a **single copy**: RTS,
+//! the receiver copies straight from the sender's exposed window, then a
+//! `SyncAck` as FIN. The payload never enters this layer: only the RTS
+//! and the FIN are framed, queued and parsed, and the FIN is queued with
+//! [`LinkState::queue_bytes_completing`] so the receive it acknowledges
+//! completes only once the frame is on the link. The wire format is the
+//! same five frame kinds either way; no address is ever framed or parsed.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use motor_obs::trace::rndv_ctl;
 use motor_obs::{EventKind, Metric, MetricsRegistry};
+use motor_pal::window::Windows;
 use motor_pal::{BoxedLink, PalError};
 
 use crate::error::{MpcError, MpcResult};
@@ -50,10 +65,15 @@ pub trait PacketSink {
     fn on_rndv_complete(&mut self, rreq: u64, total: usize);
 }
 
-/// One queued outgoing item.
+/// One queued outgoing item. `done` (if any) completes when the item has
+/// been fully handed to the transport.
 enum OutItem {
     /// An owned frame (header + control/eager body).
-    Bytes { buf: Vec<u8>, off: usize },
+    Bytes {
+        buf: Vec<u8>,
+        off: usize,
+        done: Option<Request>,
+    },
     /// A raw zero-copy window (rendezvous payload). The pointer is stored
     /// as `usize` and must remain valid until fully flushed — the sender's
     /// pin guarantees this.
@@ -148,9 +168,28 @@ impl LinkState {
         }
     }
 
+    /// This end's handle on the window table the link shares with its
+    /// peer, if it has one (in-process links only).
+    pub fn windows(&self) -> Option<Windows> {
+        self.link.windows()
+    }
+
+    fn push_frame(&mut self, buf: Vec<u8>, done: Option<Request>) {
+        self.outq.push_back(OutItem::Bytes { buf, off: 0, done });
+    }
+
     /// Queue an owned frame.
     pub fn queue_bytes(&mut self, buf: Vec<u8>) {
-        self.outq.push_back(OutItem::Bytes { buf, off: 0 });
+        self.push_frame(buf, None);
+    }
+
+    /// Queue an owned frame whose departure completes `done`: the FIN of
+    /// a single-copy rendezvous. The receive it acknowledges must not be
+    /// observable as complete before the frame is on the link — a waiter
+    /// that returns and never drives this device again would otherwise
+    /// strand the frame in the queue and the sender with it.
+    pub fn queue_bytes_completing(&mut self, buf: Vec<u8>, done: Request) {
+        self.push_frame(buf, Some(done));
     }
 
     /// Queue a raw zero-copy window; `done` (if any) completes when the
@@ -171,15 +210,14 @@ impl LinkState {
     }
 
     /// Drop everything still queued and return the requests bound to
-    /// zero-copy windows. Called when the link dies: those requests can
-    /// never complete and their waiters must fail over to `PeerClosed`
-    /// instead of spinning on a queue nobody will ever flush again.
+    /// queued items. Called when the link dies: those requests can never
+    /// complete and their waiters must fail over to `PeerClosed` instead
+    /// of spinning on a queue nobody will ever flush again.
     pub fn take_undelivered_reqs(&mut self) -> Vec<Request> {
         self.outq
             .drain(..)
             .filter_map(|item| match item {
-                OutItem::Raw { done, .. } => done,
-                OutItem::Bytes { .. } => None,
+                OutItem::Raw { done, .. } | OutItem::Bytes { done, .. } => done,
             })
             .collect()
     }
@@ -191,11 +229,14 @@ impl LinkState {
         let (mut bytes_out, mut frames_out) = (0u64, 0u64);
         while let Some(front) = self.outq.front_mut() {
             let wrote = match front {
-                OutItem::Bytes { buf, off } => {
+                OutItem::Bytes { buf, off, done } => {
                     let n = self.link.try_write(&buf[*off..])?;
                     *off += n;
                     let finished = *off == buf.len();
                     if finished {
+                        if let Some(req) = done.take() {
+                            req.complete();
+                        }
                         self.outq.pop_front();
                     }
                     (n, finished)

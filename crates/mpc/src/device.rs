@@ -14,6 +14,44 @@
 //! lifetime of the operation. That contract is precisely what the paper's
 //! pinning discussion is about.
 //!
+//! # The two rendezvous conversations
+//!
+//! A message over the eager threshold is announced, not sent: `isend_raw`
+//! queues an RTS (the envelope) and keeps the window. What happens when
+//! the RTS meets its receive depends on one thing only — whether the link
+//! to the sender has a shared window table
+//! ([`motor_pal::window`]; in-process shm links do, TCP, simulated and
+//! wrapping links do not). No setting selects it, and both ends of a link
+//! see the same answer.
+//!
+//! * **Streamed** (no table): RTS → CTS → data. The receiver registers
+//!   the destination and replies CTS; the sender streams the window
+//!   through the link (`OutItem::Raw`) and completes when the last byte
+//!   has been handed to the transport; the receiver completes when the
+//!   last byte has landed.
+//! * **Single copy** (table): RTS → the receiver copies → FIN. The sender
+//!   *exposed* its window before queueing the RTS; the receiver looks it
+//!   up by `(link, sreq)`, copies `min(len, cap)` bytes with one
+//!   `memcpy`, and replies FIN — the `SyncAck(sreq)` frame, which already
+//!   means "matched, done with your buffer". The receive completes when
+//!   the FIN is on the link (so a receiver that stops driving its device
+//!   the moment its wait returns cannot strand the sender); the send
+//!   completes when the FIN arrives. No address crosses the byte parser:
+//!   the frames are the same five kinds, byte for byte. The sender has
+//!   nothing to do while the receiver copies (the streamed sender is busy
+//!   feeding the link), so its wait would climb the backoff ladder into
+//!   the sleeping tier behind any copy longer than the ladder's yield
+//!   phase; `wait_with` therefore does not park while one of the device's
+//!   windows is being pulled or has been and its FIN is still in flight.
+//!
+//! **Window lifetime.** A window is pullable from exposure until the
+//! send's request completes *or fails*. The exposure lives in the
+//! `PendingSend`, and every path that ends one — FIN, `fail_peer_ops`,
+//! [`Device::finalize`], dropping the device — revokes (drops) it *before*
+//! it completes, fails or forgets the request. Revoke waits for a pull in
+//! progress and excludes later ones, per window; a receive that matches a
+//! revoked window fails with `PeerClosed` and reads nothing.
+//!
 //! # Locking model (asynchronous progress)
 //!
 //! The device used to keep all state — links, queues, protocol tables —
@@ -28,13 +66,20 @@
 //!
 //! Lock-order rules (deadlock freedom):
 //!
-//! 1. The links table read guard is **transient**: clone the slot's `Arc`,
-//!    drop the guard, *then* lock the link. Never block on a link mutex
-//!    while holding the table guard.
+//! 1. The links table read guard is **transient**: clone the slot's `Arc`
+//!    (or its window-table handle), drop the guard, *then* lock the link.
+//!    Never block on a link mutex while holding the table guard. Taking
+//!    the guard *under* a link mutex or `match_state` is fine: no writer
+//!    of the table holds either.
 //! 2. `link → match_state` is allowed; `match_state → link` is forbidden.
 //!    Handlers that must reply (CTS, sync-ack) return or defer frames and
 //!    queue them after dropping `match_state`.
 //! 3. At most one link mutex is held per thread at a time.
+//! 4. No payload copy under `match_state`, and none under a link mutex:
+//!    a single-copy pull is deferred like a reply frame and runs with no
+//!    device lock held, so an engine or stealing thread is never parked
+//!    behind a 256 KiB `memcpy`. The only lock held across the copy is
+//!    the pulled window's own.
 //!
 //! Any thread may drive progress — the owning rank, a dedicated progress
 //! thread ([`crate::progress::ProgressEngine`]), or a sibling rank's
@@ -49,6 +94,7 @@ use std::time::Duration;
 
 use motor_obs::trace::{rndv_ctl, MSG_RNDV_FLAG};
 use motor_obs::{EventKind, Hist, Metric, MetricsRegistry, SpanKind};
+use motor_pal::window::{Exposure, Windows};
 use parking_lot::{Mutex, RwLock};
 
 use crate::channel::{LinkState, PacketSink, RndvDest};
@@ -118,12 +164,17 @@ impl Unexpected {
     }
 }
 
-/// A send awaiting CTS (rendezvous) or SyncAck (synchronous eager).
+/// A send awaiting CTS (streamed rendezvous) or SyncAck (synchronous
+/// eager; FIN of a single-copy rendezvous).
 struct PendingSend {
     dst_global: usize,
     ptr: usize,
     len: usize,
     req: Request,
+    /// The window's exposure on a link with a shared window table.
+    /// Window-lifetime rule: whoever ends this send's obligation — by
+    /// completing, failing or forgetting it — drops (revokes) this first.
+    window: Option<Exposure>,
 }
 
 /// A matched rendezvous receive being streamed.
@@ -134,7 +185,9 @@ struct ActiveRecv {
     req: Request,
 }
 
-/// Frames generated while handling inbound packets (sent after the pump).
+/// Work generated while matching under `match_state`, carried out once
+/// every lock is dropped: reply frames, and the single-copy pull (lock
+/// order rule 4).
 enum Deferred {
     Frame {
         dst: usize,
@@ -146,6 +199,13 @@ enum Deferred {
         ptr: usize,
         len: usize,
         done: Request,
+    },
+    /// The rendezvous announcement `env` met `recv` on a link with a
+    /// shared window table: copy from the sender's window.
+    Pull {
+        windows: Windows,
+        env: Envelope,
+        recv: PostedRecv,
     },
 }
 
@@ -219,13 +279,20 @@ fn take_first<T>(
     queue.remove(pos?)
 }
 
+/// One wired peer: the link and, outside its mutex, the link's window
+/// table handle (so a pull never holds the link lock).
+struct LinkSlot {
+    link: Arc<Mutex<LinkState>>,
+    windows: Option<Windows>,
+}
+
 /// One process's message-passing device.
 pub struct Device {
     rank: usize,
     /// Per-peer link slots. The table lock is only ever held transiently
     /// (clone the `Arc`, drop the guard); each link has its own mutex so
     /// concurrent senders to different peers never serialize.
-    links: RwLock<Vec<Option<Arc<Mutex<LinkState>>>>>,
+    links: RwLock<Vec<Option<LinkSlot>>>,
     /// Matching and protocol state, independent of any link lock.
     match_state: Mutex<MatchState>,
     next_req: AtomicU64,
@@ -293,11 +360,15 @@ impl Device {
     pub fn set_link(&self, peer: usize, mut link: LinkState) {
         link.attach_metrics(Arc::clone(&self.metrics));
         link.set_peer(peer);
+        let windows = link.windows();
         let mut links = self.links.write();
         if links.len() <= peer {
             links.resize_with(peer + 1, || None);
         }
-        links[peer] = Some(Arc::new(Mutex::new(link)));
+        links[peer] = Some(LinkSlot {
+            link: Arc::new(Mutex::new(link)),
+            windows,
+        });
     }
 
     /// Number of link slots (== known universe size).
@@ -359,7 +430,17 @@ impl Device {
 
     /// Clone the link `Arc` for `peer` under a transient table guard.
     fn link_arc(&self, peer: usize) -> Option<Arc<Mutex<LinkState>>> {
-        self.links.read().get(peer).and_then(|slot| slot.clone())
+        let links = self.links.read();
+        let slot = links.get(peer)?.as_ref()?;
+        Some(Arc::clone(&slot.link))
+    }
+
+    /// The window table shared with `peer`, if the link to it has one.
+    /// This — what the link is, not any setting — selects the single-copy
+    /// rendezvous; both ends of a link see the same answer.
+    fn windows_to(&self, peer: usize) -> Option<Windows> {
+        let links = self.links.read();
+        links.get(peer)?.as_ref()?.windows.clone()
     }
 
     /// Remove the link slot for `peer` (its transport died).
@@ -392,8 +473,9 @@ impl Device {
     ///
     /// Eager messages are copied into the frame immediately (the request
     /// completes as soon as that copy is queued — buffered semantics, as in
-    /// MPICH2's eager path). Rendezvous messages keep the raw window and
-    /// stream it zero-copy after CTS.
+    /// MPICH2's eager path). Rendezvous messages keep the raw window: it
+    /// is exposed for the receiver to copy from where the link has a
+    /// window table, and streamed after CTS where it has none.
     ///
     /// # Safety
     /// The window `(ptr, len)` must stay valid **and stable** (no GC
@@ -439,8 +521,17 @@ impl Device {
 
         // Register completion-awaiting state *before* the frame is queued:
         // with an engine thread pumping concurrently, the CTS or SyncAck
-        // reply can race back before this thread takes another lock.
+        // reply can race back before this thread takes another lock. For
+        // the same reason a rendezvous window is exposed first: the
+        // receiver may pull the moment the RTS is on the link.
         if !use_eager || synchronous {
+            let window = match self.windows_to(dst_global) {
+                // SAFETY: the caller keeps the window valid and unwritten
+                // until `req` completes or fails, and every path that
+                // ends a `PendingSend` revokes before it does either.
+                Some(w) if !use_eager => Some(unsafe { w.expose(env.sreq, ptr, len) }),
+                _ => None,
+            };
             let mut ms = self.match_state.lock();
             if ms.is_dead(dst_global) {
                 return Err(MpcError::PeerClosed(dst_global));
@@ -452,6 +543,7 @@ impl Device {
                     ptr: ptr as usize,
                     len,
                     req: Arc::clone(&req),
+                    window,
                 },
             );
         } else if self.match_state.lock().is_dead(dst_global) {
@@ -534,9 +626,9 @@ impl Device {
             cap,
             req: Arc::clone(&req),
         };
-        // Reply frame (sync-ack or CTS) generated while matching; queued
-        // after `match_state` drops (lock order: never match_state → link).
-        let mut reply: Option<(usize, Vec<u8>)> = None;
+        // Reply frame (sync-ack or CTS) or pull generated while matching;
+        // carried out after `match_state` drops (lock order rules 2, 4).
+        let mut reply: Option<Deferred> = None;
         let mut ms = self.match_state.lock();
         // Unexpected queue first, preserving arrival order (non-overtaking).
         let buffered = ms.take_unexpected(src, tag, context, &self.metrics);
@@ -546,7 +638,10 @@ impl Device {
         match buffered {
             Some(Unexpected::Eager { env, data }) => {
                 if env.is_sync() && env.gsrc as usize != self.rank {
-                    reply = Some((env.gsrc as usize, packet::encode_sync_ack(env.sreq)));
+                    reply = Some(Deferred::Frame {
+                        dst: env.gsrc as usize,
+                        bytes: packet::encode_sync_ack(env.sreq),
+                    });
                 }
                 self.deliver(&env, &data, &posted);
             }
@@ -562,8 +657,8 @@ impl Device {
             }
         }
         drop(ms);
-        if let Some((dst, bytes)) = reply {
-            self.queue_frame_on_link(dst, bytes)?;
+        if let Some(d) = reply {
+            self.run_deferred(d)?;
         }
         self.progress()?;
         Ok(req)
@@ -591,13 +686,22 @@ impl Device {
         p.req.complete_with(env.src, env.tag, n);
     }
 
-    /// A rendezvous announcement met its receive: register the stream's
-    /// destination and build the CTS reply `(dst, frame)`, which the
-    /// caller queues after dropping `match_state`. Always a remote sender:
-    /// self-sends never announce, `send_to_self` delivers or buffers them.
-    fn match_rts(&self, ms: &mut MatchState, env: Envelope, p: PostedRecv) -> (usize, Vec<u8>) {
+    /// A rendezvous announcement met its receive. Returns what the caller
+    /// carries out after dropping `match_state`: on a link with a shared
+    /// window table the pull; otherwise the CTS reply, with the stream's
+    /// destination registered here. Always a remote sender: self-sends
+    /// never announce, `send_to_self` delivers or buffers them.
+    fn match_rts(&self, ms: &mut MatchState, env: Envelope, p: PostedRecv) -> Deferred {
         if env.len as usize > p.cap {
             p.req.mark_truncated();
+        }
+        let gsrc = env.gsrc as usize;
+        if let Some(windows) = self.windows_to(gsrc) {
+            return Deferred::Pull {
+                windows,
+                env,
+                recv: p,
+            };
         }
         let rreq = p.req.id();
         ms.active_recvs.insert(
@@ -609,13 +713,79 @@ impl Device {
                 req: p.req,
             },
         );
+        self.metrics
+            .event3(EventKind::RndvCts, env.sreq, env.len, rndv_ctl(gsrc, true));
+        Deferred::Frame {
+            dst: gsrc,
+            bytes: packet::encode_cts(env.sreq, rreq),
+        }
+    }
+
+    /// Carry out one [`Deferred`]. No lock is held on entry.
+    fn run_deferred(&self, d: Deferred) -> MpcResult<()> {
+        match d {
+            Deferred::Frame { dst, bytes } => self.queue_frame_on_link(dst, bytes),
+            Deferred::RawWindow {
+                dst,
+                header,
+                ptr,
+                len,
+                done,
+            } => {
+                if let Some(link) = self.link_arc(dst) {
+                    let mut link = link.lock();
+                    link.queue_bytes(header);
+                    link.queue_raw(ptr as *const u8, len, Some(done));
+                } else {
+                    // The CTS arrived but the peer died before the data
+                    // window could be queued: fail rather than silently
+                    // dropping the request into a hang.
+                    done.fail(dst);
+                }
+                Ok(())
+            }
+            Deferred::Pull { windows, env, recv } => {
+                self.pull(&windows, &env, recv);
+                Ok(())
+            }
+        }
+    }
+
+    /// The single-copy rendezvous, receiver side: one copy from the
+    /// sender's exposed window into `recv`'s, then the FIN — the
+    /// `SyncAck(sreq)` frame, "matched, done with your buffer" — whose
+    /// departure completes `recv.req` (no stranded FIN: see
+    /// [`LinkState::queue_bytes_completing`]). A window that is gone —
+    /// the sender failed, finalised or dropped — fails the receive with
+    /// `PeerClosed` and nothing is read.
+    fn pull(&self, windows: &Windows, env: &Envelope, recv: PostedRecv) {
+        let gsrc = env.gsrc as usize;
+        // SAFETY: `recv` was built by `irecv_raw`, whose caller keeps the
+        // window valid until `recv.req` completes — after this copy; the
+        // two windows are distinct live buffers of two ranks.
+        let pulled = unsafe { windows.pull(env.sreq, recv.ptr as *mut u8, recv.cap) };
+        let (Some(total), Some(link)) = (pulled, self.link_arc(gsrc)) else {
+            recv.req.fail(gsrc);
+            return;
+        };
+        let n = total.min(recv.cap);
+        self.metrics.bump(Metric::RndvPulls);
+        self.metrics.bump(Metric::RndvDone);
         self.metrics.event3(
-            EventKind::RndvCts,
+            EventKind::RndvDone,
             env.sreq,
-            env.len,
-            rndv_ctl(env.gsrc as usize, true),
+            total as u64,
+            rndv_ctl(gsrc, true),
         );
-        (env.gsrc as usize, packet::encode_cts(env.sreq, rreq))
+        self.metrics.event3(
+            EventKind::MsgRecv,
+            gsrc as u64,
+            env.tag as i64 as u64,
+            n as u64 | MSG_RNDV_FLAG,
+        );
+        recv.req.set_status(env.src, env.tag, n);
+        link.lock()
+            .queue_bytes_completing(packet::encode_sync_ack(env.sreq), recv.req);
     }
 
     // ------------------------------------------------------------------
@@ -712,31 +882,11 @@ impl Device {
                 (Err(e), _) | (_, Err(e)) => return Err(e),
             }
         }
-        // Send frames generated by the handlers.
+        // Carry out what the handlers deferred: reply frames, pulls.
         for d in deferred {
-            match d {
-                Deferred::Frame { dst, bytes } => {
-                    let _ = self.queue_frame_on_link(dst, bytes);
-                }
-                Deferred::RawWindow {
-                    dst,
-                    header,
-                    ptr,
-                    len,
-                    done,
-                } => {
-                    if let Some(link) = self.link_arc(dst) {
-                        let mut link = link.lock();
-                        link.queue_bytes(header);
-                        link.queue_raw(ptr as *const u8, len, Some(done));
-                    } else {
-                        // The CTS arrived but the peer died before the
-                        // data window could be queued: fail rather than
-                        // silently dropping the request into a hang.
-                        done.fail(dst);
-                    }
-                }
-            }
+            completions += matches!(d, Deferred::Pull { .. }) as u64;
+            // A reply to a peer that died meanwhile has nowhere to go.
+            let _ = self.run_deferred(d);
             moved = true;
         }
         for peer in poke {
@@ -846,6 +996,8 @@ impl Device {
         }
         ms.pending_sends.retain(|_, ps| {
             if ps.dst_global == peer {
+                // Revoke first: a failed request frees its buffer.
+                ps.window = None;
                 ps.req.fail(peer);
                 false
             } else {
@@ -901,15 +1053,23 @@ impl Device {
                 backoff.reset();
                 continue;
             }
-            if backoff.is_sleeping() {
+            if !backoff.is_sleeping() {
+                backoff.snooze();
+            } else if self.pull_under_way() {
+                // A peer is copying out of one of our windows, or has and
+                // its FIN is in flight: completion is a `memcpy` away,
+                // and where nothing pokes this device's waker a park
+                // would sleep the whole quantum through it (the streamed
+                // conversation never gets here: its sender is busy
+                // feeding the link).
+                std::thread::yield_now();
+            } else {
                 let quantum = self
                     .config
                     .wait_backoff
                     .sleep
                     .unwrap_or(Duration::from_micros(100));
                 self.waker.wait_next(gen, quantum);
-            } else {
-                backoff.snooze();
             }
         }
     }
@@ -924,6 +1084,29 @@ impl Device {
     pub fn drain(&self) -> MpcResult<()> {
         while self.progress()? {}
         Ok(())
+    }
+
+    /// What a rank does before the memory its sends read from goes away
+    /// (its heap, at the end of its body): [`Device::drain`], then end
+    /// every send still awaiting its peer — revoke its window, forget it.
+    /// Their requests never complete; nobody is left to wait on them. A
+    /// receive that matches one afterwards fails with `PeerClosed` where
+    /// windows are pulled; a late CTS finds no send and is ignored.
+    pub fn finalize(&self) -> MpcResult<()> {
+        let drained = self.drain();
+        let forgotten = std::mem::take(&mut self.match_state.lock().pending_sends);
+        drop(forgotten);
+        drained
+    }
+
+    /// Whether a peer is copying out of a window this device exposed, or
+    /// has and its FIN has not arrived yet.
+    fn pull_under_way(&self) -> bool {
+        let ms = self.match_state.lock();
+        ms.pending_sends
+            .values()
+            .filter_map(|ps| ps.window.as_ref())
+            .any(Exposure::pull_under_way)
     }
 
     /// Test without blocking; returns the status if complete.
@@ -1002,10 +1185,7 @@ impl PacketSink for DeviceSink<'_> {
         );
         let mut ms = dev.match_state.lock();
         match ms.take_posted(&env, &dev.metrics) {
-            Some(p) => {
-                let (dst, bytes) = dev.match_rts(&mut ms, env, p);
-                self.deferred.push(Deferred::Frame { dst, bytes });
-            }
+            Some(p) => self.deferred.push(dev.match_rts(&mut ms, env, p)),
             None => ms.push_unexpected(Unexpected::Rts { env }, &dev.metrics),
         }
     }
@@ -1033,10 +1213,21 @@ impl PacketSink for DeviceSink<'_> {
     }
 
     fn on_sync_ack(&mut self, sreq: u64) {
-        if let Some(ps) = self.dev.match_state.lock().pending_sends.remove(&sreq) {
-            ps.req.complete();
-            *self.completions += 1;
+        let dev = self.dev;
+        let acked = dev.match_state.lock().pending_sends.remove(&sreq);
+        let Some(ps) = acked else { return };
+        if let Some(window) = ps.window {
+            // FIN of a single-copy rendezvous: the receiver has copied.
+            dev.metrics.event3(
+                EventKind::RndvDone,
+                sreq,
+                ps.len as u64,
+                rndv_ctl(ps.dst_global, false),
+            );
+            drop(window);
         }
+        ps.req.complete();
+        *self.completions += 1;
     }
 
     fn rndv_dest(&mut self, rreq: u64, _total: usize) -> RndvDest {
@@ -1072,7 +1263,17 @@ impl PacketSink for DeviceSink<'_> {
 mod tests {
     use super::*;
     use crate::channel::LinkState;
-    use motor_pal::link::shm_pair;
+    use motor_pal::link::{shm_pair, tcp_pair};
+    use motor_pal::BoxedLink;
+
+    /// What the two devices of a [`duo_on`] are wired with. The link is
+    /// the only thing that selects a rendezvous conversation: `Shm` ends
+    /// share a window table (single copy), `Tcp` ends do not (streamed).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Wire {
+        Shm,
+        Tcp,
+    }
 
     /// Two connected devices over an in-process pair.
     fn duo() -> (Arc<Device>, Arc<Device>) {
@@ -1080,11 +1281,24 @@ mod tests {
     }
 
     fn duo_with(config: DeviceConfig) -> (Arc<Device>, Arc<Device>) {
+        duo_on(Wire::Shm, config)
+    }
+
+    fn duo_on(wire: Wire, config: DeviceConfig) -> (Arc<Device>, Arc<Device>) {
         let d0 = Device::new(0, config.clone());
         let d1 = Device::new(1, config);
-        let (a, b) = shm_pair(64 * 1024);
-        d0.set_link(1, LinkState::new(Box::new(a)));
-        d1.set_link(0, LinkState::new(Box::new(b)));
+        let (a, b): (BoxedLink, BoxedLink) = match wire {
+            Wire::Shm => {
+                let (a, b) = shm_pair(64 * 1024);
+                (Box::new(a), Box::new(b))
+            }
+            Wire::Tcp => {
+                let (a, b) = tcp_pair().unwrap();
+                (Box::new(a), Box::new(b))
+            }
+        };
+        d0.set_link(1, LinkState::new(a));
+        d1.set_link(0, LinkState::new(b));
         (d0, d1)
     }
 
@@ -1437,8 +1651,8 @@ mod tests {
     }
 
     /// Completion batching: one batched poll on each side finishes a full
-    /// rendezvous (RTS→CTS→data→done), where single passes would need a
-    /// poll per protocol leg.
+    /// rendezvous (RTS→copy→FIN), where single passes would need a poll
+    /// per protocol leg.
     #[test]
     fn progress_batched_completes_rendezvous_in_one_poll() {
         let (d0, d1) = duo_with(DeviceConfig {
@@ -1449,15 +1663,15 @@ mod tests {
         let sreq = send(&d0, 1, env(0, 0, 8), &data, false).unwrap();
         let mut buf = vec![0u8; 4096];
         let rreq = recv(&d1, 0, 8, 0, &mut buf).unwrap();
-        // RTS flushed by the send's own pass; one batched poll per side:
-        // d1 matches + sends CTS, d0 streams the window, d1 completes.
+        // RTS flushed by the send's own pass and matched by the receive's
+        // (which copies and queues the FIN); one batched poll per side:
+        // d1 flushes the FIN and completes, d0 completes on it.
         d1.progress_batched(4, false).unwrap();
         d0.progress_batched(4, false).unwrap();
-        d1.progress_batched(4, false).unwrap();
         assert!(sreq.is_complete(), "sender done after its batched poll");
-        assert!(rreq.is_complete(), "receiver drained data in-batch");
+        assert!(rreq.is_complete(), "receiver done once the FIN left");
         assert_eq!(buf, data);
-        let snap = d1.metrics().snapshot();
+        let snap = d0.metrics().snapshot();
         assert!(
             snap.get(Metric::ProgressOpsCompleted) >= 1,
             "batched completions are counted"
@@ -1520,5 +1734,290 @@ mod tests {
         }
         stop.store(true, Ordering::Release);
         engine.join().unwrap();
+    }
+    // --------------------------------------------------------------
+    // The two rendezvous conversations, selected by the link alone
+    // --------------------------------------------------------------
+
+    /// Each scenario runs over a shm pair (single copy) and over a TCP
+    /// pair (streamed) and must behave the same above the device.
+    macro_rules! on_both_wires {
+        ($($scenario:ident),* $(,)?) => {
+            mod shm {
+                $(#[test] fn $scenario() { super::$scenario(super::Wire::Shm) })*
+            }
+            mod tcp {
+                $(#[test] fn $scenario() { super::$scenario(super::Wire::Tcp) })*
+            }
+        };
+    }
+
+    on_both_wires!(
+        rndv_receive_posted_first,
+        rndv_unexpected_then_wildcard_receive,
+        rndv_truncation_leaves_the_tail_untouched,
+        eager_behind_rendezvous_does_not_overtake,
+        rndv_sender_gone_before_the_match_is_peer_closed,
+        receiver_that_never_polls_again_does_not_strand_the_sender,
+        eight_concurrent_windows_with_engine_thread,
+    );
+
+    fn small_threshold() -> DeviceConfig {
+        DeviceConfig {
+            eager_threshold: 1024,
+            ..DeviceConfig::default()
+        }
+    }
+
+    fn pattern(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 7 + salt) % 251) as u8).collect()
+    }
+
+    /// `drive` for either wire: a socket may hand bytes over a moment
+    /// after the write returned, so quiescence is not the end there.
+    fn drive_until(d0: &Device, d1: &Device, done: impl Fn() -> bool) {
+        for _ in 0..1_000_000 {
+            if done() {
+                return;
+            }
+            d0.progress().unwrap();
+            d1.progress().unwrap();
+        }
+        panic!("devices did not get there");
+    }
+
+    /// The path taken by `n` completed rendezvous from `tx` to `rx`.
+    fn assert_path(wire: Wire, tx: &Device, rx: &Device, n: u64) {
+        let (t, r) = (tx.metrics().snapshot(), rx.metrics().snapshot());
+        assert_eq!(t.get(Metric::SendsRndv), n);
+        assert_eq!(r.get(Metric::RndvRtsIn), n);
+        assert_eq!(r.get(Metric::RndvDone), n);
+        let (pulls, cts) = if wire == Wire::Shm { (n, 0) } else { (0, n) };
+        assert_eq!(r.get(Metric::RndvPulls), pulls, "{wire:?}");
+        assert_eq!(t.get(Metric::RndvCtsIn), cts, "{wire:?}");
+    }
+
+    fn rndv_receive_posted_first(wire: Wire) {
+        let (d0, d1) = duo_on(wire, small_threshold());
+        let data = pattern(100_000, 1);
+        let mut buf = vec![0u8; data.len()];
+        let rreq = recv(&d1, 0, 9, 0, &mut buf).unwrap();
+        let sreq = send(&d0, 1, env(0, 0, 9), &data, false).unwrap();
+        assert!(!sreq.is_complete(), "a rendezvous send waits for its peer");
+        drive_until(&d0, &d1, || sreq.is_complete() && rreq.is_complete());
+        let st = rreq.status();
+        assert_eq!((st.source, st.tag, st.count), (0, 9, data.len()));
+        assert!(!st.truncated);
+        assert_eq!(buf, data);
+        assert_eq!(d0.queue_depths(), (0, 0, 0, 0));
+        assert_eq!(d1.queue_depths(), (0, 0, 0, 0));
+        assert_path(wire, &d0, &d1, 1);
+    }
+
+    fn rndv_unexpected_then_wildcard_receive(wire: Wire) {
+        let (d0, d1) = duo_on(wire, small_threshold());
+        let data = pattern(40_000, 2);
+        let sreq = send(&d0, 1, env(0, 0, 2), &data, false).unwrap();
+        drive_until(&d0, &d1, || d1.queue_depths().1 == 1);
+        assert!(!sreq.is_complete(), "announced, not yet matched");
+        let mut buf = vec![0u8; data.len()];
+        let rreq = recv(&d1, ANY_SOURCE, ANY_TAG, 0, &mut buf).unwrap();
+        drive_until(&d0, &d1, || sreq.is_complete() && rreq.is_complete());
+        let st = rreq.status();
+        assert_eq!((st.source, st.tag, st.count), (0, 2, data.len()));
+        assert_eq!(buf, data);
+        assert_path(wire, &d0, &d1, 1);
+    }
+
+    fn rndv_truncation_leaves_the_tail_untouched(wire: Wire) {
+        let (d0, d1) = duo_on(wire, small_threshold());
+        let data = pattern(20_000, 3);
+        let cap = 5_000;
+        let mut buf = vec![0xFFu8; 8_000];
+        let rreq = recv(&d1, 0, 4, 0, &mut buf[..cap]).unwrap();
+        let sreq = send(&d0, 1, env(0, 0, 4), &data, false).unwrap();
+        drive_until(&d0, &d1, || sreq.is_complete() && rreq.is_complete());
+        let st = rreq.status();
+        assert!(st.truncated);
+        assert_eq!(st.count, cap);
+        assert_eq!(&buf[..cap], &data[..cap]);
+        assert!(
+            buf[cap..].iter().all(|&b| b == 0xFF),
+            "beyond cap untouched"
+        );
+        assert_path(wire, &d0, &d1, 1);
+    }
+
+    fn eager_behind_rendezvous_does_not_overtake(wire: Wire) {
+        let (d0, d1) = duo_on(wire, small_threshold());
+        let big = pattern(30_000, 4);
+        let small = pattern(100, 5);
+        let s_big = send(&d0, 1, env(0, 0, 6), &big, false).unwrap();
+        let s_small = send(&d0, 1, env(0, 0, 6), &small, false).unwrap();
+        drive_until(&d0, &d1, || d1.queue_depths().1 == 2);
+        // Same envelope: the first receive gets the rendezvous message
+        // although the eager one behind it is already complete here.
+        let mut first = vec![0u8; big.len()];
+        let mut second = vec![0u8; big.len()];
+        let r1 = recv(&d1, 0, 6, 0, &mut first).unwrap();
+        let r2 = recv(&d1, 0, 6, 0, &mut second).unwrap();
+        drive_until(&d0, &d1, || {
+            s_big.is_complete() && s_small.is_complete() && r1.is_complete() && r2.is_complete()
+        });
+        assert_eq!(r1.status().count, big.len());
+        assert_eq!(first, big);
+        assert_eq!(r2.status().count, small.len());
+        assert_eq!(&second[..small.len()], &small[..]);
+    }
+
+    fn rndv_sender_gone_before_the_match_is_peer_closed(wire: Wire) {
+        let (d0, d1) = duo_on(wire, small_threshold());
+        let data = pattern(10_000, 6);
+        let sreq = send(&d0, 1, env(0, 0, 7), &data, false).unwrap();
+        drive_until(&d0, &d1, || d1.queue_depths().1 == 1);
+        // The sender's end of the link goes away with its device; then
+        // its buffer does.
+        drop((sreq, d0));
+        drop(data);
+        let mut buf = vec![0u8; 10_000];
+        let outcome = recv(&d1, 0, 7, 0, &mut buf).and_then(|r| d1.wait_with(&r, || {}));
+        assert!(
+            matches!(outcome, Err(MpcError::PeerClosed(0))),
+            "{wire:?}: {outcome:?}"
+        );
+        assert_eq!(buf, vec![0u8; 10_000], "nothing was delivered");
+    }
+
+    /// No stranded FIN: the receiver returns from its wait and never
+    /// drives its device again; the sender must still complete. (If the
+    /// receive were complete before its FIN is on the link, the FIN would
+    /// sit in the receiver's queue for ever.)
+    fn receiver_that_never_polls_again_does_not_strand_the_sender(wire: Wire) {
+        let (d0, d1) = duo_on(wire, small_threshold());
+        let data = pattern(50_000, 7);
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut buf = vec![0u8; 50_000];
+                let r = recv(&d1, 0, 1, 0, &mut buf).unwrap();
+                d1.wait_with(&r, || {}).unwrap();
+                buf
+            });
+            let sreq = send(&d0, 1, env(0, 0, 1), &data, false).unwrap();
+            // Whatever the receiver leaves undone when its wait returns,
+            // nobody does: this thread drives the sender's device only.
+            d0.wait_with(&sreq, || {}).unwrap();
+            assert_eq!(receiver.join().unwrap(), data);
+        });
+    }
+
+    /// Windows of eight 256 KiB messages (the `stream_large` shape) while
+    /// an engine-style thread pumps both devices: pulls, FINs and
+    /// revokes race the rank threads' own progress. Every byte compared.
+    fn eight_concurrent_windows_with_engine_thread(wire: Wire) {
+        const WINDOW: usize = 8;
+        const LEN: usize = 256 * 1024;
+        const ROUNDS: usize = 4;
+        let (d0, d1) = duo_on(wire, DeviceConfig::default());
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    d0.progress_batched(4, true).unwrap();
+                    d1.progress_batched(4, true).unwrap();
+                }
+            });
+            let sender = s.spawn(|| {
+                for round in 0..ROUNDS {
+                    let msgs: Vec<Vec<u8>> = (0..WINDOW)
+                        .map(|k| pattern(LEN, round * WINDOW + k))
+                        .collect();
+                    let reqs: Vec<Request> = msgs
+                        .iter()
+                        .enumerate()
+                        .map(|(k, m)| send(&d0, 1, env(0, 0, k as i32), m, false).unwrap())
+                        .collect();
+                    for r in &reqs {
+                        d0.wait_with(r, || {}).unwrap();
+                    }
+                    // Reuse is legal the moment the wait returns.
+                    drop(msgs);
+                }
+            });
+            for round in 0..ROUNDS {
+                let mut bufs = vec![vec![0u8; LEN]; WINDOW];
+                let reqs: Vec<Request> = bufs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(k, b)| recv(&d1, 0, k as i32, 0, b).unwrap())
+                    .collect();
+                for (k, r) in reqs.iter().enumerate() {
+                    let st = d1.wait_with(r, || {}).unwrap();
+                    assert_eq!(st.count, LEN);
+                    assert!(bufs[k] == pattern(LEN, round * WINDOW + k), "window {k}");
+                }
+            }
+            sender.join().unwrap();
+            stop.store(true, Ordering::Release);
+        });
+        assert_path(wire, &d0, &d1, (ROUNDS * WINDOW) as u64);
+    }
+
+    /// A sender whose window has been pulled is a frame away from done:
+    /// its wait must not park for a sleep quantum nobody will cut short
+    /// (no engine, no pokes here). The quantum is an hour, so a park hangs
+    /// the test; the FIN leaves the receiver only on the wait's 50th lap.
+    #[test]
+    fn waiter_does_not_park_while_its_window_is_pulled() {
+        let (d0, d1) = duo_with(DeviceConfig {
+            wait_backoff: motor_pal::BackoffConfig {
+                spin_limit: 0,
+                yield_limit: 0,
+                sleep: Some(Duration::from_secs(3600)),
+            },
+            ..small_threshold()
+        });
+        let data = pattern(10_000, 9);
+        let sreq = send(&d0, 1, env(0, 0, 5), &data, false).unwrap();
+        let mut buf = vec![0u8; 10_000];
+        // The receive's own pass pulls and queues the FIN, unflushed.
+        let rreq = recv(&d1, 0, 5, 0, &mut buf).unwrap();
+        assert!(!rreq.is_complete() && !sreq.is_complete());
+        let mut laps = 0;
+        d0.wait_with(&sreq, || {
+            laps += 1;
+            if laps == 50 {
+                d1.progress().unwrap();
+            }
+        })
+        .unwrap();
+        assert!(laps >= 50 && rreq.is_complete());
+        assert_eq!(buf, data);
+    }
+
+    /// Rank teardown: a rendezvous send nobody waited for must not leave
+    /// its window readable once the rank's memory is gone. The sender
+    /// finalises and frees; the receive that matches afterwards fails
+    /// with `PeerClosed` and never reads the window (under Miri a read
+    /// would be a use-after-free).
+    #[test]
+    fn finalized_sender_window_is_never_read() {
+        let (d0, d1) = duo_with(small_threshold());
+        let data = pattern(10_000, 8);
+        let sreq = send(&d0, 1, env(0, 0, 3), &data, false).unwrap();
+        assert_eq!(d0.queue_depths().2, 1, "awaiting its peer");
+        d0.finalize().unwrap();
+        assert_eq!(d0.queue_depths().2, 0, "forgotten");
+        drop(data);
+        let mut buf = vec![0u8; 10_000];
+        let outcome = recv(&d1, 0, 3, 0, &mut buf).and_then(|r| d1.wait_with(&r, || {}));
+        assert!(
+            matches!(outcome, Err(MpcError::PeerClosed(0))),
+            "{outcome:?}"
+        );
+        assert_eq!(buf, vec![0u8; 10_000]);
+        assert!(!sreq.is_complete(), "a forgotten send never completes");
+        assert_eq!(d1.metrics().snapshot().get(Metric::RndvPulls), 0);
+        // The universe's post-body drain still runs; it finds nothing.
+        d0.drain().unwrap();
     }
 }

@@ -69,11 +69,18 @@ impl RequestState {
         !self.is_complete()
     }
 
-    /// Mark complete with receive metadata.
-    pub fn complete_with(&self, source: u32, tag: i32, count: usize) {
+    /// Record receive metadata without completing: for a receive whose
+    /// data has landed but whose completion must wait for a reply frame
+    /// to reach the link (see `LinkState::queue_bytes_completing`).
+    pub(crate) fn set_status(&self, source: u32, tag: i32, count: usize) {
         self.src.store(source, Ordering::Relaxed);
         self.tag.store(tag, Ordering::Relaxed);
         self.count.store(count as u64, Ordering::Relaxed);
+    }
+
+    /// Mark complete with receive metadata.
+    pub fn complete_with(&self, source: u32, tag: i32, count: usize) {
+        self.set_status(source, tag, count);
         self.complete.store(true, Ordering::Release);
     }
 

@@ -115,6 +115,10 @@ define_metrics! {
     RndvCtsIn => "rndv_cts_in",
     /// Rendezvous transfers fully completed.
     RndvDone => "rndv_done",
+    /// Rendezvous transfers delivered by a single copy: the receiver
+    /// pulled straight from the sender's exposed window (in-process
+    /// links), so the payload never entered the link.
+    RndvPulls => "rndv_pulls",
     /// High-water mark of the posted-receive queue.
     PostedQueuePeak => "posted_queue_peak",
     /// High-water mark of the unexpected-message queue.

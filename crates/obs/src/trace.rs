@@ -15,8 +15,11 @@
 //!   region records (see [`crate::span`]), plus the two intervals that
 //!   are not lexical scopes and so cannot be a guard: a pin's lifetime
 //!   (`PinAcquire` → `PinRelease`, possibly on another call path) and the
-//!   sender-side rendezvous handshake (`RndvRts` out → `RndvDone`, which
-//!   the progress engine stamps whenever the last byte leaves).
+//!   sender-side rendezvous handshake: `RndvRts` out → the sender's
+//!   `RndvDone`, which the progress engine stamps when the send completes
+//!   — streamed (a CTS came back): when the last byte leaves, a Done the
+//!   sender *sent*; single copy (no CTS): when the receiver's FIN arrives,
+//!   a Done the sender *observed*.
 //! * [`MessageEdge`]s — the k-th [`MsgSend`] from `src` to `dst` with tag
 //!   `t` matched FIFO against the k-th [`MsgRecv`] on `dst` from `src`
 //!   with tag `t` (sound because the device layer is non-overtaking per
@@ -43,8 +46,10 @@ pub const MSG_RNDV_FLAG: u64 = 1 << 63;
 
 /// Pack the `c` word of a rendezvous control event ([`RndvRts`]/
 /// [`RndvCts`]/[`RndvDone`]): the peer's global rank plus a low bit that
-/// is 1 on the rank that *sent* the packet (or flushed the payload, for
-/// Done) and 0 on the rank that observed it.
+/// is 1 on the rank that *sent* the packet and 0 on the rank that observed
+/// it. Done travels with the data's last byte on a streamed rendezvous
+/// (sender → receiver) and is the receiver's FIN on a single-copy one
+/// (receiver → sender).
 ///
 /// [`RndvRts`]: EventKind::RndvRts
 /// [`RndvCts`]: EventKind::RndvCts
@@ -275,7 +280,8 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
         // Open-interval state, keyed as each pairing rule requires.
         let mut open_spans: HashMap<u64, (SpanKind, i64, u64)> = HashMap::new();
         let mut open_pins: HashMap<u64, Vec<i64>> = HashMap::new();
-        let mut open_rndv: HashMap<u64, (i64, u64)> = HashMap::new();
+        // sreq → (RTS time, bytes, whether a CTS came back).
+        let mut open_rndv: HashMap<u64, (i64, u64, bool)> = HashMap::new();
 
         for e in &evs {
             let t = cal(e.t_nanos);
@@ -337,13 +343,25 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
                         ((e.kind, peer, rank, e.a), &mut ctl_rcvd)
                     };
                     map.insert(key, (t, e.b));
-                    // Sender-side RTS opens (and flush-Done closes) the
-                    // handshake span covering the whole rendezvous.
-                    if sent && e.kind == EventKind::RndvRts {
-                        open_rndv.insert(e.a, (t, e.b));
-                    }
-                    if sent && e.kind == EventKind::RndvDone {
-                        if let Some((t0, bytes)) = open_rndv.remove(&e.a) {
+                    // Sender-side RTS opens the handshake span covering
+                    // the whole rendezvous; this rank's own Done closes it.
+                    // Request ids are per rank, so the peer's transfer in
+                    // the other direction may carry the same `sreq`: ours
+                    // is the Done we sent if we streamed (a CTS came
+                    // back), the Done we observed (the FIN) if not.
+                    match (e.kind, sent) {
+                        (EventKind::RndvRts, true) => {
+                            open_rndv.insert(e.a, (t, e.b, false));
+                        }
+                        (EventKind::RndvCts, false) => {
+                            if let Some(open) = open_rndv.get_mut(&e.a) {
+                                open.2 = true;
+                            }
+                        }
+                        (EventKind::RndvDone, _)
+                            if open_rndv.get(&e.a).is_some_and(|o| o.2 == sent) =>
+                        {
+                            let (t0, bytes, _) = open_rndv.remove(&e.a).expect("just seen");
                             trace.spans.push(TraceSpan {
                                 id: syn_id(),
                                 rank,
@@ -353,6 +371,7 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
                                 arg: bytes,
                             });
                         }
+                        _ => {}
                     }
                 }
                 // Instantaneous profiler samples; not intervals.
@@ -751,7 +770,16 @@ mod tests {
         r.event3(EventKind::RndvRts, 7, 4096, rndv_ctl(1, true));
         r.event3(EventKind::RndvCts, 7, 4096, rndv_ctl(1, false));
         r.event3(EventKind::RndvDone, 7, 4096, rndv_ctl(1, true));
-        r.event3(EventKind::RndvRts, 8, 64, rndv_ctl(1, false)); // inbound: no handshake
+        // Inbound: no handshake.
+        r.event3(EventKind::RndvRts, 8, 64, rndv_ctl(1, false));
+        // Single copy: no CTS, and the Done that closes is the FIN this
+        // rank observes — not the FIN it sends for the peer's transfer
+        // that happens to carry the same request id.
+        r.event3(EventKind::RndvRts, 9, 512, rndv_ctl(1, true));
+        r.event3(EventKind::RndvRts, 9, 64, rndv_ctl(1, false));
+        r.event3(EventKind::RndvDone, 9, 64, rndv_ctl(1, true));
+        let fin_due = r.now_nanos() as i64;
+        r.event3(EventKind::RndvDone, 9, 512, rndv_ctl(1, false));
         let t = build_cluster_trace(&[r.snapshot()]);
         let of = |k| t.spans.iter().filter(|s| s.kind == k).collect::<Vec<_>>();
         assert_eq!(of(SpanKind::Gc)[0].id, recorded);
@@ -759,8 +787,9 @@ mod tests {
         assert_eq!(pins.len(), 1, "only the released hard pin is an interval");
         assert_eq!(pins[0].arg, 0xdead);
         let rndv = of(SpanKind::RndvHandshake);
-        assert_eq!(rndv.len(), 1, "only the sender side opens a handshake");
-        assert_eq!(rndv[0].arg, 4096);
+        assert_eq!(rndv.len(), 2, "only the sender side opens a handshake");
+        assert_eq!((rndv[0].arg, rndv[1].arg), (4096, 512));
+        assert!(rndv[1].t_end >= fin_due, "closed by the FIN it observed");
         // Ids are unique across recorded and synthesized spans.
         assert_eq!(t.span_ids().len(), t.spans.len());
         assert_eq!(t.orphaned_ends, vec![0]);

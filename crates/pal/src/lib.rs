@@ -17,6 +17,9 @@
 //!   two implementations: in-process shared memory ([`link::shm_pair`]) and
 //!   real TCP over loopback ([`link::tcp_pair`]), mirroring MPICH2's `shm`
 //!   and `sock` channels.
+//! * [`window`] — exposed send windows: the table the two ends of an
+//!   in-process link share, through which a receiver copies bulk data
+//!   straight out of the sender's buffer instead of through the rings.
 //! * [`poll`] — the *polling-wait* primitive. Motor replaced MPICH2's
 //!   blocking system calls with a polling wait that periodically yields to
 //!   the garbage collector; [`poll::polling_wait`] is that loop, generic
@@ -28,6 +31,7 @@ pub mod error;
 pub mod link;
 pub mod poll;
 pub mod ring;
+pub mod window;
 
 pub use clock::{HostTicks, TickSource, VirtualClock};
 pub use error::{PalError, PalResult};

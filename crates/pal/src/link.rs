@@ -16,6 +16,7 @@ use std::net::{TcpListener, TcpStream};
 
 use crate::error::{PalError, PalResult};
 use crate::ring::{ring, RingConsumer, RingProducer};
+use crate::window::Windows;
 
 /// A non-blocking, ordered, reliable duplex byte stream.
 pub trait ByteLink: Send {
@@ -29,15 +30,25 @@ pub trait ByteLink: Send {
 
     /// True once the peer endpoint is gone.
     fn is_closed(&self) -> bool;
+
+    /// This end's handle on the window table it shares with its peer, if
+    /// the two ends live in one address space (see [`crate::window`]).
+    /// Links that cross a process boundary, simulate one, or wrap another
+    /// link answer `None`, and all their bytes travel through the stream.
+    fn windows(&self) -> Option<Windows> {
+        None
+    }
 }
 
 /// Owned, type-erased link.
 pub type BoxedLink = Box<dyn ByteLink>;
 
-/// In-process shared-memory link: one ring per direction.
+/// In-process shared-memory link: one ring per direction, plus the
+/// window table bulk data can bypass the rings through.
 pub struct ShmLink {
     tx: RingProducer,
     rx: RingConsumer,
+    windows: Windows,
 }
 
 /// Create a connected pair of in-process links with `capacity` bytes of
@@ -45,9 +56,18 @@ pub struct ShmLink {
 pub fn shm_pair(capacity: usize) -> (ShmLink, ShmLink) {
     let (a_tx, b_rx) = ring(capacity);
     let (b_tx, a_rx) = ring(capacity);
+    let (a_win, b_win) = Windows::pair();
     (
-        ShmLink { tx: a_tx, rx: a_rx },
-        ShmLink { tx: b_tx, rx: b_rx },
+        ShmLink {
+            tx: a_tx,
+            rx: a_rx,
+            windows: a_win,
+        },
+        ShmLink {
+            tx: b_tx,
+            rx: b_rx,
+            windows: b_win,
+        },
     )
 }
 
@@ -62,6 +82,10 @@ impl ByteLink for ShmLink {
 
     fn is_closed(&self) -> bool {
         self.tx.is_closed() && self.rx.is_closed()
+    }
+
+    fn windows(&self) -> Option<Windows> {
+        Some(self.windows.clone())
     }
 }
 
@@ -227,6 +251,21 @@ mod tests {
         drop(a);
         let mut buf = [0u8; 4];
         assert!(matches!(b.try_read(&mut buf), Err(PalError::Disconnected)));
+    }
+
+    #[test]
+    fn only_shm_ends_share_a_window_table() {
+        let (a, b) = shm_pair(64);
+        let (wa, wb) = (a.windows().unwrap(), b.windows().unwrap());
+        let src = [7u8; 16];
+        // SAFETY: `src` outlives the exposure.
+        let _exp = unsafe { wa.expose(1, src.as_ptr(), src.len()) };
+        let mut dst = [0u8; 16];
+        // SAFETY: `dst` is 16 writable bytes.
+        assert_eq!(unsafe { wb.pull(1, dst.as_mut_ptr(), 16) }, Some(16));
+        assert_eq!(dst, src);
+        let (c, d) = tcp_pair().unwrap();
+        assert!(c.windows().is_none() && d.windows().is_none());
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! pinning policy under live GC, and the failure injection that shows what
 //! the policy prevents.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use motor::core::cluster::{run_cluster, run_cluster_default, ClusterConfig};
-use motor::core::PinPolicy;
+use motor::core::{CoreError, PinPolicy};
 use motor::mpc::universe::{ChannelKind, UniverseConfig};
+use motor::mpc::{Device, MpcError};
+use motor::obs::Metric;
 use motor::runtime::heap::HeapConfig;
 use motor::runtime::{ElemKind, VmConfig};
 use parking_lot::Mutex;
@@ -78,6 +81,104 @@ fn motor_pingpong_over_tcp() {
                 let mut got = vec![0u8; n];
                 t.prim_read(buf, 0, &mut got);
                 assert!(got.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
+            }
+        },
+    )
+    .unwrap();
+}
+
+/// Which rendezvous conversation carries a large message is decided by
+/// the link and by nothing else: ranks that share an address space (shm)
+/// copy once, straight out of the sender's pinned array, and the payload
+/// never enters the channel; over a socket it is streamed after a CTS.
+#[test]
+fn rendezvous_conversation_is_selected_by_the_channel() {
+    const MSGS: u64 = 4;
+    const LEN: usize = 128 * 1024;
+    for channel in [ChannelKind::Shm, ChannelKind::Tcp] {
+        let config = ClusterConfig::builder().ranks(2).transport(channel).build();
+        let metrics = run_cluster(
+            config,
+            |_| {},
+            |proc| {
+                let mp = proc.mp();
+                let t = proc.thread();
+                let buf = t.alloc_prim_array(ElemKind::U8, LEN);
+                for m in 0..MSGS {
+                    let fill = |i: usize| (i as u64 * 31 + m) as u8;
+                    if mp.rank() == 0 {
+                        let data: Vec<u8> = (0..LEN).map(fill).collect();
+                        t.prim_write(buf, 0, &data);
+                        mp.send(buf, 1, m as i32).unwrap();
+                    } else {
+                        assert_eq!(mp.recv(buf, 0, m as i32).unwrap().bytes, LEN);
+                        let mut got = vec![0u8; LEN];
+                        t.prim_read(buf, 0, &mut got);
+                        assert!(got.iter().enumerate().all(|(i, &b)| b == fill(i)));
+                    }
+                }
+            },
+        )
+        .unwrap();
+        let (tx, rx) = (&metrics.per_rank[0], &metrics.per_rank[1]);
+        assert_eq!(tx.get(Metric::SendsRndv), MSGS, "{channel:?}");
+        assert_eq!(rx.get(Metric::RndvRtsIn), MSGS, "{channel:?}");
+        assert_eq!(rx.get(Metric::RndvDone), MSGS, "{channel:?}");
+        let wire_bytes = tx.get(Metric::ChanBytesOut);
+        match channel {
+            ChannelKind::Shm => {
+                assert_eq!(rx.get(Metric::RndvPulls), MSGS);
+                assert_eq!(tx.get(Metric::RndvCtsIn), 0);
+                assert!(wire_bytes < MSGS * 1024, "{wire_bytes} B on the wire");
+            }
+            ChannelKind::Tcp => {
+                assert_eq!(rx.get(Metric::RndvPulls), 0);
+                assert_eq!(tx.get(Metric::RndvCtsIn), MSGS);
+                assert!(
+                    wire_bytes >= MSGS * LEN as u64,
+                    "{wire_bytes} B on the wire"
+                );
+            }
+        }
+    }
+}
+
+/// A rank body may return with a rendezvous send nobody waited for; its
+/// window lies in the rank's heap, which drops with the body. The body
+/// wrapper finalises the device first, so the receive that matches the
+/// announcement afterwards is refused instead of copying from a heap
+/// that is gone.
+#[test]
+fn unwaited_rendezvous_send_is_ended_before_the_heap_drops() {
+    let sender: OnceLock<Arc<Device>> = OnceLock::new();
+    run_cluster_default(
+        2,
+        |_| {},
+        |proc| {
+            let mp = proc.mp();
+            let buf = proc.thread().alloc_prim_array(ElemKind::U8, 128 * 1024);
+            if mp.rank() == 0 {
+                drop(mp.isend(buf, 1, 9).unwrap());
+                sender.set(Arc::clone(proc.comm().device())).ok().unwrap();
+            } else {
+                // The send is pending when the device is published, and
+                // only finalisation (the receive is not posted yet) ends it.
+                let dev0 = loop {
+                    match sender.get() {
+                        Some(d) => break d,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while dev0.queue_depths().2 != 0 {
+                    assert!(Instant::now() < deadline, "sender never finalised");
+                    std::thread::yield_now();
+                }
+                let refused = mp.recv(buf, 0, 9).unwrap_err();
+                assert!(
+                    matches!(refused, CoreError::Mpc(MpcError::PeerClosed(0))),
+                    "{refused}"
+                );
             }
         },
     )

@@ -5,6 +5,7 @@
 //! only of spans that exist in the trace.
 
 use motor::core::cluster::{run_cluster, ClusterConfig};
+use motor::mpc::universe::ChannelKind;
 use motor::obs::{from_chrome_json, to_chrome_json, EdgeKind, EventKind, SpanKind};
 use motor::runtime::ElemKind;
 
@@ -48,10 +49,23 @@ fn body(proc: &motor::core::MotorProc) {
     t.release(small);
 }
 
+/// Over shm the rendezvous leg is a single copy (RTS, the receiver's
+/// copy, FIN); over TCP it is streamed (RTS, CTS, data). Everything else
+/// the timeline promises is the same.
 #[test]
-fn four_rank_trace_matches_every_p2p_op() {
+fn four_rank_trace_matches_every_p2p_op_over_shm() {
+    four_rank_trace_matches_every_p2p_op(ChannelKind::Shm);
+}
+
+#[test]
+fn four_rank_trace_matches_every_p2p_op_over_tcp() {
+    four_rank_trace_matches_every_p2p_op(ChannelKind::Tcp);
+}
+
+fn four_rank_trace_matches_every_p2p_op(channel: ChannelKind) {
     let config = ClusterConfig::builder()
         .ranks(RANKS)
+        .transport(channel)
         .event_capacity(1 << 14)
         .build();
     let metrics = run_cluster(config, |_| {}, body).unwrap();
@@ -96,14 +110,29 @@ fn four_rank_trace_matches_every_p2p_op() {
     assert_eq!(payload_edges, sends, "every completed p2p op has an edge");
     assert!(payload_edges > RANKS, "ring + rendezvous at minimum");
 
-    // The rendezvous transfer contributes its control edges too.
-    for kind in [EdgeKind::Rts, EdgeKind::Cts, EdgeKind::Done] {
-        assert!(
-            trace.edges.iter().any(|e| e.kind == kind && e.rndv),
-            "missing rendezvous control edge {:?}",
-            kind
-        );
+    // The rendezvous transfer contributes its control edges too: a CTS
+    // exactly where the payload is streamed.
+    let control = |kind| trace.edges.iter().filter(move |e| e.kind == kind && e.rndv);
+    for kind in [EdgeKind::Rts, EdgeKind::Done] {
+        assert_eq!(control(kind).count(), 1, "rendezvous edge {kind:?}");
     }
+    let streamed = matches!(channel, ChannelKind::Tcp);
+    assert_eq!(control(EdgeKind::Cts).count(), streamed as usize);
+    // Done follows the data: with the stream's last byte, or back to the
+    // sender as the FIN of the receiver's copy.
+    let done = control(EdgeKind::Done).next().unwrap();
+    let (from, to) = if streamed { (0, 1) } else { (1, 0) };
+    assert_eq!((done.src_rank, done.dst_rank), (from, to));
+    // One handshake span on the sender, RTS out → its send completes.
+    let handshakes: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::RndvHandshake)
+        .collect();
+    assert_eq!(handshakes.len(), 1);
+    assert_eq!((handshakes[0].rank, handshakes[0].arg), (0, 1 << 17));
+    assert!(handshakes[0].t_end > handshakes[0].t_begin);
+    assert_eq!(trace.orphaned_ends, vec![0; RANKS]);
 
     // Calibrated latencies are non-negative on every edge, and the
     // rendezvous payload edge carries the right byte count.
