@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 
 use motor_api::{Communicator, Transportable};
 use motor_core::cluster::{run_cluster, spawn_motor_children, ClusterConfig, MotorProc};
-use motor_mpc::{ProgressConfig, ReduceOp, Source};
+use motor_mpc::{Policy, ReduceOp, Source};
 use motor_obs::export::json;
 use motor_pal::clock::Stopwatch;
 use motor_profile::{FoldedStacks, ProfTarget, ProfileSection, RankProfile, Sampler};
@@ -709,11 +709,6 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
     use motor_pal::clock::TickSource;
     use motor_sim::{FaultPlan, Schedule, SimConfig, SimNet};
 
-    let progress = match mode {
-        motor_mpc::ProgressMode::Off => ProgressConfig::off(),
-        motor_mpc::ProgressMode::Thread => ProgressConfig::thread(),
-        motor_mpc::ProgressMode::Steal => ProgressConfig::steal(),
-    };
     let mut net = SimNet::new(
         OVERLAP_SEED,
         SimConfig {
@@ -724,10 +719,15 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
             },
             schedule: Schedule::RoundRobin,
             plan: FaultPlan::trickle(OVERLAP_TRICKLE).with_latency(1),
-            progress,
+            progress: mode,
         },
     );
-    let engine_on = mode != motor_mpc::ProgressMode::Off;
+    // Who pumps a device while its rank computes, and how.
+    let helper = match mode {
+        motor_mpc::ProgressMode::Off => None,
+        motor_mpc::ProgressMode::Thread => Some(Policy::ENGINE),
+        motor_mpc::ProgressMode::Steal => Some(Policy::RANK),
+    };
     let phases = [motor_obs::PhaseStats::new(), motor_obs::PhaseStats::new()];
     for p in &phases {
         p.start_at(0);
@@ -768,19 +768,9 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
         // its polls run *during* the window — on its own (virtual) core,
         // so pumping does not consume compute ticks.
         for _ in 0..OVERLAP_COMPUTE_TICKS {
-            if engine_on {
+            if let Some(policy) = helper {
                 for d in 0..2 {
-                    match mode {
-                        motor_mpc::ProgressMode::Thread => {
-                            net.device(d)
-                                .progress_batched(progress.max_batch_passes, true)
-                                .unwrap();
-                        }
-                        motor_mpc::ProgressMode::Steal => {
-                            net.device(d).progress().unwrap();
-                        }
-                        motor_mpc::ProgressMode::Off => unreachable!(),
-                    }
+                    net.device(d).pass(policy);
                 }
             }
             net.clock().advance(1);
@@ -815,7 +805,7 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
                 net.steps() - t0 < OVERLAP_WAIT_BUDGET,
                 "overlap ablation wait did not drain"
             );
-            net.step().unwrap();
+            net.step();
         }
         for (rank, buf) in bufs.iter().enumerate() {
             assert_eq!(

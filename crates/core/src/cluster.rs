@@ -111,13 +111,13 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Asynchronous progress model (dedicated per-device progress thread
-    /// or stealable progress); see
-    /// [`ProgressConfig`](motor_mpc::ProgressConfig). A config left at
-    /// the default `off` defers to the `MOTOR_PROGRESS` environment
-    /// variable at run time.
-    pub fn progress(mut self, cfg: motor_mpc::ProgressConfig) -> Self {
-        self.config.universe.progress = cfg;
+    /// Who besides the rank threads drives progress (a dedicated thread
+    /// per device, or stealing waiters); see
+    /// [`ProgressMode`](motor_mpc::ProgressMode). Left at the default
+    /// `Off`, the `MOTOR_PROGRESS` environment variable decides at run
+    /// time.
+    pub fn progress(mut self, mode: motor_mpc::ProgressMode) -> Self {
+        self.config.universe.progress = mode;
         self
     }
 

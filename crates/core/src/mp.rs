@@ -498,14 +498,7 @@ impl<'t> Mp<'t> {
         let src = src.into();
         let tag = tag.into();
         let _span = self.span(SpanKind::MpProbe, source_peer(src), tag);
-        let mut backoff = motor_pal::Backoff::with_config(self.comm.device().wait_backoff());
-        loop {
-            fc.poll();
-            if let Some(s) = self.comm.iprobe(src, tag)? {
-                return Ok(s.into());
-            }
-            backoff.snooze();
-        }
+        Ok(self.comm.probe_with(src, tag, || fc.poll())?.into())
     }
 
     /// Non-blocking probe.

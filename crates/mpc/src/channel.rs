@@ -19,7 +19,7 @@
 //! table — TCP, simulated, wrapped — it is **streamed**: RTS, CTS, then a
 //! `RndvData` frame whose body is the raw window above, two copies (into
 //! the transport, out of it). Over an in-process link, whose two ends
-//! share a table ([`LinkState::windows`]), it is a **single copy**: RTS,
+//! share a table ([`LinkState::shared`]), it is a **single copy**: RTS,
 //! the receiver copies straight from the sender's exposed window, then a
 //! `SyncAck` as FIN. The payload never enters this layer: only the RTS
 //! and the FIN are framed, queued and parsed, and the FIN is queued with
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use motor_obs::trace::rndv_ctl;
 use motor_obs::{EventKind, Metric, MetricsRegistry};
 use motor_pal::window::Windows;
-use motor_pal::{BoxedLink, PalError};
+use motor_pal::{BoxedLink, PalError, WakeCells};
 
 use crate::error::{MpcError, MpcResult};
 use crate::packet::{Envelope, PacketKind, ENVELOPE_LEN};
@@ -168,10 +168,20 @@ impl LinkState {
         }
     }
 
-    /// This end's handle on the window table the link shares with its
-    /// peer, if it has one (in-process links only).
-    pub fn windows(&self) -> Option<Windows> {
-        self.link.windows()
+    /// This end's handles on what the link shares with its peer: the
+    /// window table (in-process shm links only) and the wake cells (every
+    /// pair built inside one process).
+    pub fn shared(&self) -> (Option<Windows>, Option<WakeCells>) {
+        (self.link.windows(), self.link.wake_cells())
+    }
+
+    /// Stop writing a rendezvous stream in progress to its destination:
+    /// what is still to come is read and dropped. The receiving rank's
+    /// memory is going away ([`crate::Device::finalize`]).
+    pub fn discard_stream(&mut self) {
+        if let InState::Stream { dest, .. } = &mut self.in_state {
+            *dest = RndvDest::Discard;
+        }
     }
 
     fn push_frame(&mut self, buf: Vec<u8>, done: Option<Request>) {

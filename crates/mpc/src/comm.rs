@@ -290,18 +290,23 @@ impl Comm {
     }
 
     /// Blocking probe: status of the next matching message without
-    /// receiving it. Backs off like a wait; fails with `PeerClosed` once
-    /// the probed peer's link is gone.
+    /// receiving it. Waits like a wait; fails with `PeerClosed` once the
+    /// probed peer's link is gone.
     pub fn probe(&self, src: impl Into<Source>, tag: impl Into<Tag>) -> MpcResult<Status> {
-        let src = src.into().to_device();
-        let tag = tag.into().to_device();
-        let mut backoff = motor_pal::Backoff::with_config(self.device.wait_backoff());
-        loop {
-            if let Some(s) = self.device.iprobe(src, tag, self.context)? {
-                return Ok(s);
-            }
-            backoff.snooze();
-        }
+        self.probe_with(src, tag, || {})
+    }
+
+    /// [`Comm::probe`], invoking `yield_poll` every lap (Motor's GC-yield
+    /// hook).
+    pub fn probe_with(
+        &self,
+        src: impl Into<Source>,
+        tag: impl Into<Tag>,
+        yield_poll: impl FnMut(),
+    ) -> MpcResult<Status> {
+        let (src, tag) = (src.into().to_device(), tag.into().to_device());
+        let peek = || self.device.peek(src, tag, self.context);
+        self.device.wait_until(0, peek, yield_poll)
     }
 
     /// Non-blocking probe.
@@ -774,22 +779,15 @@ impl Comm {
     /// status (`MPI_Waitany`).
     pub fn waitany(&self, reqs: &[Request]) -> MpcResult<(usize, Status)> {
         assert!(!reqs.is_empty(), "waitany on an empty request list");
-        let mut backoff = motor_pal::Backoff::with_config(self.device.wait_backoff());
-        loop {
+        let first_settled = || {
             for (i, r) in reqs.iter().enumerate() {
-                if r.is_complete() {
-                    return Ok((i, r.status()));
-                }
-                if let Some(peer) = r.failed_peer() {
-                    return Err(MpcError::PeerClosed(peer));
+                if let Some(status) = r.outcome()? {
+                    return Ok(Some((i, status)));
                 }
             }
-            if self.device.progress()? {
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
-        }
+            Ok(None)
+        };
+        self.device.wait_until(0, first_settled, || {})
     }
 
     // ------------------------------------------------------------------

@@ -6,7 +6,9 @@
 //! layer: it owns the posted-receive queue, the unexpected-message queue,
 //! the envelope matcher (source/tag/context with wildcards, preserving
 //! MPI's non-overtaking order), the eager/rendezvous protocol state
-//! machines and the progress engine that pumps every link.
+//! machines, and the two things every caller above shares: the one
+//! progress pass ([`Device::pass`]) that pumps every link and the one
+//! wait loop (`Device::wait_until`) that blocks on it.
 //!
 //! The device works in *raw buffer windows* (`*mut u8` + length): callers
 //! above — the native MPI layer, Motor's FCall layer, the wrapper
@@ -38,11 +40,8 @@
 //!   the moment its wait returns cannot strand the sender); the send
 //!   completes when the FIN arrives. No address crosses the byte parser:
 //!   the frames are the same five kinds, byte for byte. The sender has
-//!   nothing to do while the receiver copies (the streamed sender is busy
-//!   feeding the link), so its wait would climb the backoff ladder into
-//!   the sleeping tier behind any copy longer than the ladder's yield
-//!   phase; `wait_with` therefore does not park while one of the device's
-//!   windows is being pulled or has been and its FIN is still in flight.
+//!   nothing to do while the receiver copies and may well park; the pass
+//!   that puts the FIN on the link wakes it.
 //!
 //! **Window lifetime.** A window is pullable from exposure until the
 //! send's request completes *or fails*. The exposure lives in the
@@ -52,22 +51,15 @@
 //! progress and excludes later ones, per window; a receive that matches a
 //! revoked window fails with `PeerClosed` and reads nothing.
 //!
-//! # Locking model (asynchronous progress)
+//! # Locking model
 //!
-//! The device used to keep all state — links, queues, protocol tables —
-//! under one mutex, which serialized concurrent senders and made a
-//! progress thread pointless (it would just contend with the rank
-//! thread). State is now split:
-//!
-//! * each link gets its **own** mutex (`Arc<Mutex<LinkState>>` slots in an
-//!   `RwLock`ed table), so two threads pumping different peers never
-//!   contend;
-//! * the matching/protocol tables live in a single `match_state` mutex.
-//!
+//! Each link has its **own** mutex (`Arc<LinkSlot>`s in an `RwLock`ed
+//! table), so two threads pumping different peers never contend; the
+//! matching/protocol tables live in a single `match_state` mutex.
 //! Lock-order rules (deadlock freedom):
 //!
-//! 1. The links table read guard is **transient**: clone the slot's `Arc`
-//!    (or its window-table handle), drop the guard, *then* lock the link.
+//! 1. The links table read guard is **transient**: clone the slot's
+//!    `Arc`, drop the guard, *then* lock the link.
 //!    Never block on a link mutex while holding the table guard. Taking
 //!    the guard *under* a link mutex or `match_state` is fine: no writer
 //!    of the table holds either.
@@ -81,26 +73,33 @@
 //!    behind a 256 KiB `memcpy`. The only lock held across the copy is
 //!    the pulled window's own.
 //!
-//! Any thread may drive progress — the owning rank, a dedicated progress
-//! thread ([`crate::progress::ProgressEngine`]), or a sibling rank's
-//! parked waiter stealing cycles ([`crate::progress::ProgressSet`]).
-//! Every completion notifies the device [`crate::progress::Waker`], which
-//! parked waiters use instead of blind backoff sleeps.
+//! # One pass, one wait
+//!
+//! Any thread may drive progress (who does: [`crate::progress`]), and all
+//! of them call [`Device::pass`], differing only in the [`Policy`] they
+//! hand it. Every blocking call above the device (`wait`, `waitany`,
+//! `probe`) is `Device::wait_until`: pass, climb the backoff ladder while
+//! nothing moves, then park on the device's [`Waker`] — never sleep
+//! blind. Two things bump that waker, in every progress mode: this
+//! device's own passes that moved something, and a *peer's* pass that
+//! moved bytes through the link the two share (written: we have input;
+//! consumed: we have room). The peer finds it in the link pair's wake
+//! cells ([`motor_pal::poll`]), where [`Device::set_link`] publishes it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
 
 use motor_obs::trace::{rndv_ctl, MSG_RNDV_FLAG};
 use motor_obs::{EventKind, Hist, Metric, MetricsRegistry, SpanKind};
 use motor_pal::window::{Exposure, Windows};
+use motor_pal::{Backoff, WakeCells, Waker};
 use parking_lot::{Mutex, RwLock};
 
 use crate::channel::{LinkState, PacketSink, RndvDest};
 use crate::error::{MpcError, MpcResult};
 use crate::packet::{self, env_flags, Envelope};
-use crate::progress::{ProgressSet, Waker};
+use crate::progress::{Caller, Policy, ProgressSet};
 use crate::request::{Request, RequestState, Status};
 
 /// Wildcard source rank (`MPI_ANY_SOURCE`).
@@ -121,9 +120,10 @@ pub struct DeviceConfig {
     /// should share an epoch so their traces merge without calibration;
     /// `None` gives the registry a private epoch.
     pub epoch: Option<std::time::Instant>,
-    /// Backoff ladder used by `wait` loops (spin → yield → sleep).
-    /// Simulation pins this to [`motor_pal::BackoffConfig::no_sleep`] so
-    /// waits never couple virtual time to the host scheduler.
+    /// Backoff ladder of the wait loop (spin → yield → park on the
+    /// device's waker). Simulation pins this to
+    /// [`motor_pal::BackoffConfig::no_sleep`] so waits never couple
+    /// virtual time to the host scheduler.
     pub wait_backoff: motor_pal::BackoffConfig,
 }
 
@@ -133,7 +133,7 @@ impl Default for DeviceConfig {
             eager_threshold: 64 * 1024,
             event_capacity: motor_obs::DEFAULT_EVENT_CAPACITY,
             epoch: None,
-            wait_backoff: motor_pal::BackoffConfig::default_ladder(),
+            wait_backoff: motor_pal::BackoffConfig::default(),
         }
     }
 }
@@ -279,11 +279,13 @@ fn take_first<T>(
     queue.remove(pos?)
 }
 
-/// One wired peer: the link and, outside its mutex, the link's window
-/// table handle (so a pull never holds the link lock).
+/// One wired peer: the link and, outside its mutex, the link's handles
+/// on what its two ends share — the window table (so a pull never holds
+/// the link lock) and the wake cells (so a poke never does).
 struct LinkSlot {
-    link: Arc<Mutex<LinkState>>,
+    link: Mutex<LinkState>,
     windows: Option<Windows>,
+    wake: Option<WakeCells>,
 }
 
 /// One process's message-passing device.
@@ -292,22 +294,18 @@ pub struct Device {
     /// Per-peer link slots. The table lock is only ever held transiently
     /// (clone the `Arc`, drop the guard); each link has its own mutex so
     /// concurrent senders to different peers never serialize.
-    links: RwLock<Vec<Option<LinkSlot>>>,
+    links: RwLock<Vec<Option<Arc<LinkSlot>>>>,
     /// Matching and protocol state, independent of any link lock.
     match_state: Mutex<MatchState>,
     next_req: AtomicU64,
     config: DeviceConfig,
     metrics: Arc<MetricsRegistry>,
-    /// Completion notifier: bumped whenever any thread moves this device.
+    /// What waiters and engine threads park on: bumped whenever any
+    /// thread moves this device, or a peer moves bytes on a link to it.
     waker: Arc<Waker>,
-    /// Peer wakers, indexed by global rank (installed by universe wiring
-    /// when a progress mode is active). After this device's `pump_out`
-    /// puts bytes on the wire to a peer, it pokes the peer's waker so a
-    /// parked engine thread or sleeping waiter over there pumps them in
-    /// immediately instead of waiting out its idle-park quantum.
-    peer_wakers: RwLock<Vec<Option<Arc<Waker>>>>,
-    /// Steal registry this device belongs to (progress mode `steal`).
-    steal_set: Mutex<Option<Arc<ProgressSet>>>,
+    /// Steal registry this device belongs to (progress mode `steal`; set
+    /// once, by [`ProgressSet::register`]).
+    pub(crate) steal_set: OnceLock<Arc<ProgressSet>>,
 }
 
 fn envelope_matches(env: &Envelope, src: i32, tag: i32, context: u32) -> bool {
@@ -331,8 +329,7 @@ impl Device {
             config,
             metrics,
             waker: Arc::new(Waker::default()),
-            peer_wakers: RwLock::new(Vec::new()),
-            steal_set: Mutex::new(None),
+            steal_set: OnceLock::new(),
         })
     }
 
@@ -351,24 +348,24 @@ impl Device {
         self.config.eager_threshold
     }
 
-    /// The backoff ladder configured for wait loops.
-    pub fn wait_backoff(&self) -> motor_pal::BackoffConfig {
-        self.config.wait_backoff
-    }
-
-    /// Install the link to `peer` (universe wiring).
+    /// Install the link to `peer` (universe wiring) and tell the link's
+    /// other end whom to wake when it moves bytes.
     pub fn set_link(&self, peer: usize, mut link: LinkState) {
         link.attach_metrics(Arc::clone(&self.metrics));
         link.set_peer(peer);
-        let windows = link.windows();
+        let (windows, wake) = link.shared();
+        if let Some(wake) = &wake {
+            wake.publish(Arc::clone(&self.waker));
+        }
         let mut links = self.links.write();
         if links.len() <= peer {
             links.resize_with(peer + 1, || None);
         }
-        links[peer] = Some(LinkSlot {
-            link: Arc::new(Mutex::new(link)),
+        links[peer] = Some(Arc::new(LinkSlot {
+            link: Mutex::new(link),
             windows,
-        });
+            wake,
+        }));
     }
 
     /// Number of link slots (== known universe size).
@@ -376,85 +373,32 @@ impl Device {
         self.links.read().len()
     }
 
-    /// Join the steal pool `set`: waiters parked on this device will pump
-    /// the set's other members, and vice versa.
-    pub fn install_steal_set(&self, set: Arc<ProgressSet>) {
-        *self.steal_set.lock() = Some(set);
-    }
-
-    /// Current waker generation (see [`Device::park_until_progress`]).
-    pub fn progress_generation(&self) -> u64 {
-        self.waker.generation()
-    }
-
-    /// Park until progress moves the generation past `seen` or `timeout`
-    /// elapses. Never misses a notify between reading `seen` and parking.
-    pub fn park_until_progress(&self, seen: u64, timeout: Duration) -> u64 {
-        self.waker.wait_next(seen, timeout)
-    }
-
-    /// Wake every thread parked on this device (engine shutdown, external
-    /// completion sources).
-    pub fn notify_progress(&self) {
-        self.waker.notify();
-    }
-
-    /// Handle to this device's waker for cross-device pokes.
-    pub(crate) fn waker_handle(&self) -> Arc<Waker> {
-        Arc::clone(&self.waker)
-    }
-
-    /// Let this device poke `peer`'s waker after putting bytes on the
-    /// wire to it (universe wiring, active progress modes only — with no
-    /// installs the poke path is a read of an empty table).
-    pub(crate) fn install_peer_waker(&self, peer: usize, waker: Arc<Waker>) {
-        let mut table = self.peer_wakers.write();
-        if table.len() <= peer {
-            table.resize_with(peer + 1, || None);
-        }
-        table[peer] = Some(waker);
-    }
-
-    /// Wake whatever is parked on `peer`'s device, if wiring gave us its
-    /// waker.
-    fn poke_peer(&self, peer: usize) {
-        let w = self.peer_wakers.read().get(peer).and_then(Clone::clone);
-        if let Some(w) = w {
-            w.notify();
-        }
+    /// The waker this device's waiters and engine thread park on.
+    pub fn waker(&self) -> &Waker {
+        &self.waker
     }
 
     fn new_request(&self) -> Request {
         RequestState::new(self.next_req.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Clone the link `Arc` for `peer` under a transient table guard.
-    fn link_arc(&self, peer: usize) -> Option<Arc<Mutex<LinkState>>> {
-        let links = self.links.read();
-        let slot = links.get(peer)?.as_ref()?;
-        Some(Arc::clone(&slot.link))
+    /// Clone the slot `Arc` for `peer` under a transient table guard.
+    fn slot(&self, peer: usize) -> Option<Arc<LinkSlot>> {
+        self.links.read().get(peer)?.clone()
     }
 
     /// The window table shared with `peer`, if the link to it has one.
     /// This — what the link is, not any setting — selects the single-copy
     /// rendezvous; both ends of a link see the same answer.
     fn windows_to(&self, peer: usize) -> Option<Windows> {
-        let links = self.links.read();
-        links.get(peer)?.as_ref()?.windows.clone()
-    }
-
-    /// Remove the link slot for `peer` (its transport died).
-    fn drop_link(&self, peer: usize) {
-        if let Some(slot) = self.links.write().get_mut(peer) {
-            *slot = None;
-        }
+        self.slot(peer)?.windows.clone()
     }
 
     /// Queue a control frame on the link to `dst`, with the legacy error
     /// surface: dead peer → `PeerClosed`, never wired → `InvalidRank`.
     fn queue_frame_on_link(&self, dst: usize, bytes: Vec<u8>) -> MpcResult<()> {
-        if let Some(link) = self.link_arc(dst) {
-            link.lock().queue_bytes(bytes);
+        if let Some(slot) = self.slot(dst) {
+            slot.link.lock().queue_bytes(bytes);
             return Ok(());
         }
         if self.match_state.lock().is_dead(dst) {
@@ -579,7 +523,7 @@ impl Device {
                 rndv_ctl(dst_global, true),
             );
         }
-        self.progress()?;
+        self.pass(Policy::RANK);
         Ok(req)
     }
 
@@ -660,7 +604,7 @@ impl Device {
         if let Some(d) = reply {
             self.run_deferred(d)?;
         }
-        self.progress()?;
+        self.pass(Policy::RANK);
         Ok(req)
     }
 
@@ -732,8 +676,8 @@ impl Device {
                 len,
                 done,
             } => {
-                if let Some(link) = self.link_arc(dst) {
-                    let mut link = link.lock();
+                if let Some(slot) = self.slot(dst) {
+                    let mut link = slot.link.lock();
                     link.queue_bytes(header);
                     link.queue_raw(ptr as *const u8, len, Some(done));
                 } else {
@@ -764,7 +708,7 @@ impl Device {
         // window valid until `recv.req` completes — after this copy; the
         // two windows are distinct live buffers of two ranks.
         let pulled = unsafe { windows.pull(env.sreq, recv.ptr as *mut u8, recv.cap) };
-        let (Some(total), Some(link)) = (pulled, self.link_arc(gsrc)) else {
+        let (Some(total), Some(slot)) = (pulled, self.slot(gsrc)) else {
             recv.req.fail(gsrc);
             return;
         };
@@ -784,7 +728,8 @@ impl Device {
             n as u64 | MSG_RNDV_FLAG,
         );
         recv.req.set_status(env.src, env.tag, n);
-        link.lock()
+        slot.link
+            .lock()
             .queue_bytes_completing(packet::encode_sync_ack(env.sreq), recv.req);
     }
 
@@ -792,11 +737,11 @@ impl Device {
     // Probe
     // ------------------------------------------------------------------
 
-    /// Non-blocking probe: status of the first matching unexpected message,
-    /// without consuming it. Like a receive, a probe for a peer whose link
-    /// is gone (and that left nothing buffered) fails with `PeerClosed`.
-    pub fn iprobe(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
-        self.progress()?;
+    /// Status of the first matching unexpected message, without consuming
+    /// it and without driving progress. Like a receive, a probe for a peer
+    /// whose link is gone (and that left nothing buffered) fails with
+    /// `PeerClosed`.
+    pub(crate) fn peek(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
         let ms = self.match_state.lock();
         self.metrics
             .add(Metric::MatchAttempts, ms.unexpected.len() as u64);
@@ -817,114 +762,85 @@ impl Device {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Progress engine
-    // ------------------------------------------------------------------
-
-    /// One pump pass over every link. `nonblocking` skips links whose
-    /// mutex is held (their owner is already pumping them) — the steal
-    /// path, which must never serialize thief and owner on one link.
-    /// Returns `(anything_moved, requests_completed)`.
-    fn pass_inner(&self, nonblocking: bool) -> MpcResult<(bool, u64)> {
-        let mut moved = false;
-        let mut completions = 0u64;
-        let mut deferred: Vec<Deferred> = Vec::new();
-        let mut poke: Vec<usize> = Vec::new();
-        let nlinks = self.links.read().len();
-        for i in 0..nlinks {
-            // Rule 1: transient table guard — clone the Arc, drop the
-            // guard, then lock the link.
-            let link_arc = match self.link_arc(i) {
-                Some(l) => l,
-                None => continue,
-            };
-            let mut link = if nonblocking {
-                match link_arc.try_lock() {
-                    Some(guard) => guard,
-                    None => continue, // owner is pumping it; skip
-                }
-            } else {
-                link_arc.lock()
-            };
-            let out = link.pump_out();
-            let mut sink = DeviceSink {
-                dev: self,
-                deferred: &mut deferred,
-                completions: &mut completions,
-            };
-            let inn = link.pump_in(&mut sink);
-            match (out, inn) {
-                (Ok(a), Ok(b)) => {
-                    moved |= a | b;
-                    if a {
-                        // Bytes went onto the wire to peer `i`: poke its
-                        // parked engine/waiter (outside the link lock).
-                        poke.push(i);
-                    }
-                }
-                (Err(MpcError::Transport(_)), _) | (_, Err(MpcError::Transport(_))) => {
-                    // Peer gone: drop the link and fail every in-flight
-                    // operation bound to it so waiters surface
-                    // `MpcError::PeerClosed` instead of spinning forever.
-                    // That includes requests bound to windows still queued
-                    // on this link (post-CTS rendezvous data): they left
-                    // `pending_sends` when the CTS arrived, so only the
-                    // channel queue still knows them.
-                    for req in link.take_undelivered_reqs() {
-                        req.fail(i);
-                    }
-                    drop(link);
-                    self.drop_link(i);
-                    let mut ms = self.match_state.lock();
-                    self.fail_peer_ops(&mut ms, i);
-                    moved = true;
-                }
-                (Err(e), _) | (_, Err(e)) => return Err(e),
-            }
-        }
-        // Carry out what the handlers deferred: reply frames, pulls.
-        for d in deferred {
-            completions += matches!(d, Deferred::Pull { .. }) as u64;
-            // A reply to a peer that died meanwhile has nowhere to go.
-            let _ = self.run_deferred(d);
-            moved = true;
-        }
-        for peer in poke {
-            self.poke_peer(peer);
-        }
-        Ok((moved, completions))
+    /// Non-blocking probe: one pass, then a look at the unexpected queue.
+    pub fn iprobe(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
+        self.pass(Policy::RANK);
+        self.peek(src, tag, context)
     }
 
-    /// Pump every link once: flush outgoing queues, parse incoming bytes,
-    /// run protocol handlers. Returns `true` if anything moved.
-    pub fn progress(&self) -> MpcResult<bool> {
-        self.metrics.bump(Metric::ProgressPolls);
-        let (moved, _) = self.pass_inner(false)?;
-        if moved {
-            self.metrics.note_progress();
-            self.waker.notify();
-        }
-        Ok(moved)
-    }
+    // ------------------------------------------------------------------
+    // The progress pass
+    // ------------------------------------------------------------------
 
-    /// Batched progress: chain up to `max_passes` pump passes so frames
-    /// generated by pass *n* (CTS replies, rendezvous data windows,
-    /// sync-acks) flush in pass *n+1* of the *same* poll instead of
-    /// waiting for the next. Engine threads set `engine_thread` so the
-    /// time spent is attributed to [`Metric::ProgressEngineNanos`] — the
-    /// off-rank-thread share of the `progress` bucket.
-    pub fn progress_batched(&self, max_passes: usize, engine_thread: bool) -> MpcResult<bool> {
-        let t0 = if engine_thread {
-            Some(self.metrics.now_nanos())
-        } else {
-            None
-        };
+    /// The one progress hook. A sweep pumps every link — flush its
+    /// outgoing queue, parse what came in, run the protocol handlers —
+    /// then carries out what the handlers deferred; `policy` says whether
+    /// it waits for a held link, how many sweeps are chained while work
+    /// moves, and whose work it is. Returns whether anything moved.
+    ///
+    /// Moving bytes through a link, in either direction, wakes whatever is
+    /// parked at its other end. A link whose transport fails, or whose
+    /// peer sends what is not a frame, is dropped and every operation
+    /// bound to it fails with `PeerClosed`; the other links carry on.
+    pub fn pass(&self, policy: Policy) -> bool {
+        let t0 = (policy.attribute_to == Caller::Engine).then(|| self.metrics.now_nanos());
         let mut moved_any = false;
-        let mut total_completions = 0u64;
-        for _ in 0..max_passes.max(1) {
+        let mut completions = 0u64;
+        for _ in 0..policy.max_passes {
             self.metrics.bump(Metric::ProgressPolls);
-            let (moved, completions) = self.pass_inner(false)?;
-            total_completions += completions;
+            let mut moved = false;
+            let mut deferred: Vec<Deferred> = Vec::new();
+            let nlinks = self.links.read().len();
+            for peer in 0..nlinks {
+                // Rule 1: transient table guard — clone the Arc, drop the
+                // guard, then lock the link.
+                let Some(slot) = self.slot(peer) else {
+                    continue;
+                };
+                let held = if policy.blocking {
+                    Some(slot.link.lock())
+                } else {
+                    slot.link.try_lock()
+                };
+                let Some(mut link) = held else { continue }; // its holder pumps it
+                let out = link.pump_out();
+                let mut sink = DeviceSink {
+                    dev: self,
+                    deferred: &mut deferred,
+                    completions: &mut completions,
+                };
+                let inn = link.pump_in(&mut sink);
+                if let (Ok(wrote), Ok(read)) = (&out, &inn) {
+                    drop(link);
+                    if wrote | read {
+                        moved = true;
+                        if let Some(wake) = &slot.wake {
+                            wake.poke_peer();
+                        }
+                    }
+                    continue;
+                }
+                // Transport failed (peer gone) or what arrived is not a
+                // frame (the parser cannot find the next one): drop the
+                // link and fail every operation bound to it, so waiters
+                // surface `PeerClosed` instead of spinning forever. That
+                // includes windows still queued on it (post-CTS data left
+                // `pending_sends`; only the channel queue knows them).
+                for req in link.take_undelivered_reqs() {
+                    req.fail(peer);
+                }
+                drop(link);
+                self.links.write()[peer] = None;
+                self.fail_peer_ops(&mut self.match_state.lock(), peer);
+                moved = true;
+            }
+            // Carry out what the handlers deferred: reply frames, pulls.
+            for d in deferred {
+                completions += matches!(d, Deferred::Pull { .. }) as u64;
+                // A reply to a peer that died meanwhile has nowhere to go.
+                let _ = self.run_deferred(d);
+                moved = true;
+            }
             if !moved {
                 break;
             }
@@ -934,50 +850,18 @@ impl Device {
             self.metrics.note_progress();
             self.waker.notify();
         }
-        if total_completions > 0 {
-            self.metrics
-                .add(Metric::ProgressOpsCompleted, total_completions);
-            self.metrics.record(Hist::ProgressBatch, total_completions);
+        if policy.attribute_to != Caller::Rank && completions > 0 {
+            self.metrics.add(Metric::ProgressOpsCompleted, completions);
+            self.metrics.record(Hist::ProgressBatch, completions);
         }
         if let Some(t0) = t0 {
             let spent = self.metrics.now_nanos().saturating_sub(t0);
             self.metrics.add(Metric::ProgressEngineNanos, spent);
         }
-        Ok(moved_any)
-    }
-
-    /// Non-blocking progress pass: skips any link whose mutex is held.
-    /// Safe to call from *any* thread at any time — the entry point for
-    /// stolen progress.
-    pub fn try_progress(&self) -> MpcResult<bool> {
-        self.metrics.bump(Metric::ProgressPolls);
-        let (moved, completions) = self.pass_inner(true)?;
-        if moved {
-            if completions > 0 {
-                self.metrics.add(Metric::ProgressOpsCompleted, completions);
-            }
-            self.metrics.note_progress();
-            self.waker.notify();
-        }
-        Ok(moved)
-    }
-
-    /// A steal sweep entry: one non-blocking pass, counted.
-    pub(crate) fn steal_pass(&self) -> MpcResult<bool> {
-        let moved = self.try_progress()?;
-        if moved {
+        if policy.attribute_to == Caller::Thief && moved_any {
             self.metrics.bump(Metric::ProgressSteals);
         }
-        Ok(moved)
-    }
-
-    /// Run one steal sweep over the installed steal set, if any.
-    fn steal_once(&self) -> bool {
-        let set = self.steal_set.lock().clone();
-        match set {
-            Some(s) => s.steal(self.rank),
-            None => false,
-        }
+        moved_any
     }
 
     /// Tear down everything that depended on the now-dead link to `peer`:
@@ -1022,56 +906,60 @@ impl Device {
         });
     }
 
-    /// Drive progress until `req` completes, invoking `yield_poll` each
-    /// lap — the hook where Motor parks for pending collections and where
-    /// the native baseline does nothing.
+    // ------------------------------------------------------------------
+    // The wait
+    // ------------------------------------------------------------------
+
+    /// The one wait loop: drive progress until `ready` yields, invoking
+    /// `yield_poll` each lap — the hook where Motor parks for pending
+    /// collections and where the native baseline does nothing. `what`
+    /// names the wait in its `DeviceWait` span (a request id, or 0).
     ///
-    /// When the backoff ladder reaches its sleep tier the wait parks on
-    /// the device waker instead of blind-sleeping, so a completion driven
-    /// by *any* thread (a progress engine, a stealing sibling) cuts the
-    /// sleep short instead of costing up to a full quantum of latency.
-    /// Once past the spin tier, the waiter also lends its cycles to
-    /// sibling devices when a steal set is installed.
-    pub fn wait_with(&self, req: &Request, mut yield_poll: impl FnMut()) -> MpcResult<Status> {
-        let wait = self.metrics.span(SpanKind::DeviceWait, req.id());
-        let mut backoff = motor_pal::Backoff::with_config(self.config.wait_backoff);
+    /// While passes move nothing the wait climbs the backoff ladder: spin,
+    /// then yield — lending its cycles to the steal set's other devices,
+    /// if it is in one — then park on the device waker. What cuts the
+    /// park short is what it can be waiting for: a completion driven by
+    /// another thread, or a peer that moved bytes on a link to this
+    /// device; the quantum only bounds a wake-up that never comes. A
+    /// wake-up sends the wait back to the bottom of the ladder.
+    pub(crate) fn wait_until<T>(
+        &self,
+        what: u64,
+        mut ready: impl FnMut() -> MpcResult<Option<T>>,
+        mut yield_poll: impl FnMut(),
+    ) -> MpcResult<T> {
+        let wait = self.metrics.span(SpanKind::DeviceWait, what);
+        let mut backoff = Backoff::with_config(self.config.wait_backoff);
         loop {
             yield_poll();
-            if req.is_complete() {
+            // Snapshot before looking: whatever happens after this line
+            // bumps the generation, so the park below returns at once
+            // rather than missing it.
+            let seen = self.waker.generation();
+            if let Some(got) = ready()? {
                 self.metrics.record(Hist::WaitNanos, wait.finish());
-                return Ok(req.status());
+                return Ok(got);
             }
-            if let Some(peer) = req.failed_peer() {
-                return Err(MpcError::PeerClosed(peer));
-            }
-            // Generation snapshot *before* the pass: progress made by
-            // another thread after this line bumps the generation, so the
-            // park below returns immediately rather than missing it.
-            let gen = self.waker.generation();
-            if self.progress()? || (backoff.is_yielding() && self.steal_once()) {
+            let steal = || self.steal_set.get().is_some_and(|s| s.steal(self.rank));
+            if self.pass(Policy::RANK) || (backoff.is_yielding() && steal()) {
                 wait.heartbeat();
                 backoff.reset();
                 continue;
             }
-            if !backoff.is_sleeping() {
-                backoff.snooze();
-            } else if self.pull_under_way() {
-                // A peer is copying out of one of our windows, or has and
-                // its FIN is in flight: completion is a `memcpy` away,
-                // and where nothing pokes this device's waker a park
-                // would sleep the whole quantum through it (the streamed
-                // conversation never gets here: its sender is busy
-                // feeding the link).
-                std::thread::yield_now();
-            } else {
-                let quantum = self
-                    .config
-                    .wait_backoff
-                    .sleep
-                    .unwrap_or(Duration::from_micros(100));
-                self.waker.wait_next(gen, quantum);
+            match backoff.park_quantum() {
+                None => backoff.snooze(),
+                Some(quantum) => {
+                    if self.waker.wait_next(seen, quantum) != seen {
+                        backoff.reset();
+                    }
+                }
             }
         }
+    }
+
+    /// Drive progress until `req` completes: the wait loop on its outcome.
+    pub fn wait_with(&self, req: &Request, yield_poll: impl FnMut()) -> MpcResult<Status> {
+        self.wait_until(req.id(), || req.outcome(), yield_poll)
     }
 
     /// Flush until a full pass moves nothing — the `MPI_Finalize`-style
@@ -1082,50 +970,46 @@ impl Device {
     /// sockets under backpressure, fault-injected simulation links) those
     /// frames would otherwise never reach the peer.
     pub fn drain(&self) -> MpcResult<()> {
-        while self.progress()? {}
+        while self.pass(Policy::RANK) {}
         Ok(())
     }
 
-    /// What a rank does before the memory its sends read from goes away
-    /// (its heap, at the end of its body): [`Device::drain`], then end
-    /// every send still awaiting its peer — revoke its window, forget it.
-    /// Their requests never complete; nobody is left to wait on them. A
-    /// receive that matches one afterwards fails with `PeerClosed` where
-    /// windows are pulled; a late CTS finds no send and is ignored.
+    /// What a rank does before the memory its operations point into goes
+    /// away (its heap, at the end of its body): [`Device::drain`], then
+    /// end every operation still awaiting its peer. Their requests never
+    /// complete; nobody is left to wait on them. Sends: revoke the window,
+    /// forget the send — a receive that matches one afterwards fails with
+    /// `PeerClosed` where windows are pulled, a late CTS finds no send and
+    /// is ignored. Receives: forget the posted and the matched ones and
+    /// cut off a stream already landing — a late eager frame or RTS goes
+    /// to the unexpected queue, late rendezvous data is read and dropped,
+    /// never written through the stale pointer.
     pub fn finalize(&self) -> MpcResult<()> {
         let drained = self.drain();
-        let forgotten = std::mem::take(&mut self.match_state.lock().pending_sends);
+        let mut ms = self.match_state.lock();
+        let forgotten = (
+            std::mem::take(&mut ms.pending_sends),
+            std::mem::take(&mut ms.posted),
+            std::mem::take(&mut ms.active_recvs),
+        );
+        drop(ms);
         drop(forgotten);
+        // With `active_recvs` empty no stream finds a destination any
+        // more; the ones that already have are cut off here.
+        let slots: Vec<Arc<LinkSlot>> = self.links.read().iter().flatten().cloned().collect();
+        for slot in slots {
+            slot.link.lock().discard_stream();
+        }
         drained
-    }
-
-    /// Whether a peer is copying out of a window this device exposed, or
-    /// has and its FIN has not arrived yet.
-    fn pull_under_way(&self) -> bool {
-        let ms = self.match_state.lock();
-        ms.pending_sends
-            .values()
-            .filter_map(|ps| ps.window.as_ref())
-            .any(Exposure::pull_under_way)
     }
 
     /// Test without blocking; returns the status if complete.
     pub fn test(&self, req: &Request) -> MpcResult<Option<Status>> {
-        if req.is_complete() {
-            return Ok(Some(req.status()));
+        if let Some(st) = req.outcome()? {
+            return Ok(Some(st));
         }
-        if let Some(peer) = req.failed_peer() {
-            return Err(MpcError::PeerClosed(peer));
-        }
-        self.progress()?;
-        if let Some(peer) = req.failed_peer() {
-            return Err(MpcError::PeerClosed(peer));
-        }
-        Ok(if req.is_complete() {
-            Some(req.status())
-        } else {
-            None
-        })
+        self.pass(Policy::RANK);
+        req.outcome()
     }
 
     /// Diagnostics: lengths of the device queues
@@ -1265,6 +1149,7 @@ mod tests {
     use crate::channel::LinkState;
     use motor_pal::link::{shm_pair, tcp_pair};
     use motor_pal::BoxedLink;
+    use std::time::Duration;
 
     /// What the two devices of a [`duo_on`] are wired with. The link is
     /// the only thing that selects a rendezvous conversation: `Shm` ends
@@ -1328,8 +1213,8 @@ mod tests {
 
     fn drive(d0: &Device, d1: &Device) {
         for _ in 0..10_000 {
-            let a = d0.progress().unwrap();
-            let b = d1.progress().unwrap();
+            let a = d0.pass(Policy::RANK);
+            let b = d1.pass(Policy::RANK);
             if !a && !b {
                 return;
             }
@@ -1489,7 +1374,7 @@ mod tests {
         let s = send(&d0, 0, env(0, 0, 4), &data[..64], false).unwrap();
         let mut buf = [0u8; 64];
         let r = recv(&d0, 0, 4, 0, &mut buf[..64]).unwrap();
-        d0.progress().unwrap();
+        d0.pass(Policy::RANK);
         assert!(s.is_complete() && r.is_complete());
         assert_eq!(buf, [5u8; 64]);
     }
@@ -1546,7 +1431,7 @@ mod tests {
         send(&d0, 1, env(0, 0, 1), &data[..50], false).unwrap();
         // d1 drives both sides here because shm links need no peer pump —
         // but the sender must flush; pump it once.
-        d0.progress().unwrap();
+        d0.pass(Policy::RANK);
         let mut polls = 0;
         let st = d1
             .wait_with(&rreq, || {
@@ -1600,8 +1485,8 @@ mod tests {
                 if rreq.is_complete() {
                     break;
                 }
-                d1c.progress_batched(4, true).unwrap();
-                d0c.progress_batched(4, true).unwrap();
+                d1c.pass(Policy::ENGINE);
+                d0c.pass(Policy::ENGINE);
             }
             assert!(rreq.is_complete());
             assert_eq!(buf, vec![0x42u8; 4096]);
@@ -1627,8 +1512,6 @@ mod tests {
         let set = ProgressSet::new();
         set.register(&d0);
         set.register(&d1);
-        d0.install_steal_set(Arc::clone(&set));
-        d1.install_steal_set(Arc::clone(&set));
 
         let data = vec![0x5Au8; 8192];
         let sreq = send(&d0, 1, env(0, 0, 3), &data, false).unwrap();
@@ -1650,11 +1533,11 @@ mod tests {
         );
     }
 
-    /// Completion batching: one batched poll on each side finishes a full
-    /// rendezvous (RTS→copy→FIN), where single passes would need a poll
+    /// Completion batching: one engine pass on each side finishes a full
+    /// rendezvous (RTS→copy→FIN), where single sweeps would need a call
     /// per protocol leg.
     #[test]
-    fn progress_batched_completes_rendezvous_in_one_poll() {
+    fn engine_pass_completes_rendezvous_in_one_call() {
         let (d0, d1) = duo_with(DeviceConfig {
             eager_threshold: 64,
             ..DeviceConfig::default()
@@ -1664,17 +1547,17 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let rreq = recv(&d1, 0, 8, 0, &mut buf).unwrap();
         // RTS flushed by the send's own pass and matched by the receive's
-        // (which copies and queues the FIN); one batched poll per side:
+        // (which copies and queues the FIN); one engine pass per side:
         // d1 flushes the FIN and completes, d0 completes on it.
-        d1.progress_batched(4, false).unwrap();
-        d0.progress_batched(4, false).unwrap();
-        assert!(sreq.is_complete(), "sender done after its batched poll");
+        d1.pass(Policy::ENGINE);
+        d0.pass(Policy::ENGINE);
+        assert!(sreq.is_complete(), "sender done after its engine pass");
         assert!(rreq.is_complete(), "receiver done once the FIN left");
         assert_eq!(buf, data);
         let snap = d0.metrics().snapshot();
         assert!(
             snap.get(Metric::ProgressOpsCompleted) >= 1,
-            "batched completions are counted"
+            "engine completions are counted"
         );
     }
 
@@ -1699,9 +1582,9 @@ mod tests {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    d0.progress_batched(4, true).unwrap();
-                    d1.progress_batched(4, true).unwrap();
-                    d2.progress_batched(4, true).unwrap();
+                    d0.pass(Policy::ENGINE);
+                    d1.pass(Policy::ENGINE);
+                    d2.pass(Policy::ENGINE);
                 }
             })
         };
@@ -1780,8 +1663,8 @@ mod tests {
             if done() {
                 return;
             }
-            d0.progress().unwrap();
-            d1.progress().unwrap();
+            d0.pass(Policy::RANK);
+            d1.pass(Policy::RANK);
         }
         panic!("devices did not get there");
     }
@@ -1922,8 +1805,8 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 while !stop.load(Ordering::Acquire) {
-                    d0.progress_batched(4, true).unwrap();
-                    d1.progress_batched(4, true).unwrap();
+                    d0.pass(Policy::ENGINE);
+                    d1.pass(Policy::ENGINE);
                 }
             });
             let sender = s.spawn(|| {
@@ -1962,36 +1845,100 @@ mod tests {
         assert_path(wire, &d0, &d1, (ROUNDS * WINDOW) as u64);
     }
 
-    /// A sender whose window has been pulled is a frame away from done:
-    /// its wait must not park for a sleep quantum nobody will cut short
-    /// (no engine, no pokes here). The quantum is an hour, so a park hangs
-    /// the test; the FIN leaves the receiver only on the wait's 50th lap.
+    /// A frame header that names no packet kind leaves the parser with no
+    /// way to find the next frame: the link is dropped like a dead
+    /// transport — rank 1's operations fail cleanly, nothing is wedged —
+    /// and the link to rank 2 keeps delivering.
     #[test]
-    fn waiter_does_not_park_while_its_window_is_pulled() {
-        let (d0, d1) = duo_with(DeviceConfig {
-            wait_backoff: motor_pal::BackoffConfig {
-                spin_limit: 0,
-                yield_limit: 0,
-                sleep: Some(Duration::from_secs(3600)),
-            },
-            ..small_threshold()
-        });
-        let data = pattern(10_000, 9);
-        let sreq = send(&d0, 1, env(0, 0, 5), &data, false).unwrap();
-        let mut buf = vec![0u8; 10_000];
-        // The receive's own pass pulls and queues the FIN, unflushed.
-        let rreq = recv(&d1, 0, 5, 0, &mut buf).unwrap();
-        assert!(!rreq.is_complete() && !sreq.is_complete());
-        let mut laps = 0;
-        d0.wait_with(&sreq, || {
-            laps += 1;
-            if laps == 50 {
-                d1.progress().unwrap();
-            }
-        })
-        .unwrap();
-        assert!(laps >= 50 && rreq.is_complete());
+    fn corrupt_frame_header_drops_that_link_only() {
+        let d0 = Device::new(0, DeviceConfig::default());
+        let d2 = Device::new(2, DeviceConfig::default());
+        // Rank 1 is played by a bare channel end that sends garbage.
+        let (a, b) = shm_pair(64 * 1024);
+        d0.set_link(1, LinkState::new(Box::new(a)));
+        let mut rank1 = LinkState::new(Box::new(b));
+        let (c, d) = shm_pair(64 * 1024);
+        d0.set_link(2, LinkState::new(Box::new(c)));
+        d2.set_link(0, LinkState::new(Box::new(d)));
+
+        let mut from1 = [0u8; 8];
+        let doomed_recv = recv(&d0, 1, 1, 0, &mut from1).unwrap();
+        let payload = [1u8; 8];
+        let doomed_send = send(&d0, 1, env(0, 0, 2), &payload, true).unwrap();
+        rank1.queue_bytes(vec![9, 0, 0, 0, 0xEE, 1, 2, 3, 4, 5, 6, 7, 8]);
+        rank1.pump_out().unwrap();
+
+        assert!(d0.pass(Policy::RANK), "dropping a link is movement");
+        for doomed in [&doomed_recv, &doomed_send] {
+            assert!(matches!(
+                d0.wait_with(doomed, || {}),
+                Err(MpcError::PeerClosed(1))
+            ));
+        }
+        assert_eq!(d0.metrics().snapshot().get(Metric::LinksDropped), 1);
+        assert!(matches!(
+            send(&d0, 1, env(0, 0, 3), &payload, false),
+            Err(MpcError::PeerClosed(1))
+        ));
+
+        let data = [7u8; 32];
+        let mut buf = [0u8; 32];
+        let r = recv(&d0, 2, 4, 0, &mut buf).unwrap();
+        send(&d2, 0, env(2, 2, 4), &data, false).unwrap();
+        drive(&d0, &d2);
+        assert!(r.is_complete());
         assert_eq!(buf, data);
+    }
+
+    /// A shm end that keeps its window table to itself: rendezvous is
+    /// streamed through the ring, a ring's worth per pass.
+    struct Streamed(motor_pal::link::ShmLink);
+
+    impl motor_pal::ByteLink for Streamed {
+        fn try_write(&mut self, src: &[u8]) -> motor_pal::PalResult<usize> {
+            self.0.try_write(src)
+        }
+        fn try_read(&mut self, dst: &mut [u8]) -> motor_pal::PalResult<usize> {
+            self.0.try_read(dst)
+        }
+        fn is_closed(&self) -> bool {
+            self.0.is_closed()
+        }
+    }
+
+    /// Rank teardown, receive side: once a rank has finalised, nothing is
+    /// written into the memory its receives named. A posted receive is
+    /// forgotten (the late message lands in the unexpected queue), and a
+    /// streamed rendezvous already matched and half landed is read to its
+    /// end and dropped.
+    #[test]
+    fn finalized_receiver_windows_are_never_written() {
+        let d0 = Device::new(0, small_threshold());
+        let d1 = Device::new(1, small_threshold());
+        let (a, b) = shm_pair(4096);
+        d0.set_link(1, LinkState::new(Box::new(Streamed(a))));
+        d1.set_link(0, LinkState::new(Box::new(Streamed(b))));
+
+        let mut posted = vec![0u8; 64];
+        let mut matched = vec![0u8; 20_000];
+        let r_posted = recv(&d1, 0, 1, 0, &mut posted).unwrap();
+        let r_matched = recv(&d1, 0, 2, 0, &mut matched).unwrap();
+        let big = pattern(20_000, 11);
+        let s_big = send(&d0, 1, env(0, 0, 2), &big, false).unwrap();
+        // RTS over, CTS back, and the first ring's worth has landed.
+        drive_until(&d0, &d1, || matched[0] == big[0]);
+        assert_eq!(d1.queue_depths(), (1, 0, 0, 1), "mid-stream");
+        d1.finalize().unwrap();
+        assert_eq!(d1.queue_depths(), (0, 0, 0, 0), "forgotten");
+        let landed = matched.clone();
+
+        let small = pattern(64, 12);
+        send(&d0, 1, env(0, 0, 1), &small, false).unwrap();
+        drive_until(&d0, &d1, || s_big.is_complete() && d1.queue_depths().1 == 1);
+        assert_eq!(posted, vec![0u8; 64], "late eager went to the queue");
+        assert!(matched == landed, "the rest of the stream was dropped");
+        assert!(matched != big);
+        assert!(!r_posted.is_complete() && !r_matched.is_complete());
     }
 
     /// Rank teardown: a rendezvous send nobody waited for must not leave

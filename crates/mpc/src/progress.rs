@@ -1,157 +1,125 @@
-//! The asynchronous progress engine.
+//! Who drives communication progress, and how.
 //!
-//! The base runtime only makes communication progress when *some* thread
-//! calls into the device — posting an operation, testing, or blocking in
-//! [`Device::wait_with`]. A rank that computes while transfers are in
-//! flight therefore leaves its device idle, which is exactly why the
-//! measured comm/compute overlap sits far below 1.0 (EXPERIMENTS.md).
-//! Following *MPI Progress For All* and *Examining MPI and its Extensions
-//! for Asynchronous Multithreaded Communication*, this module adds two
-//! asynchronous progress models on top of the lock-split device:
+//! There is one progress hook, [`Device::pass`], and one wait,
+//! `Device::wait_until`; every mode runs both, wired and woken the same
+//! way. A rank thread passes whenever it posts, tests or waits. That
+//! leaves a rank that computes while transfers are in flight with an idle
+//! device, so — following *MPI Progress For All* and *Examining MPI and
+//! its Extensions for Asynchronous Multithreaded Communication* — a
+//! [`ProgressMode`] may add *somebody else* who calls the same pass:
 //!
 //! * **`thread`** — a dedicated progress thread per device
-//!   ([`ProgressEngine`]). Each thread runs batched pump passes
-//!   ([`Device::progress_batched`]) while work moves and parks on the
-//!   device's completion [`Waker`] when idle, so an idle engine costs a
-//!   parked thread, not a spinning core.
-//! * **`steal`** — `poke`-style stealable progress ([`ProgressSet`]): any
-//!   rank thread parked in a wait drives its *siblings'* devices with
-//!   non-blocking passes ([`Device::try_progress`]), so one blocked rank
-//!   lends its cycles to ranks that are busy computing.
+//!   ([`ProgressEngine`]), chaining passes while work moves and parking
+//!   on the device's waker when it goes quiet;
+//! * **`steal`** — every rank thread parked in a wait lends its cycles to
+//!   its *siblings'* devices ([`ProgressSet`]), skipping any link whose
+//!   owner is already pumping it.
 //!
-//! Both models are **off by default**: mode `off` takes the exact legacy
-//! code path, which the progress-conformance suite pins bit-for-bit.
-//! Every engine entry point is also callable inline, which is how
-//! `SimNet` runs the whole engine under its seeded single-threaded
-//! scheduler — deterministic interleavings, no real threads.
+//! What differs between the callers is a [`Policy`], not a code path:
+//!
+//! | policy             | `blocking` | `max_passes` | `attribute_to` | caller |
+//! |--------------------|-----------|--------------|----------------|--------|
+//! | [`Policy::RANK`]   | yes       | 1            | `Rank`         | post, test, wait, drain on the owning rank |
+//! | [`Policy::ENGINE`] | yes       | 4            | `Engine`       | the progress thread |
+//! | [`Policy::STEAL`]  | no        | 1            | `Thief`        | a sibling's parked waiter |
+//!
+//! Nobody polls on a timer: a pass that moved bytes through a link wakes
+//! whatever is parked at its other end (`motor_pal::poll`), and a park
+//! quantum only bounds a wake-up that never comes. Every caller is also
+//! callable inline, which is how `SimNet` runs all three modes under its
+//! seeded single-threaded scheduler.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::device::Device;
 
-/// How communication progress is driven while rank threads compute.
+/// Who, besides the rank thread itself, drives a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// No asynchronous progress: the device moves only when a rank thread
-    /// calls into it (post/test/wait). The legacy behavior, bit-for-bit.
+    /// Nobody: the device moves only when its rank thread calls into it
+    /// (post/test/wait).
     #[default]
     Off,
     /// One dedicated progress thread per device.
     Thread,
-    /// Stealable progress: threads parked in waits pump sibling devices.
+    /// Threads parked in waits pump sibling devices.
     Steal,
 }
 
-/// Progress-engine tuning. Build with [`ProgressConfig::thread`] /
-/// [`ProgressConfig::steal`] or parse the `MOTOR_PROGRESS` environment
-/// variable with [`ProgressConfig::from_env`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressConfig {
-    /// The progress model.
-    pub mode: ProgressMode,
-    /// Maximum pump passes one batched engine poll chains together
-    /// (completion batching: a CTS reply queued by pass *n* is flushed by
-    /// pass *n+1* in the same poll instead of waiting for the next one).
-    pub max_batch_passes: usize,
-    /// How long an idle engine thread parks on the device waker before
-    /// re-polling. New local work notifies the waker, so this bounds only
-    /// the latency of *remotely* originated traffic reaching an idle
-    /// device.
-    pub idle_park: Duration,
-}
-
-/// Default batched passes per engine poll.
-pub const DEFAULT_BATCH_PASSES: usize = 4;
-
-impl Default for ProgressConfig {
-    fn default() -> Self {
-        ProgressConfig::off()
-    }
-}
-
-impl ProgressConfig {
-    /// Asynchronous progress disabled (the default).
-    pub const fn off() -> Self {
-        ProgressConfig {
-            mode: ProgressMode::Off,
-            max_batch_passes: DEFAULT_BATCH_PASSES,
-            idle_park: Duration::from_micros(50),
-        }
-    }
-
-    /// A dedicated progress thread per device.
-    pub const fn thread() -> Self {
-        let mut cfg = Self::off();
-        cfg.mode = ProgressMode::Thread;
-        cfg
-    }
-
-    /// Stealable progress from threads parked in waits.
-    pub const fn steal() -> Self {
-        let mut cfg = Self::off();
-        cfg.mode = ProgressMode::Steal;
-        cfg
-    }
-
+impl ProgressMode {
     /// Parse `MOTOR_PROGRESS` (`thread`, `steal`, `off`; anything else is
     /// rejected loudly rather than silently ignored). Returns `None` when
     /// the variable is unset or empty.
-    pub fn from_env() -> Option<ProgressConfig> {
+    pub fn from_env() -> Option<ProgressMode> {
         let v = std::env::var("MOTOR_PROGRESS").ok()?;
         let v = v.trim();
         if v.is_empty() {
             return None;
         }
         match v.to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(Self::off()),
-            "thread" | "1" => Some(Self::thread()),
-            "steal" => Some(Self::steal()),
+            "off" | "0" | "none" => Some(ProgressMode::Off),
+            "thread" | "1" => Some(ProgressMode::Thread),
+            "steal" => Some(ProgressMode::Steal),
             other => panic!("MOTOR_PROGRESS: unknown mode {other:?} (use thread|steal|off)"),
         }
     }
 }
 
-/// The device's completion notifier: a generation counter bumped (and
-/// broadcast) whenever *any* thread makes progress on the device. Waiters
-/// park here instead of sleeping a blind backoff quantum, so a completion
-/// driven by a progress thread — or any other thread — wakes them
-/// immediately rather than after up to one full sleep interval.
-#[derive(Default)]
-pub(crate) struct Waker {
-    gen: Mutex<u64>,
-    cv: Condvar,
+/// On whose behalf a [`Device::pass`] runs — what its work is booked to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Caller {
+    /// The device's own rank thread: polls only.
+    Rank,
+    /// A progress thread: its time (`ProgressEngineNanos`, the
+    /// off-rank-thread share of the `progress` bucket) and completions.
+    Engine,
+    /// A sibling's parked waiter: completions, and `ProgressSteals`.
+    Thief,
 }
 
-impl Waker {
-    /// Current generation; pass it to [`Waker::wait_next`].
-    pub fn generation(&self) -> u64 {
-        *self.gen.lock()
-    }
-
-    /// Progress happened: advance the generation and wake every waiter.
-    pub fn notify(&self) {
-        let mut g = self.gen.lock();
-        *g = g.wrapping_add(1);
-        drop(g);
-        self.cv.notify_all();
-    }
-
-    /// Park until the generation moves past `seen` or `timeout` elapses.
-    /// Progress between reading `seen` and parking is never missed: the
-    /// generation is re-checked under the lock. Returns the generation
-    /// observed on wakeup.
-    pub fn wait_next(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut g = self.gen.lock();
-        if *g == seen {
-            let _ = self.cv.wait_for(&mut g, timeout);
-        }
-        *g
-    }
+/// How one caller runs [`Device::pass`]. Callers pick a constant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
+    /// Wait for a link whose lock is held (`true`), or skip it: its
+    /// holder is pumping it, and waiting would serialize the two on
+    /// exactly the lock the split removed (`false`).
+    pub blocking: bool,
+    /// Chain up to this many sweeps while work moves, so a reply queued
+    /// by sweep *n* (CTS, rendezvous data, sync-ack) leaves in sweep
+    /// *n+1* of the same call instead of waiting for the next one.
+    pub max_passes: usize,
+    /// Whose work this is.
+    pub attribute_to: Caller,
 }
+
+impl Policy {
+    /// The owning rank thread: one blocking sweep.
+    pub const RANK: Policy = Policy {
+        blocking: true,
+        max_passes: 1,
+        attribute_to: Caller::Rank,
+    };
+    /// A progress thread: up to four chained blocking sweeps.
+    pub const ENGINE: Policy = Policy {
+        blocking: true,
+        max_passes: 4,
+        attribute_to: Caller::Engine,
+    };
+    /// A stealing sibling: one sweep that skips held links.
+    pub const STEAL: Policy = Policy {
+        blocking: false,
+        max_passes: 1,
+        attribute_to: Caller::Thief,
+    };
+}
+
+/// How long an idle engine thread parks before looking again: the bound
+/// on traffic from a peer that cannot poke this device's waker.
+const IDLE_PARK: Duration = Duration::from_micros(50);
 
 /// The steal registry: every device in a universe, so a thread parked in
 /// one rank's wait can drive the others' pending operations.
@@ -166,92 +134,69 @@ impl ProgressSet {
         Arc::new(ProgressSet::default())
     }
 
-    /// Add a device to the steal pool.
-    pub fn register(&self, device: &Arc<Device>) {
+    /// Add a device to the steal pool: waiters parked on it will pump the
+    /// set's other members, and vice versa.
+    pub fn register(self: &Arc<Self>, device: &Arc<Device>) {
         self.devices.lock().push(Arc::downgrade(device));
+        let _ = device.steal_set.set(Arc::clone(self));
     }
 
-    /// One steal sweep on behalf of rank `thief`: a single non-blocking
-    /// pump pass over every *other* live device, skipping any link whose
-    /// lock its owner already holds (the owner is pumping it — blocking
-    /// here would serialize thief and owner on exactly the lock the split
-    /// removed). Returns whether anything moved anywhere.
+    /// One steal sweep on behalf of rank `thief`: a [`Policy::STEAL`]
+    /// pass over every *other* live device. Returns whether anything
+    /// moved anywhere.
     pub fn steal(&self, thief: usize) -> bool {
-        let victims: Vec<Arc<Device>> = {
-            let devices = self.devices.lock();
-            devices.iter().filter_map(Weak::upgrade).collect()
-        };
-        let mut moved = false;
-        for victim in victims {
-            if victim.rank() == thief {
-                continue;
-            }
-            if victim.steal_pass().unwrap_or(false) {
-                moved = true;
-            }
-        }
-        moved
+        let live: Vec<Arc<Device>> = self
+            .devices
+            .lock()
+            .iter()
+            .filter_map(Weak::upgrade)
+            .collect();
+        live.iter()
+            .filter(|victim| victim.rank() != thief)
+            .fold(false, |moved, victim| victim.pass(Policy::STEAL) | moved)
     }
 }
 
 /// Dedicated progress threads, one per attached device. Threads run
-/// batched pump passes while work moves and park on the device waker when
-/// the device goes quiet; [`ProgressEngine::stop`] parks them permanently
-/// and joins.
+/// [`Policy::ENGINE`] passes while work moves and park on the device waker
+/// when the device goes quiet; [`ProgressEngine::stop`] wakes and joins
+/// them.
+#[derive(Default)]
 pub struct ProgressEngine {
-    config: ProgressConfig,
     stop: Arc<AtomicBool>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    devices: Mutex<Vec<Arc<Device>>>,
+    threads: Mutex<Vec<(Arc<Device>, std::thread::JoinHandle<()>)>>,
 }
 
 impl ProgressEngine {
-    /// An engine with no threads yet; [`attach`](Self::attach) devices.
-    pub fn new(config: ProgressConfig) -> ProgressEngine {
-        ProgressEngine {
-            config,
-            stop: Arc::new(AtomicBool::new(false)),
-            threads: Mutex::new(Vec::new()),
-            devices: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Spawn the progress thread for `device`.
     pub fn attach(&self, device: Arc<Device>) {
         let stop = Arc::clone(&self.stop);
-        let cfg = self.config;
-        self.devices.lock().push(Arc::clone(&device));
+        let parked_on = Arc::clone(&device);
         let handle = std::thread::Builder::new()
             .name(format!("motor-progress-{}", device.rank()))
             .spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    let gen = device.progress_generation();
-                    let moved = device
-                        .progress_batched(cfg.max_batch_passes, true)
-                        .unwrap_or(false);
-                    if !moved {
-                        // Quiet device: park until local activity (a post,
-                        // a pump that moved) notifies, or the idle-park
-                        // interval elapses — the poll cadence for traffic
-                        // that originates at a remote peer.
-                        device.park_until_progress(gen, cfg.idle_park);
+                    let seen = device.waker().generation();
+                    if !device.pass(Policy::ENGINE) {
+                        // Quiet device: park until a post, a pass that
+                        // moved, or a peer that moved bytes on one of our
+                        // links notifies.
+                        device.waker().wait_next(seen, IDLE_PARK);
                     }
                 }
             })
             .expect("spawn progress thread");
-        self.threads.lock().push(handle);
+        self.threads.lock().push((parked_on, handle));
     }
 
     /// Stop and join every progress thread. Idempotent.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
-        // Parked threads re-check the flag as soon as their waker fires.
-        for d in self.devices.lock().iter() {
-            d.notify_progress();
-        }
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        let threads: Vec<_> = self.threads.lock().drain(..).collect();
+        for (device, handle) in threads {
+            // A parked thread re-checks the flag as soon as its waker fires.
+            device.waker().notify();
+            let _ = handle.join();
         }
     }
 }
@@ -267,50 +212,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn waker_generation_advances_and_wakes() {
-        let w = Arc::new(Waker::default());
-        let g0 = w.generation();
-        let w2 = Arc::clone(&w);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            w2.notify();
-        });
-        // A long timeout that the notify must cut short.
-        let g1 = w.wait_next(g0, Duration::from_secs(30));
-        t.join().unwrap();
-        assert_eq!(g1, g0 + 1);
-    }
-
-    #[test]
-    fn waker_never_misses_a_pre_wait_notify() {
-        let w = Waker::default();
-        let g0 = w.generation();
-        w.notify();
-        // Generation already moved: returns immediately, no timeout burn.
-        let start = std::time::Instant::now();
-        let g1 = w.wait_next(g0, Duration::from_secs(30));
-        assert!(g1 > g0);
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
     fn from_env_parses_all_modes() {
-        // Serialized via env guard: these tests run in one process.
+        // One test owns the variable: tests run in one process.
         std::env::set_var("MOTOR_PROGRESS", "thread");
-        assert_eq!(
-            ProgressConfig::from_env().unwrap().mode,
-            ProgressMode::Thread
-        );
+        assert_eq!(ProgressMode::from_env(), Some(ProgressMode::Thread));
         std::env::set_var("MOTOR_PROGRESS", "STEAL");
-        assert_eq!(
-            ProgressConfig::from_env().unwrap().mode,
-            ProgressMode::Steal
-        );
+        assert_eq!(ProgressMode::from_env(), Some(ProgressMode::Steal));
         std::env::set_var("MOTOR_PROGRESS", "off");
-        assert_eq!(ProgressConfig::from_env().unwrap().mode, ProgressMode::Off);
+        assert_eq!(ProgressMode::from_env(), Some(ProgressMode::Off));
         std::env::set_var("MOTOR_PROGRESS", "");
-        assert!(ProgressConfig::from_env().is_none());
+        assert!(ProgressMode::from_env().is_none());
         std::env::remove_var("MOTOR_PROGRESS");
-        assert!(ProgressConfig::from_env().is_none());
+        assert!(ProgressMode::from_env().is_none());
     }
 }

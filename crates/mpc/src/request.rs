@@ -8,6 +8,8 @@
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::error::{MpcError, MpcResult};
+
 /// Completion metadata of a finished receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Status {
@@ -106,6 +108,18 @@ impl RequestState {
     pub fn failed_peer(&self) -> Option<usize> {
         let p = self.failed_peer.load(Ordering::Acquire);
         (p >= 0).then_some(p as usize)
+    }
+
+    /// How the operation ended, if it has: its status, or `PeerClosed`
+    /// for the peer whose link failure doomed it.
+    pub fn outcome(&self) -> MpcResult<Option<Status>> {
+        if self.is_complete() {
+            Ok(Some(self.status()))
+        } else if let Some(peer) = self.failed_peer() {
+            Err(MpcError::PeerClosed(peer))
+        } else {
+            Ok(None)
+        }
     }
 
     /// Completion status (valid once complete).

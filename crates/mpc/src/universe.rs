@@ -20,7 +20,7 @@ use crate::comm::Comm;
 use crate::device::{Device, DeviceConfig};
 use crate::error::{MpcError, MpcResult};
 use crate::packet::Envelope;
-use crate::progress::{ProgressConfig, ProgressEngine, ProgressMode, ProgressSet};
+use crate::progress::{ProgressEngine, ProgressMode, ProgressSet};
 use crate::request::{Request, Status};
 
 /// Which PAL transport connects ranks.
@@ -50,10 +50,11 @@ pub struct UniverseConfig {
     /// When set, overrides [`channel`](Self::channel): every link pair
     /// comes from this factory instead.
     pub link_factory: Option<LinkFactory>,
-    /// Asynchronous progress model. When left at the default (`off`), the
-    /// `MOTOR_PROGRESS` environment variable is consulted instead, so
-    /// deployments can switch modes without a rebuild.
-    pub progress: ProgressConfig,
+    /// Who besides the rank threads drives the devices. When left at the
+    /// default (`Off`), the `MOTOR_PROGRESS` environment variable is
+    /// consulted instead, so deployments can switch modes without a
+    /// rebuild.
+    pub progress: ProgressMode,
 }
 
 impl std::fmt::Debug for UniverseConfig {
@@ -75,7 +76,7 @@ impl Default for UniverseConfig {
             ring_capacity: 256 * 1024,
             device: DeviceConfig::default(),
             link_factory: None,
-            progress: ProgressConfig::off(),
+            progress: ProgressMode::Off,
         }
     }
 }
@@ -88,9 +89,9 @@ struct UniverseInner {
     ctx_alloc: Arc<AtomicU32>,
     /// Join handles of dynamically spawned processes.
     children: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Resolved progress model (config, else `MOTOR_PROGRESS`).
-    progress: ProgressConfig,
-    /// Dedicated progress threads (mode `thread`; idle otherwise).
+    /// Resolved progress mode (config, else `MOTOR_PROGRESS`).
+    progress: ProgressMode,
+    /// Dedicated progress threads (mode `thread`; none otherwise).
     engine: ProgressEngine,
     /// Steal pool every device joins in mode `steal`.
     steal: Arc<ProgressSet>,
@@ -141,12 +142,11 @@ impl Proc {
 
 impl Universe {
     fn new(config: UniverseConfig) -> Universe {
-        // Explicit non-default config wins; a config left at `off` defers
-        // to `MOTOR_PROGRESS` (mirrors the doctor's from_env fallback).
-        let progress = if config.progress.mode != ProgressMode::Off {
-            config.progress
-        } else {
-            ProgressConfig::from_env().unwrap_or(config.progress)
+        // An explicit mode wins; a config left at `Off` defers to
+        // `MOTOR_PROGRESS` (mirrors the doctor's from_env fallback).
+        let progress = match config.progress {
+            ProgressMode::Off => ProgressMode::from_env().unwrap_or_default(),
+            explicit => explicit,
         };
         Universe {
             inner: Arc::new(UniverseInner {
@@ -156,15 +156,10 @@ impl Universe {
                 ctx_alloc: Arc::new(AtomicU32::new(2)),
                 children: Mutex::new(Vec::new()),
                 progress,
-                engine: ProgressEngine::new(progress),
+                engine: ProgressEngine::default(),
                 steal: ProgressSet::new(),
             }),
         }
-    }
-
-    /// The resolved progress configuration (explicit or `MOTOR_PROGRESS`).
-    pub fn progress_config(&self) -> ProgressConfig {
-        self.inner.progress
     }
 
     fn make_link_pair(
@@ -197,20 +192,12 @@ impl Universe {
         for i in 0..count {
             fresh.push(Device::new(base + i, self.inner.config.device.clone()));
         }
-        // With an active progress mode, wired peers can poke each other's
-        // wakers when they put bytes on the wire; mode `off` leaves the
-        // poke tables empty so the legacy path stays untouched.
-        let pokes = self.inner.progress.mode != ProgressMode::Off;
         // New ↔ existing links.
         for (i, nd) in fresh.iter().enumerate() {
             for (g, od) in devices.iter().enumerate() {
                 let (a, b) = Self::make_link_pair(&self.inner.config, base + i, g)?;
                 nd.set_link(g, a);
                 od.set_link(base + i, b);
-                if pokes {
-                    nd.install_peer_waker(g, od.waker_handle());
-                    od.install_peer_waker(base + i, nd.waker_handle());
-                }
             }
         }
         // New ↔ new links.
@@ -219,24 +206,17 @@ impl Universe {
                 let (a, b) = Self::make_link_pair(&self.inner.config, base + i, base + j)?;
                 fresh[i].set_link(base + j, a);
                 fresh[j].set_link(base + i, b);
-                if pokes {
-                    fresh[i].install_peer_waker(base + j, fresh[j].waker_handle());
-                    fresh[j].install_peer_waker(base + i, fresh[i].waker_handle());
-                }
             }
         }
         devices.extend(fresh.iter().cloned());
-        // Asynchronous progress coverage — including dynamically spawned
+        // The mode's extra callers — including for dynamically spawned
         // processes, which get their engine thread / steal-pool membership
         // the moment they are wired.
         for nd in &fresh {
-            match self.inner.progress.mode {
+            match self.inner.progress {
                 ProgressMode::Off => {}
                 ProgressMode::Thread => self.inner.engine.attach(Arc::clone(nd)),
-                ProgressMode::Steal => {
-                    self.inner.steal.register(nd);
-                    nd.install_steal_set(Arc::clone(&self.inner.steal));
-                }
+                ProgressMode::Steal => self.inner.steal.register(nd),
             }
         }
         Ok(fresh)
@@ -773,7 +753,7 @@ mod tests {
     #[test]
     fn progress_thread_mode_runs_universe() {
         let cfg = UniverseConfig {
-            progress: ProgressConfig::thread(),
+            progress: ProgressMode::Thread,
             ..Default::default()
         };
         Universe::run_with(3, cfg, |proc| {
@@ -800,7 +780,7 @@ mod tests {
     #[test]
     fn progress_steal_mode_runs_universe() {
         let cfg = UniverseConfig {
-            progress: ProgressConfig::steal(),
+            progress: ProgressMode::Steal,
             ..Default::default()
         };
         Universe::run_with(4, cfg, |proc| {

@@ -20,10 +20,12 @@
 //! * [`window`] — exposed send windows: the table the two ends of an
 //!   in-process link share, through which a receiver copies bulk data
 //!   straight out of the sender's buffer instead of through the rings.
-//! * [`poll`] — the *polling-wait* primitive. Motor replaced MPICH2's
+//! * [`poll`] — the *polling-wait* primitives. Motor replaced MPICH2's
 //!   blocking system calls with a polling wait that periodically yields to
-//!   the garbage collector; [`poll::polling_wait`] is that loop, generic
-//!   over the "yield" callback.
+//!   the garbage collector; the backoff ladder, the generation
+//!   [`poll::Waker`] a wait parks on and the [`poll::WakeCells`] through
+//!   which moving bytes wakes the peer are the pieces that loop is built
+//!   from.
 //! * [`error`] — the PAL error type.
 
 pub mod clock;
@@ -36,4 +38,53 @@ pub mod window;
 pub use clock::{HostTicks, TickSource, VirtualClock};
 pub use error::{PalError, PalResult};
 pub use link::{shm_pair, tcp_pair, BoxedLink, ByteLink};
-pub use poll::{polling_wait, polling_wait_with, Backoff, BackoffConfig};
+pub use poll::{Backoff, BackoffConfig, WakeCells, Waker};
+
+#[cfg(test)]
+pub(crate) mod interleave {
+    //! Two real threads in a forced order: the harness the window table's
+    //! and the waker's interleaving tests share.
+    use std::sync::mpsc;
+
+    /// The first thread's handle on the second, which waits for its turn
+    /// and then runs once.
+    pub struct Turn {
+        give: mpsc::Sender<()>,
+        done: mpsc::Receiver<()>,
+    }
+
+    impl Turn {
+        /// Give the second thread its turn and wait until it has finished.
+        pub fn gate(&self) {
+            self.release();
+            self.done.recv().unwrap();
+        }
+
+        /// Give the second thread its turn and carry on: it runs
+        /// concurrently with whatever the first thread does next.
+        pub fn release(&self) {
+            self.give.send(()).unwrap();
+        }
+    }
+
+    /// Run `first` on this thread and `second` on one of its own, started
+    /// when `first` gives it its turn. Returns what both produced, after
+    /// both have finished.
+    pub fn two_threads<A, B: Send>(
+        first: impl FnOnce(&Turn) -> A,
+        second: impl FnOnce() -> B + Send,
+    ) -> (A, B) {
+        let (give, turn) = mpsc::channel();
+        let (finished, done) = mpsc::channel();
+        std::thread::scope(|s| {
+            let second = s.spawn(move || {
+                turn.recv().unwrap();
+                let b = second();
+                let _ = finished.send(());
+                b
+            });
+            let a = first(&Turn { give, done });
+            (a, second.join().unwrap())
+        })
+    }
+}

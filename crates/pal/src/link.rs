@@ -15,6 +15,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use crate::error::{PalError, PalResult};
+use crate::poll::WakeCells;
 use crate::ring::{ring, RingConsumer, RingProducer};
 use crate::window::Windows;
 
@@ -38,6 +39,15 @@ pub trait ByteLink: Send {
     fn windows(&self) -> Option<Windows> {
         None
     }
+
+    /// This end's handle on the wake cells it shares with its peer, if
+    /// both ends live in one process (see [`crate::poll`]): whoever moves
+    /// bytes through this end wakes what is parked on the other. A link
+    /// that leaves the process answers `None`, and its waits are bounded
+    /// by their park quantum alone.
+    fn wake_cells(&self) -> Option<WakeCells> {
+        None
+    }
 }
 
 /// Owned, type-erased link.
@@ -49,6 +59,7 @@ pub struct ShmLink {
     tx: RingProducer,
     rx: RingConsumer,
     windows: Windows,
+    wake: WakeCells,
 }
 
 /// Create a connected pair of in-process links with `capacity` bytes of
@@ -57,16 +68,19 @@ pub fn shm_pair(capacity: usize) -> (ShmLink, ShmLink) {
     let (a_tx, b_rx) = ring(capacity);
     let (b_tx, a_rx) = ring(capacity);
     let (a_win, b_win) = Windows::pair();
+    let (a_wake, b_wake) = WakeCells::pair();
     (
         ShmLink {
             tx: a_tx,
             rx: a_rx,
             windows: a_win,
+            wake: a_wake,
         },
         ShmLink {
             tx: b_tx,
             rx: b_rx,
             windows: b_win,
+            wake: b_wake,
         },
     )
 }
@@ -87,21 +101,29 @@ impl ByteLink for ShmLink {
     fn windows(&self) -> Option<Windows> {
         Some(self.windows.clone())
     }
+
+    fn wake_cells(&self) -> Option<WakeCells> {
+        Some(self.wake.clone())
+    }
 }
 
-/// A real TCP loopback connection in non-blocking mode.
+/// A real TCP loopback connection in non-blocking mode. Both ends of a
+/// [`tcp_pair`] live in this process, so they share wake cells; the bytes
+/// still cross the kernel.
 pub struct TcpLink {
     stream: TcpStream,
     peer_gone: bool,
+    wake: WakeCells,
 }
 
 impl TcpLink {
-    fn new(stream: TcpStream) -> PalResult<Self> {
+    fn new(stream: TcpStream, wake: WakeCells) -> PalResult<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(TcpLink {
             stream,
             peer_gone: false,
+            wake,
         })
     }
 }
@@ -112,7 +134,8 @@ pub fn tcp_pair() -> PalResult<(TcpLink, TcpLink)> {
     let addr = listener.local_addr()?;
     let client = TcpStream::connect(addr)?;
     let (server, _) = listener.accept()?;
-    Ok((TcpLink::new(client)?, TcpLink::new(server)?))
+    let (a_wake, b_wake) = WakeCells::pair();
+    Ok((TcpLink::new(client, a_wake)?, TcpLink::new(server, b_wake)?))
 }
 
 impl ByteLink for TcpLink {
@@ -161,6 +184,10 @@ impl ByteLink for TcpLink {
 
     fn is_closed(&self) -> bool {
         self.peer_gone
+    }
+
+    fn wake_cells(&self) -> Option<WakeCells> {
+        Some(self.wake.clone())
     }
 }
 

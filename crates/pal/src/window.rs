@@ -20,31 +20,22 @@
 //! is not delayed by a pull of the previous one.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError, TryLockError};
-
-/// Where a window is in its life.
-#[derive(Clone, Copy, PartialEq)]
-enum State {
-    Exposed,
-    /// Copied from; the puller's acknowledgement is on its way.
-    Pulled,
-    Revoked,
-}
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One exposed window.
 struct Window {
     ptr: *const u8,
     len: usize,
     /// Held across a pull's copy.
-    state: Mutex<State>,
+    revoked: Mutex<bool>,
 }
 
-// SAFETY: `ptr` is only dereferenced by `Windows::pull`, under `state`
-// and only while it is not `Revoked`; the exposer guarantees (contract of
+// SAFETY: `ptr` is only dereferenced by `Windows::pull`, under `revoked`
+// and only while it is `false`; the exposer guarantees (contract of
 // `Windows::expose`) that the window stays valid and unwritten until the
 // revoke that sets it has returned. `len` is immutable.
 unsafe impl Send for Window {}
-// SAFETY: as above — shared access goes through the `state` mutex.
+// SAFETY: as above — shared access goes through the `revoked` mutex.
 unsafe impl Sync for Window {}
 
 /// The table the two ends of one link share: one map per end.
@@ -99,7 +90,7 @@ impl Windows {
         let window = Arc::new(Window {
             ptr,
             len,
-            state: Mutex::new(State::Exposed),
+            revoked: Mutex::new(false),
         });
         let old = lock(&self.table.sides[self.side]).insert(id, Arc::clone(&window));
         debug_assert!(old.is_none(), "window id {id} exposed twice");
@@ -120,30 +111,15 @@ impl Windows {
     /// the exposed window.
     pub unsafe fn pull(&self, id: u64, dst: *mut u8, cap: usize) -> Option<usize> {
         let window = lock(&self.table.sides[1 - self.side]).get(&id).cloned()?;
-        let mut state = lock(&window.state);
-        if *state == State::Revoked {
+        let revoked = lock(&window.revoked);
+        if *revoked {
             return None;
         }
         // SAFETY: not revoked and the guard is held across the copy, so
         // the exposer's guarantee covers the source; the caller's covers
         // the destination.
         unsafe { std::ptr::copy_nonoverlapping(window.ptr, dst, window.len.min(cap)) };
-        *state = State::Pulled;
         Some(window.len)
-    }
-}
-
-impl Exposure {
-    /// Whether the peer is copying out of the window right now, or has
-    /// and has yet to say so: the exposer's wait is then bounded by a
-    /// `memcpy` and a frame, not by whenever the peer gets round to it —
-    /// which is what a waiter about to go to sleep wants to know.
-    pub fn pull_under_way(&self) -> bool {
-        match self.window.state.try_lock() {
-            Ok(state) => *state == State::Pulled,
-            Err(TryLockError::WouldBlock) => true,
-            Err(TryLockError::Poisoned(state)) => **state.get_ref() == State::Pulled,
-        }
     }
 }
 
@@ -152,15 +128,15 @@ impl Drop for Exposure {
         lock(&self.owner.table.sides[self.owner.side]).remove(&self.id);
         // A pull that looked the window up before the removal holds or
         // is about to take this lock: wait for it, then refuse it.
-        *lock(&self.window.state) = State::Revoked;
+        *lock(&self.window.revoked) = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave::two_threads;
     use proptest::prelude::*;
-    use std::sync::mpsc;
 
     const LIVE: u8 = 0x5A;
     const DEAD: u8 = 0xEE;
@@ -170,12 +146,10 @@ mod tests {
         let (a, b) = Windows::pair();
         let src: Vec<u8> = (0..100u8).collect();
         // SAFETY: `src` outlives `_exp` and is not written.
-        let exp = unsafe { a.expose(7, src.as_ptr(), src.len()) };
-        assert!(!exp.pull_under_way());
+        let _exp = unsafe { a.expose(7, src.as_ptr(), src.len()) };
         let mut dst = [0xFFu8; 64];
         // SAFETY: `dst` is 64 writable bytes.
         assert_eq!(unsafe { b.pull(7, dst.as_mut_ptr(), 40) }, Some(100));
-        assert!(exp.pull_under_way(), "pulled, not yet acknowledged");
         assert_eq!(&dst[..40], &src[..40]);
         assert!(dst[40..].iter().all(|&x| x == 0xFF), "beyond cap untouched");
         let mut big = vec![0u8; 200];
@@ -245,41 +219,38 @@ mod tests {
     /// partly) after that point delivers `DEAD` bytes.
     fn run(steps: &[Step], len: usize) -> Option<Vec<u8>> {
         let (a, b) = Windows::pair();
-        let (turn_tx, turn_rx) = mpsc::channel::<()>();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            let puller = s.spawn(move || {
-                turn_rx.recv().unwrap();
+        let (_buf, pulled) = two_threads(
+            |turn| {
+                let mut buf = vec![LIVE; len];
+                let mut exposure = None;
+                for step in steps {
+                    match step {
+                        // SAFETY: `buf` is written only after the exposure
+                        // is dropped (the `Revoke` arm) and freed after
+                        // both threads have finished (it is returned).
+                        Step::Expose => exposure = Some(unsafe { a.expose(1, buf.as_ptr(), len) }),
+                        Step::Revoke => {
+                            exposure = None;
+                            buf.fill(DEAD);
+                        }
+                        Step::Gate => turn.gate(),
+                        Step::Release => turn.release(),
+                    }
+                }
+                drop(exposure);
+                buf
+            },
+            move || {
                 let mut dst = vec![0u8; len];
                 // SAFETY: `dst` is `len` writable bytes.
                 let got = unsafe { b.pull(1, dst.as_mut_ptr(), len) };
-                let _ = done_tx.send(());
                 got.map(|n| {
                     assert_eq!(n, len);
                     dst
                 })
-            });
-            let mut buf = vec![LIVE; len];
-            let mut exposure = None;
-            for step in steps {
-                match step {
-                    // SAFETY: `buf` is written only after the exposure is
-                    // dropped (the `Revoke` arm) and freed after the join.
-                    Step::Expose => exposure = Some(unsafe { a.expose(1, buf.as_ptr(), len) }),
-                    Step::Revoke => {
-                        exposure = None;
-                        buf.fill(DEAD);
-                    }
-                    Step::Gate => {
-                        turn_tx.send(()).unwrap();
-                        done_rx.recv().unwrap();
-                    }
-                    Step::Release => turn_tx.send(()).unwrap(),
-                }
-            }
-            drop(exposure);
-            puller.join().unwrap()
-        })
+            },
+        );
+        pulled
     }
 
     proptest! {

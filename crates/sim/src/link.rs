@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use motor_pal::{ByteLink, PalError, PalResult, TickSource, VirtualClock};
+use motor_pal::{ByteLink, PalError, PalResult, TickSource, VirtualClock, WakeCells};
 use parking_lot::Mutex;
 
 use crate::fault::FaultPlan;
@@ -168,6 +168,7 @@ impl Wire {
 pub struct SimLink {
     tx: Arc<Wire>,
     rx: Arc<Wire>,
+    wake: WakeCells,
 }
 
 impl ByteLink for SimLink {
@@ -181,6 +182,10 @@ impl ByteLink for SimLink {
 
     fn is_closed(&self) -> bool {
         self.tx.is_closed() || self.rx.is_closed()
+    }
+
+    fn wake_cells(&self) -> Option<WakeCells> {
+        Some(self.wake.clone())
     }
 }
 
@@ -219,14 +224,17 @@ pub fn sim_pair(
 ) -> (SimLink, SimLink, LinkControl) {
     let ab = Wire::new(Arc::clone(clock), plan_ab, rng.fork(), advance_on_idle);
     let ba = Wire::new(Arc::clone(clock), plan_ba, rng.fork(), advance_on_idle);
+    let (a_wake, b_wake) = WakeCells::pair();
     (
         SimLink {
             tx: Arc::clone(&ab),
             rx: Arc::clone(&ba),
+            wake: a_wake,
         },
         SimLink {
             tx: Arc::clone(&ba),
             rx: Arc::clone(&ab),
+            wake: b_wake,
         },
         LinkControl { ab, ba },
     )

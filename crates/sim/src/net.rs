@@ -12,9 +12,8 @@ use std::sync::Arc;
 
 use motor_mpc::channel::LinkState;
 use motor_mpc::device::{Device, DeviceConfig};
-use motor_mpc::error::MpcResult;
 use motor_mpc::packet::Envelope;
-use motor_mpc::progress::{ProgressConfig, ProgressMode, ProgressSet};
+use motor_mpc::progress::{Policy, ProgressMode, ProgressSet};
 use motor_mpc::request::Request;
 use motor_obs::{FlightRecord, RankFlight};
 use motor_pal::{TickSource, VirtualClock};
@@ -44,12 +43,12 @@ pub struct SimConfig {
     pub schedule: Schedule,
     /// Fault plan applied to every wire direction.
     pub plan: FaultPlan,
-    /// Asynchronous progress model, emulated deterministically: mode
-    /// `thread` turns each scheduler step into a batched engine poll,
-    /// mode `steal` follows each step with one seeded steal sweep. No
-    /// real threads are spawned — every interleaving replays from the
-    /// seed. The environment is deliberately *not* consulted here.
-    pub progress: ProgressConfig,
+    /// Progress mode, emulated deterministically: mode `thread` makes
+    /// each scheduler step the engine's pass, mode `steal` follows each
+    /// step with one steal sweep. No real threads are spawned — every
+    /// interleaving replays from the seed. The environment is
+    /// deliberately *not* consulted here.
+    pub progress: ProgressMode,
 }
 
 impl SimConfig {
@@ -61,7 +60,7 @@ impl SimConfig {
             device: DeviceConfig::default(),
             schedule: Schedule::Random,
             plan: FaultPlan::clean(),
-            progress: ProgressConfig::off(),
+            progress: ProgressMode::Off,
         }
     }
 }
@@ -76,7 +75,7 @@ pub struct SimNet {
     schedule: Schedule,
     next_rr: usize,
     steps: u64,
-    progress: ProgressConfig,
+    progress: ProgressMode,
     steal_set: Option<Arc<ProgressSet>>,
 }
 
@@ -106,11 +105,10 @@ impl SimNet {
                 controls.insert((i, j), ctl);
             }
         }
-        let steal_set = if config.progress.mode == ProgressMode::Steal {
+        let steal_set = if config.progress == ProgressMode::Steal {
             let set = ProgressSet::new();
             for d in &devices {
                 set.register(d);
-                d.install_steal_set(Arc::clone(&set));
             }
             Some(set)
         } else {
@@ -179,9 +177,9 @@ impl SimNet {
             .close();
     }
 
-    /// One scheduler step: pump one device's progress engine, advance the
-    /// clock one tick. Returns whether that device moved anything.
-    pub fn step(&mut self) -> MpcResult<bool> {
+    /// One scheduler step: one device's progress pass, then the clock
+    /// advances one tick. Returns whether anything moved.
+    pub fn step(&mut self) -> bool {
         let idx = match self.schedule {
             Schedule::RoundRobin => {
                 let i = self.next_rr;
@@ -190,44 +188,42 @@ impl SimNet {
             }
             Schedule::Random => self.rng.below(self.devices.len() as u64) as usize,
         };
-        let moved = match self.progress.mode {
-            // Legacy path, bit-for-bit: one plain pump pass.
-            ProgressMode::Off => self.devices[idx].progress()?,
-            // The engine's batched poll, run inline on the scheduler
-            // thread — same code, deterministic interleavings.
-            ProgressMode::Thread => {
-                self.devices[idx].progress_batched(self.progress.max_batch_passes, true)?
-            }
-            // One pass on the chosen rank, then that rank steals one
-            // sweep over its siblings (what its parked waiter would do).
+        // The same pass in every mode; the mode says who calls it. The
+        // engine's pass runs inline on the scheduler thread, and a steal
+        // step is the chosen rank's own pass plus the sweep over its
+        // siblings its parked waiter would make.
+        let device = &self.devices[idx];
+        let moved = match self.progress {
+            ProgressMode::Off => device.pass(Policy::RANK),
+            ProgressMode::Thread => device.pass(Policy::ENGINE),
             ProgressMode::Steal => {
-                let own = self.devices[idx].progress()?;
+                let own = device.pass(Policy::RANK);
                 let stolen = self
                     .steal_set
                     .as_ref()
-                    .is_some_and(|s| s.steal(self.devices[idx].rank()));
+                    .is_some_and(|s| s.steal(device.rank()));
                 own || stolen
             }
         };
         self.clock.advance(1);
         self.steps += 1;
-        Ok(moved)
+        moved
     }
 
     /// Step until `pred` holds or `budget` steps elapse; returns whether
     /// the predicate held.
-    pub fn run_until(&mut self, budget: u64, mut pred: impl FnMut() -> bool) -> MpcResult<bool> {
+    pub fn run_until(&mut self, budget: u64, mut pred: impl FnMut() -> bool) -> bool {
         for _ in 0..budget {
             if pred() {
-                return Ok(true);
+                return true;
             }
-            self.step()?;
+            self.step();
         }
-        Ok(pred())
+        pred()
     }
 
-    /// Drive the fabric until every request completes; on a progress
-    /// error, a failed peer, or budget exhaustion (a simulated hang),
+    /// Drive the fabric until every request completes; on a failed peer
+    /// or budget exhaustion (a simulated hang),
     /// [`fail`](SimNet::fail)s with the seed-replay line and a flight
     /// record.
     pub fn complete(&mut self, reqs: &[Request], budget: u64, test: &str) {
@@ -241,9 +237,7 @@ impl SimNet {
                     &format!("in-flight operation lost its peer (rank {p})"),
                 );
             }
-            if let Err(e) = self.step() {
-                self.fail(test, &format!("progress error: {e}"));
-            }
+            self.step();
         }
         if !reqs.iter().all(|r| r.is_complete()) {
             self.fail(test, "requests did not complete within the step budget");
@@ -382,10 +376,7 @@ mod tests {
             let mut buf = [0u8; 200];
             let s = send(&net, 0, 2, 1, &data);
             let r = recv(&net, 2, 0, 1, &mut buf);
-            let done = net
-                .run_until(200_000, || s.is_complete() && r.is_complete())
-                .unwrap();
-            assert!(done);
+            assert!(net.run_until(200_000, || s.is_complete() && r.is_complete()));
             (net.steps(), net.clock().now_ticks())
         };
         assert_eq!(run(1234), run(1234));

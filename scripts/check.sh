@@ -90,6 +90,10 @@ for prog_mode in thread steal; do
   MOTOR_PROGRESS="$prog_mode" MOTOR_SIM_SEEDS="1,0x5eed5eed" \
     cargo test -q --test progress_conformance > /dev/null
 done
+# The default mode — no helper, the same pass and the same wait — on the
+# frozen seeds: the default schedule's determinism and the `off` soups.
+MOTOR_PROGRESS=off MOTOR_SIM_SEEDS="1,7,42,1234,0xdeadbeef,0x5eed5eed" \
+  cargo test -q --test progress_conformance --test progress_property > /dev/null
 
 echo "==> doctor smoke test (4 ranks, injected deadlock)"
 # A 4-rank run where the last rank posts a receive nobody will send to.

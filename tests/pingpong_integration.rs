@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use motor::core::cluster::{run_cluster, run_cluster_default, ClusterConfig};
 use motor::core::{CoreError, PinPolicy};
 use motor::mpc::universe::{ChannelKind, UniverseConfig};
-use motor::mpc::{Device, MpcError};
+use motor::mpc::{Device, MpcError, Policy};
 use motor::obs::Metric;
 use motor::runtime::heap::HeapConfig;
 use motor::runtime::{ElemKind, VmConfig};
@@ -179,6 +179,51 @@ fn unwaited_rendezvous_send_is_ended_before_the_heap_drops() {
                     matches!(refused, CoreError::Mpc(MpcError::PeerClosed(0))),
                     "{refused}"
                 );
+            }
+        },
+    )
+    .unwrap();
+}
+
+/// The receive-side twin: a rank body may return with a receive nobody
+/// waited for; its window lies in the rank's heap too. Finalisation
+/// forgets it, so the message that arrives afterwards lands in the
+/// device's unexpected queue instead of being written into a heap that is
+/// gone.
+#[test]
+fn unwaited_receive_is_ended_before_the_heap_drops() {
+    let receiver: OnceLock<Arc<Device>> = OnceLock::new();
+    run_cluster_default(
+        2,
+        |_| {},
+        |proc| {
+            let mp = proc.mp();
+            let buf = proc.thread().alloc_prim_array(ElemKind::U8, 1024);
+            if mp.rank() == 1 {
+                drop(mp.irecv(buf, 0, 9).unwrap());
+                let dev = proc.comm().device();
+                assert_eq!(dev.queue_depths().0, 1, "posted when published");
+                receiver.set(Arc::clone(dev)).ok().unwrap();
+            } else {
+                let dev1 = loop {
+                    match receiver.get() {
+                        Some(d) => break d,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                // Only finalisation (nothing has been sent yet) ends it.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while dev1.queue_depths().0 != 0 {
+                    assert!(Instant::now() < deadline, "receiver never finalised");
+                    std::thread::yield_now();
+                }
+                mp.send(buf, 1, 9).unwrap();
+                // Rank 1 is gone; this rank drives its device for it.
+                while dev1.queue_depths().1 == 0 {
+                    assert!(Instant::now() < deadline, "message never arrived");
+                    dev1.pass(Policy::RANK);
+                }
+                assert_eq!(dev1.queue_depths(), (0, 1, 0, 0), "queued, not delivered");
             }
         },
     )

@@ -11,10 +11,11 @@
 //!   contracts still hold under trickle wires, stall windows and
 //!   mid-message link death: non-overtaking per (source, tag, context),
 //!   `ANY_SOURCE` FIFO per sender, clean `PeerClosed` instead of hangs.
-//! * **(c) Legacy equivalence** — engine `off` IS the old code path:
-//!   across the frozen seed matrix, a run with the default config and a
-//!   run with progress explicitly `off` produce identical schedule
-//!   fingerprints (steps, virtual clock, protocol counters), twice over.
+//! * **(c) Determinism of the default** — across the frozen seed matrix,
+//!   the default schedule is a function of the seed alone: a run with the
+//!   default config, a run with progress explicitly `Off` and a replay
+//!   produce identical fingerprints (steps, virtual clock, protocol
+//!   counters), and no helper's counter moves.
 //!
 //! Plus the backoff-ladder fix pin: a waiter parked in the sleep tier is
 //! woken by the engine's completion notification, not the sleep timer —
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use motor::mpc::device::DeviceConfig;
 use motor::mpc::universe::{Universe, UniverseConfig};
-use motor::mpc::{MpcError, ProgressConfig, ProgressMode};
+use motor::mpc::{MpcError, ProgressMode};
 use motor::obs::Metric;
 use motor::pal::TickSource;
 use motor_sim::{seed_matrix, FaultPlan, Schedule, SimConfig, SimNet};
@@ -38,7 +39,7 @@ fn sim_config(
     ranks: usize,
     plan: FaultPlan,
     schedule: Schedule,
-    progress: ProgressConfig,
+    progress: ProgressMode,
 ) -> SimConfig {
     SimConfig {
         ranks,
@@ -54,19 +55,21 @@ fn sim_config(
 
 /// The engine modes under test, with their display names. `MOTOR_PROGRESS`
 /// narrows the matrix to one engine mode so CI can run (and attribute
-/// failures to) `thread` and `steal` as separate jobs; unset runs both.
-fn engine_modes() -> Vec<(ProgressConfig, &'static str)> {
+/// failures to) `thread` and `steal` as separate jobs; unset runs both,
+/// and `off` — the default-mode job — leaves the per-mode tests nothing
+/// to replay (the default's own tests read no variable).
+fn engine_modes() -> Vec<(ProgressMode, &'static str)> {
     let all = vec![
-        (ProgressConfig::thread(), "thread"),
-        (ProgressConfig::steal(), "steal"),
+        (ProgressMode::Thread, "thread"),
+        (ProgressMode::Steal, "steal"),
     ];
     match std::env::var("MOTOR_PROGRESS") {
         Ok(v) if !v.trim().is_empty() => {
             let v = v.trim().to_ascii_lowercase();
             let picked: Vec<_> = all.into_iter().filter(|(_, name)| **name == v).collect();
             assert!(
-                !picked.is_empty(),
-                "MOTOR_PROGRESS={v:?} names no engine mode (use thread|steal, or unset for both)"
+                !picked.is_empty() || v == "off",
+                "MOTOR_PROGRESS={v:?} names no mode (use thread|steal|off, or unset for both engines)"
             );
             picked
         }
@@ -113,7 +116,7 @@ fn isend_irecv_complete_without_owner_entering_wait() {
     const N: usize = 4;
     const LEN: usize = 32 * 1024; // eager at the default threshold
     let cfg = UniverseConfig {
-        progress: ProgressConfig::thread(),
+        progress: ProgressMode::Thread,
         ..UniverseConfig::default()
     };
     let engine_completions = AtomicU64::new(0);
@@ -177,7 +180,7 @@ fn rendezvous_completes_without_owner_entering_wait() {
             eager_threshold: EAGER_T,
             ..DeviceConfig::default()
         },
-        progress: ProgressConfig::thread(),
+        progress: ProgressMode::Thread,
         ..UniverseConfig::default()
     };
     Universe::run_with(2, cfg, |proc| {
@@ -240,7 +243,7 @@ fn non_overtaking_holds_with_engine_on() {
             }
             // Alternate pre-posted and late-posted receives by seed.
             if seed % 2 == 1 {
-                net.run_until(20_000, || false).unwrap();
+                net.run_until(20_000, || false);
             }
             for b in &mut bufs {
                 reqs.push(recv(&net, 1, 0, 7, b));
@@ -278,7 +281,7 @@ fn any_source_fifo_holds_with_engine_on() {
                 reqs.push(send(&net, *r, 0, 5, p));
             }
             if seed % 2 == 1 {
-                net.run_until(20_000, || false).unwrap();
+                net.run_until(20_000, || false);
             }
             for b in &mut bufs {
                 reqs.push(recv(&net, 0, -1, 5, b));
@@ -333,11 +336,9 @@ fn mid_message_death_fails_cleanly_with_engine_on() {
             let mut buf = vec![0u8; 5000];
             let s = send(&net, 0, 1, 2, &data);
             let r = recv(&net, 1, 0, 2, &mut buf);
-            let failed = net
-                .run_until(1_000_000, || {
-                    s.failed_peer().is_some() || r.failed_peer().is_some()
-                })
-                .unwrap();
+            let failed = net.run_until(1_000_000, || {
+                s.failed_peer().is_some() || r.failed_peer().is_some()
+            });
             if !failed {
                 net.fail(
                     "mid_message_death_fails_cleanly_with_engine_on",
@@ -362,12 +363,13 @@ fn mid_message_death_fails_cleanly_with_engine_on() {
 }
 
 // ----------------------------------------------------------------------
-// (c) Engine off == legacy, bit-for-bit on the frozen seed matrix.
+// (c) The default schedule is a deterministic function of the seed.
 // ----------------------------------------------------------------------
 
-/// Schedule fingerprint of one mixed eager/rendezvous workload.
-fn off_mode_fingerprint(seed: u64, progress: ProgressConfig) -> (u64, u64, Vec<u64>) {
-    assert_eq!(progress.mode, ProgressMode::Off);
+/// Schedule fingerprint of one mixed eager/rendezvous workload with no
+/// helper driving the devices.
+fn default_fingerprint(seed: u64, progress: ProgressMode) -> (u64, u64, Vec<u64>) {
+    assert_eq!(progress, ProgressMode::Off);
     let mut net = SimNet::new(
         seed,
         sim_config(
@@ -390,7 +392,11 @@ fn off_mode_fingerprint(seed: u64, progress: ProgressConfig) -> (u64, u64, Vec<u
         recv(&net, 2, 1, 1, &mut b1),
         recv(&net, 0, 2, 4, &mut b2),
     ];
-    net.complete(&reqs, 3_000_000, "engine_off_is_bit_for_bit_legacy");
+    net.complete(
+        &reqs,
+        3_000_000,
+        "default_schedule_is_a_deterministic_function_of_the_seed",
+    );
     let mut counters = Vec::new();
     for d in net.devices() {
         let snap = d.metrics().snapshot();
@@ -410,27 +416,26 @@ fn off_mode_fingerprint(seed: u64, progress: ProgressConfig) -> (u64, u64, Vec<u
     (net.steps(), net.clock().now_ticks(), counters)
 }
 
-/// Mode `off` takes the exact legacy code path: a default config and an
-/// explicit `off` config replay the same seed to the same step count,
-/// virtual-clock time and counter values — and repeat runs are identical,
-/// so the fingerprint really is a function of the seed alone. The engine
-/// counters must stay at zero: off means off.
+/// The default — nobody but the ranks drives the devices — replays a seed
+/// to the same step count, virtual-clock time and counter values: the
+/// default config, an explicit `Off` and a repeat run agree, so the
+/// fingerprint is a function of the seed alone. The helpers' counters
+/// stay at zero: no helper means none.
 #[test]
-fn engine_off_is_bit_for_bit_legacy() {
+fn default_schedule_is_a_deterministic_function_of_the_seed() {
     for seed in seed_matrix() {
-        let default_run = off_mode_fingerprint(seed, ProgressConfig::default());
-        let explicit_off = off_mode_fingerprint(seed, ProgressConfig::off());
-        let replay = off_mode_fingerprint(seed, ProgressConfig::default());
+        let default_run = default_fingerprint(seed, ProgressMode::default());
+        let explicit_off = default_fingerprint(seed, ProgressMode::Off);
+        let replay = default_fingerprint(seed, ProgressMode::default());
         assert_eq!(
             default_run, explicit_off,
             "default vs explicit off diverged (seed {seed})"
         );
         assert_eq!(default_run, replay, "replay diverged (seed {seed})");
-        // No engine fingerprints in off mode.
         let per_dev = 8;
         for (i, chunk) in default_run.2.chunks(per_dev).enumerate() {
-            assert_eq!(chunk[6], 0, "rank {i}: ProgressOpsCompleted in off mode");
-            assert_eq!(chunk[7], 0, "rank {i}: ProgressSteals in off mode");
+            assert_eq!(chunk[6], 0, "rank {i}: ProgressOpsCompleted with no helper");
+            assert_eq!(chunk[7], 0, "rank {i}: ProgressSteals with no helper");
         }
     }
 }
@@ -456,7 +461,7 @@ fn parked_sleep_tier_is_woken_by_completion_not_timer() {
             },
             ..DeviceConfig::default()
         },
-        progress: ProgressConfig::thread(),
+        progress: ProgressMode::Thread,
         ..UniverseConfig::default()
     };
     let start = Instant::now();

@@ -11,7 +11,7 @@
 //! alone, never to the workload.
 
 use motor::mpc::device::DeviceConfig;
-use motor::mpc::{ProgressConfig, Request};
+use motor::mpc::{ProgressMode, Request};
 use motor::obs::{classify, AnomalyKind, DoctorConfig, RankHealth};
 use motor_sim::{seed_matrix, FaultPlan, Schedule, SimConfig, SimNet, SimRng};
 use std::collections::HashMap;
@@ -27,11 +27,11 @@ const STEP_BUDGET: u64 = 5_000_000;
 /// The progress modes each property replays. `MOTOR_PROGRESS` narrows
 /// the matrix to a single mode (`off`, `thread` or `steal`) so CI can
 /// attribute a failure to one engine mode; unset replays all three.
-fn modes_under_test() -> Vec<(ProgressConfig, &'static str)> {
+fn modes_under_test() -> Vec<(ProgressMode, &'static str)> {
     let all = vec![
-        (ProgressConfig::off(), "off"),
-        (ProgressConfig::thread(), "thread"),
-        (ProgressConfig::steal(), "steal"),
+        (ProgressMode::Off, "off"),
+        (ProgressMode::Thread, "thread"),
+        (ProgressMode::Steal, "steal"),
     ];
     match std::env::var("MOTOR_PROGRESS") {
         Ok(v) if !v.trim().is_empty() => {
@@ -100,7 +100,7 @@ fn gen_soup(rng: &mut SimRng, ranks: usize) -> (Vec<Op>, LateMap) {
 
 /// Run one soup under one progress mode; panics (via `net.fail` /
 /// `net.complete`) on any starvation, mismatch, or doctor anomaly.
-fn run_soup(seed: u64, ranks: usize, progress: ProgressConfig, mode: &str) {
+fn run_soup(seed: u64, ranks: usize, progress: ProgressMode, mode: &str) {
     let mut gen_rng = SimRng::new(seed ^ 0x50F7_BEEF).fork();
     let (ops, late) = gen_soup(&mut gen_rng, ranks);
 
@@ -146,7 +146,7 @@ fn run_soup(seed: u64, ranks: usize, progress: ProgressConfig, mode: &str) {
     // One max-size wildcard receive is posted per op destined to a rank.
     for round in 0..2 {
         if round == 1 {
-            net.run_until(30_000, || false).unwrap();
+            net.run_until(30_000, || false);
         }
         for op in &ops {
             if late[&(op.src, op.dst, op.tag)] != (round == 1) {
@@ -277,7 +277,7 @@ fn directed_soups_preserve_channel_fifo_in_every_mode() {
             let mut bufs: Vec<DirectedRecv> = Vec::new();
             for round in 0..2 {
                 if round == 1 {
-                    net.run_until(30_000, || false).unwrap();
+                    net.run_until(30_000, || false);
                 }
                 for op in &ops {
                     if late[&(op.src, op.dst, op.tag)] != (round == 1) {

@@ -99,7 +99,7 @@ fn non_overtaking_per_source_tag_under_faults() {
         // queue matches — and late-posted ones: the wire drains first, so
         // eager payloads and RTS frames must survive the unexpected queue.
         if seed % 2 == 1 {
-            net.run_until(20_000, || false).unwrap();
+            net.run_until(20_000, || false);
         }
         for b in &mut bufs {
             reqs.push(recv(&net, 1, 0, 7, b));
@@ -138,7 +138,7 @@ fn any_source_matching_drains_all_senders() {
         // Late-post on odd seeds: the messages land in the unexpected
         // queue first and the wildcards must drain it in arrival order.
         if seed % 2 == 1 {
-            net.run_until(20_000, || false).unwrap();
+            net.run_until(20_000, || false);
         }
         for b in &mut bufs {
             reqs.push(recv(&net, 0, -1, 5, b));
@@ -369,11 +369,9 @@ fn mid_rendezvous_link_close_fails_cleanly() {
         let mut buf = vec![0u8; 5000];
         let s = send(&net, 0, 1, 2, &data);
         let r = recv(&net, 1, 0, 2, &mut buf);
-        let failed = net
-            .run_until(1_000_000, || {
-                s.failed_peer().is_some() || r.failed_peer().is_some()
-            })
-            .unwrap();
+        let failed = net.run_until(1_000_000, || {
+            s.failed_peer().is_some() || r.failed_peer().is_some()
+        });
         if !failed {
             net.fail(
                 "mid_rendezvous_link_close_fails_cleanly",
