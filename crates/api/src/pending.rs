@@ -35,6 +35,20 @@ fn async_done(thread: Option<&MotorThread>) {
     }
 }
 
+/// The blocking completion of an in-flight operation: on a managed rank,
+/// inside an FCall region and the `comm_wait` bucket, whose end is also
+/// the end of the operation's in-flight interval — one clock reading for
+/// both, failed or not.
+fn wait_in_flight<R>(thread: Option<&MotorThread>, wait: impl FnOnce() -> Result<R>) -> Result<R> {
+    let _fc = thread.map(Fcall::enter);
+    let phase = thread.map(|t| t.vm().metrics().phase_scope(TimeBucket::CommWait));
+    let res = wait();
+    if let Some(phase) = phase {
+        phase.finish_async();
+    }
+    res
+}
+
 /// An in-flight typed send.  Must be completed with [`PendingSend::wait`]
 /// (or driven to completion with [`PendingSend::test`]); dropping an
 /// incomplete send panics.
@@ -62,15 +76,7 @@ impl<'a, C: Comm> PendingSend<'a, C> {
     /// Block until the send completes, releasing the buffer borrow.
     pub fn wait(mut self) -> Result<()> {
         let req = self.req.take().expect("pending send already completed");
-        let _fc = self.thread.map(Fcall::enter);
-        let res = {
-            let _phase = self
-                .thread
-                .map(|t| t.vm().metrics().phase_scope(TimeBucket::CommWait));
-            self.comm.wait(&req)
-        };
-        async_done(self.thread);
-        res?;
+        wait_in_flight(self.thread, || self.comm.wait(&req))?;
         Ok(())
     }
 
@@ -156,15 +162,8 @@ impl<'a, C: Comm, T> PendingRecv<'a, C, T> {
     /// received (count/datatype bookkeeping stays inside the API).
     pub fn wait(mut self) -> Result<usize> {
         let req = self.req.take().expect("pending receive already completed");
-        let _fc = self.thread.map(Fcall::enter);
-        let res = {
-            let _phase = self
-                .thread
-                .map(|t| t.vm().metrics().phase_scope(TimeBucket::CommWait));
-            self.comm.wait(&req)
-        };
-        async_done(self.thread);
-        self.check(res?)
+        let st = wait_in_flight(self.thread, || self.comm.wait(&req))?;
+        self.check(st)
     }
 
     /// Poll for completion; `Some(elements)` once the message has landed.

@@ -151,18 +151,22 @@ impl MpRequest {
 
     /// Deregister from the in-flight table (idempotent; the slot must not
     /// be released twice or a later op's registration could be clobbered).
-    fn finish_inflight(&mut self) {
+    /// Returns whether the request's interval in the overlap clock is still
+    /// open — the caller closes it, with a clock reading it shares with
+    /// whatever else ends at the same instant.
+    #[must_use]
+    fn finish_inflight(&mut self) -> bool {
         self.registry
             .op_end(std::mem::replace(&mut self.inflight, INFLIGHT_NONE));
-        if std::mem::take(&mut self.async_live) {
-            self.registry.async_op_end();
-        }
+        std::mem::take(&mut self.async_live)
     }
 }
 
 impl Drop for MpRequest {
     fn drop(&mut self) {
-        self.finish_inflight();
+        if self.finish_inflight() {
+            self.registry.async_op_end();
+        }
     }
 }
 
@@ -278,9 +282,18 @@ impl<'t> Mp<'t> {
         Ok((unsafe { ptr.add(offset * es) }, count * es))
     }
 
-    fn span(&self, kind: SpanKind, peer: usize, tag: Tag) -> motor_obs::SpanGuard<'_> {
-        let arg = span_arg_peer_tag(peer, tag.to_device());
-        self.thread.vm().metrics().span(kind, arg)
+    /// Open the span of a point-to-point operation. From here the call
+    /// runs straight into the transport, so the opening is the edge what
+    /// the transport records first — the send stamp, the device's wait —
+    /// shares its clock reading with.
+    fn span(&self, kind: SpanKind, arg: u64) -> motor_obs::SpanGuard<'_> {
+        let span = self.thread.vm().metrics().span(kind, arg);
+        span.set_edge();
+        span
+    }
+
+    fn p2p_span(&self, kind: SpanKind, peer: usize, tag: Tag) -> motor_obs::SpanGuard<'_> {
+        self.span(kind, span_arg_peer_tag(peer, tag.to_device()))
     }
 
     // ------------------------------------------------------------------
@@ -327,7 +340,7 @@ impl<'t> Mp<'t> {
         tag: Tag,
         proof: Proof,
     ) -> CoreResult<()> {
-        let _span = self.span(SpanKind::MpSend, dest, tag);
+        let _span = self.p2p_span(SpanKind::MpSend, dest, tag);
         let fc = Fcall::enter(self.thread);
         let (ptr, len) = self.window(&fc, obj, sub, proof)?;
         // SAFETY: window stability is maintained by the pinning policy
@@ -340,7 +353,7 @@ impl<'t> Mp<'t> {
     /// Blocking synchronous-mode send (completes only when matched).
     pub fn ssend(&self, obj: Handle, dest: usize, tag: impl Into<Tag>) -> CoreResult<()> {
         let tag = tag.into();
-        let _span = self.span(SpanKind::MpSsend, dest, tag);
+        let _span = self.p2p_span(SpanKind::MpSsend, dest, tag);
         let fc = Fcall::enter(self.thread);
         let (ptr, len) = self.window(&fc, obj, None, Proof::Checked)?;
         // SAFETY: as in `send`.
@@ -381,7 +394,7 @@ impl<'t> Mp<'t> {
         tag: Tag,
         proof: Proof,
     ) -> CoreResult<MpStatus> {
-        let _span = self.span(SpanKind::MpRecv, source_peer(src), tag);
+        let _span = self.p2p_span(SpanKind::MpRecv, source_peer(src), tag);
         let fc = Fcall::enter(self.thread);
         let (ptr, len) = self.window(&fc, obj, sub, proof)?;
         // SAFETY: as in `send`.
@@ -395,11 +408,14 @@ impl<'t> Mp<'t> {
 
     /// Wrap a started transport in an [`MpRequest`]: protect the buffer
     /// (a conditional pin the collector releases once the transport
-    /// finishes, paper §4.3) and register the operation as in flight.
-    fn track(&self, kind: SpanKind, peer: usize, tag: Tag, obj: Handle, req: Request) -> MpRequest {
+    /// finishes, paper §4.3) and register the operation as in flight,
+    /// under the kind and argument of `span`, the initiating call's own —
+    /// all three as of the instant it opened.
+    fn track(&self, span: &motor_obs::SpanGuard<'_>, obj: Handle, req: Request) -> MpRequest {
+        span.set_edge();
         let hard_pin = pinning::pin_for_nonblocking(self.thread, self.policy, obj, &req);
         let registry = Arc::clone(self.thread.vm().metrics());
-        let inflight = registry.op_begin(kind, span_arg_peer_tag(peer, tag.to_device()));
+        let inflight = registry.op_begin(span.kind(), span.arg());
         registry.async_op_begin();
         MpRequest {
             inner: req,
@@ -424,13 +440,13 @@ impl<'t> Mp<'t> {
         tag: Tag,
         proof: Proof,
     ) -> CoreResult<MpRequest> {
-        let _span = self.span(SpanKind::MpIsend, dest, tag);
+        let span = self.p2p_span(SpanKind::MpIsend, dest, tag);
         let fc = Fcall::enter(self.thread);
         let (ptr, len) = self.window(&fc, obj, None, proof)?;
         // SAFETY: the conditional pin `track` registers keeps the window
         // stable for the transport's lifetime; no poll intervenes.
         let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
-        Ok(self.track(SpanKind::MpIsend, dest, tag, obj, req))
+        Ok(self.track(&span, obj, req))
     }
 
     /// Immediate receive.
@@ -451,40 +467,41 @@ impl<'t> Mp<'t> {
         proof: Proof,
     ) -> CoreResult<MpRequest> {
         let peer = source_peer(src);
-        let _span = self.span(SpanKind::MpIrecv, peer, tag);
+        let span = self.p2p_span(SpanKind::MpIrecv, peer, tag);
         let fc = Fcall::enter(self.thread);
         let (ptr, len) = self.window(&fc, obj, None, proof)?;
         // SAFETY: as in `isend`.
         let req = unsafe { self.comm.irecv_ptr(ptr, len, src, tag)? };
-        Ok(self.track(SpanKind::MpIrecv, peer, tag, obj, req))
+        Ok(self.track(&span, obj, req))
     }
 
     /// Wait for an immediate operation, polling the collector while
     /// waiting (the `MPI_Wait` analog).
     pub fn wait(&self, req: &mut MpRequest) -> CoreResult<MpStatus> {
-        let _span = self
-            .thread
-            .vm()
-            .metrics()
-            .span(SpanKind::MpWait, req.inner.id());
+        let span = self.span(SpanKind::MpWait, req.inner.id());
         let _fc = Fcall::enter(self.thread);
         let st = self.comm.wait_with(&req.inner, || self.thread.poll())?;
-        req.finish_inflight();
         if let Some(tok) = req.hard_pin.take() {
             self.thread.unpin(tok);
+        }
+        // The wait and the request's in-flight interval end together.
+        if req.finish_inflight() {
+            span.finish_async();
         }
         Ok(st.into())
     }
 
     /// Test an immediate operation (the `MPI_Test` analog).
     pub fn test(&self, req: &mut MpRequest) -> CoreResult<Option<MpStatus>> {
-        let _phase = self.thread.vm().metrics().phase_scope(TimeBucket::Progress);
+        let phase = self.thread.vm().metrics().phase_scope(TimeBucket::Progress);
         let _fc = Fcall::enter(self.thread);
         match self.comm.test(&req.inner)? {
             Some(st) => {
-                req.finish_inflight();
                 if let Some(tok) = req.hard_pin.take() {
                     self.thread.unpin(tok);
+                }
+                if req.finish_inflight() {
+                    phase.finish_async();
                 }
                 Ok(Some(st.into()))
             }
@@ -497,7 +514,7 @@ impl<'t> Mp<'t> {
         let fc = Fcall::enter(self.thread);
         let src = src.into();
         let tag = tag.into();
-        let _span = self.span(SpanKind::MpProbe, source_peer(src), tag);
+        let _span = self.p2p_span(SpanKind::MpProbe, source_peer(src), tag);
         Ok(self.comm.probe_with(src, tag, || fc.poll())?.into())
     }
 

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use motor_mpc::Request;
 use motor_obs::Metric;
 use motor_runtime::types::ClassId;
-use motor_runtime::{Handle, MotorThread, PinToken};
+use motor_runtime::{Handle, MotorThread, PinCondition, PinToken};
 
 /// Which pinning behaviour to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,8 +108,9 @@ pub fn pin_for_nonblocking(
     match policy {
         PinPolicy::Motor => {
             if thread.is_young(buf) {
-                let r = Arc::clone(req);
-                thread.pin_conditional(buf, Arc::new(move || r.in_flight()));
+                // The request is the condition: a reference count, no
+                // second allocation.
+                thread.pin_conditional(buf, Arc::clone(req) as Arc<dyn PinCondition>);
             } else {
                 thread.vm().metrics().bump(Metric::GcPinsAvoidedElder);
             }

@@ -36,7 +36,7 @@ use motor_pal::window::Windows;
 use motor_pal::{BoxedLink, PalError, WakeCells};
 
 use crate::error::{MpcError, MpcResult};
-use crate::packet::{Envelope, PacketKind, ENVELOPE_LEN};
+use crate::packet::{self, Envelope, PacketKind, ENVELOPE_LEN};
 use crate::request::Request;
 
 /// Where a rendezvous stream should land.
@@ -52,6 +52,16 @@ pub enum RndvDest {
 pub trait PacketSink {
     /// A complete eager message arrived.
     fn on_eager(&mut self, env: Envelope, data: &[u8]);
+    /// A complete eager message arrived, and its frame body — `env`'s
+    /// encoding, then the data — is the sink's to keep: what the parser
+    /// calls. Returns the buffer the parser reads its next body into: the
+    /// same one if the sink is done with it, any other (an empty one will
+    /// do) if it kept it. A sink that only looks at the data needs no more
+    /// than [`PacketSink::on_eager`].
+    fn on_eager_owned(&mut self, env: Envelope, body: Vec<u8>) -> Vec<u8> {
+        self.on_eager(env, &body[ENVELOPE_LEN..]);
+        body
+    }
     /// A rendezvous request-to-send arrived.
     fn on_rts(&mut self, env: Envelope);
     /// A clear-to-send arrived for our send request `sreq`.
@@ -109,6 +119,12 @@ enum InState {
     },
 }
 
+/// How many sent frame buffers a link keeps for reuse, and how large a
+/// buffer may be to be kept (small frames are where the allocation is a
+/// visible share of the send).
+const SPARE_FRAMES: usize = 4;
+const SPARE_FRAME_BYTES: usize = 1024;
+
 /// Framing and queueing state for one peer link.
 pub struct LinkState {
     link: BoxedLink,
@@ -116,6 +132,12 @@ pub struct LinkState {
     in_state: InState,
     /// Scratch buffer for discarded streams.
     scratch: Vec<u8>,
+    /// The buffer the next control/eager body is read into: the previous
+    /// one, emptied, unless a sink kept it.
+    body: Vec<u8>,
+    /// Small frame buffers that have left the queue, for the next eager
+    /// frames to be encoded into ([`LinkState::queue_eager`]).
+    spare_frames: Vec<Vec<u8>>,
     /// Per-rank registry for frame/byte accounting (attached by the device
     /// that owns this link; standalone links go unmetered).
     metrics: Option<Arc<MetricsRegistry>>,
@@ -144,6 +166,8 @@ impl LinkState {
                 got: 0,
             },
             scratch: vec![0u8; 16 * 1024],
+            body: Vec::new(),
+            spare_frames: Vec::new(),
             metrics: None,
             peer: None,
         }
@@ -190,6 +214,15 @@ impl LinkState {
 
     /// Queue an owned frame.
     pub fn queue_bytes(&mut self, buf: Vec<u8>) {
+        self.push_frame(buf, None);
+    }
+
+    /// Queue the eager frame of `data` under `env`, encoded into a buffer
+    /// an earlier frame has left behind if there is one: a send whose
+    /// frame goes out with the pass that follows it allocates no frame.
+    pub fn queue_eager(&mut self, env: &Envelope, data: &[u8]) {
+        let mut buf = self.spare_frames.pop().unwrap_or_default();
+        packet::encode_eager_into(&mut buf, env, data);
         self.push_frame(buf, None);
     }
 
@@ -246,6 +279,15 @@ impl LinkState {
                     if finished {
                         if let Some(req) = done.take() {
                             req.complete();
+                        }
+                        // Keep a few small buffers for the frames to come:
+                        // bounded, so a burst of large eager frames is not
+                        // held on to.
+                        let buf = std::mem::take(buf);
+                        if self.spare_frames.len() < SPARE_FRAMES
+                            && buf.capacity() <= SPARE_FRAME_BYTES
+                        {
+                            self.spare_frames.push(buf);
                         }
                         self.outq.pop_front();
                     }
@@ -359,7 +401,7 @@ impl LinkState {
                         k => InState::Body {
                             kind: k,
                             need: body,
-                            buf: Vec::new(),
+                            buf: std::mem::take(&mut self.body),
                         },
                     };
                 }
@@ -389,16 +431,26 @@ impl LinkState {
                     *frames_in += 1;
                     // Lengths were checked against the kind at header time.
                     let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
-                    match kind {
+                    self.body = match kind {
                         PacketKind::Eager => {
                             let env = Envelope::decode(&body)?;
-                            sink.on_eager(env, &body[ENVELOPE_LEN..]);
+                            sink.on_eager_owned(env, body)
                         }
-                        PacketKind::RndvRts => sink.on_rts(Envelope::decode(&body)?),
-                        PacketKind::RndvCts => sink.on_cts(word(0), word(8)),
-                        PacketKind::SyncAck => sink.on_sync_ack(word(0)),
+                        PacketKind::RndvRts => {
+                            sink.on_rts(Envelope::decode(&body)?);
+                            body
+                        }
+                        PacketKind::RndvCts => {
+                            sink.on_cts(word(0), word(8));
+                            body
+                        }
+                        PacketKind::SyncAck => {
+                            sink.on_sync_ack(word(0));
+                            body
+                        }
                         PacketKind::RndvData => unreachable!("handled in Header state"),
-                    }
+                    };
+                    self.body.clear();
                 }
                 InState::RndvPrefix { buf, got, data_len } => {
                     let n = self.link.try_read(&mut buf[*got..])?;
@@ -612,6 +664,75 @@ mod tests {
         pump_until_idle(&mut tx, &mut rx, &mut sink);
         assert_eq!(sink.eager.len(), 1);
         assert!(sink.eager[0].1.is_empty());
+    }
+
+    /// The owned-body hand-over: a sink that keeps a frame's body gets the
+    /// very buffer the parser filled — envelope bytes, then data — and the
+    /// parser carries on with whatever the sink gives back; a sink that
+    /// does not care sees `on_eager` as ever, and its buffer is reused.
+    #[test]
+    fn a_sink_may_keep_the_frame_body_it_is_handed() {
+        #[derive(Default)]
+        struct Keeper {
+            kept: Vec<(Envelope, Vec<u8>)>,
+            inner: RecordingSink,
+        }
+        impl PacketSink for Keeper {
+            fn on_eager(&mut self, _: Envelope, _: &[u8]) {
+                unreachable!("the parser hands bodies over");
+            }
+            fn on_eager_owned(&mut self, env: Envelope, body: Vec<u8>) -> Vec<u8> {
+                self.kept.push((env, body));
+                Vec::new()
+            }
+            fn on_rts(&mut self, env: Envelope) {
+                self.inner.on_rts(env);
+            }
+            fn on_cts(&mut self, sreq: u64, rreq: u64) {
+                self.inner.on_cts(sreq, rreq);
+            }
+            fn on_sync_ack(&mut self, sreq: u64) {
+                self.inner.on_sync_ack(sreq);
+            }
+            fn rndv_dest(&mut self, rreq: u64, total: usize) -> RndvDest {
+                self.inner.rndv_dest(rreq, total)
+            }
+            fn on_rndv_complete(&mut self, rreq: u64, total: usize) {
+                self.inner.on_rndv_complete(rreq, total);
+            }
+        }
+
+        let (mut tx, mut rx) = pair();
+        for i in 0..3u8 {
+            tx.queue_eager(&env(4), &[i; 4]);
+            tx.queue_bytes(packet::encode_sync_ack(i as u64));
+        }
+        let mut keeper = Keeper::default();
+        for _ in 0..100 {
+            tx.pump_out().unwrap();
+            rx.pump_in(&mut keeper).unwrap();
+        }
+        assert_eq!(
+            keeper.inner.acks,
+            vec![0, 1, 2],
+            "control frames in between"
+        );
+        assert_eq!(keeper.kept.len(), 3);
+        for (i, (e, body)) in keeper.kept.iter().enumerate() {
+            assert_eq!((e.tag, e.len), (5, 4));
+            assert_eq!(Envelope::decode(body).unwrap(), *e, "the envelope leads");
+            assert_eq!(&body[ENVELOPE_LEN..], &[i as u8; 4]);
+        }
+        // The default hand-over is `on_eager` on the data, body returned:
+        // one buffer serves every frame.
+        let mut plain = RecordingSink::default();
+        for i in 0..3u8 {
+            tx.queue_eager(&env(2), &[i; 2]);
+            pump_until_idle(&mut tx, &mut rx, &mut plain);
+        }
+        assert_eq!(plain.eager.len(), 3);
+        assert_eq!(plain.eager[2].1, vec![2u8; 2]);
+        assert!(tx.spare_frames.len() <= SPARE_FRAMES && !tx.spare_frames.is_empty());
     }
 
     /// Capacity held for a partially received control/eager body.

@@ -5,7 +5,9 @@
 //! heterogeneous communication and data transfer." This module is that
 //! layer: it owns the posted-receive queue, the unexpected-message queue,
 //! the envelope matcher (source/tag/context with wildcards, preserving
-//! MPI's non-overtaking order), the eager/rendezvous protocol state
+//! MPI's non-overtaking order; both queues are keyed, so a directed
+//! receive or arrival costs one lookup at any depth — `matching.rs`), the
+//! eager/rendezvous protocol state
 //! machines, and the two things every caller above shares: the one
 //! progress pass ([`Device::pass`]) that pumps every link and the one
 //! wait loop (`Device::wait_until`) that blocks on it.
@@ -86,7 +88,8 @@
 //! consumed: we have room). The peer finds it in the link pair's wake
 //! cells ([`motor_pal::poll`]), where [`Device::set_link`] publishes it.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -98,14 +101,15 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::channel::{LinkState, PacketSink, RndvDest};
 use crate::error::{MpcError, MpcResult};
-use crate::packet::{self, env_flags, Envelope};
+use crate::matching::{Found, Key, KeyedQueue};
+use crate::packet::{self, env_flags, Envelope, ENVELOPE_LEN};
 use crate::progress::{Caller, Policy, ProgressSet};
 use crate::request::{Request, RequestState, Status};
 
 /// Wildcard source rank (`MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: i32 = -1;
+pub const ANY_SOURCE: i32 = crate::matching::ANY;
 /// Wildcard tag (`MPI_ANY_TAG`).
-pub const ANY_TAG: i32 = -1;
+pub const ANY_TAG: i32 = crate::matching::ANY;
 
 /// Device tuning parameters.
 #[derive(Debug, Clone)]
@@ -148,10 +152,26 @@ struct PostedRecv {
     req: Request,
 }
 
+impl PostedRecv {
+    /// The pattern this receive is filed under.
+    fn key(&self) -> Key {
+        Key {
+            context: self.context,
+            src: self.src,
+            tag: self.tag,
+        }
+    }
+}
+
 /// A message that arrived before its receive was posted.
 enum Unexpected {
-    /// Complete eager payload (buffered copy).
-    Eager { env: Envelope, data: Vec<u8> },
+    /// Complete eager payload: `body[at..]`. `body` is the parser's own
+    /// frame body (the envelope's bytes lead it), handed over, not copied.
+    Eager {
+        env: Envelope,
+        body: Vec<u8>,
+        at: usize,
+    },
     /// A rendezvous announcement; data still on the sender.
     Rts { env: Envelope },
 }
@@ -215,8 +235,8 @@ struct MatchState {
     /// Peers whose link died (index = global rank). Distinguishes "never
     /// wired" (`InvalidRank`) from "wired, then closed" (`PeerClosed`).
     dead: Vec<bool>,
-    posted: VecDeque<PostedRecv>,
-    unexpected: VecDeque<Unexpected>,
+    posted: KeyedQueue<PostedRecv>,
+    unexpected: KeyedQueue<Unexpected>,
     pending_sends: HashMap<u64, PendingSend>,
     active_recvs: HashMap<u64, ActiveRecv>,
 }
@@ -234,49 +254,64 @@ impl MatchState {
         context == 0 && src >= 0 && self.is_dead(src as usize)
     }
 
-    /// Remove the first posted receive `env` satisfies (arrival order:
+    /// Remove the first posted receive `env` satisfies (post order:
     /// non-overtaking).
     fn take_posted(&mut self, env: &Envelope, metrics: &MetricsRegistry) -> Option<PostedRecv> {
-        take_first(&mut self.posted, metrics, |p| {
-            envelope_matches(env, p.src, p.tag, p.context)
-        })
+        let (found, looked) = self.posted.first_accepting(envelope_key(env));
+        charge_match(metrics, looked);
+        found.map(|at| self.posted.remove(at))
     }
 
-    /// Remove the first unexpected message a receive for `(src, tag,
-    /// context)` accepts.
-    fn take_unexpected(
-        &mut self,
+    /// Queue a receive nothing buffered matched.
+    fn push_posted(&mut self, recv: PostedRecv, metrics: &MetricsRegistry) {
+        self.posted.push(recv.key(), recv);
+        metrics.bump(Metric::RecvsPosted);
+        metrics.record_max(Metric::PostedQueuePeak, self.posted.len() as u64);
+    }
+
+    /// The first unexpected message (arrival order) a receive or probe for
+    /// `(src, tag, context)` accepts — the one lookup both go through, so
+    /// `MatchAttempts` means the same for either.
+    fn find_unexpected(
+        &self,
         src: i32,
         tag: i32,
         context: u32,
         metrics: &MetricsRegistry,
-    ) -> Option<Unexpected> {
-        take_first(&mut self.unexpected, metrics, |u| {
-            envelope_matches(u.envelope(), src, tag, context)
-        })
+    ) -> Option<Found> {
+        let (found, looked) = self.unexpected.first_accepted_by(Key { context, src, tag });
+        charge_match(metrics, looked);
+        found
     }
 
     /// Queue a message no posted receive matched.
     fn push_unexpected(&mut self, msg: Unexpected, metrics: &MetricsRegistry) {
-        self.unexpected.push_back(msg);
+        self.unexpected.push(envelope_key(msg.envelope()), msg);
         metrics.record_max(Metric::UnexpectedQueuePeak, self.unexpected.len() as u64);
     }
 }
 
-/// The one match scan: remove the first entry `hit` accepts, charging
-/// `MatchAttempts` one comparison per entry looked at (the whole queue on
-/// a miss).
-fn take_first<T>(
-    queue: &mut VecDeque<T>,
-    metrics: &MetricsRegistry,
-    hit: impl Fn(&T) -> bool,
-) -> Option<T> {
-    let pos = queue.iter().position(hit);
-    metrics.add(
-        Metric::MatchAttempts,
-        pos.map_or(queue.len(), |p| p + 1) as u64,
-    );
-    queue.remove(pos?)
+/// What a message is matched and filed under.
+fn envelope_key(env: &Envelope) -> Key {
+    Key {
+        context: env.context,
+        src: env.src as i32,
+        tag: env.tag,
+    }
+}
+
+/// Charge `MatchAttempts` what a lookup looked at: buckets for a keyed
+/// lookup, entries for a wildcard walk, nothing in an empty queue.
+fn charge_match(metrics: &MetricsRegistry, looked: u64) {
+    if looked != 0 {
+        metrics.add(Metric::MatchAttempts, looked);
+    }
+}
+
+thread_local! {
+    /// The deferred-work list of this thread's passes, kept between them
+    /// for its capacity.
+    static DEFERRED: Cell<Vec<Deferred>> = const { Cell::new(Vec::new()) };
 }
 
 /// One wired peer: the link and, outside its mutex, the link's handles
@@ -306,12 +341,6 @@ pub struct Device {
     /// Steal registry this device belongs to (progress mode `steal`; set
     /// once, by [`ProgressSet::register`]).
     pub(crate) steal_set: OnceLock<Arc<ProgressSet>>,
-}
-
-fn envelope_matches(env: &Envelope, src: i32, tag: i32, context: u32) -> bool {
-    env.context == context
-        && (src == ANY_SOURCE || env.src == src as u32)
-        && (tag == ANY_TAG || env.tag == tag)
 }
 
 impl Device {
@@ -348,14 +377,27 @@ impl Device {
         self.config.eager_threshold
     }
 
-    /// Install the link to `peer` (universe wiring) and tell the link's
-    /// other end whom to wake when it moves bytes.
-    pub fn set_link(&self, peer: usize, mut link: LinkState) {
+    /// Install the link to `peer` and tell the link's other end whom to
+    /// wake when it moves bytes. Refuses — `Protocol`, nothing installed —
+    /// a link whose two ends disagree about the window table: the end
+    /// that sees one would pull windows the other never exposes, and every
+    /// large receive from it would fail as `PeerClosed`. Whichever end is
+    /// wired second sees the disagreement (through the pair's wake cells).
+    pub fn try_set_link(&self, peer: usize, mut link: LinkState) -> MpcResult<()> {
         link.attach_metrics(Arc::clone(&self.metrics));
         link.set_peer(peer);
         let (windows, wake) = link.shared();
         if let Some(wake) = &wake {
-            wake.publish(Arc::clone(&self.waker));
+            wake.publish(Arc::clone(&self.waker), windows.is_some());
+            if wake
+                .peer_windows()
+                .is_some_and(|theirs| theirs != windows.is_some())
+            {
+                return Err(MpcError::Protocol(format!(
+                    "the link between ranks {} and {peer} has a window table at one end only",
+                    self.rank
+                )));
+            }
         }
         let mut links = self.links.write();
         if links.len() <= peer {
@@ -366,6 +408,18 @@ impl Device {
             windows,
             wake,
         }));
+        Ok(())
+    }
+
+    /// [`Device::try_set_link`] for the two ends of a pair one constructor
+    /// built, which agree by construction.
+    ///
+    /// # Panics
+    /// If they do not (a wiring bug).
+    pub fn set_link(&self, peer: usize, link: LinkState) {
+        if let Err(e) = self.try_set_link(peer, link) {
+            panic!("set_link: {e}");
+        }
     }
 
     /// Number of link slots (== known universe size).
@@ -394,11 +448,11 @@ impl Device {
         self.slot(peer)?.windows.clone()
     }
 
-    /// Queue a control frame on the link to `dst`, with the legacy error
+    /// Queue something on the link to `dst`, with the legacy error
     /// surface: dead peer → `PeerClosed`, never wired → `InvalidRank`.
-    fn queue_frame_on_link(&self, dst: usize, bytes: Vec<u8>) -> MpcResult<()> {
+    fn on_link(&self, dst: usize, queue: impl FnOnce(&mut LinkState)) -> MpcResult<()> {
         if let Some(slot) = self.slot(dst) {
-            slot.link.lock().queue_bytes(bytes);
+            queue(&mut slot.link.lock());
             return Ok(());
         }
         if self.match_state.lock().is_dead(dst) {
@@ -406,6 +460,11 @@ impl Device {
         } else {
             Err(MpcError::InvalidRank(dst as i32))
         }
+    }
+
+    /// Queue a control frame on the link to `dst`.
+    fn queue_frame_on_link(&self, dst: usize, bytes: Vec<u8>) -> MpcResult<()> {
+        self.on_link(dst, |link| link.queue_bytes(bytes))
     }
 
     // ------------------------------------------------------------------
@@ -445,7 +504,7 @@ impl Device {
         let data = unsafe { std::slice::from_raw_parts(ptr, len) };
 
         if dst_global == self.rank {
-            self.metrics.event3(
+            self.metrics.event_at_edge(
                 EventKind::MsgSend,
                 dst_global as u64,
                 env.tag as i64 as u64,
@@ -454,9 +513,10 @@ impl Device {
             self.send_to_self(env, data, &req);
             return Ok(req);
         }
-        // Stamp the send initiation for cross-rank edge matching; the high
-        // bit of the byte count marks the rendezvous path.
-        self.metrics.event3(
+        // Stamp the send initiation for cross-rank edge matching — with
+        // the reading of the operation that is starting it, if one is —
+        // the high bit of the byte count marks the rendezvous path.
+        self.metrics.event_at_edge(
             EventKind::MsgSend,
             dst_global as u64,
             env.tag as i64 as u64,
@@ -494,12 +554,14 @@ impl Device {
             return Err(MpcError::PeerClosed(dst_global));
         }
 
-        let frame = if use_eager {
-            packet::encode_eager(&env, data)
-        } else {
-            packet::encode_rts(&env)
-        };
-        if let Err(e) = self.queue_frame_on_link(dst_global, frame) {
+        let queued = self.on_link(dst_global, |link| {
+            if use_eager {
+                link.queue_eager(&env, data)
+            } else {
+                link.queue_bytes(packet::encode_rts(&env))
+            }
+        });
+        if let Err(e) = queued {
             self.match_state.lock().pending_sends.remove(&env.sreq);
             return Err(e);
         }
@@ -535,8 +597,8 @@ impl Device {
             Some(p) => self.deliver(&env, data, &p),
             // Buffer a copy, as the eager path would.
             None => {
-                let data = data.to_vec();
-                ms.push_unexpected(Unexpected::Eager { env, data }, &self.metrics);
+                let (body, at) = (data.to_vec(), 0);
+                ms.push_unexpected(Unexpected::Eager { env, body, at }, &self.metrics);
             }
         }
         req.complete();
@@ -575,29 +637,28 @@ impl Device {
         let mut reply: Option<Deferred> = None;
         let mut ms = self.match_state.lock();
         // Unexpected queue first, preserving arrival order (non-overtaking).
-        let buffered = ms.take_unexpected(src, tag, context, &self.metrics);
+        let buffered = ms
+            .find_unexpected(src, tag, context, &self.metrics)
+            .map(|at| ms.unexpected.remove(at));
         if buffered.is_some() {
             self.metrics.bump(Metric::RecvsUnexpected);
         }
         match buffered {
-            Some(Unexpected::Eager { env, data }) => {
+            Some(Unexpected::Eager { env, body, at }) => {
                 if env.is_sync() && env.gsrc as usize != self.rank {
                     reply = Some(Deferred::Frame {
                         dst: env.gsrc as usize,
                         bytes: packet::encode_sync_ack(env.sreq),
                     });
                 }
-                self.deliver(&env, &data, &posted);
+                self.deliver(&env, &body[at..], &posted);
             }
             Some(Unexpected::Rts { env }) => reply = Some(self.match_rts(&mut ms, env, posted)),
             None => {
                 if ms.awaits_dead_peer(src, context) {
                     return Err(MpcError::PeerClosed(src as usize));
                 }
-                ms.posted.push_back(posted);
-                self.metrics.bump(Metric::RecvsPosted);
-                self.metrics
-                    .record_max(Metric::PostedQueuePeak, ms.posted.len() as u64);
+                ms.push_posted(posted, &self.metrics);
             }
         }
         drop(ms);
@@ -609,7 +670,10 @@ impl Device {
     }
 
     /// Complete the receive `p` with an eager payload: copy into its
-    /// window, flag truncation, stamp `MsgRecv`.
+    /// window, flag truncation, stamp `MsgRecv` — now, or with the reading
+    /// of the receive that found it buffered if that is only just starting
+    /// (a pass's deliveries always read the clock: the pass ended any
+    /// edge).
     fn deliver(&self, env: &Envelope, data: &[u8], p: &PostedRecv) {
         let n = data.len().min(p.cap);
         // SAFETY: a `PostedRecv` is only ever built by `irecv_raw`, whose
@@ -621,7 +685,7 @@ impl Device {
         if data.len() > p.cap {
             p.req.mark_truncated();
         }
-        self.metrics.event3(
+        self.metrics.event_at_edge(
             EventKind::MsgRecv,
             env.gsrc as u64,
             env.tag as i64 as u64,
@@ -743,20 +807,16 @@ impl Device {
     /// `PeerClosed`.
     pub(crate) fn peek(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
         let ms = self.match_state.lock();
-        self.metrics
-            .add(Metric::MatchAttempts, ms.unexpected.len() as u64);
-        let hit = ms
-            .unexpected
-            .iter()
-            .map(Unexpected::envelope)
-            .find(|e| envelope_matches(e, src, tag, context));
-        match hit {
-            Some(e) => Ok(Some(Status {
-                source: e.src,
-                tag: e.tag,
-                count: e.len as usize,
-                truncated: false,
-            })),
+        match ms.find_unexpected(src, tag, context, &self.metrics) {
+            Some(at) => {
+                let e = ms.unexpected.get(at).envelope();
+                Ok(Some(Status {
+                    source: e.src,
+                    tag: e.tag,
+                    count: e.len as usize,
+                    truncated: false,
+                }))
+            }
             None if ms.awaits_dead_peer(src, context) => Err(MpcError::PeerClosed(src as usize)),
             None => Ok(None),
         }
@@ -783,13 +843,16 @@ impl Device {
     /// peer sends what is not a frame, is dropped and every operation
     /// bound to it fails with `PeerClosed`; the other links carry on.
     pub fn pass(&self, policy: Policy) -> bool {
+        // Time passes in a pass: what it delivers is stamped afresh, not
+        // with the reading of the operation that called it.
+        motor_obs::expire_edge();
         let t0 = (policy.attribute_to == Caller::Engine).then(|| self.metrics.now_nanos());
         let mut moved_any = false;
         let mut completions = 0u64;
+        let mut deferred = DEFERRED.take();
         for _ in 0..policy.max_passes {
             self.metrics.bump(Metric::ProgressPolls);
             let mut moved = false;
-            let mut deferred: Vec<Deferred> = Vec::new();
             let nlinks = self.links.read().len();
             for peer in 0..nlinks {
                 // Rule 1: transient table guard — clone the Arc, drop the
@@ -835,7 +898,7 @@ impl Device {
                 moved = true;
             }
             // Carry out what the handlers deferred: reply frames, pulls.
-            for d in deferred {
+            for d in deferred.drain(..) {
                 completions += matches!(d, Deferred::Pull { .. }) as u64;
                 // A reply to a peer that died meanwhile has nowhere to go.
                 let _ = self.run_deferred(d);
@@ -846,6 +909,7 @@ impl Device {
             }
             moved_any = true;
         }
+        DEFERRED.set(deferred);
         if moved_any {
             self.metrics.note_progress();
             self.waker.notify();
@@ -896,14 +960,10 @@ impl Device {
                 true
             }
         });
-        ms.posted.retain(|p| {
-            if p.context == 0 && p.src == peer as i32 {
-                p.req.fail(peer);
-                false
-            } else {
-                true
-            }
-        });
+        ms.posted.retain(
+            |p| !(p.context == 0 && p.src == peer as i32),
+            |p| p.req.fail(peer),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1036,26 +1096,40 @@ struct DeviceSink<'a> {
     completions: &'a mut u64,
 }
 
-impl PacketSink for DeviceSink<'_> {
-    fn on_eager(&mut self, env: Envelope, data: &[u8]) {
+impl DeviceSink<'_> {
+    /// An eager message arrived, its data `body[at..]`: deliver it to the
+    /// receive posted for it and give `body` back, or keep `body` as the
+    /// unexpected message's buffer and give back an empty one.
+    fn eager_arrived(&mut self, env: Envelope, body: Vec<u8>, at: usize) -> Vec<u8> {
         let dev = self.dev;
         let mut ms = dev.match_state.lock();
-        match ms.take_posted(&env, &dev.metrics) {
-            Some(p) => {
-                if env.is_sync() {
-                    self.deferred.push(Deferred::Frame {
-                        dst: env.gsrc as usize,
-                        bytes: packet::encode_sync_ack(env.sreq),
-                    });
-                }
-                dev.deliver(&env, data, &p);
-                *self.completions += 1;
-            }
-            None => {
-                let data = data.to_vec();
-                ms.push_unexpected(Unexpected::Eager { env, data }, &dev.metrics);
-            }
+        let Some(p) = ms.take_posted(&env, &dev.metrics) else {
+            ms.push_unexpected(Unexpected::Eager { env, body, at }, &dev.metrics);
+            return Vec::new();
+        };
+        if env.is_sync() {
+            self.deferred.push(Deferred::Frame {
+                dst: env.gsrc as usize,
+                bytes: packet::encode_sync_ack(env.sreq),
+            });
         }
+        dev.deliver(&env, &body[at..], &p);
+        *self.completions += 1;
+        body
+    }
+}
+
+impl PacketSink for DeviceSink<'_> {
+    /// For a caller that has only borrowed the data (the link parser hands
+    /// its body over instead).
+    fn on_eager(&mut self, env: Envelope, data: &[u8]) {
+        self.eager_arrived(env, data.to_vec(), 0);
+    }
+
+    /// What the link parser calls: an unmatched message keeps the parser's
+    /// frame body as its buffer, and the parser starts a new one.
+    fn on_eager_owned(&mut self, env: Envelope, body: Vec<u8>) -> Vec<u8> {
+        self.eager_arrived(env, body, ENVELOPE_LEN)
     }
 
     fn on_rts(&mut self, env: Envelope) {
@@ -1904,6 +1978,64 @@ mod tests {
         fn is_closed(&self) -> bool {
             self.0.is_closed()
         }
+    }
+
+    /// A shm end that keeps its window table to itself but still shares
+    /// the pair's wake cells — what a wrapping link that forwards one
+    /// accessor and forgets the other looks like.
+    struct TableHidden(motor_pal::link::ShmLink);
+
+    impl motor_pal::ByteLink for TableHidden {
+        fn try_write(&mut self, src: &[u8]) -> motor_pal::PalResult<usize> {
+            self.0.try_write(src)
+        }
+        fn try_read(&mut self, dst: &mut [u8]) -> motor_pal::PalResult<usize> {
+            self.0.try_read(dst)
+        }
+        fn is_closed(&self) -> bool {
+            self.0.is_closed()
+        }
+        fn wake_cells(&self) -> Option<WakeCells> {
+            self.0.wake_cells()
+        }
+    }
+
+    /// A link with a window table at one end only would have that end pull
+    /// windows the other never exposes — every large receive `PeerClosed`.
+    /// Whichever end is wired second refuses it, in either order, and
+    /// nothing is installed.
+    #[test]
+    fn a_window_table_at_one_end_only_is_refused_at_wiring() {
+        for hidden_first in [false, true] {
+            let d0 = Device::new(0, DeviceConfig::default());
+            let d1 = Device::new(1, DeviceConfig::default());
+            let (a, b) = shm_pair(4096);
+            let table = LinkState::new(Box::new(a));
+            let hidden = LinkState::new(Box::new(TableHidden(b)));
+            let second = if hidden_first {
+                d1.try_set_link(0, hidden).unwrap();
+                d0.try_set_link(1, table)
+            } else {
+                d0.try_set_link(1, table).unwrap();
+                d1.try_set_link(0, hidden)
+            };
+            match second {
+                Err(MpcError::Protocol(why)) => assert!(why.contains("one end only"), "{why}"),
+                other => panic!("hidden first = {hidden_first}: {other:?}"),
+            }
+            let unwired = if hidden_first { &d0 } else { &d1 };
+            assert_eq!(unwired.link_count(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one end only")]
+    fn set_link_asserts_the_symmetry_it_assumes() {
+        let d0 = Device::new(0, DeviceConfig::default());
+        let d1 = Device::new(1, DeviceConfig::default());
+        let (a, b) = shm_pair(4096);
+        d0.set_link(1, LinkState::new(Box::new(a)));
+        d1.set_link(0, LinkState::new(Box::new(TableHidden(b))));
     }
 
     /// Rank teardown, receive side: once a rank has finalised, nothing is

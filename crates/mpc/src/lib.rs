@@ -39,6 +39,7 @@ pub mod device;
 pub mod dtype;
 pub mod error;
 pub mod group;
+mod matching;
 pub mod packet;
 pub mod progress;
 pub mod request;

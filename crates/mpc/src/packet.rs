@@ -116,14 +116,21 @@ impl Envelope {
 
 /// Build an Eager frame: header + envelope + data.
 pub fn encode_eager(env: &Envelope, data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_eager_into(&mut out, env, data);
+    out
+}
+
+/// [`encode_eager`] into `out` (emptied first), whose capacity is reused.
+pub fn encode_eager_into(out: &mut Vec<u8>, env: &Envelope, data: &[u8]) {
     debug_assert_eq!(env.len as usize, data.len());
     let body_len = 1 + ENVELOPE_LEN + data.len();
-    let mut out = Vec::with_capacity(4 + body_len);
+    out.clear();
+    out.reserve_exact(4 + body_len);
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
     out.push(PacketKind::Eager as u8);
-    env.encode(&mut out);
+    env.encode(out);
     out.extend_from_slice(data);
-    out
 }
 
 /// Build a RndvRts frame.

@@ -133,6 +133,14 @@ impl RequestState {
     }
 }
 
+/// The request is its own conditional-pin oracle (paper §4.3): the
+/// collector asks the transport's own handle, with nothing in between.
+impl motor_pal::PinCondition for RequestState {
+    fn in_flight(&self) -> bool {
+        RequestState::in_flight(self)
+    }
+}
+
 /// A non-blocking operation handle.
 pub type Request = Arc<RequestState>;
 

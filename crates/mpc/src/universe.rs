@@ -196,16 +196,16 @@ impl Universe {
         for (i, nd) in fresh.iter().enumerate() {
             for (g, od) in devices.iter().enumerate() {
                 let (a, b) = Self::make_link_pair(&self.inner.config, base + i, g)?;
-                nd.set_link(g, a);
-                od.set_link(base + i, b);
+                nd.try_set_link(g, a)?;
+                od.try_set_link(base + i, b)?;
             }
         }
         // New ↔ new links.
         for i in 0..count {
             for j in (i + 1)..count {
                 let (a, b) = Self::make_link_pair(&self.inner.config, base + i, base + j)?;
-                fresh[i].set_link(base + j, a);
-                fresh[j].set_link(base + i, b);
+                fresh[i].try_set_link(base + j, a)?;
+                fresh[j].try_set_link(base + i, b)?;
             }
         }
         devices.extend(fresh.iter().cloned());

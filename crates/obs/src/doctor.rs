@@ -11,9 +11,11 @@
 //!   `System.MP`/`System.MP.OO` operation, collective, and outstanding
 //!   `Isend`/`Irecv` registers entry, heartbeats, and exit, so at any
 //!   instant a rank can report *what am I doing, since when, waiting on
-//!   whom*. Publication reuses the seqlock discipline of the event ring:
-//!   writers claim a slot with one CAS and publish a generation token
-//!   with a release store; readers validate the token around their loads.
+//!   whom*. Claiming and releasing a slot is a pop and a push on a tagged
+//!   free list — constant cost whether the table is empty or full — and
+//!   publication reuses the seqlock discipline of the event ring: the
+//!   claimant publishes a generation token with a release store; readers
+//!   validate the token around their loads.
 //! * [`classify`] — the watchdog's pure decision procedure: given one
 //!   [`RankHealth`] observation per rank it reports [`Anomaly`]s —
 //!   *stall*, *deadlock suspect*, *pin leak*, *GC pressure*.
@@ -40,32 +42,26 @@ pub const DEFAULT_INFLIGHT_CAPACITY: usize = 128;
 /// op chose not to register). All table operations ignore it.
 pub const INFLIGHT_NONE: usize = usize::MAX;
 
-// Slot states: 0 = free, CLAIMING = a writer is mid-publish, >= FIRST_TOKEN
-// = published generation token.
-const CLAIMING: u64 = 1;
+// Slot states: 0 = free, or popped and being written by its claimant;
+// >= FIRST_TOKEN = published generation token.
 const FIRST_TOKEN: u64 = 2;
 
+// The free-list head packs the first free slot (index + 1; 0 = none) under
+// a count of the pops so far. The count makes a pop's compare-exchange
+// fail if the head it read has been popped and pushed back meanwhile
+// (ABA), and numbers the registrations: it is the token.
+const IDX_BITS: u32 = 16;
+const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
+
 struct InflightSlot {
-    /// Seqlock word: free / claiming / published token (see above).
+    /// Seqlock word: free / published token (see above).
     state: AtomicU64,
     kind: AtomicU64,
     arg: AtomicU64,
     since_nanos: AtomicU64,
-    beat_nanos: AtomicU64,
     beats: AtomicU64,
-}
-
-impl InflightSlot {
-    fn empty() -> Self {
-        InflightSlot {
-            state: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-            since_nanos: AtomicU64::new(0),
-            beat_nanos: AtomicU64::new(0),
-            beats: AtomicU64::new(0),
-        }
-    }
+    /// While on the free list: the next free slot (index + 1; 0 = none).
+    next_free: AtomicU64,
 }
 
 /// One published entry of an [`InflightTable`].
@@ -80,7 +76,8 @@ pub struct InflightOp {
     pub arg: u64,
     /// Registry clock when the op entered (nanoseconds since epoch).
     pub since_nanos: u64,
-    /// Registry clock of the last heartbeat (= `since_nanos` if none).
+    /// Registry clock at which the table's last sign of life was observed,
+    /// if the op has heartbeat at all (= `since_nanos` if it has not).
     pub beat_nanos: u64,
     /// Number of heartbeats recorded.
     pub beats: u64,
@@ -111,83 +108,144 @@ impl InflightOp {
     }
 }
 
-/// Lock-free in-flight op table: fixed slots, seqlock-published entries.
+/// Lock-free in-flight op table: fixed slots on a tagged free list,
+/// seqlock-published entries.
 ///
 /// Writers ([`begin`](Self::begin) / [`beat`](Self::beat) /
-/// [`end`](Self::end)) never block; if every slot is taken the
-/// registration is dropped and counted in
-/// [`overflows`](Self::overflows). Readers ([`snapshot`](Self::snapshot))
-/// are wait-free and skip entries caught mid-publish.
+/// [`end`](Self::end)) never block and never scan: a claim pops the free
+/// list, a release pushes, and on a full table the registration is dropped
+/// — counted in [`overflows`](Self::overflows) — after one load. Readers
+/// ([`snapshot`](Self::snapshot)) are wait-free and skip entries caught
+/// mid-publish.
+///
+/// **Signs of life are counted by the writers and dated by the reader.**
+/// A heartbeat or a moved progress pass bumps a counter and reads no
+/// clock; whoever watches the table ([`last_beat_nanos`]
+/// (Self::last_beat_nanos), [`snapshot`](Self::snapshot)) compares the
+/// count with the one it saw last and, if it moved, dates the progress
+/// with its own reading. The date is late by at most the watcher's
+/// interval, which only ever makes a rank look more alive.
 pub struct InflightTable {
     slots: Vec<InflightSlot>,
-    cursor: AtomicU64,
-    next_token: AtomicU64,
+    /// Free-list head: see `IDX_BITS`.
+    free: AtomicU64,
     overflows: AtomicU64,
-    /// Registry clock of the last heartbeat anywhere in this table — the
-    /// rank-wide "last sign of progress" the watchdog compares against.
-    last_beat: AtomicU64,
+    /// Signs of life anywhere in this table — the rank-wide progress the
+    /// watchdog compares against.
+    progress: AtomicU64,
+    /// The `progress` the last observation saw, and when it saw it move.
+    seen_progress: AtomicU64,
+    seen_at_nanos: AtomicU64,
 }
 
 impl InflightTable {
     /// Table with `capacity` slots (rounded up to 1).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        assert!((capacity as u64) < IDX_MASK, "in-flight table too large");
         InflightTable {
-            slots: (0..capacity.max(1))
-                .map(|_| InflightSlot::empty())
+            slots: (1..=capacity as u64)
+                .map(|this| InflightSlot {
+                    state: AtomicU64::new(0),
+                    kind: AtomicU64::new(0),
+                    arg: AtomicU64::new(0),
+                    since_nanos: AtomicU64::new(0),
+                    beats: AtomicU64::new(0),
+                    next_free: AtomicU64::new(if this == capacity as u64 { 0 } else { this + 1 }),
+                })
                 .collect(),
-            cursor: AtomicU64::new(0),
-            next_token: AtomicU64::new(FIRST_TOKEN),
+            free: AtomicU64::new(1),
             overflows: AtomicU64::new(0),
-            last_beat: AtomicU64::new(0),
+            progress: AtomicU64::new(0),
+            seen_progress: AtomicU64::new(0),
+            seen_at_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Pop the free list. Returns the slot and the pop count, or `None`
+    /// when every slot is taken — and how many slots it looked at, which
+    /// does not depend on the occupancy: one per attempt, none when full.
+    fn claim(&self) -> (Option<(usize, u64)>, u32) {
+        let mut head = self.free.load(Ordering::Acquire);
+        let mut looked = 0;
+        loop {
+            let Some(idx) = ((head & IDX_MASK) as usize).checked_sub(1) else {
+                return (None, looked);
+            };
+            looked += 1;
+            // Stale if the slot was popped meanwhile; the count in `head`
+            // then differs and the exchange fails.
+            let next = self.slots[idx].next_free.load(Ordering::Relaxed);
+            let popped = ((head >> IDX_BITS) + 1) << IDX_BITS | next;
+            match self
+                .free
+                .compare_exchange_weak(head, popped, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return (Some((idx, popped >> IDX_BITS)), looked),
+                Err(seen) => head = seen,
+            }
         }
     }
 
     /// Register an op. Returns the claimed slot index, or
     /// [`INFLIGHT_NONE`] if the table is full (the drop is counted).
     pub fn begin(&self, kind: SpanKind, arg: u64, now_nanos: u64) -> usize {
-        let hint = self.cursor.fetch_add(1, Ordering::Relaxed) as usize;
-        for i in 0..self.slots.len() {
-            let idx = (hint + i) % self.slots.len();
-            let slot = &self.slots[idx];
-            if slot
-                .state
-                .compare_exchange(0, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-            slot.kind.store(kind as u64, Ordering::Relaxed);
-            slot.arg.store(arg, Ordering::Relaxed);
-            slot.since_nanos.store(now_nanos, Ordering::Relaxed);
-            slot.beat_nanos.store(now_nanos, Ordering::Relaxed);
-            slot.beats.store(0, Ordering::Relaxed);
-            slot.state.store(token, Ordering::Release);
-            return idx;
-        }
-        self.overflows.fetch_add(1, Ordering::Relaxed);
-        INFLIGHT_NONE
+        let (Some((idx, pops)), _) = self.claim() else {
+            self.overflows.fetch_add(1, Ordering::Relaxed);
+            return INFLIGHT_NONE;
+        };
+        let slot = &self.slots[idx];
+        // Seqlock write side, as in the event ring: the slot was
+        // invalidated by the `end` that freed it, which the pop above
+        // acquired; this fence orders that before the payload stores.
+        fence(Ordering::Release);
+        slot.kind.store(kind as u64, Ordering::Relaxed);
+        slot.arg.store(arg, Ordering::Relaxed);
+        slot.since_nanos.store(now_nanos, Ordering::Relaxed);
+        slot.beats.store(0, Ordering::Relaxed);
+        slot.state.store(pops + FIRST_TOKEN - 1, Ordering::Release);
+        idx
     }
 
     /// Record a sign of life on a registered op (and on the whole table).
-    pub fn beat(&self, idx: usize, now_nanos: u64) {
-        self.last_beat.store(now_nanos, Ordering::Relaxed);
+    /// Only the op's own thread heartbeats it.
+    pub fn beat(&self, idx: usize) {
+        self.note_progress();
         if let Some(slot) = self.slots.get(idx) {
-            slot.beat_nanos.store(now_nanos, Ordering::Relaxed);
-            slot.beats.fetch_add(1, Ordering::Relaxed);
+            let beats = slot.beats.load(Ordering::Relaxed);
+            slot.beats.store(beats + 1, Ordering::Relaxed);
         }
     }
 
     /// Record table-wide progress without a specific op (e.g. the device
     /// progress engine moved bytes while polling).
-    pub fn note_progress(&self, now_nanos: u64) {
-        self.last_beat.store(now_nanos, Ordering::Relaxed);
+    pub fn note_progress(&self) {
+        self.progress.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Deregister an op (idempotent on [`INFLIGHT_NONE`]).
+    /// Deregister an op (idempotent on [`INFLIGHT_NONE`], and on a
+    /// registration already ended).
     pub fn end(&self, idx: usize) {
-        if let Some(slot) = self.slots.get(idx) {
-            slot.state.store(0, Ordering::Release);
+        let Some(slot) = self.slots.get(idx) else {
+            return;
+        };
+        if slot.state.load(Ordering::Relaxed) < FIRST_TOKEN {
+            return;
+        }
+        slot.state.store(0, Ordering::Release);
+        let mut head = self.free.load(Ordering::Relaxed);
+        loop {
+            slot.next_free.store(head & IDX_MASK, Ordering::Relaxed);
+            let pushed = (head & !IDX_MASK) | (idx as u64 + 1);
+            match self.free.compare_exchange_weak(
+                head,
+                pushed,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(seen) => head = seen,
+            }
         }
     }
 
@@ -196,25 +254,34 @@ impl InflightTable {
         self.overflows.load(Ordering::Relaxed)
     }
 
-    /// Registry clock of the last heartbeat anywhere in the table.
-    pub fn last_beat_nanos(&self) -> u64 {
-        self.last_beat.load(Ordering::Relaxed)
+    /// Observe the table's signs of life at `now_nanos`: if any were
+    /// recorded since the previous observation, the progress is dated
+    /// `now_nanos`. Returns the date of the last progress so observed (0
+    /// if none ever was).
+    pub fn last_beat_nanos(&self, now_nanos: u64) -> u64 {
+        let progress = self.progress.load(Ordering::Relaxed);
+        if self.seen_progress.swap(progress, Ordering::Relaxed) != progress {
+            self.seen_at_nanos.store(now_nanos, Ordering::Relaxed);
+        }
+        self.seen_at_nanos.load(Ordering::Relaxed)
     }
 
-    /// Wait-free copy of every published entry. Entries caught mid-claim
-    /// or recycled while being read are skipped (seqlock validation).
-    pub fn snapshot(&self) -> Vec<InflightOp> {
+    /// Wait-free copy of every published entry, observed at `now_nanos`
+    /// (see [`last_beat_nanos`](Self::last_beat_nanos)). Entries caught
+    /// mid-claim or recycled while being read are skipped (seqlock
+    /// validation).
+    pub fn snapshot(&self, now_nanos: u64) -> Vec<InflightOp> {
+        let last_beat = self.last_beat_nanos(now_nanos);
         let mut out = Vec::new();
         for slot in &self.slots {
             let token = slot.state.load(Ordering::Acquire);
             if token < FIRST_TOKEN {
                 continue;
             }
-            let (k, arg, since, beat, beats) = (
+            let (k, arg, since, beats) = (
                 slot.kind.load(Ordering::Relaxed),
                 slot.arg.load(Ordering::Relaxed),
                 slot.since_nanos.load(Ordering::Relaxed),
-                slot.beat_nanos.load(Ordering::Relaxed),
                 slot.beats.load(Ordering::Relaxed),
             );
             // Seqlock read validation, as in the event ring: the acquire
@@ -230,7 +297,13 @@ impl InflightTable {
                     kind,
                     arg,
                     since_nanos: since,
-                    beat_nanos: beat,
+                    // Every heartbeat is also table-wide progress, so the
+                    // table's date is the op's, or later.
+                    beat_nanos: if beats > 0 {
+                        last_beat.max(since)
+                    } else {
+                        since
+                    },
                     beats,
                 });
             }
@@ -890,17 +963,22 @@ mod tests {
         let t = InflightTable::new(4);
         let idx = t.begin(SpanKind::MpRecv, span_arg_peer_tag(1, 9), 100);
         assert_ne!(idx, INFLIGHT_NONE);
-        t.beat(idx, 250);
-        let snap = t.snapshot();
+        assert_eq!(t.last_beat_nanos(200), 0, "no sign of life yet");
+        t.beat(idx);
+        let snap = t.snapshot(250);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].kind, SpanKind::MpRecv);
         assert_eq!(snap[0].peer_tag(), (1, 9));
         assert_eq!(snap[0].since_nanos, 100);
-        assert_eq!(snap[0].beat_nanos, 250);
+        assert_eq!(snap[0].beat_nanos, 250, "dated by the observation");
         assert_eq!(snap[0].beats, 1);
-        assert_eq!(t.last_beat_nanos(), 250);
+        // No further sign of life: the date stands.
+        assert_eq!(t.last_beat_nanos(900), 250);
+        assert_eq!(t.snapshot(950)[0].idle_nanos(950), 700);
+        t.note_progress();
+        assert_eq!(t.last_beat_nanos(1000), 1000);
         t.end(idx);
-        assert!(t.snapshot().is_empty());
+        assert!(t.snapshot(1100).is_empty());
     }
 
     #[test]
@@ -913,10 +991,40 @@ mod tests {
         assert_ne!(b, INFLIGHT_NONE);
         assert_eq!(c, INFLIGHT_NONE);
         assert_eq!(t.overflows(), 1);
-        t.beat(c, 9); // ignored, no panic
+        t.beat(c); // ignored, no panic
         t.end(c);
         t.end(a);
+        t.end(a); // a second end does not free the slot twice
         assert_ne!(t.begin(SpanKind::Barrier, 0, 4), INFLIGHT_NONE);
+        assert_eq!(t.begin(SpanKind::Barrier, 0, 5), INFLIGHT_NONE);
+    }
+
+    /// The cost of a claim does not depend on the occupancy: one slot
+    /// looked at while there is room, none once the table is full (the
+    /// scan this replaces looked at all 128 on every full-table claim).
+    #[test]
+    fn a_claim_looks_at_a_constant_number_of_slots() {
+        let t = InflightTable::new(DEFAULT_INFLIGHT_CAPACITY);
+        let held: Vec<usize> = (0..DEFAULT_INFLIGHT_CAPACITY as u64)
+            .map(|i| t.begin(SpanKind::MpIrecv, 0, i))
+            .collect();
+        assert!(held.iter().all(|&idx| idx != INFLIGHT_NONE));
+        assert_eq!(t.claim(), (None, 0), "a full table is one load of the head");
+        for i in 0..1000 {
+            assert_eq!(t.begin(SpanKind::MpIrecv, 0, i), INFLIGHT_NONE);
+        }
+        assert_eq!(t.overflows(), 1000);
+        // Tokens number the registrations in order.
+        let tokens: Vec<u64> = t.snapshot(0).iter().map(|op| op.token).collect();
+        assert_eq!(
+            tokens,
+            (2..2 + DEFAULT_INFLIGHT_CAPACITY as u64).collect::<Vec<_>>()
+        );
+        // With room — one slot or all of them — a claim looks at one.
+        t.end(held[77]);
+        let (claimed, looked) = t.claim();
+        assert_eq!((claimed.map(|c| c.0), looked), (Some(held[77]), 1));
+        assert_eq!(InflightTable::new(DEFAULT_INFLIGHT_CAPACITY).claim().1, 1);
     }
 
     #[test]
@@ -930,7 +1038,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
                         let idx = t.begin(SpanKind::MpSend, span_arg_peer_tag(w, 7), i);
-                        t.beat(idx, i + 1);
+                        t.beat(idx);
                         t.end(idx);
                     }
                 })
@@ -940,7 +1048,7 @@ mod tests {
             let (t, stop) = (Arc::clone(&t), Arc::clone(&stop));
             std::thread::spawn(move || {
                 while stop.load(Ordering::Relaxed) == 0 {
-                    for opn in t.snapshot() {
+                    for opn in t.snapshot(1) {
                         // Entries are never torn: kind/arg always pair up.
                         assert_eq!(opn.kind, SpanKind::MpSend);
                         assert_eq!(opn.peer_tag().1, 7);
@@ -953,7 +1061,165 @@ mod tests {
         }
         stop.store(1, Ordering::Relaxed);
         reader.join().unwrap();
-        assert!(t.snapshot().is_empty());
+        assert!(t.snapshot(2).is_empty());
+        assert_eq!(
+            t.overflows(),
+            0,
+            "four writers never need more than four slots"
+        );
+        // Every slot is back on the free list exactly once.
+        let all: Vec<usize> = (0..8).map(|i| t.begin(SpanKind::MpSend, 0, i)).collect();
+        let mut sorted = all.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
+    }
+
+    /// One thread's claim or release, cut where another thread can get
+    /// in: between reading the free-list head and exchanging it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        /// Second thread runs to completion here.
+        Gate,
+        /// Second thread starts here and races what follows.
+        Release,
+        Begin,
+        End,
+        Snapshot,
+    }
+
+    /// What the second thread does with its turn: a whole claim/release
+    /// cycle that hands the first thread's slot back under it (the ABA
+    /// shape), or claims that take the slots the first thread is about to.
+    #[derive(Debug, Clone, Copy)]
+    enum Other {
+        CycleOne,
+        TwoThenFreeFirst,
+        KeepOne,
+    }
+
+    fn run_schedule(steps: &[Step], other: Other) {
+        use motor_pal::interleave::two_threads;
+        // Two registrations at most per thread at any time.
+        const SLOTS: usize = 4;
+        let t = InflightTable::new(SLOTS);
+        let arg = |who: usize| span_arg_peer_tag(who, 7);
+        let (mine, theirs) = two_threads(
+            |turn| {
+                let mut held = Vec::new();
+                for step in steps {
+                    match step {
+                        Step::Gate => turn.gate(),
+                        Step::Release => turn.release(),
+                        Step::Begin => held.push(t.begin(SpanKind::MpRecv, arg(0), 1)),
+                        Step::End => t.end(held.remove(0)),
+                        Step::Snapshot => {
+                            for op in t.snapshot(5) {
+                                let (who, tag) = op.peer_tag();
+                                assert_eq!(tag, 7, "torn entry");
+                                let kind = [SpanKind::MpRecv, SpanKind::MpSend][who];
+                                assert_eq!(op.kind, kind, "torn entry");
+                            }
+                        }
+                    }
+                }
+                held
+            },
+            || match other {
+                Other::CycleOne => {
+                    let a = t.begin(SpanKind::MpSend, arg(1), 2);
+                    t.end(a);
+                    vec![]
+                }
+                Other::TwoThenFreeFirst => {
+                    let a = t.begin(SpanKind::MpSend, arg(1), 2);
+                    let b = t.begin(SpanKind::MpSend, arg(1), 3);
+                    t.end(a);
+                    vec![b]
+                }
+                Other::KeepOne => vec![t.begin(SpanKind::MpSend, arg(1), 2)],
+            },
+        );
+        // Whatever the order: nobody shares a slot, the table shows
+        // exactly the registrations still held, and the free list holds
+        // exactly the rest.
+        let mut held: Vec<usize> = mine.iter().chain(&theirs).copied().collect();
+        assert!(
+            held.iter().all(|&i| i != INFLIGHT_NONE),
+            "four slots suffice"
+        );
+        held.sort_unstable();
+        held.dedup();
+        assert_eq!(
+            held.len(),
+            mine.len() + theirs.len(),
+            "a slot claimed twice"
+        );
+        let snap = t.snapshot(9);
+        assert_eq!(snap.len(), held.len());
+        let mine_shown = snap.iter().filter(|op| op.peer_tag().0 == 0).count();
+        assert_eq!(mine_shown, mine.len());
+        let rest: Vec<usize> = (held.len()..SLOTS)
+            .map(|_| t.begin(SpanKind::Barrier, 0, 0))
+            .collect();
+        assert!(rest
+            .iter()
+            .all(|i| *i != INFLIGHT_NONE && !held.contains(i)));
+        assert_eq!(t.begin(SpanKind::Barrier, 0, 0), INFLIGHT_NONE);
+    }
+
+    /// Every placement of a second thread's claims and releases around a
+    /// first thread's claim, release and snapshot — before, between and
+    /// racing — on two real threads in a forced order.
+    #[test]
+    fn every_order_of_claim_release_and_snapshot_keeps_the_free_list() {
+        use Step::*;
+        let schedules: [&[Step]; 7] = [
+            &[Gate, Begin, Snapshot, End],
+            &[Begin, Gate, Snapshot, End],
+            &[Begin, Snapshot, Gate, End, Snapshot],
+            &[Release, Begin, Snapshot, End],
+            &[Begin, Release, End, Snapshot],
+            &[Begin, Begin, Release, End, Begin, End, Snapshot],
+            &[Begin, End, Release, Begin, Snapshot],
+        ];
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for _ in 0..rounds {
+            for steps in schedules {
+                for other in [Other::CycleOne, Other::TwoThenFreeFirst, Other::KeepOne] {
+                    run_schedule(steps, other);
+                }
+            }
+        }
+    }
+
+    /// The ABA shape, step by step on one thread: a pop that read the head
+    /// before the slot was claimed, released and pushed back must not
+    /// install the stale successor it read.
+    #[test]
+    fn a_stale_pop_fails_on_the_pop_count() {
+        let t = InflightTable::new(3);
+        // What a claimant sees first: head = slot 0, successor = slot 1.
+        let stale_head = t.free.load(Ordering::Acquire);
+        let stale_next = t.slots[0].next_free.load(Ordering::Relaxed);
+        assert_eq!((stale_head & IDX_MASK, stale_next), (1, 2));
+        // Meanwhile: slots 0 and 1 are claimed, slot 0 comes back. The
+        // head names slot 0 again, but its successor is now slot 2.
+        let a = t.begin(SpanKind::MpSend, 0, 0);
+        let b = t.begin(SpanKind::MpSend, 0, 0);
+        t.end(a);
+        assert_eq!((a, b), (0, 1));
+        let head = t.free.load(Ordering::Acquire);
+        assert_eq!(head & IDX_MASK, stale_head & IDX_MASK, "same slot on top");
+        assert_ne!(head, stale_head, "told apart by the pop count");
+        // The stale exchange would have put the claimed slot 1 on the list.
+        let stale = ((stale_head >> IDX_BITS) + 1) << IDX_BITS | stale_next;
+        assert!(t
+            .free
+            .compare_exchange(stale_head, stale, Ordering::AcqRel, Ordering::Acquire)
+            .is_err());
+        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), 0);
+        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), 2);
+        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), INFLIGHT_NONE);
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub use doctor::{
 pub use export::{from_chrome_json, to_chrome_json};
 pub use profile::{FuncHotness, IlHot, PhaseSnapshot, PhaseStats, TimeBucket, N_BUCKETS};
 pub use prom::{check_prometheus_text, to_prometheus, to_prometheus_multi};
-pub use span::{span_arg_peer_tag, span_arg_unpack, SpanGuard, SpanKind};
+#[cfg(debug_assertions)]
+pub use span::clock_reads;
+pub use span::{expire_edge, span_arg_peer_tag, span_arg_unpack, SpanGuard, SpanKind};
 pub use telemetry::{
     frame_prometheus, frame_to_json, frames_to_json, FrameRing, RankDelta, TelemetryFrame,
     DEFAULT_FRAME_CAPACITY,
@@ -552,17 +554,20 @@ impl MetricsRegistry {
     pub fn phase_scope(&self, bucket: profile::TimeBucket) -> PhaseScope<'_> {
         PhaseScope {
             registry: self,
-            pushed: self.phases.push_at(bucket, self.now_nanos()),
+            pushed: self.phases.push_at(bucket, self.edge_nanos()),
         }
     }
 
-    /// A non-blocking operation went in flight (overlap accounting).
+    /// A non-blocking operation went in flight (overlap accounting), at
+    /// the edge this thread is at or, failing one, now.
     #[inline]
     pub fn async_op_begin(&self) {
-        self.phases.async_begin_at(self.now_nanos());
+        self.phases.async_begin_at(self.edge_nanos());
     }
 
-    /// A non-blocking operation completed (overlap accounting).
+    /// A non-blocking operation completed (overlap accounting). A wait
+    /// that closes a guard at the same instant uses the guard's
+    /// `finish_async` instead and saves the reading.
     #[inline]
     pub fn async_op_end(&self) {
         self.phases.async_end_at(self.now_nanos());
@@ -574,13 +579,14 @@ impl MetricsRegistry {
         self.phases.read_at(self.now_nanos())
     }
 
-    /// Register an in-flight op in this registry's live table; pair with
+    /// Register an in-flight op in this registry's live table, entered at
+    /// the edge this thread is at or, failing one, now; pair with
     /// [`Self::op_end`]. Spans do this themselves — the one direct caller
     /// is the registration that outlives a stack frame, an outstanding
     /// `Isend`/`Irecv` request.
     #[inline]
     pub fn op_begin(&self, kind: SpanKind, arg: u64) -> usize {
-        self.inflight.begin(kind, arg, self.now_nanos())
+        self.inflight.begin(kind, arg, self.edge_nanos())
     }
 
     /// Deregister an in-flight op.
@@ -590,20 +596,22 @@ impl MetricsRegistry {
     }
 
     /// Record rank-wide progress without a specific op (the device's
-    /// progress engine moved bytes).
+    /// progress engine moved bytes). Counted, not timed.
     #[inline]
     pub fn note_progress(&self) {
-        self.inflight.note_progress(self.now_nanos());
+        self.inflight.note_progress();
     }
 
     /// Wait-free copy of the live in-flight op table.
     pub fn inflight_ops(&self) -> Vec<doctor::InflightOp> {
-        self.inflight.snapshot()
+        self.inflight.snapshot(self.now_nanos())
     }
 
-    /// Registry clock of the last heartbeat on this registry's table.
+    /// Registry clock at which a sign of life on this registry's table was
+    /// last *observed* — by this call or an earlier one (0 if never). The
+    /// writers only count; see [`doctor::InflightTable::last_beat_nanos`].
     pub fn last_progress_nanos(&self) -> u64 {
-        self.inflight.last_beat_nanos()
+        self.inflight.last_beat_nanos(self.now_nanos())
     }
 
     /// Event-ring capacity (events kept before overwrite-on-wrap).
@@ -681,10 +689,31 @@ impl MetricsRegistry {
         HistSnapshot { buckets }
     }
 
-    /// Nanoseconds since this registry was created (event clock).
+    /// Nanoseconds since this registry was created (event clock): a new
+    /// clock reading.
     #[inline]
     pub fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.nanos_at(span::read_clock())
+    }
+
+    /// `at` on this registry's clock.
+    #[inline]
+    pub(crate) fn nanos_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// The reading of the span edge this thread is at (see [`span`]) on
+    /// this registry's clock, or a new reading if it is at none.
+    #[inline]
+    pub fn edge_nanos(&self) -> u64 {
+        self.nanos_at(span::edge().unwrap_or_else(span::read_clock))
+    }
+
+    /// [`Self::event3`] for an event that belongs to the instant its
+    /// operation started (a send's initiation stamp, a conditional pin):
+    /// stamped with [`Self::edge_nanos`].
+    pub fn event_at_edge(&self, kind: EventKind, a: u64, b: u64, c: u64) {
+        self.event_at(self.edge_nanos(), kind, a, b, c);
     }
 
     /// Append a two-word event to the trace ring (see [`Self::event3`]).
@@ -710,7 +739,7 @@ impl MetricsRegistry {
     /// [`Self::event3`] stamped with a clock reading the caller already
     /// took (a span edge shares one reading between the ring, the phase
     /// machine and the in-flight table).
-    fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
+    pub(crate) fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = &self.slots[(seq - 1) as usize % self.slots.len()];
         slot.seq.store(0, Ordering::Relaxed);
@@ -802,11 +831,33 @@ pub struct PhaseScope<'r> {
     pushed: bool,
 }
 
+impl PhaseScope<'_> {
+    /// Leave the bucket and, at the same instant, close the in-flight
+    /// interval of the non-blocking operation completed inside it (see
+    /// [`MetricsRegistry::async_op_end`]).
+    pub fn finish_async(mut self) {
+        self.close(true);
+    }
+
+    fn close(&mut self, async_done: bool) {
+        if !self.pushed && !async_done {
+            span::expire_edge();
+            return;
+        }
+        let r = self.registry;
+        let now = r.nanos_at(span::close_edge());
+        if async_done {
+            r.phases.async_end_at(now);
+        }
+        if std::mem::take(&mut self.pushed) {
+            r.phases.pop_at(now);
+        }
+    }
+}
+
 impl Drop for PhaseScope<'_> {
     fn drop(&mut self) {
-        if self.pushed {
-            self.registry.phases.pop_at(self.registry.now_nanos());
-        }
+        self.close(false);
     }
 }
 
@@ -1518,6 +1569,7 @@ mod tests {
             assert_eq!(ops.len(), 1);
             assert_eq!(ops[0].kind, span::SpanKind::MpRecv);
             assert_eq!(ops[0].peer_tag(), (3, 7));
+            assert_eq!(r.last_progress_nanos(), 0);
             g.heartbeat();
             assert_eq!(r.inflight_ops()[0].beats, 1);
             assert!(r.last_progress_nanos() > 0);

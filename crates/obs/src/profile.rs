@@ -202,11 +202,18 @@ impl PhaseStats {
         self.depth.store(0, Ordering::Relaxed);
     }
 
+    /// Whether the calling thread is the one that started the clock — the
+    /// single writer of the flush accumulators.
+    #[inline]
+    fn owned_by_caller(&self) -> bool {
+        self.started() && self.owner.load(Ordering::Relaxed) == thread_tag()
+    }
+
     /// Enter `bucket` (e.g. a classified span opened). Returns whether
     /// the push was recorded — the caller must pop iff it was.
     #[inline]
     pub fn push_at(&self, bucket: TimeBucket, now: u64) -> bool {
-        if !self.started() || self.owner.load(Ordering::Relaxed) != thread_tag() {
+        if !self.owned_by_caller() {
             return false;
         }
         self.flush_to(now);
@@ -235,19 +242,23 @@ impl PhaseStats {
         }
     }
 
-    /// A non-blocking operation went in flight.
+    /// A non-blocking operation went in flight. Only the owning thread
+    /// closes the open segment first; any other thread (a request handed
+    /// to a helper) just moves the gauge, and the segment it falls in is
+    /// billed by the owner's next transition.
     #[inline]
     pub fn async_begin_at(&self, now: u64) {
-        if self.started() {
+        if self.owned_by_caller() {
             self.flush_to(now);
         }
         self.async_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A non-blocking operation completed (or was dropped).
+    /// A non-blocking operation completed (or was dropped). As in
+    /// [`Self::async_begin_at`], only the owning thread flushes.
     #[inline]
     pub fn async_end_at(&self, now: u64) {
-        if self.started() {
+        if self.owned_by_caller() {
             self.flush_to(now);
         }
         // Saturating decrement: a stray end (e.g. double-completion in a
@@ -528,6 +539,34 @@ mod tests {
         assert_eq!(s.overlap_nanos, 400);
         assert_eq!(s.overlap_ratio(), Some(0.8));
         assert_eq!(s.wall_nanos(), 1000);
+    }
+
+    /// A request dropped on a helper thread ends its interval there: the
+    /// gauge moves, but the accumulators and the flush mark — which only
+    /// the owner writes — do not, and the owner's next transition bills
+    /// the whole segment.
+    #[test]
+    fn async_end_from_another_thread_moves_the_gauge_only() {
+        let p = PhaseStats::new();
+        p.start_at(0);
+        p.async_begin_at(100);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                p.async_begin_at(150);
+                p.async_end_at(200);
+                p.async_end_at(250);
+            });
+        });
+        assert_eq!(p.last_flush.load(Ordering::Relaxed), 100, "not flushed");
+        assert_eq!(p.async_ops.load(Ordering::Relaxed), 0, "gauge moved");
+        assert_eq!(p.inflight_nanos.load(Ordering::Relaxed), 0);
+        // Nothing is in flight any more when the owner next flushes, so
+        // 100..400 is computation outside any in-flight interval.
+        assert!(p.push_at(TimeBucket::CommWait, 400));
+        let s = p.read_at(400);
+        assert_eq!(s.bucket_nanos[TimeBucket::Compute as usize], 400);
+        assert_eq!(s.inflight_nanos, 0);
+        assert_eq!(s.wall_nanos(), 400);
     }
 
     #[test]

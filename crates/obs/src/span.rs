@@ -12,19 +12,110 @@
 //! that runs the region. The post-mortem [`trace`](crate::trace) module
 //! pairs the two events back into one slice on the cluster timeline.
 //!
-//! Each edge reads the clock once and costs one ring write (a
-//! `fetch_add` plus a handful of relaxed stores) and never takes a lock,
-//! so guards are cheap enough for the hot paths the paper measures.
+//! Each edge costs one ring write (a `fetch_add` plus a handful of relaxed
+//! stores) and never takes a lock, so guards are cheap enough for the hot
+//! paths the paper measures.
+//!
+//! # One clock reading per edge
+//!
+//! Starting an operation is several records that all mean "the operation
+//! started now", made by layers that do not know each other: the
+//! `System.MP` span on the VM-side registry, the `MsgSend` stamp and the
+//! `DeviceWait` span on the device-side one, the conditional pin, the
+//! in-flight and overlap registrations of the request. They share one
+//! reading. The layer that opens the operation's own span names that
+//! opening the *edge* its thread is at ([`SpanGuard::set_edge`], a
+//! thread-local); until the edge is over, whatever this thread records
+//! that belongs to the same instant takes its reading in place of a new
+//! one ([`MetricsRegistry::edge_nanos`]: the opening of a nested span or
+//! phase scope, [`MetricsRegistry::event_at_edge`],
+//! [`MetricsRegistry::op_begin`], [`MetricsRegistry::async_op_begin`]).
+//! The edge is over as soon as time may have passed: when any span or
+//! phase scope closes (with a reading of its own) and when a progress
+//! pass starts ([`expire_edge`]) — so what a pass delivers, and a wait
+//! opened after one, are stamped afresh. Only code that runs straight from
+//! the opening into the transport sets an edge; a span whose body computes
+//! (a serializer pass, a collection, a collective) does not, and what
+//! opens inside it reads the clock.
+//!
+//! [`PhaseScope`]: crate::PhaseScope
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use crate::{EventKind, MetricsRegistry};
 
-/// Process-wide span id allocator (1-based). Ids must be unique across
-/// every registry of a rank (each rank carries a transport-side *and* a
-/// VM-side registry whose event streams are merged), so they come from
-/// one shared counter rather than per-registry state.
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+/// Span ids handed to a thread at a time.
+const SPAN_ID_BLOCK: u64 = 1024;
+
+/// Process-wide allocator of span id blocks (ids are 1-based). Ids must
+/// be unique across every registry of a rank (each rank carries a
+/// transport-side *and* a VM-side registry whose event streams are
+/// merged), so they come from one shared counter — drawn a block at a
+/// time, or two rank threads opening spans would bounce its cache line
+/// on every operation.
+static NEXT_SPAN_BLOCK: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's block of span ids: `(next, end)`.
+    static SPAN_IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The clock reading of the edge this thread is at (module docs).
+    static EDGE: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// Clock readings this thread has taken through this crate.
+    #[cfg(debug_assertions)]
+    static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn next_span_id() -> u64 {
+    SPAN_IDS.with(|ids| {
+        let (mut next, mut end) = ids.get();
+        if next == end {
+            next = NEXT_SPAN_BLOCK.fetch_add(SPAN_ID_BLOCK, Ordering::Relaxed);
+            end = next + SPAN_ID_BLOCK;
+        }
+        ids.set((next + 1, end));
+        next
+    })
+}
+
+/// The one place this crate reads the clock.
+#[inline]
+pub(crate) fn read_clock() -> Instant {
+    #[cfg(debug_assertions)]
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
+    Instant::now()
+}
+
+/// How many times this thread has read the clock through this crate.
+/// Debug builds only: it is how tests count — rather than time — the
+/// readings an operation costs.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn clock_reads() -> u64 {
+    CLOCK_READS.with(Cell::get)
+}
+
+/// The reading of the edge this thread is at, if it is at one.
+#[inline]
+pub(crate) fn edge() -> Option<Instant> {
+    EDGE.with(Cell::get)
+}
+
+/// Time may pass from here on: the edge this thread was at, if any, is
+/// over (module docs). Called by every closing guard and by the start of
+/// a progress pass.
+#[inline]
+pub fn expire_edge() {
+    EDGE.with(|e| e.set(None));
+}
+
+/// A new reading for a closing edge; whatever edge was open is over.
+#[inline]
+pub(crate) fn close_edge() -> Instant {
+    expire_edge();
+    read_clock()
+}
 
 macro_rules! define_span_kinds {
     ($( $(#[$doc:meta])* $variant:ident => $name:literal ),+ $(,)?) => {
@@ -213,6 +304,16 @@ impl SpanGuard<'_> {
         self.id
     }
 
+    /// What this span covers.
+    pub fn kind(&self) -> SpanKind {
+        self.kind
+    }
+
+    /// The argument word (as opened, or as last [`set`](Self::set_arg)).
+    pub fn arg(&self) -> u64 {
+        self.arg
+    }
+
     /// Replace the argument word carried by the end event (e.g. with a
     /// byte count known only at completion).
     pub fn set_arg(&mut self, arg: u64) {
@@ -221,23 +322,49 @@ impl SpanGuard<'_> {
 
     /// Report a sign of life to the in-flight table: the operation is
     /// still advancing (call from polling loops so a long-but-live wait
-    /// is not mistaken for a stall).
+    /// is not mistaken for a stall). Counted, not timed: whoever watches
+    /// the table dates it (see [`crate::doctor::InflightTable`]).
     pub fn heartbeat(&self) {
-        let r = self.registry;
-        r.inflight.beat(self.inflight, r.now_nanos());
+        self.registry.inflight.beat(self.inflight);
+    }
+
+    /// Name this span's opening the edge its thread is at (module docs):
+    /// what the operation records next — the send stamp and the wait span
+    /// on the transport's side, and, named again once the transport has
+    /// been started, its conditional pin and its in-flight and overlap
+    /// entries — is stamped with the instant the operation started, not
+    /// with one reading each. Over, as every edge, when this or any other
+    /// guard closes or a progress pass starts.
+    pub fn set_edge(&self) {
+        EDGE.with(|e| {
+            e.set(Some(
+                self.registry.epoch + Duration::from_nanos(self.t_begin),
+            ))
+        });
     }
 
     /// Close the span now and return how long it was open (nanoseconds),
     /// measured by the same clock reading that stamps the end event.
     pub fn finish(mut self) -> u64 {
-        let dur = self.close();
+        let dur = self.close(false);
         std::mem::forget(self);
         dur
     }
 
-    fn close(&mut self) -> u64 {
+    /// Close the span and, at the same instant, the in-flight interval of
+    /// the non-blocking operation it completed (see
+    /// [`MetricsRegistry::async_op_end`]).
+    pub fn finish_async(mut self) {
+        self.close(true);
+        std::mem::forget(self);
+    }
+
+    fn close(&mut self, async_done: bool) -> u64 {
         let r = self.registry;
-        let now = r.now_nanos();
+        let now = r.nanos_at(close_edge());
+        if async_done {
+            r.phases.async_end_at(now);
+        }
         if self.phase_pushed {
             r.phases.pop_at(now);
         }
@@ -249,7 +376,7 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.close();
+        self.close(false);
     }
 }
 
@@ -261,8 +388,8 @@ impl MetricsRegistry {
     /// maps to a time bucket, the span's lifetime is also attributed to
     /// that bucket.
     pub fn span(&self, kind: SpanKind, arg: u64) -> SpanGuard<'_> {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let now = self.now_nanos();
+        let id = next_span_id();
+        let now = self.edge_nanos();
         self.event_at(now, EventKind::SpanBegin, id, kind as u64, arg);
         SpanGuard {
             registry: self,
@@ -297,6 +424,122 @@ mod tests {
         assert_eq!(ev[0].b, SpanKind::MpSend as u64);
         assert_eq!(span_arg_unpack(ev[0].c), (3, 17));
         assert!(ev[1].t_nanos >= ev[0].t_nanos);
+    }
+
+    /// Clock readings `f` costs this thread.
+    #[cfg(debug_assertions)]
+    fn readings(f: impl FnOnce()) -> u64 {
+        let before = clock_reads();
+        f();
+        clock_reads() - before
+    }
+
+    /// One reading per edge: what opens at the same instant shares it,
+    /// across registries; every close, and whatever follows a pass, reads
+    /// its own.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_edge_is_one_clock_reading() {
+        // A rank's two registries, on one epoch as in a cluster.
+        let epoch = Instant::now();
+        let (vm, dev) = (
+            MetricsRegistry::with_epoch(epoch, 64),
+            MetricsRegistry::with_epoch(epoch, 64),
+        );
+        vm.profile_start();
+        let mut guards = Vec::new();
+        // An operation starts: its span, the send stamp and the wait span
+        // on the device side, the request's registrations.
+        assert_eq!(
+            readings(|| {
+                guards.push(vm.span(SpanKind::MpWait, 7));
+                guards[0].set_edge();
+                dev.event_at_edge(EventKind::MsgSend, 1, 2, 3);
+                guards.push(dev.span(SpanKind::DeviceWait, 7));
+                vm.op_end(vm.op_begin(SpanKind::MpIsend, 0));
+                vm.async_op_begin();
+            }),
+            1
+        );
+        let stamps: Vec<u64> = [&vm, &dev]
+            .iter()
+            .flat_map(|r| {
+                r.snapshot()
+                    .events()
+                    .iter()
+                    .map(|e| e.t_nanos)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(stamps.len(), 3);
+        assert!(stamps.iter().all(|&t| t == stamps[0]), "{stamps:?}");
+        // The inner wait ends, then the outer one and the in-flight
+        // interval with it: a reading each.
+        let (outer, inner) = (guards.remove(0), guards.remove(0));
+        assert_eq!(
+            readings(|| {
+                inner.finish();
+            }),
+            1
+        );
+        assert_eq!(readings(|| outer.finish_async()), 1);
+        // Nothing is left of the edge: the next stamp reads the clock.
+        assert_eq!(
+            readings(|| dev.event_at_edge(EventKind::MsgSend, 1, 2, 3)),
+            1
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_pass_ends_the_edge_and_a_guard_can_set_it_again() {
+        let r = MetricsRegistry::new();
+        // A span whose body computes sets no edge: what opens inside it
+        // later must not be dated with its opening.
+        let gc = r.span(SpanKind::Gc, 0);
+        assert_eq!(readings(|| drop(r.span(SpanKind::SafepointStall, 0))), 2);
+        drop(gc);
+        let g = r.span(SpanKind::MpIsend, 0);
+        g.set_edge();
+        expire_edge(); // the transport's progress pass
+        assert_eq!(readings(|| r.event_at_edge(EventKind::MsgRecv, 0, 0, 0)), 1);
+        g.set_edge();
+        assert_eq!(
+            readings(|| {
+                r.event_at_edge(EventKind::PinAcquire, 0, 1, 0);
+                r.op_end(r.op_begin(SpanKind::MpIsend, 0));
+            }),
+            0
+        );
+        let s = r.snapshot();
+        let ev = &s.events()[4..];
+        assert_eq!(ev[2].kind, EventKind::PinAcquire);
+        assert_eq!(
+            ev[2].t_nanos, ev[0].t_nanos,
+            "stamped with the span's opening"
+        );
+        assert!(ev[1].t_nanos >= ev[0].t_nanos);
+        assert_eq!(readings(|| drop(g)), 1);
+        assert_eq!(
+            readings(|| drop(r.phase_scope(crate::TimeBucket::Progress))),
+            1
+        );
+    }
+
+    #[test]
+    fn span_ids_come_in_per_thread_blocks() {
+        let r = MetricsRegistry::new();
+        let here = r.span(SpanKind::Barrier, 0).id();
+        assert_eq!(r.span(SpanKind::Barrier, 0).id(), here + 1);
+        let there = std::thread::scope(|s| {
+            s.spawn(|| r.span(SpanKind::Barrier, 0).id())
+                .join()
+                .unwrap()
+        });
+        assert!(
+            there.abs_diff(here) >= SPAN_ID_BLOCK - 1,
+            "{here} vs {there}"
+        );
     }
 
     #[test]

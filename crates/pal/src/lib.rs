@@ -40,10 +40,29 @@ pub use error::{PalError, PalResult};
 pub use link::{shm_pair, tcp_pair, BoxedLink, ByteLink};
 pub use poll::{Backoff, BackoffConfig, WakeCells, Waker};
 
-#[cfg(test)]
-pub(crate) mod interleave {
-    //! Two real threads in a forced order: the harness the window table's
-    //! and the waker's interleaving tests share.
+/// Status oracle of a conditional pin (paper §4.3): `true` while the
+/// operation it stands for is still using its buffer. The collector asks
+/// during mark; a transport request answers. It lives here because the
+/// runtime that asks and the message passing core that answers know
+/// nothing of each other — so the request itself can be the condition,
+/// with nothing allocated to adapt one to the other.
+pub trait PinCondition: Send + Sync {
+    /// Whether the underlying operation is still in flight.
+    fn in_flight(&self) -> bool;
+}
+
+impl<F: Fn() -> bool + Send + Sync> PinCondition for F {
+    fn in_flight(&self) -> bool {
+        self()
+    }
+}
+
+#[doc(hidden)]
+pub mod interleave {
+    //! Two real threads in a forced order: the harness the window table's,
+    //! the waker's and (in `motor-obs`) the in-flight table's interleaving
+    //! tests share. Test support; compiled always so that other crates'
+    //! tests can reach it.
     use std::sync::mpsc;
 
     /// The first thread's handle on the second, which waits for its turn

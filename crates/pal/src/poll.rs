@@ -179,12 +179,19 @@ impl Waker {
     }
 }
 
+/// What one end's owner publishes when it wires the end.
+struct Wired {
+    waker: Arc<Waker>,
+    /// Whether the end advertises the pair's window table.
+    windows: bool,
+}
+
 /// One end's handle on the two wake cells an in-process link pair shares
 /// (created by the pair constructor, the way the window table is). Cheap
 /// to clone.
 #[derive(Clone)]
 pub struct WakeCells {
-    cells: Arc<[OnceLock<Arc<Waker>>; 2]>,
+    cells: Arc<[OnceLock<Wired>; 2]>,
     /// Which cell is this end's own; the other is the peer's.
     side: usize,
 }
@@ -202,17 +209,25 @@ impl WakeCells {
         )
     }
 
-    /// Name the waker whoever waits on this end parks on. An end is wired
-    /// once; a second publish is ignored.
-    pub fn publish(&self, waker: Arc<Waker>) {
-        let _ = self.cells[self.side].set(waker);
+    /// Name the waker whoever waits on this end parks on, and say whether
+    /// this end advertises the pair's window table. An end is wired once;
+    /// a second publish is ignored.
+    pub fn publish(&self, waker: Arc<Waker>, windows: bool) {
+        let _ = self.cells[self.side].set(Wired { waker, windows });
+    }
+
+    /// Whether the other end advertises the window table, once its owner
+    /// has wired it. The two ends must agree: a table seen from one end
+    /// only is pulled from and never exposed into.
+    pub fn peer_windows(&self) -> Option<bool> {
+        self.cells[1 - self.side].get().map(|w| w.windows)
     }
 
     /// Bytes moved through this end: wake whatever is parked on the other
     /// one, if its owner has published a waker.
     pub fn poke_peer(&self) {
-        if let Some(waker) = self.cells[1 - self.side].get() {
-            waker.notify();
+        if let Some(wired) = self.cells[1 - self.side].get() {
+            wired.waker.notify();
         }
     }
 }
@@ -300,8 +315,13 @@ mod tests {
         let (a, b) = WakeCells::pair();
         let (wa, wb) = (Arc::new(Waker::default()), Arc::new(Waker::default()));
         b.poke_peer(); // nothing published yet: a no-op
-        a.publish(Arc::clone(&wa));
-        b.publish(Arc::clone(&wb));
+        assert_eq!(b.peer_windows(), None);
+        a.publish(Arc::clone(&wa), true);
+        b.publish(Arc::clone(&wb), false);
+        assert_eq!(
+            (a.peer_windows(), b.peer_windows()),
+            (Some(false), Some(true))
+        );
         a.poke_peer();
         assert_eq!((wa.generation(), wb.generation()), (0, 1));
         b.poke_peer();

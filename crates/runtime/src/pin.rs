@@ -25,19 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Status oracle for a conditional pin request. Implemented by transport
-/// requests: `true` while the underlying operation is still using the
-/// buffer.
-pub trait PinCondition: Send + Sync {
-    /// Whether the underlying operation is still in flight.
-    fn in_flight(&self) -> bool;
-}
-
-impl<F: Fn() -> bool + Send + Sync> PinCondition for F {
-    fn in_flight(&self) -> bool {
-        self()
-    }
-}
+pub use motor_pal::PinCondition;
 
 /// Token proving a hard pin; pass back to `unpin`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

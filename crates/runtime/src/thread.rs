@@ -322,13 +322,15 @@ impl MotorThread {
     /// only while `cond.in_flight()` (paper §4.3) and discards the request
     /// once the operation completes. There is no matching release event —
     /// the collector drops the pin when the transport reports completion.
+    /// The acquire event is stamped with the instant the operation started
+    /// if its span says so ([`motor_obs::SpanGuard::set_edge`]).
     pub fn pin_conditional(&self, h: Handle, cond: Arc<dyn PinCondition>) {
         let mut st = self.vm.state();
         let addr = st.handles.get(h);
         assert!(addr != 0, "pin_conditional on null handle");
         let reg = self.vm.metrics();
         reg.bump(Metric::GcCondPinsRegistered);
-        reg.event(EventKind::PinAcquire, addr as u64, 1);
+        reg.event_at_edge(EventKind::PinAcquire, addr as u64, 1, 0);
         st.pins.pin_conditional(addr, cond);
     }
 

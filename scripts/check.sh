@@ -52,6 +52,13 @@ MOTOR_SIM_SEEDS="1,7,42,1234,0xdeadbeef,0x5eed5eed" \
 MOTOR_SIM_SEEDS="1,7,42,1234,0xdeadbeef,0x5eed5eed" \
   cargo test -q --test sim_conformance
 
+echo "==> matcher depth sweep (16 / 256 / 4096 outstanding receives)"
+# The keyed match queues must cost the same lookup at any depth: at most
+# two match attempts per message with 16, 256 and 4 096 directed receives
+# outstanding, posted first or arrived first. Part of the suite above;
+# named so that the gate says which property broke.
+cargo test -q --test mpc_property matcher::matcher_depth_sweep
+
 echo "==> trace export smoke test (4 ranks)"
 # Record a 4-rank cluster trace, then verify the exported Chrome-trace
 # JSON parses and contains at least one matched message edge by feeding

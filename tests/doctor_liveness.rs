@@ -102,6 +102,86 @@ fn injected_deadlock_is_diagnosed_within_deadline() {
     );
 }
 
+/// Depth does not blind the watchdog. Rank 1 posts 300 receives nobody
+/// sends to — more than twice the in-flight table's 128 slots, so most
+/// registrations are dropped, at constant cost, and counted — and then
+/// waits on one of them for ever. The wait still finds a slot and is
+/// diagnosed, on rank 1, and what the table shows names the right peer.
+#[test]
+fn stall_behind_a_full_inflight_table_is_still_diagnosed() {
+    const OUTSTANDING: usize = 300;
+    let record =
+        std::env::temp_dir().join(format!("motor_doctor_full_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&record);
+    let cfg = ClusterConfig::builder()
+        .ranks(2)
+        .doctor(fast_doctor(Some(record.to_string_lossy().into_owned())))
+        .build();
+    std::thread::spawn(move || {
+        let _ = run_cluster(
+            cfg,
+            |_| {},
+            |proc| {
+                if proc.mp().rank() == 1 {
+                    let (mp, t) = (proc.mp(), proc.thread());
+                    let mut reqs: Vec<_> = (0..OUTSTANDING)
+                        .map(|k| {
+                            let buf = t.alloc_prim_array(ElemKind::U8, 16);
+                            mp.irecv(buf, 0, 0x1000 + k as i32).unwrap()
+                        })
+                        .collect();
+                    let _ = mp.wait(&mut reqs[OUTSTANDING - 1]); // never completes
+                }
+            },
+        );
+    });
+
+    let t0 = Instant::now();
+    let text = loop {
+        match std::fs::read_to_string(&record) {
+            Ok(t) if !t.is_empty() => break t,
+            _ => {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "no flight record after 30 s"
+                );
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        }
+    };
+    let _ = std::fs::remove_file(&record);
+    let v = json::parse(&text).expect("flight record is valid JSON");
+    let anomalies = v.get("anomalies").and_then(|a| a.as_array()).unwrap();
+    let blamed = anomalies
+        .iter()
+        .find(|a| a.get("rank").and_then(|r| r.as_u64()) == Some(1))
+        .expect("rank 1 must be blamed");
+    let kind = blamed.get("kind").and_then(|k| k.as_str()).unwrap();
+    assert!(kind == "stall" || kind == "deadlock_suspect", "{kind}");
+    let op = blamed.get("op").and_then(|o| o.as_str()).unwrap();
+    assert!(op == "mp_wait" || op == "device_wait", "blamed op {op}");
+
+    let rank1 = &v.get("ranks").and_then(|r| r.as_array()).unwrap()[1];
+    let inflight = rank1.get("inflight").and_then(|i| i.as_array()).unwrap();
+    let irecvs: Vec<_> = inflight
+        .iter()
+        .filter(|op| op.get("kind").and_then(|k| k.as_str()) == Some("mp_irecv"))
+        .collect();
+    // One slot short of the table: every initiating call's own span needs
+    // one while it runs, and gives it back — to the wait's span, last.
+    assert_eq!(irecvs.len(), 127, "the table holds what it can");
+    assert!(irecvs
+        .iter()
+        .all(|op| op.get("peer").and_then(|p| p.as_u64()) == Some(0)));
+    let overflows = rank1
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("inflight_overflows"))
+        .and_then(|o| o.as_u64())
+        .unwrap();
+    assert_eq!(overflows, (OUTSTANDING - 127) as u64, "the other receives");
+}
+
 #[test]
 fn healthy_run_of_same_shape_has_zero_anomalies() {
     let cfg = ClusterConfig::builder()

@@ -178,3 +178,317 @@ proptest! {
         .unwrap();
     }
 }
+
+// ---------------------------------------------------------------------
+// The keyed matcher against the linear scan it replaced
+// ---------------------------------------------------------------------
+
+mod matcher {
+    use super::shuffled;
+    use motor::mpc::channel::LinkState;
+    use motor::mpc::device::{ANY_SOURCE, ANY_TAG};
+    use motor::mpc::packet::{self, Envelope};
+    use motor::mpc::{Device, DeviceConfig, MpcError, Policy, Request};
+    use motor::obs::Metric;
+    use motor::pal::link::shm_pair;
+    use motor_sim::SimRng;
+    use std::sync::Arc;
+
+    const PEERS: usize = 4;
+
+    /// One device (rank 0) whose peers 1..=4 are bare channel ends the
+    /// test drives by hand: what arrives, and when, is the test's choice.
+    struct Rig {
+        dev: Arc<Device>,
+        peers: Vec<Option<LinkState>>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let dev = Device::new(0, DeviceConfig::default());
+            let peers = (1..=PEERS)
+                .map(|p| {
+                    let (a, b) = shm_pair(64 * 1024);
+                    dev.set_link(p, LinkState::new(Box::new(a)));
+                    Some(LinkState::new(Box::new(b)))
+                })
+                .collect();
+            Rig { dev, peers }
+        }
+
+        fn settle(&self) {
+            while self.dev.pass(Policy::RANK) {}
+        }
+
+        /// Peer `from` sends one eager message whose payload is `id`.
+        fn arrive(&mut self, from: usize, context: u32, tag: i32, id: u64) {
+            let env = Envelope {
+                src: from as u32,
+                gsrc: from as u32,
+                tag,
+                context,
+                len: 8,
+                sreq: id,
+                flags: 0,
+            };
+            let link = self.peers[from - 1].as_mut().expect("a live peer");
+            link.queue_bytes(packet::encode_eager(&env, &id.to_le_bytes()));
+            while link.has_pending_out() {
+                link.pump_out().unwrap();
+                while self.dev.pass(Policy::RANK) {}
+            }
+            self.settle();
+        }
+
+        fn post(
+            &self,
+            src: i32,
+            tag: i32,
+            context: u32,
+            buf: &mut [u8; 8],
+        ) -> Result<Request, MpcError> {
+            // SAFETY: every buffer outlives the rig's last pass.
+            unsafe { self.dev.irecv_raw(src, tag, context, buf.as_mut_ptr(), 8) }
+        }
+
+        fn kill(&mut self, peer: usize) {
+            self.peers[peer - 1] = None;
+            self.settle();
+        }
+
+        fn attempts(&self) -> u64 {
+            self.dev.metrics().snapshot().get(Metric::MatchAttempts)
+        }
+    }
+
+    /// The linear scan the device used to run, kept as the oracle: two
+    /// lists in arrival order, first hit wins.
+    #[derive(Default)]
+    struct Oracle {
+        /// `(receive, src, tag, context)`.
+        posted: Vec<(usize, i32, i32, u32)>,
+        /// `(message id, src, tag, context)`.
+        unexpected: Vec<(u64, i32, i32, u32)>,
+        dead: [bool; PEERS + 1],
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Outcome {
+        Pending,
+        Got(u64),
+        PeerClosed,
+    }
+
+    fn accepts(pattern: (i32, i32, u32), env: (i32, i32, u32)) -> bool {
+        pattern.2 == env.2
+            && (pattern.0 == ANY_SOURCE || pattern.0 == env.0)
+            && (pattern.1 == ANY_TAG || pattern.1 == env.1)
+    }
+
+    impl Oracle {
+        fn awaits_dead_peer(&self, src: i32, context: u32) -> bool {
+            context == 0 && src >= 0 && self.dead[src as usize]
+        }
+
+        fn post(&mut self, recv: usize, src: i32, tag: i32, context: u32) -> Outcome {
+            let hit = self
+                .unexpected
+                .iter()
+                .position(|&(_, s, t, c)| accepts((src, tag, context), (s, t, c)));
+            match hit {
+                Some(pos) => Outcome::Got(self.unexpected.remove(pos).0),
+                None if self.awaits_dead_peer(src, context) => Outcome::PeerClosed,
+                None => {
+                    self.posted.push((recv, src, tag, context));
+                    Outcome::Pending
+                }
+            }
+        }
+
+        /// Which receive, if any, the arriving message completes.
+        fn arrive(&mut self, id: u64, src: i32, tag: i32, context: u32) -> Option<usize> {
+            let hit = self
+                .posted
+                .iter()
+                .position(|&(_, s, t, c)| accepts((s, t, c), (src, tag, context)));
+            match hit {
+                Some(pos) => Some(self.posted.remove(pos).0),
+                None => {
+                    self.unexpected.push((id, src, tag, context));
+                    None
+                }
+            }
+        }
+
+        /// `Ok(Some((source, tag)))` of the first buffered match.
+        fn probe(&self, src: i32, tag: i32, context: u32) -> Result<Option<(i32, i32)>, ()> {
+            let hit = self
+                .unexpected
+                .iter()
+                .find(|&&(_, s, t, c)| accepts((src, tag, context), (s, t, c)));
+            match hit {
+                Some(&(_, s, t, _)) => Ok(Some((s, t))),
+                None if self.awaits_dead_peer(src, context) => Err(()),
+                None => Ok(None),
+            }
+        }
+
+        /// The receives a peer's death fails.
+        fn kill(&mut self, peer: usize) -> Vec<usize> {
+            self.dead[peer] = true;
+            let (failed, kept) = std::mem::take(&mut self.posted)
+                .into_iter()
+                .partition(|&(_, s, _, c)| c == 0 && s == peer as i32);
+            self.posted = kept;
+            failed.into_iter().map(|(recv, ..)| recv).collect()
+        }
+    }
+
+    fn wild(rng: &mut SimRng, n: u64) -> i32 {
+        // One draw in four is the wildcard.
+        if rng.below(4) == 0 {
+            -1
+        } else {
+            rng.below(n) as i32
+        }
+    }
+
+    /// Random interleavings of post / arrive / probe / peer death over 3
+    /// contexts, 4 sources and 8 tags with both wildcards: the device and
+    /// the linear-scan oracle agree on every probe as it happens, and in
+    /// the end on which message every receive got and which receives
+    /// failed with `PeerClosed`.
+    fn one_interleaving(seed: u64) {
+        const OPS: usize = 400;
+        let mut rng = SimRng::new(seed);
+        let mut rig = Rig::new();
+        let mut oracle = Oracle::default();
+        // Receive buffers never move: the device holds pointers into them.
+        let mut bufs = vec![[0u8; 8]; OPS];
+        let mut reqs: Vec<Option<Request>> = Vec::new();
+        let mut expect: Vec<Outcome> = Vec::new();
+        for op in 0..OPS {
+            let context = rng.below(3) as u32;
+            match rng.below(20) {
+                0 => {
+                    let peer = 1 + rng.below(PEERS as u64) as usize;
+                    if !oracle.dead[peer] {
+                        for recv in oracle.kill(peer) {
+                            expect[recv] = Outcome::PeerClosed;
+                        }
+                        rig.kill(peer);
+                    }
+                }
+                1..=3 => {
+                    let src = wild(&mut rng, PEERS as u64);
+                    let src = if src >= 0 { src + 1 } else { src };
+                    let tag = wild(&mut rng, 8);
+                    let want = oracle.probe(src, tag, context);
+                    let got = rig.dev.iprobe(src, tag, context);
+                    match (want, got) {
+                        (Ok(want), Ok(got)) => assert_eq!(
+                            want,
+                            got.map(|st| (st.source as i32, st.tag)),
+                            "seed {seed} op {op}: probe({src}, {tag}, {context})"
+                        ),
+                        (Err(()), Err(MpcError::PeerClosed(p))) => assert_eq!(p as i32, src),
+                        (want, got) => panic!("seed {seed} op {op}: probe {want:?} vs {got:?}"),
+                    }
+                }
+                4..=11 => {
+                    let src = wild(&mut rng, PEERS as u64);
+                    let src = if src >= 0 { src + 1 } else { src };
+                    let tag = wild(&mut rng, 8);
+                    let recv = reqs.len();
+                    let outcome = oracle.post(recv, src, tag, context);
+                    match rig.post(src, tag, context, &mut bufs[recv]) {
+                        Ok(req) => reqs.push(Some(req)),
+                        Err(MpcError::PeerClosed(_)) => {
+                            assert_eq!(outcome, Outcome::PeerClosed, "seed {seed} op {op}");
+                            reqs.push(None);
+                        }
+                        Err(e) => panic!("seed {seed} op {op}: {e:?}"),
+                    }
+                    expect.push(outcome);
+                }
+                _ => {
+                    let from = 1 + rng.below(PEERS as u64) as usize;
+                    if oracle.dead[from] {
+                        continue;
+                    }
+                    let tag = rng.below(8) as i32;
+                    let id = op as u64 + 1;
+                    if let Some(recv) = oracle.arrive(id, from as i32, tag, context) {
+                        expect[recv] = Outcome::Got(id);
+                    }
+                    rig.arrive(from, context, tag, id);
+                }
+            }
+        }
+        rig.settle();
+        for (recv, want) in expect.iter().enumerate() {
+            let got = match reqs[recv].as_ref().map(|r| r.outcome()) {
+                None | Some(Err(MpcError::PeerClosed(_))) => Outcome::PeerClosed,
+                Some(Ok(None)) => Outcome::Pending,
+                Some(Ok(Some(_))) => Outcome::Got(u64::from_le_bytes(bufs[recv])),
+                Some(Err(e)) => panic!("seed {seed} receive {recv}: {e:?}"),
+            };
+            assert_eq!(got, *want, "seed {seed}: receive {recv}");
+        }
+        let (posted, unexpected, ..) = rig.dev.queue_depths();
+        assert_eq!(
+            (posted, unexpected),
+            (oracle.posted.len(), oracle.unexpected.len()),
+            "seed {seed}: what is left queued"
+        );
+    }
+
+    #[test]
+    fn keyed_matcher_agrees_with_the_linear_scan() {
+        for seed in 0..if cfg!(miri) { 2 } else { 64 } {
+            one_interleaving(0x5eed_0000 + seed);
+        }
+    }
+
+    /// Directed traffic costs the same lookup at any depth: with 16, 256
+    /// or 4 096 receives outstanding — distinct tags from one source, the
+    /// `match_burst` shape, where keying by source alone would still scan
+    /// — a message is matched in at most two attempts, whether it finds
+    /// its receive posted or its receive finds it buffered.
+    #[test]
+    fn matcher_depth_sweep() {
+        for depth in [16usize, 256, 4096] {
+            let mut bufs = vec![[0u8; 8]; 2 * depth];
+            let (posted_first, arrived_first) = bufs.split_at_mut(depth);
+            let mut rig = Rig::new();
+
+            let reqs: Vec<Request> = posted_first
+                .iter_mut()
+                .enumerate()
+                .map(|(tag, b)| rig.post(1, tag as i32, 0, b).unwrap())
+                .collect();
+            let before = rig.attempts();
+            for &tag in &shuffled(depth, depth as u64) {
+                rig.arrive(1, 0, tag as i32, tag as u64);
+            }
+            let per_msg = (rig.attempts() - before) as f64 / depth as f64;
+            assert!(per_msg <= 2.0, "depth {depth}, posted first: {per_msg}");
+            assert!(reqs.iter().all(|r| r.is_complete()));
+
+            for tag in 0..depth {
+                rig.arrive(1, 0, tag as i32, tag as u64);
+            }
+            assert_eq!(rig.dev.queue_depths().1, depth, "all buffered");
+            let before = rig.attempts();
+            for &tag in &shuffled(depth, !(depth as u64)) {
+                let req = rig.post(1, tag as i32, 0, &mut arrived_first[tag]).unwrap();
+                assert!(req.is_complete());
+            }
+            let per_msg = (rig.attempts() - before) as f64 / depth as f64;
+            assert!(per_msg <= 2.0, "depth {depth}, arrived first: {per_msg}");
+            for (tag, b) in bufs.iter().enumerate() {
+                assert_eq!(u64::from_le_bytes(*b), (tag % depth) as u64);
+            }
+        }
+    }
+}
