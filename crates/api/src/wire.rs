@@ -242,7 +242,7 @@ pub fn encode_prim_slice<P: WirePrim>(data: &[P]) -> Vec<u8> {
 /// The elements of a primitive-array record, as `P`.
 fn prim_vec<P: WirePrim>(rec: &Record<'_>) -> Result<Vec<P>> {
     match rec {
-        Record::PrimArray { elem, data } if *elem == P::KIND => {
+        Record::PrimArray { elem, data, .. } if *elem == P::KIND => {
             Ok(data.chunks_exact(P::KIND.size()).map(P::read_le).collect())
         }
         other => Err(Error::Decode(format!(

@@ -95,20 +95,23 @@ fn fig9(protocol: motor_bench::PingPongProtocol) {
 
 fn fig10(protocol: motor_bench::PingPongProtocol) {
     println!("\n## Figure 10 — ping-pong, linked-list object transport (µs/iteration)\n");
-    let systems = Fig10Impl::PAPER;
+    // The paper's four series — "Motor" selects the paper's linear visited
+    // list explicitly — then the visited table the stack ships.
+    let systems = Fig10Impl::PAPER.into_iter().chain([Fig10Impl::MotorHashed]);
+    let systems: Vec<Fig10Impl> = systems.collect();
     let counts = fig10_object_counts();
 
     let mut md = String::new();
     let mut csv = String::new();
     write!(md, "| Total objects |").unwrap();
     write!(csv, "total_objects").unwrap();
-    for s in systems {
+    for s in &systems {
         write!(md, " {} |", s.label()).unwrap();
         write!(csv, ",{}", s.label()).unwrap();
     }
     writeln!(md).unwrap();
     write!(md, "|---:|").unwrap();
-    for _ in systems {
+    for _ in &systems {
         write!(md, "---:|").unwrap();
     }
     writeln!(md).unwrap();
@@ -119,7 +122,7 @@ fn fig10(protocol: motor_bench::PingPongProtocol) {
     for &objects in &counts {
         write!(md, "| {objects} |").unwrap();
         write!(csv, "{objects}").unwrap();
-        for sys in systems {
+        for &sys in &systems {
             match fig10_object_pingpong(sys, objects, protocol) {
                 Some((us, snap)) => {
                     write!(md, " {us:.2} |").unwrap();

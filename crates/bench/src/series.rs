@@ -59,9 +59,11 @@ impl Fig9Impl {
 /// The four systems of Figure 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fig10Impl {
-    /// Motor's extended OO operations (linear visited list, as published).
+    /// Motor's extended OO operations as published: the linear visited
+    /// list, selected explicitly.
     Motor,
-    /// Motor with the hashed visited structure (the paper's future work).
+    /// Motor with the hashed visited table — the paper's future work, and
+    /// what the stack ships as its default.
     MotorHashed,
     /// Indiana bindings + CLI binary serialization, SSCLI host.
     IndianaSscli,
@@ -72,7 +74,7 @@ pub enum Fig10Impl {
 }
 
 impl Fig10Impl {
-    /// The paper's four series (the hashed variant is our ablation extra).
+    /// The paper's four series (the hashed variant is the extra column).
     pub const PAPER: [Fig10Impl; 4] = [
         Fig10Impl::Motor,
         Fig10Impl::MpiJava,

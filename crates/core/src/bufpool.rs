@@ -116,16 +116,6 @@ impl BufPool {
         });
     }
 
-    /// Adopt an externally produced buffer into the pool (e.g. a
-    /// serializer output vector) so its storage is reused.
-    pub fn adopt(&self, buf: Vec<u8>, epoch: u64) {
-        self.meter(Metric::PoolPuts);
-        self.stack.lock().push(Entry {
-            buf,
-            last_used_epoch: epoch,
-        });
-    }
-
     /// The GC hook: unallocate buffers unused since the previous
     /// collection. Call with the *new* epoch after a collection completes;
     /// buffers whose last use predates the previous epoch are dropped.

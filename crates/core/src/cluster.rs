@@ -7,6 +7,7 @@
 //! its peers through the universe's links — the same isolation the paper
 //! gets from process boundaries, minus the address-space separation.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,6 +23,7 @@ use crate::error::CoreResult;
 use crate::mp::Mp;
 use crate::oomp::Oomp;
 use crate::pinning::PinPolicy;
+use crate::serial::WalkScratch;
 use crate::telemetry::{start_monitor, Collector, RankTicket, TelemetryConfig, TelemetryServer};
 
 /// Configuration of a Motor cluster. Build one with
@@ -218,6 +220,9 @@ pub struct MotorProc {
     thread: MotorThread,
     comm: Comm,
     pool: Arc<BufPool>,
+    /// The serializer's walk scratch, reused by every object send of the
+    /// rank as the pool's buffers are.
+    walk: RefCell<WalkScratch>,
     policy: PinPolicy,
     proc_: Proc,
     /// This rank's registration with the shared telemetry collector, when
@@ -260,7 +265,12 @@ impl MotorProc {
 
     /// The extended object-oriented operations.
     pub fn oomp(&self) -> Oomp<'_> {
-        Oomp::new(&self.thread, self.comm.clone(), Arc::clone(&self.pool))
+        Oomp::new(
+            &self.thread,
+            self.comm.clone(),
+            Arc::clone(&self.pool),
+            &self.walk,
+        )
     }
 
     /// The message-passing intrinsic host for interpreted IL: bind it to
@@ -445,6 +455,7 @@ where
             thread,
             comm,
             pool,
+            walk: RefCell::default(),
             policy,
             proc_: proc,
             monitor: ticket,
@@ -578,6 +589,7 @@ where
                 thread,
                 comm,
                 pool,
+                walk: RefCell::default(),
                 policy,
                 proc_: child,
                 monitor: ticket,

@@ -588,6 +588,7 @@ impl<'t> Mp<'t> {
         let rbuf = unsafe { std::slice::from_raw_parts_mut(rptr, rlen) };
         let r = match &spin_and_window {
             Some((_, (sptr, slen))) => {
+                // SAFETY: as `rbuf`: root's send window is pinned too.
                 let sbuf = unsafe { std::slice::from_raw_parts(*sptr, *slen) };
                 self.comm.scatter_bytes(Some(sbuf), rbuf, root)
             }
@@ -619,6 +620,7 @@ impl<'t> Mp<'t> {
         let sbuf = unsafe { std::slice::from_raw_parts(sptr, slen) };
         let r = match &rpin_and_window {
             Some((_, (rptr, rlen))) => {
+                // SAFETY: as `sbuf`: root's receive window is pinned too.
                 let rbuf = unsafe { std::slice::from_raw_parts_mut(*rptr, *rlen) };
                 self.comm.gather_bytes(sbuf, Some(rbuf), root)
             }
@@ -651,6 +653,7 @@ impl<'t> Mp<'t> {
         let rpin = self.pin_for_collective(recv);
         // SAFETY: windows pinned/stable for the duration.
         let sbuf = unsafe { std::slice::from_raw_parts(sptr, slen) };
+        // SAFETY: as `sbuf`.
         let rbuf = unsafe { std::slice::from_raw_parts_mut(rptr, rlen) };
         let r = self.comm.allreduce_bytes(sbuf, rbuf, dtype_of(kind), op);
         pinning::release(self.thread, spin);

@@ -14,7 +14,7 @@
 //! The serialized bytes live in pooled native buffers ([`crate::bufpool`]),
 //! so these operations never pin managed memory (§7.4).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use std::ops::RangeBounds;
@@ -27,27 +27,36 @@ use crate::bufpool::{BufPool, PoolBuf};
 use crate::error::{CoreError, CoreResult};
 use crate::fcall::Fcall;
 use crate::mp::MpStatus;
-use crate::serial::{AttrLookup, Serializer, VisitedStrategy};
+use crate::serial::{AttrLookup, Serializer, VisitedStrategy, WalkScratch};
 
 /// The extended object-oriented interface bound to one rank.
 pub struct Oomp<'t> {
     thread: &'t MotorThread,
     comm: Comm,
     pool: Arc<BufPool>,
+    scratch: &'t RefCell<WalkScratch>,
     strategy: VisitedStrategy,
     attrs: AttrLookup,
     last_epoch: Cell<u64>,
 }
 
 impl<'t> Oomp<'t> {
-    /// Bind the OO operations to a thread and communicator.
-    pub fn new(thread: &'t MotorThread, comm: Comm, pool: Arc<BufPool>) -> Oomp<'t> {
+    /// Bind the OO operations to a thread, a communicator and the rank's
+    /// reusable buffers: the transport buffer pool and the serializer's
+    /// walk scratch.
+    pub fn new(
+        thread: &'t MotorThread,
+        comm: Comm,
+        pool: Arc<BufPool>,
+        scratch: &'t RefCell<WalkScratch>,
+    ) -> Oomp<'t> {
         Oomp {
             thread,
             comm,
             pool,
-            strategy: VisitedStrategy::Linear,
-            attrs: AttrLookup::FieldDescBit,
+            scratch,
+            strategy: VisitedStrategy::default(),
+            attrs: AttrLookup::default(),
             last_epoch: Cell::new(0),
         }
     }
@@ -68,6 +77,21 @@ impl<'t> Oomp<'t> {
         Serializer::new(self.thread)
             .with_strategy(self.strategy)
             .with_attr_lookup(self.attrs)
+            .with_scratch(self.scratch)
+    }
+
+    /// Serialize `obj`, or the `(offset, count)` sub-range of the array it
+    /// is, into a pooled buffer.
+    fn serialize_pooled(&self, obj: Handle, sub: Option<(usize, usize)>) -> CoreResult<PoolBuf> {
+        let mut buf = self.pool.get(0, self.current_epoch());
+        let ser = self.serializer();
+        match sub {
+            None => ser.serialize_into(obj, buf.buf_mut())?,
+            Some((offset, count)) => {
+                ser.serialize_array_range_into(obj, offset, count, buf.buf_mut())?
+            }
+        };
+        Ok(buf)
     }
 
     fn metrics(&self) -> &MetricsRegistry {
@@ -85,11 +109,13 @@ impl<'t> Oomp<'t> {
     }
 
     /// The paper's GC hook on the buffer stack: when a collection has
-    /// happened since the last operation, unallocate stale buffers.
+    /// happened since the last operation, unallocate stale buffers and
+    /// what the walk scratch holds beyond its last pass's needs.
     fn maintain_pool(&self) {
         let epoch = self.thread.vm().safepoint().epoch();
         if epoch != self.last_epoch.get() {
             self.pool.trim_at_gc(epoch);
+            self.scratch.borrow_mut().trim();
             self.last_epoch.set(epoch);
         }
     }
@@ -173,16 +199,11 @@ impl<'t> Oomp<'t> {
         let _fc = Fcall::enter(self.thread);
         self.maintain_pool();
         self.metrics().bump(Metric::OompOsends);
-        let ser = self.serializer();
-        let (bytes, _) = match sub {
-            None => ser.serialize(obj)?,
-            Some((offset, count)) => ser.serialize_array_range(obj, offset, count)?,
-        };
+        let buf = self.serialize_pooled(obj, sub)?;
         self.metrics()
-            .record(Hist::SerializedGraphBytes, bytes.len() as u64);
-        self.send_sized(&bytes, dest, tag)?;
-        // Recycle the serialization buffer through the pool.
-        self.pool.adopt(bytes, self.current_epoch());
+            .record(Hist::SerializedGraphBytes, buf.as_slice().len() as u64);
+        self.send_sized(buf.as_slice(), dest, tag)?;
+        self.pool.put(buf, self.current_epoch());
         Ok(())
     }
 
@@ -224,12 +245,11 @@ impl<'t> Oomp<'t> {
         self.metrics().bump(Metric::OompCollectives);
         if self.comm.rank() == root {
             let obj = obj.ok_or(CoreError::NullBuffer)?;
-            let (bytes, _) = self.serializer().serialize(obj)?;
-            let mut size = (bytes.len() as u64).to_le_bytes();
+            let mut buf = self.serialize_pooled(obj, None)?;
+            let mut size = (buf.as_slice().len() as u64).to_le_bytes();
             self.comm.bcast_bytes(&mut size, root)?;
-            let mut data = bytes;
-            self.comm.bcast_bytes(&mut data, root)?;
-            self.pool.adopt(data, self.current_epoch());
+            self.comm.bcast_bytes(buf.buf_mut(), root)?;
+            self.pool.put(buf, self.current_epoch());
             Ok(obj)
         } else {
             let mut size = [0u8; 8];
@@ -261,20 +281,18 @@ impl<'t> Oomp<'t> {
                 )));
             }
             let chunk = len / n;
-            let ser = self.serializer();
             let mut own: Option<Handle> = None;
             // "For scatter operations the serialization mechanism
             // automatically splits the array and flattens referenced
             // objects" — one independently deserializable part per rank.
             for r in 0..n {
-                let (bytes, _) = ser.serialize_array_range(arr, r * chunk, chunk)?;
+                let buf = self.serialize_pooled(arr, Some((r * chunk, chunk)))?;
                 if r == root {
-                    own = Some(ser.deserialize(&bytes)?);
-                    self.pool.adopt(bytes, self.current_epoch());
+                    own = Some(self.serializer().deserialize(buf.as_slice())?);
                 } else {
-                    self.send_sized(&bytes, r, tag)?;
-                    self.pool.adopt(bytes, self.current_epoch());
+                    self.send_sized(buf.as_slice(), r, tag)?;
                 }
+                self.pool.put(buf, self.current_epoch());
             }
             Ok(own.expect("root part"))
         } else {
@@ -301,17 +319,17 @@ impl<'t> Oomp<'t> {
             // single array."
             let mut parts: Vec<Handle> = Vec::with_capacity(n);
             let own_len = self.thread.array_len(sub);
-            let (own_bytes, _) = ser.serialize_array_range(sub, 0, own_len)?;
+            let own = self.serialize_pooled(sub, Some((0, own_len)))?;
             for r in 0..n {
                 if r == root {
-                    parts.push(ser.deserialize(&own_bytes)?);
+                    parts.push(ser.deserialize(own.as_slice())?);
                 } else {
                     let (buf, _) = self.recv_sized(Source::Rank(r), tag)?;
                     parts.push(ser.deserialize(buf.as_slice())?);
                     self.pool.put(buf, self.current_epoch());
                 }
             }
-            self.pool.adopt(own_bytes, self.current_epoch());
+            self.pool.put(own, self.current_epoch());
             // Concatenate the parts.
             let total: usize = parts.iter().map(|&p| self.thread.array_len(p)).sum();
             let elem_class = {
@@ -342,9 +360,9 @@ impl<'t> Oomp<'t> {
             Ok(Some(full))
         } else {
             let len = self.thread.array_len(sub);
-            let (bytes, _) = ser.serialize_array_range(sub, 0, len)?;
-            self.send_sized(&bytes, root, tag)?;
-            self.pool.adopt(bytes, self.current_epoch());
+            let buf = self.serialize_pooled(sub, Some((0, len)))?;
+            self.send_sized(buf.as_slice(), root, tag)?;
+            self.pool.put(buf, self.current_epoch());
             Ok(None)
         }
     }

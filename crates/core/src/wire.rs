@@ -36,7 +36,8 @@
 //! managed heap and the compile-time codec of `motor_api::wire`. The bytes
 //! come from another rank, so [`Doc::parse`] bounds every count by the
 //! bytes that remain before reserving for it, multiplies sizes with
-//! overflow checks, and checks every index against its table.
+//! overflow checks, checks every index against its table, and refuses
+//! bytes after the last record.
 
 use motor_runtime::ElemKind;
 
@@ -104,19 +105,25 @@ pub fn md_array_entry(out: &mut Vec<u8>, elem: ElemKind, rank: u8) {
     out.extend_from_slice(&[TT_MD_ARRAY, elem.tag(), rank]);
 }
 
-/// Builds one representation: a type table interned by the client's key
-/// `K`, and the record section. The client owns discovery (which object
-/// gets which index); the writer owns the layout.
+/// Builds one representation after another: a type table interned by the
+/// client's key `K`, and the record section. The client owns discovery
+/// (which object gets which index); the writer owns the layout. A writer
+/// that is kept keeps its buffers, so a later pass clears instead of
+/// reallocating.
 pub struct Writer<K> {
     /// Interning key of each type entry; `None` for a synthetic split
     /// root's. Scanned linearly: a message has a handful of types.
     keys: Vec<Option<K>>,
+    /// One buffer per entry of `keys`, then spares of earlier passes.
     types: Vec<Vec<u8>>,
     records: Vec<u8>,
     record_count: u32,
     /// 1 once record 0 is a synthetic split root, which shifts every
     /// discovered object one record down.
     index_offset: u32,
+    /// Type entries and record bytes of the last representation finished:
+    /// what [`Writer::trim`] keeps room for.
+    last: (usize, usize),
 }
 
 impl<K: PartialEq> Default for Writer<K> {
@@ -127,6 +134,7 @@ impl<K: PartialEq> Default for Writer<K> {
             records: Vec::new(),
             record_count: 0,
             index_offset: 0,
+            last: (0, 0),
         }
     }
 }
@@ -139,17 +147,22 @@ impl<K: PartialEq> Writer<K> {
         if let Some(i) = self.keys.iter().position(|k| k.as_ref() == Some(&key)) {
             return i as u32;
         }
-        let idx = self.push_type(Some(key), Vec::new());
-        let mut entry = Vec::new();
+        let idx = self.push_type(Some(key));
+        let mut entry = std::mem::take(&mut self.types[idx as usize]);
         fill(self, &mut entry);
         self.types[idx as usize] = entry;
         idx
     }
 
-    fn push_type(&mut self, key: Option<K>, entry: Vec<u8>) -> u32 {
+    /// Reserve the next type entry, empty.
+    fn push_type(&mut self, key: Option<K>) -> u32 {
+        let idx = self.keys.len();
         self.keys.push(key);
-        self.types.push(entry);
-        (self.types.len() - 1) as u32
+        match self.types.get_mut(idx) {
+            Some(spare) => spare.clear(),
+            None => self.types.push(Vec::new()),
+        }
+        idx as u32
     }
 
     /// Open a split part: the synthetic root over `len` elements as
@@ -158,9 +171,8 @@ impl<K: PartialEq> Writer<K> {
     /// [`prim_array_entry`] the data, appended to [`Writer::payload`].
     pub fn split_root(&mut self, len: usize, entry: impl FnOnce(&mut Vec<u8>)) {
         debug_assert_eq!(self.record_count, 0, "the split root is record 0");
-        let mut e = Vec::new();
-        entry(&mut e);
-        let ty = self.push_type(None, e);
+        let ty = self.push_type(None);
+        entry(&mut self.types[ty as usize]);
         self.index_offset = 1;
         self.begin_record(ty);
         self.put_u32(len as u32);
@@ -193,16 +205,46 @@ impl<K: PartialEq> Writer<K> {
         self.record_count
     }
 
-    /// Assemble type table and records into the representation.
-    pub fn finish(self) -> Vec<u8> {
-        let table: usize = self.types.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(8 + table + self.records.len());
-        put_u32(&mut out, self.types.len() as u32);
-        for e in &self.types {
+    /// Append the representation — type table, then records — to `out`,
+    /// and start over with this writer's buffers kept.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        let types = &self.types[..self.keys.len()];
+        let table: usize = types.iter().map(Vec::len).sum();
+        out.reserve(8 + table + self.records.len());
+        put_u32(out, types.len() as u32);
+        for e in types {
             out.extend_from_slice(e);
         }
-        put_u32(&mut out, self.record_count);
+        put_u32(out, self.record_count);
         out.extend_from_slice(&self.records);
+        self.last = (types.len(), self.records.len());
+        self.clear();
+    }
+
+    /// Drop a representation under way (what a pass that unwound left
+    /// behind), buffers kept.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.records.clear();
+        self.record_count = 0;
+        self.index_offset = 0;
+    }
+
+    /// Between representations, give back the capacity beyond twice what
+    /// the last one used, so that one large representation does not size
+    /// this writer for good.
+    pub fn trim(&mut self) {
+        debug_assert!(self.keys.is_empty(), "between representations");
+        let (types, records) = self.last;
+        self.types.truncate(types);
+        self.records.shrink_to(2 * records);
+    }
+
+    /// [`Writer::finish_into`] a buffer of exactly the representation's
+    /// size.
+    pub fn finish(&mut self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.finish_into(&mut out);
         out
     }
 }
@@ -372,29 +414,65 @@ impl<'a> Refs<'a> {
     }
 }
 
-/// One object record. Payloads are slices of the parsed buffer.
+/// The body of a multidimensional-array record, still in the buffer: the
+/// extent of each dimension, then the row-major element bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct MdBody<'a>(&'a [u8]);
+
+impl<'a> MdBody<'a> {
+    /// The extents of the record's `rank` dimensions.
+    pub fn dims(&self, rank: u8) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.0[..4 * rank as usize].chunks_exact(4).map(slot)
+    }
+
+    /// The element bytes: the product of the extents times the element size.
+    pub fn data(&self, rank: u8) -> &'a [u8] {
+        &self.0[4 * rank as usize..]
+    }
+}
+
+/// One object record: the type-table index of its type, and payloads that
+/// are slices of the parsed buffer. Three words, so that a representation
+/// of many small objects parses into little more than its own size.
 #[derive(Debug)]
 pub enum Record<'a> {
-    /// A class instance: the type-table index [`Doc::class`] resolves,
-    /// and the field values [`Field::bytes`] and [`Field::target`] read.
+    /// A class instance ([`Doc::class`] resolves `ty`): the field values
+    /// [`Field::bytes`] and [`Field::target`] read.
     Class { ty: u32, values: &'a [u8] },
     /// A primitive array: `len * elem.size()` little-endian bytes.
-    PrimArray { elem: ElemKind, data: &'a [u8] },
-    /// An object array: the type-table index of the element type, and
-    /// one reference per element.
-    ObjArray { elem_type: u32, elems: Refs<'a> },
-    /// A multidimensional array: the extent of each dimension, and the
-    /// row-major element bytes.
-    MdArray {
+    PrimArray {
+        ty: u32,
         elem: ElemKind,
-        dims: Vec<u32>,
         data: &'a [u8],
     },
+    /// An object array (its type entry names the element type): one
+    /// reference per element.
+    ObjArray { ty: u32, elems: Refs<'a> },
+    /// A multidimensional array of `rank` dimensions.
+    MdArray {
+        ty: u32,
+        elem: ElemKind,
+        rank: u8,
+        body: MdBody<'a>,
+    },
+}
+
+impl Record<'_> {
+    /// Type-table index of the record's type.
+    pub fn ty(&self) -> u32 {
+        match self {
+            Record::Class { ty, .. }
+            | Record::PrimArray { ty, .. }
+            | Record::ObjArray { ty, .. }
+            | Record::MdArray { ty, .. } => *ty,
+        }
+    }
 }
 
 /// A parsed and validated representation, still borrowing the incoming
 /// buffer. There is a root record; every type index, element type index
-/// and non-null reference is in range; every payload has its type's length.
+/// and non-null reference is in range; every payload has its type's length;
+/// the last record ends the buffer.
 #[derive(Debug)]
 pub struct Doc<'a> {
     types: Vec<TypeEntry<'a>>,
@@ -451,39 +529,42 @@ impl<'a> Doc<'a> {
                 TypeEntry::PrimArray(elem) => {
                     let len = r.u32()? as usize;
                     Record::PrimArray {
+                        ty,
                         elem: *elem,
                         data: r.take_items(len, elem.size())?,
                     }
                 }
-                TypeEntry::ObjArray(elem_type) => {
+                TypeEntry::ObjArray(_) => {
                     let len = r.u32()? as usize;
                     let elems = Refs(r.take_items(len, 4)?);
                     elems.iter().try_for_each(check)?;
-                    Record::ObjArray {
-                        elem_type: *elem_type,
-                        elems,
-                    }
+                    Record::ObjArray { ty, elems }
                 }
                 TypeEntry::MdArray(elem, rank) => {
                     if r.u8()? != *rank {
                         return Err(malformed("md rank mismatch"));
                     }
-                    let dims: Vec<u32> = r
+                    let body = r.0;
+                    let count = r
                         .take(4 * *rank as usize)?
                         .chunks_exact(4)
-                        .map(slot)
-                        .collect();
-                    let count = dims
-                        .iter()
-                        .try_fold(1usize, |n, &d| n.checked_mul(d as usize))
+                        .try_fold(1usize, |n, d| n.checked_mul(slot(d) as usize))
                         .ok_or_else(|| malformed("md dimensions overflow"))?;
+                    let data = r.take_items(count, elem.size())?;
                     Record::MdArray {
+                        ty,
                         elem: *elem,
-                        data: r.take_items(count, elem.size())?,
-                        dims,
+                        rank: *rank,
+                        body: MdBody(&body[..4 * *rank as usize + data.len()]),
                     }
                 }
             });
+        }
+        if !r.0.is_empty() {
+            return Err(malformed(format!(
+                "{} bytes after the last record",
+                r.0.len()
+            )));
         }
         Ok(Doc { types, records })
     }
@@ -623,5 +704,67 @@ mod tests {
         for cut in 0..good.len() {
             assert!(Doc::parse(&good[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn bytes_after_the_last_record_are_rejected() {
+        let mut bytes = two_pairs();
+        bytes.push(0);
+        assert!(
+            matches!(Doc::parse(&bytes), Err(CoreError::Serialization(why)) if why.contains("after the last record"))
+        );
+        // A whole second representation behind the first is no better.
+        let twice = [two_pairs(), two_pairs()].concat();
+        assert!(Doc::parse(&twice).is_err());
+    }
+
+    #[test]
+    fn a_finished_writer_starts_over_with_nothing_left_behind() {
+        let mut w = Writer::<u8>::default();
+        // A split part first: an unkeyed root entry and shifted references.
+        let elem = w.intern(0, |_, e| class_entry_header(e, "E", 0));
+        w.split_root(1, |e| obj_array_entry(e, elem));
+        w.put_ref(Some(0));
+        w.begin_record(elem);
+        let part = w.finish();
+        assert_eq!(Doc::parse(&part).unwrap().records().len(), 2);
+        // Then a plain representation under the same key, appended to what
+        // the caller's buffer holds.
+        let ty = w.intern(0, |_, e| prim_array_entry(e, ElemKind::U8));
+        w.begin_record(ty);
+        w.put_u32(0);
+        let mut out = vec![0xAA];
+        w.finish_into(&mut out);
+        let mut fresh = Writer::<u8>::default();
+        let ty = fresh.intern(0, |_, e| prim_array_entry(e, ElemKind::U8));
+        fresh.begin_record(ty);
+        fresh.put_u32(0);
+        assert_eq!(out[1..], fresh.finish());
+        assert_eq!(out[0], 0xAA);
+    }
+
+    #[test]
+    fn a_trimmed_writer_is_sized_for_its_last_representation() {
+        let mut w = Writer::<u8>::default();
+        let bytes_of = |w: &mut Writer<u8>, types: u8, len: usize| {
+            for key in 0..types {
+                let ty = w.intern(key, |_, e| prim_array_entry(e, ElemKind::U8));
+                w.begin_record(ty);
+                w.put_u32(len as u32);
+                let end = w.records.len() + len;
+                w.payload().resize(end, key);
+            }
+            w.finish()
+        };
+        bytes_of(&mut w, 5, 1 << 16);
+        assert!(w.records.capacity() >= 5 << 16 && w.types.len() == 5);
+        let small = bytes_of(&mut w, 2, 8);
+        w.trim();
+        assert!(w.records.capacity() <= 2 * 32 && w.types.len() == 2);
+        // An abandoned representation is gone after `clear`.
+        let ty = w.intern(9, |_, e| prim_array_entry(e, ElemKind::I64));
+        w.begin_record(ty);
+        w.clear();
+        assert_eq!(bytes_of(&mut w, 2, 8), small);
     }
 }

@@ -178,6 +178,68 @@ pub enum AllocPressure {
     NeedsFull,
 }
 
+/// A zeroed run of one generation reserved by [`Heap::alloc_extent`], handed
+/// out front to back as objects. It borrows the heap, so nothing else
+/// allocates and no collection runs while it is carved; every object it
+/// hands out is in the same generation, so references among them need no
+/// write barrier.
+pub struct Extent<'h> {
+    next: usize,
+    end: usize,
+    /// `IN_OLD` for an elder-resident run, 0 for a young one.
+    generation: u32,
+    heap: std::marker::PhantomData<&'h mut Heap>,
+}
+
+impl Extent<'_> {
+    /// Address the next [`Extent::carve`] returns.
+    pub fn next(&self) -> usize {
+        self.next
+    }
+
+    /// Bytes not yet carved.
+    pub fn remaining(&self) -> usize {
+        self.end - self.next
+    }
+
+    /// Hand out the next `size` bytes (aligned, payload zeroed) as an
+    /// object with the given header. What is left stays one filler block; a
+    /// tail too small to hold a header goes to this object, as in
+    /// [`Heap::alloc_old`].
+    ///
+    /// # Safety
+    /// `header` names a registered type, and an object of that type with
+    /// that `extra` occupies at most `size` bytes: the collector will scan
+    /// the object by what its header says.
+    pub unsafe fn carve(&mut self, size: usize, mut header: ObjHeader) -> usize {
+        debug_assert!(size >= HEADER_SIZE && size.is_multiple_of(ALIGN));
+        assert!(size <= self.remaining(), "extent overrun");
+        let addr = self.next;
+        let mut rest = self.remaining() - size;
+        if rest < HEADER_SIZE {
+            rest = 0;
+        }
+        self.next = self.end - rest;
+        header.size = (self.next - addr) as u32;
+        header.flags |= self.generation;
+        if rest > 0 {
+            Heap::stamp_free(self.next, rest);
+        }
+        // SAFETY: `addr..self.next` lies inside the run `alloc_extent`
+        // reserved, which this extent owns while it borrows the heap.
+        unsafe { std::ptr::write(addr as *mut ObjHeader, header) };
+        addr
+    }
+}
+
+/// Header of a block no object lives in ([`Heap::stamp`] sets the size).
+const FILLER: ObjHeader = ObjHeader {
+    mt: u32::MAX,
+    flags: obj_flags::FREE,
+    size: 0,
+    extra: 0,
+};
+
 impl Heap {
     /// Create a heap with the given configuration.
     pub fn new(config: HeapConfig) -> Self {
@@ -232,6 +294,41 @@ impl Heap {
                 Ok(addr)
             }
             None => Err(AllocPressure::NeedsMinor),
+        }
+    }
+
+    /// Reserve one contiguous run of `total` bytes for a client that carves
+    /// it into objects itself (the serializer's materializer). The rule is
+    /// [`Heap::alloc`]'s applied to the total: a run above the large-object
+    /// threshold is elder-resident, and every header carved from it says
+    /// so. The run is stamped as one `FREE` filler block, so the segment
+    /// stays parseable whatever the client does with the extent.
+    pub fn alloc_extent(&mut self, total: usize) -> Result<Extent<'_>, AllocPressure> {
+        let next = self.alloc(total, FILLER)?;
+        Ok(self.extent_at(next))
+    }
+
+    /// [`Heap::alloc_extent`] in the elder generation with the soft limit
+    /// ignored, as [`Heap::alloc_old_unchecked`] does for promotion: where
+    /// a graph goes that a full collection could not make room for. The
+    /// next allocation above the threshold re-checks the limit.
+    pub fn alloc_extent_unchecked(&mut self, total: usize) -> Extent<'_> {
+        let next = self
+            .alloc_old_unchecked(total, FILLER)
+            .expect("without a limit the elder generation grows");
+        self.extent_at(next)
+    }
+
+    /// The extent over the filler block just stamped at `next`.
+    fn extent_at(&mut self, next: usize) -> Extent<'_> {
+        let stamped = self.header(next);
+        debug_assert_eq!(self.is_young(next), stamped.flags & obj_flags::IN_OLD == 0);
+        Extent {
+            next,
+            // The elder free list may hand out a little more than asked.
+            end: next + stamped.size as usize,
+            generation: stamped.flags & obj_flags::IN_OLD,
+            heap: std::marker::PhantomData,
         }
     }
 
@@ -333,10 +430,8 @@ impl Heap {
             std::ptr::write(
                 addr as *mut ObjHeader,
                 ObjHeader {
-                    mt: u32::MAX,
-                    flags: obj_flags::FREE,
                     size: size as u32,
-                    extra: 0,
+                    ..FILLER
                 },
             );
         }
@@ -581,5 +676,138 @@ mod tests {
         // New young segment is empty and usable.
         let b = heap.alloc(64, hdr(8)).unwrap();
         assert!(heap.is_young(b));
+    }
+
+    /// Carve `extent` into 24-, 40- and 64-byte objects in turn until it
+    /// is used up; returns their addresses.
+    fn carve_all(mut extent: Extent<'_>) -> Vec<usize> {
+        let mut carved = Vec::new();
+        while extent.remaining() > 0 {
+            let size = [24, 40, 64][carved.len() % 3].min(extent.remaining());
+            // SAFETY: the walks below read headers only, never by type.
+            carved.push(unsafe { extent.carve(size, hdr(carved.len() as u32)) });
+        }
+        carved
+    }
+
+    #[test]
+    fn a_carved_extent_walks_as_its_records_young_and_elder() {
+        let mut heap = Heap::new(HeapConfig {
+            young_bytes: 4096,
+            old_segment_bytes: 8192,
+            old_soft_limit: 1 << 20,
+        });
+        let before = heap.alloc(32, hdr(99)).unwrap();
+        // 1024 = 8 * (24 + 40 + 64): below the threshold, young.
+        heap.alloc_extent(1024).unwrap();
+        // Whole, it is one filler block behind the object before it.
+        assert_eq!(heap.young().walk().count(), 2);
+        let young = carve_all(heap.alloc_extent(1024).unwrap());
+        assert_eq!(young.len(), 24);
+        let after = heap.alloc(32, hdr(99)).unwrap();
+        let walked: Vec<usize> = heap.young().walk().collect();
+        assert_eq!(walked[0], before);
+        assert_eq!(
+            heap.header(walked[1]).flags,
+            obj_flags::FREE,
+            "the uncarved one"
+        );
+        assert_eq!(walked[2..26], young[..]);
+        assert_eq!(walked[26..], [after]);
+        for (i, &addr) in young.iter().enumerate() {
+            let h = heap.header(addr);
+            assert_eq!((h.mt, h.flags, h.size), (i as u32, 0, [24, 40, 64][i % 3]));
+            assert!(heap.is_young(addr));
+        }
+
+        // 3072 is above the threshold: elder, and every header says so.
+        let elder = carve_all(heap.alloc_extent(3072).unwrap());
+        assert_eq!(elder.len(), 72);
+        assert_eq!(heap.old_segments()[0].walk().collect::<Vec<_>>(), elder);
+        assert!(elder
+            .iter()
+            .all(|&a| heap.header(a).flags == obj_flags::IN_OLD && !heap.is_young(a)));
+        assert_eq!(heap.old_bytes_used(), 3072);
+    }
+
+    #[test]
+    fn a_half_carved_extent_stays_parseable() {
+        let mut heap = Heap::new(HeapConfig::default());
+        let mut extent = heap.alloc_extent(256).unwrap();
+        // SAFETY: only headers are read back.
+        let a = unsafe { extent.carve(64, hdr(1)) };
+        assert_eq!((extent.next(), extent.remaining()), (a + 64, 192));
+        let walked: Vec<usize> = heap.young().walk().collect();
+        assert_eq!(walked, [a, a + 64]);
+        assert_eq!(heap.header(a + 64).flags, obj_flags::FREE);
+        assert_eq!(heap.header(a + 64).size, 192);
+    }
+
+    #[test]
+    fn the_last_record_takes_a_tail_no_header_fits_in() {
+        let mut heap = Heap::new(HeapConfig {
+            young_bytes: 128,
+            old_segment_bytes: 1024,
+            old_soft_limit: 1 << 20,
+        });
+        // A 136-byte hole for a 128-byte extent: the free list hands out
+        // all of it, as it does for an object.
+        let hole = heap.alloc_old(136, hdr(1)).unwrap();
+        let _rest = heap.alloc_old(888, hdr(2)).unwrap();
+        Heap::stamp_free(hole, 136);
+        heap.set_free_list(
+            vec![FreeBlock {
+                addr: hole,
+                size: 136,
+            }],
+            136,
+        );
+        let mut extent = heap.alloc_extent(128).unwrap();
+        assert_eq!((extent.next(), extent.remaining()), (hole, 136));
+        // SAFETY: only headers are read back.
+        let (a, b) = unsafe { (extent.carve(64, hdr(3)), extent.carve(64, hdr(4))) };
+        assert_eq!(extent.remaining(), 0);
+        assert_eq!((heap.header(a).size, heap.header(b).size), (64, 72));
+        let walked: Vec<usize> = heap.old_segments()[0].walk().collect();
+        assert_eq!(walked, [a, b, hole + 136]);
+    }
+
+    #[test]
+    fn an_extent_that_does_not_fit_reports_the_pressure_alloc_would() {
+        let mut heap = Heap::new(HeapConfig {
+            young_bytes: 1024,
+            old_segment_bytes: 4096,
+            old_soft_limit: 2048,
+        });
+        // 768 of 1024 young bytes used: a run at the threshold is young
+        // and does not fit.
+        heap.alloc(512, hdr(1)).unwrap();
+        heap.alloc(256, hdr(1)).unwrap();
+        assert_eq!(heap.alloc(512, hdr(2)), Err(AllocPressure::NeedsMinor));
+        assert_eq!(
+            heap.alloc_extent(512).err(),
+            Some(AllocPressure::NeedsMinor)
+        );
+        assert!(heap.alloc_extent(256).is_ok(), "what is left");
+        // 1536 of the elder generation's 2048 used: a run above the
+        // threshold is elder and would cross the soft limit.
+        heap.alloc(1536, hdr(3)).unwrap();
+        assert_eq!(heap.alloc(1024, hdr(4)), Err(AllocPressure::NeedsFull));
+        assert_eq!(
+            heap.alloc_extent(1024).err(),
+            Some(AllocPressure::NeedsFull)
+        );
+        assert_eq!(heap.old_bytes_used(), 1536, "a refusal reserves nothing");
+        // Past the limit on request, like a promotion: elder all the same.
+        let elder = carve_all(heap.alloc_extent_unchecked(1024));
+        assert!(elder
+            .iter()
+            .all(|&a| heap.header(a).flags == obj_flags::IN_OLD && !heap.is_young(a)));
+        assert_eq!(heap.old_bytes_used(), 2560);
+        assert_eq!(
+            heap.alloc_extent(1024).err(),
+            Some(AllocPressure::NeedsFull),
+            "the limit is back for the next one"
+        );
     }
 }

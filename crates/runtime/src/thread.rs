@@ -19,12 +19,12 @@ use std::sync::Arc;
 use motor_obs::{EventKind, Metric};
 
 use crate::handles::Handle;
-use crate::heap::AllocPressure;
+use crate::heap::{AllocPressure, Extent};
 use crate::layout::{self, ObjHeader};
 use crate::object::ObjectRef;
 use crate::pin::{PinCondition, PinToken};
 use crate::types::{ClassId, ElemKind, FieldType, TypeKind};
-use crate::vm::Vm;
+use crate::vm::{Vm, VmState};
 
 /// Marker trait tying Rust primitive types to managed element kinds.
 pub trait Prim: Copy + 'static {
@@ -102,13 +102,16 @@ impl MotorThread {
     // Collection control
     // ------------------------------------------------------------------
 
-    fn run_collection(&self, kind: AllocPressure) {
-        if self.vm.safepoint().try_begin_gc() {
+    /// Whether this thread ran the collection; otherwise another thread's
+    /// completed while we waited. Either way the caller retries its
+    /// allocation.
+    fn run_collection(&self, kind: AllocPressure) -> bool {
+        let ours = self.vm.safepoint().try_begin_gc();
+        if ours {
             self.vm.collect_exclusive(kind);
             self.vm.safepoint().end_gc();
         }
-        // Otherwise another thread's collection completed while we waited;
-        // the caller retries its allocation.
+        ours
     }
 
     /// Force a minor collection.
@@ -125,17 +128,30 @@ impl MotorThread {
     // Allocation
     // ------------------------------------------------------------------
 
+    /// Allocate one object: poll, try, and under pressure collect outside
+    /// the state lock and try again. An object that a full collection of
+    /// this thread's could not bring under the elder generation's soft
+    /// limit is placed past it, as a promotion would be: the limit paces
+    /// collections, it does not refuse live data.
     fn alloc_with_retry(&self, size: usize, header: ObjHeader) -> usize {
+        let mut full_failed = false;
         loop {
             self.poll();
             let pressure = {
                 let mut st = self.vm.state();
-                match st.heap.alloc(size, header) {
+                let placed = if full_failed {
+                    st.heap
+                        .alloc_old_unchecked(size, header)
+                        .ok_or(AllocPressure::NeedsFull)
+                } else {
+                    st.heap.alloc(size, header)
+                };
+                match placed {
                     Ok(addr) => return addr,
                     Err(p) => p,
                 }
             };
-            self.run_collection(pressure);
+            full_failed = self.run_collection(pressure) && pressure == AllocPressure::NeedsFull;
         }
     }
 
@@ -195,6 +211,18 @@ impl MotorThread {
         self.vm.registry_mut().obj_array(elem)
     }
 
+    /// Canonical multidimensional-array class id.
+    pub fn md_array_class(&self, kind: ElemKind, rank: u8) -> ClassId {
+        // NB: the read guard goes in its own statement — an `if let`
+        // scrutinee temporary would still hold it inside an `else` branch
+        // that needs the write lock.
+        let existing = self.vm.registry().md_array_id(kind, rank);
+        match existing {
+            Some(id) => id,
+            None => self.vm.registry_mut().md_array(kind, rank),
+        }
+    }
+
     /// Allocate an array of object references (all null).
     pub fn alloc_obj_array(&self, elem: ClassId, len: usize) -> Handle {
         let class = self.obj_array_class(elem);
@@ -215,14 +243,7 @@ impl MotorThread {
     /// CLI feature the paper contrasts with Java's arrays-of-arrays (§3).
     pub fn alloc_md_array(&self, kind: ElemKind, dims: &[u32]) -> Handle {
         assert!(dims.len() >= 2, "md arrays have rank >= 2");
-        // NB: take the read guard in its own statement — an `if let`
-        // scrutinee temporary would still hold the read lock inside an
-        // `else` branch that needs the write lock.
-        let existing = self.vm.registry().md_array_id(kind, dims.len() as u8);
-        let class = match existing {
-            Some(id) => id,
-            None => self.vm.registry_mut().md_array(kind, dims.len() as u8),
-        };
+        let class = self.md_array_class(kind, dims.len() as u8);
         let count: usize = dims.iter().map(|&d| d as usize).product();
         let size = layout::md_array_alloc_size(kind, dims);
         let addr = self.alloc_with_retry(
@@ -244,6 +265,46 @@ impl MotorThread {
             }
         }
         self.vm.state().handles.create(addr)
+    }
+
+    /// Allocate a whole object graph in one step (trusted integration
+    /// layer: the serializer's materializer). One contiguous extent of
+    /// `total` bytes is reserved by the rule of a single allocation — poll,
+    /// lock the state once, collect and retry under pressure — and `fill`
+    /// carves it into objects, the root first; the root gets the only
+    /// handle. As for one object, a graph that a full collection of this
+    /// thread's could not bring under the elder generation's soft limit is
+    /// placed past it.
+    ///
+    /// `fill` runs under the state lock, so it must not call back into
+    /// this thread. It must carve all of the extent (checked) and leave
+    /// every reference slot null or holding the address of an object it
+    /// carved.
+    pub fn alloc_graph(&self, total: usize, fill: impl FnOnce(&mut Extent<'_>)) -> Handle {
+        let mut full_failed = false;
+        loop {
+            self.poll();
+            let pressure = {
+                let mut st = self.vm.state();
+                let VmState { heap, handles, .. } = &mut *st;
+                let reserved = if full_failed {
+                    Ok(heap.alloc_extent_unchecked(total))
+                } else {
+                    heap.alloc_extent(total)
+                };
+                match reserved {
+                    Ok(mut extent) => {
+                        let root = extent.next();
+                        fill(&mut extent);
+                        // Else the handle would name a filler block.
+                        assert_eq!(extent.remaining(), 0, "extent carved in full");
+                        return handles.create(root);
+                    }
+                    Err(p) => p,
+                }
+            };
+            full_failed = self.run_collection(pressure) && pressure == AllocPressure::NeedsFull;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -950,6 +1011,28 @@ mod tests {
         let addr_before = vm.handle_addr(h);
         t.collect_minor();
         assert_eq!(vm.handle_addr(h), addr_before, "elder objects never move");
+    }
+
+    #[test]
+    fn live_large_objects_past_the_soft_limit_cost_one_full_collection_each() {
+        let vm = Vm::new(VmConfig {
+            heap: HeapConfig {
+                young_bytes: 4096,
+                old_segment_bytes: 64 * 1024,
+                old_soft_limit: 8192,
+            },
+            ..Default::default()
+        });
+        let t = MotorThread::attach(Arc::clone(&vm));
+        // The third live array crosses the limit; a full collection frees
+        // nothing, and the retry places it past the limit.
+        let live: Vec<Handle> = (0..5)
+            .map(|_| t.alloc_prim_array(ElemKind::U8, 3000))
+            .collect();
+        assert_eq!(vm.stats_snapshot().full_collections, 3);
+        assert!(vm.state().heap.old_bytes_used() > 8192);
+        assert!(live.iter().all(|&h| !t.is_young(h)));
+        crate::verify_heap(&vm).expect("past the limit");
     }
 
     #[test]

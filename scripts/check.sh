@@ -11,10 +11,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy: SAFETY comments on unsafe blocks (runtime + pal)"
-# The two crates holding the raw-pointer object model and the SPSC byte
-# rings must justify every unsafe block.
-cargo clippy -p motor-runtime -p motor-pal --all-targets -- \
+echo "==> cargo clippy: SAFETY comments on unsafe blocks (runtime + pal + core)"
+# The crates holding the raw-pointer object model, the SPSC byte rings and
+# the serializer that reads and writes objects by raw address must justify
+# every unsafe block (`--no-deps`: the flag would otherwise reach the path
+# dependencies of the three, which are not held to it yet).
+cargo clippy -p motor-runtime -p motor-pal -p motor-core --all-targets --no-deps -- \
   -D warnings -D clippy::undocumented-unsafe-blocks
 
 echo "==> cargo test --workspace"

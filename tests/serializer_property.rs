@@ -9,7 +9,7 @@ use motor::api::{wire, Transportable};
 use motor::core::wire::{Doc, Record, TypeEntry};
 use motor::core::{Serializer, VisitedStrategy};
 use motor::runtime::heap::HeapConfig;
-use motor::runtime::{ClassId, ElemKind, Handle, MotorThread, Vm, VmConfig};
+use motor::runtime::{ClassId, ElemKind, FieldType, Handle, MotorThread, TypeKind, Vm, VmConfig};
 use proptest::prelude::*;
 
 /// A random graph over one node class: per node a tag, an optional data
@@ -146,6 +146,48 @@ fn signature(t: &MotorThread, node: ClassId, root: Handle) -> Vec<i64> {
     sig
 }
 
+/// Reference slots, in the graph under `root`, that hold an object of
+/// another class than the slot declares: a field its `FieldType::Ref`, an
+/// object-array element the array's element class.
+fn ill_typed_slots(t: &MotorThread, root: Handle) -> usize {
+    let mut ill = 0;
+    let mut seen: Vec<Handle> = Vec::new();
+    let mut stack = vec![t.clone_handle(root)];
+    while let Some(h) = stack.pop() {
+        if t.is_null(h) || seen.iter().any(|&v| t.same_object(v, h)) {
+            t.release(h);
+            continue;
+        }
+        seen.push(h);
+        let reg = t.vm().registry();
+        let table = reg.table(t.class_of(h)).clone();
+        drop(reg);
+        let mut holds = |slot: Handle, declared: ClassId| {
+            ill += (!t.is_null(slot) && t.class_of(slot) != declared) as usize;
+            stack.push(slot);
+        };
+        match table.kind {
+            TypeKind::Class => {
+                for (fi, f) in table.fields.iter().enumerate() {
+                    if let FieldType::Ref(declared) = f.ty {
+                        holds(t.get_ref(h, fi), declared);
+                    }
+                }
+            }
+            TypeKind::ObjArray(elem) => {
+                for i in 0..t.array_len(h) {
+                    holds(t.obj_array_get(h, i), elem);
+                }
+            }
+            TypeKind::PrimArray(_) | TypeKind::MdArray { .. } => {}
+        }
+    }
+    for h in seen {
+        t.release(h);
+    }
+    ill
+}
+
 /// Rust mirror of `PNode` for the derive codec.
 #[derive(Transportable, Debug, Default, Clone, PartialEq)]
 struct PNode {
@@ -201,7 +243,7 @@ fn slots(bytes: &[u8]) -> Slots {
             Record::Class { values, .. } => values.len(),
             Record::PrimArray { data, .. } => 4 + data.len(),
             Record::ObjArray { elems, .. } => 4 + 4 * elems.iter().len(),
-            Record::MdArray { dims, data, .. } => 1 + 4 * dims.len() + data.len(),
+            Record::MdArray { rank, body, .. } => 1 + 4 * *rank as usize + body.data(*rank).len(),
         }
     };
     let mut at = bytes.len() - doc.records().iter().map(size).sum::<usize>();
@@ -235,8 +277,8 @@ fn slots(bytes: &[u8]) -> Slots {
                 s.refs
                     .extend((0..elems.iter().len()).map(|i| at + 8 + 4 * i));
             }
-            Record::MdArray { dims, .. } => {
-                s.counts.extend((0..dims.len()).map(|i| at + 5 + 4 * i));
+            Record::MdArray { rank, .. } => {
+                s.counts.extend((0..*rank as usize).map(|i| at + 5 + 4 * i));
             }
         }
         at += size(r);
@@ -247,10 +289,15 @@ fn slots(bytes: &[u8]) -> Slots {
 /// One structure-aware mutation of `valid`: (0) truncation, (1)
 /// length-field inflation, (2) type-index corruption, (3) reference
 /// retargeting — to any record, which is how cycles, sharing and
-/// references into the wrong kind of record get injected.
+/// references into the wrong kind of record get injected — and (4) bytes
+/// after the last record.
 fn mutate(valid: &[u8], s: &Slots, (kind, pick, value): (u8, u32, u32)) -> Vec<u8> {
     let (slots, new) = match kind {
         0 => return valid[..pick as usize % valid.len()].to_vec(),
+        4 => {
+            let tail = value.to_le_bytes();
+            return [valid, &tail[..1 + pick as usize % 4]].concat();
+        }
         1 => (
             &s.counts,
             [u32::MAX, value, value % 64, 1 << 31][pick as usize % 4],
@@ -266,13 +313,58 @@ fn mutate(valid: &[u8], s: &Slots, (kind, pick, value): (u8, u32, u32)) -> Vec<u
     out
 }
 
+/// A list of `objects / 2` nodes, each with its own one-element array
+/// (`objects` = 1 is a lone node): the shape of Figure 10.
+fn list_spec(objects: usize) -> GraphSpec {
+    let n = objects.div_ceil(2);
+    let node = |i: usize| NodeSpec {
+        tag: i as i32,
+        array_len: (objects > 1).then_some(1),
+        next: (i + 1 < n).then_some(i + 1),
+        side: None,
+    };
+    GraphSpec {
+        nodes: (0..n).map(node).collect(),
+        root: 0,
+    }
+}
+
+#[test]
+fn the_default_table_agrees_with_the_linear_list_and_probes_in_constant_time() {
+    let (vm, node) = fresh_vm();
+    let t = MotorThread::attach(vm);
+    let scratch = Default::default();
+    for objects in [1usize, 2, 256, 8192] {
+        let head = build_graph(&t, node, &list_spec(objects));
+        let linear = Serializer::new(&t).with_strategy(VisitedStrategy::Linear);
+        let (want, by_list) = linear.serialize(head).unwrap();
+        assert_eq!(by_list.objects, objects);
+        // On its own, where the table grows from its smallest size, and
+        // with the scratch a rank keeps, where it starts at the last one.
+        let kept = Serializer::new(&t).with_scratch(&scratch);
+        for (ser, how) in [(Serializer::new(&t), "fresh"), (kept, "kept")] {
+            let (bytes, by_table) = ser.serialize(head).unwrap();
+            assert_eq!(bytes, want, "{objects} objects, {how} scratch");
+            assert!(
+                by_table.visited_probes <= 2 * objects as u64,
+                "{objects} objects, {how} scratch: {} probes",
+                by_table.visited_probes
+            );
+        }
+        if objects > 2 {
+            assert!(by_list.visited_probes > 20 * 2 * objects as u64);
+        }
+        t.release(head);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn hostile_mutations_yield_typed_errors_and_bounded_docs(
         spec in graph_strategy(),
-        muts in proptest::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 24..48),
+        muts in proptest::collection::vec((0u8..5, any::<u32>(), any::<u32>()), 24..48),
     ) {
         let (vm, node) = fresh_vm();
         let t = MotorThread::attach(Arc::clone(&vm));
@@ -294,6 +386,9 @@ proptest! {
         for (i, m) in muts.into_iter().enumerate() {
             let (slots, valid) = &valid[i % valid.len()];
             let bytes = mutate(valid, slots, m);
+            if m.0 == 4 {
+                prop_assert!(Doc::parse(&bytes).is_err(), "parsed past the last record");
+            }
             // Whatever the bytes, every entry point returns: `Ok`, or an
             // error of its declared type. None panics, aborts or reserves
             // beyond the input.
@@ -311,7 +406,11 @@ proptest! {
                     prop_assert!(wire::decode::<PNode>(&bytes).is_err());
                 }
             }
+            // Retargeted references are written as raw addresses: what
+            // does materialize holds, in every slot, what the slot declares.
             if let Ok(h) = ser.deserialize(&bytes) {
+                let confused = ill_typed_slots(&t, h);
+                prop_assert_eq!(confused, 0, "type-confused graph from {:?}", m);
                 t.release(h);
             }
             let _ = wire::decode::<PNode>(&bytes);
@@ -357,6 +456,45 @@ proptest! {
         let (b, _) = Serializer::new(&t).with_strategy(VisitedStrategy::Hashed)
             .serialize(root).unwrap();
         prop_assert_eq!(a, b, "visited structure must not affect the wire format");
+    }
+
+    #[test]
+    fn materialized_graphs_survive_collections_byte_for_byte(spec in graph_strategy()) {
+        let (vm, node) = fresh_vm();
+        let t = MotorThread::attach(Arc::clone(&vm));
+        let ser = Serializer::new(&t);
+        let root = build_graph(&t, node, &spec);
+        // The graph whole, in an object array with a null slot and a shared
+        // element, and as split parts of that array.
+        let arr = t.alloc_obj_array(node, 3);
+        t.obj_array_set(arr, 0, root);
+        t.obj_array_set(arr, 2, root);
+        let cases = [
+            (ser.serialize(root).unwrap().0, false),
+            (ser.serialize(arr).unwrap().0, false),
+            (ser.serialize_array_range(arr, 0, 3).unwrap().0, true),
+            (ser.serialize_array_range(arr, 1, 2).unwrap().0, true),
+        ];
+        for (bytes, split) in cases {
+            // A part's root is a whole array on the receiving side.
+            let again = |h: Handle| match split {
+                true => ser.serialize_array_range(h, 0, t.array_len(h)).unwrap().0,
+                false => ser.serialize(h).unwrap().0,
+            };
+            let live = vm.state().handles.live();
+            let copy = ser.deserialize(&bytes).unwrap();
+            prop_assert_eq!(vm.state().handles.live(), live + 1, "one handle: the root's");
+            prop_assert_eq!(&again(copy), &bytes, "before any collection");
+            t.collect_minor();
+            prop_assert_eq!(&again(copy), &bytes, "after a minor collection");
+            t.collect_full();
+            prop_assert_eq!(&again(copy), &bytes, "after a full collection");
+            motor::runtime::verify_heap(&vm).map_err(|e| {
+                proptest::test_runner::TestCaseError::fail(format!("heap invariant: {e}"))
+            })?;
+            prop_assert_eq!(ill_typed_slots(&t, copy), 0);
+            t.release(copy);
+        }
     }
 
     #[test]
