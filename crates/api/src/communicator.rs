@@ -25,32 +25,11 @@ use crate::pending::{PendingRecv, PendingSend};
 use crate::wire;
 use crate::Transportable;
 use motor_core::fcall::Fcall;
+use motor_core::oomp::{announced_buf, recv_sized, send_sized, zeroed, OGATHER_TAG, OSCATTER_TAG};
 use motor_core::Mp;
 use motor_mpc::{MpcPrim, ReduceOp, Source, Status, Tag};
 use motor_obs::{PhaseScope, TimeBucket};
 use motor_runtime::MotorThread;
-
-/// Tags used by the object scatter/gather collectives; must match
-/// `Oomp::oscatter` / `Oomp::ogather` for interoperability.
-const OSCATTER_TAG: Tag = Tag::new(2_000);
-const OGATHER_TAG: Tag = Tag::new(2_001);
-
-/// A zeroed buffer of the length an `Oomp` size header announces. The
-/// header is the peer's claim: a length this process cannot allocate is an
-/// error, not a capacity-overflow panic.
-fn announced_buf(size: [u8; 8]) -> Result<Vec<u8>> {
-    let len = u64::from_le_bytes(size);
-    let mut buf = Vec::new();
-    match usize::try_from(len) {
-        Ok(n) if buf.try_reserve_exact(n).is_ok() => buf.resize(n, 0),
-        _ => {
-            return Err(Error::Decode(format!(
-                "size header announces {len} bytes: cannot allocate"
-            )))
-        }
-    }
-    Ok(buf)
-}
 
 fn as_bytes<T: MpcPrim>(s: &[T]) -> &[u8] {
     // SAFETY: MpcPrim types are plain-old-data; any byte pattern is valid.
@@ -332,26 +311,14 @@ impl<'t, C: Comm> Communicator<'t, C> {
     // object transport (Oomp wire protocol)
     // ------------------------------------------------------------------
 
-    /// Send a size header followed by the data buffer (the `Oomp`
-    /// framing).
-    fn send_sized(&self, bytes: &[u8], dest: usize, tag: Tag) -> Result<()> {
-        let size = (bytes.len() as u64).to_le_bytes();
-        self.comm.send_bytes(&size, dest, tag)?;
-        self.comm.send_bytes(bytes, dest, tag)?;
-        Ok(())
-    }
-
-    /// Receive a size header, then the data, pairing both messages with
-    /// the same sender.
-    fn recv_sized(&self, src: Source, tag: Tag) -> Result<(Vec<u8>, Status)> {
-        let mut size = [0u8; 8];
-        let st = self.comm.recv_bytes(&mut size, src, tag)?;
-        let mut buf = announced_buf(size)?;
-        let st2 =
-            self.comm
-                .recv_bytes(&mut buf, Source::Rank(st.source as usize), Tag::new(st.tag))?;
-        debug_assert_eq!(st2.count, buf.len());
-        Ok((buf, st))
+    /// [`recv_sized`] over this transport: the `Oomp` framing.
+    fn recv_framed(&self, src: Source, tag: Tag) -> Result<(Vec<u8>, Status)> {
+        recv_sized(
+            src,
+            tag,
+            |b, src, tag| self.comm.recv_bytes(b, src, tag),
+            zeroed,
+        )
     }
 
     /// Send one transportable object graph — wire-compatible with a
@@ -365,7 +332,8 @@ impl<'t, C: Comm> Communicator<'t, C> {
         let _phase = self.comm_scope();
         let _fc = self.fcall();
         let bytes = wire::encode(obj);
-        self.send_sized(&bytes, dest, tag.into())
+        let tag = tag.into();
+        send_sized(&bytes, |b| self.comm.send_bytes(b, dest, tag))
     }
 
     /// Receive one transportable object graph — wire-compatible with a
@@ -377,7 +345,7 @@ impl<'t, C: Comm> Communicator<'t, C> {
     ) -> Result<(T, Status)> {
         let _phase = self.comm_scope();
         let _fc = self.fcall();
-        let (bytes, st) = self.recv_sized(src.into(), tag.into())?;
+        let (bytes, st) = self.recv_framed(src.into(), tag.into())?;
         Ok((wire::decode(&bytes)?, st))
     }
 
@@ -398,7 +366,7 @@ impl<'t, C: Comm> Communicator<'t, C> {
         } else {
             let mut size = [0u8; 8];
             self.comm.bcast_bytes(&mut size, root)?;
-            let mut data = announced_buf(size)?;
+            let mut data = announced_buf(size, zeroed)?;
             self.comm.bcast_bytes(&mut data, root)?;
             Ok(Some(wire::decode(&data)?))
         }
@@ -433,12 +401,12 @@ impl<'t, C: Comm> Communicator<'t, C> {
                     // its own split representation.
                     own = Some(wire::decode_vec(&part)?);
                 } else {
-                    self.send_sized(&part, r, OSCATTER_TAG)?;
+                    send_sized(&part, |b| self.comm.send_bytes(b, r, OSCATTER_TAG))?;
                 }
             }
             Ok(own.expect("root part"))
         } else {
-            let (bytes, _) = self.recv_sized(Source::Rank(root), OSCATTER_TAG)?;
+            let (bytes, _) = self.recv_framed(Source::Rank(root), OSCATTER_TAG)?;
             wire::decode_vec(&bytes)
         }
     }
@@ -457,14 +425,14 @@ impl<'t, C: Comm> Communicator<'t, C> {
                 if r == root {
                     all.extend(wire::decode_vec::<T>(&own_bytes)?);
                 } else {
-                    let (bytes, _) = self.recv_sized(Source::Rank(r), OGATHER_TAG)?;
+                    let (bytes, _) = self.recv_framed(Source::Rank(r), OGATHER_TAG)?;
                     all.extend(wire::decode_vec::<T>(&bytes)?);
                 }
             }
             Ok(Some(all))
         } else {
             let bytes = wire::encode_slice(send);
-            self.send_sized(&bytes, root, OGATHER_TAG)?;
+            send_sized(&bytes, |b| self.comm.send_bytes(b, root, OGATHER_TAG))?;
             Ok(None)
         }
     }

@@ -34,6 +34,12 @@ impl PoolBuf {
     }
 }
 
+impl AsMut<[u8]> for PoolBuf {
+    fn as_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+}
+
 struct Entry {
     buf: Vec<u8>,
     /// GC epoch at which this buffer was last used.

@@ -12,16 +12,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use motor_mpc::universe::{ChannelKind, Proc, Universe, UniverseConfig};
-use motor_mpc::{Comm, Source};
+use motor_mpc::{Comm, Source, Tag};
 use motor_obs::{estimate_clock_offset, Anomaly, ClusterTrace, DoctorConfig, MetricsSnapshot};
 use motor_runtime::{MotorThread, TypeRegistry, Vm, VmConfig};
 use parking_lot::Mutex;
 
 use crate::bufpool::BufPool;
 use crate::doctor::DoctorServer;
-use crate::error::CoreResult;
+use crate::error::{CoreError, CoreResult};
 use crate::mp::Mp;
-use crate::oomp::Oomp;
+use crate::oomp::{recv_sized, send_sized, zeroed, Oomp};
 use crate::pinning::PinPolicy;
 use crate::serial::WalkScratch;
 use crate::telemetry::{start_monitor, Collector, RankTicket, TelemetryConfig, TelemetryServer};
@@ -313,7 +313,7 @@ impl MotorProc {
     /// device, collectives) and the runtime-side registry (GC and pinning,
     /// safepoints, serializer, buffer pool).
     pub fn metrics(&self) -> MetricsSnapshot {
-        crate::doctor::merged_metrics(self.comm.device(), &self.vm)
+        crate::telemetry::merged_metrics(self.comm.device(), &self.vm, true)
     }
 }
 
@@ -440,7 +440,8 @@ where
         // Register with the collector before the calibration handshake so
         // even a startup deadlock is visible.
         let ticket = collector.as_ref().map(|c| {
-            let t = c.register(
+            let t = c.register_in_group(
+                0,
                 comm.rank(),
                 format!("rank {}", comm.rank()),
                 Arc::clone(comm.device()),
@@ -623,9 +624,7 @@ impl MotorProc {
     ) -> CoreResult<()> {
         let ser = crate::serial::Serializer::new(&self.thread);
         let (bytes, _) = ser.serialize(obj)?;
-        let size = (bytes.len() as u64).to_le_bytes();
-        inter.send_bytes(&size, remote_rank, tag)?;
-        inter.send_bytes(&bytes, remote_rank, tag)?;
+        send_sized(&bytes, |b| inter.send_bytes(b, remote_rank, tag))?;
         Ok(())
     }
 
@@ -637,11 +636,10 @@ impl MotorProc {
         remote_rank: impl Into<Source>,
         tag: i32,
     ) -> CoreResult<(motor_runtime::Handle, usize)> {
-        let mut size = [0u8; 8];
-        let st = inter.recv_bytes(&mut size, remote_rank, tag)?;
-        let len = u64::from_le_bytes(size) as usize;
-        let mut data = vec![0u8; len];
-        inter.recv_bytes(&mut data, st.source as usize, st.tag)?;
+        let recv = |b: &mut [u8], src: Source, tag: Tag| {
+            inter.recv_bytes(b, src, tag).map_err(CoreError::from)
+        };
+        let (data, st) = recv_sized(remote_rank.into(), Tag::new(tag), recv, zeroed)?;
         let ser = crate::serial::Serializer::new(&self.thread);
         let root = ser.deserialize(&data)?;
         Ok((root, st.source as usize))

@@ -76,6 +76,5 @@ pub use oomp::Oomp;
 pub use pinning::PinPolicy;
 pub use serial::{AttrLookup, SerializeStats, Serializer, VisitedStrategy};
 pub use telemetry::{
-    classify_observations, start_monitor, Collector, MonitorHandle, Observation, RankTicket,
-    TelemetryConfig, TelemetryServer,
+    start_monitor, Collector, MonitorHandle, RankTicket, TelemetryConfig, TelemetryServer,
 };

@@ -9,7 +9,12 @@
 //! Wire protocol: "Before sending the serialized buffer, Motor sends the
 //! size of the buffer. This ensures the receiver can prepare a sufficient
 //! buffer" (§7.5). Both messages travel on the user's tag; MPI
-//! non-overtaking keeps each size/data pair matched per sender.
+//! non-overtaking keeps each size/data pair matched per sender. The
+//! framing is written once — [`send_sized`], [`recv_sized`],
+//! [`announced_buf`] — over whatever moves the bytes: [`Oomp`], the
+//! intercommunicator transport of
+//! [`MotorProc`](crate::cluster::MotorProc) and `motor_api::Communicator`
+//! all speak it through these three.
 //!
 //! The serialized bytes live in pooled native buffers ([`crate::bufpool`]),
 //! so these operations never pin managed memory (§7.4).
@@ -19,7 +24,7 @@ use std::sync::Arc;
 
 use std::ops::RangeBounds;
 
-use motor_mpc::{Comm, Source, Tag};
+use motor_mpc::{Comm, Source, Status, Tag};
 use motor_obs::{span_arg_peer_tag, Hist, Metric, MetricsRegistry, SpanKind};
 use motor_runtime::{Handle, MotorThread};
 
@@ -28,6 +33,56 @@ use crate::error::{CoreError, CoreResult};
 use crate::fcall::Fcall;
 use crate::mp::MpStatus;
 use crate::serial::{AttrLookup, Serializer, VisitedStrategy, WalkScratch};
+
+/// Tag of the parts an object scatter sends.
+pub const OSCATTER_TAG: Tag = Tag::new(2_000);
+/// Tag of the parts an object gather collects.
+pub const OGATHER_TAG: Tag = Tag::new(2_001);
+
+/// Send the size header, then the data buffer, through `send`.
+pub fn send_sized<E>(bytes: &[u8], mut send: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
+    send(&(bytes.len() as u64).to_le_bytes())?;
+    send(bytes)
+}
+
+/// A zeroed buffer of the length a size header announces, from `alloc`
+/// (`None` = cannot). The header is the peer's claim: a length this
+/// process cannot allocate is an error, not a capacity-overflow panic.
+pub fn announced_buf<B>(size: [u8; 8], alloc: impl FnOnce(usize) -> Option<B>) -> CoreResult<B> {
+    let len = u64::from_le_bytes(size);
+    usize::try_from(len).ok().and_then(alloc).ok_or_else(|| {
+        CoreError::Serialization(format!(
+            "size header announces {len} bytes: cannot allocate"
+        ))
+    })
+}
+
+/// [`announced_buf`]'s plain allocator: `len` zero bytes, if there is room.
+pub fn zeroed(len: usize) -> Option<Vec<u8>> {
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(len).ok()?;
+    buf.resize(len, 0);
+    Some(buf)
+}
+
+/// Receive a size header through `recv`, then the data into a buffer from
+/// `alloc` — from the *same* source and tag, which keeps a wildcard
+/// receive's size/data streams aligned. Returns the buffer and the status
+/// of the header (whose source and tag are the message's).
+pub fn recv_sized<B: AsMut<[u8]>, E: From<CoreError>>(
+    src: Source,
+    tag: Tag,
+    mut recv: impl FnMut(&mut [u8], Source, Tag) -> Result<Status, E>,
+    alloc: impl FnOnce(usize) -> Option<B>,
+) -> Result<(B, Status), E> {
+    let mut size = [0u8; 8];
+    let st = recv(&mut size, src, tag)?;
+    let mut buf = announced_buf(size, alloc)?;
+    let body = buf.as_mut();
+    let st2 = recv(body, Source::Rank(st.source as usize), Tag::new(st.tag))?;
+    debug_assert_eq!(st2.count, body.len());
+    Ok((buf, st))
+}
 
 /// The extended object-oriented interface bound to one rank.
 pub struct Oomp<'t> {
@@ -124,42 +179,19 @@ impl<'t> Oomp<'t> {
         self.thread.vm().safepoint().epoch()
     }
 
-    /// Send the size header followed by the data buffer.
-    fn send_sized(&self, bytes: &[u8], dest: usize, tag: Tag) -> CoreResult<()> {
-        let size = (bytes.len() as u64).to_le_bytes();
-        self.comm.send_bytes(&size, dest, tag)?;
-        self.comm.send_bytes(bytes, dest, tag)?;
-        Ok(())
+    /// A zeroed pooled buffer of `len` bytes, if there is room for one.
+    fn pooled(&self, len: usize) -> Option<PoolBuf> {
+        let mut buf = self.pool.try_get(len, self.current_epoch()).ok()?;
+        buf.buf_mut().resize(len, 0);
+        Some(buf)
     }
 
-    /// A zeroed pooled buffer of the length a size header announces. The
-    /// header is the peer's claim: a length this process cannot allocate
-    /// is an error, not a capacity-overflow panic.
-    fn announced_buf(&self, size: [u8; 8]) -> CoreResult<PoolBuf> {
-        let len = u64::from_le_bytes(size);
-        let buf = usize::try_from(len).ok().and_then(|n| {
-            let mut buf = self.pool.try_get(n, self.current_epoch()).ok()?;
-            buf.buf_mut().resize(n, 0);
-            Some(buf)
-        });
-        buf.ok_or_else(|| {
-            CoreError::Serialization(format!(
-                "size header announces {len} bytes: cannot allocate"
-            ))
-        })
-    }
-
-    /// Receive a size header, then the data into a pooled buffer. Returns
-    /// the buffer and the sender's status.
-    fn recv_sized(&self, src: Source, tag: Tag) -> CoreResult<(PoolBuf, MpStatus)> {
-        let mut size = [0u8; 8];
-        let st = self.comm.recv_bytes(&mut size, src, tag)?;
-        let mut buf = self.announced_buf(size)?;
-        // Pair with the same sender to keep size/data streams aligned.
-        let st2 = self
-            .comm
-            .recv_bytes(buf.buf_mut(), st.source as usize, st.tag)?;
-        debug_assert_eq!(st2.count, buf.as_slice().len());
+    /// [`recv_sized`] over this rank's communicator into a pooled buffer.
+    fn recv_pooled(&self, src: Source, tag: Tag) -> CoreResult<(PoolBuf, MpStatus)> {
+        let recv = |b: &mut [u8], src: Source, tag: Tag| {
+            self.comm.recv_bytes(b, src, tag).map_err(CoreError::from)
+        };
+        let (buf, st) = recv_sized(src, tag, recv, |n| self.pooled(n))?;
         Ok((buf, st.into()))
     }
 
@@ -202,7 +234,7 @@ impl<'t> Oomp<'t> {
         let buf = self.serialize_pooled(obj, sub)?;
         self.metrics()
             .record(Hist::SerializedGraphBytes, buf.as_slice().len() as u64);
-        self.send_sized(buf.as_slice(), dest, tag)?;
+        send_sized(buf.as_slice(), |b| self.comm.send_bytes(b, dest, tag))?;
         self.pool.put(buf, self.current_epoch());
         Ok(())
     }
@@ -226,7 +258,7 @@ impl<'t> Oomp<'t> {
         let _fc = Fcall::enter(self.thread);
         self.maintain_pool();
         self.metrics().bump(Metric::OompOrecvs);
-        let (buf, st) = self.recv_sized(src, tag)?;
+        let (buf, st) = self.recv_pooled(src, tag)?;
         let root = self.serializer().deserialize(buf.as_slice())?;
         self.pool.put(buf, self.current_epoch());
         Ok((root, st))
@@ -254,7 +286,7 @@ impl<'t> Oomp<'t> {
         } else {
             let mut size = [0u8; 8];
             self.comm.bcast_bytes(&mut size, root)?;
-            let mut buf = self.announced_buf(size)?;
+            let mut buf = announced_buf(size, |n| self.pooled(n))?;
             self.comm.bcast_bytes(buf.buf_mut(), root)?;
             let h = self.serializer().deserialize(buf.as_slice())?;
             self.pool.put(buf, self.current_epoch());
@@ -271,7 +303,7 @@ impl<'t> Oomp<'t> {
         self.maintain_pool();
         self.metrics().bump(Metric::OompCollectives);
         let n = self.comm.size();
-        let tag = Tag::new(2_000);
+        let tag = OSCATTER_TAG;
         if self.comm.rank() == root {
             let arr = arr.ok_or(CoreError::NullBuffer)?;
             let len = self.thread.array_len(arr);
@@ -290,13 +322,13 @@ impl<'t> Oomp<'t> {
                 if r == root {
                     own = Some(self.serializer().deserialize(buf.as_slice())?);
                 } else {
-                    self.send_sized(buf.as_slice(), r, tag)?;
+                    send_sized(buf.as_slice(), |b| self.comm.send_bytes(b, r, tag))?;
                 }
                 self.pool.put(buf, self.current_epoch());
             }
             Ok(own.expect("root part"))
         } else {
-            let (buf, _) = self.recv_sized(Source::Rank(root), tag)?;
+            let (buf, _) = self.recv_pooled(Source::Rank(root), tag)?;
             let h = self.serializer().deserialize(buf.as_slice())?;
             self.pool.put(buf, self.current_epoch());
             Ok(h)
@@ -311,7 +343,7 @@ impl<'t> Oomp<'t> {
         self.maintain_pool();
         self.metrics().bump(Metric::OompCollectives);
         let n = self.comm.size();
-        let tag = Tag::new(2_001);
+        let tag = OGATHER_TAG;
         let ser = self.serializer();
         if self.comm.rank() == root {
             // "For gather operations the deserialization mechanism takes
@@ -324,7 +356,7 @@ impl<'t> Oomp<'t> {
                 if r == root {
                     parts.push(ser.deserialize(own.as_slice())?);
                 } else {
-                    let (buf, _) = self.recv_sized(Source::Rank(r), tag)?;
+                    let (buf, _) = self.recv_pooled(Source::Rank(r), tag)?;
                     parts.push(ser.deserialize(buf.as_slice())?);
                     self.pool.put(buf, self.current_epoch());
                 }
@@ -361,7 +393,7 @@ impl<'t> Oomp<'t> {
         } else {
             let len = self.thread.array_len(sub);
             let buf = self.serialize_pooled(sub, Some((0, len)))?;
-            self.send_sized(buf.as_slice(), root, tag)?;
+            send_sized(buf.as_slice(), |b| self.comm.send_bytes(b, root, tag))?;
             self.pool.put(buf, self.current_epoch());
             Ok(None)
         }

@@ -1,21 +1,21 @@
-//! The live telemetry plane: shared collection, the frame ring, and the
-//! in-process HTTP scrape endpoint.
+//! The live telemetry plane: the per-rank observation, the collection
+//! tick, and the in-process HTTP scrape endpoint.
 //!
-//! Everything the stack already measures — per-rank metrics registries,
-//! time-bucket accounting, in-flight op tables, heap occupancy — was
-//! post-mortem: collected when `run_cluster` returns. This module makes
-//! it watchable *while the workload runs*:
+//! Everything the stack measures — per-rank metrics registries,
+//! time-bucket accounting, in-flight op tables, heap occupancy — is
+//! watchable *while the workload runs*, through one data model:
 //!
-//! * [`Collector`] owns the per-rank hooks (previously private to the
-//!   doctor) and, once per tick, takes every rank's merged snapshot,
-//!   diffs it against the previous tick, and pushes one
-//!   [`TelemetryFrame`] of windowed deltas into a bounded
+//! * A rank is observed into a [`RankRecord`] in exactly one place,
+//!   `RankHooks::observe`. Everything else is a function of records.
+//! * [`Collector`] owns the rank hooks and, once per tick, observes every
+//!   rank (counters and histograms; the event rings are left alone), takes
+//!   each record [`since`](RankRecord::since) the previous tick's, and
+//!   pushes the deltas as one [`TelemetryFrame`] into a bounded
 //!   [`FrameRing`]. The [`DoctorServer`](crate::doctor::DoctorServer)
-//!   consumes the same observations instead of taking its own — one
-//!   scan, two consumers.
+//!   classifies that frame's records — one scan, two consumers. A flight
+//!   record is the same observation with the event rings drained.
 //! * [`start_monitor`] runs the single collection loop; it ticks at the
-//!   shortest enabled interval and hands each tick's observations to the
-//!   doctor for classification.
+//!   shortest enabled interval and hands each frame to the doctor.
 //! * [`TelemetryServer`] is a minimal hand-rolled HTTP/1.1 listener (no
 //!   new dependencies, the same stance as the no-`syn` derive macro)
 //!   serving `GET /metrics` (Prometheus text, per-rank labels, plus
@@ -33,22 +33,22 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use motor_mpc::Device;
 use motor_obs::telemetry::{
-    frame_prometheus, frames_to_json, FrameRing, RankDelta, TelemetryFrame, DEFAULT_FRAME_CAPACITY,
+    frame_prometheus, frames_to_json, FrameRing, RankRecord, TelemetryFrame, DEFAULT_FRAME_CAPACITY,
 };
 use motor_obs::{
-    classify, to_prometheus_multi, Anomaly, DoctorConfig, FlightRecord, Hist, Metric,
-    MetricsSnapshot, RankFlight, RankHealth,
+    classify, spec, to_prometheus_multi, Anomaly, DoctorConfig, FlightRecord, Metric,
+    MetricsSnapshot,
 };
 use motor_runtime::Vm;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use crate::doctor::{merged_metrics, DoctorServer};
+use crate::doctor::DoctorServer;
 
 /// Configuration of the telemetry endpoint. Build one directly, or parse
 /// the `MOTOR_TELEMETRY` environment variable with
@@ -76,43 +76,35 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Parse a `MOTOR_TELEMETRY` value. `"1"`/`"on"` yield the defaults;
-    /// a bare `host:port` sets the address; otherwise a comma list of
-    /// `key=value` pairs: `addr=<host:port>`, `interval_ms=<n>`,
-    /// `frames=<n>`. Unknown keys are ignored.
-    pub fn parse(spec: &str) -> TelemetryConfig {
+    /// Parse a `MOTOR_TELEMETRY` value (grammar: [`motor_obs::spec`]).
+    /// `1`/`on` yield the defaults; a bare `host:port` sets the address;
+    /// the keys are `addr=<host:port>`, `interval_ms=<n>`, `frames=<n>`.
+    /// Any other key or bare token, and a value that does not parse, is
+    /// an error.
+    pub fn parse(spec: &str) -> Result<TelemetryConfig, String> {
         let mut cfg = TelemetryConfig::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            match part.split_once('=') {
-                Some(("addr", v)) => cfg.addr = v.to_string(),
-                Some(("interval_ms", v)) => {
-                    if let Ok(ms) = v.parse() {
-                        cfg.interval = Duration::from_millis(ms);
-                    }
+        for (key, v) in spec::pairs(spec) {
+            match key {
+                "1" | "on" if v.is_none() => {}
+                "addr" => cfg.addr = spec::value(key, v)?,
+                "interval_ms" => cfg.interval = Duration::from_millis(spec::value(key, v)?),
+                "frames" => cfg.frame_capacity = spec::value(key, v)?,
+                addr if v.is_none() && addr.contains(':') => cfg.addr = addr.to_string(),
+                _ => {
+                    return Err(format!(
+                        "unknown key {key:?} (use addr|interval_ms|frames, or a bare host:port)"
+                    ))
                 }
-                Some(("frames", v)) => {
-                    if let Ok(n) = v.parse() {
-                        cfg.frame_capacity = n;
-                    }
-                }
-                Some(_) => {}
-                // A bare token: "1"/"on" keep the defaults, anything with
-                // a colon is a bind address.
-                None if part.contains(':') => cfg.addr = part.to_string(),
-                None => {}
             }
         }
-        cfg
+        Ok(cfg)
     }
 
-    /// The configuration requested by the `MOTOR_TELEMETRY` environment
-    /// variable, if set (empty/`"0"`/`"off"` mean disabled).
+    /// The configuration the `MOTOR_TELEMETRY` environment variable asks
+    /// for (see [`spec::from_env`]: `None` when off, a panic when
+    /// malformed).
     pub fn from_env() -> Option<TelemetryConfig> {
-        match std::env::var("MOTOR_TELEMETRY") {
-            Ok(v) if !v.is_empty() && v != "0" && v != "off" => Some(Self::parse(&v)),
-            _ => None,
-        }
+        spec::from_env("MOTOR_TELEMETRY", Self::parse)
     }
 }
 
@@ -121,161 +113,89 @@ impl TelemetryConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct RankTicket(usize);
 
-/// Safepoint-stall accounting between two collection ticks of one rank.
-#[derive(Default)]
-struct StallWindow {
-    prev_stall_sum: f64,
-    prev_now_nanos: u64,
+/// One rank's merged metrics: the transport-side registry plus the
+/// VM-side one. No counter is bumped on both, so the sum is each counter's
+/// one value. `events` drains the two event rings as well — what a flight
+/// record, the exit snapshot and [`MotorProc::metrics`] want, and a
+/// collection tick does not.
+///
+/// [`MotorProc::metrics`]: crate::cluster::MotorProc::metrics
+pub(crate) fn merged_metrics(device: &Device, vm: &Vm, events: bool) -> MetricsSnapshot {
+    let (d, v) = (device.metrics(), vm.metrics());
+    if events {
+        d.snapshot().merged(&v.snapshot())
+    } else {
+        d.snapshot_counters().merged(&v.snapshot_counters())
+    }
 }
 
-/// One monitored rank: everything the collection tick reads, all
-/// lock-free or briefly-locked so a tick never blocks the rank.
+/// One monitored rank: everything an observation reads, all lock-free or
+/// briefly-locked so a tick never blocks the rank.
 struct RankHooks {
     /// Human label (`"rank 2"`, `"child 1.0"`, ...).
     label: String,
     /// Rank within its group (world rank, or child-world rank).
     rank: usize,
     /// Spawn group: 0 for the initial world, one per `spawn_children`
-    /// batch after that. Peer cross-matching only happens within a group —
-    /// peer ranks in op arguments are meaningless across worlds.
+    /// batch after that.
     group: usize,
     device: Arc<Device>,
     vm: Arc<Vm>,
     done: AtomicBool,
-    /// Stall-window state (mutated by windowed observation only).
-    window: Mutex<StallWindow>,
-    /// Previous tick's merged snapshot, for delta frames (mutated by
-    /// [`Collector::collect`] only).
-    prev: Mutex<Option<MetricsSnapshot>>,
+    /// The previous tick's observation, what the next frame is taken
+    /// [`since`](RankRecord::since) (mutated by [`Collector::collect`]
+    /// only).
+    prev: Mutex<Option<RankRecord>>,
     /// Last successfully read heap occupancy — kept when a GC holds the
-    /// state lock at tick time, so the gauge never stalls the monitor.
+    /// state lock at observation time, so the gauge never stalls the
+    /// monitor.
     heap_used: AtomicU64,
     heap_capacity: AtomicU64,
 }
 
 impl RankHooks {
-    /// Observe without touching the stall window (on-demand `/flight`
-    /// and exit records must not perturb the doctor's GC-pressure
-    /// windows). Stall fields are zero.
-    fn observe_pure(&self) -> RankHealth {
+    /// Observe the rank: the one place a [`RankRecord`] is built from a
+    /// live rank. Pure but for dating the tables' signs of life (see
+    /// [`motor_obs::InflightTable::last_beat_nanos`]) — windowing is the
+    /// caller's [`RankRecord::since`]. `events` as in [`merged_metrics`].
+    fn observe(&self, events: bool) -> RankRecord {
         let dreg = self.device.metrics();
         let vreg = self.vm.metrics();
-        let now = dreg.now_nanos();
         let mut inflight = dreg.inflight_ops();
         inflight.extend(vreg.inflight_ops());
         inflight.sort_by_key(|op| op.token);
         let (hard_pins, cond_pins, oldest_pin) = self.vm.pin_diagnostics();
-        RankHealth {
+        if let Some((used, capacity)) = self.vm.heap_usage() {
+            self.heap_used.store(used, Ordering::Relaxed);
+            self.heap_capacity.store(capacity, Ordering::Relaxed);
+        }
+        RankRecord {
+            group: self.group,
             rank: self.rank,
             label: self.label.clone(),
             done: self.done.load(Ordering::Acquire),
-            now_nanos: now,
+            now_nanos: dreg.now_nanos(),
+            window_nanos: 0,
             last_progress_nanos: dreg.last_progress_nanos().max(vreg.last_progress_nanos()),
             inflight,
             queue_depths: self.device.queue_depths(),
             hard_pins,
             cond_pins,
             oldest_pin_nanos: oldest_pin.map_or(0, |d| d.as_nanos() as u64),
-            safepoint_stall_nanos: 0,
-            window_nanos: 0,
-            links_dropped: dreg.get(Metric::LinksDropped),
-        }
-    }
-
-    /// Observe *and* advance the stall window: safepoint-stall time since
-    /// the previous windowed observation, estimated from the stall
-    /// histogram's bucket midpoints. Called from the collection tick only.
-    fn observe_windowed(&self) -> RankHealth {
-        let mut health = self.observe_pure();
-        let stall_sum = self
-            .vm
-            .metrics()
-            .hist_snapshot(Hist::SafepointStallNanos)
-            .estimated_sum();
-        let mut w = self.window.lock();
-        let delta = (stall_sum - w.prev_stall_sum).max(0.0) as u64;
-        let window = health.now_nanos.saturating_sub(w.prev_now_nanos);
-        let first = w.prev_now_nanos == 0;
-        w.prev_stall_sum = stall_sum;
-        w.prev_now_nanos = health.now_nanos;
-        // The first observation has no window yet.
-        if !first {
-            health.safepoint_stall_nanos = delta;
-            health.window_nanos = window;
-        }
-        health
-    }
-
-    fn flight(&self, health: &RankHealth) -> RankFlight {
-        RankFlight {
-            rank: self.rank,
-            label: self.label.clone(),
-            done: health.done,
-            inflight: health.inflight.clone(),
-            queue_depths: health.queue_depths,
-            snapshot: merged_metrics(&self.device, &self.vm),
-        }
-    }
-
-    /// Refresh the cached heap gauges; keeps the previous reading when a
-    /// GC holds the VM state lock.
-    fn refresh_heap(&self) -> (u64, u64) {
-        if let Some((used, capacity)) = self.vm.heap_usage() {
-            self.heap_used.store(used, Ordering::Relaxed);
-            self.heap_capacity.store(capacity, Ordering::Relaxed);
-            (used, capacity)
-        } else {
-            (
-                self.heap_used.load(Ordering::Relaxed),
-                self.heap_capacity.load(Ordering::Relaxed),
-            )
+            heap_used_bytes: self.heap_used.load(Ordering::Relaxed),
+            heap_capacity_bytes: self.heap_capacity.load(Ordering::Relaxed),
+            snapshot: merged_metrics(&self.device, &self.vm, events),
         }
     }
 }
 
-/// One rank's observation from a tick, tagged with its spawn group (the
-/// unit [`classify_observations`] groups by).
-#[derive(Debug, Clone)]
-pub struct Observation {
-    /// Spawn group (0 for the initial world).
-    pub group: usize,
-    /// The observed health.
-    pub health: RankHealth,
-}
-
-/// Classify observations group by group: [`classify`] indexes peers by
-/// rank, which is only meaningful within one world. Groups caught
-/// mid-registration (rank indices not yet contiguous) are skipped.
-pub fn classify_observations(obs: &[Observation], cfg: &DoctorConfig) -> Vec<Anomaly> {
-    let mut groups: Vec<usize> = obs.iter().map(|o| o.group).collect();
-    groups.sort_unstable();
-    groups.dedup();
-    let mut found = Vec::new();
-    for g in groups {
-        let mut members: Vec<&RankHealth> = obs
-            .iter()
-            .filter(|o| o.group == g)
-            .map(|o| &o.health)
-            .collect();
-        members.sort_by_key(|m| m.rank);
-        if members.iter().enumerate().any(|(i, m)| m.rank != i) {
-            continue;
-        }
-        let members: Vec<RankHealth> = members.into_iter().cloned().collect();
-        found.extend(classify(&members, cfg));
-    }
-    found
-}
-
-/// The shared collection state: registered rank hooks, the frame ring,
-/// and the latest observations. One per cluster run, created whenever the
-/// doctor *or* the telemetry endpoint is enabled; both consume its ticks.
+/// The shared collection state: registered rank hooks and the frame ring.
+/// One per cluster run, created whenever the doctor *or* the telemetry
+/// endpoint is enabled; both consume its ticks.
 pub struct Collector {
     ranks: Mutex<Vec<Arc<RankHooks>>>,
     next_group: AtomicUsize,
     ring: FrameRing,
-    prev_t_nanos: AtomicU64,
-    latest: Mutex<Vec<Observation>>,
 }
 
 impl Collector {
@@ -286,20 +206,7 @@ impl Collector {
             ranks: Mutex::new(Vec::new()),
             next_group: AtomicUsize::new(1),
             ring: FrameRing::new(frame_capacity),
-            prev_t_nanos: AtomicU64::new(0),
-            latest: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Register a rank of the initial world (group 0).
-    pub fn register(
-        &self,
-        rank: usize,
-        label: String,
-        device: Arc<Device>,
-        vm: Arc<Vm>,
-    ) -> RankTicket {
-        self.register_in_group(0, rank, label, device, vm)
     }
 
     /// Allocate a fresh spawn group for a `spawn_children` batch.
@@ -307,7 +214,8 @@ impl Collector {
         self.next_group.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Register a rank of spawn group `group` (see [`Self::alloc_group`]).
+    /// Register a rank of spawn group `group`: 0 for the initial world,
+    /// else from [`Self::alloc_group`].
     pub fn register_in_group(
         &self,
         group: usize,
@@ -324,7 +232,6 @@ impl Collector {
             device,
             vm,
             done: AtomicBool::new(false),
-            window: Mutex::new(StallWindow::default()),
             prev: Mutex::new(None),
             heap_used: AtomicU64::new(0),
             heap_capacity: AtomicU64::new(0),
@@ -350,121 +257,49 @@ impl Collector {
         &self.ring
     }
 
-    /// The observations from the most recent tick.
-    pub fn latest_observations(&self) -> Vec<Observation> {
-        self.latest.lock().clone()
-    }
-
     fn sorted_hooks(&self) -> Vec<Arc<RankHooks>> {
         let mut hooks: Vec<Arc<RankHooks>> = self.ranks.lock().clone();
         hooks.sort_by_key(|h| (h.group, h.rank));
         hooks
     }
 
-    /// One collection tick: observe every rank (advancing stall windows),
-    /// diff against the previous tick, push one frame of windowed deltas
-    /// into the ring, and return the observations for classification.
-    /// Called from the monitor loop (and on-demand scans) only.
-    pub fn collect(&self) -> Vec<Observation> {
+    /// One collection tick: observe every rank, take each record since
+    /// the previous tick's, push the deltas as one frame into the ring
+    /// and return it for classification (`None` while no rank is
+    /// registered). Called from the monitor loop (and on-demand scans)
+    /// only.
+    pub fn collect(&self) -> Option<Arc<TelemetryFrame>> {
         let hooks = self.sorted_hooks();
-        if hooks.is_empty() {
-            return Vec::new();
-        }
-        let t_nanos = hooks[0].device.metrics().now_nanos();
-        let prev_t = self.prev_t_nanos.swap(t_nanos, Ordering::Relaxed);
-        let window_nanos = if prev_t == 0 {
-            0
-        } else {
-            t_nanos.saturating_sub(prev_t)
-        };
-        let mut observations = Vec::with_capacity(hooks.len());
-        let mut deltas = Vec::with_capacity(hooks.len());
-        for h in &hooks {
-            let health = h.observe_windowed();
-            let merged = merged_metrics(&h.device, &h.vm);
-            let delta = {
-                let mut prev = h.prev.lock();
-                let d = match prev.as_ref() {
-                    Some(p) => merged.diff(p),
-                    None => merged.clone(),
-                };
-                *prev = Some(merged);
-                d.without_events()
-            };
-            let stalls = delta.hist(Hist::SafepointStallNanos);
-            let (heap_used, heap_capacity) = h.refresh_heap();
-            deltas.push(RankDelta {
-                group: h.group,
-                rank: h.rank,
-                label: h.label.clone(),
-                done: health.done,
-                queue_depths: health.queue_depths,
-                heap_used_bytes: heap_used,
-                heap_capacity_bytes: heap_capacity,
-                gc_stall_p50_nanos: stalls.p50(),
-                gc_stall_p99_nanos: stalls.p99(),
-                delta,
-                inflight: health.inflight.clone(),
-            });
-            observations.push(Observation {
-                group: h.group,
-                health,
-            });
-        }
-        self.ring.push(TelemetryFrame {
-            seq: self.ring.alloc_seq(),
-            t_nanos,
-            window_nanos,
-            ranks: deltas,
-        });
-        *self.latest.lock() = observations.clone();
-        observations
-    }
-
-    /// Cut a flight record from already-taken observations plus fresh
-    /// merged metrics (what the doctor does when a scan finds anomalies).
-    pub(crate) fn flight_record_from(
-        &self,
-        obs: &[Observation],
-        anomalies: Vec<Anomaly>,
-    ) -> FlightRecord {
-        let hooks = self.sorted_hooks();
-        let t_nanos = hooks.first().map_or(0, |h| h.device.metrics().now_nanos());
-        let mut ranks = Vec::with_capacity(obs.len());
-        for o in obs {
-            if let Some(h) = hooks
-                .iter()
-                .find(|h| h.group == o.group && h.rank == o.health.rank)
-            {
-                ranks.push(h.flight(&o.health));
-            }
-        }
-        FlightRecord {
-            t_nanos,
-            anomalies,
-            ranks,
-        }
-    }
-
-    /// Cut an on-demand flight record *without* perturbing the doctor's
-    /// stall windows or the delta ring (the `/flight` endpoint and the
-    /// exit record).
-    pub fn flight_record(&self, anomalies: Vec<Anomaly>) -> FlightRecord {
-        let obs: Vec<Observation> = self
-            .sorted_hooks()
+        let t_nanos = hooks.first()?.device.metrics().now_nanos();
+        let ranks = hooks
             .iter()
-            .map(|h| Observation {
-                group: h.group,
-                health: h.observe_pure(),
+            .map(|h| {
+                let now = h.observe(false);
+                let mut prev = h.prev.lock();
+                let delta = prev.as_ref().map_or_else(|| now.clone(), |p| now.since(p));
+                *prev = Some(now);
+                delta
             })
             .collect();
-        self.flight_record_from(&obs, anomalies)
+        Some(self.ring.push(t_nanos, ranks))
+    }
+
+    /// Cut a flight record: every rank observed now, event rings drained.
+    /// Touches neither the ring nor the ticks' windows (the doctor on an
+    /// anomaly, the `/flight` endpoint, the exit record).
+    pub fn flight_record(&self, anomalies: Vec<Anomaly>) -> FlightRecord {
+        let hooks = self.sorted_hooks();
+        FlightRecord {
+            t_nanos: hooks.first().map_or(0, |h| h.device.metrics().now_nanos()),
+            anomalies,
+            ranks: hooks.iter().map(|h| h.observe(true)).collect(),
+        }
     }
 
     /// The `/metrics` document: every rank's merged snapshot rendered as
     /// one exposition document (each family's `# TYPE` emitted once, one
     /// sample per rank with `group`/`rank` labels), followed by the
-    /// rate/window gauges from the newest frame. Takes fresh pure
+    /// rate/window gauges from the newest frame. Takes fresh cumulative
     /// snapshots — scraping never advances the delta state.
     pub fn prometheus(&self) -> String {
         let hooks = self.sorted_hooks();
@@ -474,7 +309,7 @@ impl Collector {
                 (
                     h.group.to_string(),
                     h.rank.to_string(),
-                    merged_metrics(&h.device, &h.vm),
+                    merged_metrics(&h.device, &h.vm, false),
                 )
             })
             .collect();
@@ -499,19 +334,15 @@ impl Collector {
         frames_to_json(&self.ring.frames(), self.ring.capacity())
     }
 
-    /// Total trace-ring events overwritten before they could be
-    /// snapshotted, summed across every rank's registries (surfaced by
-    /// `/healthz` so ring overflow is visible live).
+    /// Trace-ring events lost before they could be snapshotted, summed
+    /// over every rank as of the newest tick (surfaced by `/healthz` so
+    /// ring overflow is visible live).
     pub fn trace_events_dropped(&self) -> u64 {
-        self.sorted_hooks()
+        let dropped = |r: &RankRecord| r.snapshot.get(Metric::TraceEventsDropped);
+        let ranks = self.ranks.lock();
+        ranks
             .iter()
-            .map(|h| {
-                h.device
-                    .metrics()
-                    .snapshot()
-                    .get(Metric::TraceEventsDropped)
-                    + h.vm.metrics().snapshot().get(Metric::TraceEventsDropped)
-            })
+            .map(|h| h.prev.lock().as_ref().map_or(0, dropped))
             .sum()
     }
 }
@@ -519,48 +350,35 @@ impl Collector {
 /// Handle to the monitor loop; [`stop`](MonitorHandle::stop) it when the
 /// cluster exits.
 pub struct MonitorHandle {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    stop: mpsc::Sender<()>,
     thread: JoinHandle<()>,
 }
 
 impl MonitorHandle {
     /// Ask the loop to exit and join it.
     pub fn stop(self) {
-        {
-            let (lock, cv) = &*self.stop;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        drop(self.stop);
         let _ = self.thread.join();
     }
 }
 
-/// Spawn the unified monitor loop: one [`Collector::collect`] tick every
-/// `interval`, each tick's observations handed to the doctor (when one is
-/// enabled) for classification. This replaces the doctor's private scan
-/// thread — there is exactly one observer regardless of how many
-/// consumers are attached.
+/// Spawn the monitor loop: one [`Collector::collect`] tick every
+/// `interval`, each tick's frame handed to the doctor (when one is
+/// enabled) for classification — exactly one observer regardless of how
+/// many consumers are attached.
 pub fn start_monitor(
     collector: Arc<Collector>,
     doctor: Option<Arc<DoctorServer>>,
     interval: Duration,
 ) -> MonitorHandle {
-    let stop = Arc::new((Mutex::new(false), Condvar::new()));
-    let stop2 = Arc::clone(&stop);
+    let (stop, stopped) = mpsc::channel();
     let thread = std::thread::Builder::new()
         .name("motor-monitor".into())
         .spawn(move || {
-            let (lock, cv) = &*stop2;
-            let mut stopped = lock.lock();
-            while !*stopped {
-                let timed_out = cv.wait_for(&mut stopped, interval).timed_out();
-                if timed_out && !*stopped {
-                    drop(stopped);
-                    let obs = collector.collect();
-                    if let Some(d) = &doctor {
-                        d.process(&obs);
-                    }
-                    stopped = lock.lock();
+            // Tick until the handle hangs up.
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                if let (Some(frame), Some(d)) = (collector.collect(), &doctor) {
+                    d.process(&frame.ranks);
                 }
             }
         })
@@ -586,12 +404,11 @@ fn respond(
         "/healthz" => {
             let anomalies = match doctor {
                 Some(d) => d.anomalies(),
-                // No doctor attached: classify the latest tick's
-                // observations statelessly with default thresholds.
-                None => classify_observations(
-                    &collector.latest_observations(),
-                    &DoctorConfig::default(),
-                ),
+                // No doctor attached: classify the newest frame
+                // statelessly with default thresholds.
+                None => collector.ring().latest().map_or_else(Vec::new, |frame| {
+                    classify(&frame.ranks, &DoctorConfig::default())
+                }),
             };
             let items: Vec<String> = anomalies.iter().map(Anomaly::to_json).collect();
             let status = if anomalies.is_empty() {
@@ -649,15 +466,23 @@ fn parse_request_line(head: &str) -> (String, String) {
     (method, path)
 }
 
+/// Longest request head accepted, and how long a client has to send it.
+const MAX_REQUEST_HEAD: usize = 8192;
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
 fn handle_connection(mut stream: TcpStream, collector: &Collector, doctor: Option<&DoctorServer>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     // Read until the end of the request headers (we never accept bodies).
+    // The deadline is for the whole head, not per read: a client that
+    // trickles a byte at a time is dropped like one that sends nothing.
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
-        if head.len() > 8192 {
-            return; // oversized request: drop the connection
+        let left = deadline.saturating_duration_since(Instant::now());
+        if head.len() > MAX_REQUEST_HEAD || left.is_zero() {
+            return; // oversized or overdue request: drop the connection
         }
+        let _ = stream.set_read_timeout(Some(left));
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => head.extend_from_slice(&chunk[..n]),
@@ -675,6 +500,8 @@ fn handle_connection(mut stream: TcpStream, collector: &Collector, doctor: Optio
             "only GET is supported\n".to_string(),
         )
     };
+    // A client that stops reading must not hold this thread for ever.
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
     let header = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
@@ -768,17 +595,27 @@ mod tests {
 
     #[test]
     fn config_parse_forms() {
-        let d = TelemetryConfig::parse("1");
+        let parse = |spec| TelemetryConfig::parse(spec).expect(spec);
+        let d = parse("1");
         assert_eq!(d.addr, TelemetryConfig::default().addr);
-        let bare = TelemetryConfig::parse("0.0.0.0:9000");
+        let bare = parse("0.0.0.0:9000");
         assert_eq!(bare.addr, "0.0.0.0:9000");
-        let kv = TelemetryConfig::parse("addr=127.0.0.1:0,interval_ms=50,frames=16");
+        let kv = parse("addr=127.0.0.1:0,interval_ms=50,frames=16");
         assert_eq!(kv.addr, "127.0.0.1:0");
         assert_eq!(kv.interval, Duration::from_millis(50));
         assert_eq!(kv.frame_capacity, 16);
-        let partial = TelemetryConfig::parse("interval_ms=100");
+        let partial = parse("interval_ms=100");
         assert_eq!(partial.addr, TelemetryConfig::default().addr);
         assert_eq!(partial.interval, Duration::from_millis(100));
+        // Anything else is refused, naming the offender.
+        for (spec, needle) in [
+            ("interval=50", "interval"),
+            ("frames=many", "frames"),
+            ("yes", "yes"),
+        ] {
+            let err = TelemetryConfig::parse(spec).expect_err(spec);
+            assert!(err.contains(needle), "{spec}: {err}");
+        }
     }
 
     #[test]
@@ -863,6 +700,205 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+        srv.stop();
+    }
+
+    /// A collector over one real rank whose two event rings hold `ring`
+    /// slots each.
+    fn one_rank_collector(ring: usize) -> (Arc<Collector>, Arc<Device>, Arc<Vm>) {
+        let device = Device::new(
+            0,
+            motor_mpc::DeviceConfig {
+                event_capacity: ring,
+                ..Default::default()
+            },
+        );
+        let vm = Vm::new(motor_runtime::VmConfig {
+            event_capacity: ring,
+            ..Default::default()
+        });
+        let c = Collector::new(4);
+        c.register_in_group(0, 0, "rank 0".into(), Arc::clone(&device), Arc::clone(&vm));
+        (c, device, vm)
+    }
+
+    /// The tick takes counters and histograms only: with both rings of a
+    /// rank wrapped many times over, the frames carry no event and the
+    /// collector retains none — yet the loss is on the books, and a
+    /// flight record of the same rank drains the rings.
+    #[test]
+    fn a_tick_leaves_the_event_rings_alone() {
+        use motor_obs::EventKind;
+        let (c, device, vm) = one_rank_collector(8);
+        for i in 0..100 {
+            device.metrics().event(EventKind::MsgSend, i, 0);
+            vm.metrics().event(EventKind::PinAcquire, i, 0);
+        }
+        device.metrics().add(Metric::SendsEager, 3);
+        let first = c.collect().expect("one rank registered");
+        device.metrics().add(Metric::SendsEager, 2);
+        let second = c.collect().expect("one rank registered");
+        for frame in [&first, &second] {
+            assert!(frame.ranks[0].snapshot.events().is_empty());
+        }
+        for h in c.sorted_hooks() {
+            let prev = h.prev.lock();
+            assert!(prev.as_ref().unwrap().snapshot.events().is_empty());
+        }
+        // One windowing: the first frame is the run so far, the second is
+        // what happened since.
+        assert_eq!(first.ranks[0].window_nanos, 0);
+        assert_eq!(first.ranks[0].snapshot.get(Metric::SendsEager), 3);
+        assert!(second.ranks[0].window_nanos > 0);
+        assert_eq!(second.ranks[0].snapshot.get(Metric::SendsEager), 2);
+        assert_eq!(second.ranks[0].snapshot.get(Metric::TraceEventsDropped), 0);
+        // 2 rings x (100 written - 8 held), read off the newest tick.
+        assert_eq!(c.trace_events_dropped(), 184);
+        let (_, _, _, body) = respond("/healthz", &c, None);
+        let v = json::parse(&body).unwrap();
+        assert_eq!(v.u64_at("trace_events_dropped"), Ok(184));
+        assert_eq!(
+            c.flight_record(Vec::new()).ranks[0].snapshot.events().len(),
+            16
+        );
+    }
+
+    /// What a hostile client sends instead of a request.
+    #[derive(Debug)]
+    struct Hostile {
+        bytes: Vec<u8>,
+        /// Shut the write side down after sending (else: hold it open).
+        half_close: bool,
+    }
+
+    fn hostile() -> impl proptest::strategy::Strategy<Value = Hostile> {
+        use proptest::prelude::*;
+        let noise = proptest::collection::vec(any::<u8>(), 0..600usize);
+        (0..8u8, noise, any::<bool>()).prop_map(|(shape, noise, half_close)| {
+            let text = String::from_utf8_lossy(&noise).replace(['\r', '\n'], " ");
+            let bytes = match shape {
+                // No CRLF ever.
+                0 => format!("GET /metrics HTTP/1.1 {text}").into_bytes(),
+                // A megabyte of header.
+                1 => [b"GET / HTTP/1.1\r\nX: ".as_slice(), &vec![b'a'; 1 << 20]].concat(),
+                // Not UTF-8 (0xff never is), terminated or not.
+                2 => [noise.as_slice(), b"\xff\xfe\r\n\r\n"].concat(),
+                // Bare line feeds only.
+                3 => b"GET /healthz HTTP/1.1\nHost: t\n\n".to_vec(),
+                // A request and then garbage pipelined behind it.
+                4 => [b"GET /healthz HTTP/1.1\r\n\r\n".as_slice(), &noise].concat(),
+                // Another verb.
+                5 => format!("DELETE /{text} HTTP/1.1\r\n\r\n").into_bytes(),
+                // Nothing at all.
+                6 => Vec::new(),
+                // Whatever the generator came up with.
+                _ => noise,
+            };
+            Hostile { bytes, half_close }
+        })
+    }
+
+    /// Send `h`, then wait for the server to answer or hang up. Returns
+    /// what came back and how long the server kept the connection.
+    fn suffer(addr: SocketAddr, h: &Hostile) -> (Vec<u8>, Duration) {
+        let t0 = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // The server may hang up mid-send (oversized head): not our error.
+        let _ = stream.write_all(&h.bytes);
+        if h.half_close {
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+        }
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut back = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => back.extend_from_slice(&chunk[..n]),
+                // Reset: the server closed with our bytes unread.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("server kept {h:?} open past every deadline: {e}"),
+            }
+        }
+        (back, t0.elapsed())
+    }
+
+    /// Hostile requests against the real listener, all at once: whatever
+    /// arrives, the connection is answered or dropped within the request
+    /// deadline, what is answered is a whole HTTP response, nothing
+    /// panics, and a well-formed `GET /healthz` on another connection is
+    /// answered while the hostile ones are still being suffered. A trickle
+    /// of one byte every 300 ms — each read well inside a per-read timeout
+    /// — is cut off at the same deadline.
+    #[test]
+    fn hostile_requests_are_dropped_on_time_and_starve_nobody() {
+        use proptest::strategy::Strategy;
+        let srv = TelemetryServer::start(
+            &TelemetryConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..TelemetryConfig::default()
+            },
+            Collector::new(8),
+            None,
+        )
+        .expect("bind");
+        let addr = srv.local_addr();
+        let mut rng = proptest::test_runner::TestRng::deterministic("hostile_requests");
+        let cases: Vec<Hostile> = (0..24).map(|_| hostile().generate(&mut rng)).collect();
+        let slack = Duration::from_millis(1500);
+        std::thread::scope(|s| {
+            let sufferers: Vec<_> = cases
+                .iter()
+                .map(|h| s.spawn(move || (h, suffer(addr, h))))
+                .collect();
+            let trickle = s.spawn(move || {
+                let t0 = Instant::now();
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                while stream.write_all(b"x").is_ok() && t0.elapsed() < Duration::from_secs(20) {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+                t0.elapsed()
+            });
+            // Meanwhile, an honest client.
+            let honest = Hostile {
+                bytes: b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_vec(),
+                half_close: false,
+            };
+            let (back, took) = suffer(addr, &honest);
+            assert!(back.starts_with(b"HTTP/1.1 200 OK\r\n"), "honest client");
+            assert!(took < slack, "honest client waited {took:?}");
+            for t in sufferers {
+                let (h, (back, took)) = t.join().expect("no panic");
+                assert!(
+                    took < REQUEST_DEADLINE + slack,
+                    "{took:?} for {} bytes, half_close {}",
+                    h.bytes.len(),
+                    h.half_close
+                );
+                if !back.is_empty() {
+                    let text = String::from_utf8_lossy(&back);
+                    assert!(text.starts_with("HTTP/1.1 "), "{text}");
+                    let (head, body) = text.split_once("\r\n\r\n").expect("whole response");
+                    let len = head
+                        .lines()
+                        .find_map(|l| l.strip_prefix("Content-Length: "));
+                    assert_eq!(len.and_then(|l| l.parse().ok()), Some(body.len()));
+                }
+            }
+            let cut = trickle.join().expect("no panic");
+            assert!(cut < REQUEST_DEADLINE + slack, "trickle lasted {cut:?}");
+        });
+        // The listener survived all of it.
+        let (back, _) = suffer(
+            addr,
+            &Hostile {
+                bytes: b"GET /frames HTTP/1.1\r\n\r\n".to_vec(),
+                half_close: false,
+            },
+        );
+        assert!(back.starts_with(b"HTTP/1.1 200 OK\r\n"));
         srv.stop();
     }
 }

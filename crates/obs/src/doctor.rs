@@ -17,12 +17,13 @@
 //!   claimant publishes a generation token with a release store; readers
 //!   validate the token around their loads.
 //! * [`classify`] — the watchdog's pure decision procedure: given one
-//!   [`RankHealth`] observation per rank it reports [`Anomaly`]s —
-//!   *stall*, *deadlock suspect*, *pin leak*, *GC pressure*.
-//! * [`FlightRecord`] — the crash-dump analog: anomalies + per-rank
-//!   metrics snapshots + in-flight tables, serialized to JSON
-//!   ([`FlightRecord::to_json`]) with a one-screen human diagnosis
-//!   ([`FlightRecord::diagnosis`]).
+//!   [`RankRecord`] per rank (a frame's: each the tick's observation
+//!   since the previous one) it reports [`Anomaly`]s — *stall*, *deadlock
+//!   suspect*, *pin leak*, *GC pressure*, *link drop*.
+//! * [`FlightRecord`] — the crash-dump analog: anomalies + one
+//!   [`RankRecord`] per rank with the event rings drained into their
+//!   snapshots, serialized to JSON ([`FlightRecord::to_json`]) with a
+//!   one-screen human diagnosis ([`FlightRecord::diagnosis`]).
 //!
 //! The classification is deliberately conservative: a *stall* requires
 //! both the op and the whole rank to have made no observable progress
@@ -33,7 +34,8 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::span::{span_arg_unpack, SpanKind};
-use crate::{Hist, Metric, MetricsSnapshot};
+use crate::telemetry::RankRecord;
+use crate::{spec, Hist, Metric};
 
 /// Default number of slots in an [`InflightTable`].
 pub const DEFAULT_INFLIGHT_CAPACITY: usize = 128;
@@ -352,122 +354,58 @@ impl Default for DoctorConfig {
 }
 
 impl DoctorConfig {
-    /// Parse a `MOTOR_DOCTOR` value. `"1"`/`"on"` yield the defaults;
-    /// otherwise a comma list of `key=value` pairs: `deadline_ms`,
-    /// `interval_ms`, `pin_ms`, `gc_ratio`, `record=<path>`,
-    /// `abort=<exit code>`, `record_on_exit=0|1`. Unknown keys are
-    /// ignored so old commands keep working.
-    pub fn parse(spec: &str) -> DoctorConfig {
+    /// Parse a `MOTOR_DOCTOR` value (grammar: [`crate::spec`]). `1`/`on`
+    /// yield the defaults; the keys are `deadline_ms` (stall and pin-leak
+    /// deadline), `interval_ms`, `pin_ms`, `gc_ratio`, `record=<path>`,
+    /// `abort=<exit code>`, `record_on_exit=0|1`. Any other key or bare
+    /// token, and a value that does not parse, is an error.
+    pub fn parse(spec: &str) -> Result<DoctorConfig, String> {
         let mut cfg = DoctorConfig::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            let (key, value) = match part.split_once('=') {
-                Some(kv) => kv,
-                None => continue, // bare "1"/"on" enable the defaults
-            };
+        let millis = |key, v| spec::value(key, v).map(Duration::from_millis);
+        for (key, v) in spec::pairs(spec) {
             match key {
+                "1" | "on" if v.is_none() => {}
                 "deadline_ms" => {
-                    if let Ok(ms) = value.parse() {
-                        cfg.stall_deadline = Duration::from_millis(ms);
-                        cfg.pin_leak_deadline = Duration::from_millis(ms);
-                    }
+                    cfg.stall_deadline = millis(key, v)?;
+                    cfg.pin_leak_deadline = cfg.stall_deadline;
                 }
-                "interval_ms" => {
-                    if let Ok(ms) = value.parse() {
-                        cfg.scan_interval = Duration::from_millis(ms);
-                    }
-                }
-                "pin_ms" => {
-                    if let Ok(ms) = value.parse() {
-                        cfg.pin_leak_deadline = Duration::from_millis(ms);
-                    }
-                }
-                "gc_ratio" => {
-                    if let Ok(r) = value.parse() {
-                        cfg.gc_stall_ratio = r;
-                    }
-                }
-                "record" => cfg.record_path = Some(value.to_string()),
-                "abort" => cfg.exit_code = value.parse().ok(),
-                "record_on_exit" => cfg.record_on_exit = value != "0",
-                _ => {}
+                "interval_ms" => cfg.scan_interval = millis(key, v)?,
+                "pin_ms" => cfg.pin_leak_deadline = millis(key, v)?,
+                "gc_ratio" => cfg.gc_stall_ratio = spec::value(key, v)?,
+                "record" => cfg.record_path = Some(spec::value(key, v)?),
+                "abort" => cfg.exit_code = Some(spec::value(key, v)?),
+                "record_on_exit" => cfg.record_on_exit = spec::value::<u8>(key, v)? != 0,
+                _ => return Err(format!(
+                    "unknown key {key:?} (use deadline_ms|interval_ms|pin_ms|gc_ratio|record|abort|record_on_exit)"
+                )),
             }
         }
-        cfg
+        Ok(cfg)
     }
 
-    /// The configuration requested by the `MOTOR_DOCTOR` environment
-    /// variable, if set (empty/`"0"`/`"off"` mean disabled).
+    /// The configuration the `MOTOR_DOCTOR` environment variable asks for
+    /// (see [`spec::from_env`]: `None` when off, a panic when malformed).
     pub fn from_env() -> Option<DoctorConfig> {
-        match std::env::var("MOTOR_DOCTOR") {
-            Ok(v) if !v.is_empty() && v != "0" && v != "off" => Some(Self::parse(&v)),
-            _ => None,
-        }
+        spec::from_env("MOTOR_DOCTOR", Self::parse)
     }
 }
 
-/// One watchdog observation of one rank — everything [`classify`] needs.
-#[derive(Debug, Clone)]
-pub struct RankHealth {
-    /// World rank (or slot index for dynamically spawned processes).
-    pub rank: usize,
-    /// Human label (`"rank 2"`, `"child 0"`, ...).
-    pub label: String,
-    /// Whether the rank's body has returned.
-    pub done: bool,
-    /// Registry clock at scan time (nanoseconds since the shared epoch).
-    pub now_nanos: u64,
-    /// Registry clock of the rank's last observable progress (max over
-    /// its tables' [`InflightTable::last_beat_nanos`]; 0 if none yet).
-    pub last_progress_nanos: u64,
-    /// Merged in-flight ops from the rank's transport- and VM-side tables.
-    pub inflight: Vec<InflightOp>,
-    /// Device queue depths `(posted, unexpected, pending_sends,
-    /// active_recvs)`.
-    pub queue_depths: (usize, usize, usize, usize),
-    /// Hard pins currently held.
-    pub hard_pins: usize,
-    /// Conditional pin requests currently registered.
-    pub cond_pins: usize,
-    /// Age of the oldest hard pin in nanoseconds (0 when none).
-    pub oldest_pin_nanos: u64,
-    /// Estimated nanoseconds stalled at safepoints since the last scan.
-    pub safepoint_stall_nanos: u64,
-    /// Wall nanoseconds covered by `safepoint_stall_nanos` (scan window).
-    pub window_nanos: u64,
-    /// Cumulative links dropped after transport failures
-    /// ([`crate::Metric::LinksDropped`]).
-    pub links_dropped: u64,
-}
-
-/// What kind of trouble the watchdog diagnosed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnomalyKind {
-    /// A blocking op made no observable progress past the deadline.
-    Stall,
-    /// A stall whose blamed peer shows no matching activity, or a
-    /// wait-for cycle among stalled ranks.
-    DeadlockSuspect,
-    /// A hard pin outlived every transport operation on its rank.
-    PinLeak,
-    /// Safepoint stalls consumed more than the configured fraction of
-    /// wall time.
-    GcPressure,
-    /// A transport link died and was dropped; operations bound to that
-    /// peer were failed with `PeerClosed`.
-    LinkDrop,
-}
-
-impl AnomalyKind {
-    /// Stable export name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AnomalyKind::Stall => "stall",
-            AnomalyKind::DeadlockSuspect => "deadlock_suspect",
-            AnomalyKind::PinLeak => "pin_leak",
-            AnomalyKind::GcPressure => "gc_pressure",
-            AnomalyKind::LinkDrop => "link_drop",
-        }
+named_enum! {
+    /// What kind of trouble the watchdog diagnosed.
+    enum AnomalyKind: u64 {
+        /// A blocking op made no observable progress past the deadline.
+        Stall => "stall",
+        /// A stall whose blamed peer shows no matching activity, or a
+        /// wait-for cycle among stalled ranks.
+        DeadlockSuspect => "deadlock_suspect",
+        /// A hard pin outlived every transport operation on its rank.
+        PinLeak => "pin_leak",
+        /// Safepoint stalls consumed more than the configured fraction of
+        /// wall time.
+        GcPressure => "gc_pressure",
+        /// A transport link died and was dropped; operations bound to that
+        /// peer were failed with `PeerClosed`.
+        LinkDrop => "link_drop",
     }
 }
 
@@ -553,7 +491,7 @@ fn is_collective(kind: SpanKind) -> bool {
 
 /// The oldest blocking op a rank is stuck in past the deadline, if the
 /// rank as a whole has also shown no progress for that long.
-fn stalled_op(h: &RankHealth, deadline_nanos: u64) -> Option<&InflightOp> {
+fn stalled_op(h: &RankRecord, deadline_nanos: u64) -> Option<&InflightOp> {
     if h.done {
         return None;
     }
@@ -583,11 +521,11 @@ fn is_recv_kind(kind: SpanKind) -> bool {
     )
 }
 
-/// Whether `peer`'s observation shows activity that could still complete
+/// Whether `peer`'s record shows activity that could still complete
 /// `rank`'s wait of kind `our_kind`: an in-flight op of the *opposite
 /// direction* addressed to `rank` (a send satisfies our recv and vice
 /// versa), or transport frames still queued for delivery.
-fn peer_matches(peer: &RankHealth, rank: usize, our_kind: SpanKind) -> bool {
+fn peer_matches(peer: &RankRecord, rank: usize, our_kind: SpanKind) -> bool {
     if peer.queue_depths.2 > 0 {
         return true; // pending sends may still be addressed to the waiter
     }
@@ -601,14 +539,37 @@ fn peer_matches(peer: &RankHealth, rank: usize, our_kind: SpanKind) -> bool {
     })
 }
 
-/// The watchdog's decision procedure: one pass over the latest
-/// observations, returning every anomaly found (empty when healthy).
-/// Pure — all timing comes from the observations — so it is directly
-/// unit-testable with synthetic [`RankHealth`] values.
-pub fn classify(health: &[RankHealth], cfg: &DoctorConfig) -> Vec<Anomaly> {
+/// The watchdog's decision procedure: one pass over one tick's records
+/// (a frame's), returning every anomaly found (empty when healthy). Pure —
+/// all timing comes from the records — so it is directly unit-testable
+/// with synthetic [`RankRecord`] values.
+///
+/// Ranks are judged within their spawn group, the only scope in which the
+/// peer ranks in op arguments mean something; a group caught
+/// mid-registration (rank indices not yet contiguous) is skipped. What is
+/// windowed is read from the record's window: the safepoint-stall share is
+/// the `SafepointStallNanos` histogram of `snapshot` over `window_nanos`,
+/// a dropped link is reported in the tick that saw it drop.
+pub fn classify(records: &[RankRecord], cfg: &DoctorConfig) -> Vec<Anomaly> {
+    let mut groups: Vec<usize> = records.iter().map(|r| r.group).collect();
+    groups.sort_unstable();
+    groups.dedup();
+    let mut out = Vec::new();
+    for g in groups {
+        let mut world: Vec<&RankRecord> = records.iter().filter(|r| r.group == g).collect();
+        world.sort_by_key(|r| r.rank);
+        if world.iter().enumerate().all(|(i, r)| r.rank == i) {
+            classify_world(&world, cfg, &mut out);
+        }
+    }
+    out
+}
+
+/// [`classify`] for the ranks of one world, indexed by rank.
+fn classify_world(health: &[&RankRecord], cfg: &DoctorConfig, out: &mut Vec<Anomaly>) {
     let deadline = cfg.stall_deadline.as_nanos() as u64;
     let pin_deadline = cfg.pin_leak_deadline.as_nanos() as u64;
-    let mut out = Vec::new();
+    let first = out.len();
 
     // Wait-for edges rank -> peer for cycle detection among stalled ranks.
     let mut waits_for: Vec<Option<usize>> = vec![None; health.len()];
@@ -622,14 +583,14 @@ pub fn classify(health: &[RankHealth], cfg: &DoctorConfig) -> Vec<Anomaly> {
             if let Some(p) = peer {
                 // Wait-for edge only when the peer is *not* already acting
                 // toward us — a matched pair is slow, not deadlocked.
-                if !peer_matches(&health[p], h.rank, op.kind) {
+                if !peer_matches(health[p], h.rank, op.kind) {
                     waits_for[i] = Some(p);
                 }
             }
             let (kind, detail) = match peer {
                 // Peer exited, or is itself stuck with nothing addressed
                 // to us: nobody can complete this wait.
-                Some(p) if health[p].done && !peer_matches(&health[p], h.rank, op.kind) => (
+                Some(p) if health[p].done && !peer_matches(health[p], h.rank, op.kind) => (
                     AnomalyKind::DeadlockSuspect,
                     format!(
                         "{} waits on {} which exited with no matching activity",
@@ -638,8 +599,8 @@ pub fn classify(health: &[RankHealth], cfg: &DoctorConfig) -> Vec<Anomaly> {
                     ),
                 ),
                 Some(p)
-                    if stalled_op(&health[p], deadline).is_some()
-                        && !peer_matches(&health[p], h.rank, op.kind) =>
+                    if stalled_op(health[p], deadline).is_some()
+                        && !peer_matches(health[p], h.rank, op.kind) =>
                 {
                     (
                         AnomalyKind::DeadlockSuspect,
@@ -675,54 +636,48 @@ pub fn classify(health: &[RankHealth], cfg: &DoctorConfig) -> Vec<Anomaly> {
             });
         }
 
+        // Rank-wide conditions: no op to blame.
+        let mut rank_wide = |kind, age_nanos, detail| {
+            out.push(Anomaly {
+                kind,
+                rank: h.rank,
+                label: h.label.clone(),
+                op: None,
+                peer: None,
+                age_nanos,
+                detail,
+            })
+        };
         if !h.done && h.hard_pins > 0 && h.oldest_pin_nanos > pin_deadline && h.inflight.is_empty()
         {
-            out.push(Anomaly {
-                kind: AnomalyKind::PinLeak,
-                rank: h.rank,
-                label: h.label.clone(),
-                op: None,
-                peer: None,
-                age_nanos: h.oldest_pin_nanos,
-                detail: format!(
-                    "{} hard pin(s) held with no transport op in flight",
-                    h.hard_pins
-                ),
-            });
+            let pins = h.hard_pins;
+            rank_wide(
+                AnomalyKind::PinLeak,
+                h.oldest_pin_nanos,
+                format!("{pins} hard pin(s) held with no transport op in flight"),
+            );
         }
-
-        if h.links_dropped > 0 {
-            out.push(Anomaly {
-                kind: AnomalyKind::LinkDrop,
-                rank: h.rank,
-                label: h.label.clone(),
-                op: None,
-                peer: None,
-                age_nanos: 0,
-                detail: format!(
-                    "{} transport link(s) dropped; bound operations failed with PeerClosed",
-                    h.links_dropped
+        let links = h.snapshot.get(Metric::LinksDropped);
+        if links > 0 {
+            rank_wide(
+                AnomalyKind::LinkDrop,
+                0,
+                format!(
+                    "{links} transport link(s) dropped; bound operations failed with PeerClosed"
                 ),
-            });
+            );
         }
-
-        if h.window_nanos > 0 {
-            let ratio = h.safepoint_stall_nanos as f64 / h.window_nanos as f64;
-            if ratio > cfg.gc_stall_ratio {
-                out.push(Anomaly {
-                    kind: AnomalyKind::GcPressure,
-                    rank: h.rank,
-                    label: h.label.clone(),
-                    op: None,
-                    peer: None,
-                    age_nanos: h.safepoint_stall_nanos,
-                    detail: format!(
-                        "{:.0}% of the last {} ms stalled at safepoints",
-                        ratio * 100.0,
-                        h.window_nanos / 1_000_000
-                    ),
-                });
-            }
+        let stalled = h.gc_stalls().estimated_sum();
+        if h.window_nanos > 0 && stalled / h.window_nanos as f64 > cfg.gc_stall_ratio {
+            rank_wide(
+                AnomalyKind::GcPressure,
+                stalled as u64,
+                format!(
+                    "{:.0}% of the last {} ms stalled at safepoints",
+                    stalled * 100.0 / h.window_nanos as f64,
+                    h.window_nanos / 1_000_000
+                ),
+            );
         }
     }
 
@@ -746,7 +701,7 @@ pub fn classify(health: &[RankHealth], cfg: &DoctorConfig) -> Vec<Anomaly> {
         if !on_cycle[i] {
             continue;
         }
-        for a in out
+        for a in out[first..]
             .iter_mut()
             .filter(|a| a.kind == AnomalyKind::Stall && a.rank == h.rank)
         {
@@ -754,29 +709,10 @@ pub fn classify(health: &[RankHealth], cfg: &DoctorConfig) -> Vec<Anomaly> {
             a.detail = format!("wait-for cycle: {}", a.detail);
         }
     }
-    out
 }
 
-/// One rank's contribution to a [`FlightRecord`].
-#[derive(Debug, Clone)]
-pub struct RankFlight {
-    /// World rank (or spawn slot).
-    pub rank: usize,
-    /// Human label.
-    pub label: String,
-    /// Whether the rank's body had returned when the record was cut.
-    pub done: bool,
-    /// In-flight ops at record time.
-    pub inflight: Vec<InflightOp>,
-    /// Device queue depths `(posted, unexpected, pending_sends,
-    /// active_recvs)`.
-    pub queue_depths: (usize, usize, usize, usize),
-    /// Merged metrics snapshot (transport + VM registries).
-    pub snapshot: MetricsSnapshot,
-}
-
-/// Everything needed to diagnose a run after the fact: anomalies, every
-/// rank's metrics + trace-ring drain + in-flight table.
+/// Everything needed to diagnose a run after the fact: anomalies, and
+/// every rank's record with its event rings drained into the snapshot.
 #[derive(Debug, Clone)]
 pub struct FlightRecord {
     /// Shared-epoch clock when the record was cut (nanoseconds).
@@ -785,7 +721,7 @@ pub struct FlightRecord {
     /// cluster).
     pub anomalies: Vec<Anomaly>,
     /// Per-rank state, in rank order.
-    pub ranks: Vec<RankFlight>,
+    pub ranks: Vec<RankRecord>,
 }
 
 pub(crate) fn esc(s: &str) -> String {
@@ -802,50 +738,13 @@ pub(crate) fn esc(s: &str) -> String {
     out
 }
 
-pub(crate) fn inflight_json(ops: &[InflightOp]) -> String {
-    let items: Vec<String> = ops
-        .iter()
-        .map(|op| {
-            let (peer, tag) = op.peer_tag();
-            format!(
-                "{{\"kind\":\"{}\",\"arg\":{},\"peer\":{},\"tag\":{},\
-                 \"since_nanos\":{},\"beat_nanos\":{},\"beats\":{}}}",
-                op.kind.name(),
-                op.arg,
-                peer,
-                tag,
-                op.since_nanos,
-                op.beat_nanos,
-                op.beats
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
 impl FlightRecord {
     /// The record as one JSON object (hand-rolled like every exporter in
-    /// this crate; see `DESIGN.md` "Offline builds").
+    /// this crate; see `DESIGN.md` "Offline builds"), ranks in the full
+    /// form of [`RankRecord::to_json`].
     pub fn to_json(&self) -> String {
         let anomalies: Vec<String> = self.anomalies.iter().map(Anomaly::to_json).collect();
-        let ranks: Vec<String> = self
-            .ranks
-            .iter()
-            .map(|r| {
-                let (p, u, s, a) = r.queue_depths;
-                format!(
-                    "{{\"rank\":{},\"label\":\"{}\",\"done\":{},\
-                     \"queues\":{{\"posted\":{p},\"unexpected\":{u},\
-                     \"pending_sends\":{s},\"active_recvs\":{a}}},\
-                     \"inflight\":{},\"metrics\":{}}}",
-                    r.rank,
-                    esc(&r.label),
-                    r.done,
-                    inflight_json(&r.inflight),
-                    r.snapshot.to_json()
-                )
-            })
-            .collect();
+        let ranks: Vec<String> = self.ranks.iter().map(|r| r.to_json(true)).collect();
         format!(
             "{{\"motor_flight_record\":1,\"t_nanos\":{},\"anomalies\":[{}],\"ranks\":[{}]}}",
             self.t_nanos,
@@ -932,22 +831,22 @@ mod tests {
         }
     }
 
-    fn healthy(rank: usize, now: u64) -> RankHealth {
-        RankHealth {
+    fn healthy(rank: usize, now: u64) -> RankRecord {
+        RankRecord {
             rank,
             label: format!("rank {rank}"),
-            done: false,
             now_nanos: now,
             last_progress_nanos: now,
-            inflight: Vec::new(),
-            queue_depths: (0, 0, 0, 0),
-            hard_pins: 0,
-            cond_pins: 0,
-            oldest_pin_nanos: 0,
-            safepoint_stall_nanos: 0,
             window_nanos: 1_000_000_000,
-            links_dropped: 0,
+            ..RankRecord::default()
         }
+    }
+
+    /// A snapshot of a registry after `fill` ran on it.
+    fn snapshot_of(fill: impl FnOnce(&crate::MetricsRegistry)) -> crate::MetricsSnapshot {
+        let r = crate::MetricsRegistry::new();
+        fill(&r);
+        r.snapshot()
     }
 
     fn cfg_ms(deadline_ms: u64) -> DoctorConfig {
@@ -1225,7 +1124,7 @@ mod tests {
     #[test]
     fn healthy_cluster_has_no_anomalies() {
         let now = 10_000_000_000;
-        let mut hs: Vec<RankHealth> = (0..4).map(|r| healthy(r, now)).collect();
+        let mut hs: Vec<RankRecord> = (0..4).map(|r| healthy(r, now)).collect();
         // A recv that is old but recently heartbeat-ed is not stalled.
         hs[1]
             .inflight
@@ -1236,7 +1135,7 @@ mod tests {
     #[test]
     fn unmatched_recv_with_exited_peer_is_deadlock_suspect() {
         let now = 10_000_000_000;
-        let mut hs: Vec<RankHealth> = (0..4).map(|r| healthy(r, now)).collect();
+        let mut hs: Vec<RankRecord> = (0..4).map(|r| healthy(r, now)).collect();
         hs[2]
             .inflight
             .push(op(SpanKind::MpRecv, 1, 99, 1_000, 1_000));
@@ -1256,7 +1155,7 @@ mod tests {
     #[test]
     fn stalled_recv_with_matching_peer_send_stays_stall() {
         let now = 10_000_000_000;
-        let mut hs: Vec<RankHealth> = (0..2).map(|r| healthy(r, now)).collect();
+        let mut hs: Vec<RankRecord> = (0..2).map(|r| healthy(r, now)).collect();
         hs[0].inflight.push(op(SpanKind::MpRecv, 1, 3, 0, 0));
         hs[0].last_progress_nanos = 0;
         // Peer is stuck too, but *is* addressing us — slow, not deadlocked
@@ -1271,7 +1170,7 @@ mod tests {
     #[test]
     fn wait_for_cycle_is_deadlock_suspect() {
         let now = 10_000_000_000;
-        let mut hs: Vec<RankHealth> = (0..2).map(|r| healthy(r, now)).collect();
+        let mut hs: Vec<RankRecord> = (0..2).map(|r| healthy(r, now)).collect();
         // 0 recvs from 1 on tag 1, 1 recvs from 0 on tag 2: a cycle with
         // no pending data anywhere.
         hs[0].inflight.push(op(SpanKind::MpRecv, 1, 1, 0, 0));
@@ -1288,7 +1187,7 @@ mod tests {
     #[test]
     fn collective_mismatch_is_deadlock_suspect() {
         let now = 10_000_000_000;
-        let mut hs: Vec<RankHealth> = (0..3).map(|r| healthy(r, now)).collect();
+        let mut hs: Vec<RankRecord> = (0..3).map(|r| healthy(r, now)).collect();
         hs[0].inflight.push(op(SpanKind::Barrier, 0, 0, 0, 0));
         hs[0].last_progress_nanos = 0;
         hs[1].done = true;
@@ -1305,8 +1204,8 @@ mod tests {
         let mut hs = vec![healthy(0, now)];
         hs[0].hard_pins = 2;
         hs[0].oldest_pin_nanos = 3_000_000_000;
-        hs[0].safepoint_stall_nanos = 900_000_000;
-        hs[0].window_nanos = 1_000_000_000;
+        // One stall in (2^29, 2^30] ns: ~0.8 s of the 1 s window.
+        hs[0].snapshot = snapshot_of(|r| r.record(Hist::SafepointStallNanos, 900_000_000));
         let anomalies = classify(&hs, &cfg_ms(500));
         assert_eq!(anomalies.len(), 2);
         assert!(anomalies.iter().any(|a| a.kind == AnomalyKind::PinLeak));
@@ -1321,7 +1220,7 @@ mod tests {
     fn link_drop_is_reported() {
         let now = 10_000_000_000;
         let mut hs = vec![healthy(0, now), healthy(1, now)];
-        hs[1].links_dropped = 1;
+        hs[1].snapshot = snapshot_of(|r| r.bump(Metric::LinksDropped));
         let anomalies = classify(&hs, &cfg_ms(500));
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].kind, AnomalyKind::LinkDrop);
@@ -1356,13 +1255,12 @@ mod tests {
         let rec = FlightRecord {
             t_nanos: now,
             anomalies,
-            ranks: vec![RankFlight {
+            ranks: vec![RankRecord {
                 rank: 2,
                 label: "rank 2".into(),
-                done: false,
                 inflight: vec![op(SpanKind::MpRecv, 1, 99, 0, 0)],
                 queue_depths: (1, 0, 0, 0),
-                snapshot: MetricsSnapshot::empty(),
+                ..RankRecord::default()
             }],
         };
         let json = rec.to_json();
@@ -1376,14 +1274,68 @@ mod tests {
         assert!(diag.contains("mp_recv(peer=1, tag=99)"));
     }
 
+    /// Ranks are judged within their spawn group: a child world's rank 0
+    /// waiting on *its* rank 1 is not confused with the parents' rank 1,
+    /// and a group caught mid-registration is left for the next tick.
+    #[test]
+    fn groups_are_classified_apart() {
+        let now = 10_000_000_000;
+        let mut rs: Vec<RankRecord> = (0..2).map(|r| healthy(r, now)).collect();
+        rs[1].done = true;
+        let mut child: Vec<RankRecord> = (0..2).map(|r| healthy(r, now)).collect();
+        for c in &mut child {
+            c.group = 1;
+        }
+        child[0].inflight.push(op(SpanKind::MpRecv, 1, 3, 0, 0));
+        child[0].last_progress_nanos = 0;
+        child[1].inflight.push(op(SpanKind::MpSend, 0, 3, 0, now));
+        // In arrival order, not rank order.
+        let all = vec![
+            child[1].clone(),
+            rs[1].clone(),
+            child[0].clone(),
+            rs[0].clone(),
+        ];
+        let found = classify(&all, &cfg_ms(500));
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].kind, AnomalyKind::Stall, "{found:?}");
+        // Without child 1 the group is not contiguous from 0: skipped.
+        let partial = vec![rs[0].clone(), rs[1].clone(), child[1].clone()];
+        assert!(classify(&partial, &cfg_ms(500)).is_empty());
+    }
+
     #[test]
     fn doctor_config_parse() {
-        let cfg = DoctorConfig::parse("deadline_ms=250,interval_ms=10,record=/tmp/x.json,abort=86");
+        let cfg = DoctorConfig::parse("deadline_ms=250,interval_ms=10,record=/tmp/x.json,abort=86")
+            .unwrap();
         assert_eq!(cfg.stall_deadline, Duration::from_millis(250));
+        assert_eq!(cfg.pin_leak_deadline, Duration::from_millis(250));
         assert_eq!(cfg.scan_interval, Duration::from_millis(10));
         assert_eq!(cfg.record_path.as_deref(), Some("/tmp/x.json"));
         assert_eq!(cfg.exit_code, Some(86));
-        let on = DoctorConfig::parse("1");
+        let on = DoctorConfig::parse("1").unwrap();
         assert_eq!(on.stall_deadline, DoctorConfig::default().stall_deadline);
+        let rest = DoctorConfig::parse("pin_ms=7, gc_ratio=0.9, record_on_exit=1").unwrap();
+        assert_eq!(rest.pin_leak_deadline, Duration::from_millis(7));
+        assert_eq!(rest.gc_stall_ratio, 0.9);
+        assert!(rest.record_on_exit);
+    }
+
+    /// A spec the parser does not understand must not run the defaults
+    /// without a word — that switches a CI liveness gate off: it is an
+    /// error that names the offender.
+    #[test]
+    fn doctor_config_rejects_what_it_does_not_know() {
+        for (spec, needle) in [
+            ("abort86", "abort86"),
+            ("deadline=500", "deadline"),
+            ("bogus=1", "bogus"),
+            ("deadline_ms=soon", "deadline_ms"),
+            ("abort", "abort"),
+            ("on=1", "on"),
+        ] {
+            let err = DoctorConfig::parse(spec).expect_err(spec);
+            assert!(err.contains(needle), "{spec}: {err}");
+        }
     }
 }

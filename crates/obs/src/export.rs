@@ -100,81 +100,58 @@ pub fn from_chrome_json(text: &str) -> Result<ClusterTrace, String> {
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .ok_or("missing traceEvents array")?;
+    // Older files carry no `motorDropped`/`motorOrphaned`.
+    let per_rank = |key: &str| -> Vec<u64> {
+        let list = root.get(key).and_then(|v| v.as_array()).unwrap_or_default();
+        list.iter().filter_map(|v| v.as_u64()).collect()
+    };
     let mut trace = ClusterTrace {
-        ranks: root.get("motorRanks").and_then(|v| v.as_u64()).unwrap_or(0) as usize,
+        ranks: root.u64_at("motorRanks").unwrap_or(0) as usize,
         spans: Vec::new(),
         edges: Vec::new(),
-        dropped_events: root
-            .get("motorDropped")
-            .and_then(|v| v.as_array())
-            .map(|a| a.iter().filter_map(|v| v.as_u64()).collect())
-            .unwrap_or_default(),
-        orphaned_ends: root
-            .get("motorOrphaned")
-            .and_then(|v| v.as_array())
-            .map(|a| a.iter().filter_map(|v| v.as_u64()).collect())
-            .unwrap_or_default(),
+        dropped_events: per_rank("motorDropped"),
+        orphaned_ends: per_rank("motorOrphaned"),
+    };
+    let nanos = |a: &json::Value, key: &str| {
+        let t = a.get(key).and_then(|v| v.as_i64());
+        t.ok_or_else(|| format!("no {key}"))
     };
     for e in events {
-        let ph = e.get("ph").and_then(|v| v.as_str()).unwrap_or("");
-        let args = e.get("args");
-        match ph {
+        let args = e.get("args").ok_or("event without args");
+        match e.get("ph").and_then(|v| v.as_str()).unwrap_or("") {
             "X" => {
                 let name = e.get("name").and_then(|v| v.as_str()).unwrap_or("");
-                let kind = SpanKind::from_name(name)
-                    .ok_or_else(|| format!("unknown span kind {name:?}"))?;
-                let a = args.ok_or("X event without args")?;
-                let rank = e.get("pid").and_then(|v| v.as_u64()).unwrap_or(0) as usize;
+                let a = args?;
+                let rank = e.u64_at("pid").unwrap_or(0) as usize;
                 trace.spans.push(TraceSpan {
-                    id: a
-                        .get("span_id")
-                        .and_then(|v| v.as_u64())
-                        .ok_or("no span_id")?,
+                    id: a.u64_at("span_id")?,
                     rank,
-                    kind,
-                    t_begin: a
-                        .get("t_begin_ns")
-                        .and_then(|v| v.as_i64())
-                        .ok_or("no t_begin_ns")?,
-                    t_end: a
-                        .get("t_end_ns")
-                        .and_then(|v| v.as_i64())
-                        .ok_or("no t_end_ns")?,
-                    arg: a.get("arg").and_then(|v| v.as_u64()).unwrap_or(0),
+                    kind: SpanKind::from_name(name)
+                        .ok_or_else(|| format!("unknown span kind {name:?}"))?,
+                    t_begin: nanos(a, "t_begin_ns")?,
+                    t_end: nanos(a, "t_end_ns")?,
+                    arg: a.u64_at("arg").unwrap_or(0),
                 });
                 trace.ranks = trace.ranks.max(rank + 1);
             }
             "s" => {
-                let a = args.ok_or("s event without args")?;
-                let kind_name = a
-                    .get("edge_kind")
-                    .and_then(|v| v.as_str())
-                    .ok_or("no edge_kind")?;
-                let kind = EdgeKind::from_name(kind_name)
-                    .ok_or_else(|| format!("unknown edge kind {kind_name:?}"))?;
-                let src_rank = a
-                    .get("src_rank")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("no src_rank")? as usize;
-                let dst_rank = a
-                    .get("dst_rank")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("no dst_rank")? as usize;
+                let a = args?;
+                let kind_name = a.get("edge_kind").and_then(|v| v.as_str());
+                let kind_name = kind_name.ok_or("no edge_kind")?;
+                let (src_rank, dst_rank) = (
+                    a.u64_at("src_rank")? as usize,
+                    a.u64_at("dst_rank")? as usize,
+                );
                 trace.edges.push(MessageEdge {
-                    kind,
+                    kind: EdgeKind::from_name(kind_name)
+                        .ok_or_else(|| format!("unknown edge kind {kind_name:?}"))?,
                     src_rank,
                     dst_rank,
                     tag: a.get("tag").and_then(|v| v.as_i64()).unwrap_or(0),
-                    bytes: a.get("bytes").and_then(|v| v.as_u64()).unwrap_or(0),
-                    rndv: a.get("rndv").and_then(|v| v.as_u64()).unwrap_or(0) != 0,
-                    t_send: a
-                        .get("t_send_ns")
-                        .and_then(|v| v.as_i64())
-                        .ok_or("no t_send_ns")?,
-                    t_recv: a
-                        .get("t_recv_ns")
-                        .and_then(|v| v.as_i64())
-                        .ok_or("no t_recv_ns")?,
+                    bytes: a.u64_at("bytes").unwrap_or(0),
+                    rndv: a.u64_at("rndv").unwrap_or(0) != 0,
+                    t_send: nanos(a, "t_send_ns")?,
+                    t_recv: nanos(a, "t_recv_ns")?,
                     src_span: a.get("src_span").and_then(|v| v.as_u64()),
                     dst_span: a.get("dst_span").and_then(|v| v.as_u64()),
                 });
@@ -183,8 +160,8 @@ pub fn from_chrome_json(text: &str) -> Result<ClusterTrace, String> {
             _ => {} // "f" flow ends and "M" metadata carry no extra state
         }
     }
-    // Older files without `motorDropped`/`motorOrphaned` (and traces whose
-    // rank count grew while parsing) report zeroes for the missing ranks.
+    // Files without the two lists (and traces whose rank count grew while
+    // parsing) report zeroes for the missing ranks.
     trace.dropped_events.resize(trace.ranks, 0);
     trace.orphaned_ends.resize(trace.ranks, 0);
     Ok(trace)
@@ -246,6 +223,13 @@ pub mod json {
             }
         }
 
+        /// The non-negative integer member `key`, or an error naming it.
+        pub fn u64_at(&self, key: &str) -> Result<u64, String> {
+            self.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("missing or non-integer {key:?}"))
+        }
+
         /// The number as i64, if integral.
         pub fn as_i64(&self) -> Option<i64> {
             match self {
@@ -255,11 +239,17 @@ pub mod json {
         }
     }
 
-    /// Parse one JSON document (trailing whitespace allowed).
+    /// Deepest nesting of arrays and objects [`parse`] follows. The parser
+    /// recurses once per level, and its input may come off a socket.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parse one JSON document (trailing whitespace allowed). Nesting
+    /// deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.ws();
@@ -272,6 +262,8 @@ pub mod json {
     struct Parser<'a> {
         b: &'a [u8],
         i: usize,
+        /// Arrays and objects open around `i`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -293,8 +285,12 @@ pub mod json {
         fn value(&mut self) -> Result<Value, String> {
             self.ws();
             match self.b.get(self.i) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at offset {}",
+                    self.i
+                )),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.lit("true", Value::Bool(true)),
                 Some(b'f') => self.lit("false", Value::Bool(false)),
@@ -302,6 +298,16 @@ pub mod json {
                 Some(_) => self.number(),
                 None => Err("unexpected end of input".into()),
             }
+        }
+
+        fn nested(
+            &mut self,
+            inner: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            self.depth += 1;
+            let v = inner(self);
+            self.depth -= 1;
+            v
         }
 
         fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -505,6 +511,25 @@ mod tests {
         assert!(json::parse("[1,]").is_err());
         assert!(json::parse("{}extra").is_err());
         assert!(json::parse("\"unterminated").is_err());
+    }
+
+    /// A megabyte of `[` from a scraped endpoint or a trace file is an
+    /// error at level 129, whatever follows; 128 levels parse.
+    #[test]
+    fn nesting_is_bounded_not_recursed_to_exhaustion() {
+        let bomb = "[".repeat(1 << 20);
+        let err = json::parse(&bomb).expect_err("depth bomb");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let mixed = "{\"a\":[".repeat(1 << 19);
+        assert!(json::parse(&mixed).is_err());
+        let deepest = format!(
+            "{}{}",
+            "[".repeat(json::MAX_DEPTH),
+            "]".repeat(json::MAX_DEPTH)
+        );
+        json::parse(&deepest).expect("the bound itself parses");
+        let one_more = format!("[{deepest}]");
+        assert!(json::parse(&one_more).is_err());
     }
 
     #[test]

@@ -26,17 +26,62 @@ use std::fmt;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
+/// A field-less enum whose variants carry a stable export name: the one
+/// shape of [`Metric`], [`Hist`], [`EventKind`], [`SpanKind`],
+/// [`TimeBucket`], [`EdgeKind`] and [`AnomalyKind`]. The discriminant is
+/// the position in the declaration, which is also the export order.
+macro_rules! named_enum {
+    (
+        $(#[$outer:meta])*
+        enum $ty:ident: $repr:ident {
+            $( $(#[$doc:meta])* $variant:ident => $name:literal ),+ $(,)?
+        }
+    ) => {
+        $(#[$outer])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr($repr)]
+        pub enum $ty {
+            $( $(#[$doc])* $variant ),+
+        }
+
+        impl $ty {
+            /// Number of variants.
+            pub const COUNT: usize = [$($ty::$variant),+].len();
+            /// Every variant, in declaration (= discriminant = export) order.
+            pub const ALL: [$ty; Self::COUNT] = [$($ty::$variant),+];
+
+            /// Stable export name (CSV column, JSON key, Perfetto slice).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $ty::$variant => $name ),+
+                }
+            }
+
+            /// Inverse of the discriminant cast (unknown values: `None`).
+            pub fn from_u64(v: u64) -> Option<$ty> {
+                Self::ALL.get(v as usize).copied()
+            }
+
+            /// Inverse of [`Self::name`].
+            pub fn from_name(name: &str) -> Option<$ty> {
+                Self::ALL.into_iter().find(|k| k.name() == name)
+            }
+        }
+    };
+}
+
 pub mod doctor;
 pub mod export;
 pub mod profile;
 pub mod prom;
 pub mod span;
+pub mod spec;
 pub mod telemetry;
 pub mod trace;
 
 pub use doctor::{
     classify, Anomaly, AnomalyKind, DoctorConfig, FlightRecord, InflightOp, InflightTable,
-    RankFlight, RankHealth, INFLIGHT_NONE,
+    INFLIGHT_NONE,
 };
 pub use export::{from_chrome_json, to_chrome_json};
 pub use profile::{FuncHotness, IlHot, PhaseSnapshot, PhaseStats, TimeBucket, N_BUCKETS};
@@ -45,7 +90,7 @@ pub use prom::{check_prometheus_text, to_prometheus, to_prometheus_multi};
 pub use span::clock_reads;
 pub use span::{expire_edge, span_arg_peer_tag, span_arg_unpack, SpanGuard, SpanKind};
 pub use telemetry::{
-    frame_prometheus, frame_to_json, frames_to_json, FrameRing, RankDelta, TelemetryFrame,
+    frame_prometheus, frames_from_json, frames_to_json, FrameRing, RankRecord, TelemetryFrame,
     DEFAULT_FRAME_CAPACITY,
 };
 pub use trace::{
@@ -59,33 +104,10 @@ pub const HIST_BUCKETS: usize = 64;
 /// Default capacity of the event-trace ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-macro_rules! define_metrics {
-    ($( $(#[$doc:meta])* $variant:ident => $name:literal ),+ $(,)?) => {
-        /// Monotonic counter identifiers. `*Peak` entries are high-water
-        /// marks (merged by `max`, bumped with [`MetricsRegistry::record_max`]).
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[repr(usize)]
-        pub enum Metric {
-            $( $(#[$doc])* $variant ),+
-        }
-
-        impl Metric {
-            /// Number of defined counters.
-            pub const COUNT: usize = [$(Metric::$variant),+].len();
-            /// Every counter, in declaration (= export) order.
-            pub const ALL: [Metric; Self::COUNT] = [$(Metric::$variant),+];
-
-            /// Stable export name (CSV column / JSON key).
-            pub fn name(self) -> &'static str {
-                match self {
-                    $( Metric::$variant => $name ),+
-                }
-            }
-        }
-    };
-}
-
-define_metrics! {
+named_enum! {
+    /// Monotonic counter identifiers. `*Peak` entries are high-water marks
+    /// (merged by `max`, bumped with [`MetricsRegistry::record_max`]).
+    enum Metric: usize {
     // ---- channel layer (frames on the wire) ----
     /// Frames written to the link by `pump_out`.
     ChanFramesOut => "chan_frames_out",
@@ -273,6 +295,7 @@ define_metrics! {
     GcBytesSwept => "gc_bytes_swept",
     /// Pinned-set membership checks elided via never-transported proofs.
     GcPinChecksElided => "gc_pin_checks_elided",
+    }
 }
 
 impl Metric {
@@ -292,32 +315,9 @@ impl Metric {
     ];
 }
 
-macro_rules! define_hists {
-    ($( $(#[$doc:meta])* $variant:ident => $name:literal ),+ $(,)?) => {
-        /// Log2-bucket histogram identifiers.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[repr(usize)]
-        pub enum Hist {
-            $( $(#[$doc])* $variant ),+
-        }
-
-        impl Hist {
-            /// Number of defined histograms.
-            pub const COUNT: usize = [$(Hist::$variant),+].len();
-            /// Every histogram, in declaration (= export) order.
-            pub const ALL: [Hist; Self::COUNT] = [$(Hist::$variant),+];
-
-            /// Stable export name.
-            pub fn name(self) -> &'static str {
-                match self {
-                    $( Hist::$variant => $name ),+
-                }
-            }
-        }
-    };
-}
-
-define_hists! {
+named_enum! {
+    /// Log2-bucket histogram identifiers.
+    enum Hist: usize {
     /// Payload size of eager-path sends (bytes).
     EagerSendBytes => "eager_send_bytes",
     /// Payload size of rendezvous-path sends (bytes).
@@ -331,6 +331,7 @@ define_hists! {
     /// Requests completed per batched progress-engine poll (completion
     /// batching: CTS windows and eager frames drained together).
     ProgressBatch => "progress_batch",
+    }
 }
 
 /// Bucket index for a value: 0 holds exactly 0, bucket k covers
@@ -343,79 +344,43 @@ pub fn log2_bucket(value: u64) -> usize {
     }
 }
 
-/// Kinds of entries in the event-trace ring. Every timed region is a
-/// [`span`] (one begin/end pair carrying its [`SpanKind`]); the other
-/// kinds are point events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u64)]
-pub enum EventKind {
-    /// A [`span`] opened (`a` = span id, `b` = [`SpanKind`] as u64,
-    /// `c` = kind-specific argument, usually [`span_arg_peer_tag`]).
-    SpanBegin,
-    /// A [`span`] closed (payload mirrors [`EventKind::SpanBegin`]; `c`
-    /// is the argument as of the close, see [`SpanGuard::set_arg`]).
-    SpanEnd,
-    /// Rendezvous RTS observed (`a` = send id, `b` = payload bytes,
-    /// `c` = [`trace::rndv_ctl`]).
-    RndvRts,
-    /// Rendezvous CTS observed (payload as [`EventKind::RndvRts`]).
-    RndvCts,
-    /// Rendezvous transfer completed (payload as [`EventKind::RndvRts`]).
-    RndvDone,
-    /// A point-to-point payload left this rank (`a` = destination global
-    /// rank, `b` = tag as i64, `c` = payload bytes). Stamped when the send
-    /// is initiated; the cross-rank trace matches it FIFO against the
-    /// peer's [`EventKind::MsgRecv`] with the same `(src, dst, tag)`.
-    MsgSend,
-    /// A point-to-point receive completed (`a` = source global rank,
-    /// `b` = tag as i64, `c` = bytes delivered).
-    MsgRecv,
-    /// A buffer was pinned (`a` = object address, `b` = 1 if the pin is
-    /// conditional — released by the collector when the transport
-    /// finishes — 0 for a hard pin).
-    PinAcquire,
-    /// A hard pin was released (`a` = object address).
-    PinRelease,
-    /// A profiler sample of the rank's interpreter state
-    /// (`a` = `(func + 1) << 32 | pc`, 0 when no IL is running;
-    /// `b` = the native [`profile::TimeBucket`] index at the sample;
-    /// `c` = IL shadow-stack depth).
-    ProfSample,
-}
-
-impl EventKind {
-    /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 10] = [
-        EventKind::SpanBegin,
-        EventKind::SpanEnd,
-        EventKind::RndvRts,
-        EventKind::RndvCts,
-        EventKind::RndvDone,
-        EventKind::MsgSend,
-        EventKind::MsgRecv,
-        EventKind::PinAcquire,
-        EventKind::PinRelease,
-        EventKind::ProfSample,
-    ];
-
-    /// Stable export name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::SpanBegin => "span_begin",
-            EventKind::SpanEnd => "span_end",
-            EventKind::RndvRts => "rndv_rts",
-            EventKind::RndvCts => "rndv_cts",
-            EventKind::RndvDone => "rndv_done",
-            EventKind::MsgSend => "msg_send",
-            EventKind::MsgRecv => "msg_recv",
-            EventKind::PinAcquire => "pin_acquire",
-            EventKind::PinRelease => "pin_release",
-            EventKind::ProfSample => "prof_sample",
-        }
-    }
-
-    fn from_u64(v: u64) -> Option<EventKind> {
-        EventKind::ALL.get(v as usize).copied()
+named_enum! {
+    /// Kinds of entries in the event-trace ring. Every timed region is a
+    /// [`span`] (one begin/end pair carrying its [`SpanKind`]); the other
+    /// kinds are point events.
+    enum EventKind: u64 {
+        /// A [`span`] opened (`a` = span id, `b` = [`SpanKind`] as u64,
+        /// `c` = kind-specific argument, usually [`span_arg_peer_tag`]).
+        SpanBegin => "span_begin",
+        /// A [`span`] closed (payload mirrors [`EventKind::SpanBegin`]; `c`
+        /// is the argument as of the close, see [`SpanGuard::set_arg`]).
+        SpanEnd => "span_end",
+        /// Rendezvous RTS observed (`a` = send id, `b` = payload bytes,
+        /// `c` = [`trace::rndv_ctl`]).
+        RndvRts => "rndv_rts",
+        /// Rendezvous CTS observed (payload as [`EventKind::RndvRts`]).
+        RndvCts => "rndv_cts",
+        /// Rendezvous transfer completed (payload as [`EventKind::RndvRts`]).
+        RndvDone => "rndv_done",
+        /// A point-to-point payload left this rank (`a` = destination global
+        /// rank, `b` = tag as i64, `c` = payload bytes). Stamped when the send
+        /// is initiated; the cross-rank trace matches it FIFO against the
+        /// peer's [`EventKind::MsgRecv`] with the same `(src, dst, tag)`.
+        MsgSend => "msg_send",
+        /// A point-to-point receive completed (`a` = source global rank,
+        /// `b` = tag as i64, `c` = bytes delivered).
+        MsgRecv => "msg_recv",
+        /// A buffer was pinned (`a` = object address, `b` = 1 if the pin is
+        /// conditional — released by the collector when the transport
+        /// finishes — 0 for a hard pin).
+        PinAcquire => "pin_acquire",
+        /// A hard pin was released (`a` = object address).
+        PinRelease => "pin_release",
+        /// A profiler sample of the rank's interpreter state
+        /// (`a` = `(func + 1) << 32 | pc`, 0 when no IL is running;
+        /// `b` = the native [`profile::TimeBucket`] index at the sample;
+        /// `c` = IL shadow-stack depth).
+        ProfSample => "prof_sample",
     }
 }
 
@@ -437,27 +402,83 @@ pub struct Event {
     pub c: u64,
 }
 
+/// Slot state while its claimant writes the payload: readers skip it and
+/// a second writer leaves it alone.
+const SLOT_WRITING: u64 = u64::MAX;
+
 struct EventSlot {
-    // 0 = empty; otherwise the 1-based sequence number, published last
-    // with Release so readers that Acquire it see the payload stores.
+    // 0 = empty, SLOT_WRITING = claimed; otherwise the 1-based sequence
+    // number, published last with Release so readers that Acquire it see
+    // the payload stores.
     seq: AtomicU64,
-    t_nanos: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    c: AtomicU64,
+    /// `t_nanos`, `kind`, `a`, `b`, `c`.
+    words: [AtomicU64; 5],
 }
 
 impl EventSlot {
     fn empty() -> Self {
         EventSlot {
             seq: AtomicU64::new(0),
-            t_nanos: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            c: AtomicU64::new(0),
+            words: Default::default(),
         }
+    }
+
+    /// Writer, step 1: take the slot. `false` when another writer holds it
+    /// — the two are a whole wrap apart — and this one's event is
+    /// abandoned. The swap acquires the previous claimant's publication,
+    /// so this writer's payload stores follow that one's; the fence orders
+    /// the claim before them for a reader (the seqlock write side).
+    fn claim(&self) -> bool {
+        let free = self.seq.swap(SLOT_WRITING, Ordering::AcqRel) != SLOT_WRITING;
+        fence(Ordering::Release);
+        free
+    }
+
+    /// Writer, step 2: the payload, by the claimant only.
+    fn fill(&self, words: [u64; 5]) {
+        for (slot, w) in self.words.iter().zip(words) {
+            slot.store(w, Ordering::Relaxed);
+        }
+    }
+
+    /// Writer, step 3: publish, and with it release the claim.
+    fn publish(&self, seq: u64) {
+        self.seq.store(seq, Ordering::Release);
+    }
+
+    /// Reader, step 1: the published sequence, if there is one.
+    fn published(&self) -> Option<u64> {
+        let seq = self.seq.load(Ordering::Acquire);
+        (seq != 0 && seq != SLOT_WRITING).then_some(seq)
+    }
+
+    /// Reader, step 2: the payload as it stands.
+    fn payload(&self) -> [u64; 5] {
+        std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed))
+    }
+
+    /// Reader, step 3: the acquire fence orders the payload loads before
+    /// this re-check, so an unchanged sequence proves that no writer
+    /// claimed the slot while they ran.
+    fn still(&self, seq: u64) -> bool {
+        fence(Ordering::Acquire);
+        self.seq.load(Ordering::Relaxed) == seq
+    }
+
+    /// The three reader steps: the slot's event, unless it is empty,
+    /// claimed, or was claimed while being read.
+    fn read(&self) -> Option<Event> {
+        let seq = self.published()?;
+        let [t_nanos, kind, a, b, c] = self.payload();
+        let kind = EventKind::from_u64(kind)?;
+        self.still(seq).then_some(Event {
+            seq,
+            t_nanos,
+            kind,
+            a,
+            b,
+            c,
+        })
     }
 }
 
@@ -502,9 +523,11 @@ impl MetricsRegistry {
     /// Registry with an explicit event-ring capacity (rounded up to 1).
     ///
     /// The ring **overwrites on wrap**: once `capacity` events have been
-    /// recorded, each new event replaces the oldest one. Snapshots always
-    /// return the youngest `<= capacity` events, oldest first; counters
-    /// and histograms are unaffected by the wrap.
+    /// recorded, each new event replaces the oldest one. Snapshots return
+    /// the youngest `<= capacity` events, oldest first — one per slot, and
+    /// where two writers were a whole wrap apart on a slot, whichever of
+    /// the two got to write (see [`Self::event3`]); counters and
+    /// histograms are unaffected by the wrap.
     pub fn with_event_capacity(capacity: usize) -> Self {
         Self::with_epoch(Instant::now(), capacity)
     }
@@ -677,18 +700,6 @@ impl MetricsRegistry {
         self.epoch
     }
 
-    /// Cheap copy of one histogram's buckets (no event-ring drain) — lets
-    /// a monitor thread poll a single histogram without paying for a full
-    /// [`Self::snapshot`].
-    pub fn hist_snapshot(&self, h: Hist) -> HistSnapshot {
-        let base = (h as usize) * HIST_BUCKETS;
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (k, b) in buckets.iter_mut().enumerate() {
-            *b = self.hists[base + k].load(Ordering::Relaxed);
-        }
-        HistSnapshot { buckets }
-    }
-
     /// Nanoseconds since this registry was created (event clock): a new
     /// clock reading.
     #[inline]
@@ -723,15 +734,20 @@ impl MetricsRegistry {
     }
 
     /// Append an event to the trace ring. Lock-free: one `fetch_add`
-    /// claims a slot, a release store publishes it; the oldest entry in
-    /// the slot is overwritten (overwrite-on-wrap).
+    /// claims a sequence number, one swap claims its slot, a release store
+    /// publishes it; the oldest entry in the slot is overwritten
+    /// (overwrite-on-wrap).
     ///
-    /// Publication follows the seqlock protocol: invalidate the slot,
-    /// release-fence so the invalidation is ordered before the payload
-    /// stores, write the payload, publish the sequence with a release
-    /// store. A reader that observes a stable non-zero sequence around
-    /// its payload loads (with an acquire fence in between) is guaranteed
-    /// an untorn event.
+    /// Publication follows the seqlock protocol with a writer-exclusive
+    /// state: claim the slot (which also invalidates it), write the
+    /// payload, publish the sequence with a release store. A writer that
+    /// finds the slot claimed — the other writer lags, or leads, by a
+    /// whole wrap — abandons its event; the slot then holds the other
+    /// one's, and `trace_events_dropped` (events written minus events
+    /// held) counts the abandoned one as it counts an overwritten one. A
+    /// reader that observes a stable published sequence around its payload
+    /// loads (with an acquire fence in between) is guaranteed an untorn
+    /// event.
     pub fn event3(&self, kind: EventKind, a: u64, b: u64, c: u64) {
         self.event_at(self.now_nanos(), kind, a, b, c);
     }
@@ -740,21 +756,35 @@ impl MetricsRegistry {
     /// took (a span edge shares one reading between the ring, the phase
     /// machine and the in-flight table).
     pub(crate) fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
+        let (seq, slot) = self.next_slot();
+        if slot.claim() {
+            slot.fill([t_nanos, kind as u64, a, b, c]);
+            slot.publish(seq);
+        }
+    }
+
+    /// The next sequence number and the slot it lands in.
+    fn next_slot(&self) -> (u64, &EventSlot) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = &self.slots[(seq - 1) as usize % self.slots.len()];
-        slot.seq.store(0, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.t_nanos.store(t_nanos, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.c.store(c, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        (seq, &self.slots[(seq - 1) as usize % self.slots.len()])
     }
 
     /// Consistent-enough copy of everything. Wait-free for writers; events
     /// caught mid-write are skipped.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        // The ring first: `events_through` then covers every event drained.
+        let mut events: Vec<Event> = self.slots.iter().filter_map(EventSlot::read).collect();
+        events.sort_by_key(|e| e.seq);
+        MetricsSnapshot {
+            events,
+            ..self.snapshot_counters()
+        }
+    }
+
+    /// [`Self::snapshot`] without the event ring: counters and histograms
+    /// only. What a collection tick takes — the ring is drained when a
+    /// flight record is cut or the run exits.
+    pub fn snapshot_counters(&self) -> MetricsSnapshot {
         let mut counters: Vec<u64> = self
             .counters
             .iter()
@@ -765,40 +795,9 @@ impl MetricsRegistry {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
-        let mut events = Vec::new();
-        for slot in &self.slots {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            let (t, k, a, b, c) = (
-                slot.t_nanos.load(Ordering::Relaxed),
-                slot.kind.load(Ordering::Relaxed),
-                slot.a.load(Ordering::Relaxed),
-                slot.b.load(Ordering::Relaxed),
-                slot.c.load(Ordering::Relaxed),
-            );
-            // Seqlock read validation: the acquire fence orders the payload
-            // loads above before the re-check below, so a matching sequence
-            // proves the payload was not overwritten mid-read.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq {
-                continue; // overwritten while reading
-            }
-            if let Some(kind) = EventKind::from_u64(k) {
-                events.push(Event {
-                    seq,
-                    t_nanos: t,
-                    kind,
-                    a,
-                    b,
-                    c,
-                });
-            }
-        }
-        events.sort_by_key(|e| e.seq);
         let events_through = self.next_seq.load(Ordering::Relaxed);
-        // Self-monitoring: events the wrap already overwrote, and in-flight
+        // Self-monitoring: events the wrap already overwrote (or a claimed
+        // slot turned away), and in-flight
         // registrations the table had to drop. Derived here rather than
         // bumped on the hot path.
         counters[Metric::TraceEventsDropped as usize] =
@@ -817,7 +816,7 @@ impl MetricsRegistry {
         MetricsSnapshot {
             counters,
             hists,
-            events,
+            events: Vec::new(),
             events_through,
             clock_offset_nanos: self.clock_offset(),
         }
@@ -942,13 +941,19 @@ impl HistSnapshot {
 
 /// Point-in-time copy of a [`MetricsRegistry`]; also the unit of
 /// aggregation across ranks and layers.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: Vec<u64>,
     hists: Vec<u64>,
     events: Vec<Event>,
     events_through: u64,
     clock_offset_nanos: i64,
+}
+
+impl Default for MetricsSnapshot {
+    fn default() -> Self {
+        Self::empty()
+    }
 }
 
 impl MetricsSnapshot {
@@ -1016,14 +1021,6 @@ impl MetricsSnapshot {
     /// Recorded trace events, oldest first.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Copy of `self` with the event drain dropped. The telemetry plane's
-    /// delta frames carry counters and histograms only — a bounded ring of
-    /// frames must not retain every rank's event ring many times over.
-    pub fn without_events(mut self) -> MetricsSnapshot {
-        self.events.clear();
-        self
     }
 
     /// What happened between `earlier` and `self`: counters and histogram
@@ -1116,51 +1113,110 @@ impl MetricsSnapshot {
     /// The whole snapshot as a JSON object (counters, histogram buckets,
     /// events). Hand-rolled: values are all integers or names.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{}", m.name(), self.get(*m)));
+        self.json(true)
+    }
+
+    /// [`Self::to_json`] without zero counters, empty histograms and
+    /// events: what a delta frame carries. [`Self::from_json`] reads the
+    /// zeroes back, so only the events are lost.
+    pub fn to_json_sparse(&self) -> String {
+        self.json(false)
+    }
+
+    fn json(&self, full: bool) -> String {
+        let counters: Vec<String> = Metric::ALL
+            .iter()
+            .filter(|m| full || self.get(**m) > 0)
+            .map(|m| format!("\"{}\":{}", m.name(), self.get(*m)))
+            .collect();
+        let hists: Vec<String> = Hist::ALL
+            .iter()
+            .map(|h| (h, self.hist(*h)))
+            .filter(|(_, hs)| full || hs.count() > 0)
+            .map(|(h, hs)| {
+                let last = hs.buckets.iter().rposition(|&c| c > 0).map_or(0, |k| k + 1);
+                let buckets: Vec<String> =
+                    hs.buckets[..last].iter().map(|c| c.to_string()).collect();
+                format!(
+                    "\"{}\":{{\"buckets\":[{}],\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
+                    h.name(),
+                    buckets.join(","),
+                    hs.count(),
+                    hs.p50(),
+                    hs.p99(),
+                    hs.max_bound()
+                )
+            })
+            .collect();
+        let events: &[Event] = if full { &self.events } else { &[] };
+        let events: Vec<String> = events
+            .iter()
+            .map(|e| {
+                format!(
+                    "{{\"seq\":{},\"t_nanos\":{},\"kind\":\"{}\",\"a\":{},\"b\":{},\"c\":{}}}",
+                    e.seq,
+                    e.t_nanos,
+                    e.kind.name(),
+                    e.a,
+                    e.b,
+                    e.c
+                )
+            })
+            .collect();
+        format!(
+            "{{\"counters\":{{{}}},\"hists\":{{{}}},\"clock_offset_nanos\":{},\
+             \"events_through\":{},\"events\":[{}]}}",
+            counters.join(","),
+            hists.join(","),
+            self.clock_offset_nanos,
+            self.events_through,
+            events.join(",")
+        )
+    }
+
+    /// Read back either JSON form. Absent counters and histograms are
+    /// zero; a name this build does not know is an error, so a writer and
+    /// a reader that disagree are found out. Numbers pass through `f64`:
+    /// exact below 2^53, which covers every count and nanosecond stamp.
+    pub fn from_json(v: &export::json::Value) -> Result<MetricsSnapshot, String> {
+        use export::json::Value;
+        let members = |key: &str| match v.get(key) {
+            Some(Value::Obj(m)) => Ok(m),
+            _ => Err(format!("metrics: no {key:?} object")),
+        };
+        let mut out = Self::empty();
+        for (name, x) in members("counters")? {
+            let m = Metric::from_name(name);
+            let m = m.ok_or_else(|| format!("metrics: unknown counter {name:?}"))?;
+            out.counters[m as usize] = x.as_u64().ok_or_else(|| format!("bad {name:?}"))?;
         }
-        s.push_str("},\"hists\":{");
-        for (i, h) in Hist::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        for (name, x) in members("hists")? {
+            let h = Hist::from_name(name);
+            let h = h.ok_or_else(|| format!("metrics: unknown histogram {name:?}"))?;
+            let buckets = x.get("buckets").and_then(Value::as_array);
+            let buckets = buckets.ok_or_else(|| format!("{name:?}: no buckets"))?;
+            let row = &mut out.hists[h as usize * HIST_BUCKETS..][..HIST_BUCKETS];
+            for (slot, b) in row.iter_mut().zip(buckets) {
+                *slot = b.as_u64().ok_or_else(|| format!("{name:?}: bad bucket"))?;
             }
-            let hs = self.hist(*h);
-            let last = hs.buckets.iter().rposition(|&c| c > 0).map_or(0, |k| k + 1);
-            let buckets: Vec<String> = hs.buckets[..last].iter().map(|c| c.to_string()).collect();
-            s.push_str(&format!(
-                "\"{}\":{{\"buckets\":[{}],\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.name(),
-                buckets.join(","),
-                hs.count(),
-                hs.p50(),
-                hs.p99(),
-                hs.max_bound()
-            ));
         }
-        s.push_str(&format!(
-            "}},\"clock_offset_nanos\":{},\"events\":[",
-            self.clock_offset_nanos
-        ));
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"seq\":{},\"t_nanos\":{},\"kind\":\"{}\",\"a\":{},\"b\":{},\"c\":{}}}",
-                e.seq,
-                e.t_nanos,
-                e.kind.name(),
-                e.a,
-                e.b,
-                e.c
-            ));
+        let offset = v.get("clock_offset_nanos").and_then(Value::as_i64);
+        out.clock_offset_nanos = offset.ok_or("metrics: no clock_offset_nanos")?;
+        out.events_through = v.u64_at("events_through")?;
+        let events = v.get("events").and_then(Value::as_array);
+        for e in events.ok_or("metrics: no events array")? {
+            let kind = e.get("kind").and_then(Value::as_str).unwrap_or("");
+            out.events.push(Event {
+                seq: e.u64_at("seq")?,
+                t_nanos: e.u64_at("t_nanos")?,
+                kind: EventKind::from_name(kind)
+                    .ok_or_else(|| format!("metrics: unknown event kind {kind:?}"))?,
+                a: e.u64_at("a")?,
+                b: e.u64_at("b")?,
+                c: e.u64_at("c")?,
+            });
         }
-        s.push_str("]}");
-        s
+        Ok(out)
     }
 }
 
@@ -1320,6 +1376,166 @@ mod tests {
         }
         // After the dust settles the ring holds the stream's last slots.
         assert_eq!(r.snapshot().events().len(), r.event_capacity());
+    }
+
+    const SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    /// An event whose words all follow from `a`: a mix of two writes shows.
+    fn stamped(r: &MetricsRegistry, a: u64) {
+        r.event_at(a, EventKind::MsgSend, a, !a, a ^ SALT);
+    }
+
+    fn assert_untorn(e: &Event) {
+        assert_eq!(e.kind, EventKind::MsgSend);
+        assert_eq!(
+            (e.t_nanos, e.b, e.c),
+            (e.a, !e.a, e.a ^ SALT),
+            "torn: {e:?}"
+        );
+    }
+
+    /// Once every writer is done: every slot holds one untorn event, no
+    /// sequence number twice, and every event written is either held or
+    /// counted as dropped — overwritten by the wrap, or abandoned at a
+    /// claimed slot.
+    fn assert_ring_accounts_for_every_event(r: &MetricsRegistry, written: u64) {
+        let s = r.snapshot();
+        s.events().iter().for_each(assert_untorn);
+        assert!(s.events().windows(2).all(|w| w[0].seq < w[1].seq));
+        let held = s.events().len() as u64;
+        assert_eq!(held, written.min(r.event_capacity() as u64));
+        assert_eq!(s.get(Metric::TraceEventsDropped) + held, written);
+    }
+
+    /// Where the second thread gets its turn among the first one's steps:
+    /// run to completion there, or start there and race what follows.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Cut {
+        Gate,
+        Race,
+    }
+
+    fn turn_at(turn: &motor_pal::interleave::Turn, cut: Cut) {
+        match cut {
+            Cut::Gate => turn.gate(),
+            Cut::Race => turn.release(),
+        }
+    }
+
+    /// A writer cut into its four steps — take a sequence number, claim
+    /// the slot, write the payload, publish — against a second thread that
+    /// wraps the ring onto the same slot and then reads it, placed before
+    /// each step. At steps 1 to 3 the first writer lags a whole wrap: the
+    /// shape in which a claim that merely invalidated the slot would let
+    /// both writers store into it.
+    #[test]
+    fn a_lagging_writer_a_wrapping_writer_and_a_reader_in_every_order() {
+        use motor_pal::interleave::two_threads;
+        const CAP: u64 = 2;
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for (at, cut) in (0..=4)
+            .flat_map(|at| [(at, Cut::Gate), (at, Cut::Race)])
+            .cycle()
+            .take(10 * rounds)
+        {
+            let r = MetricsRegistry::with_event_capacity(CAP as usize);
+            let ((claimed, lagging_seq), seen) = two_threads(
+                |turn| {
+                    let mut step = 0..;
+                    let mut here = || {
+                        if step.next() == Some(at) {
+                            turn_at(turn, cut);
+                        }
+                    };
+                    here();
+                    let (seq, slot) = r.next_slot();
+                    here();
+                    let claimed = slot.claim();
+                    here();
+                    if claimed {
+                        let a = 1000 + seq;
+                        slot.fill([a, EventKind::MsgSend as u64, a, !a, a ^ SALT]);
+                        here();
+                        slot.publish(seq);
+                    }
+                    here();
+                    (claimed, seq)
+                },
+                || {
+                    (0..CAP).for_each(|a| stamped(&r, a));
+                    r.snapshot()
+                },
+            );
+            assert_ring_accounts_for_every_event(&r, CAP + 1);
+            // A sequence number is published over its own writer's payload.
+            for e in seen.events().iter().chain(r.snapshot().events()) {
+                assert_untorn(e);
+                assert_eq!(e.seq == lagging_seq, e.a >= 1000, "{e:?}");
+            }
+            if cut == Cut::Gate {
+                // Forced orders have one outcome. Turn before the claim:
+                // the first writer's slot was free again when it got
+                // there, and once it lags its event replaces the younger
+                // one. Turn between claim and publish: the wrapping writer
+                // was turned away from that slot and the reader skipped it.
+                assert!(claimed);
+                let mid_write = (2..=3).contains(&at);
+                assert_eq!(seen.events().len() as u64, CAP - u64::from(mid_write));
+                let kept_lagging = r.snapshot().events().iter().any(|e| e.seq == 1);
+                assert_eq!(kept_lagging, (1..=3).contains(&at), "turn at step {at}");
+            }
+        }
+    }
+
+    /// A reader cut into its three steps — see a published sequence, load
+    /// the payload, re-check — against a writer that overwrites the slot,
+    /// placed before each step. What the reader accepts is one writer's
+    /// event; an overwrite between the first and the last step is refused.
+    #[test]
+    fn a_reader_never_accepts_a_slot_overwritten_under_it() {
+        use motor_pal::interleave::two_threads;
+        const CAP: u64 = 2;
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for (at, cut) in (0..=3)
+            .flat_map(|at| [(at, Cut::Gate), (at, Cut::Race)])
+            .cycle()
+            .take(8 * rounds)
+        {
+            let r = MetricsRegistry::with_event_capacity(CAP as usize);
+            (0..CAP).for_each(|a| stamped(&r, a));
+            let (accepted, ()) = two_threads(
+                |turn| {
+                    let mut step = 0..;
+                    let mut here = || {
+                        if step.next() == Some(at) {
+                            turn_at(turn, cut);
+                        }
+                    };
+                    let slot = &r.slots[0];
+                    here();
+                    let seq = slot.published().expect("the ring is full");
+                    here();
+                    let [t_nanos, _, a, b, c] = slot.payload();
+                    here();
+                    let accepted = slot.still(seq);
+                    here();
+                    accepted.then_some((seq, [t_nanos, a, b, c]))
+                },
+                || (0..CAP).for_each(|a| stamped(&r, 500 + a)),
+            );
+            if let Some((seq, [t_nanos, a, b, c])) = accepted {
+                assert_eq!((t_nanos, b, c), (a, !a, a ^ SALT), "torn");
+                assert_eq!(
+                    a,
+                    if seq == 1 { 0 } else { 500 },
+                    "payload of another write"
+                );
+            }
+            if cut == Cut::Gate {
+                assert_eq!(accepted.is_some(), at == 0 || at == 3, "turn at step {at}");
+            }
+            assert_ring_accounts_for_every_event(&r, 2 * CAP);
+        }
     }
 
     #[test]

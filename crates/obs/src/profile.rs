@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of [`TimeBucket`]s.
-pub const N_BUCKETS: usize = 5;
+pub const N_BUCKETS: usize = TimeBucket::COUNT;
 
 /// Maximum phase-nesting depth tracked exactly; deeper nesting keeps
 /// billing the bucket at the cap (and still pops correctly).
@@ -49,43 +49,21 @@ const MAX_PHASE_DEPTH: usize = 32;
 /// Maximum IL shadow-stack depth captured for flamegraph samples.
 pub const MAX_IL_STACK: usize = 64;
 
-/// Where a slice of a rank's wall clock went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum TimeBucket {
-    /// Application code between message-passing / runtime phases (the
-    /// default: whatever is not claimed by another bucket).
-    Compute = 0,
-    /// Blocking communication: point-to-point ops, waits, probes,
-    /// collectives, rendezvous handshakes.
-    CommWait = 1,
-    /// Explicit non-blocking progress (`test`/`iprobe` polling).
-    Progress = 2,
-    /// Garbage collection pauses and safepoint stalls.
-    Gc = 3,
-    /// Object-graph (de)serialization passes.
-    Serialize = 4,
-}
-
-impl TimeBucket {
-    /// Every bucket, in index order.
-    pub const ALL: [TimeBucket; N_BUCKETS] = [
-        TimeBucket::Compute,
-        TimeBucket::CommWait,
-        TimeBucket::Progress,
-        TimeBucket::Gc,
-        TimeBucket::Serialize,
-    ];
-
-    /// Stable export name (Prometheus label / JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            TimeBucket::Compute => "compute",
-            TimeBucket::CommWait => "comm_wait",
-            TimeBucket::Progress => "progress",
-            TimeBucket::Gc => "gc",
-            TimeBucket::Serialize => "serialize",
-        }
+named_enum! {
+    /// Where a slice of a rank's wall clock went.
+    enum TimeBucket: usize {
+        /// Application code between message-passing / runtime phases (the
+        /// default: whatever is not claimed by another bucket).
+        Compute => "compute",
+        /// Blocking communication: point-to-point ops, waits, probes,
+        /// collectives, rendezvous handshakes.
+        CommWait => "comm_wait",
+        /// Explicit non-blocking progress (`test`/`iprobe` polling).
+        Progress => "progress",
+        /// Garbage collection pauses and safepoint stalls.
+        Gc => "gc",
+        /// Object-graph (de)serialization passes.
+        Serialize => "serialize",
     }
 }
 

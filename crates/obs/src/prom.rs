@@ -13,43 +13,18 @@
 
 use crate::{profile::TimeBucket, Hist, Metric, MetricsSnapshot, HIST_BUCKETS};
 
-fn label_block(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
+/// `{k="v",...}` for `labels` followed by `extra` (empty when there are
+/// none).
+fn label_block(labels: &[(&str, &str)], extra: Option<(&str, &str)>) -> String {
     let parts: Vec<String> = labels
         .iter()
+        .chain(&extra)
         .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
         .collect();
-    format!("{{{}}}", parts.join(","))
-}
-
-fn label_block_with_le(labels: &[(&str, &str)], le: &str) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    parts.push(format!("le=\"{le}\""));
-    format!("{{{}}}", parts.join(","))
-}
-
-/// Upper bound of log2 bucket `k` (bucket 0 holds exactly 0, bucket k
-/// covers `(2^(k-1), 2^k]`).
-fn bucket_upper(k: usize) -> u64 {
-    if k == 0 {
-        0
+    if parts.is_empty() {
+        String::new()
     } else {
-        1u64 << k
-    }
-}
-
-/// Midpoint of bucket `k`, for the `_sum` estimate.
-fn bucket_mid(k: usize) -> f64 {
-    if k == 0 {
-        0.0
-    } else {
-        let hi = (1u64 << k) as f64;
-        (hi / 2.0 + hi) / 2.0
+        format!("{{{}}}", parts.join(","))
     }
 }
 
@@ -90,7 +65,7 @@ pub fn to_prometheus_multi(snaps: &[(&MetricsSnapshot, &[(&str, &str)])]) -> Str
         for (snap, labels) in snaps {
             out.push_str(&format!(
                 "{family}{} {}\n",
-                label_block(labels),
+                label_block(labels, None),
                 snap.get(m)
             ));
         }
@@ -108,11 +83,9 @@ pub fn to_prometheus_multi(snaps: &[(&MetricsSnapshot, &[(&str, &str)])]) -> Str
             } else {
                 nanos as f64 / wall as f64
             };
-            let mut labels = labels.to_vec();
-            labels.push(("bucket", bucket.name()));
             out.push_str(&format!(
                 "motor_profile_bucket_fraction{} {frac}\n",
-                label_block(&labels)
+                label_block(labels, Some(("bucket", bucket.name())))
             ));
         }
     }
@@ -120,7 +93,7 @@ pub fn to_prometheus_multi(snaps: &[(&MetricsSnapshot, &[(&str, &str)])]) -> Str
     for (snap, labels) in snaps {
         out.push_str(&format!(
             "motor_profile_overlap_ratio{} {}\n",
-            label_block(labels),
+            label_block(labels, None),
             snap.overlap_ratio().unwrap_or(0.0)
         ));
     }
@@ -128,25 +101,25 @@ pub fn to_prometheus_multi(snaps: &[(&MetricsSnapshot, &[(&str, &str)])]) -> Str
         let family = format!("motor_{}", h.name());
         out.push_str(&format!("# TYPE {family} histogram\n"));
         for (snap, labels) in snaps {
-            let lb = label_block(labels);
+            let lb = label_block(labels, None);
             let hs = snap.hist(h);
             let total = hs.count();
             let last = hs.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
             let mut cumulative = 0u64;
-            let mut sum = 0.0f64;
             for k in 0..=last.min(HIST_BUCKETS - 1) {
                 cumulative += hs.buckets[k];
-                sum += hs.buckets[k] as f64 * bucket_mid(k);
+                // Bucket 0 holds exactly 0, bucket k covers (2^(k-1), 2^k].
+                let le = if k == 0 { 0 } else { 1u64 << k };
                 out.push_str(&format!(
                     "{family}_bucket{} {cumulative}\n",
-                    label_block_with_le(labels, &bucket_upper(k).to_string())
+                    label_block(labels, Some(("le", &le.to_string())))
                 ));
             }
             out.push_str(&format!(
                 "{family}_bucket{} {total}\n",
-                label_block_with_le(labels, "+Inf")
+                label_block(labels, Some(("le", "+Inf")))
             ));
-            out.push_str(&format!("{family}_sum{lb} {sum}\n"));
+            out.push_str(&format!("{family}_sum{lb} {}\n", hs.estimated_sum()));
             out.push_str(&format!("{family}_count{lb} {total}\n"));
         }
     }

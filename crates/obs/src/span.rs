@@ -117,42 +117,10 @@ pub(crate) fn close_edge() -> Instant {
     read_clock()
 }
 
-macro_rules! define_span_kinds {
-    ($( $(#[$doc:meta])* $variant:ident => $name:literal ),+ $(,)?) => {
-        /// What a span covers. The discriminant travels as the `b` word of
-        /// the begin/end events.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[repr(u64)]
-        pub enum SpanKind {
-            $( $(#[$doc])* $variant ),+
-        }
-
-        impl SpanKind {
-            /// Every kind, in declaration order.
-            pub const ALL: [SpanKind; [$(SpanKind::$variant),+].len()] =
-                [$(SpanKind::$variant),+];
-
-            /// Stable export name (Perfetto slice name).
-            pub fn name(self) -> &'static str {
-                match self {
-                    $( SpanKind::$variant => $name ),+
-                }
-            }
-
-            /// Inverse of `as u64` (unknown values map to `None`).
-            pub fn from_u64(v: u64) -> Option<SpanKind> {
-                SpanKind::ALL.get(v as usize).copied()
-            }
-
-            /// Inverse of [`SpanKind::name`].
-            pub fn from_name(name: &str) -> Option<SpanKind> {
-                SpanKind::ALL.iter().copied().find(|k| k.name() == name)
-            }
-        }
-    };
-}
-
-define_span_kinds! {
+named_enum! {
+    /// What a span covers. The discriminant travels as the `b` word of
+    /// the begin/end events.
+    enum SpanKind: u64 {
     // ---- System.MP point-to-point ----
     /// Blocking standard-mode send.
     MpSend => "mp_send",
@@ -218,6 +186,7 @@ define_span_kinds! {
     /// Pin lifetime. Not lexical: derived by [`crate::trace`] from
     /// `PinAcquire`/`PinRelease`.
     PinHeld => "pin_held",
+    }
 }
 
 impl SpanKind {

@@ -1,40 +1,40 @@
-//! The live telemetry plane's data model: timestamped **delta frames**
-//! over a bounded ring.
+//! The telemetry plane's data model: one **record** per rank, and the
+//! timestamped **delta frames** made of them.
 //!
-//! Post-mortem snapshots answer "what happened"; a live dashboard needs
-//! *rates* and *sliding-window* statistics — msg/s right now, the GC
-//! stall p99 over the last collection window, how the current second's
-//! wall clock split across time buckets. A [`TelemetryFrame`] is one
-//! collection tick: per rank, the [`MetricsSnapshot::diff`] against the
-//! previous tick (so every counter in it is a windowed delta), the live
-//! in-flight op table, queue depths, heap occupancy and the window's
-//! safepoint-stall percentiles. Frames go into a [`FrameRing`] that keeps
-//! the most recent `capacity` ticks, so a late-attaching client
-//! (`motor-top`, the `/frames` endpoint) can reconstruct a time series
-//! without having polled from the start.
+//! A [`RankRecord`] is one rank observed once: who it is, the clock, what
+//! it has in flight, its queue depths, the gauges that have no delta, and
+//! one [`MetricsSnapshot`]. Every other per-rank shape is a function of
+//! it: [`RankRecord::since`] is the windowing (a frame holds `since` of the
+//! previous tick, so every counter in it is a windowed delta and a rate is
+//! [`RankRecord::per_sec`]), [`classify`](crate::classify) reads a frame's
+//! records, a [`FlightRecord`](crate::FlightRecord) holds records whose
+//! snapshots carry the event rings, and [`RankRecord::to_json`] /
+//! [`RankRecord::from_json`] are the one writer and the one reader behind
+//! `/frames`, `/flight`, the flight-record file, the simulator's failure
+//! dump and `motor-top`.
 //!
-//! The collection loop that *produces* frames lives in `motor-core`
-//! (`telemetry::Collector`) next to the rank hooks; this module is the
-//! transport-free half — frame structure, ring, JSON wire format, and the
-//! Prometheus rate/window gauges derived from the newest frame — so the
-//! `motor-top` client and the tests share one schema with the server.
+//! Frames go into a [`FrameRing`] that keeps the most recent `capacity`
+//! ticks, so a late-attaching client can reconstruct a time series without
+//! having polled from the start. The loop that observes ranks lives in
+//! `motor-core` (`telemetry::Collector`) next to the rank hooks; this
+//! module is the transport-free half.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::doctor::{inflight_json, InflightOp};
+use crate::doctor::{esc, InflightOp};
+use crate::export::json::{self, Value};
+use crate::span::{span_arg_peer_tag, SpanKind};
 use crate::{Hist, Metric, MetricsSnapshot};
 
 /// Default number of frames a [`FrameRing`] retains.
 pub const DEFAULT_FRAME_CAPACITY: usize = 240;
 
-/// One rank's contribution to a [`TelemetryFrame`]: windowed deltas plus
-/// the live state that has no meaningful delta (in-flight ops, queues,
-/// heap occupancy).
-#[derive(Debug, Clone)]
-pub struct RankDelta {
-    /// Spawn group (0 for the initial world).
+/// One rank, observed once.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankRecord {
+    /// Spawn group (0 for the initial world). Peer ranks in op arguments
+    /// mean something within a group only.
     pub group: usize,
     /// Rank within its group.
     pub rank: usize,
@@ -42,85 +42,231 @@ pub struct RankDelta {
     pub label: String,
     /// Whether the rank's body has returned.
     pub done: bool,
+    /// Registry clock at the observation (nanoseconds since the shared
+    /// epoch).
+    pub now_nanos: u64,
+    /// Nanoseconds `snapshot` covers: 0 for an observation, whose
+    /// snapshot is cumulative; the distance to the earlier record for a
+    /// [`since`](Self::since).
+    pub window_nanos: u64,
+    /// Registry clock of the rank's last observable progress (0 if none
+    /// yet).
+    pub last_progress_nanos: u64,
+    /// In-flight ops of the rank's transport- and VM-side tables.
+    pub inflight: Vec<InflightOp>,
     /// Device queue depths `(posted, unexpected, pending_sends,
-    /// active_recvs)` at tick time.
+    /// active_recvs)`.
     pub queue_depths: (usize, usize, usize, usize),
+    /// Hard pins currently held.
+    pub hard_pins: usize,
+    /// Conditional pin requests currently registered.
+    pub cond_pins: usize,
+    /// Age of the oldest hard pin in nanoseconds (0 when none).
+    pub oldest_pin_nanos: u64,
     /// Live heap bytes in use (young + elder), 0 if unavailable.
     pub heap_used_bytes: u64,
     /// Live heap capacity in bytes, 0 if unavailable.
     pub heap_capacity_bytes: u64,
-    /// p50 of safepoint stalls recorded *within this window* (nanos).
-    pub gc_stall_p50_nanos: u64,
-    /// p99 of safepoint stalls recorded within this window (nanos).
-    pub gc_stall_p99_nanos: u64,
-    /// Counter/histogram deltas over the window
-    /// ([`MetricsSnapshot::diff`] against the previous tick; events
-    /// stripped — the flight record carries full rings).
-    pub delta: MetricsSnapshot,
-    /// The rank's in-flight op table at tick time.
-    pub inflight: Vec<InflightOp>,
+    /// The rank's metrics (transport + VM registries merged): cumulative
+    /// in an observation, windowed in a [`since`](Self::since).
+    pub snapshot: MetricsSnapshot,
 }
 
-impl RankDelta {
-    /// Messages sent in the window (all four send paths).
+impl RankRecord {
+    /// What happened between `prev` and `self`: the snapshot is
+    /// [`MetricsSnapshot::diff`], the window is the distance between the
+    /// two clocks; identity, in-flight table and gauges are `self`'s.
+    pub fn since(&self, prev: &RankRecord) -> RankRecord {
+        RankRecord {
+            window_nanos: self.now_nanos.saturating_sub(prev.now_nanos),
+            snapshot: self.snapshot.diff(&prev.snapshot),
+            label: self.label.clone(),
+            inflight: self.inflight.clone(),
+            ..*self
+        }
+    }
+
+    /// Messages sent (all four send paths).
     pub fn msgs_out(&self) -> u64 {
-        self.delta.get(Metric::SendsEager)
-            + self.delta.get(Metric::SendsRndv)
-            + self.delta.get(Metric::SendsSync)
-            + self.delta.get(Metric::SendsSelf)
+        let s = &self.snapshot;
+        s.get(Metric::SendsEager)
+            + s.get(Metric::SendsRndv)
+            + s.get(Metric::SendsSync)
+            + s.get(Metric::SendsSelf)
     }
 
-    /// Messages received (matched) in the window.
+    /// Messages received (matched).
     pub fn msgs_in(&self) -> u64 {
-        self.delta.get(Metric::RecvsPosted) + self.delta.get(Metric::RecvsUnexpected)
+        self.snapshot.get(Metric::RecvsPosted) + self.snapshot.get(Metric::RecvsUnexpected)
     }
 
-    /// Comm/compute overlap ratio over the window (`None` when nothing
-    /// was in flight during it).
-    pub fn window_overlap_ratio(&self) -> Option<f64> {
-        self.delta.overlap_ratio()
+    /// Per-second rate of a count over this record's window (0 when the
+    /// window is empty).
+    pub fn per_sec(&self, count: u64) -> f64 {
+        if self.window_nanos == 0 {
+            0.0
+        } else {
+            count as f64 * 1e9 / self.window_nanos as f64
+        }
     }
-}
 
-/// Per-second rate of a windowed count (0 when the window is empty).
-pub fn per_sec(count: u64, window_nanos: u64) -> f64 {
-    if window_nanos == 0 {
-        0.0
-    } else {
-        count as f64 * 1e9 / window_nanos as f64
+    /// Safepoint stalls recorded in this record's window.
+    pub fn gc_stalls(&self) -> crate::HistSnapshot {
+        self.snapshot.hist(Hist::SafepointStallNanos)
+    }
+
+    /// The record as one JSON object. `full` is the flight form: every
+    /// counter, every histogram, the event ring. Otherwise the frame form,
+    /// which leaves out zero counters, empty histograms and events (see
+    /// [`MetricsSnapshot::to_json_sparse`]) to keep a ring of frames small.
+    /// Both forms have the same keys.
+    pub fn to_json(&self, full: bool) -> String {
+        let (p, u, s, a) = self.queue_depths;
+        let inflight: Vec<String> = self
+            .inflight
+            .iter()
+            .map(|op| {
+                let (peer, tag) = op.peer_tag();
+                format!(
+                    "{{\"token\":{},\"kind\":\"{}\",\"arg\":{},\"peer\":{peer},\"tag\":{tag},\
+                     \"since_nanos\":{},\"beat_nanos\":{},\"beats\":{}}}",
+                    op.token,
+                    op.kind.name(),
+                    op.arg,
+                    op.since_nanos,
+                    op.beat_nanos,
+                    op.beats
+                )
+            })
+            .collect();
+        format!(
+            "{{\"group\":{},\"rank\":{},\"label\":\"{}\",\"done\":{},\
+             \"now_nanos\":{},\"window_nanos\":{},\"last_progress_nanos\":{},\
+             \"queues\":{{\"posted\":{p},\"unexpected\":{u},\
+             \"pending_sends\":{s},\"active_recvs\":{a}}},\
+             \"hard_pins\":{},\"cond_pins\":{},\"oldest_pin_nanos\":{},\
+             \"heap_used_bytes\":{},\"heap_capacity_bytes\":{},\
+             \"inflight\":[{}],\"metrics\":{}}}",
+            self.group,
+            self.rank,
+            esc(&self.label),
+            self.done,
+            self.now_nanos,
+            self.window_nanos,
+            self.last_progress_nanos,
+            self.hard_pins,
+            self.cond_pins,
+            self.oldest_pin_nanos,
+            self.heap_used_bytes,
+            self.heap_capacity_bytes,
+            inflight.join(","),
+            if full {
+                self.snapshot.to_json()
+            } else {
+                self.snapshot.to_json_sparse()
+            }
+        )
+    }
+
+    /// Read back what [`to_json`](Self::to_json) wrote, in either form. A
+    /// missing key is an error. An op's `arg` is rebuilt from its `peer`
+    /// and `tag`, which are exact where the packed word exceeds what a
+    /// JSON number holds.
+    pub fn from_json(v: &Value) -> Result<RankRecord, String> {
+        let size = |v: &Value, key: &str| v.u64_at(key).map(|n| n as usize);
+        let queues = v.get("queues").ok_or("rank record: no queues")?;
+        let ops = v.get("inflight").and_then(Value::as_array);
+        let inflight = ops
+            .ok_or("rank record: no inflight array")?
+            .iter()
+            .map(|op| {
+                let kind = op.get("kind").and_then(Value::as_str).unwrap_or("");
+                let tag = op.get("tag").and_then(Value::as_i64).ok_or("op: no tag")?;
+                Ok(InflightOp {
+                    token: op.u64_at("token")?,
+                    kind: SpanKind::from_name(kind)
+                        .ok_or_else(|| format!("unknown op kind {kind:?}"))?,
+                    arg: span_arg_peer_tag(size(op, "peer")?, tag as i32),
+                    since_nanos: op.u64_at("since_nanos")?,
+                    beat_nanos: op.u64_at("beat_nanos")?,
+                    beats: op.u64_at("beats")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(RankRecord {
+            group: size(v, "group")?,
+            rank: size(v, "rank")?,
+            label: v
+                .get("label")
+                .and_then(Value::as_str)
+                .ok_or("rank record: no label")?
+                .to_string(),
+            done: match v.get("done") {
+                Some(Value::Bool(done)) => *done,
+                _ => return Err("rank record: no done".into()),
+            },
+            now_nanos: v.u64_at("now_nanos")?,
+            window_nanos: v.u64_at("window_nanos")?,
+            last_progress_nanos: v.u64_at("last_progress_nanos")?,
+            inflight,
+            queue_depths: (
+                size(queues, "posted")?,
+                size(queues, "unexpected")?,
+                size(queues, "pending_sends")?,
+                size(queues, "active_recvs")?,
+            ),
+            hard_pins: size(v, "hard_pins")?,
+            cond_pins: size(v, "cond_pins")?,
+            oldest_pin_nanos: v.u64_at("oldest_pin_nanos")?,
+            heap_used_bytes: v.u64_at("heap_used_bytes")?,
+            heap_capacity_bytes: v.u64_at("heap_capacity_bytes")?,
+            snapshot: MetricsSnapshot::from_json(
+                v.get("metrics").ok_or("rank record: no metrics")?,
+            )?,
+        })
+    }
+
+    /// The records under a document's `"ranks"` key (a frame, a flight
+    /// record).
+    pub fn all_from_json(doc: &Value) -> Result<Vec<RankRecord>, String> {
+        let ranks = doc.get("ranks").and_then(Value::as_array);
+        ranks
+            .ok_or("no ranks array")?
+            .iter()
+            .map(RankRecord::from_json)
+            .collect()
     }
 }
 
 /// One collection tick across every registered rank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryFrame {
     /// Monotonic frame number (1-based within one ring).
     pub seq: u64,
     /// Shared-epoch clock at the tick (nanoseconds).
     pub t_nanos: u64,
-    /// Nanoseconds since the previous tick (0 on the first frame, whose
-    /// deltas cover the whole run so far).
-    pub window_nanos: u64,
-    /// Per-rank deltas, in (group, rank) order.
-    pub ranks: Vec<RankDelta>,
+    /// Per rank, in (group, rank) order: the tick's observation
+    /// [`since`](RankRecord::since) the previous tick's. On a rank's first
+    /// tick the record is the observation itself: window 0, counters
+    /// covering the run so far.
+    pub ranks: Vec<RankRecord>,
 }
 
 /// Bounded ring of the most recent frames. Push-side is the collection
-/// loop; readers (`/frames`, `/metrics` rate gauges, the doctor) take
+/// loop; readers (`/frames`, `/metrics` rate gauges, `/healthz`) take
 /// cheap `Arc` copies.
 pub struct FrameRing {
-    frames: Mutex<VecDeque<Arc<TelemetryFrame>>>,
+    /// The retained frames, oldest first, and how many were ever pushed.
+    frames: Mutex<(VecDeque<Arc<TelemetryFrame>>, u64)>,
     capacity: usize,
-    next_seq: AtomicU64,
 }
 
 impl FrameRing {
     /// Ring retaining the most recent `capacity` frames (min 1).
     pub fn new(capacity: usize) -> FrameRing {
         FrameRing {
-            frames: Mutex::new(VecDeque::new()),
+            frames: Mutex::default(),
             capacity: capacity.max(1),
-            next_seq: AtomicU64::new(0),
         }
     }
 
@@ -129,15 +275,17 @@ impl FrameRing {
         self.capacity
     }
 
-    /// Sequence number for the next frame (1-based).
-    pub fn alloc_seq(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Append a frame, evicting the oldest past capacity.
-    pub fn push(&self, frame: TelemetryFrame) -> Arc<TelemetryFrame> {
-        let frame = Arc::new(frame);
-        let mut q = self.frames.lock().unwrap();
+    /// Append the frame of a tick at `t_nanos` under the next sequence
+    /// number (1-based), evicting the oldest past capacity.
+    pub fn push(&self, t_nanos: u64, ranks: Vec<RankRecord>) -> Arc<TelemetryFrame> {
+        let mut guard = self.frames.lock().unwrap();
+        let (q, seen) = &mut *guard;
+        *seen += 1;
+        let frame = Arc::new(TelemetryFrame {
+            seq: *seen,
+            t_nanos,
+            ranks,
+        });
         if q.len() == self.capacity {
             q.pop_front();
         }
@@ -147,87 +295,59 @@ impl FrameRing {
 
     /// Every retained frame, oldest first.
     pub fn frames(&self) -> Vec<Arc<TelemetryFrame>> {
-        self.frames.lock().unwrap().iter().cloned().collect()
+        self.frames.lock().unwrap().0.iter().cloned().collect()
     }
 
     /// The newest frame, if any tick has happened.
     pub fn latest(&self) -> Option<Arc<TelemetryFrame>> {
-        self.frames.lock().unwrap().back().cloned()
+        self.frames.lock().unwrap().0.back().cloned()
     }
 
     /// Total frames ever pushed (not capped by capacity).
     pub fn frames_seen(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+        self.frames.lock().unwrap().1
     }
 }
 
-/// One frame as a JSON object. Counters serialize sparsely (only
-/// non-zero deltas) to keep a full ring's `/frames` response small;
-/// histogram detail is pre-reduced to the stall percentiles.
-pub fn frame_to_json(f: &TelemetryFrame) -> String {
-    let ranks: Vec<String> = f
-        .ranks
+/// The whole ring as one JSON document (the `/frames` endpoint body),
+/// records in the frame form.
+pub fn frames_to_json(frames: &[Arc<TelemetryFrame>], capacity: usize) -> String {
+    let items: Vec<String> = frames
         .iter()
-        .map(|r| {
-            let counters: Vec<String> = Metric::ALL
-                .iter()
-                .filter(|m| r.delta.get(**m) > 0)
-                .map(|m| format!("\"{}\":{}", m.name(), r.delta.get(*m)))
-                .collect();
-            let (p, u, s, a) = r.queue_depths;
+        .map(|f| {
+            let ranks: Vec<String> = f.ranks.iter().map(|r| r.to_json(false)).collect();
             format!(
-                "{{\"group\":{},\"rank\":{},\"label\":\"{}\",\"done\":{},\
-                 \"queues\":{{\"posted\":{p},\"unexpected\":{u},\
-                 \"pending_sends\":{s},\"active_recvs\":{a}}},\
-                 \"heap_used_bytes\":{},\"heap_capacity_bytes\":{},\
-                 \"gc_stall_p50_nanos\":{},\"gc_stall_p99_nanos\":{},\
-                 \"counters\":{{{}}},\"inflight\":{}}}",
-                r.group,
-                r.rank,
-                crate::doctor::esc(&r.label),
-                r.done,
-                r.heap_used_bytes,
-                r.heap_capacity_bytes,
-                r.gc_stall_p50_nanos,
-                r.gc_stall_p99_nanos,
-                counters.join(","),
-                inflight_json(&r.inflight),
+                "{{\"seq\":{},\"t_nanos\":{},\"ranks\":[{}]}}",
+                f.seq,
+                f.t_nanos,
+                ranks.join(",")
             )
         })
         .collect();
-    format!(
-        "{{\"seq\":{},\"t_nanos\":{},\"window_nanos\":{},\"ranks\":[{}]}}",
-        f.seq,
-        f.t_nanos,
-        f.window_nanos,
-        ranks.join(",")
-    )
-}
-
-/// The whole ring as one JSON document (the `/frames` endpoint body).
-pub fn frames_to_json(frames: &[Arc<TelemetryFrame>], capacity: usize) -> String {
-    let items: Vec<String> = frames.iter().map(|f| frame_to_json(f)).collect();
     format!(
         "{{\"motor_frames\":1,\"capacity\":{capacity},\"frames\":[{}]}}",
         items.join(",")
     )
 }
 
-fn gauge_family(
-    out: &mut String,
-    family: &str,
-    f: &TelemetryFrame,
-    value: impl Fn(&RankDelta) -> f64,
-) {
-    out.push_str(&format!("# TYPE {family} gauge\n"));
-    for r in &f.ranks {
-        out.push_str(&format!(
-            "{family}{{group=\"{}\",rank=\"{}\"}} {}\n",
-            r.group,
-            r.rank,
-            value(r)
-        ));
+/// Read back a [`frames_to_json`] document, oldest frame first.
+pub fn frames_from_json(text: &str) -> Result<Vec<TelemetryFrame>, String> {
+    let doc = json::parse(text)?;
+    if doc.get("motor_frames").and_then(Value::as_u64) != Some(1) {
+        return Err("not a motor /frames document".to_string());
     }
+    let frames = doc.get("frames").and_then(Value::as_array);
+    frames
+        .ok_or("no frames array")?
+        .iter()
+        .map(|f| {
+            Ok(TelemetryFrame {
+                seq: f.u64_at("seq")?,
+                t_nanos: f.u64_at("t_nanos")?,
+                ranks: RankRecord::all_from_json(f)?,
+            })
+        })
+        .collect()
 }
 
 /// Rate and sliding-window gauges derived from the newest frame,
@@ -235,75 +355,111 @@ fn gauge_family(
 /// the cumulative families). Everything here is a gauge: rates go up and
 /// down, window percentiles reset every tick.
 pub fn frame_prometheus(f: &TelemetryFrame) -> String {
-    let w = f.window_nanos;
+    type Gauge = fn(&RankRecord) -> f64;
+    let families: [(&str, Gauge); 11] = [
+        ("motor_rate_msgs_out_per_sec", |r| r.per_sec(r.msgs_out())),
+        ("motor_rate_msgs_in_per_sec", |r| r.per_sec(r.msgs_in())),
+        ("motor_rate_bytes_out_per_sec", |r| {
+            r.per_sec(r.snapshot.get(Metric::ChanBytesOut))
+        }),
+        ("motor_rate_bytes_in_per_sec", |r| {
+            r.per_sec(r.snapshot.get(Metric::ChanBytesIn))
+        }),
+        ("motor_window_gc_stall_p50_nanos", |r| {
+            r.gc_stalls().p50() as f64
+        }),
+        ("motor_window_gc_stall_p99_nanos", |r| {
+            r.gc_stalls().p99() as f64
+        }),
+        ("motor_window_wait_p99_nanos", |r| {
+            r.snapshot.percentile(Hist::WaitNanos, 0.99) as f64
+        }),
+        ("motor_window_overlap_ratio", |r| {
+            r.snapshot.overlap_ratio().unwrap_or(0.0)
+        }),
+        ("motor_heap_used_bytes", |r| r.heap_used_bytes as f64),
+        ("motor_heap_capacity_bytes", |r| {
+            r.heap_capacity_bytes as f64
+        }),
+        ("motor_inflight_ops", |r| r.inflight.len() as f64),
+    ];
     let mut out = String::new();
-    gauge_family(&mut out, "motor_rate_msgs_out_per_sec", f, |r| {
-        per_sec(r.msgs_out(), w)
-    });
-    gauge_family(&mut out, "motor_rate_msgs_in_per_sec", f, |r| {
-        per_sec(r.msgs_in(), w)
-    });
-    gauge_family(&mut out, "motor_rate_bytes_out_per_sec", f, |r| {
-        per_sec(r.delta.get(Metric::ChanBytesOut), w)
-    });
-    gauge_family(&mut out, "motor_rate_bytes_in_per_sec", f, |r| {
-        per_sec(r.delta.get(Metric::ChanBytesIn), w)
-    });
-    gauge_family(&mut out, "motor_window_gc_stall_p50_nanos", f, |r| {
-        r.gc_stall_p50_nanos as f64
-    });
-    gauge_family(&mut out, "motor_window_gc_stall_p99_nanos", f, |r| {
-        r.gc_stall_p99_nanos as f64
-    });
-    gauge_family(&mut out, "motor_window_wait_p99_nanos", f, |r| {
-        r.delta.percentile(Hist::WaitNanos, 0.99) as f64
-    });
-    gauge_family(&mut out, "motor_window_overlap_ratio", f, |r| {
-        r.window_overlap_ratio().unwrap_or(0.0)
-    });
-    gauge_family(&mut out, "motor_heap_used_bytes", f, |r| {
-        r.heap_used_bytes as f64
-    });
-    gauge_family(&mut out, "motor_heap_capacity_bytes", f, |r| {
-        r.heap_capacity_bytes as f64
-    });
-    gauge_family(&mut out, "motor_inflight_ops", f, |r| {
-        r.inflight.len() as f64
-    });
+    for (family, value) in families {
+        out.push_str(&format!("# TYPE {family} gauge\n"));
+        for r in &f.ranks {
+            out.push_str(&format!(
+                "{family}{{group=\"{}\",rank=\"{}\"}} {}\n",
+                r.group,
+                r.rank,
+                value(r)
+            ));
+        }
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{check_prometheus_text, MetricsRegistry};
+    use crate::{check_prometheus_text, EventKind, MetricsRegistry};
 
-    fn delta(rank: usize) -> RankDelta {
+    /// A registry with a little of everything: counters, a peak, two
+    /// histograms, ring events.
+    fn busy_registry() -> MetricsRegistry {
         let r = MetricsRegistry::new();
         r.add(Metric::SendsEager, 10);
         r.add(Metric::ChanBytesOut, 4096);
+        r.record_max(Metric::PostedQueuePeak, 3);
         r.record(Hist::SafepointStallNanos, 1500);
-        RankDelta {
-            group: 0,
+        r.record(Hist::WaitNanos, 90_000);
+        r.event3(EventKind::MsgSend, 1, 7, 64);
+        r
+    }
+
+    fn record(rank: usize, snapshot: MetricsSnapshot) -> RankRecord {
+        RankRecord {
+            group: 1,
             rank,
-            label: format!("rank {rank}"),
-            done: false,
+            label: format!("child 1.{rank} \"quoted\""),
+            done: rank == 1,
+            now_nanos: 5_000_000,
+            window_nanos: 1_000_000,
+            last_progress_nanos: 4_900_000,
+            inflight: vec![
+                InflightOp {
+                    token: 9,
+                    kind: SpanKind::MpRecv,
+                    // A wildcard source: the packed word is past 2^53.
+                    arg: span_arg_peer_tag(u32::MAX as usize, -1),
+                    since_nanos: 4_000_000,
+                    beat_nanos: 4_500_000,
+                    beats: 3,
+                },
+                InflightOp {
+                    token: 11,
+                    kind: SpanKind::Bcast,
+                    arg: 2,
+                    since_nanos: 4_800_000,
+                    beat_nanos: 4_800_000,
+                    beats: 0,
+                },
+            ],
             queue_depths: (1, 0, 2, 0),
+            hard_pins: 2,
+            cond_pins: 5,
+            oldest_pin_nanos: 77,
             heap_used_bytes: 1 << 20,
             heap_capacity_bytes: 1 << 24,
-            gc_stall_p50_nanos: 1100,
-            gc_stall_p99_nanos: 2000,
-            delta: r.snapshot(),
-            inflight: Vec::new(),
+            snapshot,
         }
     }
 
     fn frame(seq: u64) -> TelemetryFrame {
+        let snap = busy_registry().snapshot_counters();
         TelemetryFrame {
             seq,
             t_nanos: seq * 1_000_000,
-            window_nanos: 1_000_000,
-            ranks: vec![delta(0), delta(1)],
+            ranks: vec![record(0, snap.clone()), record(1, snap)],
         }
     }
 
@@ -311,8 +467,7 @@ mod tests {
     fn ring_is_bounded_and_ordered() {
         let ring = FrameRing::new(4);
         for _ in 0..10 {
-            let seq = ring.alloc_seq();
-            ring.push(frame(seq));
+            ring.push(0, Vec::new());
         }
         let frames = ring.frames();
         assert_eq!(frames.len(), 4);
@@ -322,36 +477,116 @@ mod tests {
         assert_eq!(ring.frames_seen(), 10);
     }
 
+    /// Writer then reader is the identity: in the flight form outright, in
+    /// the frame form up to the one thing it omits, the events.
     #[test]
-    fn frame_json_parses_and_is_sparse() {
+    fn record_json_round_trips_in_both_forms() {
+        let full = record(0, busy_registry().snapshot());
+        assert_eq!(full.snapshot.events().len(), 1);
+        let back = |r: &RankRecord, form| {
+            RankRecord::from_json(&json::parse(&r.to_json(form)).expect("valid JSON"))
+                .expect("reader accepts the writer")
+        };
+        assert_eq!(back(&full, true), full);
+        let eventless = record(0, busy_registry().snapshot_counters());
+        assert_eq!(back(&full, false), eventless);
+        assert_eq!(back(&eventless, false), eventless);
+        // An all-default record too (no ops, empty snapshot).
+        assert_eq!(back(&RankRecord::default(), true), RankRecord::default());
+        assert_eq!(back(&RankRecord::default(), false), RankRecord::default());
+    }
+
+    #[test]
+    fn the_reader_rejects_what_the_writer_would_not_write() {
+        let good = record(0, MetricsSnapshot::empty()).to_json(false);
+        for (from, to) in [
+            ("\"now_nanos\"", "\"now\""),
+            ("\"mp_recv\"", "\"mp_rcv\""),
+            ("\"counters\":{", "\"counters\":{\"sends_eagre\":1"),
+            ("\"done\":false", "\"done\":0"),
+        ] {
+            assert!(good.contains(from), "{from} in {good}");
+            let bad = json::parse(&good.replacen(from, to, 1)).unwrap();
+            assert!(RankRecord::from_json(&bad).is_err(), "{to} accepted");
+        }
+    }
+
+    #[test]
+    fn frame_json_is_sparse_and_reads_back() {
         let f = frame(3);
-        let text = frames_to_json(&[Arc::new(f)], 240);
-        let v = crate::export::json::parse(&text).expect("frames JSON parses");
+        let text = frames_to_json(&[Arc::new(f.clone())], 240);
+        let v = json::parse(&text).expect("frames JSON parses");
         assert_eq!(v.get("motor_frames").and_then(|x| x.as_u64()), Some(1));
         let frames = v.get("frames").and_then(|x| x.as_array()).unwrap();
-        assert_eq!(frames.len(), 1);
         let ranks = frames[0].get("ranks").and_then(|x| x.as_array()).unwrap();
         assert_eq!(ranks.len(), 2);
-        let counters = ranks[0].get("counters").unwrap();
+        let metrics = ranks[0].get("metrics").unwrap();
+        let counters = metrics.get("counters").unwrap();
         assert_eq!(
             counters.get("sends_eager").and_then(|x| x.as_u64()),
             Some(10)
         );
-        // Zero deltas are omitted from the wire format.
+        // Zero deltas and empty histograms are omitted from the wire format.
         assert!(counters.get("sends_rndv").is_none());
+        let hists = metrics.get("hists").unwrap();
+        assert!(hists.get("safepoint_stall_nanos").is_some());
+        assert!(hists.get("rndv_send_bytes").is_none());
+        assert_eq!(frames_from_json(&text).expect("reads back"), vec![f]);
+        assert!(frames_from_json("{\"frames\":[]}").is_err(), "no marker");
+    }
+
+    /// `since` is the only windowing: against itself a record is all-zero
+    /// except peaks and gauges, and the delta plus the earlier record
+    /// reproduces the later one's counters and buckets.
+    #[test]
+    fn since_windows_counters_and_keeps_gauges() {
+        let reg = busy_registry();
+        let a = record(0, reg.snapshot_counters());
+        reg.add(Metric::SendsEager, 5);
+        reg.record_max(Metric::PostedQueuePeak, 9);
+        reg.record(Hist::WaitNanos, 100);
+        let mut b = record(0, reg.snapshot_counters());
+        b.now_nanos = a.now_nanos + 250;
+        b.heap_used_bytes = 123;
+        b.inflight.pop();
+
+        let zero = a.since(&a);
+        assert_eq!(zero.window_nanos, 0);
+        for m in Metric::ALL {
+            let want = if m.is_peak() { a.snapshot.get(m) } else { 0 };
+            assert_eq!(zero.snapshot.get(m), want, "{}", m.name());
+        }
+        assert!(Hist::ALL
+            .iter()
+            .all(|h| zero.snapshot.hist(*h).count() == 0));
         assert_eq!(
-            ranks[1].get("gc_stall_p99_nanos").and_then(|x| x.as_u64()),
-            Some(2000)
+            (zero.hard_pins, zero.heap_used_bytes, &zero.inflight),
+            (a.hard_pins, a.heap_used_bytes, &a.inflight)
         );
+
+        let d = b.since(&a);
+        assert_eq!(d.window_nanos, 250);
+        assert_eq!(d.snapshot.get(Metric::SendsEager), 5);
+        assert_eq!(d.msgs_out(), 5);
+        assert_eq!(d.per_sec(5), 5.0 * 1e9 / 250.0);
+        assert_eq!((d.heap_used_bytes, d.inflight.len()), (123, 1));
+        let mut sum = a.snapshot.clone();
+        sum.merge(&d.snapshot);
+        for m in Metric::ALL {
+            assert_eq!(sum.get(m), b.snapshot.get(m), "{}", m.name());
+        }
+        for h in Hist::ALL {
+            assert_eq!(sum.hist(h), b.snapshot.hist(h), "{}", h.name());
+        }
     }
 
     #[test]
     fn rate_math() {
-        let d = delta(0);
+        let d = record(0, busy_registry().snapshot_counters());
         assert_eq!(d.msgs_out(), 10);
         // 10 msgs over 1 ms = 10k msg/s.
-        assert!((per_sec(d.msgs_out(), 1_000_000) - 10_000.0).abs() < 1e-6);
-        assert_eq!(per_sec(5, 0), 0.0);
+        assert!((d.per_sec(d.msgs_out()) - 10_000.0).abs() < 1e-6);
+        assert_eq!(RankRecord::default().per_sec(5), 0.0);
     }
 
     #[test]
@@ -359,8 +594,9 @@ mod tests {
         let text = frame_prometheus(&frame(1));
         check_prometheus_text(&text).expect("valid exposition format");
         assert!(text.contains("# TYPE motor_rate_msgs_out_per_sec gauge"));
-        assert!(text.contains("motor_rate_msgs_out_per_sec{group=\"0\",rank=\"1\"} 10000"));
-        assert!(text.contains("motor_window_gc_stall_p99_nanos{group=\"0\",rank=\"0\"} 2000"));
-        assert!(text.contains("motor_heap_used_bytes{group=\"0\",rank=\"0\"} 1048576"));
+        assert!(text.contains("motor_rate_msgs_out_per_sec{group=\"1\",rank=\"1\"} 10000"));
+        // One stall of 1500 ns: the middle of its log2 bucket (1024, 2048].
+        assert!(text.contains("motor_window_gc_stall_p99_nanos{group=\"1\",rank=\"0\"} 1536"));
+        assert!(text.contains("motor_heap_used_bytes{group=\"1\",rank=\"0\"} 1048576"));
     }
 }

@@ -98,40 +98,18 @@ impl TraceSpan {
     }
 }
 
-/// What a [`MessageEdge`] connects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
-    /// Payload delivery: `MsgSend` initiation to `MsgRecv` completion.
-    Payload,
-    /// Rendezvous ready-to-send control packet.
-    Rts,
-    /// Rendezvous clear-to-send control packet.
-    Cts,
-    /// Rendezvous completion: sender's payload flush to the receiver's
-    /// transfer-complete.
-    Done,
-}
-
-impl EdgeKind {
-    /// Stable export name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeKind::Payload => "payload",
-            EdgeKind::Rts => "rts",
-            EdgeKind::Cts => "cts",
-            EdgeKind::Done => "done",
-        }
-    }
-
-    /// Inverse of [`EdgeKind::name`].
-    pub fn from_name(name: &str) -> Option<EdgeKind> {
-        Some(match name {
-            "payload" => EdgeKind::Payload,
-            "rts" => EdgeKind::Rts,
-            "cts" => EdgeKind::Cts,
-            "done" => EdgeKind::Done,
-            _ => return None,
-        })
+named_enum! {
+    /// What a [`MessageEdge`] connects.
+    enum EdgeKind: u64 {
+        /// Payload delivery: `MsgSend` initiation to `MsgRecv` completion.
+        Payload => "payload",
+        /// Rendezvous ready-to-send control packet.
+        Rts => "rts",
+        /// Rendezvous clear-to-send control packet.
+        Cts => "cts",
+        /// Rendezvous completion: sender's payload flush to the receiver's
+        /// transfer-complete.
+        Done => "done",
     }
 }
 

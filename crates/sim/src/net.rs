@@ -15,7 +15,7 @@ use motor_mpc::device::{Device, DeviceConfig};
 use motor_mpc::packet::Envelope;
 use motor_mpc::progress::{Policy, ProgressMode, ProgressSet};
 use motor_mpc::request::Request;
-use motor_obs::{FlightRecord, RankFlight};
+use motor_obs::{FlightRecord, RankRecord};
 use motor_pal::{TickSource, VirtualClock};
 
 use crate::fault::FaultPlan;
@@ -254,13 +254,15 @@ impl SimNet {
                 .iter()
                 .map(|d| {
                     let reg = d.metrics();
-                    RankFlight {
+                    RankRecord {
                         rank: d.rank(),
                         label: format!("rank {}", d.rank()),
-                        done: false,
+                        now_nanos: reg.now_nanos(),
+                        last_progress_nanos: reg.last_progress_nanos(),
                         inflight: reg.inflight_ops(),
                         queue_depths: d.queue_depths(),
                         snapshot: reg.snapshot(),
+                        ..RankRecord::default()
                     }
                 })
                 .collect(),

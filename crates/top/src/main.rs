@@ -9,7 +9,7 @@
 //! `motor-doctor` watchdog has diagnosed.
 //!
 //! ```text
-//! motor-top [ADDR] [--once] [--raw ENDPOINT] [--interval-ms N]
+//! motor-top [ADDR] [--once] [--raw ENDPOINT [--check]] [--interval-ms N]
 //! ```
 //!
 //! * `ADDR` — the telemetry endpoint (default `127.0.0.1:9612`).
@@ -18,21 +18,28 @@
 //! * `--raw ENDPOINT` — fetch `/ENDPOINT` and print the body verbatim
 //!   (`metrics`, `healthz`, `flight`, `frames`); exit nonzero unless the
 //!   server answered 200.
+//! * `--check` — with `--raw frames` or `--raw flight`: instead of
+//!   printing the body, run it through the reader the dashboard uses and
+//!   print how many records it read; exit 2 if the reader refuses what the
+//!   server wrote.
 //! * `--interval-ms N` — refresh period in live mode (default 1000).
 //!
-//! The client speaks the same hand-rolled HTTP/1.1 and JSON the server
-//! and `motor-obs` use — no dependencies beyond `motor-obs` itself.
+//! The client speaks the same hand-rolled HTTP/1.1 the server does, and
+//! what it renders are the server's own records: `/frames` read back into
+//! [`TelemetryFrame`]s of [`RankRecord`]s by `motor-obs`, the one reader
+//! of the one writer.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use motor_obs::export::json::{self, Value};
+use motor_obs::{frames_from_json, Metric, RankRecord, TelemetryFrame};
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 fn usage() -> ! {
-    eprintln!("usage: motor-top [ADDR] [--once] [--raw ENDPOINT] [--interval-ms N]");
+    eprintln!("usage: motor-top [ADDR] [--once] [--raw ENDPOINT [--check]] [--interval-ms N]");
     std::process::exit(2);
 }
 
@@ -40,6 +47,7 @@ struct Args {
     addr: String,
     once: bool,
     raw: Option<String>,
+    check: bool,
     interval: Duration,
 }
 
@@ -48,12 +56,14 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:9612".to_string(),
         once: false,
         raw: None,
+        check: false,
         interval: Duration::from_millis(1000),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--once" => args.once = true,
+            "--check" => args.check = true,
             "--raw" => match it.next() {
                 Some(e) => args.raw = Some(e.trim_start_matches('/').to_string()),
                 None => usage(),
@@ -96,186 +106,32 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Frame model (parsed from the /frames JSON; shared schema with the server)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Default)]
-struct RankView {
-    group: u64,
-    rank: u64,
-    label: String,
-    done: bool,
-    queues: (u64, u64, u64, u64),
-    heap_used: u64,
-    heap_capacity: u64,
-    gc_p50: u64,
-    gc_p99: u64,
-    counters: Vec<(String, u64)>,
-    inflight: Vec<InflightView>,
-}
-
-#[derive(Debug, Clone)]
-struct InflightView {
-    kind: String,
-    peer: u64,
-    tag: i64,
-    since_nanos: u64,
-    beat_nanos: u64,
-    beats: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct FrameView {
-    seq: u64,
-    t_nanos: u64,
-    window_nanos: u64,
-    ranks: Vec<RankView>,
-}
-
-impl RankView {
-    fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    fn msgs_out(&self) -> u64 {
-        self.counter("sends_eager")
-            + self.counter("sends_rndv")
-            + self.counter("sends_sync")
-            + self.counter("sends_self")
-    }
-
-    fn msgs_in(&self) -> u64 {
-        self.counter("recvs_posted") + self.counter("recvs_unexpected")
-    }
-
-    fn overlap_ratio(&self) -> Option<f64> {
-        let inflight = self.counter("prof_inflight_nanos");
-        if inflight == 0 {
-            return None;
-        }
-        Some(self.counter("prof_overlap_nanos") as f64 / inflight as f64)
-    }
-}
-
-fn parse_rank(v: &Value) -> Option<RankView> {
-    let q = v.get("queues")?;
-    let counters = match v.get("counters") {
-        Some(Value::Obj(m)) => m
-            .iter()
-            .filter_map(|(k, x)| x.as_u64().map(|n| (k.clone(), n)))
-            .collect(),
-        _ => Vec::new(),
-    };
-    let inflight = v
-        .get("inflight")
-        .and_then(Value::as_array)
-        .map(|ops| {
-            ops.iter()
-                .filter_map(|op| {
-                    Some(InflightView {
-                        kind: op.get("kind")?.as_str()?.to_string(),
-                        peer: op.get("peer")?.as_u64()?,
-                        tag: op.get("tag")?.as_i64()?,
-                        since_nanos: op.get("since_nanos")?.as_u64()?,
-                        beat_nanos: op.get("beat_nanos")?.as_u64()?,
-                        beats: op.get("beats")?.as_u64()?,
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    Some(RankView {
-        group: v.get("group")?.as_u64()?,
-        rank: v.get("rank")?.as_u64()?,
-        label: v.get("label")?.as_str()?.to_string(),
-        done: matches!(v.get("done"), Some(Value::Bool(true))),
-        queues: (
-            q.get("posted")?.as_u64()?,
-            q.get("unexpected")?.as_u64()?,
-            q.get("pending_sends")?.as_u64()?,
-            q.get("active_recvs")?.as_u64()?,
-        ),
-        heap_used: v.get("heap_used_bytes")?.as_u64()?,
-        heap_capacity: v.get("heap_capacity_bytes")?.as_u64()?,
-        gc_p50: v.get("gc_stall_p50_nanos")?.as_u64()?,
-        gc_p99: v.get("gc_stall_p99_nanos")?.as_u64()?,
-        counters,
-        inflight,
-    })
-}
-
-fn parse_frames(body: &str) -> Result<Vec<FrameView>, String> {
-    let v = json::parse(body)?;
-    if v.get("motor_frames").and_then(Value::as_u64) != Some(1) {
-        return Err("not a motor /frames document".to_string());
-    }
-    let frames = v
-        .get("frames")
-        .and_then(Value::as_array)
-        .ok_or("missing frames array")?;
-    Ok(frames
-        .iter()
-        .filter_map(|f| {
-            Some(FrameView {
-                seq: f.get("seq")?.as_u64()?,
-                t_nanos: f.get("t_nanos")?.as_u64()?,
-                window_nanos: f.get("window_nanos")?.as_u64()?,
-                ranks: f
-                    .get("ranks")?
-                    .as_array()?
-                    .iter()
-                    .filter_map(parse_rank)
-                    .collect(),
-            })
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------------
 // Formatting helpers
 // ---------------------------------------------------------------------------
 
-fn per_sec(count: u64, window_nanos: u64) -> f64 {
-    motor_obs::telemetry::per_sec(count, window_nanos)
+/// `x` in the largest of four units, each `step` times the one before,
+/// that it reaches: one decimal, none in the base unit.
+fn scaled(x: f64, step: f64, units: [&str; 4]) -> String {
+    let mut unit = 0;
+    let mut x = x;
+    while x >= step && unit < 3 {
+        x /= step;
+        unit += 1;
+    }
+    let decimals = usize::from(unit > 0);
+    format!("{x:.decimals$}{}", units[unit])
 }
 
 fn fmt_count(x: f64) -> String {
-    if x >= 1e9 {
-        format!("{:.1}G", x / 1e9)
-    } else if x >= 1e6 {
-        format!("{:.1}M", x / 1e6)
-    } else if x >= 1e3 {
-        format!("{:.1}k", x / 1e3)
-    } else {
-        format!("{x:.0}")
-    }
+    scaled(x, 1e3, ["", "k", "M", "G"])
 }
 
 fn fmt_bytes(x: f64) -> String {
-    if x >= 1024.0 * 1024.0 * 1024.0 {
-        format!("{:.1}GiB", x / (1024.0 * 1024.0 * 1024.0))
-    } else if x >= 1024.0 * 1024.0 {
-        format!("{:.1}MiB", x / (1024.0 * 1024.0))
-    } else if x >= 1024.0 {
-        format!("{:.1}KiB", x / 1024.0)
-    } else {
-        format!("{x:.0}B")
-    }
+    scaled(x, 1024.0, ["B", "KiB", "MiB", "GiB"])
 }
 
 fn fmt_nanos(n: u64) -> String {
-    if n >= 1_000_000_000 {
-        format!("{:.1}s", n as f64 / 1e9)
-    } else if n >= 1_000_000 {
-        format!("{:.1}ms", n as f64 / 1e6)
-    } else if n >= 1_000 {
-        format!("{:.1}µs", n as f64 / 1e3)
-    } else {
-        format!("{n}ns")
-    }
+    scaled(n as f64, 1e3, ["ns", "µs", "ms", "s"])
 }
 
 /// Map a series onto the eight spark glyphs, scaled to the series max.
@@ -310,91 +166,84 @@ fn bar(frac: f64, width: usize) -> String {
 // ---------------------------------------------------------------------------
 
 /// Named time buckets shown as bars (fraction of the window each).
-const BUCKETS: [(&str, &str); 5] = [
-    ("cpu", "prof_compute_nanos"),
-    ("wait", "prof_comm_wait_nanos"),
-    ("prog", "prof_progress_nanos"),
-    ("gc", "prof_gc_nanos"),
-    ("ser", "prof_serialize_nanos"),
+const BUCKETS: [(&str, Metric); 5] = [
+    ("cpu", Metric::ProfComputeNanos),
+    ("wait", Metric::ProfCommWaitNanos),
+    ("prog", Metric::ProfProgressNanos),
+    ("gc", Metric::ProfGcNanos),
+    ("ser", Metric::ProfSerializeNanos),
 ];
 
-fn render_rank(out: &mut String, r: &RankView, frame: &FrameView, history: &[FrameView]) {
-    let w = frame.window_nanos;
-    let eager = r.counter("sends_eager");
-    let rndv = r.counter("sends_rndv");
+fn render_rank(out: &mut String, r: &RankRecord, history: &[TelemetryFrame]) {
+    let count = |m| r.snapshot.get(m);
     let sends = r.msgs_out().max(1);
     out.push_str(&format!(
         "{:<12} {} {:>8} msg/s out  {:>8} msg/s in  {:>10}/s out  {:>10}/s in\n",
         r.label,
         if r.done { "done " } else { "run  " },
-        fmt_count(per_sec(r.msgs_out(), w)),
-        fmt_count(per_sec(r.msgs_in(), w)),
-        fmt_bytes(per_sec(r.counter("chan_bytes_out"), w)),
-        fmt_bytes(per_sec(r.counter("chan_bytes_in"), w)),
+        fmt_count(r.per_sec(r.msgs_out())),
+        fmt_count(r.per_sec(r.msgs_in())),
+        fmt_bytes(r.per_sec(count(Metric::ChanBytesOut))),
+        fmt_bytes(r.per_sec(count(Metric::ChanBytesIn))),
     ));
+    let (posted, unexpected, pending_sends, active_recvs) = r.queue_depths;
     out.push_str(&format!(
-        "  protocol  eager {:>3.0}%  rndv {:>3.0}%   queues p/u/s/a {}/{}/{}/{}   heap {} / {}\n",
-        eager as f64 * 100.0 / sends as f64,
-        rndv as f64 * 100.0 / sends as f64,
-        r.queues.0,
-        r.queues.1,
-        r.queues.2,
-        r.queues.3,
-        fmt_bytes(r.heap_used as f64),
-        fmt_bytes(r.heap_capacity as f64),
+        "  protocol  eager {:>3.0}%  rndv {:>3.0}%   queues p/u/s/a {posted}/{unexpected}/{pending_sends}/{active_recvs}   heap {} / {}\n",
+        count(Metric::SendsEager) as f64 * 100.0 / sends as f64,
+        count(Metric::SendsRndv) as f64 * 100.0 / sends as f64,
+        fmt_bytes(r.heap_used_bytes as f64),
+        fmt_bytes(r.heap_capacity_bytes as f64),
     ));
     // Time buckets: fraction of this window's wall clock per class.
     out.push_str("  time     ");
-    for (name, counter) in BUCKETS {
-        let frac = if w == 0 {
+    for (name, bucket) in BUCKETS {
+        let frac = if r.window_nanos == 0 {
             0.0
         } else {
-            r.counter(counter) as f64 / w as f64
+            count(bucket) as f64 / r.window_nanos as f64
         };
         out.push_str(&format!(" {name} {} {:>3.0}%", bar(frac, 8), frac * 100.0));
     }
     out.push('\n');
     let overlap = r
+        .snapshot
         .overlap_ratio()
         .map_or("   -".to_string(), |o| format!("{:>3.0}%", o * 100.0));
     // Stall sparklines over the retained frames (this rank's history).
-    let series = |pick: fn(&RankView) -> u64| -> Vec<u64> {
+    let series = |p: f64| -> Vec<u64> {
         history
             .iter()
             .filter_map(|f| {
                 f.ranks
                     .iter()
                     .find(|x| x.group == r.group && x.rank == r.rank)
-                    .map(pick)
+                    .map(|x| x.gc_stalls().percentile(p))
             })
             .collect()
     };
-    let p50s = series(|x| x.gc_p50);
-    let p99s = series(|x| x.gc_p99);
     out.push_str(&format!(
         "  overlap {overlap}   gc stall p50 {} {:>8}   p99 {} {:>8}\n",
-        sparkline(&p50s),
-        fmt_nanos(r.gc_p50),
-        sparkline(&p99s),
-        fmt_nanos(r.gc_p99),
+        sparkline(&series(0.50)),
+        fmt_nanos(r.gc_stalls().p50()),
+        sparkline(&series(0.99)),
+        fmt_nanos(r.gc_stalls().p99()),
     ));
     for op in &r.inflight {
-        let age = frame.t_nanos.saturating_sub(op.since_nanos);
-        let beat_age = frame.t_nanos.saturating_sub(op.beat_nanos);
+        let (peer, tag) = op.peer_tag();
         out.push_str(&format!(
             "  inflight {:<12} peer {:<3} tag {:<6} age {:>8}  last beat {:>8} ago ({} beats)\n",
-            op.kind,
-            op.peer,
-            op.tag,
-            fmt_nanos(age),
-            fmt_nanos(beat_age),
+            op.kind.name(),
+            peer,
+            tag,
+            fmt_nanos(op.age_nanos(r.now_nanos)),
+            fmt_nanos(op.idle_nanos(r.now_nanos)),
             op.beats
         ));
     }
 }
 
 /// One full dashboard screen from the frame history plus `/healthz`.
-fn render(frames: &[FrameView], healthz: Option<&Value>, addr: &str) -> String {
+fn render(frames: &[TelemetryFrame], healthz: Option<&Value>, addr: &str) -> String {
     let mut out = String::new();
     let Some(latest) = frames.last() else {
         out.push_str(&format!(
@@ -413,11 +262,11 @@ fn render(frames: &[FrameView], healthz: Option<&Value>, addr: &str) -> String {
     out.push_str(&format!(
         "motor-top @ {addr}   frame #{} (window {})   ranks {}   health: {status}\n\n",
         latest.seq,
-        fmt_nanos(latest.window_nanos),
+        fmt_nanos(latest.ranks.first().map_or(0, |r| r.window_nanos)),
         latest.ranks.len(),
     ));
     for r in &latest.ranks {
-        render_rank(&mut out, r, latest, frames);
+        render_rank(&mut out, r, frames);
         out.push('\n');
     }
     if dropped > 0 {
@@ -446,7 +295,7 @@ fn fetch_screen(addr: &str) -> Result<String, String> {
     if status != 200 {
         return Err(format!("/frames answered {status}"));
     }
-    let frames = parse_frames(&body)?;
+    let frames = frames_from_json(&body)?;
     // /healthz may legitimately answer 503 (anomalies); render either way.
     let healthz = http_get(addr, "/healthz")
         .ok()
@@ -468,22 +317,47 @@ fn emit(text: &str) {
     }
 }
 
+/// `--check`: the number of rank records the library's reader gets out of
+/// a `/frames` or `/flight` body.
+fn check_records(endpoint: &str, body: &str) -> Result<usize, String> {
+    match endpoint {
+        "frames" => Ok(frames_from_json(body)?.iter().map(|f| f.ranks.len()).sum()),
+        "flight" => {
+            let doc = json::parse(body)?;
+            if doc.get("motor_flight_record").and_then(Value::as_u64) != Some(1) {
+                return Err("not a motor flight record".to_string());
+            }
+            Ok(RankRecord::all_from_json(&doc)?.len())
+        }
+        _ => Err("--check reads frames and flight".to_string()),
+    }
+}
+
+/// Say why on stderr and exit with `code`.
+fn die(code: i32, why: impl std::fmt::Display) -> ! {
+    eprintln!("motor-top: {why}");
+    std::process::exit(code)
+}
+
 fn main() {
     let args = parse_args();
+    if args.check && args.raw.is_none() {
+        usage();
+    }
 
     if let Some(endpoint) = &args.raw {
-        match http_get(&args.addr, &format!("/{endpoint}")) {
-            Ok((status, body)) => {
-                emit(&body);
-                if status != 200 {
-                    eprintln!("motor-top: /{endpoint} answered {status}");
-                    std::process::exit(1);
-                }
+        let (status, body) =
+            http_get(&args.addr, &format!("/{endpoint}")).unwrap_or_else(|e| die(1, e));
+        if !args.check {
+            emit(&body);
+        } else {
+            match check_records(endpoint, &body) {
+                Ok(n) => emit(&format!("/{endpoint}: {n} rank records read back\n")),
+                Err(e) => die(2, format!("/{endpoint} does not read back: {e}")),
             }
-            Err(e) => {
-                eprintln!("motor-top: {e}");
-                std::process::exit(1);
-            }
+        }
+        if status != 200 {
+            die(1, format!("/{endpoint} answered {status}"));
         }
         return;
     }
@@ -491,29 +365,15 @@ fn main() {
     if args.once {
         // Snapshot mode: validate the exposition document, then render one
         // screen. Nonzero exit on any failure so CI can gate on it.
-        match http_get(&args.addr, "/metrics") {
-            Ok((200, body)) => {
+        match http_get(&args.addr, "/metrics").unwrap_or_else(|e| die(1, e)) {
+            (200, body) => {
                 if let Err(e) = motor_obs::check_prometheus_text(&body) {
-                    eprintln!("motor-top: /metrics failed exposition check: {e}");
-                    std::process::exit(2);
+                    die(2, format!("/metrics failed exposition check: {e}"));
                 }
             }
-            Ok((status, _)) => {
-                eprintln!("motor-top: /metrics answered {status}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("motor-top: {e}");
-                std::process::exit(1);
-            }
+            (status, _) => die(1, format!("/metrics answered {status}")),
         }
-        match fetch_screen(&args.addr) {
-            Ok(screen) => emit(&screen),
-            Err(e) => {
-                eprintln!("motor-top: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(&fetch_screen(&args.addr).unwrap_or_else(|e| die(1, e)));
         return;
     }
 
@@ -530,8 +390,7 @@ fn main() {
             Err(e) => {
                 misses += 1;
                 if misses >= 3 {
-                    eprintln!("motor-top: {e}; giving up");
-                    std::process::exit(1);
+                    die(1, format!("{e}; giving up"));
                 }
             }
         }
@@ -543,47 +402,51 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn sample_frames() -> String {
-        r#"{"motor_frames":1,"capacity":240,"frames":[
-          {"seq":1,"t_nanos":1000000,"window_nanos":0,"ranks":[]},
-          {"seq":2,"t_nanos":2000000,"window_nanos":1000000,"ranks":[
-            {"group":0,"rank":0,"label":"rank 0","done":false,
-             "queues":{"posted":1,"unexpected":0,"pending_sends":2,"active_recvs":0},
-             "heap_used_bytes":1048576,"heap_capacity_bytes":16777216,
-             "gc_stall_p50_nanos":1100,"gc_stall_p99_nanos":2000,
-             "counters":{"sends_eager":10,"chan_bytes_out":4096,"prof_inflight_nanos":500000,"prof_overlap_nanos":250000},
-             "inflight":[{"kind":"recv","arg":0,"peer":1,"tag":7,"since_nanos":1500000,"beat_nanos":1900000,"beats":3}]},
-            {"group":0,"rank":1,"label":"rank 1","done":true,
-             "queues":{"posted":0,"unexpected":0,"pending_sends":0,"active_recvs":0},
-             "heap_used_bytes":0,"heap_capacity_bytes":0,
-             "gc_stall_p50_nanos":0,"gc_stall_p99_nanos":0,
-             "counters":{},"inflight":[]}
-          ]}
-        ]}"#
-        .to_string()
-    }
-
-    #[test]
-    fn frames_parse_into_views() {
-        let frames = parse_frames(&sample_frames()).expect("parses");
-        assert_eq!(frames.len(), 2);
-        let f = &frames[1];
-        assert_eq!(f.seq, 2);
-        assert_eq!(f.ranks.len(), 2);
-        let r0 = &f.ranks[0];
-        assert_eq!(r0.msgs_out(), 10);
-        assert_eq!(r0.counter("chan_bytes_out"), 4096);
-        assert_eq!(r0.queues, (1, 0, 2, 0));
-        assert_eq!(r0.inflight.len(), 1);
-        assert_eq!(r0.inflight[0].peer, 1);
-        assert!((r0.overlap_ratio().unwrap() - 0.5).abs() < 1e-9);
-        assert!(f.ranks[1].done);
-        assert_eq!(f.ranks[1].overlap_ratio(), None);
+    /// Two frames as the server writes them, read back the way
+    /// `fetch_screen` does.
+    fn sample_frames() -> Vec<TelemetryFrame> {
+        use motor_obs::{frames_to_json, span_arg_peer_tag, InflightOp, MetricsRegistry, SpanKind};
+        let reg = MetricsRegistry::new();
+        reg.add(Metric::SendsEager, 10);
+        reg.add(Metric::ChanBytesOut, 4096);
+        let busy = RankRecord {
+            label: "rank 0".into(),
+            now_nanos: 2_000_000,
+            window_nanos: 1_000_000,
+            queue_depths: (1, 0, 2, 0),
+            heap_used_bytes: 1 << 20,
+            heap_capacity_bytes: 1 << 24,
+            inflight: vec![InflightOp {
+                token: 2,
+                kind: SpanKind::MpRecv,
+                arg: span_arg_peer_tag(1, 7),
+                since_nanos: 1_500_000,
+                beat_nanos: 1_900_000,
+                beats: 3,
+            }],
+            snapshot: reg.snapshot_counters(),
+            ..RankRecord::default()
+        };
+        let idle = RankRecord {
+            rank: 1,
+            label: "rank 1".into(),
+            done: true,
+            ..RankRecord::default()
+        };
+        let frames = [(1, vec![]), (2, vec![busy, idle])].map(|(seq, ranks)| {
+            std::sync::Arc::new(TelemetryFrame {
+                seq,
+                t_nanos: seq * 1_000_000,
+                ranks,
+            })
+        });
+        frames_from_json(&frames_to_json(&frames, 240)).expect("the reader reads the writer")
     }
 
     #[test]
     fn render_shows_every_rank_and_inflight_age() {
-        let frames = parse_frames(&sample_frames()).unwrap();
+        let frames = sample_frames();
+        assert_eq!(frames.len(), 2);
         let health =
             json::parse(r#"{"status":"ok","trace_events_dropped":9,"anomalies":[]}"#).unwrap();
         let screen = render(&frames, Some(&health), "127.0.0.1:9612");
@@ -592,13 +455,28 @@ mod tests {
         assert!(screen.contains("health: ok"));
         // 10 msgs over 1ms = 10k msg/s.
         assert!(screen.contains("10.0k"), "{screen}");
-        // In-flight recv from rank 0 with its heartbeat age (2000000-1900000).
-        assert!(screen.contains("inflight recv"), "{screen}");
+        assert!(screen.contains("queues p/u/s/a 1/0/2/0"), "{screen}");
+        // In-flight recv from rank 1 with its heartbeat age (2000000-1900000).
+        assert!(screen.contains("inflight mp_recv"), "{screen}");
         assert!(screen.contains("100.0µs ago"), "{screen}");
         assert!(
             screen.contains("warning: 9 trace events dropped"),
             "{screen}"
         );
+    }
+
+    #[test]
+    fn check_counts_records_and_refuses_other_documents() {
+        use motor_obs::FlightRecord;
+        let flight = FlightRecord {
+            t_nanos: 5,
+            anomalies: Vec::new(),
+            ranks: sample_frames()[1].ranks.clone(),
+        };
+        assert_eq!(check_records("flight", &flight.to_json()), Ok(2));
+        assert!(check_records("frames", &flight.to_json()).is_err());
+        assert!(check_records("flight", "{\"ranks\":[]}").is_err());
+        assert!(check_records("healthz", "{}").is_err());
     }
 
     #[test]

@@ -160,7 +160,27 @@ if ! "$top_bin" "$telemetry_addr" --raw healthz | grep -q '"status":"ok"'; then
   kill "$record_pid" 2>/dev/null || true
   exit 1
 fi
+# One writer, one reader: what the server writes for /frames and /flight
+# must read back through the reader motor-top renders from.
+for endpoint in frames flight; do
+  if ! "$top_bin" "$telemetry_addr" --raw "$endpoint" --check; then
+    echo "telemetry smoke test: /$endpoint does not read back through motor-top's reader" >&2
+    kill "$record_pid" 2>/dev/null || true
+    exit 1
+  fi
+done
 wait "$record_pid"
+
+echo "==> MOTOR_* spec keys are strict (MOTOR_DOCTOR=bogus=1 must fail, naming the key)"
+# A mistyped liveness gate must not quietly run the defaults.
+set +e
+bogus_err="$(MOTOR_DOCTOR=bogus=1 "$doctor_bin" record "$trace_out" --ranks 2 2>&1 >/dev/null)"
+bogus_rc=$?
+set -e
+if [ "$bogus_rc" -eq 0 ] || ! echo "$bogus_err" | grep -q 'MOTOR_DOCTOR.*"bogus"'; then
+  echo "spec smoke test: MOTOR_DOCTOR=bogus=1 exited $bogus_rc: $bogus_err" >&2
+  exit 1
+fi
 
 echo "==> bench artifact smoke test (apps run --quick + self-gate)"
 # The application workloads (CG, BFS, pipeline) plus the typed-API
@@ -196,5 +216,8 @@ done
 
 echo "==> non-test Rust lines per crate (scripts/loc.sh)"
 scripts/loc.sh
+echo "==> of which the observability plane (compare with crates/mpc above)"
+scripts/loc.sh crates/obs/src/*.rs crates/top/src/*.rs crates/profile/src/*.rs \
+  crates/core/src/telemetry.rs crates/core/src/doctor.rs | tail -n 1
 
 echo "OK"

@@ -101,3 +101,33 @@ fn children_vms_are_isolated_heaps() {
     })
     .unwrap();
 }
+
+/// The intercommunicator leg of `hostile_size_header_is_a_typed_error`
+/// (crates/api/tests/interop_cluster.rs): the size header is the child's
+/// claim, and `u64::MAX` bytes is a `Serialization` error in the parent,
+/// not a capacity-overflow panic. The parent then still hears the child's
+/// honest message.
+#[test]
+fn hostile_size_header_from_a_child_is_a_typed_error() {
+    use motor::core::CoreError;
+    run_cluster_default(1, define_types, |proc| {
+        let inter =
+            spawn_motor_children(proc, 1, ClusterConfig::default(), define_types, |child| {
+                let parent = child.parent_comm().expect("parent intercomm");
+                parent.send_bytes(&u64::MAX.to_le_bytes(), 0, 9).unwrap();
+                let data = child.thread().alloc_prim_array(ElemKind::I32, 4);
+                child.osend_inter(parent, data, 0, 10).unwrap();
+            })
+            .unwrap();
+        match proc.orecv_inter(&inter, 0, 9) {
+            Err(CoreError::Serialization(why)) => assert!(why.contains("cannot allocate"), "{why}"),
+            other => panic!(
+                "expected a Serialization error, got {:?}",
+                other.map(|(_, from)| from)
+            ),
+        }
+        let (data, from) = proc.orecv_inter(&inter, 0, 10).unwrap();
+        assert_eq!((proc.thread().array_len(data), from), (4, 0));
+    })
+    .unwrap();
+}

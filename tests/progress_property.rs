@@ -12,7 +12,7 @@
 
 use motor::mpc::device::DeviceConfig;
 use motor::mpc::{ProgressMode, Request};
-use motor::obs::{classify, AnomalyKind, DoctorConfig, RankHealth};
+use motor::obs::{classify, AnomalyKind, DoctorConfig, RankRecord};
 use motor_sim::{seed_matrix, FaultPlan, Schedule, SimConfig, SimNet, SimRng};
 use std::collections::HashMap;
 
@@ -189,11 +189,11 @@ fn run_soup(seed: u64, ranks: usize, progress: ProgressMode, mode: &str) {
     }
 
     // The doctor, fed real registry state, sees a healthy finished run.
-    let health: Vec<RankHealth> = (0..ranks)
+    let health: Vec<RankRecord> = (0..ranks)
         .map(|d| {
             let dev = net.device(d);
             let m = dev.metrics();
-            RankHealth {
+            RankRecord {
                 rank: d,
                 label: format!("rank {d}"),
                 done: true,
@@ -201,12 +201,7 @@ fn run_soup(seed: u64, ranks: usize, progress: ProgressMode, mode: &str) {
                 last_progress_nanos: m.last_progress_nanos(),
                 inflight: m.inflight_ops(),
                 queue_depths: dev.queue_depths(),
-                hard_pins: 0,
-                cond_pins: 0,
-                oldest_pin_nanos: 0,
-                safepoint_stall_nanos: 0,
-                window_nanos: 0,
-                links_dropped: 0,
+                ..RankRecord::default()
             }
         })
         .collect();

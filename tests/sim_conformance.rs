@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use motor::mpc::device::DeviceConfig;
 use motor::mpc::universe::{Universe, UniverseConfig};
 use motor::mpc::{MpcError, ReduceOp};
-use motor::obs::{classify, DoctorConfig, EventKind, Metric, RankHealth, MSG_RNDV_FLAG};
+use motor::obs::{classify, DoctorConfig, EventKind, Metric, RankRecord, MSG_RNDV_FLAG};
 use motor::pal::TickSource;
 use motor::prelude::{run_cluster, AnomalyKind, ChannelKind, ClusterConfig};
 use motor::runtime::ElemKind;
@@ -398,23 +398,15 @@ fn mid_rendezvous_link_close_fails_cleanly() {
         assert!(dropped >= 1, "LinksDropped accounted (seed {seed})");
 
         // The doctor sees the same story: a LinkDrop anomaly.
-        let health: Vec<RankHealth> = (0..2)
+        let health: Vec<RankRecord> = (0..2)
             .map(|d| {
                 let dev = net.device(d);
-                RankHealth {
+                RankRecord {
                     rank: d,
                     label: format!("rank {d}"),
-                    done: false,
-                    now_nanos: 0,
-                    last_progress_nanos: 0,
-                    inflight: Vec::new(),
                     queue_depths: dev.queue_depths(),
-                    hard_pins: 0,
-                    cond_pins: 0,
-                    oldest_pin_nanos: 0,
-                    safepoint_stall_nanos: 0,
-                    window_nanos: 0,
-                    links_dropped: dev.metrics().snapshot().get(Metric::LinksDropped),
+                    snapshot: dev.metrics().snapshot(),
+                    ..RankRecord::default()
                 }
             })
             .collect();
