@@ -25,8 +25,8 @@ use crate::pending::{PendingRecv, PendingSend};
 use crate::wire;
 use crate::Transportable;
 use motor_core::fcall::Fcall;
-use motor_core::oomp::{announced_buf, recv_sized, send_sized, zeroed, OGATHER_TAG, OSCATTER_TAG};
-use motor_core::Mp;
+use motor_core::oomp::{bcast_sized, recv_sized, send_sized, zeroed, OGATHER_TAG, OSCATTER_TAG};
+use motor_core::{CoreError, Mp};
 use motor_mpc::{MpcPrim, ReduceOp, Source, Status, Tag};
 use motor_obs::{PhaseScope, TimeBucket};
 use motor_runtime::MotorThread;
@@ -355,21 +355,12 @@ impl<'t, C: Comm> Communicator<'t, C> {
     pub fn bcast_obj<T: Transportable>(&self, obj: Option<&T>, root: usize) -> Result<Option<T>> {
         let _phase = self.comm_scope();
         let _fc = self.fcall();
-        if self.comm.rank() == root {
-            let obj = obj.ok_or(Error::Runtime(motor_core::CoreError::NullBuffer))?;
-            let bytes = wire::encode(obj);
-            let mut size = (bytes.len() as u64).to_le_bytes();
-            self.comm.bcast_bytes(&mut size, root)?;
-            let mut data = bytes;
-            self.comm.bcast_bytes(&mut data, root)?;
-            Ok(None)
-        } else {
-            let mut size = [0u8; 8];
-            self.comm.bcast_bytes(&mut size, root)?;
-            let mut data = announced_buf(size, zeroed)?;
-            self.comm.bcast_bytes(&mut data, root)?;
-            Ok(Some(wire::decode(&data)?))
-        }
+        let is_root = self.comm.rank() == root;
+        let own = is_root
+            .then(|| obj.map(wire::encode).ok_or(CoreError::NullBuffer))
+            .transpose()?;
+        let data = bcast_sized(own, |b| self.comm.bcast_bytes(b, root), zeroed)?;
+        (!is_root).then(|| wire::decode(&data)).transpose()
     }
 
     /// Scatter a slice of objects from `root`: every rank receives its
@@ -384,7 +375,7 @@ impl<'t, C: Comm> Communicator<'t, C> {
         let _fc = self.fcall();
         let n = self.comm.size();
         if self.comm.rank() == root {
-            let send = send.ok_or(Error::Runtime(motor_core::CoreError::NullBuffer))?;
+            let send = send.ok_or(Error::Runtime(CoreError::NullBuffer))?;
             if send.len() % n != 0 {
                 return Err(Error::Decode(format!(
                     "scatter of {} elements over {n} ranks is not even",

@@ -252,6 +252,15 @@ fn prim_vec<P: WirePrim>(rec: &Record<'_>) -> Result<Vec<P>> {
     }
 }
 
+/// How many class records deep one decode may nest. Decoding recurses
+/// once per `Option<Box<T>>` level, so without a bound a hostile chain
+/// exhausts the stack (Figure 10's mpiJava failure); deeper documents are
+/// an [`Error::Decode`]. A debug build spends ~2.6 KiB of stack per level
+/// (a three-field class; release far less), so a decode at the bound takes
+/// about a third of a default 2 MiB rank-thread stack. Figure 10's
+/// 256-object list fits.
+pub const MAX_DECODE_DEPTH: usize = 256;
+
 /// Reads one class record's field values in declaration order; handed to
 /// derive-generated `read_fields` bodies.
 pub struct FieldReader<'d, 'a> {
@@ -259,6 +268,8 @@ pub struct FieldReader<'d, 'a> {
     fields: std::slice::Iter<'d, Field<'a>>,
     values: &'a [u8],
     in_progress: &'d mut [bool],
+    /// Class records open above this one, this one included.
+    depth: usize,
 }
 
 impl<'d, 'a> FieldReader<'d, 'a> {
@@ -308,7 +319,7 @@ impl<'d, 'a> FieldReader<'d, 'a> {
     /// class record.
     pub fn class_ref<T: Transportable>(&mut self) -> Result<Option<Box<T>>> {
         self.reference()?
-            .map(|idx| read_class::<T>(self.doc, idx, self.in_progress).map(Box::new))
+            .map(|idx| read_class::<T>(self.doc, idx, self.in_progress, self.depth).map(Box::new))
             .transpose()
     }
 
@@ -321,10 +332,21 @@ impl<'d, 'a> FieldReader<'d, 'a> {
 }
 
 /// Decode record `idx` (in range: `Doc::parse` checked every reference)
-/// as a `T`, once the sender's class entry is seen to have `T`'s layout.
-/// The Transportable bit is deliberately ignored, matching the managed
-/// deserializer's layout verification.
-fn read_class<T: Transportable>(doc: &Doc<'_>, idx: u32, in_progress: &mut [bool]) -> Result<T> {
+/// as a `T`, once the sender's class entry is seen to have `T`'s layout,
+/// below `depth` open class records. The Transportable bit is
+/// deliberately ignored, matching the managed deserializer's layout
+/// verification.
+fn read_class<T: Transportable>(
+    doc: &Doc<'_>,
+    idx: u32,
+    in_progress: &mut [bool],
+    depth: usize,
+) -> Result<T> {
+    if depth == MAX_DECODE_DEPTH {
+        return Err(Error::Decode(format!(
+            "objects nested deeper than {MAX_DECODE_DEPTH} at record {idx}"
+        )));
+    }
     let Record::Class { ty, values } = &doc.records()[idx as usize] else {
         return Err(Error::Decode(format!(
             "record {idx} is not a class record (expected `{}`)",
@@ -345,6 +367,7 @@ fn read_class<T: Transportable>(doc: &Doc<'_>, idx: u32, in_progress: &mut [bool
         fields: class.fields.iter(),
         values,
         in_progress,
+        depth: depth + 1,
     };
     let v = T::read_fields(&mut r)?;
     in_progress[idx as usize] = false;
@@ -355,7 +378,7 @@ fn read_class<T: Transportable>(doc: &Doc<'_>, idx: u32, in_progress: &mut [bool
 /// and of the managed `Serializer::serialize`.
 pub fn decode<T: Transportable>(bytes: &[u8]) -> Result<T> {
     let doc = Doc::parse(bytes)?;
-    read_class::<T>(&doc, 0, &mut vec![false; doc.records().len()])
+    read_class::<T>(&doc, 0, &mut vec![false; doc.records().len()], 0)
 }
 
 /// Decode a split representation (synthetic object-array root) into a
@@ -369,7 +392,7 @@ pub fn decode_vec<T: Transportable>(bytes: &[u8]) -> Result<Vec<T>> {
     elems
         .iter()
         .map(|e| match e {
-            Some(idx) => read_class::<T>(&doc, idx, &mut in_progress),
+            Some(idx) => read_class::<T>(&doc, idx, &mut in_progress, 0),
             None => Err(Error::Decode(
                 "null element in object array cannot decode into a by-value Vec".into(),
             )),
@@ -507,6 +530,30 @@ mod tests {
         }
         let bytes = encode(&chain(1));
         assert!(matches!(decode::<Wrong>(&bytes), Err(Error::Decode(_))));
+    }
+
+    /// A chain exactly [`MAX_DECODE_DEPTH`] records deep decodes on a
+    /// thread with the default 2 MiB stack; one record deeper is a typed
+    /// error, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded_and_the_bound_fits_a_default_stack() {
+        let at_bound = encode(&chain(MAX_DECODE_DEPTH - 1));
+        let past = encode(&chain(MAX_DECODE_DEPTH));
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let back: Pair = decode(&at_bound).unwrap();
+                // Unlink before dropping: `Drop` of a boxed chain recurses.
+                let mut next = back.next;
+                while let Some(mut p) = next {
+                    next = p.next.take();
+                }
+                let err = decode::<Pair>(&past).unwrap_err();
+                assert!(err.to_string().contains("nested deeper than 256"), "{err}");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 
 use motor_api::{Communicator, Transportable};
 use motor_core::cluster::{run_cluster, spawn_motor_children, ClusterConfig, MotorProc};
-use motor_mpc::{Policy, ReduceOp, Source};
+use motor_mpc::{Caller, ReduceOp, Source};
 use motor_obs::export::json;
 use motor_pal::clock::Stopwatch;
 use motor_profile::{FoldedStacks, ProfTarget, ProfileSection, RankProfile, Sampler};
@@ -722,12 +722,6 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
             progress: mode,
         },
     );
-    // Who pumps a device while its rank computes, and how.
-    let helper = match mode {
-        motor_mpc::ProgressMode::Off => None,
-        motor_mpc::ProgressMode::Thread => Some(Policy::ENGINE),
-        motor_mpc::ProgressMode::Steal => Some(Policy::RANK),
-    };
     let phases = [motor_obs::PhaseStats::new(), motor_obs::PhaseStats::new()];
     for p in &phases {
         p.start_at(0);
@@ -768,9 +762,9 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
         // its polls run *during* the window — on its own (virtual) core,
         // so pumping does not consume compute ticks.
         for _ in 0..OVERLAP_COMPUTE_TICKS {
-            if let Some(policy) = helper {
+            if mode == motor_mpc::ProgressMode::Thread {
                 for d in 0..2 {
-                    net.device(d).pass(policy);
+                    net.device(d).pass(Caller::Engine);
                 }
             }
             net.clock().advance(1);
@@ -864,7 +858,6 @@ pub fn ablation_overlap_mode(mode: motor_mpc::ProgressMode) -> AppResult {
             match mode {
                 motor_mpc::ProgressMode::Off => "off",
                 motor_mpc::ProgressMode::Thread => "thread",
-                motor_mpc::ProgressMode::Steal => "steal",
             }
         ),
         profile: Some(section),
@@ -1176,11 +1169,10 @@ mod tests {
 
     #[test]
     fn overlap_ablation_separates_engine_modes() {
-        // Deterministic: the same seeded exchange, three progress modes.
+        // Deterministic: the same seeded exchange, both progress modes.
         let off = ablation_overlap_mode(motor_mpc::ProgressMode::Off);
         let thread = ablation_overlap_mode(motor_mpc::ProgressMode::Thread);
-        let steal = ablation_overlap_mode(motor_mpc::ProgressMode::Steal);
-        for r in [&off, &thread, &steal] {
+        for r in [&off, &thread] {
             let p = r.profile.as_ref().expect("overlap carries a profile");
             let inflight: u64 = p.ranks.iter().map(|r| r.inflight_nanos).sum();
             assert!(inflight > 0, "isend/irecv intervals must be tracked");
@@ -1194,17 +1186,12 @@ mod tests {
             "engine-off overlap should be wait-bound, got {}",
             off.checksum
         );
-        // Engine on (either flavor): transfers drain inside the compute
-        // window, clearing the 0.7 release gate with margin.
+        // Engine on: transfers drain inside the compute window, clearing
+        // the 0.7 release gate with margin.
         assert!(
             thread.checksum >= 0.7,
             "engine-thread overlap must clear the floor, got {}",
             thread.checksum
-        );
-        assert!(
-            steal.checksum >= 0.7,
-            "engine-steal overlap must clear the floor, got {}",
-            steal.checksum
         );
         // And the engine must actually shorten the iteration: comm_wait
         // ticks the off run pays at the fence disappear into compute.

@@ -113,8 +113,8 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Who besides the rank threads drives progress (a dedicated thread
-    /// per device, or stealing waiters); see
+    /// Whether a dedicated thread per device drives progress besides the
+    /// rank threads; see
     /// [`ProgressMode`](motor_mpc::ProgressMode). Left at the default
     /// `Off`, the `MOTOR_PROGRESS` environment variable decides at run
     /// time.

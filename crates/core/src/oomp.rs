@@ -11,10 +11,9 @@
 //! buffer" (§7.5). Both messages travel on the user's tag; MPI
 //! non-overtaking keeps each size/data pair matched per sender. The
 //! framing is written once — [`send_sized`], [`recv_sized`],
-//! [`announced_buf`] — over whatever moves the bytes: [`Oomp`], the
-//! intercommunicator transport of
-//! [`MotorProc`](crate::cluster::MotorProc) and `motor_api::Communicator`
-//! all speak it through these three.
+//! [`bcast_sized`], [`announced_buf`] — over whatever moves the bytes:
+//! [`Oomp`], the intercommunicator transport of
+//! [`MotorProc`](crate::cluster::MotorProc) and `motor_api::Communicator`.
 //!
 //! The serialized bytes live in pooled native buffers ([`crate::bufpool`]),
 //! so these operations never pin managed memory (§7.4).
@@ -82,6 +81,21 @@ pub fn recv_sized<B: AsMut<[u8]>, E: From<CoreError>>(
     let st2 = recv(body, Source::Rank(st.source as usize), Tag::new(st.tag))?;
     debug_assert_eq!(st2.count, body.len());
     Ok((buf, st))
+}
+
+/// Broadcast the size header, then the data through `bcast`: the root
+/// passes `Some(bytes)` and gets them back, the others pass `None` and get
+/// the announced bytes in a buffer from `alloc`.
+pub fn bcast_sized<B: AsMut<[u8]>, E: From<CoreError>>(
+    mut own: Option<B>,
+    mut bcast: impl FnMut(&mut [u8]) -> Result<(), E>,
+    alloc: impl FnOnce(usize) -> Option<B>,
+) -> Result<B, E> {
+    let mut size = (own.as_mut().map_or(0, |b| b.as_mut().len()) as u64).to_le_bytes();
+    bcast(&mut size)?;
+    let mut buf = own.map_or_else(|| announced_buf(size, alloc), Ok)?;
+    bcast(buf.as_mut())?;
+    Ok(buf)
 }
 
 /// The extended object-oriented interface bound to one rank.
@@ -275,23 +289,17 @@ impl<'t> Oomp<'t> {
         let _fc = Fcall::enter(self.thread);
         self.maintain_pool();
         self.metrics().bump(Metric::OompCollectives);
-        if self.comm.rank() == root {
-            let obj = obj.ok_or(CoreError::NullBuffer)?;
-            let mut buf = self.serialize_pooled(obj, None)?;
-            let mut size = (buf.as_slice().len() as u64).to_le_bytes();
-            self.comm.bcast_bytes(&mut size, root)?;
-            self.comm.bcast_bytes(buf.buf_mut(), root)?;
-            self.pool.put(buf, self.current_epoch());
-            Ok(obj)
-        } else {
-            let mut size = [0u8; 8];
-            self.comm.bcast_bytes(&mut size, root)?;
-            let mut buf = announced_buf(size, |n| self.pooled(n))?;
-            self.comm.bcast_bytes(buf.buf_mut(), root)?;
-            let h = self.serializer().deserialize(buf.as_slice())?;
-            self.pool.put(buf, self.current_epoch());
-            Ok(h)
-        }
+        let root_obj = (self.comm.rank() == root)
+            .then(|| obj.ok_or(CoreError::NullBuffer))
+            .transpose()?;
+        let own = root_obj
+            .map(|o| self.serialize_pooled(o, None))
+            .transpose()?;
+        let bcast = |b: &mut [u8]| self.comm.bcast_bytes(b, root).map_err(CoreError::from);
+        let buf = bcast_sized(own, bcast, |n| self.pooled(n))?;
+        let got = root_obj.map_or_else(|| self.serializer().deserialize(buf.as_slice()), Ok);
+        self.pool.put(buf, self.current_epoch());
+        got
     }
 
     /// Scatter an array of objects from `root`: each rank receives a

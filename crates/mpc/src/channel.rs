@@ -151,8 +151,7 @@ pub struct LinkState {
 // guarantees for the duration of the operation; the struct itself is only
 // accessed under its per-link mutex in the device's link table (the lock
 // that replaced the old whole-device progress lock), so at most one
-// thread — rank, progress engine, or stealing sibling — touches it at a
-// time.
+// thread — rank or progress engine — touches it at a time.
 unsafe impl Send for LinkState {}
 
 impl LinkState {

@@ -71,14 +71,14 @@
 //! 3. At most one link mutex is held per thread at a time.
 //! 4. No payload copy under `match_state`, and none under a link mutex:
 //!    a single-copy pull is deferred like a reply frame and runs with no
-//!    device lock held, so an engine or stealing thread is never parked
-//!    behind a 256 KiB `memcpy`. The only lock held across the copy is
+//!    device lock held, so an engine thread is never parked behind a
+//!    256 KiB `memcpy`. The only lock held across the copy is
 //!    the pulled window's own.
 //!
 //! # One pass, one wait
 //!
 //! Any thread may drive progress (who does: [`crate::progress`]), and all
-//! of them call [`Device::pass`], differing only in the [`Policy`] they
+//! of them call [`Device::pass`], differing only in the [`Caller`] they
 //! hand it. Every blocking call above the device (`wait`, `waitany`,
 //! `probe`) is `Device::wait_until`: pass, climb the backoff ladder while
 //! nothing moves, then park on the device's [`Waker`] — never sleep
@@ -91,7 +91,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use motor_obs::trace::{rndv_ctl, MSG_RNDV_FLAG};
 use motor_obs::{EventKind, Hist, Metric, MetricsRegistry, SpanKind};
@@ -103,7 +103,7 @@ use crate::channel::{LinkState, PacketSink, RndvDest};
 use crate::error::{MpcError, MpcResult};
 use crate::matching::{Found, Key, KeyedQueue};
 use crate::packet::{self, env_flags, Envelope, ENVELOPE_LEN};
-use crate::progress::{Caller, Policy, ProgressSet};
+use crate::progress::Caller;
 use crate::request::{Request, RequestState, Status};
 
 /// Wildcard source rank (`MPI_ANY_SOURCE`).
@@ -338,9 +338,6 @@ pub struct Device {
     /// What waiters and engine threads park on: bumped whenever any
     /// thread moves this device, or a peer moves bytes on a link to it.
     waker: Arc<Waker>,
-    /// Steal registry this device belongs to (progress mode `steal`; set
-    /// once, by [`ProgressSet::register`]).
-    pub(crate) steal_set: OnceLock<Arc<ProgressSet>>,
 }
 
 impl Device {
@@ -358,7 +355,6 @@ impl Device {
             config,
             metrics,
             waker: Arc::new(Waker::default()),
-            steal_set: OnceLock::new(),
         })
     }
 
@@ -585,7 +581,7 @@ impl Device {
                 rndv_ctl(dst_global, true),
             );
         }
-        self.pass(Policy::RANK);
+        self.pass(Caller::Rank);
         Ok(req)
     }
 
@@ -665,7 +661,7 @@ impl Device {
         if let Some(d) = reply {
             self.run_deferred(d)?;
         }
-        self.pass(Policy::RANK);
+        self.pass(Caller::Rank);
         Ok(req)
     }
 
@@ -824,7 +820,7 @@ impl Device {
 
     /// Non-blocking probe: one pass, then a look at the unexpected queue.
     pub fn iprobe(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
-        self.pass(Policy::RANK);
+        self.pass(Caller::Rank);
         self.peek(src, tag, context)
     }
 
@@ -834,23 +830,23 @@ impl Device {
 
     /// The one progress hook. A sweep pumps every link — flush its
     /// outgoing queue, parse what came in, run the protocol handlers —
-    /// then carries out what the handlers deferred; `policy` says whether
-    /// it waits for a held link, how many sweeps are chained while work
-    /// moves, and whose work it is. Returns whether anything moved.
+    /// then carries out what the handlers deferred; `caller` says how many
+    /// sweeps are chained while work moves and whose work it is. Returns
+    /// whether anything moved.
     ///
     /// Moving bytes through a link, in either direction, wakes whatever is
     /// parked at its other end. A link whose transport fails, or whose
     /// peer sends what is not a frame, is dropped and every operation
     /// bound to it fails with `PeerClosed`; the other links carry on.
-    pub fn pass(&self, policy: Policy) -> bool {
+    pub fn pass(&self, caller: Caller) -> bool {
         // Time passes in a pass: what it delivers is stamped afresh, not
         // with the reading of the operation that called it.
         motor_obs::expire_edge();
-        let t0 = (policy.attribute_to == Caller::Engine).then(|| self.metrics.now_nanos());
+        let t0 = (caller == Caller::Engine).then(|| self.metrics.now_nanos());
         let mut moved_any = false;
         let mut completions = 0u64;
         let mut deferred = DEFERRED.take();
-        for _ in 0..policy.max_passes {
+        for _ in 0..caller.max_sweeps() {
             self.metrics.bump(Metric::ProgressPolls);
             let mut moved = false;
             let nlinks = self.links.read().len();
@@ -860,12 +856,7 @@ impl Device {
                 let Some(slot) = self.slot(peer) else {
                     continue;
                 };
-                let held = if policy.blocking {
-                    Some(slot.link.lock())
-                } else {
-                    slot.link.try_lock()
-                };
-                let Some(mut link) = held else { continue }; // its holder pumps it
+                let mut link = slot.link.lock();
                 let out = link.pump_out();
                 let mut sink = DeviceSink {
                     dev: self,
@@ -914,16 +905,13 @@ impl Device {
             self.metrics.note_progress();
             self.waker.notify();
         }
-        if policy.attribute_to != Caller::Rank && completions > 0 {
-            self.metrics.add(Metric::ProgressOpsCompleted, completions);
-            self.metrics.record(Hist::ProgressBatch, completions);
-        }
         if let Some(t0) = t0 {
+            if completions > 0 {
+                self.metrics.add(Metric::ProgressOpsCompleted, completions);
+                self.metrics.record(Hist::ProgressBatch, completions);
+            }
             let spent = self.metrics.now_nanos().saturating_sub(t0);
             self.metrics.add(Metric::ProgressEngineNanos, spent);
-        }
-        if policy.attribute_to == Caller::Thief && moved_any {
-            self.metrics.bump(Metric::ProgressSteals);
         }
         moved_any
     }
@@ -976,8 +964,7 @@ impl Device {
     /// names the wait in its `DeviceWait` span (a request id, or 0).
     ///
     /// While passes move nothing the wait climbs the backoff ladder: spin,
-    /// then yield — lending its cycles to the steal set's other devices,
-    /// if it is in one — then park on the device waker. What cuts the
+    /// then yield, then park on the device waker. What cuts the
     /// park short is what it can be waiting for: a completion driven by
     /// another thread, or a peer that moved bytes on a link to this
     /// device; the quantum only bounds a wake-up that never comes. A
@@ -1000,8 +987,7 @@ impl Device {
                 self.metrics.record(Hist::WaitNanos, wait.finish());
                 return Ok(got);
             }
-            let steal = || self.steal_set.get().is_some_and(|s| s.steal(self.rank));
-            if self.pass(Policy::RANK) || (backoff.is_yielding() && steal()) {
+            if self.pass(Caller::Rank) {
                 wait.heartbeat();
                 backoff.reset();
                 continue;
@@ -1030,7 +1016,7 @@ impl Device {
     /// sockets under backpressure, fault-injected simulation links) those
     /// frames would otherwise never reach the peer.
     pub fn drain(&self) -> MpcResult<()> {
-        while self.pass(Policy::RANK) {}
+        while self.pass(Caller::Rank) {}
         Ok(())
     }
 
@@ -1068,7 +1054,7 @@ impl Device {
         if let Some(st) = req.outcome()? {
             return Ok(Some(st));
         }
-        self.pass(Policy::RANK);
+        self.pass(Caller::Rank);
         req.outcome()
     }
 
@@ -1287,8 +1273,8 @@ mod tests {
 
     fn drive(d0: &Device, d1: &Device) {
         for _ in 0..10_000 {
-            let a = d0.pass(Policy::RANK);
-            let b = d1.pass(Policy::RANK);
+            let a = d0.pass(Caller::Rank);
+            let b = d1.pass(Caller::Rank);
             if !a && !b {
                 return;
             }
@@ -1448,7 +1434,7 @@ mod tests {
         let s = send(&d0, 0, env(0, 0, 4), &data[..64], false).unwrap();
         let mut buf = [0u8; 64];
         let r = recv(&d0, 0, 4, 0, &mut buf[..64]).unwrap();
-        d0.pass(Policy::RANK);
+        d0.pass(Caller::Rank);
         assert!(s.is_complete() && r.is_complete());
         assert_eq!(buf, [5u8; 64]);
     }
@@ -1505,7 +1491,7 @@ mod tests {
         send(&d0, 1, env(0, 0, 1), &data[..50], false).unwrap();
         // d1 drives both sides here because shm links need no peer pump —
         // but the sender must flush; pump it once.
-        d0.pass(Policy::RANK);
+        d0.pass(Caller::Rank);
         let mut polls = 0;
         let st = d1
             .wait_with(&rreq, || {
@@ -1559,8 +1545,8 @@ mod tests {
                 if rreq.is_complete() {
                     break;
                 }
-                d1c.pass(Policy::ENGINE);
-                d0c.pass(Policy::ENGINE);
+                d1c.pass(Caller::Engine);
+                d0c.pass(Caller::Engine);
             }
             assert!(rreq.is_complete());
             assert_eq!(buf, vec![0x42u8; 4096]);
@@ -1573,38 +1559,6 @@ mod tests {
             "woken by notification, not the timer"
         );
         driver.join().unwrap();
-    }
-
-    /// Stealable progress: a third party driving the steal set completes
-    /// a rendezvous between two devices neither of which pumps itself.
-    #[test]
-    fn stealable_progress_completes_compute_bound_peer() {
-        let (d0, d1) = duo_with(DeviceConfig {
-            eager_threshold: 64,
-            ..DeviceConfig::default()
-        });
-        let set = ProgressSet::new();
-        set.register(&d0);
-        set.register(&d1);
-
-        let data = vec![0x5Au8; 8192];
-        let sreq = send(&d0, 1, env(0, 0, 3), &data, false).unwrap();
-        let mut buf = vec![0u8; 8192];
-        let rreq = recv(&d1, 0, 3, 0, &mut buf).unwrap();
-        // "Rank 2" steals on behalf of both compute-bound ranks.
-        for _ in 0..10_000 {
-            if sreq.is_complete() && rreq.is_complete() {
-                break;
-            }
-            set.steal(2);
-        }
-        assert!(sreq.is_complete() && rreq.is_complete());
-        assert_eq!(buf, data);
-        let snap = d0.metrics().snapshot();
-        assert!(
-            snap.get(Metric::ProgressSteals) > 0,
-            "steal sweeps were counted"
-        );
     }
 
     /// Completion batching: one engine pass on each side finishes a full
@@ -1623,8 +1577,8 @@ mod tests {
         // RTS flushed by the send's own pass and matched by the receive's
         // (which copies and queues the FIN); one engine pass per side:
         // d1 flushes the FIN and completes, d0 completes on it.
-        d1.pass(Policy::ENGINE);
-        d0.pass(Policy::ENGINE);
+        d1.pass(Caller::Engine);
+        d0.pass(Caller::Engine);
         assert!(sreq.is_complete(), "sender done after its engine pass");
         assert!(rreq.is_complete(), "receiver done once the FIN left");
         assert_eq!(buf, data);
@@ -1656,9 +1610,9 @@ mod tests {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    d0.pass(Policy::ENGINE);
-                    d1.pass(Policy::ENGINE);
-                    d2.pass(Policy::ENGINE);
+                    d0.pass(Caller::Engine);
+                    d1.pass(Caller::Engine);
+                    d2.pass(Caller::Engine);
                 }
             })
         };
@@ -1737,8 +1691,8 @@ mod tests {
             if done() {
                 return;
             }
-            d0.pass(Policy::RANK);
-            d1.pass(Policy::RANK);
+            d0.pass(Caller::Rank);
+            d1.pass(Caller::Rank);
         }
         panic!("devices did not get there");
     }
@@ -1879,8 +1833,8 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 while !stop.load(Ordering::Acquire) {
-                    d0.pass(Policy::ENGINE);
-                    d1.pass(Policy::ENGINE);
+                    d0.pass(Caller::Engine);
+                    d1.pass(Caller::Engine);
                 }
             });
             let sender = s.spawn(|| {
@@ -1942,7 +1896,7 @@ mod tests {
         rank1.queue_bytes(vec![9, 0, 0, 0, 0xEE, 1, 2, 3, 4, 5, 6, 7, 8]);
         rank1.pump_out().unwrap();
 
-        assert!(d0.pass(Policy::RANK), "dropping a link is movement");
+        assert!(d0.pass(Caller::Rank), "dropping a link is movement");
         for doomed in [&doomed_recv, &doomed_send] {
             assert!(matches!(
                 d0.wait_with(doomed, || {}),

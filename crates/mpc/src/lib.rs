@@ -52,7 +52,7 @@ pub use device::{Device, DeviceConfig, ANY_TAG};
 pub use dtype::{DType, MpcPrim, ReduceOp};
 pub use error::{MpcError, MpcResult};
 pub use group::Group;
-pub use progress::{Policy, ProgressEngine, ProgressMode, ProgressSet};
+pub use progress::{Caller, ProgressEngine, ProgressMode};
 pub use request::{Request, Status};
 pub use source::Source;
 pub use tag::Tag;

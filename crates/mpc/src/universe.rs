@@ -20,7 +20,7 @@ use crate::comm::Comm;
 use crate::device::{Device, DeviceConfig};
 use crate::error::{MpcError, MpcResult};
 use crate::packet::Envelope;
-use crate::progress::{ProgressEngine, ProgressMode, ProgressSet};
+use crate::progress::{ProgressEngine, ProgressMode};
 use crate::request::{Request, Status};
 
 /// Which PAL transport connects ranks.
@@ -93,8 +93,6 @@ struct UniverseInner {
     progress: ProgressMode,
     /// Dedicated progress threads (mode `thread`; none otherwise).
     engine: ProgressEngine,
-    /// Steal pool every device joins in mode `steal`.
-    steal: Arc<ProgressSet>,
 }
 
 /// A universe of communicating processes.
@@ -145,7 +143,7 @@ impl Universe {
         // An explicit mode wins; a config left at `Off` defers to
         // `MOTOR_PROGRESS` (mirrors the doctor's from_env fallback).
         let progress = match config.progress {
-            ProgressMode::Off => ProgressMode::from_env().unwrap_or_default(),
+            ProgressMode::Off => ProgressMode::from_env(),
             explicit => explicit,
         };
         Universe {
@@ -157,7 +155,6 @@ impl Universe {
                 children: Mutex::new(Vec::new()),
                 progress,
                 engine: ProgressEngine::default(),
-                steal: ProgressSet::new(),
             }),
         }
     }
@@ -209,14 +206,12 @@ impl Universe {
             }
         }
         devices.extend(fresh.iter().cloned());
-        // The mode's extra callers — including for dynamically spawned
-        // processes, which get their engine thread / steal-pool membership
-        // the moment they are wired.
-        for nd in &fresh {
-            match self.inner.progress {
-                ProgressMode::Off => {}
-                ProgressMode::Thread => self.inner.engine.attach(Arc::clone(nd)),
-                ProgressMode::Steal => self.inner.steal.register(nd),
+        // The mode's extra caller — including for dynamically spawned
+        // processes, which get their engine thread the moment they are
+        // wired.
+        if self.inner.progress == ProgressMode::Thread {
+            for nd in &fresh {
+                self.inner.engine.attach(Arc::clone(nd));
             }
         }
         Ok(fresh)
@@ -773,26 +768,6 @@ mod tests {
                 world.recv_bytes(&mut buf, 0, 2).unwrap();
                 assert!(buf.iter().enumerate().all(|(i, &b)| b == (i % 241) as u8));
             }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn progress_steal_mode_runs_universe() {
-        let cfg = UniverseConfig {
-            progress: ProgressMode::Steal,
-            ..Default::default()
-        };
-        Universe::run_with(4, cfg, |proc| {
-            let world = proc.world();
-            let me = world.rank();
-            let other = world.size() - 1 - me;
-            let send = [me as u8; 64];
-            let mut recv = [0u8; 64];
-            world
-                .sendrecv_bytes(&send, other, &mut recv, other, 4)
-                .unwrap();
-            assert_eq!(recv, [other as u8; 64]);
         })
         .unwrap();
     }

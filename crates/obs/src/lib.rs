@@ -153,9 +153,6 @@ named_enum! {
     /// completions, sync-acks) — the asynchronous progress engine's
     /// throughput gauge.
     ProgressOpsCompleted => "progress_ops_completed",
-    /// Progress passes stolen on behalf of this device by another rank's
-    /// parked thread (`poke`-style stealable progress).
-    ProgressSteals => "progress_steals",
     /// Nanoseconds a dedicated progress-engine thread spent pumping this
     /// device — communication work done off the rank thread, i.e. the
     /// off-thread share of the `progress` time bucket.

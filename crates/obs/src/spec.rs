@@ -6,9 +6,10 @@
 //! token means is its owner's match block
 //! ([`DoctorConfig::parse`](crate::DoctorConfig::parse), motor-core's
 //! `TelemetryConfig::parse`); a key the owner does not know and a value
-//! that does not parse are errors, and [`from_env`] reports them the way
-//! `MOTOR_PROGRESS` reports an unknown mode — a mistyped liveness gate
-//! must not quietly run the defaults.
+//! that does not parse are errors, and [`from_env`] reports them loudly —
+//! a mistyped liveness gate must not quietly run the defaults.
+//! `MOTOR_PROGRESS` (motor-mpc's `ProgressMode::from_env`) is a bare
+//! token in the same grammar: `off` or `thread`.
 
 use std::str::FromStr;
 

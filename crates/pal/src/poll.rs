@@ -113,12 +113,6 @@ impl Backoff {
         }
     }
 
-    /// True once the backoff has escalated past pure spinning (to OS-level
-    /// yielding or parking).
-    pub fn is_yielding(&self) -> bool {
-        self.step > self.config.spin_limit
-    }
-
     /// Once the ladder is fully escalated: how long the caller may park on
     /// its [`Waker`] before looking again.
     pub fn park_quantum(&self) -> Option<Duration> {
@@ -239,18 +233,6 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn backoff_escalates_and_resets() {
-        let mut b = Backoff::with_config(BackoffConfig::default());
-        assert!(!b.is_yielding());
-        for _ in 0..10 {
-            b.snooze();
-        }
-        assert!(b.is_yielding());
-        b.reset();
-        assert!(!b.is_yielding());
-    }
-
-    #[test]
     fn ladder_reaches_the_parking_tier_and_stays() {
         let quantum = Duration::from_nanos(1);
         let mut b = Backoff::with_config(BackoffConfig {
@@ -267,7 +249,7 @@ mod tests {
         b.snooze();
         assert_eq!(b.park_quantum(), Some(quantum));
         b.reset();
-        assert!(!b.is_yielding() && b.park_quantum().is_none());
+        assert_eq!(b.park_quantum(), None);
     }
 
     #[test]
@@ -276,7 +258,6 @@ mod tests {
         for _ in 0..100_000 {
             b.snooze();
         }
-        assert!(b.is_yielding());
         assert_eq!(b.park_quantum(), None);
     }
 

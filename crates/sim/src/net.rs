@@ -13,7 +13,7 @@ use std::sync::Arc;
 use motor_mpc::channel::LinkState;
 use motor_mpc::device::{Device, DeviceConfig};
 use motor_mpc::packet::Envelope;
-use motor_mpc::progress::{Policy, ProgressMode, ProgressSet};
+use motor_mpc::progress::{Caller, ProgressMode};
 use motor_mpc::request::Request;
 use motor_obs::{FlightRecord, RankRecord};
 use motor_pal::{TickSource, VirtualClock};
@@ -44,9 +44,8 @@ pub struct SimConfig {
     /// Fault plan applied to every wire direction.
     pub plan: FaultPlan,
     /// Progress mode, emulated deterministically: mode `thread` makes
-    /// each scheduler step the engine's pass, mode `steal` follows each
-    /// step with one steal sweep. No real threads are spawned — every
-    /// interleaving replays from the seed. The environment is
+    /// each scheduler step the engine's pass. No real thread is spawned —
+    /// every interleaving replays from the seed. The environment is
     /// deliberately *not* consulted here.
     pub progress: ProgressMode,
 }
@@ -75,8 +74,8 @@ pub struct SimNet {
     schedule: Schedule,
     next_rr: usize,
     steps: u64,
-    progress: ProgressMode,
-    steal_set: Option<Arc<ProgressSet>>,
+    /// Whose pass a scheduler step runs (the mode's caller).
+    caller: Caller,
 }
 
 impl SimNet {
@@ -105,15 +104,6 @@ impl SimNet {
                 controls.insert((i, j), ctl);
             }
         }
-        let steal_set = if config.progress == ProgressMode::Steal {
-            let set = ProgressSet::new();
-            for d in &devices {
-                set.register(d);
-            }
-            Some(set)
-        } else {
-            None
-        };
         SimNet {
             seed,
             clock,
@@ -123,8 +113,10 @@ impl SimNet {
             schedule: config.schedule,
             next_rr: 0,
             steps: 0,
-            progress: config.progress,
-            steal_set,
+            caller: match config.progress {
+                ProgressMode::Off => Caller::Rank,
+                ProgressMode::Thread => Caller::Engine,
+            },
         }
     }
 
@@ -188,23 +180,9 @@ impl SimNet {
             }
             Schedule::Random => self.rng.below(self.devices.len() as u64) as usize,
         };
-        // The same pass in every mode; the mode says who calls it. The
-        // engine's pass runs inline on the scheduler thread, and a steal
-        // step is the chosen rank's own pass plus the sweep over its
-        // siblings its parked waiter would make.
-        let device = &self.devices[idx];
-        let moved = match self.progress {
-            ProgressMode::Off => device.pass(Policy::RANK),
-            ProgressMode::Thread => device.pass(Policy::ENGINE),
-            ProgressMode::Steal => {
-                let own = device.pass(Policy::RANK);
-                let stolen = self
-                    .steal_set
-                    .as_ref()
-                    .is_some_and(|s| s.steal(device.rank()));
-                own || stolen
-            }
-        };
+        // The same pass in both modes; the mode says who calls it. The
+        // engine's pass runs inline on the scheduler thread.
+        let moved = self.devices[idx].pass(self.caller);
         self.clock.advance(1);
         self.steps += 1;
         moved

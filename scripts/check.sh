@@ -22,6 +22,52 @@ cargo clippy -p motor-runtime -p motor-pal -p motor-core --all-targets --no-deps
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> sanitizer filters name tests that exist (sanitizers.yml)"
+# Neither Miri nor TSan runs here, so a stale name in a nightly filter
+# would silently run nothing there. Every `cargo test` / `cargo miri
+# test` line of the workflow is replayed as a plain `cargo test ...
+# --list` (sanitizer flags and the target dropped): cargo must accept it,
+# and each filter must match at least one test it lists.
+awk '
+  { line = $0; sub(/^[[:space:]]*(run:[[:space:]]*)?/, "", line) }
+  cont { buf = buf " " line } !cont { buf = line }
+  buf ~ /\\$/ { sub(/\\$/, "", buf); cont = 1; next }
+  { cont = 0 }
+  sub(/^cargo (miri )?test /, "", buf) { print buf }
+' .github/workflows/sanitizers.yml | while read -ra words; do
+  args=(test) filters=() skip_next=0 after_dashes=0
+  for w in "${words[@]}"; do
+    if [ "$skip_next" -eq 1 ]; then skip_next=0; continue; fi
+    case "$w" in
+      -Z*) ;;
+      --target) skip_next=1 ;;
+      --) after_dashes=1 ;;
+      -*) args+=("$w") ;;
+      *)
+        if [ "${args[${#args[@]}-1]:-}" = -p ] || [ "${args[${#args[@]}-1]:-}" = --test ]; then
+          args+=("$w")
+        else
+          filters+=("$w")
+        fi
+        ;;
+    esac
+  done
+  [ "$after_dashes" -eq 1 ] || [ "${#filters[@]}" -le 1 ] || {
+    echo "sanitizers.yml: cargo takes one filter before '--': cargo test ${words[*]}" >&2
+    exit 1
+  }
+  listed="$(cargo "${args[@]}" -q -- --list "${filters[@]}" 2>/dev/null)" || {
+    echo "sanitizers.yml: cargo rejects: cargo test ${words[*]}" >&2
+    exit 1
+  }
+  for f in "${filters[@]}"; do
+    if ! echo "$listed" | grep ': test$' | grep -q -F -- "$f"; then
+      echo "sanitizers.yml: filter '$f' matches no test in: cargo test ${words[*]}" >&2
+      exit 1
+    fi
+  done
+done
+
 echo "==> benchmark package builds against the stack (--smoke)"
 # benchmark/ is a workspace of its own — the benchmark pipeline builds it
 # from its checkout — so nothing above compiles it. A change to the
@@ -81,24 +127,21 @@ fi
 echo "==> progress engine smoke test (MOTOR_PROGRESS env plumbing)"
 # The same 4-rank trace workload with the asynchronous progress engine
 # switched on through the environment variable — the no-rebuild path
-# deployments use. Both engine modes must complete the run and still
-# produce matched message edges; the conformance suite is then narrowed
-# to the same mode on two frozen seeds so a failure names the engine
-# mode that broke. (The full suites run in both modes as part of
-# `cargo test --workspace` above.)
-for prog_mode in thread steal; do
-  MOTOR_PROGRESS="$prog_mode" \
-    cargo run -q -p motor-bench --bin motor-trace -- record "$trace_out" --ranks 4 \
-    > /dev/null
-  mode_summary="$(cargo run -q -p motor-bench --bin motor-trace -- summary "$trace_out")"
-  mode_edges="$(echo "$mode_summary" | sed -n 's/.* \([0-9][0-9]*\) message edges.*/\1/p')"
-  if [ -z "$mode_edges" ] || [ "$mode_edges" -lt 1 ]; then
-    echo "progress smoke test ($prog_mode): expected >= 1 message edge, got '${mode_edges:-parse failure}'" >&2
-    exit 1
-  fi
-  MOTOR_PROGRESS="$prog_mode" MOTOR_SIM_SEEDS="1,0x5eed5eed" \
-    cargo test -q --test progress_conformance > /dev/null
-done
+# deployments use. The engine must complete the run and still produce
+# matched message edges; the conformance suite is then narrowed to the
+# same mode on two frozen seeds. (The full suites run in both modes as
+# part of `cargo test --workspace` above.)
+MOTOR_PROGRESS=thread \
+  cargo run -q -p motor-bench --bin motor-trace -- record "$trace_out" --ranks 4 \
+  > /dev/null
+mode_summary="$(cargo run -q -p motor-bench --bin motor-trace -- summary "$trace_out")"
+mode_edges="$(echo "$mode_summary" | sed -n 's/.* \([0-9][0-9]*\) message edges.*/\1/p')"
+if [ -z "$mode_edges" ] || [ "$mode_edges" -lt 1 ]; then
+  echo "progress smoke test (thread): expected >= 1 message edge, got '${mode_edges:-parse failure}'" >&2
+  exit 1
+fi
+MOTOR_PROGRESS=thread MOTOR_SIM_SEEDS="1,0x5eed5eed" \
+  cargo test -q --test progress_conformance > /dev/null
 # The default mode — no helper, the same pass and the same wait — on the
 # frozen seeds: the default schedule's determinism and the `off` soups.
 MOTOR_PROGRESS=off MOTOR_SIM_SEEDS="1,7,42,1234,0xdeadbeef,0x5eed5eed" \

@@ -188,7 +188,7 @@ mod matcher {
     use motor::mpc::channel::LinkState;
     use motor::mpc::device::{ANY_SOURCE, ANY_TAG};
     use motor::mpc::packet::{self, Envelope};
-    use motor::mpc::{Device, DeviceConfig, MpcError, Policy, Request};
+    use motor::mpc::{Caller, Device, DeviceConfig, MpcError, Request};
     use motor::obs::Metric;
     use motor::pal::link::shm_pair;
     use motor_sim::SimRng;
@@ -217,7 +217,7 @@ mod matcher {
         }
 
         fn settle(&self) {
-            while self.dev.pass(Policy::RANK) {}
+            while self.dev.pass(Caller::Rank) {}
         }
 
         /// Peer `from` sends one eager message whose payload is `id`.
@@ -235,7 +235,7 @@ mod matcher {
             link.queue_bytes(packet::encode_eager(&env, &id.to_le_bytes()));
             while link.has_pending_out() {
                 link.pump_out().unwrap();
-                while self.dev.pass(Policy::RANK) {}
+                while self.dev.pass(Caller::Rank) {}
             }
             self.settle();
         }

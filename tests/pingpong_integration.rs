@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use motor::core::cluster::{run_cluster, run_cluster_default, ClusterConfig};
 use motor::core::{CoreError, PinPolicy};
 use motor::mpc::universe::{ChannelKind, UniverseConfig};
-use motor::mpc::{Device, MpcError, Policy};
+use motor::mpc::{Caller, Device, MpcError};
 use motor::obs::Metric;
 use motor::runtime::heap::HeapConfig;
 use motor::runtime::{ElemKind, VmConfig};
@@ -221,7 +221,7 @@ fn unwaited_receive_is_ended_before_the_heap_drops() {
                 // Rank 1 is gone; this rank drives its device for it.
                 while dev1.queue_depths().1 == 0 {
                     assert!(Instant::now() < deadline, "message never arrived");
-                    dev1.pass(Policy::RANK);
+                    dev1.pass(Caller::Rank);
                 }
                 assert_eq!(dev1.queue_depths(), (0, 1, 0, 0), "queued, not delivered");
             }

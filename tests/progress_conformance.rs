@@ -6,8 +6,8 @@
 //! * **(a) Autonomy** — with a progress thread per device, Isend/Irecv
 //!   pairs complete while the owning rank threads do nothing but watch
 //!   the completion flag: no `wait`, no `test`, no progress call ever.
-//! * **(b) Semantics under faults** — with the engine on (`thread` and
-//!   `steal` modes, emulated deterministically by `SimNet`), the MPI
+//! * **(b) Semantics under faults** — with the engine on (`thread` mode,
+//!   emulated deterministically by `SimNet`), the MPI
 //!   contracts still hold under trickle wires, stall windows and
 //!   mid-message link death: non-overtaking per (source, tag, context),
 //!   `ANY_SOURCE` FIFO per sender, clean `PeerClosed` instead of hangs.
@@ -53,28 +53,19 @@ fn sim_config(
     }
 }
 
-/// The engine modes under test, with their display names. `MOTOR_PROGRESS`
-/// narrows the matrix to one engine mode so CI can run (and attribute
-/// failures to) `thread` and `steal` as separate jobs; unset runs both,
-/// and `off` — the default-mode job — leaves the per-mode tests nothing
-/// to replay (the default's own tests read no variable).
+/// The engine mode under test, with its display name. `MOTOR_PROGRESS`,
+/// read through the library's own parser, narrows the matrix so CI can
+/// run (and attribute failures to) one mode per job: unset or `thread`
+/// runs the engine, and `off` — the default-mode job — leaves the
+/// per-mode tests nothing to replay (the default's own tests read no
+/// variable).
 fn engine_modes() -> Vec<(ProgressMode, &'static str)> {
-    let all = vec![
-        (ProgressMode::Thread, "thread"),
-        (ProgressMode::Steal, "steal"),
-    ];
-    match std::env::var("MOTOR_PROGRESS") {
-        Ok(v) if !v.trim().is_empty() => {
-            let v = v.trim().to_ascii_lowercase();
-            let picked: Vec<_> = all.into_iter().filter(|(_, name)| **name == v).collect();
-            assert!(
-                !picked.is_empty() || v == "off",
-                "MOTOR_PROGRESS={v:?} names no mode (use thread|steal|off, or unset for both engines)"
-            );
-            picked
-        }
-        _ => all,
+    let all = vec![(ProgressMode::Thread, "thread")];
+    if std::env::var("MOTOR_PROGRESS").is_ok_and(|v| !v.trim().is_empty()) {
+        let picked = ProgressMode::from_env();
+        return all.into_iter().filter(|(m, _)| *m == picked).collect();
     }
+    all
 }
 
 /// Device-level isend on the fabric (test buffers outlive the drive loop).
@@ -408,7 +399,6 @@ fn default_fingerprint(seed: u64, progress: ProgressMode) -> (u64, u64, Vec<u64>
             Metric::RndvCtsIn,
             Metric::RndvDone,
             Metric::ProgressOpsCompleted,
-            Metric::ProgressSteals,
         ] {
             counters.push(snap.get(m));
         }
@@ -432,10 +422,9 @@ fn default_schedule_is_a_deterministic_function_of_the_seed() {
             "default vs explicit off diverged (seed {seed})"
         );
         assert_eq!(default_run, replay, "replay diverged (seed {seed})");
-        let per_dev = 8;
+        let per_dev = 7;
         for (i, chunk) in default_run.2.chunks(per_dev).enumerate() {
             assert_eq!(chunk[6], 0, "rank {i}: ProgressOpsCompleted with no helper");
-            assert_eq!(chunk[7], 0, "rank {i}: ProgressSteals with no helper");
         }
     }
 }

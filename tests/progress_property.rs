@@ -1,14 +1,14 @@
 //! Property test for the progress engine: seeded soups of mixed
-//! eager/rendezvous point-to-point operations, across rank counts and all
-//! three progress modes, must all complete within a fixed step budget —
-//! no matter which thread (rank, engine, or stealing sibling) ends up
-//! driving each transfer — and the doctor must see a healthy cluster at
-//! the end: zero stall or deadlock-suspect anomalies.
+//! eager/rendezvous point-to-point operations, across rank counts and both
+//! progress modes, must all complete within a fixed step budget — no
+//! matter which thread (rank or engine) ends up driving each transfer —
+//! and the doctor must see a healthy cluster at the end: zero stall or
+//! deadlock-suspect anomalies.
 //!
 //! The op soup is generated once per (seed, rank count) from a forked
-//! `SimRng` stream and replayed identically under `off`, `thread` and
-//! `steal`, so a divergence between modes is attributable to the engine
-//! alone, never to the workload.
+//! `SimRng` stream and replayed identically under `off` and `thread`, so a
+//! divergence between modes is attributable to the engine alone, never to
+//! the workload.
 
 use motor::mpc::device::DeviceConfig;
 use motor::mpc::{ProgressMode, Request};
@@ -24,27 +24,16 @@ const OPS: usize = 40;
 /// wall-clock timeouts would.
 const STEP_BUDGET: u64 = 5_000_000;
 
-/// The progress modes each property replays. `MOTOR_PROGRESS` narrows
-/// the matrix to a single mode (`off`, `thread` or `steal`) so CI can
-/// attribute a failure to one engine mode; unset replays all three.
+/// The progress modes each property replays. `MOTOR_PROGRESS`, read
+/// through the library's own parser, narrows the matrix to that one mode
+/// so CI can attribute a failure to it; unset replays both.
 fn modes_under_test() -> Vec<(ProgressMode, &'static str)> {
-    let all = vec![
-        (ProgressMode::Off, "off"),
-        (ProgressMode::Thread, "thread"),
-        (ProgressMode::Steal, "steal"),
-    ];
-    match std::env::var("MOTOR_PROGRESS") {
-        Ok(v) if !v.trim().is_empty() => {
-            let v = v.trim().to_ascii_lowercase();
-            let picked: Vec<_> = all.into_iter().filter(|(_, name)| *name == v).collect();
-            assert!(
-                !picked.is_empty(),
-                "MOTOR_PROGRESS={v:?} names no progress mode (use off|thread|steal)"
-            );
-            picked
-        }
-        _ => all,
+    let all = vec![(ProgressMode::Off, "off"), (ProgressMode::Thread, "thread")];
+    if std::env::var("MOTOR_PROGRESS").is_ok_and(|v| !v.trim().is_empty()) {
+        let picked = ProgressMode::from_env();
+        return all.into_iter().filter(|(m, _)| *m == picked).collect();
     }
+    all
 }
 
 /// Per-channel late-post decisions, keyed by `(src, dst, tag)`.
@@ -232,7 +221,7 @@ fn op_soups_complete_in_every_mode() {
 
 /// Wildcard-free variant pinning exact per-channel payload order: every
 /// receive names its source and tag, so FIFO within a channel must map the
-/// k-th send to the k-th receive byte-for-byte, in all three modes.
+/// k-th send to the k-th receive byte-for-byte, in both modes.
 #[test]
 fn directed_soups_preserve_channel_fifo_in_every_mode() {
     for seed in seed_matrix() {

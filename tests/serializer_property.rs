@@ -3,10 +3,10 @@
 //! mutation schedules, and the one wire parser under hostile mutation of
 //! what both encoders produce.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use motor::api::{wire, Transportable};
-use motor::core::wire::{Doc, Record, TypeEntry};
+use motor::core::wire::{Doc, Record, TypeEntry, Writer};
 use motor::core::{Serializer, VisitedStrategy};
 use motor::runtime::heap::HeapConfig;
 use motor::runtime::{ClassId, ElemKind, FieldType, Handle, MotorThread, TypeKind, Vm, VmConfig};
@@ -358,6 +358,27 @@ fn the_default_table_agrees_with_the_linear_list_and_probes_in_constant_time() {
     }
 }
 
+/// A valid `PNode` chain twenty thousand records deep, written record
+/// by record: `wire::encode` recurses once per level, so it cannot build
+/// one this deep. Built once: it is the same hostile document in every
+/// case.
+fn deep_chain_doc() -> &'static [u8] {
+    const DEPTH: u32 = 20_000;
+    static DOC: OnceLock<Vec<u8>> = OnceLock::new();
+    DOC.get_or_init(|| {
+        let mut w = Writer::default();
+        for i in 0..DEPTH {
+            let ty = w.intern("PNode", |_, e| <PNode as Transportable>::type_entry(e));
+            w.begin_record(ty);
+            w.payload().extend_from_slice(&(i as i32).to_le_bytes());
+            w.put_ref(None);
+            w.put_ref((i + 1 < DEPTH).then_some(i + 1));
+            w.put_ref(None);
+        }
+        w.finish()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -383,6 +404,11 @@ proptest! {
             wire::encode_prim_slice(&[chain.tag; 5]),
         ]
         .map(|bytes| (slots(&bytes), bytes));
+        // Well-formed but deeper than a stack: a typed error, not an abort.
+        match wire::decode::<PNode>(deep_chain_doc()) {
+            Err(motor::api::Error::Decode(why)) => prop_assert!(why.contains("nested deeper"), "{why}"),
+            other => prop_assert!(false, "a 20 000-deep chain decoded to {:?}", other.map(|_| ())),
+        }
         for (i, m) in muts.into_iter().enumerate() {
             let (slots, valid) = &valid[i % valid.len()];
             let bytes = mutate(valid, slots, m);

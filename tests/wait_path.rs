@@ -1,5 +1,5 @@
-//! The one wait path under stack defaults: no progress thread, no steal
-//! pool — `UniverseConfig::default()` — and a park quantum of an hour.
+//! The one wait path under stack defaults: no progress thread —
+//! `UniverseConfig::default()` — and a park quantum of an hour.
 //!
 //! Every blocking call in the stack waits the same way: pass, climb the
 //! ladder, park on the device's waker. What ends the park is the thing
