@@ -43,6 +43,7 @@ mod matching;
 pub mod packet;
 pub mod progress;
 pub mod request;
+pub mod schedule;
 pub mod source;
 pub mod tag;
 pub mod universe;

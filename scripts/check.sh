@@ -94,11 +94,12 @@ echo "==> sim conformance suite (fixed seed matrix)"
 # Deterministic-simulation gate: the MPI-semantics conformance suite over
 # fault-injecting links, pinned to the frozen seed matrix so a mutation
 # caught once stays caught on every run. A failure prints its seed and
-# the one-line repro command (MOTOR_SIM_SEEDS=<seed> cargo test ...).
+# the one-line repro command (MOTOR_SIM_SEEDS=<seed> cargo test ...). The
+# suite runs optimised: its 64-rank collective point is release-only.
 MOTOR_SIM_SEEDS="1,7,42,1234,0xdeadbeef,0x5eed5eed" \
   cargo test -q -p motor-sim
 MOTOR_SIM_SEEDS="1,7,42,1234,0xdeadbeef,0x5eed5eed" \
-  cargo test -q --test sim_conformance
+  cargo test -q --release --test sim_conformance
 
 echo "==> matcher depth sweep (16 / 256 / 4096 outstanding receives)"
 # The keyed match queues must cost the same lookup at any depth: at most

@@ -1,8 +1,9 @@
 //! Integration tests for the extended MPI surface: Scan, Gatherv/Scatterv
-//! and Waitany, plus a multi-rank random-traffic stress.
+//! and Waitany, plus a multi-rank random-traffic stress and the
+//! collectives' typed argument errors.
 
 use motor::mpc::universe::Universe;
-use motor::mpc::ReduceOp;
+use motor::mpc::{Comm, DType, MpcError, MpcResult, ReduceOp};
 
 #[test]
 fn inclusive_scan_matches_prefix_sums() {
@@ -143,4 +144,50 @@ fn random_traffic_stress_across_ranks() {
         world.barrier().unwrap();
     })
     .unwrap();
+}
+
+/// A collective's argument errors are typed errors, returned before
+/// anything is posted: only the erroneous rank calls, the other rank never
+/// takes part, and the call still returns.
+#[test]
+fn collective_argument_errors_are_typed_errors() {
+    type Case = fn(&Comm) -> MpcResult<()>;
+    fn sum(w: &Comm, send: &[u8], recv: Option<&mut [u8]>) -> MpcResult<()> {
+        w.reduce_bytes(send, recv, DType::I64, ReduceOp::Sum, 0)
+    }
+    let cases: [(&str, Case); 7] = [
+        ("scatter without root's send buffer", |w| {
+            w.scatter_bytes(None, &mut [0; 4], 0)
+        }),
+        ("gather without root's receive buffer", |w| {
+            w.gather_bytes(&[0; 4], None, 0)
+        }),
+        ("reduce without root's receive buffer", |w| {
+            sum(w, &[0; 8], None)
+        }),
+        ("reduce over buffers of two lengths", |w| {
+            sum(w, &[0; 8], Some(&mut [0; 16]))
+        }),
+        ("scan over buffers of two lengths", |w| {
+            w.scan_bytes(&[0; 8], &mut [0; 16], DType::I64, ReduceOp::Sum)
+        }),
+        ("gatherv without root's buffer and counts", |w| {
+            w.gatherv_bytes(&[0; 4], None, 0)
+        }),
+        ("scatterv without root's buffer and counts", |w| {
+            w.scatterv_bytes(None, &mut [0; 4], 0)
+        }),
+    ];
+    for (what, case) in cases {
+        Universe::run(2, move |proc| {
+            let world = proc.world();
+            if world.rank() == 0 {
+                match case(world) {
+                    Err(MpcError::Protocol(_)) => {}
+                    other => panic!("{what}: expected a protocol error, got {other:?}"),
+                }
+            }
+        })
+        .unwrap();
+    }
 }

@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,6 +44,16 @@ const RANKS: usize = 4;
 const DATA_TAG: i32 = 7;
 const CONT_TAG: i32 = 9;
 
+/// Counts a scrape client as done when its thread ends, returning or
+/// panicking, so that a failed client ends the run rather than hanging it.
+struct ClientDone(Arc<AtomicUsize>);
+
+impl Drop for ClientDone {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
+
 #[test]
 fn four_rank_cluster_serves_all_endpoints_mid_run() {
     let cfg = ClusterConfig::builder()
@@ -68,15 +78,18 @@ fn four_rank_cluster_serves_all_endpoints_mid_run() {
         .build();
 
     // Rank 0 publishes the bound address here; the two scrape clients
-    // poll for it.
+    // poll for it. The run goes on until *both* clients are done: ending
+    // it when the first one is stops the endpoint under the other one's
+    // next request (refused, or reset from the accept backlog).
     let addr_shared: Arc<Mutex<Option<SocketAddr>>> = Arc::new(Mutex::new(None));
-    let scrapes_done = Arc::new(AtomicBool::new(false));
+    let scrapes_done = Arc::new(AtomicUsize::new(0));
 
     let mut clients = Vec::new();
     for client in 0..2u32 {
         let addr_shared = Arc::clone(&addr_shared);
-        let done = Arc::clone(&scrapes_done);
+        let done = ClientDone(Arc::clone(&scrapes_done));
         clients.push(std::thread::spawn(move || {
+            let _done = done;
             let addr = loop {
                 if let Some(a) = *addr_shared.lock() {
                     break a;
@@ -140,7 +153,6 @@ fn four_rank_cluster_serves_all_endpoints_mid_run() {
                 let ranks = v.get("ranks").and_then(Value::as_array).unwrap();
                 assert_eq!(ranks.len(), RANKS, "flight record covers every rank");
             }
-            done.store(true, Ordering::Release);
         }));
     }
 
@@ -166,7 +178,7 @@ fn four_rank_cluster_serves_all_endpoints_mid_run() {
                 mp.recv(buf, left, DATA_TAG).expect("ring recv");
                 rounds += 1;
                 let mut cont = [u8::from(
-                    proc.rank() == 0 && !(scrapes_done.load(Ordering::Acquire) && rounds >= 8),
+                    proc.rank() == 0 && !(scrapes_done.load(Ordering::Acquire) == 2 && rounds >= 8),
                 )];
                 if proc.rank() == 0 {
                     for peer in 1..proc.size() {
