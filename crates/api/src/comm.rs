@@ -2,12 +2,13 @@
 //!
 //! [`Comm`] captures exactly the primitive surface the
 //! [`Communicator`](crate::Communicator) needs: raw non-blocking
-//! point-to-point windows, completion, probing, and byte-level
-//! collectives.  `motor_mpc::Comm` is the production implementation;
-//! tests substitute instrumented fakes to observe call shapes.
+//! point-to-point windows, completion, probing, and one `collective`
+//! that runs any [`Coll`] over byte buffers.  `motor_mpc::Comm` is the
+//! production implementation; tests substitute instrumented fakes to
+//! observe call shapes.
 
 use crate::error::Result;
-use motor_mpc::{DType, ReduceOp, Source, Status, Tag};
+use motor_mpc::{Coll, Source, Status, Tag};
 
 /// Minimal transport contract for the typed API.
 pub trait Comm {
@@ -53,24 +54,9 @@ pub trait Comm {
     /// Check for a matching message; never blocks.
     fn iprobe(&self, src: Source, tag: Tag) -> Result<Option<Status>>;
 
-    /// Synchronize all ranks.
-    fn barrier(&self) -> Result<()>;
-    /// Broadcast `buf` from `root` (in-place at non-roots).
-    fn bcast_bytes(&self, buf: &mut [u8], root: usize) -> Result<()>;
-    /// Scatter equal chunks of `send` (significant at root) into `recv`.
-    fn scatter_bytes(&self, send: Option<&[u8]>, recv: &mut [u8], root: usize) -> Result<()>;
-    /// Gather each rank's `send` into root's `recv` in rank order.
-    fn gather_bytes(&self, send: &[u8], recv: Option<&mut [u8]>, root: usize) -> Result<()>;
-    /// Gather each rank's `send` into every rank's `recv`.
-    fn allgather_bytes(&self, send: &[u8], recv: &mut [u8]) -> Result<()>;
-    /// Element-wise reduction visible at every rank.
-    fn allreduce_bytes(
-        &self,
-        send: &[u8],
-        recv: &mut [u8],
-        dtype: DType,
-        op: ReduceOp,
-    ) -> Result<()>;
+    /// Run one collective over byte buffers (see
+    /// `motor_mpc::Comm::collective`).
+    fn collective(&self, send: &[u8], recv: &mut [u8], coll: Coll) -> Result<()>;
     /// Blocking standard-mode send of a byte buffer.
     fn send_bytes(&self, buf: &[u8], dest: usize, tag: Tag) -> Result<()>;
     /// Blocking receive of a byte buffer; errors on truncation.
@@ -118,31 +104,8 @@ impl Comm for motor_mpc::Comm {
     fn iprobe(&self, src: Source, tag: Tag) -> Result<Option<Status>> {
         Ok(motor_mpc::Comm::iprobe(self, src, tag)?)
     }
-    fn barrier(&self) -> Result<()> {
-        Ok(motor_mpc::Comm::barrier(self)?)
-    }
-    fn bcast_bytes(&self, buf: &mut [u8], root: usize) -> Result<()> {
-        Ok(motor_mpc::Comm::bcast_bytes(self, buf, root)?)
-    }
-    fn scatter_bytes(&self, send: Option<&[u8]>, recv: &mut [u8], root: usize) -> Result<()> {
-        Ok(motor_mpc::Comm::scatter_bytes(self, send, recv, root)?)
-    }
-    fn gather_bytes(&self, send: &[u8], recv: Option<&mut [u8]>, root: usize) -> Result<()> {
-        Ok(motor_mpc::Comm::gather_bytes(self, send, recv, root)?)
-    }
-    fn allgather_bytes(&self, send: &[u8], recv: &mut [u8]) -> Result<()> {
-        Ok(motor_mpc::Comm::allgather_bytes(self, send, recv)?)
-    }
-    fn allreduce_bytes(
-        &self,
-        send: &[u8],
-        recv: &mut [u8],
-        dtype: DType,
-        op: ReduceOp,
-    ) -> Result<()> {
-        Ok(motor_mpc::Comm::allreduce_bytes(
-            self, send, recv, dtype, op,
-        )?)
+    fn collective(&self, send: &[u8], recv: &mut [u8], coll: Coll) -> Result<()> {
+        Ok(motor_mpc::Comm::collective(self, send, recv, coll)?)
     }
     fn send_bytes(&self, buf: &[u8], dest: usize, tag: Tag) -> Result<()> {
         Ok(motor_mpc::Comm::send_bytes(self, buf, dest, tag)?)

@@ -61,7 +61,7 @@ pub use managed::{ArrayBuf, PendingArray};
 pub use pending::{PendingRecv, PendingSend};
 
 // Re-export the wire identities applications name directly.
-pub use motor_mpc::{ReduceOp, Source, Status, Tag};
+pub use motor_mpc::{Coll, ReduceOp, Source, Status, Tag};
 
 /// The derive macro: `#[derive(Transportable)]` on a struct of
 /// primitives, `Vec<prim>`, `Option<Vec<prim>>`, and

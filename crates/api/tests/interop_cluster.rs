@@ -225,8 +225,10 @@ fn native_root_scatters_managed_leaves() {
 }
 
 /// The size header is the sender's claim. A raw 8-byte header of
-/// `u64::MAX` on the tag (or down the broadcast tree) must come back from
-/// every receive side as a typed error, not a capacity-overflow panic.
+/// `u64::MAX` on the tag, down the broadcast tree, into the sizes of an
+/// object gather (where the root's checked sum overflows) or out of the
+/// sizes of an object scatter must come back from every receive side as a
+/// typed error, not a capacity-overflow panic or an allocation abort.
 #[test]
 fn hostile_size_header_is_a_typed_error() {
     use motor_api::Error;
@@ -239,6 +241,15 @@ fn hostile_size_header_is_a_typed_error() {
             mp.comm().send_bytes(&HEADER, 1, 10).unwrap();
             mp.comm().bcast_bytes(&mut { HEADER }, 0).unwrap();
             mp.comm().bcast_bytes(&mut { HEADER }, 0).unwrap();
+            for _ in 0..2 {
+                mp.comm().gather_bytes(&HEADER, None, 1).unwrap();
+            }
+            for _ in 0..2 {
+                let sizes = [HEADER, HEADER].concat();
+                mp.comm()
+                    .scatter_bytes(Some(&sizes), &mut [0; 8], 0)
+                    .unwrap();
+            }
         } else {
             let (oomp, comm) = (proc.oomp(), Communicator::bind(proc.mp()));
             assert!(matches!(oomp.orecv(0, 9), Err(CoreError::Serialization(_))));
@@ -252,6 +263,24 @@ fn hostile_size_header_is_a_typed_error() {
             ));
             assert!(matches!(
                 comm.bcast_obj::<Packet>(None, 0),
+                Err(Error::Decode(_))
+            ));
+            let cls = proc.vm().registry().by_name("Packet").unwrap();
+            let none = proc.thread().alloc_obj_array(cls, 0);
+            assert!(matches!(
+                oomp.ogather(none, 1),
+                Err(CoreError::Serialization(_))
+            ));
+            assert!(matches!(
+                comm.gather_objs::<Packet>(&[], 1),
+                Err(Error::Decode(_))
+            ));
+            assert!(matches!(
+                oomp.oscatter(None, 0),
+                Err(CoreError::Serialization(_))
+            ));
+            assert!(matches!(
+                comm.scatter_objs::<Packet>(None, 0),
                 Err(Error::Decode(_))
             ));
         }

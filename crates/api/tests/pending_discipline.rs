@@ -8,8 +8,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use motor_api::comm::Comm;
-use motor_api::{Communicator, Error, Result, Source, Status, Tag};
-use motor_mpc::{DType, ReduceOp};
+use motor_api::{Coll, Communicator, Error, Result, Source, Status, Tag};
 
 /// A transport that completes everything instantly and counts waits.
 #[derive(Default)]
@@ -82,28 +81,7 @@ impl Comm for FakeComm {
     fn iprobe(&self, _src: Source, _tag: Tag) -> Result<Option<Status>> {
         Ok(None)
     }
-    fn barrier(&self) -> Result<()> {
-        Ok(())
-    }
-    fn bcast_bytes(&self, _buf: &mut [u8], _root: usize) -> Result<()> {
-        Ok(())
-    }
-    fn scatter_bytes(&self, _send: Option<&[u8]>, _recv: &mut [u8], _root: usize) -> Result<()> {
-        Ok(())
-    }
-    fn gather_bytes(&self, _send: &[u8], _recv: Option<&mut [u8]>, _root: usize) -> Result<()> {
-        Ok(())
-    }
-    fn allgather_bytes(&self, _send: &[u8], _recv: &mut [u8]) -> Result<()> {
-        Ok(())
-    }
-    fn allreduce_bytes(
-        &self,
-        _send: &[u8],
-        _recv: &mut [u8],
-        _dtype: DType,
-        _op: ReduceOp,
-    ) -> Result<()> {
+    fn collective(&self, _send: &[u8], _recv: &mut [u8], _coll: Coll) -> Result<()> {
         Ok(())
     }
     fn send_bytes(&self, _buf: &[u8], _dest: usize, _tag: Tag) -> Result<()> {

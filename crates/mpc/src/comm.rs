@@ -14,6 +14,11 @@
 //! chain scan. A call builds one [`Schedule`], this rank's steps in rounds,
 //! whole from a [`Coll`], checking its arguments before anything is posted.
 //!
+//! * **One entry.** [`Comm::collective`] runs any [`Coll`] over a send and
+//!   a receive buffer: it counts the call and opens its span (one `match`
+//!   on the kind), then runs the schedule. The `*_bytes`/`*_slice` methods
+//!   are one-liners over it; a root-only buffer a rank does not give is
+//!   empty, and at the root the builder's size checks refuse it.
 //! * **Steps.** `Send`/`Recv` post a request; `Copy`/`ReduceInto` apply on
 //!   the spot. Blocks are byte ranges of the call's send or receive buffer
 //!   or of the schedule's one scratch buffer: nothing is allocated per step.
@@ -25,13 +30,15 @@
 //!   blocking collective is one trip through `Device::wait_until`;
 //!   [`Schedule::new`] carries `isend_ptr`'s window contract for callers
 //!   that step schedules themselves (`SimNet`, 64 ranks on one thread).
-//! * **Not yet:** engine-driven advance, `i*` collectives, algorithm
-//!   selection; a receive from a dead peer waits like any other.
+//! * **Not yet:** engine-driven advance (only the caller advances a
+//!   schedule), `i*` collectives, algorithm selection, a per-communicator
+//!   collective tag sequence, reuse of the step and request `Vec`s; a
+//!   receive from a dead peer waits like any other.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use motor_obs::{Metric, SpanGuard, SpanKind};
+use motor_obs::{Metric, SpanKind};
 
 use crate::device::Device;
 use crate::dtype::{as_bytes, as_bytes_mut, DType, MpcPrim, ReduceOp};
@@ -273,6 +280,7 @@ impl Comm {
         let tag = tag.into();
         // SAFETY: both borrows outlive the waits.
         let rreq = unsafe { self.irecv_ptr(recv.as_mut_ptr(), recv.len(), src, tag)? };
+        // SAFETY: as above.
         let sreq = unsafe { self.isend_ptr(send.as_ptr(), send.len(), dest, tag)? };
         self.wait(&sreq)?;
         self.wait(&rreq)
@@ -333,34 +341,39 @@ impl Comm {
     // Collectives: one schedule each, waited out once (see module docs)
     // ------------------------------------------------------------------
 
-    /// Count a collective call and open its span.
-    fn collective(&self, metric: Metric, kind: SpanKind, root: usize) -> SpanGuard<'_> {
+    /// Run one collective: the one entry every binding reaches. Counts
+    /// the call and opens its span, then builds the [`Schedule`] of
+    /// `coll` over the two buffers and waits it out. A buffer a rank does
+    /// not use (the root-only ones elsewhere) is ignored; one the root
+    /// needs but lacks fails the builder's size checks as `Protocol`.
+    pub fn collective(&self, send: &[u8], recv: &mut [u8], coll: Coll) -> MpcResult<()> {
+        use Coll::*;
+        let (metric, kind, root) = match coll {
+            Barrier => (Metric::CollBarrier, SpanKind::Barrier, 0),
+            Bcast(root) => (Metric::CollBcast, SpanKind::Bcast, root),
+            Scatter(root) => (Metric::CollScatter, SpanKind::Scatter, root),
+            Gather(root) => (Metric::CollGather, SpanKind::Gather, root),
+            Scatterv(_, root) => (Metric::CollScatterv, SpanKind::Scatter, root),
+            Gatherv(_, root) => (Metric::CollGatherv, SpanKind::Gather, root),
+            Allgather => (Metric::CollAllgather, SpanKind::Allgather, 0),
+            Reduce(.., root) => (Metric::CollReduce, SpanKind::Reduce, root),
+            Allreduce(..) => (Metric::CollAllreduce, SpanKind::Allreduce, 0),
+            Alltoall(_) => (Metric::CollAlltoall, SpanKind::Alltoall, 0),
+            Scan(..) => (Metric::CollScan, SpanKind::Scan, 0),
+        };
         self.device.metrics().bump(metric);
-        self.device.metrics().span(kind, root as u64)
-    }
-
-    /// A buffer significant at `root` only: required there, empty
-    /// elsewhere.
-    fn at_root<B: Default>(&self, buf: Option<B>, root: usize) -> MpcResult<B> {
-        match buf {
-            _ if self.rank != root => Ok(B::default()),
-            Some(buf) => Ok(buf),
-            None => Err(MpcError::Protocol(format!(
-                "root {root} supplied no buffer"
-            ))),
-        }
+        let _span = self.device.metrics().span(kind, root as u64);
+        Schedule::run(self, send, recv, coll)
     }
 
     /// Synchronize all ranks (dissemination algorithm, ⌈log₂ n⌉ rounds).
     pub fn barrier(&self) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollBarrier, SpanKind::Barrier, 0);
-        Schedule::run(self, &[], &mut [], Coll::Barrier)
+        self.collective(&[], &mut [], Coll::Barrier)
     }
 
     /// Broadcast `buf` from `root` to every rank (binomial tree).
     pub fn bcast_bytes(&self, buf: &mut [u8], root: usize) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollBcast, SpanKind::Bcast, root);
-        Schedule::run(self, &[], buf, Coll::Bcast(root))
+        self.collective(&[], buf, Coll::Bcast(root))
     }
 
     /// Typed broadcast.
@@ -376,21 +389,18 @@ impl Comm {
         recv: &mut [u8],
         root: usize,
     ) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollScatter, SpanKind::Scatter, root);
-        Schedule::run(self, self.at_root(send, root)?, recv, Coll::Scatter(root))
+        self.collective(send.unwrap_or_default(), recv, Coll::Scatter(root))
     }
 
     /// Gather every rank's `send` into root's `recv` (rank-ordered chunks).
     pub fn gather_bytes(&self, send: &[u8], recv: Option<&mut [u8]>, root: usize) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollGather, SpanKind::Gather, root);
-        Schedule::run(self, send, self.at_root(recv, root)?, Coll::Gather(root))
+        self.collective(send, recv.unwrap_or_default(), Coll::Gather(root))
     }
 
     /// Allgather (ring algorithm): every rank ends with all chunks in rank
     /// order. `recv.len()` must be `send.len() * size`.
     pub fn allgather_bytes(&self, send: &[u8], recv: &mut [u8]) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollAllgather, SpanKind::Allgather, 0);
-        Schedule::run(self, send, recv, Coll::Allgather)
+        self.collective(send, recv, Coll::Allgather)
     }
 
     /// Reduce raw element buffers of `dtype` to `root` (rank-ordered, and
@@ -404,9 +414,8 @@ impl Comm {
         op: ReduceOp,
         root: usize,
     ) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollReduce, SpanKind::Reduce, root);
-        let recv = self.at_root(recv, root)?;
-        Schedule::run(self, send, recv, Coll::Reduce(dtype, op, root))
+        let recv = recv.unwrap_or_default();
+        self.collective(send, recv, Coll::Reduce(dtype, op, root))
     }
 
     /// Typed reduction to `root`.
@@ -429,8 +438,7 @@ impl Comm {
         dtype: DType,
         op: ReduceOp,
     ) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollAllreduce, SpanKind::Allreduce, 0);
-        Schedule::run(self, send, recv, Coll::Allreduce(dtype, op))
+        self.collective(send, recv, Coll::Allreduce(dtype, op))
     }
 
     /// Typed allreduce.
@@ -446,8 +454,7 @@ impl Comm {
     /// All-to-all personalized exchange of equal chunks. Both buffers hold
     /// `size` chunks of `chunk` bytes each.
     pub fn alltoall_bytes(&self, send: &[u8], recv: &mut [u8], chunk: usize) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollAlltoall, SpanKind::Alltoall, 0);
-        Schedule::run(self, send, recv, Coll::Alltoall(chunk))
+        self.collective(send, recv, Coll::Alltoall(chunk))
     }
 
     /// Inclusive prefix reduction (`MPI_Scan`): rank r receives the
@@ -459,8 +466,7 @@ impl Comm {
         dtype: DType,
         op: ReduceOp,
     ) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollScan, SpanKind::Scan, 0);
-        Schedule::run(self, send, recv, Coll::Scan(dtype, op))
+        self.collective(send, recv, Coll::Scan(dtype, op))
     }
 
     /// Typed inclusive scan.
@@ -482,9 +488,8 @@ impl Comm {
         recv: Option<(&mut [u8], &[usize])>,
         root: usize,
     ) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollGatherv, SpanKind::Gather, root);
-        let (recv, counts) = self.at_root(recv, root)?;
-        Schedule::run(self, send, recv, Coll::Gatherv(counts, root))
+        let (recv, counts) = recv.unwrap_or_default();
+        self.collective(send, recv, Coll::Gatherv(counts, root))
     }
 
     /// Variable-count scatter (`MPI_Scatterv`): the root supplies the
@@ -496,9 +501,8 @@ impl Comm {
         recv: &mut [u8],
         root: usize,
     ) -> MpcResult<()> {
-        let _span = self.collective(Metric::CollScatterv, SpanKind::Scatter, root);
-        let (send, counts) = self.at_root(send, root)?;
-        Schedule::run(self, send, recv, Coll::Scatterv(counts, root))
+        let (send, counts) = send.unwrap_or_default();
+        self.collective(send, recv, Coll::Scatterv(counts, root))
     }
 
     /// Wait until *any* of the requests completes; returns its index and

@@ -89,6 +89,7 @@ macro_rules! reduce_arm {
         let n = $acc.len() / std::mem::size_of::<$t>();
         // SAFETY: caller guarantees both buffers hold `n` elements of `$t`.
         let a = unsafe { std::slice::from_raw_parts_mut($acc.as_mut_ptr() as *mut $t, n) };
+        // SAFETY: as above, for the input.
         let b = unsafe { std::slice::from_raw_parts($inp.as_ptr() as *const $t, n) };
         for (x, &y) in a.iter_mut().zip(b.iter()) {
             *x = apply_one::<$t>($op, *x, y, $int);

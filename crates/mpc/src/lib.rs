@@ -55,6 +55,7 @@ pub use error::{MpcError, MpcResult};
 pub use group::Group;
 pub use progress::{Caller, ProgressEngine, ProgressMode};
 pub use request::{Request, Status};
+pub use schedule::Coll;
 pub use source::Source;
 pub use tag::Tag;
 pub use universe::{LinkFactory, Proc, Universe};

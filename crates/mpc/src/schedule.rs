@@ -573,8 +573,8 @@ mod tests {
     fn argument_errors_come_back_before_anything_is_posted() {
         let world = mesh(2);
         let c = &world[0];
-        // SAFETY: every schedule below is refused, so nothing is posted.
         let refusal = |send: &[u8], recv: &mut [u8], coll| {
+            // SAFETY: every schedule below is refused, so nothing is posted.
             let s = unsafe { Schedule::new(c, send, recv, coll) };
             s.err().expect("the builder refuses")
         };

@@ -11,13 +11,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy: SAFETY comments on unsafe blocks (runtime + pal + core)"
-# The crates holding the raw-pointer object model, the SPSC byte rings and
-# the serializer that reads and writes objects by raw address must justify
-# every unsafe block (`--no-deps`: the flag would otherwise reach the path
-# dependencies of the three, which are not held to it yet).
-cargo clippy -p motor-runtime -p motor-pal -p motor-core --all-targets --no-deps -- \
-  -D warnings -D clippy::undocumented-unsafe-blocks
+echo "==> cargo clippy: SAFETY comments on unsafe blocks (runtime + pal + core + mpc + api)"
+# The crates holding the raw-pointer object model, the SPSC byte rings,
+# the serializer that reads and writes objects by raw address, the
+# transport that posts raw windows and the typed layer over it must
+# justify every unsafe block (`--no-deps`: the flag would otherwise reach
+# the path dependencies of the five, which are not held to it yet).
+cargo clippy -p motor-runtime -p motor-pal -p motor-core -p motor-mpc -p motor-api \
+  --all-targets --no-deps -- -D warnings -D clippy::undocumented-unsafe-blocks
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

@@ -162,38 +162,42 @@ fn oscatter_ogather_roundtrip_across_ranks() {
         let t = proc.thread();
         let node = proc.vm().registry().by_name("LinkedArray").unwrap();
         let ftag = t.field_index(node, "tag");
-        let input = if oomp.rank() == 0 {
-            let arr = t.alloc_obj_array(node, TOTAL);
-            for i in 0..TOTAL {
-                let e = t.alloc_instance(node);
-                t.set_prim::<i32>(e, ftag, i as i32);
-                t.obj_array_set(arr, i, e);
+        // At root N − 1 the root's own part is the last of the buffers,
+        // not the first.
+        for root in [0, N - 1] {
+            let input = if oomp.rank() == root {
+                let arr = t.alloc_obj_array(node, TOTAL);
+                for i in 0..TOTAL {
+                    let e = t.alloc_instance(node);
+                    t.set_prim::<i32>(e, ftag, i as i32);
+                    t.obj_array_set(arr, i, e);
+                    t.release(e);
+                }
+                Some(arr)
+            } else {
+                None
+            };
+            let mine = oomp.oscatter(input, root).unwrap();
+            assert_eq!(t.array_len(mine), TOTAL / N);
+            for i in 0..TOTAL / N {
+                let e = t.obj_array_get(mine, i);
+                let tag = t.get_prim::<i32>(e, ftag);
+                assert_eq!(tag as usize, oomp.rank() * (TOTAL / N) + i);
+                t.set_prim::<i32>(e, ftag, tag + 100);
                 t.release(e);
             }
-            Some(arr)
-        } else {
-            None
-        };
-        let mine = oomp.oscatter(input, 0).unwrap();
-        assert_eq!(t.array_len(mine), TOTAL / N);
-        for i in 0..TOTAL / N {
-            let e = t.obj_array_get(mine, i);
-            let tag = t.get_prim::<i32>(e, ftag);
-            assert_eq!(tag as usize, oomp.rank() * (TOTAL / N) + i);
-            t.set_prim::<i32>(e, ftag, tag + 100);
-            t.release(e);
-        }
-        let full = oomp.ogather(mine, 0).unwrap();
-        if oomp.rank() == 0 {
-            let full = full.unwrap();
-            assert_eq!(t.array_len(full), TOTAL);
-            for i in 0..TOTAL {
-                let e = t.obj_array_get(full, i);
-                assert_eq!(t.get_prim::<i32>(e, ftag), i as i32 + 100);
-                t.release(e);
+            let full = oomp.ogather(mine, root).unwrap();
+            if oomp.rank() == root {
+                let full = full.unwrap();
+                assert_eq!(t.array_len(full), TOTAL);
+                for i in 0..TOTAL {
+                    let e = t.obj_array_get(full, i);
+                    assert_eq!(t.get_prim::<i32>(e, ftag), i as i32 + 100);
+                    t.release(e);
+                }
+            } else {
+                assert!(full.is_none());
             }
-        } else {
-            assert!(full.is_none());
         }
     })
     .unwrap();
