@@ -156,8 +156,8 @@ impl<'a> Encoder<'a> {
 
     /// Emit queued records in discovery order (the list grows as record
     /// payloads discover further references — breadth-first, exactly like
-    /// the managed emission loop) and assemble the representation.
-    fn finish(mut self) -> Vec<u8> {
+    /// the managed emission loop) and append the representation to `out`.
+    fn finish(mut self, mut out: Vec<u8>) -> Vec<u8> {
         let mut emitted = 0;
         while emitted < self.nodes.len() {
             let node = self.nodes[emitted];
@@ -166,7 +166,8 @@ impl<'a> Encoder<'a> {
             self.w.begin_record(ty);
             node.write_record(&mut self);
         }
-        self.w.finish()
+        self.w.finish_into(&mut out);
+        out
     }
 
     // -- field writers invoked by derive-generated `write_fields` ----------
@@ -203,13 +204,18 @@ impl<'a> Encoder<'a> {
 pub fn encode<T: Transportable>(root: &T) -> Vec<u8> {
     let mut enc = Encoder::default();
     enc.nodes.push(root);
-    enc.finish()
+    enc.finish(Vec::new())
 }
 
 /// Encode a slice of transportable objects as a *split representation*:
 /// a synthetic object-array root (record 0) over the elements, exactly as
 /// `Serializer::serialize_array_range` emits one scatter/gather part.
 pub fn encode_slice<T: Transportable>(items: &[T]) -> Vec<u8> {
+    encode_slice_into(items, Vec::new())
+}
+
+/// [`encode_slice`] appended to `out`, so that parts lie back to back.
+pub fn encode_slice_into<T: Transportable>(items: &[T], out: Vec<u8>) -> Vec<u8> {
     let mut enc = Encoder::default();
     // The element class is interned first, as on the managed path.
     let elem_type = enc.w.intern(TypeKey::Class(T::TYPE_NAME), |_, e| {
@@ -220,7 +226,7 @@ pub fn encode_slice<T: Transportable>(items: &[T]) -> Vec<u8> {
     for it in items {
         enc.put_node(Some(it));
     }
-    enc.finish()
+    enc.finish(out)
 }
 
 /// Encode a primitive slice as a split-representation part (the form
@@ -232,7 +238,7 @@ pub fn encode_prim_slice<P: WirePrim>(data: &[P]) -> Vec<u8> {
     for &v in data {
         enc.put_prim(v);
     }
-    enc.finish()
+    enc.finish(Vec::new())
 }
 
 // ---------------------------------------------------------------------------
