@@ -466,7 +466,9 @@ where
         // Arm time-bucket accounting on the rank's own (VM-side) registry:
         // from here to the exit snapshot every classified span and phase
         // scope attributes this rank's wall clock, so the prof_* counters
-        // in the collected snapshots partition the body's run time.
+        // in the collected snapshots partition the body's run time. The
+        // same call claims the registry: this thread is its owner, as it
+        // is its device's.
         mp.vm.metrics().profile_start();
         body(&mp);
         snaps.lock().push((mp.rank(), mp.metrics()));

@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 
 use motor_interp::{FCallId, FcallHost, TrapKind, Value};
 use motor_mpc::Source;
-use motor_runtime::{ClassId, ElemKind, Handle, MotorThread, TypeKind};
+use motor_runtime::{ElemKind, Handle, MotorThread, TransportView, TypeKind};
 
 use crate::error::{CoreError, CoreResult};
 use crate::mp::{Mp, MpRequest, Proof};
@@ -46,35 +46,21 @@ impl<'t> Fcall<'t> {
         self.thread.poll();
     }
 
-    /// Parameter check: the object must be non-null.
-    pub fn check_not_null(&self, h: Handle) -> CoreResult<()> {
-        if self.thread.is_null(h) {
-            return Err(CoreError::NullBuffer);
+    /// Resolve a raw transport buffer — window, element layout,
+    /// generation — in one VM round trip, with the parameter checks: the
+    /// object must be non-null and, for the regular MPI bindings (paper
+    /// §4.2.1), "Only object types with no object references or arrays of
+    /// simple types can be used as send or receive objects. This prevents
+    /// overwriting references and protects the integrity of the object
+    /// model." Stability rules for the window are the pinning policy's
+    /// business.
+    pub fn transport_view(&self, h: Handle) -> CoreResult<TransportView> {
+        let view = self.thread.transport_view(h).ok_or(CoreError::NullBuffer)?;
+        if view.window.is_none() {
+            let name = self.thread.vm().registry().table(view.class).name.clone();
+            return Err(CoreError::ObjectModelIntegrity(name));
         }
-        Ok(())
-    }
-
-    /// Parameter check for the regular MPI bindings (paper §4.2.1): "Only
-    /// object types with no object references or arrays of simple types can
-    /// be used as send or receive objects. This prevents overwriting
-    /// references and protects the integrity of the object model."
-    pub fn check_transportable_raw(&self, h: Handle) -> CoreResult<ClassId> {
-        self.check_not_null(h)?;
-        let class = self.thread.class_of(h);
-        let vm = self.thread.vm();
-        let reg = vm.registry();
-        let mt = reg.table(class);
-        match &mt.kind {
-            TypeKind::Class if mt.has_refs => Err(CoreError::ObjectModelIntegrity(mt.name.clone())),
-            TypeKind::ObjArray(_) => Err(CoreError::ObjectModelIntegrity(mt.name.clone())),
-            _ => Ok(class),
-        }
-    }
-
-    /// Resolve the zero-copy window of a validated object: `(ptr, bytes)`.
-    /// Stability rules are the pinning policy's business.
-    pub fn data_window(&self, h: Handle) -> (*mut u8, usize) {
-        self.thread.raw_data_window(h)
+        Ok(view)
     }
 
     /// Element kind of a primitive or multidimensional array (None for a
@@ -348,7 +334,7 @@ mod tests {
         let (_vm, t) = setup();
         let f = Fcall::enter(&t);
         let null = t.null_handle();
-        assert!(matches!(f.check_not_null(null), Err(CoreError::NullBuffer)));
+        assert!(matches!(f.transport_view(null), Err(CoreError::NullBuffer)));
     }
 
     #[test]
@@ -373,11 +359,14 @@ mod tests {
         let h_good = t.alloc_instance(good);
         let h_arr = t.alloc_prim_array(ElemKind::I32, 4);
         assert!(matches!(
-            f.check_transportable_raw(h_bad),
-            Err(CoreError::ObjectModelIntegrity(_))
+            f.transport_view(h_bad),
+            Err(CoreError::ObjectModelIntegrity(name)) if name == "HasRef"
         ));
-        assert!(f.check_transportable_raw(h_good).is_ok());
-        assert!(f.check_transportable_raw(h_arr).is_ok());
+        assert!(f.transport_view(h_good).is_ok());
+        let view = f.transport_view(h_arr).unwrap();
+        assert_eq!(view.window.unwrap().1, 16);
+        assert_eq!(view.elems, Some((ElemKind::I32, 4)));
+        assert!(view.young);
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub(crate) fn resolve_bounds(
 /// ([`Proof::Checked`], what every public operation does) or was proved when
 /// the module was loaded ([`Proof::Proved`]): the `motor-analyze` transport
 /// pass established that every value reaching the site has a
-/// reference-free, transportable class, so the per-send registry walk is
-/// elided. Nullness stays a runtime property and is checked either way.
+/// reference-free, transportable class, so the refusal is elided — a
+/// buffer without a raw window under a proof is a broken proof, and
+/// panics. Nullness stays a runtime property and is checked either way.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Proof {
     Checked,
@@ -87,6 +88,16 @@ fn source_peer(src: Source) -> usize {
         Source::Rank(r) => r,
         Source::Any => u32::MAX as usize,
     }
+}
+
+/// A resolved transport buffer: the object, its zero-copy window and
+/// whether it sits in the young generation, the one fact the pinning
+/// policy decides on.
+struct Window {
+    obj: Handle,
+    ptr: *mut u8,
+    bytes: usize,
+    young: bool,
 }
 
 /// Completion status of a Motor receive (the `MPI::Status` analog).
@@ -250,31 +261,48 @@ impl<'t> Mp<'t> {
     /// Validate `obj` as a transport buffer and resolve its zero-copy
     /// window: the whole object, or the `(offset, count)` elements of an
     /// array ("transporting portions of an array is supported", §4.2.1).
+    /// One VM round trip resolves it all, the generation the pinning
+    /// policy decides on included.
     fn window(
         &self,
         fc: &Fcall<'_>,
         obj: Handle,
         sub: Option<(usize, usize)>,
         proof: Proof,
-    ) -> CoreResult<(*mut u8, usize)> {
-        match proof {
-            Proof::Checked => drop(fc.check_transportable_raw(obj)?),
-            Proof::Proved => fc.check_not_null(obj)?,
-        }
-        let (ptr, bytes) = fc.data_window(obj);
-        let Some((offset, count)) = sub else {
-            return Ok((ptr, bytes));
+    ) -> CoreResult<Window> {
+        let view = match proof {
+            Proof::Checked => fc.transport_view(obj)?,
+            Proof::Proved => self
+                .thread
+                .transport_view(obj)
+                .ok_or(CoreError::NullBuffer)?,
         };
-        let kind = fc
-            .elem_kind(obj)
+        let (ptr, bytes) = view
+            .window
+            .expect("raw window refused: a proved buffer's type contains references");
+        let young = view.young;
+        let Some((offset, count)) = sub else {
+            return Ok(Window {
+                obj,
+                ptr,
+                bytes,
+                young,
+            });
+        };
+        let (kind, len) = view
+            .elems
             .ok_or_else(|| CoreError::Serialization("range transport requires an array".into()))?;
-        let len = self.thread.array_len(obj);
         if offset.checked_add(count).is_none_or(|end| end > len) {
             return Err(CoreError::RangeOutOfBounds { offset, count, len });
         }
         let es = kind.size();
-        // SAFETY: offset bounds-checked against the array length.
-        Ok((unsafe { ptr.add(offset * es) }, count * es))
+        Ok(Window {
+            obj,
+            // SAFETY: offset bounds-checked against the array length.
+            ptr: unsafe { ptr.add(offset * es) },
+            bytes: count * es,
+            young,
+        })
     }
 
     /// Open the span of a point-to-point operation. From here the call
@@ -298,12 +326,12 @@ impl<'t> Mp<'t> {
     /// Complete a started blocking operation with the paper's deferred
     /// pinning: fast-path test first; pin only if we must enter the
     /// polling wait.
-    fn finish_blocking(&self, buf: Handle, req: Request) -> CoreResult<MpStatus> {
+    fn finish_blocking(&self, w: &Window, req: Request) -> CoreResult<MpStatus> {
         if let Some(st) = self.comm.test(&req)? {
-            pinning::note_fast_blocking_completion(self.thread, self.policy, buf);
+            pinning::note_fast_blocking_completion(self.thread, self.policy, w.young);
             return Ok(st.into());
         }
-        let pin = pinning::pin_for_polling_wait(self.thread, self.policy, buf);
+        let pin = pinning::pin_resident_for_polling_wait(self.thread, self.policy, w.obj, w.young);
         let st = self.comm.wait_with(&req, || self.thread.poll());
         pinning::release(self.thread, pin);
         Ok(st?.into())
@@ -337,11 +365,11 @@ impl<'t> Mp<'t> {
     ) -> CoreResult<()> {
         let _span = self.p2p_span(SpanKind::MpSend, dest, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.window(&fc, obj, sub, proof)?;
+        let w = self.window(&fc, obj, sub, proof)?;
         // SAFETY: window stability is maintained by the pinning policy
         // inside `finish_blocking` (no poll happens before the pin).
-        let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
-        self.finish_blocking(obj, req)?;
+        let req = unsafe { self.comm.isend_ptr(w.ptr, w.bytes, dest, tag)? };
+        self.finish_blocking(&w, req)?;
         Ok(())
     }
 
@@ -350,10 +378,10 @@ impl<'t> Mp<'t> {
         let tag = tag.into();
         let _span = self.p2p_span(SpanKind::MpSsend, dest, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.window(&fc, obj, None, Proof::Checked)?;
+        let w = self.window(&fc, obj, None, Proof::Checked)?;
         // SAFETY: as in `send`.
-        let req = unsafe { self.comm.issend_ptr(ptr, len, dest, tag)? };
-        self.finish_blocking(obj, req)?;
+        let req = unsafe { self.comm.issend_ptr(w.ptr, w.bytes, dest, tag)? };
+        self.finish_blocking(&w, req)?;
         Ok(())
     }
 
@@ -391,10 +419,10 @@ impl<'t> Mp<'t> {
     ) -> CoreResult<MpStatus> {
         let _span = self.p2p_span(SpanKind::MpRecv, source_peer(src), tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.window(&fc, obj, sub, proof)?;
+        let w = self.window(&fc, obj, sub, proof)?;
         // SAFETY: as in `send`.
-        let req = unsafe { self.comm.irecv_ptr(ptr, len, src, tag)? };
-        self.finish_blocking(obj, req)
+        let req = unsafe { self.comm.irecv_ptr(w.ptr, w.bytes, src, tag)? };
+        self.finish_blocking(&w, req)
     }
 
     // ------------------------------------------------------------------
@@ -406,15 +434,15 @@ impl<'t> Mp<'t> {
     /// finishes, paper §4.3) and register the operation as in flight,
     /// under the kind and argument of `span`, the initiating call's own —
     /// all three as of the instant it opened.
-    fn track(&self, span: &motor_obs::SpanGuard<'_>, obj: Handle, req: Request) -> MpRequest {
+    fn track(&self, span: &motor_obs::SpanGuard<'_>, w: &Window, req: Request) -> MpRequest {
         span.set_edge();
-        let hard_pin = pinning::pin_for_nonblocking(self.thread, self.policy, obj, &req);
+        let hard_pin = pinning::pin_for_nonblocking(self.thread, self.policy, w.obj, w.young, &req);
         let registry = Arc::clone(self.thread.vm().metrics());
         let inflight = registry.op_begin(span.kind(), span.arg());
         registry.async_op_begin();
         MpRequest {
             inner: req,
-            buf: obj,
+            buf: w.obj,
             hard_pin,
             registry,
             inflight,
@@ -437,11 +465,11 @@ impl<'t> Mp<'t> {
     ) -> CoreResult<MpRequest> {
         let span = self.p2p_span(SpanKind::MpIsend, dest, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.window(&fc, obj, None, proof)?;
+        let w = self.window(&fc, obj, None, proof)?;
         // SAFETY: the conditional pin `track` registers keeps the window
         // stable for the transport's lifetime; no poll intervenes.
-        let req = unsafe { self.comm.isend_ptr(ptr, len, dest, tag)? };
-        Ok(self.track(&span, obj, req))
+        let req = unsafe { self.comm.isend_ptr(w.ptr, w.bytes, dest, tag)? };
+        Ok(self.track(&span, &w, req))
     }
 
     /// Immediate receive.
@@ -464,10 +492,10 @@ impl<'t> Mp<'t> {
         let peer = source_peer(src);
         let span = self.p2p_span(SpanKind::MpIrecv, peer, tag);
         let fc = Fcall::enter(self.thread);
-        let (ptr, len) = self.window(&fc, obj, None, proof)?;
+        let w = self.window(&fc, obj, None, proof)?;
         // SAFETY: as in `isend`.
-        let req = unsafe { self.comm.irecv_ptr(ptr, len, src, tag)? };
-        Ok(self.track(&span, obj, req))
+        let req = unsafe { self.comm.irecv_ptr(w.ptr, w.bytes, src, tag)? };
+        Ok(self.track(&span, &w, req))
     }
 
     /// Wait for an immediate operation, polling the collector while
@@ -546,14 +574,18 @@ impl<'t> Mp<'t> {
         let coll = coll(&fc)?;
         let sw = send.map(|h| self.window(&fc, h, None, proof)).transpose()?;
         let rw = recv.map(|h| self.window(&fc, h, None, proof)).transpose()?;
-        let pin = |h| pinning::pin_for_polling_wait(self.thread, self.policy, h);
-        let pins = [send.map(pin), recv.map(pin)];
+        let pin = |w: &Window| {
+            pinning::pin_resident_for_polling_wait(self.thread, self.policy, w.obj, w.young)
+        };
+        let pins = [sw.as_ref().map(pin), rw.as_ref().map(pin)];
         // SAFETY: each window stays pinned (or is elder, hence stable) until
         // the release below.
         let (sbuf, rbuf) = unsafe {
             (
-                sw.map_or(&[][..], |(p, n)| std::slice::from_raw_parts(p, n)),
-                rw.map_or(&mut [][..], |(p, n)| std::slice::from_raw_parts_mut(p, n)),
+                sw.map_or(&[][..], |w| std::slice::from_raw_parts(w.ptr, w.bytes)),
+                rw.map_or(&mut [][..], |w| {
+                    std::slice::from_raw_parts_mut(w.ptr, w.bytes)
+                }),
             )
         };
         let r = self.comm.collective(sbuf, rbuf, coll);

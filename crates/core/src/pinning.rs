@@ -63,9 +63,20 @@ pub enum HeldPin {
 /// This is called only when the fast path (operation complete before any
 /// wait) has failed, implementing the paper's deferred pinning.
 pub fn pin_for_polling_wait(thread: &MotorThread, policy: PinPolicy, buf: Handle) -> HeldPin {
+    pin_resident_for_polling_wait(thread, policy, buf, thread.is_young(buf))
+}
+
+/// [`pin_for_polling_wait`] for a buffer whose generation the caller
+/// resolved together with its window (`young`), which saves the lookup.
+pub fn pin_resident_for_polling_wait(
+    thread: &MotorThread,
+    policy: PinPolicy,
+    buf: Handle,
+    young: bool,
+) -> HeldPin {
     match policy {
         PinPolicy::Motor => {
-            if thread.is_young(buf) {
+            if young {
                 HeldPin::Hard(thread.pin(buf))
             } else {
                 thread.vm().metrics().bump(Metric::GcPinsAvoidedElder);
@@ -78,9 +89,10 @@ pub fn pin_for_polling_wait(thread: &MotorThread, policy: PinPolicy, buf: Handle
 }
 
 /// Account for a blocking operation that completed on the fast path and
-/// never entered the polling wait (and therefore never pinned).
-pub fn note_fast_blocking_completion(thread: &MotorThread, policy: PinPolicy, buf: Handle) {
-    if policy == PinPolicy::Motor && thread.is_young(buf) {
+/// never entered the polling wait (and therefore never pinned); `young`
+/// is where its buffer lives.
+pub fn note_fast_blocking_completion(thread: &MotorThread, policy: PinPolicy, young: bool) {
+    if policy == PinPolicy::Motor && young {
         thread
             .vm()
             .metrics()
@@ -97,17 +109,19 @@ pub fn release(thread: &MotorThread, pin: HeldPin) {
 
 /// Pin for a *non-blocking* operation: register a conditional pin whose
 /// release the collector performs once `req` reports completion
-/// (paper §4.3). Under `Always`, degrade to the wrapper behaviour of a
-/// hard pin that a completion check must release (returned to the caller).
+/// (paper §4.3). `young` is where the buffer lives, resolved with its
+/// window. Under `Always`, degrade to the wrapper behaviour of a hard pin
+/// that a completion check must release (returned to the caller).
 pub fn pin_for_nonblocking(
     thread: &MotorThread,
     policy: PinPolicy,
     buf: Handle,
+    young: bool,
     req: &Request,
 ) -> Option<PinToken> {
     match policy {
         PinPolicy::Motor => {
-            if thread.is_young(buf) {
+            if young {
                 // The request is the condition: a reference count, no
                 // second allocation.
                 thread.pin_conditional(buf, Arc::clone(req) as Arc<dyn PinCondition>);
@@ -197,12 +211,13 @@ mod tests {
         let (vm, t) = setup();
         let young = t.alloc_prim_array(ElemKind::U8, 32);
         let req = RequestState::new(1);
-        assert!(pin_for_nonblocking(&t, PinPolicy::Motor, young, &req).is_none());
+        let resident = t.is_young(young);
+        assert!(pin_for_nonblocking(&t, PinPolicy::Motor, young, resident, &req).is_none());
         assert_eq!(vm.stats_snapshot().conditional_pins_registered, 1);
         // Elder object: no registration.
         t.collect_minor();
         let req2 = RequestState::new(2);
-        pin_for_nonblocking(&t, PinPolicy::Motor, young, &req2);
+        pin_for_nonblocking(&t, PinPolicy::Motor, young, t.is_young(young), &req2);
         assert_eq!(vm.stats_snapshot().conditional_pins_registered, 1);
         assert_eq!(vm.stats_snapshot().pins_avoided_elder, 1);
         // The first conditional pin resolves once the request completes.
@@ -236,7 +251,7 @@ mod tests {
     fn fast_blocking_completion_is_counted() {
         let (vm, t) = setup();
         let h = t.alloc_prim_array(ElemKind::U8, 32);
-        note_fast_blocking_completion(&t, PinPolicy::Motor, h);
+        note_fast_blocking_completion(&t, PinPolicy::Motor, t.is_young(h));
         assert_eq!(vm.stats_snapshot().pins_avoided_fast_blocking, 1);
         assert_eq!(vm.stats_snapshot().pins, 0);
     }

@@ -55,16 +55,21 @@
 //!
 //! # Locking model
 //!
-//! Each link has its **own** mutex (`Arc<LinkSlot>`s in an `RwLock`ed
-//! table), so two threads pumping different peers never contend; the
-//! matching/protocol tables live in a single `match_state` mutex.
+//! Each link has its **own** mutex, so two threads pumping different peers
+//! never contend; the matching/protocol tables live in a single
+//! `match_state` mutex. The link table is copy-on-write: an immutable
+//! `Arc<[Option<Arc<LinkSlot>>]>` that wiring a link and dropping one
+//! replace whole, behind an `RwLock` held only to clone or swap it.
 //! Lock-order rules (deadlock freedom):
 //!
-//! 1. The links table read guard is **transient**: clone the slot's
-//!    `Arc`, drop the guard, *then* lock the link.
+//! 1. The links table guard is **transient**: clone the table (a pass) or
+//!    one slot's `Arc` (a post), drop the guard, *then* lock a link.
 //!    Never block on a link mutex while holding the table guard. Taking
 //!    the guard *under* a link mutex or `match_state` is fine: no writer
-//!    of the table holds either.
+//!    of the table holds either. A pass works from the table as it was
+//!    when it started, so it may lock a link another thread has dropped
+//!    since; the drop marks the slot under its mutex, and whoever locks
+//!    a marked slot leaves it alone.
 //! 2. `link → match_state` is allowed; `match_state → link` is forbidden.
 //!    Handlers that must reply (CTS, sync-ack) return or defer frames and
 //!    queue them after dropping `match_state`.
@@ -79,10 +84,14 @@
 //!
 //! Any thread may drive progress (who does: [`crate::progress`]), and all
 //! of them call [`Device::pass`], differing only in the [`Caller`] they
-//! hand it. Every blocking call above the device (`wait`, `waitany`,
-//! `probe`) is `Device::wait_until`: pass, climb the backoff ladder while
-//! nothing moves, then park on the device's [`Waker`] — never sleep
-//! blind. Two things bump that waker, in every progress mode: this
+//! hand it. A post does its own work and no more: a plain eager send
+//! flushes its own link under the lock it queued the frame under and
+//! pokes the peer; a rendezvous or synchronous send, a receive, and a
+//! send whose flush failed end with a pass. Every blocking call above the
+//! device (`wait`, `waitany`, `probe`) is `Device::wait_until`: a request
+//! that is already finished returns at once, before any wait is recorded;
+//! otherwise pass, climb the backoff ladder while nothing moves, then park
+//! on the device's [`Waker`] — never sleep blind. Two things bump that waker, in every progress mode: this
 //! device's own passes that moved something, and a *peer's* pass that
 //! moved bytes through the link the two share (written: we have input;
 //! consumed: we have room). The peer finds it in the link pair's wake
@@ -90,14 +99,14 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use motor_obs::trace::{rndv_ctl, MSG_RNDV_FLAG};
 use motor_obs::{EventKind, Hist, Metric, MetricsRegistry, SpanKind};
 use motor_pal::window::{Exposure, Windows};
 use motor_pal::{Backoff, WakeCells, Waker};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::channel::{LinkState, PacketSink, RndvDest};
 use crate::error::{MpcError, MpcResult};
@@ -319,17 +328,40 @@ thread_local! {
 /// the link lock) and the wake cells (so a poke never does).
 struct LinkSlot {
     link: Mutex<LinkState>,
+    /// Set under `link` by the pass that dropped this link; a pass that
+    /// still holds an older table, or a post that cloned the slot before
+    /// the drop, finds it set and leaves the link alone.
+    dropped: AtomicBool,
     windows: Option<Windows>,
     wake: Option<WakeCells>,
 }
 
+impl LinkSlot {
+    /// The link, locked, unless it has been dropped.
+    fn lock(&self) -> Option<MutexGuard<'_, LinkState>> {
+        let link = self.link.lock();
+        (!self.dropped.load(Ordering::Relaxed)).then_some(link)
+    }
+
+    /// Wake whatever is parked at the link's other end.
+    fn poke_peer(&self) {
+        if let Some(wake) = &self.wake {
+            wake.poke_peer();
+        }
+    }
+}
+
+/// The link table: one slot per global rank, replaced whole on change.
+type Links = Arc<[Option<Arc<LinkSlot>>]>;
+
 /// One process's message-passing device.
 pub struct Device {
     rank: usize,
-    /// Per-peer link slots. The table lock is only ever held transiently
-    /// (clone the `Arc`, drop the guard); each link has its own mutex so
-    /// concurrent senders to different peers never serialize.
-    links: RwLock<Vec<Option<Arc<LinkSlot>>>>,
+    /// Per-peer link slots, copy-on-write (module docs, rule 1): a pass
+    /// clones the table once, a post clones its one slot; each link has
+    /// its own mutex so concurrent senders to different peers never
+    /// serialize.
+    links: RwLock<Links>,
     /// Matching and protocol state, independent of any link lock.
     match_state: Mutex<MatchState>,
     next_req: AtomicU64,
@@ -349,7 +381,7 @@ impl Device {
         ));
         Arc::new(Device {
             rank,
-            links: RwLock::new(Vec::new()),
+            links: RwLock::new(Arc::new([])),
             match_state: Mutex::new(MatchState::default()),
             next_req: AtomicU64::new(1),
             config,
@@ -396,14 +428,17 @@ impl Device {
             }
         }
         let mut links = self.links.write();
-        if links.len() <= peer {
-            links.resize_with(peer + 1, || None);
+        let mut table = links.to_vec();
+        if table.len() <= peer {
+            table.resize_with(peer + 1, || None);
         }
-        links[peer] = Some(Arc::new(LinkSlot {
+        table[peer] = Some(Arc::new(LinkSlot {
             link: Mutex::new(link),
+            dropped: AtomicBool::new(false),
             windows,
             wake,
         }));
+        *links = table.into();
         Ok(())
     }
 
@@ -437,6 +472,18 @@ impl Device {
         self.links.read().get(peer)?.clone()
     }
 
+    /// Take `slot`, just dropped, out of the table — unless the table has
+    /// moved on (a new link to `peer` was wired meanwhile).
+    fn unlink(&self, peer: usize, slot: &LinkSlot) {
+        let mut links = self.links.write();
+        let current = links.get(peer).and_then(Option::as_deref);
+        if current.is_some_and(|s| std::ptr::eq(s, slot)) {
+            let mut table = links.to_vec();
+            table[peer] = None;
+            *links = table.into();
+        }
+    }
+
     /// The window table shared with `peer`, if the link to it has one.
     /// This — what the link is, not any setting — selects the single-copy
     /// rendezvous; both ends of a link see the same answer.
@@ -444,14 +491,22 @@ impl Device {
         self.slot(peer)?.windows.clone()
     }
 
-    /// Queue something on the link to `dst`, with the legacy error
-    /// surface: dead peer → `PeerClosed`, never wired → `InvalidRank`.
-    fn on_link(&self, dst: usize, queue: impl FnOnce(&mut LinkState)) -> MpcResult<()> {
-        if let Some(slot) = self.slot(dst) {
-            queue(&mut slot.link.lock());
-            return Ok(());
+    /// Run `f` on the link to `dst` under its lock, with the legacy
+    /// error surface: dead peer → `PeerClosed`, never wired →
+    /// `InvalidRank`. `f` also gets the slot, to poke the peer with once
+    /// the lock is dropped.
+    fn on_link<T>(
+        &self,
+        dst: usize,
+        f: impl FnOnce(MutexGuard<'_, LinkState>, &LinkSlot) -> T,
+    ) -> MpcResult<T> {
+        let slot = self.slot(dst);
+        if let Some(slot) = &slot {
+            if let Some(link) = slot.lock() {
+                return Ok(f(link, slot));
+            }
         }
-        if self.match_state.lock().is_dead(dst) {
+        if slot.is_some() || self.match_state.lock().is_dead(dst) {
             Err(MpcError::PeerClosed(dst))
         } else {
             Err(MpcError::InvalidRank(dst as i32))
@@ -460,7 +515,7 @@ impl Device {
 
     /// Queue a control frame on the link to `dst`.
     fn queue_frame_on_link(&self, dst: usize, bytes: Vec<u8>) -> MpcResult<()> {
-        self.on_link(dst, |link| link.queue_bytes(bytes))
+        self.on_link(dst, |mut link, _| link.queue_bytes(bytes))
     }
 
     // ------------------------------------------------------------------
@@ -550,17 +605,32 @@ impl Device {
             return Err(MpcError::PeerClosed(dst_global));
         }
 
-        let queued = self.on_link(dst_global, |link| {
+        // A plain eager send is finished once its frame is queued: it
+        // flushes its own link under the lock it queued under and pokes
+        // the peer, and runs no pass. Whatever awaits an answer (an RTS, a
+        // synchronous send), and a flush that failed, ends with the pass.
+        let flush_own = use_eager && !synchronous;
+        let queued = self.on_link(dst_global, |mut link, slot| {
             if use_eager {
                 link.queue_eager(&env, data)
             } else {
                 link.queue_bytes(packet::encode_rts(&env))
             }
+            let flushed = flush_own.then(|| link.pump_out());
+            drop(link);
+            if let Some(Ok(true)) = flushed {
+                slot.poke_peer();
+                self.metrics.note_progress();
+            }
+            flushed
         });
-        if let Err(e) = queued {
-            self.match_state.lock().pending_sends.remove(&env.sreq);
-            return Err(e);
-        }
+        let flushed = match queued {
+            Ok(flushed) => flushed,
+            Err(e) => {
+                self.match_state.lock().pending_sends.remove(&env.sreq);
+                return Err(e);
+            }
+        };
         if use_eager {
             self.metrics.bump(Metric::SendsEager);
             if synchronous {
@@ -581,7 +651,9 @@ impl Device {
                 rndv_ctl(dst_global, true),
             );
         }
-        self.pass(Caller::Rank);
+        if !matches!(flushed, Some(Ok(_))) {
+            self.pass(Caller::Rank);
+        }
         Ok(req)
     }
 
@@ -736,8 +808,8 @@ impl Device {
                 len,
                 done,
             } => {
-                if let Some(slot) = self.slot(dst) {
-                    let mut link = slot.link.lock();
+                let slot = self.slot(dst);
+                if let Some(mut link) = slot.as_deref().and_then(LinkSlot::lock) {
                     link.queue_bytes(header);
                     link.queue_raw(ptr as *const u8, len, Some(done));
                 } else {
@@ -788,9 +860,11 @@ impl Device {
             n as u64 | MSG_RNDV_FLAG,
         );
         recv.req.set_status(env.src, env.tag, n);
-        slot.link
-            .lock()
-            .queue_bytes_completing(packet::encode_sync_ack(env.sreq), recv.req);
+        let fin = packet::encode_sync_ack(env.sreq);
+        match slot.lock() {
+            Some(mut link) => link.queue_bytes_completing(fin, recv.req),
+            None => recv.req.fail(gsrc),
+        };
     }
 
     // ------------------------------------------------------------------
@@ -846,47 +920,16 @@ impl Device {
         let mut moved_any = false;
         let mut completions = 0u64;
         let mut deferred = DEFERRED.take();
+        // Rule 1: one table clone for the whole pass, no guard held while
+        // a link is locked.
+        let links = self.links.read().clone();
         for _ in 0..caller.max_sweeps() {
             self.metrics.bump(Metric::ProgressPolls);
             let mut moved = false;
-            let nlinks = self.links.read().len();
-            for peer in 0..nlinks {
-                // Rule 1: transient table guard — clone the Arc, drop the
-                // guard, then lock the link.
-                let Some(slot) = self.slot(peer) else {
-                    continue;
-                };
-                let mut link = slot.link.lock();
-                let out = link.pump_out();
-                let mut sink = DeviceSink {
-                    dev: self,
-                    deferred: &mut deferred,
-                    completions: &mut completions,
-                };
-                let inn = link.pump_in(&mut sink);
-                if let (Ok(wrote), Ok(read)) = (&out, &inn) {
-                    drop(link);
-                    if wrote | read {
-                        moved = true;
-                        if let Some(wake) = &slot.wake {
-                            wake.poke_peer();
-                        }
-                    }
-                    continue;
+            for (peer, slot) in links.iter().enumerate() {
+                if let Some(slot) = slot {
+                    moved |= self.pump(peer, slot, &mut deferred, &mut completions);
                 }
-                // Transport failed (peer gone) or what arrived is not a
-                // frame (the parser cannot find the next one): drop the
-                // link and fail every operation bound to it, so waiters
-                // surface `PeerClosed` instead of spinning forever. That
-                // includes windows still queued on it (post-CTS data left
-                // `pending_sends`; only the channel queue knows them).
-                for req in link.take_undelivered_reqs() {
-                    req.fail(peer);
-                }
-                drop(link);
-                self.links.write()[peer] = None;
-                self.fail_peer_ops(&mut self.match_state.lock(), peer);
-                moved = true;
             }
             // Carry out what the handlers deferred: reply frames, pulls.
             for d in deferred.drain(..) {
@@ -914,6 +957,49 @@ impl Device {
             self.metrics.add(Metric::ProgressEngineNanos, spent);
         }
         moved_any
+    }
+
+    /// Flush and parse one link, running the protocol handlers on what
+    /// came in. Returns whether anything moved. A link whose transport
+    /// fails, or whose peer sends what is not a frame, is dropped: marked,
+    /// taken out of the table, and every operation bound to it failed with
+    /// `PeerClosed`, so waiters surface the error instead of spinning for
+    /// ever. A slot already dropped — this pass started from an older
+    /// table — is left alone.
+    fn pump(
+        &self,
+        peer: usize,
+        slot: &LinkSlot,
+        deferred: &mut Vec<Deferred>,
+        completions: &mut u64,
+    ) -> bool {
+        let Some(mut link) = slot.lock() else {
+            return false;
+        };
+        let out = link.pump_out();
+        let mut sink = DeviceSink {
+            dev: self,
+            deferred,
+            completions,
+        };
+        let inn = link.pump_in(&mut sink);
+        if let (Ok(wrote), Ok(read)) = (out, inn) {
+            drop(link);
+            if wrote | read {
+                slot.poke_peer();
+            }
+            return wrote | read;
+        }
+        // That includes windows still queued on the link (post-CTS data
+        // left `pending_sends`; only the channel queue knows them).
+        slot.dropped.store(true, Ordering::Relaxed);
+        for req in link.take_undelivered_reqs() {
+            req.fail(peer);
+        }
+        drop(link);
+        self.unlink(peer, slot);
+        self.fail_peer_ops(&mut self.match_state.lock(), peer);
+        true
     }
 
     /// Tear down everything that depended on the now-dead link to `peer`:
@@ -969,12 +1055,19 @@ impl Device {
     /// another thread, or a peer that moved bytes on a link to this
     /// device; the quantum only bounds a wake-up that never comes. A
     /// wake-up sends the wait back to the bottom of the ladder.
+    ///
+    /// What is already finished costs no wait: `ready` is asked once
+    /// first, and only if it says no does the `DeviceWait` span open —
+    /// and the ladder, and the first `yield_poll`.
     pub(crate) fn wait_until<T>(
         &self,
         what: u64,
         mut ready: impl FnMut() -> MpcResult<Option<T>>,
         mut yield_poll: impl FnMut(),
     ) -> MpcResult<T> {
+        if let Some(got) = ready()? {
+            return Ok(got);
+        }
         let wait = self.metrics.span(SpanKind::DeviceWait, what);
         let mut backoff = Backoff::with_config(self.config.wait_backoff);
         loop {
@@ -1042,9 +1135,9 @@ impl Device {
         drop(forgotten);
         // With `active_recvs` empty no stream finds a destination any
         // more; the ones that already have are cut off here.
-        let slots: Vec<Arc<LinkSlot>> = self.links.read().iter().flatten().cloned().collect();
-        for slot in slots {
-            slot.link.lock().discard_stream();
+        let links = self.links.read().clone();
+        for mut link in links.iter().flatten().filter_map(|slot| slot.lock()) {
+            link.discard_stream();
         }
         drained
     }
@@ -1510,6 +1603,43 @@ mod tests {
         assert!(matches!(
             send(&d0, 9, env(0, 0, 1), &data[..4], false),
             Err(MpcError::InvalidRank(9))
+        ));
+    }
+
+    /// A pass works from the link table as it was when it started. A link
+    /// another thread drops meanwhile is pumped once more from that stale
+    /// table: the second failure finds the slot marked and does nothing —
+    /// one `LinksDropped`, each request failed once, no panic.
+    #[test]
+    fn a_stale_table_pumps_a_dropped_link_to_no_effect() {
+        let (d0, d1) = duo_with(DeviceConfig {
+            eager_threshold: 64,
+            ..DeviceConfig::default()
+        });
+        let data = vec![1u8; 4096];
+        let sreq = send(&d0, 1, env(0, 0, 3), &data, false).unwrap();
+        let mut buf = [0u8; 16];
+        let rreq = recv(&d0, 1, 4, 0, &mut buf).unwrap();
+        let stale = d0.links.read().clone();
+        drop(d1);
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(d0.pass(Caller::Engine)));
+        });
+        let dropped = || d0.metrics().snapshot().get(Metric::LinksDropped);
+        assert_eq!(dropped(), 1);
+        assert!(d0.slot(1).is_none(), "taken out of the table");
+        let slot = stale[1].as_ref().expect("the stale table still has it");
+        let (mut deferred, mut completions) = (Vec::new(), 0);
+        assert!(!d0.pump(1, slot, &mut deferred, &mut completions));
+        assert!(deferred.is_empty() && completions == 0);
+        assert_eq!(dropped(), 1);
+        for req in [&sreq, &rreq] {
+            assert!(matches!(req.outcome(), Err(MpcError::PeerClosed(1))));
+        }
+        assert_eq!(d0.queue_depths(), (0, 0, 0, 0));
+        assert!(matches!(
+            send(&d0, 1, env(0, 0, 5), &[0u8; 4], false),
+            Err(MpcError::PeerClosed(1))
         ));
     }
 

@@ -244,6 +244,9 @@ impl Universe {
                 let universe = universe.clone();
                 let body = &body;
                 handles.push(s.spawn(move |_| {
+                    // This thread posts, waits and pumps for the rank: the
+                    // one writer of its registry unless an engine helps.
+                    device.metrics().claim();
                     let world = Comm::assemble(
                         Arc::clone(&device),
                         0,
@@ -310,6 +313,7 @@ impl Universe {
                 let universe = self.clone();
                 let ctx_alloc = Arc::clone(comm.ctx_alloc());
                 let handle = std::thread::spawn(move || {
+                    device.metrics().claim();
                     let world = Comm::assemble(
                         Arc::clone(&device),
                         child_world_ctx,

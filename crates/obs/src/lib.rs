@@ -4,18 +4,22 @@
 //! The paper's argument is a *measured* cost structure — FCall vs
 //! P/Invoke/JNI transitions, pin-avoidance, eager vs rendezvous — so every
 //! layer (channel, device, comm, pinning, serializer, buffer pool, GC)
-//! reports into one [`MetricsRegistry`]. Hot paths pay exactly one relaxed
-//! atomic RMW per counter bump and never take a lock:
+//! reports into one [`MetricsRegistry`]. Hot paths never take a lock, and
+//! the registry's owner — the rank thread that [claims](MetricsRegistry::claim)
+//! it — pays no atomic RMW either; every other writer pays one relaxed RMW
+//! per counter bump:
 //!
 //! * **Counters** ([`Metric`]) are monotonic `AtomicU64`s, except a few
-//!   high-water marks (`*_peak`) maintained with a CAS max-loop and merged
-//!   across ranks by `max` rather than `+`.
+//!   high-water marks (`*_peak`) that only rise and are merged across
+//!   ranks by `max` rather than `+`.
 //! * **Histograms** ([`Hist`]) are 64 log2 buckets of `AtomicU64` — a
 //!   value `v` lands in bucket `ceil(log2(v+1))`, so bucket 0 is exactly 0,
 //!   bucket 1 is 1, bucket k covers `(2^(k-1), 2^k]`.
-//! * **Events** go to a fixed-capacity ring stamped by a monotonically
-//!   increasing sequence; writers claim a slot with one `fetch_add` and
-//!   publish with a release store, old entries are overwritten.
+//! * **Events** go to fixed-capacity rings stamped by a per-ring
+//!   monotonically increasing sequence and published seqlock-style; old
+//!   entries are overwritten. The owner writes a ring of its own with
+//!   plain stores; everyone else claims sequence and slot in a shared
+//!   one with one `fetch_add` and one swap.
 //!
 //! [`MetricsRegistry::snapshot`] is wait-free for writers; snapshots can be
 //! [`diff`](MetricsSnapshot::diff)-ed (what happened between two points),
@@ -24,6 +28,7 @@
 
 use std::fmt;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A field-less enum whose variants carry a stable export name: the one
@@ -384,7 +389,9 @@ named_enum! {
 /// One recorded trace entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Global sequence number (monotonic per registry, 1-based).
+    /// Sequence number, unique per registry: 1-based and monotonic within
+    /// the ring that held the event, with that ring in the low bit (0 the
+    /// owner's, 1 the shared one; see [`MetricsRegistry`]).
     pub seq: u64,
     /// Nanoseconds since the registry's epoch (see
     /// [`MetricsRegistry::with_epoch`] for sharing epochs across ranks).
@@ -399,14 +406,14 @@ pub struct Event {
     pub c: u64,
 }
 
-/// Slot state while its claimant writes the payload: readers skip it and
-/// a second writer leaves it alone.
+/// Slot state while its writer writes the payload: readers skip it and,
+/// in a claimed ring, a second writer leaves it alone.
 const SLOT_WRITING: u64 = u64::MAX;
 
 struct EventSlot {
-    // 0 = empty, SLOT_WRITING = claimed; otherwise the 1-based sequence
-    // number, published last with Release so readers that Acquire it see
-    // the payload stores.
+    // 0 = empty, SLOT_WRITING = being written; otherwise the 1-based
+    // sequence number within the ring, published last with Release so
+    // readers that Acquire it see the payload stores.
     seq: AtomicU64,
     /// `t_nanos`, `kind`, `a`, `b`, `c`.
     words: [AtomicU64; 5],
@@ -420,15 +427,24 @@ impl EventSlot {
         }
     }
 
-    /// Writer, step 1: take the slot. `false` when another writer holds it
-    /// — the two are a whole wrap apart — and this one's event is
-    /// abandoned. The swap acquires the previous claimant's publication,
-    /// so this writer's payload stores follow that one's; the fence orders
-    /// the claim before them for a reader (the seqlock write side).
+    /// Writer of a claimed ring, step 1: take the slot. `false` when
+    /// another writer holds it — the two are a whole wrap apart — and this
+    /// one's event is abandoned. The swap acquires the previous claimant's
+    /// publication, so this writer's payload stores follow that one's; the
+    /// fence orders the claim before them for a reader (the seqlock write
+    /// side).
     fn claim(&self) -> bool {
         let free = self.seq.swap(SLOT_WRITING, Ordering::AcqRel) != SLOT_WRITING;
         fence(Ordering::Release);
         free
+    }
+
+    /// The sole writer of an owner ring, step 1: invalidate the slot. No
+    /// other writer can hold it, so a store does what the claim's swap
+    /// does; the fence is the same seqlock write side.
+    fn invalidate(&self) {
+        self.seq.store(SLOT_WRITING, Ordering::Relaxed);
+        fence(Ordering::Release);
     }
 
     /// Writer, step 2: the payload, by the claimant only.
@@ -462,8 +478,9 @@ impl EventSlot {
         self.seq.load(Ordering::Relaxed) == seq
     }
 
-    /// The three reader steps: the slot's event, unless it is empty,
-    /// claimed, or was claimed while being read.
+    /// The three reader steps: the slot's event (sequence within its ring
+    /// as stored), unless it is empty, being written, or was overwritten
+    /// while being read.
     fn read(&self) -> Option<Event> {
         let seq = self.published()?;
         let [t_nanos, kind, a, b, c] = self.payload();
@@ -479,13 +496,134 @@ impl EventSlot {
     }
 }
 
-/// Lock-free per-rank metrics: counters, histograms, event ring, and the
-/// live in-flight op table scanned by `motor-doctor`.
+/// The side of a registry a write goes to: the owner's cells and ring, or
+/// everyone else's. Also the low bit of an [`Event::seq`].
+const OWNER: usize = 0;
+const SHARED: usize = 1;
+
+/// An event's sequence number: `n`, 1-based within its ring, with the
+/// ring in the low bit.
+fn tagged_seq(n: u64, ring: usize) -> u64 {
+    (n << 1) | ring as u64
+}
+
+/// Inverse of [`tagged_seq`]: `(n, ring)`.
+fn untag_seq(seq: u64) -> (u64, usize) {
+    (seq >> 1, (seq & 1) as usize)
+}
+
+/// One fixed-capacity event ring, overwritten on wrap.
+struct Ring {
+    slots: Box<[EventSlot]>,
+    /// Sequence numbers handed out: the events written to this ring.
+    written: AtomicU64,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        Ring {
+            slots: (0..capacity).map(|_| EventSlot::empty()).collect(),
+            written: AtomicU64::new(0),
+        }
+    }
+
+    fn slot(&self, seq: u64) -> &EventSlot {
+        &self.slots[(seq - 1) as usize % self.slots.len()]
+    }
+
+    /// The next sequence number and the slot it lands in, for a ring any
+    /// number of threads write: one `fetch_add`.
+    fn next_slot(&self) -> (u64, &EventSlot) {
+        let seq = self.written.fetch_add(1, Ordering::Relaxed) + 1;
+        (seq, self.slot(seq))
+    }
+
+    /// Append to a ring any thread may write: claim the sequence number
+    /// and the slot, fill, publish (see [`MetricsRegistry::event3`]).
+    fn write_claimed(&self, words: [u64; 5]) {
+        let (seq, slot) = self.next_slot();
+        if slot.claim() {
+            slot.fill(words);
+            slot.publish(seq);
+        }
+    }
+
+    /// The next sequence number and its slot, for the owner's ring, whose
+    /// one writer is the caller: a plain load and store.
+    fn next_owned_slot(&self) -> (u64, &EventSlot) {
+        let seq = self.written.load(Ordering::Relaxed) + 1;
+        self.written.store(seq, Ordering::Relaxed);
+        (seq, self.slot(seq))
+    }
+
+    /// Append to the owner's ring: the sequence by a plain store, the slot
+    /// by a plain invalidation.
+    fn write_owned(&self, words: [u64; 5]) {
+        let (seq, slot) = self.next_owned_slot();
+        slot.invalidate();
+        slot.fill(words);
+        slot.publish(seq);
+    }
+
+    /// Every event the ring holds, oldest first, tagged with `ring`.
+    fn events(&self, ring: usize) -> Vec<Event> {
+        let mut events: Vec<Event> = self.slots.iter().filter_map(EventSlot::read).collect();
+        events.sort_by_key(|e| e.seq);
+        for e in &mut events {
+            e.seq = tagged_seq(e.seq, ring);
+        }
+        events
+    }
+}
+
+/// One side's counter and histogram cells.
+struct Cells {
+    counters: Box<[AtomicU64]>,
+    hists: Box<[AtomicU64]>, // Hist::COUNT * HIST_BUCKETS, row-major
+}
+
+impl Cells {
+    fn new() -> Cells {
+        let zeroes = |n| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Cells {
+            counters: zeroes(Metric::COUNT),
+            hists: zeroes(Hist::COUNT * HIST_BUCKETS),
+        }
+    }
+}
+
+/// Add `n` to a cell: a plain load and store where the caller is its one
+/// writer, a relaxed RMW where it is not.
+#[inline]
+fn add_to(cell: &AtomicU64, n: u64, owned: bool) {
+    if owned {
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    } else {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Lock-free per-rank metrics: counters, histograms, event rings, and
+/// the live in-flight op table scanned by `motor-doctor`.
+///
+/// # One owner, everyone else
+///
+/// A registry is written mostly by one thread, its rank's, and read by
+/// others. That thread [claims](Self::claim) it and from then on writes
+/// its own side: counters and histogram buckets by a plain load and
+/// store, peaks by load/compare/store, events into an owner ring with no
+/// `fetch_add` and no slot claim. Every other thread — a progress engine,
+/// a second mutator, the simulator's scheduler, a test — writes the shared
+/// side with relaxed RMWs and the claimed ring, exactly as an unclaimed
+/// registry is written. Readers add the two sides' counters and buckets,
+/// take the larger of their peaks and merge the two rings by time, so
+/// nothing a reader sees depends on which side a write went to.
 pub struct MetricsRegistry {
-    counters: Vec<AtomicU64>,
-    hists: Vec<AtomicU64>, // Hist::COUNT * HIST_BUCKETS, row-major
-    slots: Vec<EventSlot>,
-    next_seq: AtomicU64,
+    /// `[OWNER, SHARED]`.
+    cells: [Cells; 2],
+    /// `[OWNER, SHARED]`, each allocated by its first event.
+    rings: [OnceLock<Ring>; 2],
+    ring_capacity: usize,
     epoch: Instant,
     /// Calibrated offset added to event timestamps when merging this
     /// rank's trace with its peers' (nanoseconds; see `set_clock_offset`).
@@ -493,14 +631,15 @@ pub struct MetricsRegistry {
     /// What this rank is doing right now (see [`doctor::InflightTable`]).
     inflight: doctor::InflightTable,
     /// Time-bucket and overlap accounting (see [`profile::PhaseStats`]).
-    /// Dormant (all transitions no-ops) until [`Self::profile_start`].
+    /// Dormant (all transitions no-ops) until [`Self::profile_start`]. Its
+    /// owner is this registry's.
     phases: profile::PhaseStats,
 }
 
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("events_seen", &self.next_seq.load(Ordering::Relaxed))
+            .field("events_seen", &self.events_through().iter().sum::<u64>())
             .finish_non_exhaustive()
     }
 }
@@ -517,14 +656,16 @@ impl MetricsRegistry {
         Self::with_event_capacity(DEFAULT_EVENT_CAPACITY)
     }
 
-    /// Registry with an explicit event-ring capacity (rounded up to 1).
+    /// Registry with an explicit event-ring capacity (rounded up to 1),
+    /// per ring: the owner's and the shared one each hold `capacity`.
     ///
-    /// The ring **overwrites on wrap**: once `capacity` events have been
-    /// recorded, each new event replaces the oldest one. Snapshots return
-    /// the youngest `<= capacity` events, oldest first — one per slot, and
-    /// where two writers were a whole wrap apart on a slot, whichever of
-    /// the two got to write (see [`Self::event3`]); counters and
-    /// histograms are unaffected by the wrap.
+    /// A ring **overwrites on wrap**: once `capacity` events have been
+    /// recorded in it, each new event replaces the oldest one. Snapshots
+    /// return each ring's youngest `<= capacity` events, merged oldest
+    /// first — one per slot, and where two writers of the shared ring were
+    /// a whole wrap apart on a slot, whichever of the two got to write
+    /// (see [`Self::event3`]); counters and histograms are unaffected by
+    /// the wrap.
     pub fn with_event_capacity(capacity: usize) -> Self {
         Self::with_epoch(Instant::now(), capacity)
     }
@@ -537,14 +678,10 @@ impl MetricsRegistry {
     /// (separate processes/hosts) keep private epochs and align through
     /// [`MetricsRegistry::set_clock_offset`] instead.
     pub fn with_epoch(epoch: Instant, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         MetricsRegistry {
-            counters: (0..Metric::COUNT).map(|_| AtomicU64::new(0)).collect(),
-            hists: (0..Hist::COUNT * HIST_BUCKETS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            slots: (0..capacity).map(|_| EventSlot::empty()).collect(),
-            next_seq: AtomicU64::new(0),
+            cells: [Cells::new(), Cells::new()],
+            rings: [OnceLock::new(), OnceLock::new()],
+            ring_capacity: capacity.max(1),
             epoch,
             clock_offset: AtomicI64::new(0),
             inflight: doctor::InflightTable::new(doctor::DEFAULT_INFLIGHT_CAPACITY),
@@ -552,11 +689,35 @@ impl MetricsRegistry {
         }
     }
 
+    /// Make the calling thread this registry's owner (type docs): from
+    /// now on its writes take the owner's side. Call it on the thread that
+    /// does nearly all the writing — a rank's own — before that writing
+    /// starts; a previous owner must be done writing by then, and writes
+    /// the shared side from here on. [`Self::profile_start`] claims too.
+    pub fn claim(&self) {
+        self.phases.owner.claim();
+    }
+
+    /// The side the calling thread writes.
+    #[inline]
+    fn side(&self) -> usize {
+        if self.phases.owner.is_caller() {
+            OWNER
+        } else {
+            SHARED
+        }
+    }
+
+    fn ring(&self, side: usize) -> &Ring {
+        self.rings[side].get_or_init(|| Ring::new(self.ring_capacity))
+    }
+
     /// Start this registry's time-bucket accounting: from now on every
     /// classified span open/close transitions the rank's phase, and
     /// [`Self::snapshot`] carries `prof_*` counters that partition the
     /// wall clock since this call. Call once per rank, on the rank's own
-    /// thread, before the body runs (`run_cluster` does). Idempotent.
+    /// thread, before the body runs (`run_cluster` does): it also
+    /// [claims](Self::claim) the registry for that thread. Idempotent.
     pub fn profile_start(&self) {
         self.phases.start_at(self.now_nanos());
     }
@@ -634,9 +795,9 @@ impl MetricsRegistry {
         self.inflight.last_beat_nanos(self.now_nanos())
     }
 
-    /// Event-ring capacity (events kept before overwrite-on-wrap).
+    /// Capacity of each event ring (events kept before overwrite-on-wrap).
     pub fn event_capacity(&self) -> usize {
-        self.slots.len()
+        self.ring_capacity
     }
 
     /// Set the calibrated clock offset: nanoseconds to *add* to this
@@ -652,7 +813,7 @@ impl MetricsRegistry {
         self.clock_offset.load(Ordering::Relaxed)
     }
 
-    /// Add 1 to a counter. One relaxed RMW; no locks.
+    /// Add 1 to a counter. No locks; on the owner's side no RMW either.
     #[inline]
     pub fn bump(&self, m: Metric) {
         self.add(m, 1);
@@ -661,14 +822,23 @@ impl MetricsRegistry {
     /// Add `n` to a counter.
     #[inline]
     pub fn add(&self, m: Metric, n: u64) {
-        self.counters[m as usize].fetch_add(n, Ordering::Relaxed);
+        let side = self.side();
+        add_to(&self.cells[side].counters[m as usize], n, side == OWNER);
     }
 
-    /// Raise a high-water mark to at least `v` (CAS max-loop).
+    /// Raise a high-water mark to at least `v`: load/compare/store on the
+    /// owner's side, a CAS max-loop on the shared one.
     #[inline]
     pub fn record_max(&self, m: Metric, v: u64) {
-        let c = &self.counters[m as usize];
+        let side = self.side();
+        let c = &self.cells[side].counters[m as usize];
         let mut cur = c.load(Ordering::Relaxed);
+        if side == OWNER {
+            if cur < v {
+                c.store(v, Ordering::Relaxed);
+            }
+            return;
+        }
         while cur < v {
             match c.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => break,
@@ -677,17 +847,27 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter.
+    /// Current value of a counter: both sides added, or for a peak the
+    /// larger of the two.
     #[inline]
     pub fn get(&self, m: Metric) -> u64 {
-        self.counters[m as usize].load(Ordering::Relaxed)
+        let [o, s] = self
+            .cells
+            .each_ref()
+            .map(|c| c.counters[m as usize].load(Ordering::Relaxed));
+        if m.is_peak() {
+            o.max(s)
+        } else {
+            o + s
+        }
     }
 
     /// Record `value` into a histogram's log2 bucket.
     #[inline]
     pub fn record(&self, h: Hist, value: u64) {
+        let side = self.side();
         let idx = (h as usize) * HIST_BUCKETS + log2_bucket(value);
-        self.hists[idx].fetch_add(1, Ordering::Relaxed);
+        add_to(&self.cells[side].hists[idx], 1, side == OWNER);
     }
 
     /// The instant this registry's timestamps count from. Builders that
@@ -730,21 +910,23 @@ impl MetricsRegistry {
         self.event3(kind, a, b, 0);
     }
 
-    /// Append an event to the trace ring. Lock-free: one `fetch_add`
-    /// claims a sequence number, one swap claims its slot, a release store
-    /// publishes it; the oldest entry in the slot is overwritten
-    /// (overwrite-on-wrap).
+    /// Append an event to the caller's ring. Lock-free; the oldest entry
+    /// in the slot is overwritten (overwrite-on-wrap).
     ///
     /// Publication follows the seqlock protocol with a writer-exclusive
-    /// state: claim the slot (which also invalidates it), write the
-    /// payload, publish the sequence with a release store. A writer that
-    /// finds the slot claimed — the other writer lags, or leads, by a
-    /// whole wrap — abandons its event; the slot then holds the other
-    /// one's, and `trace_events_dropped` (events written minus events
-    /// held) counts the abandoned one as it counts an overwritten one. A
-    /// reader that observes a stable published sequence around its payload
-    /// loads (with an acquire fence in between) is guaranteed an untorn
-    /// event.
+    /// state: invalidate the slot, write the payload, publish the
+    /// sequence with a release store. A reader that observes a stable
+    /// published sequence around its payload loads (with an acquire fence
+    /// in between) is guaranteed an untorn event.
+    ///
+    /// The owner's ring has one writer, so its sequence is a plain store
+    /// and its invalidation a plain store too. The shared ring has any
+    /// number: one `fetch_add` hands out the sequence and one swap claims
+    /// its slot. A writer there that finds the slot claimed — the other
+    /// writer lags, or leads, by a whole wrap — abandons its event; the
+    /// slot then holds the other one's, and `trace_events_dropped` (events
+    /// written minus events held, per ring) counts the abandoned one as it
+    /// counts an overwritten one.
     pub fn event3(&self, kind: EventKind, a: u64, b: u64, c: u64) {
         self.event_at(self.now_nanos(), kind, a, b, c);
     }
@@ -753,27 +935,33 @@ impl MetricsRegistry {
     /// took (a span edge shares one reading between the ring, the phase
     /// machine and the in-flight table).
     pub(crate) fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
-        let (seq, slot) = self.next_slot();
-        if slot.claim() {
-            slot.fill([t_nanos, kind as u64, a, b, c]);
-            slot.publish(seq);
+        let words = [t_nanos, kind as u64, a, b, c];
+        match self.side() {
+            OWNER => self.ring(OWNER).write_owned(words),
+            _ => self.ring(SHARED).write_claimed(words),
         }
     }
 
-    /// The next sequence number and the slot it lands in.
-    fn next_slot(&self) -> (u64, &EventSlot) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        (seq, &self.slots[(seq - 1) as usize % self.slots.len()])
+    /// Events written to each ring so far, `[OWNER, SHARED]`.
+    fn events_through(&self) -> [u64; 2] {
+        std::array::from_fn(|side| {
+            self.rings[side]
+                .get()
+                .map_or(0, |r| r.written.load(Ordering::Relaxed))
+        })
     }
 
     /// Consistent-enough copy of everything. Wait-free for writers; events
     /// caught mid-write are skipped.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        // The ring first: `events_through` then covers every event drained.
-        let mut events: Vec<Event> = self.slots.iter().filter_map(EventSlot::read).collect();
-        events.sort_by_key(|e| e.seq);
+        // The rings first: `events_through` then covers every event drained.
+        let [owned, shared] = std::array::from_fn(|side| {
+            self.rings[side]
+                .get()
+                .map_or_else(Vec::new, |r| r.events(side))
+        });
         MetricsSnapshot {
-            events,
+            events: merge_by_time(owned, shared),
             ..self.snapshot_counters()
         }
     }
@@ -782,23 +970,20 @@ impl MetricsRegistry {
     /// only. What a collection tick takes — the ring is drained when a
     /// flight record is cut or the run exits.
     pub fn snapshot_counters(&self) -> MetricsSnapshot {
-        let mut counters: Vec<u64> = self
-            .counters
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+        let mut counters: Vec<u64> = Metric::ALL.iter().map(|&m| self.get(m)).collect();
+        let [o, s] = &self.cells;
+        let hists: Vec<u64> = (o.hists.iter().zip(s.hists.iter()))
+            .map(|(o, s)| o.load(Ordering::Relaxed) + s.load(Ordering::Relaxed))
             .collect();
-        let hists: Vec<u64> = self
-            .hists
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let events_through = self.next_seq.load(Ordering::Relaxed);
+        let events_through = self.events_through();
         // Self-monitoring: events the wrap already overwrote (or a claimed
-        // slot turned away), and in-flight
-        // registrations the table had to drop. Derived here rather than
-        // bumped on the hot path.
-        counters[Metric::TraceEventsDropped as usize] =
-            events_through.saturating_sub(self.slots.len() as u64);
+        // slot turned away), per ring, and in-flight registrations the
+        // table had to drop. Derived here rather than bumped on the hot
+        // path.
+        counters[Metric::TraceEventsDropped as usize] = events_through
+            .iter()
+            .map(|n| n.saturating_sub(self.ring_capacity as u64))
+            .sum();
         counters[Metric::InflightOverflows as usize] = self.inflight.overflows();
         // Time-bucket / overlap attribution: materialized from the phase
         // machine here (including the still-open segment) rather than
@@ -818,6 +1003,26 @@ impl MetricsRegistry {
             clock_offset_nanos: self.clock_offset(),
         }
     }
+}
+
+/// Two rings' events, each oldest first, as one stream by time: each
+/// ring's own order is kept, and of two events at the same instant the
+/// owner's comes first.
+fn merge_by_time(owned: Vec<Event>, shared: Vec<Event>) -> Vec<Event> {
+    if shared.is_empty() {
+        return owned;
+    }
+    let mut out = Vec::with_capacity(owned.len() + shared.len());
+    let (mut o, mut s) = (owned.into_iter().peekable(), shared.into_iter().peekable());
+    while let (Some(a), Some(b)) = (o.peek(), s.peek()) {
+        out.extend(if a.t_nanos <= b.t_nanos {
+            o.next()
+        } else {
+            s.next()
+        });
+    }
+    out.extend(o.chain(s));
+    out
 }
 
 /// An entered time bucket (see [`MetricsRegistry::phase_scope`]);
@@ -943,7 +1148,8 @@ pub struct MetricsSnapshot {
     counters: Vec<u64>,
     hists: Vec<u64>,
     events: Vec<Event>,
-    events_through: u64,
+    /// Events written to each ring, `[OWNER, SHARED]`, as of the snapshot.
+    events_through: [u64; 2],
     clock_offset_nanos: i64,
 }
 
@@ -960,7 +1166,7 @@ impl MetricsSnapshot {
             counters: vec![0; Metric::COUNT],
             hists: vec![0; Hist::COUNT * HIST_BUCKETS],
             events: Vec::new(),
-            events_through: 0,
+            events_through: [0; 2],
             clock_offset_nanos: 0,
         }
     }
@@ -1039,7 +1245,10 @@ impl MetricsSnapshot {
         out.events = self
             .events
             .iter()
-            .filter(|e| e.seq > earlier.events_through)
+            .filter(|e| {
+                let (n, ring) = untag_seq(e.seq);
+                n > earlier.events_through[ring]
+            })
             .copied()
             .collect();
         out.events_through = self.events_through;
@@ -1063,7 +1272,9 @@ impl MetricsSnapshot {
             *slot += other.hists.get(i).copied().unwrap_or(0);
         }
         self.events.extend_from_slice(&other.events);
-        self.events_through = self.events_through.max(other.events_through);
+        for (mine, theirs) in self.events_through.iter_mut().zip(other.events_through) {
+            *mine = (*mine).max(theirs);
+        }
         // Merging the device- and VM-side registries of one rank: both are
         // calibrated to the same reference, so keep whichever is set.
         if self.clock_offset_nanos == 0 {
@@ -1162,11 +1373,12 @@ impl MetricsSnapshot {
             .collect();
         format!(
             "{{\"counters\":{{{}}},\"hists\":{{{}}},\"clock_offset_nanos\":{},\
-             \"events_through\":{},\"events\":[{}]}}",
+             \"events_through\":[{},{}],\"events\":[{}]}}",
             counters.join(","),
             hists.join(","),
             self.clock_offset_nanos,
-            self.events_through,
+            self.events_through[OWNER],
+            self.events_through[SHARED],
             events.join(",")
         )
     }
@@ -1199,7 +1411,12 @@ impl MetricsSnapshot {
         }
         let offset = v.get("clock_offset_nanos").and_then(Value::as_i64);
         out.clock_offset_nanos = offset.ok_or("metrics: no clock_offset_nanos")?;
-        out.events_through = v.u64_at("events_through")?;
+        let through = v.get("events_through").and_then(Value::as_array);
+        let through = through.ok_or("metrics: no events_through array")?;
+        let through: Option<Vec<u64>> = through.iter().map(Value::as_u64).collect();
+        out.events_through = through
+            .and_then(|t| t.try_into().ok())
+            .ok_or("metrics: events_through is not two counts")?;
         let events = v.get("events").and_then(Value::as_array);
         for e in events.ok_or("metrics: no events array")? {
             let kind = e.get("kind").and_then(Value::as_str).unwrap_or("");
@@ -1287,8 +1504,8 @@ mod tests {
             r.event(EventKind::MsgSend, i, 0);
         }
         let s = r.snapshot();
-        let seqs: Vec<u64> = s.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10]);
+        let seqs: Vec<(u64, usize)> = s.events().iter().map(|e| untag_seq(e.seq)).collect();
+        assert_eq!(seqs, [7, 8, 9, 10].map(|n| (n, SHARED)));
         assert!(s.events().iter().all(|e| e.kind == EventKind::MsgSend));
         // Payloads are the newest four writes, oldest first.
         let payloads: Vec<u64> = s.events().iter().map(|e| e.a).collect();
@@ -1306,7 +1523,7 @@ mod tests {
         // Seqs strictly increase (oldest-first) and timestamps never run
         // backwards: the snapshot is a coherent suffix of the stream.
         for w in s.events().windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
+            assert_eq!(untag_seq(w[1].seq).0, untag_seq(w[0].seq).0 + 1);
             assert!(w[1].t_nanos >= w[0].t_nanos);
         }
         for e in s.events() {
@@ -1392,16 +1609,34 @@ mod tests {
     }
 
     /// Once every writer is done: every slot holds one untorn event, no
-    /// sequence number twice, and every event written is either held or
-    /// counted as dropped — overwritten by the wrap, or abandoned at a
-    /// claimed slot.
+    /// sequence number twice, and every event written to the shared ring
+    /// is either held or counted as dropped — overwritten by the wrap, or
+    /// abandoned at a claimed slot.
     fn assert_ring_accounts_for_every_event(r: &MetricsRegistry, written: u64) {
+        assert_rings_account_for_every_event(r, [0, written]);
+    }
+
+    /// [`assert_ring_accounts_for_every_event`] for both rings, `written`
+    /// being `[OWNER, SHARED]`: each ring holds its youngest events in
+    /// order, and the drop count is exact for each.
+    fn assert_rings_account_for_every_event(r: &MetricsRegistry, written: [u64; 2]) {
         let s = r.snapshot();
         s.events().iter().for_each(assert_untorn);
-        assert!(s.events().windows(2).all(|w| w[0].seq < w[1].seq));
+        let cap = r.event_capacity() as u64;
+        for (ring, written) in written.into_iter().enumerate() {
+            let seqs: Vec<u64> = (s.events().iter().map(|e| untag_seq(e.seq)))
+                .filter_map(|(n, of)| (of == ring).then_some(n))
+                .collect();
+            assert!(
+                seqs.windows(2).all(|w| w[0] < w[1]),
+                "ring {ring}: {seqs:?}"
+            );
+            assert_eq!(seqs.len() as u64, written.min(cap), "ring {ring}");
+        }
         let held = s.events().len() as u64;
-        assert_eq!(held, written.min(r.event_capacity() as u64));
-        assert_eq!(s.get(Metric::TraceEventsDropped) + held, written);
+        let dropped: u64 = written.iter().map(|w| w.saturating_sub(cap)).sum();
+        assert_eq!(s.get(Metric::TraceEventsDropped), dropped);
+        assert_eq!(dropped + held, written.iter().sum::<u64>());
     }
 
     /// Where the second thread gets its turn among the first one's steps:
@@ -1445,7 +1680,7 @@ mod tests {
                         }
                     };
                     here();
-                    let (seq, slot) = r.next_slot();
+                    let (seq, slot) = r.ring(SHARED).next_slot();
                     here();
                     let claimed = slot.claim();
                     here();
@@ -1467,7 +1702,7 @@ mod tests {
             // A sequence number is published over its own writer's payload.
             for e in seen.events().iter().chain(r.snapshot().events()) {
                 assert_untorn(e);
-                assert_eq!(e.seq == lagging_seq, e.a >= 1000, "{e:?}");
+                assert_eq!(untag_seq(e.seq).0 == lagging_seq, e.a >= 1000, "{e:?}");
             }
             if cut == Cut::Gate {
                 // Forced orders have one outcome. Turn before the claim:
@@ -1478,7 +1713,11 @@ mod tests {
                 assert!(claimed);
                 let mid_write = (2..=3).contains(&at);
                 assert_eq!(seen.events().len() as u64, CAP - u64::from(mid_write));
-                let kept_lagging = r.snapshot().events().iter().any(|e| e.seq == 1);
+                let kept_lagging = r
+                    .snapshot()
+                    .events()
+                    .iter()
+                    .any(|e| untag_seq(e.seq).0 == 1);
                 assert_eq!(kept_lagging, (1..=3).contains(&at), "turn at step {at}");
             }
         }
@@ -1508,7 +1747,7 @@ mod tests {
                             turn_at(turn, cut);
                         }
                     };
-                    let slot = &r.slots[0];
+                    let slot = &r.ring(SHARED).slots[0];
                     here();
                     let seq = slot.published().expect("the ring is full");
                     here();
@@ -1532,6 +1771,165 @@ mod tests {
                 assert_eq!(accepted.is_some(), at == 0 || at == 3, "turn at step {at}");
             }
             assert_ring_accounts_for_every_event(&r, 2 * CAP);
+        }
+    }
+
+    /// The owner's plain increment cut into its two steps — load, store —
+    /// against a second thread's increments of the same counter, placed
+    /// before, between and after them: the shape in which one cell would
+    /// lose an increment. The two sides' cells add up to every increment.
+    #[test]
+    fn owner_increments_and_a_second_writers_rmw_lose_nothing() {
+        use motor_pal::interleave::two_threads;
+        const M: Metric = Metric::MatchAttempts;
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for (at, cut) in (0..=2)
+            .flat_map(|at| [(at, Cut::Gate), (at, Cut::Race)])
+            .cycle()
+            .take(6 * rounds)
+        {
+            let r = MetricsRegistry::new();
+            r.claim();
+            r.bump(M);
+            two_threads(
+                |turn| {
+                    let mut step = 0..;
+                    let mut here = || {
+                        if step.next() == Some(at) {
+                            turn_at(turn, cut);
+                        }
+                    };
+                    here();
+                    let cell = &r.cells[OWNER].counters[M as usize];
+                    let v = cell.load(Ordering::Relaxed);
+                    here();
+                    cell.store(v + 2, Ordering::Relaxed);
+                    here();
+                    r.add(M, 3);
+                },
+                || {
+                    r.bump(M);
+                    r.add(M, 10);
+                },
+            );
+            assert_eq!(r.get(M), 1 + 2 + 3 + 11, "turn at step {at}, {cut:?}");
+            assert_eq!(r.snapshot().get(M), 17);
+            assert_eq!(
+                r.cells[SHARED].counters[M as usize].load(Ordering::Relaxed),
+                11
+            );
+        }
+    }
+
+    /// The owner's load/compare/store of a peak cut into its steps against
+    /// a second thread's CAS raise of the same peak (and a histogram bucket
+    /// on both sides): a peak snapshots as the larger of the two sides,
+    /// never their sum; buckets add.
+    #[test]
+    fn a_peak_raised_on_both_sides_snapshots_as_the_max() {
+        use motor_pal::interleave::two_threads;
+        const M: Metric = Metric::UnexpectedQueuePeak;
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for (at, cut) in (0..=2)
+            .flat_map(|at| [(at, Cut::Gate), (at, Cut::Race)])
+            .cycle()
+            .take(6 * rounds)
+        {
+            let r = MetricsRegistry::new();
+            r.claim();
+            let ((), there) = two_threads(
+                |turn| {
+                    let mut step = 0..;
+                    let mut here = || {
+                        if step.next() == Some(at) {
+                            turn_at(turn, cut);
+                        }
+                    };
+                    here();
+                    let cell = &r.cells[OWNER].counters[M as usize];
+                    let cur = cell.load(Ordering::Relaxed);
+                    here();
+                    if cur < 5 {
+                        cell.store(5, Ordering::Relaxed);
+                    }
+                    here();
+                    r.record(Hist::WaitNanos, 100);
+                },
+                || {
+                    r.record_max(M, 7);
+                    r.record(Hist::WaitNanos, 100);
+                    r.snapshot().get(M)
+                },
+            );
+            assert!(there == 7, "turn at step {at}, {cut:?}: {there}");
+            let s = r.snapshot();
+            assert_eq!(s.get(M), 7, "max, not sum");
+            assert_eq!(s.hist(Hist::WaitNanos).count(), 2);
+            r.record_max(M, 9);
+            r.record_max(M, 4);
+            assert_eq!((r.get(M), r.snapshot().get(M)), (9, 9));
+        }
+    }
+
+    /// The owner's ring write cut into its four steps — take the sequence,
+    /// invalidate the slot, write the payload, publish — against a second
+    /// thread that writes the shared ring and then reads both, placed
+    /// before each step. The reader takes only whole events (the slot being
+    /// overwritten is skipped, never torn), and once both are done each
+    /// ring holds its youngest events and the drop count is exact per ring.
+    #[test]
+    fn a_reader_racing_the_owner_ring_never_sees_a_torn_event() {
+        use motor_pal::interleave::two_threads;
+        const CAP: u64 = 2;
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for (at, cut) in (0..=4)
+            .flat_map(|at| [(at, Cut::Gate), (at, Cut::Race)])
+            .cycle()
+            .take(10 * rounds)
+        {
+            let r = MetricsRegistry::with_event_capacity(CAP as usize);
+            r.claim();
+            (0..CAP).for_each(|a| stamped(&r, a));
+            let ((), seen) = two_threads(
+                |turn| {
+                    let mut step = 0..;
+                    let mut here = || {
+                        if step.next() == Some(at) {
+                            turn_at(turn, cut);
+                        }
+                    };
+                    let ring = r.ring(OWNER);
+                    here();
+                    let (seq, slot) = ring.next_owned_slot();
+                    here();
+                    slot.invalidate();
+                    here();
+                    let a = 1000 + seq;
+                    slot.fill([a, EventKind::MsgSend as u64, a, !a, a ^ SALT]);
+                    here();
+                    slot.publish(seq);
+                    here();
+                },
+                || {
+                    (0..3).for_each(|a| stamped(&r, 500 + a));
+                    r.snapshot()
+                },
+            );
+            for e in seen.events() {
+                assert_untorn(e);
+            }
+            if cut == Cut::Gate {
+                // Between invalidation and publication the slot is skipped;
+                // otherwise it holds the old event or the new one, whole.
+                let owned = seen.events().iter().filter(|e| e.a < 500 || e.a >= 1000);
+                let mid_write = (2..=3).contains(&at);
+                assert_eq!(
+                    owned.count() as u64,
+                    CAP - u64::from(mid_write),
+                    "step {at}"
+                );
+            }
+            assert_rings_account_for_every_event(&r, [CAP + 1, 3]);
         }
     }
 

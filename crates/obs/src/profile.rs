@@ -6,10 +6,11 @@
 //! profiler thread, `motor-doctor`, snapshot collection). Writes are
 //! relaxed atomics; a racing reader can observe a slightly stale value
 //! but never a torn or corrupt one. The phase stack enforces its writer:
-//! the thread that starts the clock owns it, and a span opened on any
-//! other thread (a helper mutator's collection or safepoint stall) is
-//! recorded on the timeline but does not enter a bucket — the buckets
-//! partition the *rank thread's* wall clock.
+//! the thread that starts the clock owns it — the same [`Owner`] that
+//! writes its registry's owner cells — and a span opened on any other
+//! thread (a helper mutator's collection or safepoint stall) is recorded
+//! on the timeline but does not enter a bucket — the buckets partition
+//! the *rank thread's* wall clock.
 //!
 //! # Time buckets
 //!
@@ -98,17 +99,40 @@ impl PhaseSnapshot {
 
 /// A cheap identity for the calling thread: the address of one of its
 /// thread-locals (unique among live threads, one TLS read to get).
+#[inline]
 fn thread_tag() -> usize {
     thread_local!(static TAG: u8 = const { 0 });
     TAG.with(|t| t as *const u8 as usize)
+}
+
+/// The one thread that writes a registry's owner cells, its owner ring
+/// and its phase machine (see [`MetricsRegistry::claim`]): the
+/// [`thread_tag`] of the last claimant, none before the first claim.
+///
+/// [`MetricsRegistry::claim`]: crate::MetricsRegistry::claim
+#[derive(Debug, Default)]
+pub(crate) struct Owner(AtomicUsize);
+
+impl Owner {
+    /// Make the calling thread the owner.
+    pub(crate) fn claim(&self) {
+        self.0.store(thread_tag(), Ordering::Relaxed);
+    }
+
+    /// Whether the calling thread is the owner.
+    #[inline]
+    pub(crate) fn is_caller(&self) -> bool {
+        self.0.load(Ordering::Relaxed) == thread_tag()
+    }
 }
 
 /// Online per-rank time-bucket and overlap accounting (see module docs).
 #[derive(Debug)]
 pub struct PhaseStats {
     started: AtomicBool,
-    /// [`thread_tag`] of the thread that called [`Self::start_at`].
-    owner: AtomicUsize,
+    /// The thread that called [`Self::start_at`], or claimed the
+    /// registry this machine belongs to.
+    pub(crate) owner: Owner,
     last_flush: AtomicU64,
     cur: AtomicUsize,
     depth: AtomicUsize,
@@ -131,7 +155,7 @@ impl PhaseStats {
     pub fn new() -> PhaseStats {
         PhaseStats {
             started: AtomicBool::new(false),
-            owner: AtomicUsize::new(0),
+            owner: Owner::default(),
             last_flush: AtomicU64::new(0),
             cur: AtomicUsize::new(TimeBucket::Compute as usize),
             depth: AtomicUsize::new(0),
@@ -150,17 +174,19 @@ impl PhaseStats {
     }
 
     /// Close the open segment `[last_flush, now)` into the accumulators.
+    /// The owner is their one writer: plain increments, no RMW.
     #[inline]
     fn flush_to(&self, now: u64) {
         let last = self.last_flush.load(Ordering::Relaxed);
         let dt = now.saturating_sub(last);
         if dt > 0 {
+            let grow = |c: &AtomicU64| c.store(c.load(Ordering::Relaxed) + dt, Ordering::Relaxed);
             let cur = self.cur.load(Ordering::Relaxed).min(N_BUCKETS - 1);
-            self.bucket_nanos[cur].fetch_add(dt, Ordering::Relaxed);
+            grow(&self.bucket_nanos[cur]);
             if self.async_ops.load(Ordering::Relaxed) > 0 {
-                self.inflight_nanos.fetch_add(dt, Ordering::Relaxed);
+                grow(&self.inflight_nanos);
                 if cur == TimeBucket::Compute as usize {
-                    self.overlap_nanos.fetch_add(dt, Ordering::Relaxed);
+                    grow(&self.overlap_nanos);
                 }
             }
         }
@@ -173,7 +199,7 @@ impl PhaseStats {
         if self.started.swap(true, Ordering::Relaxed) {
             return;
         }
-        self.owner.store(thread_tag(), Ordering::Relaxed);
+        self.owner.claim();
         self.last_flush.store(now, Ordering::Relaxed);
         self.cur
             .store(TimeBucket::Compute as usize, Ordering::Relaxed);
@@ -184,7 +210,7 @@ impl PhaseStats {
     /// single writer of the flush accumulators.
     #[inline]
     fn owned_by_caller(&self) -> bool {
-        self.started() && self.owner.load(Ordering::Relaxed) == thread_tag()
+        self.started() && self.owner.is_caller()
     }
 
     /// Enter `bucket` (e.g. a classified span opened). Returns whether

@@ -12,9 +12,11 @@
 //! that runs the region. The post-mortem [`trace`](crate::trace) module
 //! pairs the two events back into one slice on the cluster timeline.
 //!
-//! Each edge costs one ring write (a `fetch_add` plus a handful of relaxed
-//! stores) and never takes a lock, so guards are cheap enough for the hot
-//! paths the paper measures.
+//! Each edge costs one ring write and never takes a lock, so guards are
+//! cheap enough for the hot paths the paper measures. On the thread that
+//! owns the registry (see [`MetricsRegistry::claim`]) the write is a
+//! handful of relaxed stores and no RMW; anywhere else it adds one
+//! `fetch_add` and one swap (the shared ring's claim).
 //!
 //! # One clock reading per edge
 //!

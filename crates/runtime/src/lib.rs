@@ -66,7 +66,7 @@ pub mod vm;
 pub use handles::Handle;
 pub use object::ObjectRef;
 pub use pin::{PinCondition, PinToken};
-pub use thread::{MotorThread, Prim};
+pub use thread::{MotorThread, Prim, TransportView};
 pub use types::{ClassId, ElemKind, FieldDesc, FieldType, MethodTable, TypeKind, TypeRegistry};
 pub use verify::{verify_heap, VerifyReport};
 pub use vm::{Vm, VmConfig};

@@ -44,6 +44,24 @@ impl_prim! {
     f32 => F32, f64 => F64,
 }
 
+/// What the transport layer needs of a buffer object, resolved at once
+/// (see [`MotorThread::transport_view`]).
+#[derive(Debug, Clone, Copy)]
+pub struct TransportView {
+    /// The object's class.
+    pub class: ClassId,
+    /// The zero-copy data window `(pointer, byte length)`, as
+    /// [`MotorThread::raw_data_window`] resolves it; `None` for a type whose
+    /// instance data holds references (a class with reference fields, an
+    /// object array), which no raw transport may touch.
+    pub window: Option<(*mut u8, usize)>,
+    /// Element kind and length of a primitive or multidimensional array.
+    pub elems: Option<(ElemKind, usize)>,
+    /// Whether the object sits in the young generation (see
+    /// [`MotorThread::is_young`]).
+    pub young: bool,
+}
+
 /// A mutator thread attached to a VM.
 pub struct MotorThread {
     vm: Arc<Vm>,
@@ -613,34 +631,59 @@ impl MotorThread {
     // Raw windows (trusted integration layer)
     // ------------------------------------------------------------------
 
+    /// Everything a transport asks of the buffer `h` — is it null, its
+    /// class, whether a raw transport may touch it, its data window and
+    /// element layout, its generation — in one VM lock round trip and one
+    /// type-registry read; `None` for null. The same caveat as
+    /// [`Self::raw_data_window`] holds for using the window.
+    pub fn transport_view(&self, h: Handle) -> Option<TransportView> {
+        let (addr, young) = {
+            let st = self.vm.state();
+            let addr = st.handles.get(h);
+            (addr, addr != 0 && st.heap.is_young(addr))
+        };
+        if addr == 0 {
+            return None;
+        }
+        let reg = self.vm.registry();
+        let obj = ObjectRef(addr);
+        // SAFETY: live object (the caller is cooperative, so it cannot
+        // move before it polls); type dispatch below.
+        unsafe {
+            let class = ClassId(obj.header().mt);
+            let mt = reg.table(class);
+            let (window, elems) = match mt.kind {
+                TypeKind::PrimArray(k) => (Some(obj.prim_array_data(k.size())), Some(k)),
+                TypeKind::MdArray { elem, rank } => {
+                    (Some(obj.md_data(rank, elem.size())), Some(elem))
+                }
+                TypeKind::Class if !mt.has_refs => {
+                    (Some((obj.payload_ptr(), mt.instance_size as usize)), None)
+                }
+                TypeKind::Class | TypeKind::ObjArray(_) => (None, None),
+            };
+            Some(TransportView {
+                class,
+                window,
+                elems: elems.map(|k| (k, obj.array_len())),
+                young,
+            })
+        }
+    }
+
     /// The zero-copy data window of a primitive or multidimensional array:
     /// `(pointer, byte length)`. Obtaining the window is safe; *using* it
     /// is only sound while the object cannot move (pinned, elder-resident,
     /// or GC excluded) — the invariant the Motor pinning policy maintains.
     pub fn raw_data_window(&self, h: Handle) -> (*mut u8, usize) {
-        let addr = self.vm.handle_addr(h);
-        assert!(addr != 0, "raw window on null handle");
-        let reg = self.vm.registry();
-        let obj = ObjectRef(addr);
-        // SAFETY: live object; type dispatch below.
-        unsafe {
-            let mt = reg.table(ClassId(obj.header().mt));
-            match mt.kind {
-                TypeKind::PrimArray(k) => obj.prim_array_data(k.size()),
-                TypeKind::MdArray { elem, rank } => obj.md_data(rank, elem.size()),
-                TypeKind::Class => {
-                    assert!(
-                        !mt.has_refs,
-                        "raw window refused: type {} contains references (object-model integrity)",
-                        mt.name
-                    );
-                    (obj.payload_ptr(), mt.instance_size as usize)
-                }
-                TypeKind::ObjArray(_) => {
-                    panic!("raw window refused: object arrays contain references")
-                }
-            }
-        }
+        let view = self.transport_view(h).expect("raw window on null handle");
+        view.window.unwrap_or_else(|| {
+            let reg = self.vm.registry();
+            panic!(
+                "raw window refused: type {} contains references (object-model integrity)",
+                reg.table(view.class).name
+            )
+        })
     }
 }
 

@@ -249,18 +249,23 @@ fn api_surface_metrics_consistency() {
     assert!(agg.get(Metric::ChanBytesIn) > 0);
     assert!(agg.get(Metric::MatchAttempts) > 0);
 
-    // Every collective was counted on every rank.
-    assert!(agg.get(Metric::CollBarrier) >= 2 * r);
-    assert!(agg.get(Metric::CollBcast) >= r);
-    assert!(agg.get(Metric::CollScatter) >= r);
-    assert!(agg.get(Metric::CollGather) >= r);
-    assert!(agg.get(Metric::CollAllreduce) >= r);
+    // Every collective was counted on every rank, exactly once per call.
+    // An object collective books the byte collectives it runs on: obcast
+    // a size bcast and a body bcast, oscatter a size scatter and a body
+    // scatterv, ogather a size gather and a body gatherv.
+    assert_eq!(agg.get(Metric::CollBarrier), 2 * r);
+    assert_eq!(agg.get(Metric::CollBcast), r + 2 * r);
+    assert_eq!(agg.get(Metric::CollScatter), r + r);
+    assert_eq!(agg.get(Metric::CollScatterv), r);
+    assert_eq!(agg.get(Metric::CollGather), r + r);
+    assert_eq!(agg.get(Metric::CollGatherv), r);
+    assert_eq!(agg.get(Metric::CollAllreduce), r);
 
-    // Object transport: 4 ring osends + the range send; orecv likewise;
-    // obcast + oscatter + ogather on every rank.
-    assert!(agg.get(Metric::OompOsends) > r);
-    assert!(agg.get(Metric::OompOrecvs) > r);
-    assert!(agg.get(Metric::OompCollectives) >= 3 * r);
+    // Object transport: 4 ring osends + the two range sends; orecv
+    // likewise; obcast + oscatter + ogather on every rank.
+    assert_eq!(agg.get(Metric::OompOsends), r + 2);
+    assert_eq!(agg.get(Metric::OompOrecvs), r + 2);
+    assert_eq!(agg.get(Metric::OompCollectives), 3 * r);
 
     // Serializer accounting: every osend serialized a graph, every graph
     // at least a Packet and its data array; every wire byte produced was

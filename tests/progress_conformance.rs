@@ -122,9 +122,10 @@ fn isend_irecv_complete_without_owner_entering_wait() {
         // SAFETY: data/buf live to the end of this closure, past both
         // completion spins below.
         let r = unsafe { world.irecv_ptr(buf.as_mut_ptr(), buf.len(), from, 7) }.unwrap();
-        // Posting runs one inline progress pass on the owner (not an
-        // engine poll), so a receive whose data is already in the ring at
-        // post time would be completed by the *rank* thread — on a loaded
+        // Posting a receive runs one inline progress pass on the owner
+        // (not an engine poll; a plain eager send only flushes its own
+        // link), so a receive whose data is already in the ring at post
+        // time would be completed by the *rank* thread — on a loaded
         // single-core host that can very occasionally absorb every eager
         // receive and starve the `ProgressOpsCompleted` assertion below.
         // The barrier plus rank 0's delayed send pin the order: rank 1
