@@ -95,9 +95,9 @@ impl<'t, C: Comm> Communicator<'t, C> {
     }
 
     /// Account a blocking communication call to the profiler's comm-wait
-    /// bucket when bound to a managed rank (no-op otherwise). The typed
-    /// front-end talks to the transport directly, so without this the
-    /// rank's wall-clock partition would file all its waits as compute.
+    /// bucket when bound to a managed rank (no-op otherwise): a blocking
+    /// post opens no span, so without this the rank's wall-clock
+    /// partition would file it as compute.
     fn comm_scope(&self) -> Option<PhaseScope<'_>> {
         self.mp
             .as_ref()
@@ -239,10 +239,10 @@ impl<'t, C: Comm> Communicator<'t, C> {
     // typed collectives
     // ------------------------------------------------------------------
 
-    /// Run one collective over byte views, accounted as comm-wait and
-    /// inside an FCall when bound: the one path of every typed collective.
+    /// Run one collective over byte views, inside an FCall when bound: the
+    /// one path of every typed collective. The collective's own span bills
+    /// the comm-wait bucket.
     fn collective(&self, send: &[u8], recv: &mut [u8], coll: Coll) -> Result<()> {
-        let _phase = self.comm_scope();
         let _fc = self.fcall();
         self.comm.collective(send, recv, coll)
     }

@@ -123,7 +123,7 @@ impl AppResult {
 type ProfSink = Arc<Mutex<Vec<(usize, u64, motor_obs::PhaseSnapshot, FoldedStacks)>>>;
 
 /// Start profiling one rank of an app workload: arms a [`Sampler`] over
-/// the rank's VM-side registry (time-bucket accounting is already live —
+/// the rank's registry (time-bucket accounting is already live —
 /// `run_cluster` called `profile_start`) and a wall-clock stopwatch for
 /// the coverage denominator. The phase clock runs from cluster entry to
 /// teardown — wider than the stopwatch — so the bucket totals reported
@@ -1042,7 +1042,6 @@ pub fn ablation_pins(allocs: i64, reps: usize, repeats: usize) -> (f64, f64, u64
                 young_bytes: 64 * 1024,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let cls = vm
             .registry_mut()

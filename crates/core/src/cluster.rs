@@ -131,13 +131,12 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Capacity of each rank's event-trace rings (transport-side and
-    /// VM-side). The rings overwrite their oldest entry once full, so a
-    /// long run keeps the *most recent* `n` events per ring; size this to
-    /// cover the window you intend to trace.
+    /// Capacity of each rank's event-trace ring: one per rank, which its
+    /// device and its VM both record into. The ring overwrites its oldest
+    /// entry once full, so a long run keeps the *most recent* `n` events;
+    /// size this to cover the window you intend to trace.
     pub fn event_capacity(mut self, n: usize) -> Self {
         self.config.universe.device.event_capacity = n;
-        self.config.vm.event_capacity = n;
         self
     }
 
@@ -174,8 +173,8 @@ impl ClusterConfigBuilder {
 /// Per-rank metrics snapshots collected when a cluster run exits.
 #[derive(Debug, Clone)]
 pub struct ClusterMetrics {
-    /// One merged (transport + runtime) snapshot per rank, in
-    /// rank order.
+    /// One snapshot per rank (transport and runtime alike), in rank
+    /// order.
     pub per_rank: Vec<MetricsSnapshot>,
     /// Per-rank clock-offset estimates (nanoseconds this rank's clock is
     /// ahead of rank 0's) measured by the startup calibration handshake,
@@ -309,11 +308,11 @@ impl MotorProc {
         self.telemetry.as_ref()
     }
 
-    /// Merged metrics for this rank: the transport-side registry (channel,
-    /// device, collectives) and the runtime-side registry (GC and pinning,
-    /// safepoints, serializer, buffer pool).
+    /// This rank's metrics: the one registry its device (channel, device,
+    /// collectives) and its VM (GC and pinning, safepoints, serializer,
+    /// buffer pool) record into.
     pub fn metrics(&self) -> MetricsSnapshot {
-        crate::telemetry::merged_metrics(self.comm.device(), &self.vm, true)
+        self.vm.metrics().snapshot()
     }
 }
 
@@ -365,19 +364,15 @@ where
     B: Fn(&MotorProc) + Send + Sync,
 {
     let n = config.ranks;
-    // One epoch for every rank's registries (transport-side and VM-side),
-    // so event timestamps from different ranks live on a single timebase
+    // One epoch for every rank's registry, spawned children included, so
+    // event timestamps from different ranks live on a single timebase
     // and matched send/recv edges have meaningful (non-negative)
     // latencies. Respect an epoch the caller pinned explicitly.
-    let epoch = std::time::Instant::now();
-    let mut vm_config = config.vm.clone();
-    if vm_config.epoch.is_none() {
-        vm_config.epoch = Some(epoch);
-    }
     let mut universe = config.universe.clone();
-    if universe.device.epoch.is_none() {
-        universe.device.epoch = Some(epoch);
-    }
+    universe
+        .device
+        .epoch
+        .get_or_insert_with(std::time::Instant::now);
     let policy = config.policy;
     // A doctor/telemetry config requested explicitly wins; otherwise the
     // MOTOR_DOCTOR / MOTOR_TELEMETRY environment variables may enable
@@ -428,7 +423,7 @@ where
     let snaps: Mutex<Vec<(usize, MetricsSnapshot)>> = Mutex::new(Vec::with_capacity(n));
     let offsets: Mutex<Vec<(usize, i64)>> = Mutex::new(Vec::with_capacity(n));
     let result = Universe::run_with(n, universe, |proc| {
-        let vm = Vm::new(vm_config.clone());
+        let vm = Vm::with_metrics(config.vm.clone(), Arc::clone(proc.device().metrics()));
         {
             let mut reg = vm.registry_mut();
             define_types(&mut reg);
@@ -463,12 +458,11 @@ where
             doctor: doctor.clone(),
             telemetry: telemetry.clone(),
         };
-        // Arm time-bucket accounting on the rank's own (VM-side) registry:
-        // from here to the exit snapshot every classified span and phase
-        // scope attributes this rank's wall clock, so the prof_* counters
-        // in the collected snapshots partition the body's run time. The
-        // same call claims the registry: this thread is its owner, as it
-        // is its device's.
+        // Arm time-bucket accounting on the rank's registry, which this
+        // thread already owns: from here to the exit snapshot every
+        // classified span and phase scope attributes this rank's wall
+        // clock, so the prof_* counters in the collected snapshots
+        // partition the body's run time.
         mp.vm.metrics().profile_start();
         body(&mp);
         snaps.lock().push((mp.rank(), mp.metrics()));
@@ -548,7 +542,7 @@ where
     D: Fn(&mut TypeRegistry) + Send + Sync + 'static,
     B: Fn(&MotorProc) + Send + Sync + 'static,
 {
-    let vm_config = config.vm.clone();
+    let vm_config = config.vm;
     let policy = config.policy;
     // Children join the parent's monitoring in a fresh spawn group: their
     // world ranks restart at 0, so peer cross-matching must not mix them
@@ -561,14 +555,7 @@ where
         .proc_
         .universe()
         .spawn_children(proc.comm(), count, move |child: Proc| {
-            let mut vm_config = vm_config.clone();
-            if vm_config.epoch.is_none() {
-                // Share the child device's timebase so VM-side and
-                // device-side timestamps (events *and* in-flight ops)
-                // stay comparable within the child.
-                vm_config.epoch = Some(child.world().device().metrics().epoch());
-            }
-            let vm = Vm::new(vm_config);
+            let vm = Vm::with_metrics(vm_config.clone(), Arc::clone(child.device().metrics()));
             {
                 let mut reg = vm.registry_mut();
                 define_types(&mut reg);

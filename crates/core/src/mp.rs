@@ -125,7 +125,7 @@ impl From<motor_mpc::Status> for MpStatus {
 /// buffer handle alive for the duration; under the wrapper (`Always`)
 /// policy it also carries the hard pin to release at completion.
 ///
-/// An outstanding request also stays registered in the VM registry's
+/// An outstanding request also stays registered in the rank registry's
 /// live in-flight table (as `mp_isend`/`mp_irecv`) until it completes or
 /// is dropped, so the `motor-doctor` watchdog can see non-blocking
 /// operations that were initiated but never waited on.
@@ -190,12 +190,11 @@ pub struct Mp<'t> {
 }
 
 impl Mp<'_> {
-    /// Enter a profiling time bucket on this rank's VM-side registry —
-    /// the registry whose phase machine `run_cluster` arms. Layers that
-    /// talk to the transport directly (the typed `motor-api` front-end)
-    /// use this to classify their blocking communication time; without
-    /// it the device-side spans they trigger cannot reach the rank's
-    /// wall-clock partition.
+    /// Enter a profiling time bucket on this rank's registry — the one
+    /// whose phase machine `run_cluster` arms. Layers that talk to the
+    /// transport directly (the typed `motor-api` front-end) use this to
+    /// classify the time of a call no span covers whole: a blocking post,
+    /// a probe, an object transfer's framing and codec.
     #[inline]
     pub fn phase_scope(&self, bucket: TimeBucket) -> motor_obs::PhaseScope<'_> {
         self.thread.vm().metrics().phase_scope(bucket)
@@ -556,20 +555,18 @@ impl<'t> Mp<'t> {
     // Collectives on managed objects
     // ------------------------------------------------------------------
 
-    /// The one shape of every collective binding: enter the comm-wait
-    /// bucket and an FCall, name the collective in it (`coll`), resolve the
-    /// windows of its send and receive objects (`None` where a rank has
-    /// none), pin them if the policy says so — collectives always wait, so
-    /// the deferred fast path does not apply — run the collective over
-    /// them, release. Collective spans are recorded on the device-side
-    /// registry, so the VM-side time-bucket clock needs the explicit scope.
+    /// The one shape of every collective binding: enter an FCall, name the
+    /// collective in it (`coll`), resolve the windows of its send and
+    /// receive objects (`None` where a rank has none), pin them if the
+    /// policy says so — collectives always wait, so the deferred fast path
+    /// does not apply — run the collective over them, release. The
+    /// collective's own span bills the comm-wait bucket.
     fn pinned(
         &self,
         proof: Proof,
         (send, recv): (Option<Handle>, Option<Handle>),
         coll: impl FnOnce(&Fcall<'_>) -> CoreResult<Coll<'static>>,
     ) -> CoreResult<()> {
-        let _phase = self.thread.vm().metrics().phase_scope(TimeBucket::CommWait);
         let fc = Fcall::enter(self.thread);
         let coll = coll(&fc)?;
         let sw = send.map(|h| self.window(&fc, h, None, proof)).transpose()?;

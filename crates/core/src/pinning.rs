@@ -162,7 +162,6 @@ mod tests {
                 young_bytes: 8192,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let t = MotorThread::attach(Arc::clone(&vm));
         (vm, t)

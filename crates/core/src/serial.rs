@@ -789,10 +789,7 @@ mod tests {
     }
 
     fn fixture_with(heap: motor_runtime::heap::HeapConfig) -> Fixture {
-        let vm = Vm::new(VmConfig {
-            heap,
-            ..Default::default()
-        });
+        let vm = Vm::new(VmConfig { heap });
         let (node, arr_i32) = {
             let mut reg = vm.registry_mut();
             let arr = reg.prim_array(ElemKind::I32);

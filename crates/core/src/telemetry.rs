@@ -113,22 +113,6 @@ impl TelemetryConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct RankTicket(usize);
 
-/// One rank's merged metrics: the transport-side registry plus the
-/// VM-side one. No counter is bumped on both, so the sum is each counter's
-/// one value. `events` drains the two event rings as well — what a flight
-/// record, the exit snapshot and [`MotorProc::metrics`] want, and a
-/// collection tick does not.
-///
-/// [`MotorProc::metrics`]: crate::cluster::MotorProc::metrics
-pub(crate) fn merged_metrics(device: &Device, vm: &Vm, events: bool) -> MetricsSnapshot {
-    let (d, v) = (device.metrics(), vm.metrics());
-    if events {
-        d.snapshot().merged(&v.snapshot())
-    } else {
-        d.snapshot_counters().merged(&v.snapshot_counters())
-    }
-}
-
 /// One monitored rank: everything an observation reads, all lock-free or
 /// briefly-locked so a tick never blocks the rank.
 struct RankHooks {
@@ -139,6 +123,7 @@ struct RankHooks {
     /// Spawn group: 0 for the initial world, one per `spawn_children`
     /// batch after that.
     group: usize,
+    /// The rank's device, whose registry its VM records into too.
     device: Arc<Device>,
     vm: Arc<Vm>,
     done: AtomicBool,
@@ -155,15 +140,12 @@ struct RankHooks {
 
 impl RankHooks {
     /// Observe the rank: the one place a [`RankRecord`] is built from a
-    /// live rank. Pure but for dating the tables' signs of life (see
+    /// live rank. Pure but for dating the table's signs of life (see
     /// [`motor_obs::InflightTable::last_beat_nanos`]) — windowing is the
-    /// caller's [`RankRecord::since`]. `events` as in [`merged_metrics`].
+    /// caller's [`RankRecord::since`]. `events` drains the event ring as
+    /// well — what a flight record wants, and a collection tick does not.
     fn observe(&self, events: bool) -> RankRecord {
-        let dreg = self.device.metrics();
-        let vreg = self.vm.metrics();
-        let mut inflight = dreg.inflight_ops();
-        inflight.extend(vreg.inflight_ops());
-        inflight.sort_by_key(|op| op.token);
+        let reg = self.device.metrics();
         let (hard_pins, cond_pins, oldest_pin) = self.vm.pin_diagnostics();
         if let Some((used, capacity)) = self.vm.heap_usage() {
             self.heap_used.store(used, Ordering::Relaxed);
@@ -174,17 +156,21 @@ impl RankHooks {
             rank: self.rank,
             label: self.label.clone(),
             done: self.done.load(Ordering::Acquire),
-            now_nanos: dreg.now_nanos(),
+            now_nanos: reg.now_nanos(),
             window_nanos: 0,
-            last_progress_nanos: dreg.last_progress_nanos().max(vreg.last_progress_nanos()),
-            inflight,
+            last_progress_nanos: reg.last_progress_nanos(),
+            inflight: reg.inflight_ops(),
             queue_depths: self.device.queue_depths(),
             hard_pins,
             cond_pins,
             oldest_pin_nanos: oldest_pin.map_or(0, |d| d.as_nanos() as u64),
             heap_used_bytes: self.heap_used.load(Ordering::Relaxed),
             heap_capacity_bytes: self.heap_capacity.load(Ordering::Relaxed),
-            snapshot: merged_metrics(&self.device, &self.vm, events),
+            snapshot: if events {
+                reg.snapshot()
+            } else {
+                reg.snapshot_counters()
+            },
         }
     }
 }
@@ -296,7 +282,7 @@ impl Collector {
         }
     }
 
-    /// The `/metrics` document: every rank's merged snapshot rendered as
+    /// The `/metrics` document: every rank's snapshot rendered as
     /// one exposition document (each family's `# TYPE` emitted once, one
     /// sample per rank with `group`/`rank` labels), followed by the
     /// rate/window gauges from the newest frame. Takes fresh cumulative
@@ -309,7 +295,7 @@ impl Collector {
                 (
                     h.group.to_string(),
                     h.rank.to_string(),
-                    merged_metrics(&h.device, &h.vm, false),
+                    h.device.metrics().snapshot_counters(),
                 )
             })
             .collect();
@@ -703,8 +689,7 @@ mod tests {
         srv.stop();
     }
 
-    /// A collector over one real rank whose two event rings hold `ring`
-    /// slots each.
+    /// A collector over one real rank whose event ring holds `ring` slots.
     fn one_rank_collector(ring: usize) -> (Arc<Collector>, Arc<Device>, Arc<Vm>) {
         let device = Device::new(
             0,
@@ -713,19 +698,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        let vm = Vm::new(motor_runtime::VmConfig {
-            event_capacity: ring,
-            ..Default::default()
-        });
+        let vm = Vm::with_metrics(Default::default(), Arc::clone(device.metrics()));
         let c = Collector::new(4);
         c.register_in_group(0, 0, "rank 0".into(), Arc::clone(&device), Arc::clone(&vm));
         (c, device, vm)
     }
 
-    /// The tick takes counters and histograms only: with both rings of a
-    /// rank wrapped many times over, the frames carry no event and the
-    /// collector retains none — yet the loss is on the books, and a
-    /// flight record of the same rank drains the rings.
+    /// The tick takes counters and histograms only: with a rank's ring
+    /// wrapped many times over by its device and its VM, the frames carry
+    /// no event and the collector retains none — yet the loss is on the
+    /// books, and a flight record of the same rank drains the ring.
     #[test]
     fn a_tick_leaves_the_event_rings_alone() {
         use motor_obs::EventKind;
@@ -752,14 +734,14 @@ mod tests {
         assert!(second.ranks[0].window_nanos > 0);
         assert_eq!(second.ranks[0].snapshot.get(Metric::SendsEager), 2);
         assert_eq!(second.ranks[0].snapshot.get(Metric::TraceEventsDropped), 0);
-        // 2 rings x (100 written - 8 held), read off the newest tick.
-        assert_eq!(c.trace_events_dropped(), 184);
+        // 2 x 100 written - 8 held, read off the newest tick.
+        assert_eq!(c.trace_events_dropped(), 192);
         let (_, _, _, body) = respond("/healthz", &c, None);
         let v = json::parse(&body).unwrap();
-        assert_eq!(v.u64_at("trace_events_dropped"), Ok(184));
+        assert_eq!(v.u64_at("trace_events_dropped"), Ok(192));
         assert_eq!(
             c.flight_record(Vec::new()).ranks[0].snapshot.events().len(),
-            16
+            8
         );
     }
 

@@ -867,7 +867,6 @@ mod tests {
                 young_bytes: 8 * 1024,
                 ..Default::default()
             },
-            ..Default::default()
         })
     }
 

@@ -23,8 +23,11 @@
 //!
 //! [`MetricsRegistry::snapshot`] is wait-free for writers; snapshots can be
 //! [`diff`](MetricsSnapshot::diff)-ed (what happened between two points),
-//! [`merge`](MetricsSnapshot::merge)-d (across ranks or across the device-
-//! and VM-side registries of one rank), and exported as CSV or JSON.
+//! [`merge`](MetricsSnapshot::merge)-d (across ranks), and exported as CSV
+//! or JSON. A rank has one registry, which its device and its VM both
+//! record into.
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
@@ -265,8 +268,8 @@ named_enum! {
     /// Possible (imprecision-qualified) lint diagnostics reported.
     LintPossible => "lint_possible",
 
-    // ---- GC and pinning (bumped on the VM-side registry by the
-    // ---- collector, `MotorThread::pin*` and the pin policy) ----
+    // ---- GC and pinning (bumped by the collector, `MotorThread::pin*`
+    // ---- and the pin policy) ----
     /// Minor collections.
     GcMinorCollections => "gc_minor_collections",
     /// Full collections.
@@ -870,13 +873,6 @@ impl MetricsRegistry {
         add_to(&self.cells[side].hists[idx], 1, side == OWNER);
     }
 
-    /// The instant this registry's timestamps count from. Builders that
-    /// create further registries for the same rank group (e.g. dynamic
-    /// spawning) should reuse it so all timestamps stay comparable.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// Nanoseconds since this registry was created (event clock): a new
     /// clock reading.
     #[inline]
@@ -1275,18 +1271,11 @@ impl MetricsSnapshot {
         for (mine, theirs) in self.events_through.iter_mut().zip(other.events_through) {
             *mine = (*mine).max(theirs);
         }
-        // Merging the device- and VM-side registries of one rank: both are
-        // calibrated to the same reference, so keep whichever is set.
+        // Registries calibrated to the same reference share one offset:
+        // keep whichever is set.
         if self.clock_offset_nanos == 0 {
             self.clock_offset_nanos = other.clock_offset_nanos;
         }
-    }
-
-    /// Merged copy (see [`merge`](Self::merge)).
-    pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = self.clone();
-        out.merge(other);
-        out
     }
 
     /// Header for [`csv_row`](Self::csv_row): `label`, every counter name,
@@ -2009,11 +1998,10 @@ mod tests {
 
     #[test]
     fn merge_device_and_vm_side_registries() {
-        // One rank's two registries: the transport side carries queue
-        // peaks and a calibrated clock offset, the VM side carries
-        // safepoint data with offset zero. The merge must add counters,
-        // max the peaks, keep the nonzero offset, and preserve both event
-        // streams.
+        // Two registries: one carries queue peaks and a calibrated clock
+        // offset, the other safepoint data with offset zero. The merge
+        // must add counters, max the peaks, keep the nonzero offset, and
+        // preserve both event streams.
         let device = MetricsRegistry::new();
         device.add(Metric::SendsEager, 3);
         device.record_max(Metric::PostedQueuePeak, 5);

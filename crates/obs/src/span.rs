@@ -22,16 +22,16 @@
 //!
 //! Starting an operation is several records that all mean "the operation
 //! started now", made by layers that do not know each other: the
-//! `System.MP` span on the VM-side registry, the `MsgSend` stamp and the
-//! `DeviceWait` span on the device-side one, the conditional pin, the
-//! in-flight and overlap registrations of the request. They share one
-//! reading. The layer that opens the operation's own span names that
-//! opening the *edge* its thread is at ([`SpanGuard::set_edge`], a
-//! thread-local); until the edge is over, whatever this thread records
-//! that belongs to the same instant takes its reading in place of a new
-//! one ([`MetricsRegistry::edge_nanos`]: the opening of a nested span or
-//! phase scope, [`MetricsRegistry::event_at_edge`],
-//! [`MetricsRegistry::op_begin`], [`MetricsRegistry::async_op_begin`]).
+//! `System.MP` span, the device's `MsgSend` stamp and `DeviceWait` span,
+//! the conditional pin, the in-flight and overlap registrations of the
+//! request. They share one reading. The layer that opens the operation's
+//! own span names that opening the *edge* its thread is at
+//! ([`SpanGuard::set_edge`], a thread-local); until the edge is over,
+//! whatever this thread records that belongs to the same instant takes
+//! its reading in place of a new one ([`MetricsRegistry::edge_nanos`]:
+//! the opening of a nested span or phase scope,
+//! [`MetricsRegistry::event_at_edge`], [`MetricsRegistry::op_begin`],
+//! [`MetricsRegistry::async_op_begin`]).
 //! The edge is over as soon as time may have passed: when any span or
 //! phase scope closes (with a reading of its own) and when a progress
 //! pass starts ([`expire_edge`]) — so what a pass delivers, and a wait
@@ -52,11 +52,10 @@ use crate::{EventKind, MetricsRegistry};
 const SPAN_ID_BLOCK: u64 = 1024;
 
 /// Process-wide allocator of span id blocks (ids are 1-based). Ids must
-/// be unique across every registry of a rank (each rank carries a
-/// transport-side *and* a VM-side registry whose event streams are
-/// merged), so they come from one shared counter — drawn a block at a
-/// time, or two rank threads opening spans would bounce its cache line
-/// on every operation.
+/// be unique across every registry whose event streams are merged, so
+/// they come from one shared counter — drawn a block at a time, or two
+/// rank threads opening spans would bounce its cache line on every
+/// operation.
 static NEXT_SPAN_BLOCK: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -134,7 +133,9 @@ named_enum! {
     MpIsend => "mp_isend",
     /// Non-blocking receive initiation.
     MpIrecv => "mp_irecv",
-    /// Wait on a non-blocking request.
+    /// Wait on a non-blocking request. Takes no in-flight slot: the
+    /// transport's `DeviceWait` under it registers the same request id,
+    /// and heartbeats.
     MpWait => "mp_wait",
     /// Blocking probe.
     MpProbe => "mp_probe",
@@ -257,8 +258,8 @@ pub fn span_arg_unpack(arg: u64) -> (usize, i32) {
 ///
 /// Opening a span also registers the operation in the registry's live
 /// in-flight table (see [`crate::doctor`]), so every spanned operation is
-/// visible to the `motor-doctor` watchdog while it runs; dropping the
-/// guard deregisters it.
+/// visible to the `motor-doctor` watchdog while it runs — an `mp_wait`
+/// through the `device_wait` under it; dropping the guard deregisters it.
 pub struct SpanGuard<'r> {
     registry: &'r MetricsRegistry,
     id: u64,
@@ -368,7 +369,11 @@ impl MetricsRegistry {
             kind,
             arg,
             t_begin: now,
-            inflight: self.inflight.begin(kind, arg, now),
+            inflight: if kind == SpanKind::MpWait {
+                crate::INFLIGHT_NONE
+            } else {
+                self.inflight.begin(kind, arg, now)
+            },
             phase_pushed: kind.bucket().is_some_and(|b| self.phases.push_at(b, now)),
         }
     }
@@ -411,7 +416,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn an_edge_is_one_clock_reading() {
-        // A rank's two registries, on one epoch as in a cluster.
+        // Two registries, on one epoch as in a cluster.
         let epoch = Instant::now();
         let (vm, dev) = (
             MetricsRegistry::with_epoch(epoch, 64),

@@ -52,7 +52,7 @@ pub struct RankRecord {
     /// Registry clock of the rank's last observable progress (0 if none
     /// yet).
     pub last_progress_nanos: u64,
-    /// In-flight ops of the rank's transport- and VM-side tables.
+    /// In-flight ops of the rank's table.
     pub inflight: Vec<InflightOp>,
     /// Device queue depths `(posted, unexpected, pending_sends,
     /// active_recvs)`.

@@ -2,8 +2,8 @@
 //! cross-rank message pairs into edges, and analyze waits and the
 //! critical path.
 //!
-//! Input is one [`MetricsSnapshot`] per rank (device- and VM-side
-//! registries already merged, as `MotorProc::metrics()` returns them);
+//! Input is one [`MetricsSnapshot`] per rank (of the one registry its
+//! device and its VM record into, as `MotorProc::metrics()` returns it);
 //! the rank is the slice index. Every timestamp is shifted by that
 //! snapshot's calibrated clock offset so times from different ranks are
 //! comparable (see [`MetricsRegistry::set_clock_offset`] and

@@ -24,6 +24,8 @@
 //! lock-free state published by the rank threads; nothing blocks or locks
 //! on the hot path being profiled.
 
+#![forbid(unsafe_code)]
+
 mod folded;
 mod report;
 mod sampler;

@@ -25,8 +25,8 @@ use crate::folded::FoldedStacks;
 pub struct ProfTarget {
     /// The rank number (used as the folded-stack root frame).
     pub rank: usize,
-    /// The rank's VM-side metrics registry (the one that received
-    /// `profile_start`, so its phase machine is live).
+    /// The rank's metrics registry (it received `profile_start`, so its
+    /// phase machine is live).
     pub registry: Arc<MetricsRegistry>,
     /// The rank's IL hotness table, if the rank runs interpreted code
     /// with the interpreter's `profile` feature on. `None` for native

@@ -707,7 +707,6 @@ mod tests {
                 old_segment_bytes: 64 * 1024,
                 old_soft_limit: 4 * 1024 * 1024,
             },
-            ..Default::default()
         })
     }
 
@@ -1064,7 +1063,6 @@ mod tests {
                 old_segment_bytes: 64 * 1024,
                 old_soft_limit: 8192,
             },
-            ..Default::default()
         });
         let t = MotorThread::attach(Arc::clone(&vm));
         // The third live array crosses the limit; a full collection frees

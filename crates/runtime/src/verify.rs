@@ -137,7 +137,6 @@ mod tests {
                 young_bytes: 8 * 1024,
                 ..Default::default()
             },
-            ..Default::default()
         })
     }
 

@@ -24,13 +24,6 @@ use crate::types::{ClassId, TypeRegistry};
 pub struct VmConfig {
     /// Heap generation sizing.
     pub heap: HeapConfig,
-    /// Capacity of the VM-side metrics event ring (0 ⇒ the default; the
-    /// ring overwrites its oldest entry once full).
-    pub event_capacity: usize,
-    /// Shared time epoch for event timestamps, so the VM-side trace lines
-    /// up with the transport-side one and with peer ranks in the same
-    /// address space. `None` gives the registry a private epoch.
-    pub epoch: Option<std::time::Instant>,
 }
 
 /// Mutable runtime state guarded by the VM lock.
@@ -58,17 +51,15 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Create a VM with the given configuration.
+    /// Create a standalone VM with the given configuration, recording
+    /// into a registry of its own.
     pub fn new(config: VmConfig) -> Arc<Vm> {
-        let capacity = if config.event_capacity == 0 {
-            motor_obs::DEFAULT_EVENT_CAPACITY
-        } else {
-            config.event_capacity
-        };
-        let metrics = Arc::new(MetricsRegistry::with_epoch(
-            config.epoch.unwrap_or_else(std::time::Instant::now),
-            capacity,
-        ));
+        Self::with_metrics(config, Arc::new(MetricsRegistry::new()))
+    }
+
+    /// Create a VM that records into `metrics`: a rank's VM takes its
+    /// device's registry, so the rank has one.
+    pub fn with_metrics(config: VmConfig, metrics: Arc<MetricsRegistry>) -> Arc<Vm> {
         let safepoint = Safepoint::new();
         safepoint.attach_metrics(Arc::clone(&metrics));
         Arc::new(Vm {
@@ -100,9 +91,9 @@ impl Vm {
         self.registry.write()
     }
 
-    /// Runtime-side metrics registry: GC and pinning counters, safepoint
-    /// stalls, serializer and buffer-pool traffic, and the spans of all
-    /// of them.
+    /// The registry the runtime records into: GC and pinning counters,
+    /// safepoint stalls, serializer and buffer-pool traffic, and the spans
+    /// of all of them. A rank's VM shares it with the rank's device.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }

@@ -29,6 +29,8 @@
 //! [`TelemetryFrame`]s of [`RankRecord`]s by `motor-obs`, the one reader
 //! of the one writer.
 
+#![forbid(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;

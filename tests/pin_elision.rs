@@ -39,7 +39,6 @@ fn small_heap_vm() -> (Arc<Vm>, ClassId) {
             young_bytes: 16 * 1024,
             ..Default::default()
         },
-        ..Default::default()
     });
     let cls = vm
         .registry_mut()

@@ -242,7 +242,6 @@ fn nonblocking_transfer_survives_gc_via_conditional_pin() {
                 young_bytes: 16 * 1024,
                 ..Default::default()
             },
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -310,7 +309,6 @@ fn failure_injection_disabled_pinning_corrupts_unpinned_transfer() {
                     young_bytes: 16 * 1024,
                     ..Default::default()
                 },
-                ..Default::default()
             },
             policy,
             ..Default::default()
@@ -374,7 +372,6 @@ fn isend_buffer_protected_while_in_flight() {
                 young_bytes: 512 * 1024,
                 ..Default::default()
             },
-            ..Default::default()
         },
         ..Default::default()
     };

@@ -16,7 +16,6 @@ fn concurrent_mutators_with_stop_the_world_collections() {
             young_bytes: 32 * 1024,
             ..Default::default()
         },
-        ..Default::default()
     });
     const THREADS: usize = 4;
     const PER_THREAD: usize = 400;
@@ -86,7 +85,6 @@ fn native_regions_overlap_with_collections() {
             young_bytes: 16 * 1024,
             ..Default::default()
         },
-        ..Default::default()
     });
     crossbeam::thread::scope(|s| {
         let vm1 = Arc::clone(&vm);

@@ -55,7 +55,6 @@ fn fresh_vm() -> (Arc<Vm>, ClassId) {
             young_bytes: 32 * 1024,
             ..Default::default()
         },
-        ..Default::default()
     });
     let node = {
         let mut reg = vm.registry_mut();

@@ -206,7 +206,6 @@ fn serializer_and_gc_spans_accrue_their_time_buckets() {
                 young_bytes: 16 * 1024,
                 ..HeapConfig::default()
             },
-            ..VmConfig::default()
         })
         .build();
     let define = |reg: &mut motor::runtime::TypeRegistry| {

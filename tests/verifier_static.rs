@@ -253,7 +253,6 @@ fn unverified_escape_hatch_still_runs_but_traps_dynamically() {
             young_bytes: 64 * 1024,
             ..Default::default()
         },
-        ..Default::default()
     });
     let mixed = vm
         .registry_mut()
