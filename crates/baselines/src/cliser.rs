@@ -69,7 +69,7 @@ impl<'t> CliFormatter<'t> {
         }
         let vm = self.thread.vm();
         let reg = vm.registry();
-        let root_addr = vm.handle_addr(root);
+        let root_addr = self.thread.handle_addr(root);
 
         let mut out = Vec::new();
         // Object IDs via a hash table (BinaryFormatter's ObjectIDGenerator).

@@ -189,7 +189,7 @@ impl<'t> JavaSerializer<'t> {
         }
         let vm = self.thread.vm();
         let reg = vm.registry();
-        let addr = vm.handle_addr(root);
+        let addr = self.thread.handle_addr(root);
         let mut out = Vec::new();
         let mut handles = HandleTable::new();
         let mut class_descs: HashMap<u32, u32> = HashMap::new();

@@ -10,11 +10,14 @@
 //!   overhead").
 //! * **Eager vs rendezvous** — the protocol switchover inherited from
 //!   MPICH2's CH3 design (§6).
+//! * **The handle path** — per-call cost of the `MotorThread` handle and
+//!   field API the runtime offers FCall-style code (§5.1): one thread's
+//!   own handle table and method-table snapshot, no lock.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use motor_baselines::{HostProfile, JniEnv, TransitionState};
 use motor_bench::protocol::PingPongProtocol;
 use motor_core::cluster::{run_cluster, ClusterConfig};
@@ -226,8 +229,63 @@ fn bench_eager_threshold(c: &mut Criterion) {
     g.finish();
 }
 
+/// Per-call cost of the handle API: each reported iteration is the mean
+/// of `CALLS` calls on one attached thread, so that every sample times a
+/// million calls. The allocation rows include the minor collections the
+/// churn provokes.
+fn bench_handle_path(c: &mut Criterion) {
+    const CALLS: u32 = 1_000_000;
+    fn per_call(g: &mut BenchmarkGroup<'_>, name: &str, mut f: impl FnMut()) {
+        g.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let start = Instant::now();
+                for _ in 0..iters * u64::from(CALLS) {
+                    f();
+                }
+                start.elapsed() / CALLS
+            })
+        });
+    }
+    let mut g = c.benchmark_group("handle_path");
+    let vm = Vm::new(VmConfig::default());
+    let node = {
+        let mut reg = vm.registry_mut();
+        let arr = reg.prim_array(ElemKind::I32);
+        reg.define_class("HandlePathNode")
+            .prim("tag", ElemKind::I32)
+            .transportable("array", arr)
+            .build()
+    };
+    let t = MotorThread::attach(vm);
+    let (tag, array) = (t.field_index(node, "tag"), t.field_index(node, "array"));
+    let n = t.alloc_instance(node);
+    let a = t.alloc_prim_array(ElemKind::I32, 8);
+    t.set_ref(n, array, a);
+    let mut ints = [0i32; 8];
+    per_call(&mut g, "get_prim", || {
+        criterion::black_box(t.get_prim::<i32>(criterion::black_box(n), tag));
+    });
+    per_call(&mut g, "set_prim", || {
+        t.set_prim::<i32>(criterion::black_box(n), tag, criterion::black_box(7))
+    });
+    per_call(&mut g, "get_ref+release", || {
+        t.release(t.get_ref(criterion::black_box(n), array))
+    });
+    per_call(&mut g, "prim_read_8xi32", || {
+        t.prim_read(criterion::black_box(a), 0, criterion::black_box(&mut ints))
+    });
+    per_call(&mut g, "alloc_instance+release", || {
+        t.release(t.alloc_instance(node))
+    });
+    per_call(&mut g, "alloc_prim_array+release", || {
+        t.release(t.alloc_prim_array(ElemKind::I32, 8))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_handle_path,
     bench_pinning_policy,
     bench_call_transitions,
     bench_conditional_unpin,

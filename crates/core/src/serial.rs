@@ -46,9 +46,10 @@
 //! each known before anything is carved (extent base + the sizes before
 //! it). That is sound because
 //!
-//! * the code is a cooperative, non-polling FCall and holds the state lock
-//!   from the reservation to the root's handle, so no collection can move
-//!   or scan a half-built graph;
+//! * the code is a cooperative, non-polling FCall that holds the state
+//!   lock from the reservation to the last carve and makes the root's
+//!   handle before it next polls, so no collection can move or scan a
+//!   half-built graph;
 //! * the extent is carved from one generation, so no reference written
 //!   here crosses from the elder generation into the young one: there is
 //!   nothing for the write barrier to record;
@@ -432,7 +433,7 @@ impl<'t> Serializer<'t> {
         if self.thread.is_null(root) {
             return Err(CoreError::NullBuffer);
         }
-        let addr = self.thread.vm().handle_addr(root);
+        let addr = self.thread.handle_addr(root);
         Ok(self.run(out, |walk| {
             walk.discover(addr);
         }))
@@ -468,7 +469,7 @@ impl<'t> Serializer<'t> {
             return Err(CoreError::RangeOutOfBounds { offset, count, len });
         }
         let vm = self.thread.vm();
-        let obj = ObjectRef(vm.handle_addr(arr));
+        let obj = ObjectRef(self.thread.handle_addr(arr));
         // SAFETY: cooperative, non-polling FCall context: stable address.
         let mt_id = unsafe { obj.header().mt };
         // The registry guard must go before `run` takes its own.
@@ -869,15 +870,15 @@ mod tests {
         again: impl Fn(&Serializer<'_>, Handle) -> Vec<u8>,
     ) -> Handle {
         let ser = Serializer::new(t);
-        let handles = t.vm().state().handles.live();
+        let handles = t.live_handles();
         let copy = ser.deserialize(bytes).unwrap();
-        assert_eq!(t.vm().state().handles.live(), handles + 1, "only the root");
-        motor_runtime::verify_heap(t.vm()).expect("materialized heap");
+        assert_eq!(t.live_handles(), handles + 1, "only the root");
+        motor_runtime::verify_heap(t).expect("materialized heap");
         assert_eq!(again(&ser, copy), bytes, "before any collection");
         t.collect_minor();
-        motor_runtime::verify_heap(t.vm()).expect("after a minor collection");
+        motor_runtime::verify_heap(t).expect("after a minor collection");
         t.collect_full();
-        motor_runtime::verify_heap(t.vm()).expect("after a full collection");
+        motor_runtime::verify_heap(t).expect("after a full collection");
         assert_eq!(again(&ser, copy), bytes, "after both collections");
         copy
     }
@@ -1221,7 +1222,7 @@ mod tests {
         // nothing to free, not a loop of them.
         assert!((1..=6).contains(&(fulls() - before)));
         assert!(f.vm.state().heap.old_bytes_used() > soft_limit);
-        motor_runtime::verify_heap(&f.vm).expect("past the limit");
+        motor_runtime::verify_heap(&t).expect("past the limit");
         for copy in copies {
             assert!(!t.is_young(copy));
             check_list(&t, &f, copy, 24, 16);
@@ -1247,7 +1248,7 @@ mod tests {
         }
         let copy = Serializer::new(&t).deserialize(&w.finish()).unwrap();
         t.collect_full();
-        let report = motor_runtime::verify_heap(&f.vm).unwrap();
+        let report = motor_runtime::verify_heap(&t).unwrap();
         assert_eq!(report.objects, 1, "only the root survives");
         assert_eq!(t.get_prim::<i32>(copy, t.field_index(f.node, "tag")), 1);
     }

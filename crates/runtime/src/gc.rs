@@ -16,10 +16,10 @@
 //!   generation is allocated. Non-pinned objects are copied and compacted
 //!   as before."
 //!
-//! Roots are handle-table slots (the `GCPROTECT` analog), remembered-set
-//! slots (elder objects holding young references), and active pins —
-//! a pinned buffer is being read or written by the transport, so it must
-//! stay live regardless of mutator references.
+//! Roots are the slots of every attached thread's handle table (the
+//! `GCPROTECT` analog), remembered-set slots (elder objects holding young
+//! references), and active pins — a pinned buffer is being read or written
+//! by the transport, so it must stay live regardless of mutator references.
 
 use std::collections::HashSet;
 
@@ -36,8 +36,9 @@ use crate::types::{ClassId, TypeRegistry};
 pub struct CollectCtx<'a> {
     /// The heap being collected.
     pub heap: &'a mut Heap,
-    /// Handle table (root set, rewritten in place).
-    pub handles: &'a mut HandleTable,
+    /// Every attached thread's handle table (the root set, rewritten in
+    /// place).
+    pub handles: Vec<&'a mut HandleTable>,
     /// Pin table (hard pins and conditional requests).
     pub pins: &'a mut PinTable,
     /// Remembered set: addresses of elder-generation reference slots that
@@ -161,10 +162,12 @@ pub fn minor(ctx: &mut CollectCtx<'_>) {
     for addr in pin_roots {
         ev.forward(addr);
     }
-    // Roots 2: handle slots.
-    ctx.handles.for_each_slot_mut(|slot| {
-        *slot = ev.forward(*slot);
-    });
+    // Roots 2: handle slots, every thread's.
+    for table in ctx.handles.iter_mut() {
+        table.for_each_slot_mut(|slot| {
+            *slot = ev.forward(*slot);
+        });
+    }
     // Roots 3: remembered-set slots (elder objects that store young refs).
     for &slot_addr in ctx.remset.iter() {
         // SAFETY: barrier-recorded slots live inside elder objects, which
@@ -257,8 +260,8 @@ pub fn full(ctx: &mut CollectCtx<'_>) {
 
     // Mark.
     let mut stack: Vec<usize> = Vec::new();
-    for addr in ctx.handles.roots() {
-        stack.push(addr);
+    for table in &ctx.handles {
+        stack.extend(table.roots());
     }
     for addr in ctx.pins.hard_pinned_addrs() {
         stack.push(addr);

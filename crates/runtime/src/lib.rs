@@ -43,9 +43,9 @@
 //! | [`heap`] | segments, the two generations, allocation, containment tests |
 //! | [`gc`] | minor (copying) and full (mark-sweep) collection |
 //! | [`pin`] | the pin table: hard pins and conditional pin requests |
-//! | [`handles`] | GC-protected handle table and RAII scopes |
+//! | [`handles`] | GC-protected handle tables, one per thread (the root set) |
 //! | [`safepoint`] | the stop-the-world coordination protocol |
-//! | [`thread`] | attached mutator threads, native regions |
+//! | [`thread`] | attached mutator threads: lock-free handle and field access, native regions |
 //! | [`object`] | safe typed accessors over managed objects |
 //! | [`vm`] | the [`vm::Vm`] façade tying it all together |
 //! | [`stats`] | collection/pinning counters used by tests and ablations |

@@ -8,23 +8,29 @@
 //! All object access goes through [`crate::handles::Handle`]s so that the
 //! moving collector can rewrite every reference it relocates — the
 //! discipline the paper's FCalls follow with the `GCPROTECT` macros (§5.1).
+//! Each thread owns its handle table and a snapshot of the method tables,
+//! so a handle or field access takes no lock. A handle works only on the
+//! thread that made it, and no handle accessor works inside a native
+//! region (both panic).
 //!
-//! Lock ordering: the VM state mutex may be held while taking the type
-//! registry read lock, never the reverse. No method of this type holds the
-//! registry lock while acquiring the state lock.
+//! Lock ordering: safepoint mutex, then VM state mutex, then type registry
+//! read lock; never the reverse. The state mutex is held only for
+//! allocation, pins, the write barrier and the generation check; the
+//! registry's read lock only to refresh a thread's snapshot, to look up a
+//! canonical array class and on the slow metadata path.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use motor_obs::{EventKind, Metric};
 
-use crate::handles::Handle;
+use crate::handles::{Handle, HandleTable, SharedTable};
 use crate::heap::{AllocPressure, Extent};
 use crate::layout::{self, ObjHeader};
 use crate::object::ObjectRef;
 use crate::pin::{PinCondition, PinToken};
-use crate::types::{ClassId, ElemKind, FieldType, TypeKind};
-use crate::vm::{Vm, VmState};
+use crate::types::{ClassId, ElemKind, FieldType, MethodTable, TypeKind};
+use crate::vm::Vm;
 
 /// Marker trait tying Rust primitive types to managed element kinds.
 pub trait Prim: Copy + 'static {
@@ -63,17 +69,29 @@ pub struct TransportView {
 }
 
 /// A mutator thread attached to a VM.
+///
+/// It owns its handle table and a snapshot of the VM's method tables, so
+/// a handle or field access takes no lock: the table is shared only with
+/// the collector, which touches it only while this thread cannot (see
+/// `handles::SharedTable`), and the snapshot is refreshed under the
+/// registry's read lock only when a class id lies past its end.
 pub struct MotorThread {
     vm: Arc<Vm>,
+    roots: Arc<SharedTable>,
+    types: RefCell<Vec<Arc<MethodTable>>>,
     native_depth: Cell<u32>,
 }
 
 impl MotorThread {
-    /// Attach the calling thread to a VM.
+    /// Attach the calling thread to a VM. If a collection is pending, this
+    /// parks until it has finished.
     pub fn attach(vm: Arc<Vm>) -> MotorThread {
-        vm.safepoint().register();
+        let roots = Arc::new(SharedTable::default());
+        vm.safepoint().register(&roots);
         MotorThread {
             vm,
+            roots,
+            types: RefCell::new(Vec::new()),
             native_depth: Cell::new(0),
         }
     }
@@ -90,7 +108,8 @@ impl MotorThread {
     }
 
     /// Run `f` in a native region: the collector will not wait for this
-    /// thread while inside, and `f` must not touch the heap.
+    /// thread while inside, and `f` must not touch the heap — every handle
+    /// accessor of this thread panics there.
     pub fn native<R>(&self, f: impl FnOnce() -> R) -> R {
         self.enter_native();
         let r = f();
@@ -114,6 +133,65 @@ impl MotorThread {
             self.vm.safepoint().exit_native();
         }
         self.native_depth.set(d - 1);
+    }
+
+    // ------------------------------------------------------------------
+    // This thread's handle table and method-table snapshot
+    // ------------------------------------------------------------------
+
+    /// Refuse heap and handle access inside a native region, where the
+    /// collector may be rewriting this thread's table.
+    #[inline]
+    pub(crate) fn assert_cooperative(&self) {
+        assert!(
+            self.native_depth.get() == 0,
+            "handle access inside a native region"
+        );
+    }
+
+    /// Run `f` over this thread's handle table, with no lock.
+    #[inline]
+    fn handles<R>(&self, f: impl FnOnce(&mut HandleTable) -> R) -> R {
+        self.assert_cooperative();
+        // SAFETY: this thread is the table's owner and is cooperative here
+        // (not native: asserted; not parked: it is running), so the
+        // collector does not touch the table (the `SharedTable` protocol).
+        // `f` is handed the only reference; every caller passes a closure
+        // over the table alone, so none re-enters.
+        f(unsafe { &mut *self.roots.get() })
+    }
+
+    /// Run `f` over the method table of `class`, from this thread's
+    /// snapshot of the registry (refreshed first if `class` is newer).
+    #[inline]
+    fn with_type<R>(&self, class: ClassId, f: impl FnOnce(&MethodTable) -> R) -> R {
+        let i = class.0 as usize;
+        if i >= self.types.borrow().len() {
+            self.vm
+                .registry()
+                .extend_snapshot(&mut self.types.borrow_mut());
+        }
+        f(&self.types.borrow()[i])
+    }
+
+    /// The class of the live object at `addr`.
+    #[inline]
+    fn class_at(addr: usize) -> ClassId {
+        // SAFETY: `addr` came from this thread's handle table while it is
+        // cooperative: a live object that cannot move before it polls.
+        ClassId(unsafe { ObjectRef(addr).header().mt })
+    }
+
+    /// Current address behind a handle (0 = null). The address is only
+    /// stable under the usual conditions (GC excluded, pinned, or elder).
+    #[inline]
+    pub fn handle_addr(&self, h: Handle) -> usize {
+        self.handles(|t| t.get(h))
+    }
+
+    /// Handles this thread holds (created and not released).
+    pub fn live_handles(&self) -> usize {
+        self.handles(|t| t.live())
     }
 
     // ------------------------------------------------------------------
@@ -146,45 +224,48 @@ impl MotorThread {
     // Allocation
     // ------------------------------------------------------------------
 
-    /// Allocate one object: poll, try, and under pressure collect outside
-    /// the state lock and try again. An object that a full collection of
-    /// this thread's could not bring under the elder generation's soft
-    /// limit is placed past it, as a promotion would be: the limit paces
-    /// collections, it does not refuse live data.
-    fn alloc_with_retry(&self, size: usize, header: ObjHeader) -> usize {
+    /// Allocate one object and hand it a handle: poll, try, and under
+    /// pressure collect outside the state lock and try again. An object
+    /// that a full collection of this thread's could not bring under the
+    /// elder generation's soft limit is placed past it, as a promotion
+    /// would be: the limit paces collections, it does not refuse live data.
+    /// The handle is made after the state lock is released; nothing polls
+    /// in between, so the address cannot go stale.
+    fn alloc_with_retry(&self, size: usize, header: ObjHeader) -> Handle {
+        self.assert_cooperative();
         let mut full_failed = false;
         loop {
             self.poll();
-            let pressure = {
+            let placed = {
                 let mut st = self.vm.state();
-                let placed = if full_failed {
+                if full_failed {
                     st.heap
                         .alloc_old_unchecked(size, header)
                         .ok_or(AllocPressure::NeedsFull)
                 } else {
                     st.heap.alloc(size, header)
-                };
-                match placed {
-                    Ok(addr) => return addr,
-                    Err(p) => p,
                 }
             };
-            full_failed = self.run_collection(pressure) && pressure == AllocPressure::NeedsFull;
+            match placed {
+                Ok(addr) => return self.handles(|t| t.create(addr)),
+                Err(pressure) => {
+                    full_failed =
+                        self.run_collection(pressure) && pressure == AllocPressure::NeedsFull
+                }
+            }
         }
     }
 
     /// Allocate a class instance (fields zeroed / null).
     pub fn alloc_instance(&self, class: ClassId) -> Handle {
-        let size = {
-            let reg = self.vm.registry();
-            let mt = reg.table(class);
+        let size = self.with_type(class, |mt| {
             assert!(
                 matches!(mt.kind, TypeKind::Class),
                 "alloc_instance requires a class type"
             );
             layout::class_alloc_size(mt)
-        };
-        let addr = self.alloc_with_retry(
+        });
+        self.alloc_with_retry(
             size,
             ObjHeader {
                 mt: class.0,
@@ -192,15 +273,14 @@ impl MotorThread {
                 size: 0,
                 extra: 0,
             },
-        );
-        self.vm.state().handles.create(addr)
+        )
     }
 
     /// Allocate a primitive array of `len` zeroed elements.
     pub fn alloc_prim_array(&self, kind: ElemKind, len: usize) -> Handle {
         let class = self.array_class(kind);
         let size = layout::prim_array_alloc_size(kind, len);
-        let addr = self.alloc_with_retry(
+        self.alloc_with_retry(
             size,
             ObjHeader {
                 mt: class.0,
@@ -208,8 +288,7 @@ impl MotorThread {
                 size: 0,
                 extra: len as u32,
             },
-        );
-        self.vm.state().handles.create(addr)
+        )
     }
 
     /// Canonical primitive-array class id.
@@ -245,7 +324,7 @@ impl MotorThread {
     pub fn alloc_obj_array(&self, elem: ClassId, len: usize) -> Handle {
         let class = self.obj_array_class(elem);
         let size = layout::obj_array_alloc_size(len);
-        let addr = self.alloc_with_retry(
+        self.alloc_with_retry(
             size,
             ObjHeader {
                 mt: class.0,
@@ -253,8 +332,7 @@ impl MotorThread {
                 size: 0,
                 extra: len as u32,
             },
-        );
-        self.vm.state().handles.create(addr)
+        )
     }
 
     /// Allocate a true multidimensional array (row-major, zeroed) — the
@@ -264,7 +342,7 @@ impl MotorThread {
         let class = self.md_array_class(kind, dims.len() as u8);
         let count: usize = dims.iter().map(|&d| d as usize).product();
         let size = layout::md_array_alloc_size(kind, dims);
-        let addr = self.alloc_with_retry(
+        let h = self.alloc_with_retry(
             size,
             ObjHeader {
                 mt: class.0,
@@ -274,7 +352,7 @@ impl MotorThread {
             },
         );
         // Write the dimension header.
-        let obj = ObjectRef(addr);
+        let obj = ObjectRef(self.handle_addr(h));
         // SAFETY: freshly allocated; we are cooperative and not polling.
         unsafe {
             let p = obj.payload_ptr() as *mut u32;
@@ -282,7 +360,7 @@ impl MotorThread {
                 std::ptr::write(p.add(i), d);
             }
         }
-        self.vm.state().handles.create(addr)
+        h
     }
 
     /// Allocate a whole object graph in one step (trusted integration
@@ -290,37 +368,37 @@ impl MotorThread {
     /// `total` bytes is reserved by the rule of a single allocation — poll,
     /// lock the state once, collect and retry under pressure — and `fill`
     /// carves it into objects, the root first; the root gets the only
-    /// handle. As for one object, a graph that a full collection of this
-    /// thread's could not bring under the elder generation's soft limit is
-    /// placed past it.
+    /// handle, made after the lock is released. As for one object, a graph
+    /// that a full collection of this thread's could not bring under the
+    /// elder generation's soft limit is placed past it.
     ///
     /// `fill` runs under the state lock, so it must not call back into
     /// this thread. It must carve all of the extent (checked) and leave
     /// every reference slot null or holding the address of an object it
     /// carved.
     pub fn alloc_graph(&self, total: usize, fill: impl FnOnce(&mut Extent<'_>)) -> Handle {
+        self.assert_cooperative();
         let mut full_failed = false;
         loop {
             self.poll();
-            let pressure = {
-                let mut st = self.vm.state();
-                let VmState { heap, handles, .. } = &mut *st;
-                let reserved = if full_failed {
-                    Ok(heap.alloc_extent_unchecked(total))
-                } else {
-                    heap.alloc_extent(total)
-                };
-                match reserved {
-                    Ok(mut extent) => {
-                        let root = extent.next();
-                        fill(&mut extent);
-                        // Else the handle would name a filler block.
-                        assert_eq!(extent.remaining(), 0, "extent carved in full");
-                        return handles.create(root);
-                    }
-                    Err(p) => p,
-                }
+            let mut st = self.vm.state();
+            let reserved = if full_failed {
+                Ok(st.heap.alloc_extent_unchecked(total))
+            } else {
+                st.heap.alloc_extent(total)
             };
+            let pressure = match reserved {
+                Ok(mut extent) => {
+                    let root = extent.next();
+                    fill(&mut extent);
+                    // Else the handle would name a filler block.
+                    assert_eq!(extent.remaining(), 0, "extent carved in full");
+                    drop(st);
+                    return self.handles(|t| t.create(root));
+                }
+                Err(p) => p,
+            };
+            drop(st);
             full_failed = self.run_collection(pressure) && pressure == AllocPressure::NeedsFull;
         }
     }
@@ -331,46 +409,41 @@ impl MotorThread {
 
     /// A fresh handle holding null.
     pub fn null_handle(&self) -> Handle {
-        self.vm.state().handles.create(0)
+        self.handles(|t| t.create(0))
     }
 
     /// Duplicate a handle (both must be released).
     pub fn clone_handle(&self, h: Handle) -> Handle {
-        let mut st = self.vm.state();
-        let addr = st.handles.get(h);
-        st.handles.create(addr)
+        self.handles(|t| t.create(t.get(h)))
     }
 
     /// Release a handle slot.
     pub fn release(&self, h: Handle) {
-        self.vm.state().handles.release(h);
+        self.handles(|t| t.release(h));
     }
 
     /// Whether the handle currently holds null.
     pub fn is_null(&self, h: Handle) -> bool {
-        self.vm.handle_addr(h) == 0
+        self.handle_addr(h) == 0
     }
 
     /// Whether two handles reference the same object.
     pub fn same_object(&self, a: Handle, b: Handle) -> bool {
-        let st = self.vm.state();
-        st.handles.get(a) == st.handles.get(b)
+        self.handles(|t| t.get(a) == t.get(b))
     }
 
     /// Class of the referenced object.
     pub fn class_of(&self, h: Handle) -> ClassId {
-        let addr = self.vm.handle_addr(h);
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "class_of on null handle");
-        // SAFETY: live object; GC excluded while we are cooperative.
-        ClassId(unsafe { ObjectRef(addr).header().mt })
+        Self::class_at(addr)
     }
 
     /// Whether the object currently resides in the young generation — the
     /// address check at the core of the Motor pinning policy (paper §7.4).
     pub fn is_young(&self, h: Handle) -> bool {
-        let st = self.vm.state();
-        let addr = st.handles.get(h);
-        addr != 0 && st.heap.is_young(addr)
+        let addr = self.handle_addr(h);
+        addr != 0 && self.vm.state().heap.is_young(addr)
     }
 
     // ------------------------------------------------------------------
@@ -379,13 +452,12 @@ impl MotorThread {
 
     /// Hard-pin the object (it will not move until unpinned).
     pub fn pin(&self, h: Handle) -> PinToken {
-        let mut st = self.vm.state();
-        let addr = st.handles.get(h);
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "pin on null handle");
         let reg = self.vm.metrics();
         reg.bump(Metric::GcPins);
         reg.event(EventKind::PinAcquire, addr as u64, 0);
-        st.pins.pin(addr)
+        self.vm.state().pins.pin(addr)
     }
 
     /// Release a hard pin.
@@ -404,13 +476,12 @@ impl MotorThread {
     /// The acquire event is stamped with the instant the operation started
     /// if its span says so ([`motor_obs::SpanGuard::set_edge`]).
     pub fn pin_conditional(&self, h: Handle, cond: Arc<dyn PinCondition>) {
-        let mut st = self.vm.state();
-        let addr = st.handles.get(h);
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "pin_conditional on null handle");
         let reg = self.vm.metrics();
         reg.bump(Metric::GcCondPinsRegistered);
         reg.event_at_edge(EventKind::PinAcquire, addr as u64, 1, 0);
-        st.pins.pin_conditional(addr, cond);
+        self.vm.state().pins.pin_conditional(addr, cond);
     }
 
     // ------------------------------------------------------------------
@@ -419,11 +490,11 @@ impl MotorThread {
 
     /// Index of a named field (slow metadata path; cache the result).
     pub fn field_index(&self, class: ClassId, name: &str) -> usize {
-        let reg = self.vm.registry();
-        reg.table(class)
-            .field_by_name(name)
-            .unwrap_or_else(|| panic!("no field `{name}` on {}", reg.table(class).name))
-            .0
+        self.with_type(class, |mt| {
+            mt.field_by_name(name)
+                .unwrap_or_else(|| panic!("no field `{name}` on {}", mt.name))
+                .0
+        })
     }
 
     fn field_offset_checked(
@@ -432,21 +503,21 @@ impl MotorThread {
         field: usize,
         want: Option<ElemKind>,
     ) -> (usize, usize) {
-        let addr = self.vm.handle_addr(h);
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "field access on null handle");
-        let reg = self.vm.registry();
-        // SAFETY: live object.
-        let mt = reg.table(ClassId(unsafe { ObjectRef(addr).header().mt }));
-        let fd = &mt.fields[field];
-        match (want, fd.ty) {
-            (Some(k), FieldType::Prim(fk)) => {
-                assert!(k == fk, "field `{}` is {fk:?}, accessed as {k:?}", fd.name)
+        let off = self.with_type(Self::class_at(addr), |mt| {
+            let fd = &mt.fields[field];
+            match (want, fd.ty) {
+                (Some(k), FieldType::Prim(fk)) => {
+                    assert!(k == fk, "field `{}` is {fk:?}, accessed as {k:?}", fd.name)
+                }
+                (None, FieldType::Ref(_)) => {}
+                (Some(_), FieldType::Ref(_)) => panic!("field `{}` is a reference", fd.name),
+                (None, FieldType::Prim(_)) => panic!("field `{}` is a primitive", fd.name),
             }
-            (None, FieldType::Ref(_)) => {}
-            (Some(_), FieldType::Ref(_)) => panic!("field `{}` is a reference", fd.name),
-            (None, FieldType::Prim(_)) => panic!("field `{}` is a primitive", fd.name),
-        }
-        (addr, fd.offset as usize)
+            fd.offset as usize
+        });
+        (addr, off)
     }
 
     /// Read a primitive field.
@@ -468,15 +539,15 @@ impl MotorThread {
         let (addr, off) = self.field_offset_checked(h, field, None);
         // SAFETY: validated reference slot.
         let v = unsafe { ObjectRef(addr).read_ref_at(off) };
-        self.vm.state().handles.create(v.0)
+        self.handles(|t| t.create(v.0))
     }
 
     /// Write a reference field, applying the generational write barrier.
     pub fn set_ref(&self, h: Handle, field: usize, v: Handle) {
         let (addr, off) = self.field_offset_checked(h, field, None);
-        let mut st = self.vm.state();
-        let vaddr = st.handles.get(v);
+        let vaddr = self.handle_addr(v);
         let obj = ObjectRef(addr);
+        let mut st = self.vm.state();
         // SAFETY: validated reference slot; state lock excludes races on
         // the remembered set.
         unsafe {
@@ -493,44 +564,36 @@ impl MotorThread {
 
     /// Length (element count) of any array object.
     pub fn array_len(&self, h: Handle) -> usize {
-        let addr = self.vm.handle_addr(h);
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "array_len on null handle");
         // SAFETY: live object.
         unsafe { ObjectRef(addr).array_len() }
     }
 
-    fn prim_array_checked(&self, h: Handle, kind: ElemKind) -> usize {
-        let addr = self.vm.handle_addr(h);
+    /// The address of the primitive (or multidimensional) array of `kind`
+    /// behind `h` and its data window `(pointer, byte length)`.
+    fn prim_array_checked(&self, h: Handle, kind: ElemKind) -> (*mut u8, usize) {
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "array access on null handle");
-        let reg = self.vm.registry();
-        // SAFETY: live object.
-        let mt = reg.table(ClassId(unsafe { ObjectRef(addr).header().mt }));
-        match mt.kind {
-            TypeKind::PrimArray(k) if k == kind => addr,
-            TypeKind::MdArray { elem, .. } if elem == kind => addr,
-            _ => panic!("object is not a {kind:?} array"),
-        }
-    }
-
-    fn prim_data_window(&self, addr: usize, kind: ElemKind) -> (*mut u8, usize) {
         let obj = ObjectRef(addr);
-        // SAFETY: caller validated type.
-        unsafe {
-            let reg = self.vm.registry();
-            let mt = reg.table(ClassId(obj.header().mt));
-            match mt.kind {
-                TypeKind::PrimArray(_) => obj.prim_array_data(kind.size()),
-                TypeKind::MdArray { rank, .. } => obj.md_data(rank, kind.size()),
-                _ => unreachable!("validated above"),
+        self.with_type(Self::class_at(addr), |mt| {
+            // SAFETY: live object of the matched array type.
+            unsafe {
+                match mt.kind {
+                    TypeKind::PrimArray(k) if k == kind => obj.prim_array_data(kind.size()),
+                    TypeKind::MdArray { elem, rank } if elem == kind => {
+                        obj.md_data(rank, kind.size())
+                    }
+                    _ => panic!("object is not a {kind:?} array"),
+                }
             }
-        }
+        })
     }
 
     /// Copy elements out of a primitive (or multidimensional) array,
     /// starting at element `start`.
     pub fn prim_read<T: Prim>(&self, h: Handle, start: usize, dst: &mut [T]) {
-        let addr = self.prim_array_checked(h, T::KIND);
-        let (p, bytes) = self.prim_data_window(addr, T::KIND);
+        let (p, bytes) = self.prim_array_checked(h, T::KIND);
         let len = bytes / T::KIND.size();
         assert!(start + dst.len() <= len, "array read out of bounds");
         // SAFETY: bounds checked; element type checked.
@@ -541,8 +604,7 @@ impl MotorThread {
 
     /// Copy elements into a primitive (or multidimensional) array.
     pub fn prim_write<T: Prim>(&self, h: Handle, start: usize, src: &[T]) {
-        let addr = self.prim_array_checked(h, T::KIND);
-        let (p, bytes) = self.prim_data_window(addr, T::KIND);
+        let (p, bytes) = self.prim_array_checked(h, T::KIND);
         let len = bytes / T::KIND.size();
         assert!(start + src.len() <= len, "array write out of bounds");
         // SAFETY: bounds checked; element type checked.
@@ -551,49 +613,53 @@ impl MotorThread {
         }
     }
 
-    /// Element read from an object array (fresh handle; may be null).
-    pub fn obj_array_get(&self, h: Handle, idx: usize) -> Handle {
-        let addr = self.vm.handle_addr(h);
+    /// The object array behind `h` and the address of its slot `idx`.
+    fn obj_array_slot_checked(&self, h: Handle, idx: usize) -> (usize, *mut usize) {
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "array access on null handle");
+        let is_obj_array = self.with_type(Self::class_at(addr), |mt| {
+            matches!(mt.kind, TypeKind::ObjArray(_))
+        });
+        assert!(is_obj_array, "object is not an object array");
         let obj = ObjectRef(addr);
-        // SAFETY: live object; bounds checked below.
+        // SAFETY: live object array; bounds checked before the slot.
         unsafe {
             assert!(idx < obj.array_len(), "object array index out of bounds");
-            let v = *obj.obj_array_slot(idx);
-            self.vm.state().handles.create(v)
+            (addr, obj.obj_array_slot(idx))
         }
+    }
+
+    /// Element read from an object array (fresh handle; may be null).
+    pub fn obj_array_get(&self, h: Handle, idx: usize) -> Handle {
+        let (_, slot) = self.obj_array_slot_checked(h, idx);
+        // SAFETY: checked slot of a live object array.
+        let v = unsafe { *slot };
+        self.handles(|t| t.create(v))
     }
 
     /// Element write into an object array, with the write barrier.
     pub fn obj_array_set(&self, h: Handle, idx: usize, v: Handle) {
+        let (addr, slot) = self.obj_array_slot_checked(h, idx);
+        let vaddr = self.handle_addr(v);
         let mut st = self.vm.state();
-        let addr = st.handles.get(h);
-        assert!(addr != 0, "array access on null handle");
-        let vaddr = st.handles.get(v);
-        let obj = ObjectRef(addr);
-        // SAFETY: live object; bounds checked.
-        unsafe {
-            assert!(idx < obj.array_len(), "object array index out of bounds");
-            *obj.obj_array_slot(idx) = vaddr;
-            if vaddr != 0 && !st.heap.is_young(addr) && st.heap.is_young(vaddr) {
-                st.remset.insert(obj.obj_array_slot(idx) as usize);
-            }
+        // SAFETY: checked slot of a live object array; the state lock
+        // excludes races on the remembered set.
+        unsafe { *slot = vaddr };
+        if vaddr != 0 && !st.heap.is_young(addr) && st.heap.is_young(vaddr) {
+            st.remset.insert(slot as usize);
         }
     }
 
     /// Dimensions of a multidimensional array.
     pub fn md_dims(&self, h: Handle) -> Vec<u32> {
-        let addr = self.vm.handle_addr(h);
+        let addr = self.handle_addr(h);
         assert!(addr != 0, "md_dims on null handle");
-        let reg = self.vm.registry();
-        // SAFETY: live object.
-        unsafe {
-            let obj = ObjectRef(addr);
-            match reg.table(ClassId(obj.header().mt)).kind {
-                TypeKind::MdArray { rank, .. } => obj.md_dims(rank),
-                _ => panic!("object is not a multidimensional array"),
-            }
-        }
+        let obj = ObjectRef(addr);
+        self.with_type(Self::class_at(addr), |mt| match mt.kind {
+            // SAFETY: live multidimensional array of this rank.
+            TypeKind::MdArray { rank, .. } => unsafe { obj.md_dims(rank) },
+            _ => panic!("object is not a multidimensional array"),
+        })
     }
 
     /// Row-major flat index of md-array indices.
@@ -633,42 +699,39 @@ impl MotorThread {
 
     /// Everything a transport asks of the buffer `h` — is it null, its
     /// class, whether a raw transport may touch it, its data window and
-    /// element layout, its generation — in one VM lock round trip and one
-    /// type-registry read; `None` for null. The same caveat as
-    /// [`Self::raw_data_window`] holds for using the window.
+    /// element layout, its generation — in one VM lock round trip (for the
+    /// generation) and one method-table lookup; `None` for null. The same
+    /// caveat as [`Self::raw_data_window`] holds for using the window.
     pub fn transport_view(&self, h: Handle) -> Option<TransportView> {
-        let (addr, young) = {
-            let st = self.vm.state();
-            let addr = st.handles.get(h);
-            (addr, addr != 0 && st.heap.is_young(addr))
-        };
+        let addr = self.handle_addr(h);
         if addr == 0 {
             return None;
         }
-        let reg = self.vm.registry();
+        let young = self.vm.state().heap.is_young(addr);
         let obj = ObjectRef(addr);
-        // SAFETY: live object (the caller is cooperative, so it cannot
-        // move before it polls); type dispatch below.
-        unsafe {
-            let class = ClassId(obj.header().mt);
-            let mt = reg.table(class);
-            let (window, elems) = match mt.kind {
-                TypeKind::PrimArray(k) => (Some(obj.prim_array_data(k.size())), Some(k)),
-                TypeKind::MdArray { elem, rank } => {
-                    (Some(obj.md_data(rank, elem.size())), Some(elem))
-                }
-                TypeKind::Class if !mt.has_refs => {
-                    (Some((obj.payload_ptr(), mt.instance_size as usize)), None)
-                }
-                TypeKind::Class | TypeKind::ObjArray(_) => (None, None),
-            };
-            Some(TransportView {
-                class,
-                window,
-                elems: elems.map(|k| (k, obj.array_len())),
-                young,
-            })
-        }
+        let class = Self::class_at(addr);
+        self.with_type(class, |mt| {
+            // SAFETY: live object (the caller is cooperative, so it cannot
+            // move before it polls); type dispatch below.
+            unsafe {
+                let (window, elems) = match mt.kind {
+                    TypeKind::PrimArray(k) => (Some(obj.prim_array_data(k.size())), Some(k)),
+                    TypeKind::MdArray { elem, rank } => {
+                        (Some(obj.md_data(rank, elem.size())), Some(elem))
+                    }
+                    TypeKind::Class if !mt.has_refs => {
+                        (Some((obj.payload_ptr(), mt.instance_size as usize)), None)
+                    }
+                    TypeKind::Class | TypeKind::ObjArray(_) => (None, None),
+                };
+                Some(TransportView {
+                    class,
+                    window,
+                    elems: elems.map(|k| (k, obj.array_len())),
+                    young,
+                })
+            }
+        })
     }
 
     /// The zero-copy data window of a primitive or multidimensional array:
@@ -678,19 +741,21 @@ impl MotorThread {
     pub fn raw_data_window(&self, h: Handle) -> (*mut u8, usize) {
         let view = self.transport_view(h).expect("raw window on null handle");
         view.window.unwrap_or_else(|| {
-            let reg = self.vm.registry();
-            panic!(
-                "raw window refused: type {} contains references (object-model integrity)",
-                reg.table(view.class).name
-            )
+            self.with_type(view.class, |mt| {
+                panic!(
+                    "raw window refused: type {} contains references (object-model integrity)",
+                    mt.name
+                )
+            })
         })
     }
 }
 
 impl Drop for MotorThread {
     fn drop(&mut self) {
-        debug_assert_eq!(self.native_depth.get(), 0, "dropped while in native region");
-        self.vm.safepoint().deregister();
+        self.vm
+            .safepoint()
+            .deregister(&self.roots, self.native_depth.get() > 0);
     }
 }
 
@@ -795,10 +860,10 @@ mod tests {
         let keep = t.alloc_instance(cls);
         let fid = t.field_index(cls, "id");
         t.set_prim::<i32>(keep, fid, 1234);
-        let addr_before = vm.handle_addr(keep);
+        let addr_before = t.handle_addr(keep);
         assert!(t.is_young(keep));
         t.collect_minor();
-        let addr_after = vm.handle_addr(keep);
+        let addr_after = t.handle_addr(keep);
         assert_ne!(
             addr_before, addr_after,
             "survivor was copied to the elder generation"
@@ -921,11 +986,11 @@ mod tests {
         let t = MotorThread::attach(Arc::clone(&vm));
         let h = t.alloc_prim_array(ElemKind::U8, 64);
         t.prim_write(h, 0, &[0xEEu8; 64]);
-        let addr_before = vm.handle_addr(h);
+        let addr_before = t.handle_addr(h);
         assert!(t.is_young(h));
         let tok = t.pin(h);
         t.collect_minor();
-        let addr_after = vm.handle_addr(h);
+        let addr_after = t.handle_addr(h);
         assert_eq!(addr_before, addr_after, "pinned object must not move");
         assert!(
             !t.is_young(h),
@@ -957,10 +1022,10 @@ mod tests {
         let in_flight = Arc::new(AtomicBool::new(true));
         let f = Arc::clone(&in_flight);
         t.pin_conditional(h, Arc::new(move || f.load(Ordering::Relaxed)));
-        let addr_before = vm.handle_addr(h);
+        let addr_before = t.handle_addr(h);
         t.collect_minor();
         // Operation still in flight: the collector held the pin.
-        assert_eq!(vm.handle_addr(h), addr_before);
+        assert_eq!(t.handle_addr(h), addr_before);
         let snap = vm.stats_snapshot();
         assert_eq!(snap.conditional_pins_held, 1);
         assert_eq!(snap.conditional_pins_released, 0);
@@ -979,7 +1044,7 @@ mod tests {
         let t = MotorThread::attach(Arc::clone(&vm));
         let h = t.alloc_prim_array(ElemKind::U8, 32);
         t.prim_write(h, 0, &[0x55u8; 32]);
-        let addr = vm.handle_addr(h);
+        let addr = t.handle_addr(h);
         let in_flight = Arc::new(AtomicBool::new(true));
         let f = Arc::clone(&in_flight);
         t.pin_conditional(h, Arc::new(move || f.load(Ordering::Relaxed)));
@@ -1025,7 +1090,7 @@ mod tests {
         let t = MotorThread::attach(Arc::clone(&vm));
         let h = t.alloc_prim_array(ElemKind::U8, 200);
         t.collect_minor();
-        let dead_addr = vm.handle_addr(h);
+        let dead_addr = t.handle_addr(h);
         t.release(h);
         t.collect_full();
         // An allocation of the same size should be able to land in the hole
@@ -1050,9 +1115,9 @@ mod tests {
             !t.is_young(h),
             "large object allocated directly in elder generation"
         );
-        let addr_before = vm.handle_addr(h);
+        let addr_before = t.handle_addr(h);
         t.collect_minor();
-        assert_eq!(vm.handle_addr(h), addr_before, "elder objects never move");
+        assert_eq!(t.handle_addr(h), addr_before, "elder objects never move");
     }
 
     #[test]
@@ -1073,7 +1138,7 @@ mod tests {
         assert_eq!(vm.stats_snapshot().full_collections, 3);
         assert!(vm.state().heap.old_bytes_used() > 8192);
         assert!(live.iter().all(|&h| !t.is_young(h)));
-        crate::verify_heap(&vm).expect("past the limit");
+        crate::verify_heap(&t).expect("past the limit");
     }
 
     #[test]
@@ -1123,5 +1188,420 @@ mod tests {
         assert!(t.same_object(a, b));
         assert!(!t.same_object(a, c));
         assert_eq!(t.class_of(a), cls);
+    }
+
+    #[test]
+    fn live_handles_are_counted_per_thread() {
+        let vm = small_vm();
+        let (t1, t2) = (
+            MotorThread::attach(Arc::clone(&vm)),
+            MotorThread::attach(Arc::clone(&vm)),
+        );
+        let held: Vec<Handle> = (0..3).map(|_| t1.null_handle()).collect();
+        let h = t2.alloc_prim_array(ElemKind::U8, 8);
+        assert_eq!((t1.live_handles(), t2.live_handles()), (3, 1));
+        t1.release(held[0]);
+        t2.release(h);
+        assert_eq!((t1.live_handles(), t2.live_handles()), (2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "thread-affine")]
+    fn a_handle_from_another_thread_is_refused() {
+        let vm = small_vm();
+        let (a, b) = (
+            MotorThread::attach(Arc::clone(&vm)),
+            MotorThread::attach(Arc::clone(&vm)),
+        );
+        let h = a.alloc_prim_array(ElemKind::I32, 4);
+        b.array_len(h);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread-affine")]
+    fn a_handle_from_another_vm_is_refused() {
+        let a = MotorThread::attach(small_vm());
+        let b = MotorThread::attach(small_vm());
+        let h = a.alloc_prim_array(ElemKind::I32, 4);
+        let mut out = [0i32; 4];
+        b.prim_read(h, 0, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside a native region")]
+    fn a_handle_accessor_inside_native_panics() {
+        let vm = small_vm();
+        let cls = point_class(&vm);
+        let t = MotorThread::attach(vm);
+        let h = t.alloc_instance(cls);
+        let fx = t.field_index(cls, "x");
+        t.native(|| t.get_prim::<f64>(h, fx));
+    }
+
+    #[test]
+    fn every_handle_accessor_panics_inside_native() {
+        let vm = small_vm();
+        let mut reg = vm.registry_mut();
+        let arr = reg.prim_array(ElemKind::I32);
+        let cls = reg.define_class("N").transportable("data", arr).build();
+        drop(reg);
+        let t = MotorThread::attach(Arc::clone(&vm));
+        let (n, a, o) = (
+            t.alloc_instance(cls),
+            t.alloc_prim_array(ElemKind::I32, 4),
+            t.alloc_obj_array(cls, 2),
+        );
+        let m = t.alloc_md_array(ElemKind::I32, &[2, 2]);
+        type Access = Box<dyn Fn(&MotorThread)>;
+        let accessors: Vec<(&str, Access)> = vec![
+            (
+                "handle_addr",
+                Box::new(move |t| {
+                    let _ = t.handle_addr(n);
+                }),
+            ),
+            (
+                "live_handles",
+                Box::new(|t| {
+                    let _ = t.live_handles();
+                }),
+            ),
+            (
+                "alloc_instance",
+                Box::new(move |t| {
+                    let _ = t.alloc_instance(cls);
+                }),
+            ),
+            (
+                "alloc_prim_array",
+                Box::new(|t| {
+                    let _ = t.alloc_prim_array(ElemKind::U8, 1);
+                }),
+            ),
+            (
+                "alloc_obj_array",
+                Box::new(move |t| {
+                    let _ = t.alloc_obj_array(cls, 1);
+                }),
+            ),
+            (
+                "alloc_md_array",
+                Box::new(|t| {
+                    let _ = t.alloc_md_array(ElemKind::U8, &[1, 1]);
+                }),
+            ),
+            (
+                "alloc_graph",
+                Box::new(|t| {
+                    let _ = t.alloc_graph(0, |_| {});
+                }),
+            ),
+            (
+                "null_handle",
+                Box::new(|t| {
+                    let _ = t.null_handle();
+                }),
+            ),
+            (
+                "clone_handle",
+                Box::new(move |t| {
+                    let _ = t.clone_handle(n);
+                }),
+            ),
+            ("release", Box::new(move |t| t.release(n))),
+            (
+                "is_null",
+                Box::new(move |t| {
+                    let _ = t.is_null(n);
+                }),
+            ),
+            (
+                "same_object",
+                Box::new(move |t| {
+                    let _ = t.same_object(n, a);
+                }),
+            ),
+            (
+                "class_of",
+                Box::new(move |t| {
+                    let _ = t.class_of(n);
+                }),
+            ),
+            (
+                "is_young",
+                Box::new(move |t| {
+                    let _ = t.is_young(n);
+                }),
+            ),
+            (
+                "pin",
+                Box::new(move |t| {
+                    let _ = t.pin(a);
+                }),
+            ),
+            (
+                "pin_conditional",
+                Box::new(move |t| t.pin_conditional(a, Arc::new(|| false))),
+            ),
+            (
+                "get_ref",
+                Box::new(move |t| {
+                    let _ = t.get_ref(n, 0);
+                }),
+            ),
+            ("set_ref", Box::new(move |t| t.set_ref(n, 0, a))),
+            (
+                "array_len",
+                Box::new(move |t| {
+                    let _ = t.array_len(a);
+                }),
+            ),
+            (
+                "prim_read",
+                Box::new(move |t| t.prim_read(a, 0, &mut [0i32; 1])),
+            ),
+            ("prim_write", Box::new(move |t| t.prim_write(a, 0, &[1i32]))),
+            (
+                "obj_array_get",
+                Box::new(move |t| {
+                    let _ = t.obj_array_get(o, 0);
+                }),
+            ),
+            ("obj_array_set", Box::new(move |t| t.obj_array_set(o, 0, n))),
+            (
+                "md_dims",
+                Box::new(move |t| {
+                    let _ = t.md_dims(m);
+                }),
+            ),
+            (
+                "md_get",
+                Box::new(move |t| {
+                    let _ = t.md_get::<i32>(m, &[0, 0]);
+                }),
+            ),
+            ("md_set", Box::new(move |t| t.md_set::<i32>(m, &[0, 0], 1))),
+            (
+                "transport_view",
+                Box::new(move |t| {
+                    let _ = t.transport_view(a);
+                }),
+            ),
+            (
+                "raw_data_window",
+                Box::new(move |t| {
+                    let _ = t.raw_data_window(a);
+                }),
+            ),
+        ];
+        for (name, access) in &accessors {
+            let refused = t.native(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| access(&t)))
+                    .err()
+                    .and_then(|e| e.downcast_ref::<&str>().map(|m| m.to_string()))
+            });
+            assert_eq!(
+                refused.as_deref(),
+                Some("handle access inside a native region"),
+                "{name}"
+            );
+        }
+        // Outside the region every handle still works.
+        assert_eq!(t.array_len(a), 4);
+    }
+
+    // ------------------------------------------------------------------
+    // Forced-order schedules: the owner's plain accesses to its table
+    // against another thread's collection, on the two-thread harness.
+    // Each fails on a collector that scans only its own thread's table.
+    // ------------------------------------------------------------------
+
+    use motor_pal::interleave::two_threads;
+    use std::sync::mpsc;
+
+    /// A young `i32[4]` holding `v` on `t`, with its current address.
+    fn young_array(t: &MotorThread, v: [i32; 4]) -> (Handle, usize) {
+        let h = t.alloc_prim_array(ElemKind::I32, 4);
+        t.prim_write(h, 0, &v);
+        assert!(t.is_young(h));
+        (h, t.handle_addr(h))
+    }
+
+    /// `h` was moved out of the young generation with its contents.
+    fn assert_moved(t: &MotorThread, (h, before): (Handle, usize), v: [i32; 4]) {
+        assert_ne!(t.handle_addr(h), before, "handle retargeted");
+        assert!(!t.is_young(h), "object promoted");
+        let mut got = [0i32; 4];
+        t.prim_read(h, 0, &mut got);
+        assert_eq!(got, v);
+    }
+
+    #[test]
+    fn schedule_a_parked_thread_reads_through_a_moved_handle() {
+        let vm = small_vm();
+        two_threads(
+            |turn| {
+                // B: holds a young handle, then parks at a poll.
+                let b = MotorThread::attach(Arc::clone(&vm));
+                let held = young_array(&b, [1, 2, 3, 4]);
+                turn.release();
+                while !vm.safepoint().gc_pending() {
+                    std::thread::yield_now();
+                }
+                b.poll();
+                assert_eq!(vm.safepoint().epoch(), 1, "parked through the collection");
+                assert_moved(&b, held, [1, 2, 3, 4]);
+            },
+            // A: a minor collection, which waits for B to park.
+            || MotorThread::attach(Arc::clone(&vm)).collect_minor(),
+        );
+    }
+
+    #[test]
+    fn schedule_b_a_native_thread_reads_through_a_moved_handle() {
+        let vm = small_vm();
+        two_threads(
+            |turn| {
+                let b = MotorThread::attach(Arc::clone(&vm));
+                let held = young_array(&b, [5, 6, 7, 8]);
+                // A collects, without waiting, while B is native.
+                b.native(|| turn.gate());
+                assert_eq!(vm.safepoint().epoch(), 1);
+                assert_moved(&b, held, [5, 6, 7, 8]);
+            },
+            || MotorThread::attach(Arc::clone(&vm)).collect_minor(),
+        );
+    }
+
+    /// The steps of a collection, as `MotorThread::collect_minor` takes
+    /// them.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        Request,
+        WaitForPark,
+        RootScan,
+    }
+
+    const STEPS: [Step; 3] = [Step::Request, Step::WaitForPark, Step::RootScan];
+
+    /// A minor collection by the calling (attached) thread, step by step;
+    /// `turn` runs just before step `at`.
+    fn stepped_minor(vm: &Vm, at: Step, turn: impl FnOnce()) {
+        let sp = vm.safepoint();
+        let mut turn = Some(turn);
+        for step in STEPS {
+            if step == at {
+                (turn.take().unwrap())();
+            }
+            match step {
+                Step::Request => assert!(sp.request_gc()),
+                Step::WaitForPark => sp.await_parked(),
+                Step::RootScan => vm.collect_exclusive(AllocPressure::NeedsMinor),
+            }
+        }
+        sp.end_gc();
+    }
+
+    /// A thread of its own that attached, made a young array and went
+    /// native, handed back: any collection must retarget its handle.
+    fn native_bystander(vm: &Arc<Vm>) -> (MotorThread, (Handle, usize)) {
+        let vm = Arc::clone(vm);
+        std::thread::spawn(move || {
+            let t = MotorThread::attach(vm);
+            let held = young_array(&t, [9, 9, 9, 9]);
+            t.enter_native();
+            (t, held)
+        })
+        .join()
+        .unwrap()
+    }
+
+    fn check_bystander((t, held): (MotorThread, (Handle, usize))) {
+        t.exit_native();
+        assert_moved(&t, held, [9, 9, 9, 9]);
+        crate::verify_heap(&t).unwrap();
+    }
+
+    #[test]
+    fn schedule_c_a_thread_attaches_at_each_step_of_a_collection() {
+        for at in STEPS {
+            let vm = small_vm();
+            let bystander = native_bystander(&vm);
+            let (ready, b_ready) = mpsc::channel();
+            two_threads(
+                |turn| {
+                    let _a = MotorThread::attach(Arc::clone(&vm));
+                    stepped_minor(&vm, at, || {
+                        turn.release();
+                        if at == Step::Request {
+                            // B attached and holds a young handle.
+                            b_ready.recv().unwrap();
+                        } else {
+                            // B attached into a pending collection: parked.
+                            while vm.safepoint().parked() == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    });
+                },
+                || {
+                    let b = MotorThread::attach(Arc::clone(&vm));
+                    let attached_at = vm.safepoint().epoch();
+                    let held = young_array(&b, [3, 1, 4, 1]);
+                    ready.send(()).unwrap();
+                    while vm.safepoint().epoch() == 0 {
+                        b.poll();
+                        std::thread::yield_now();
+                    }
+                    if at == Step::Request {
+                        assert_eq!(attached_at, 0);
+                        assert_moved(&b, held, [3, 1, 4, 1]);
+                    } else {
+                        assert_eq!(attached_at, 1, "{at:?}: attached during a collection");
+                    }
+                },
+            );
+            check_bystander(bystander);
+        }
+    }
+
+    #[test]
+    fn schedule_c_a_thread_detaches_at_each_step_of_a_collection() {
+        for at in STEPS {
+            let vm = small_vm();
+            let bystander = native_bystander(&vm);
+            let (ready, b_ready) = mpsc::channel();
+            let (go, b_go) = mpsc::channel();
+            let (gone, b_gone) = mpsc::channel();
+            let vm = &vm;
+            two_threads(
+                |turn| {
+                    let _a = MotorThread::attach(Arc::clone(vm));
+                    turn.release();
+                    b_ready.recv().unwrap();
+                    stepped_minor(vm, at, || {
+                        go.send(()).unwrap();
+                        // At `WaitForPark` the wait itself waits for B,
+                        // which never parks: only its detach ends it.
+                        if at != Step::WaitForPark {
+                            b_gone.recv().unwrap();
+                        }
+                    });
+                },
+                move || {
+                    let b = MotorThread::attach(Arc::clone(vm));
+                    let _held = young_array(&b, [2, 7, 1, 8]);
+                    // Past the wait only a native thread can leave.
+                    if at == Step::RootScan {
+                        b.enter_native();
+                    }
+                    ready.send(()).unwrap();
+                    b_go.recv().unwrap();
+                    drop(b);
+                    gone.send(()).unwrap();
+                },
+            );
+            check_bystander(bystander);
+        }
     }
 }

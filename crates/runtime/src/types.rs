@@ -11,6 +11,7 @@
 //! compare them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a registered type (index into the [`TypeRegistry`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -292,9 +293,13 @@ impl<'r> ClassBuilder<'r> {
 /// Type identity is per-VM, as in the CLI; the serializer ships a *type
 /// table* with each message precisely because ids do not agree across
 /// address spaces (paper §7.5).
+///
+/// The registry is append-only and a method table never changes once
+/// inserted, so each table is an `Arc`: a mutator thread keeps a snapshot
+/// of the list and looks types up in it without the registry's lock.
 #[derive(Debug, Default)]
 pub struct TypeRegistry {
-    tables: Vec<MethodTable>,
+    tables: Vec<Arc<MethodTable>>,
     by_name: HashMap<String, ClassId>,
     prim_arrays: HashMap<ElemKind, ClassId>,
     obj_arrays: HashMap<ClassId, ClassId>,
@@ -313,7 +318,7 @@ impl TypeRegistry {
         }
         let id = ClassId(self.tables.len() as u32);
         self.by_name.insert(mt.name.clone(), id);
-        self.tables.push(mt);
+        self.tables.push(Arc::new(mt));
         id
     }
 
@@ -399,6 +404,11 @@ impl TypeRegistry {
     #[inline]
     pub fn table(&self, id: ClassId) -> &MethodTable {
         &self.tables[id.0 as usize]
+    }
+
+    /// Append the tables `snapshot` does not hold yet: ids past its end.
+    pub(crate) fn extend_snapshot(&self, snapshot: &mut Vec<Arc<MethodTable>>) {
+        snapshot.extend(self.tables[snapshot.len()..].iter().cloned());
     }
 
     /// Look a type up by name.

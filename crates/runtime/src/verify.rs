@@ -7,8 +7,10 @@
 
 use std::collections::HashSet;
 
+use crate::handles::HandleTable;
 use crate::layout::{obj_flags, ALIGN, HEADER_SIZE};
 use crate::object::{for_each_ref_slot, ObjectRef};
+use crate::thread::MotorThread;
 use crate::types::ClassId;
 use crate::vm::Vm;
 
@@ -35,8 +37,38 @@ pub struct VerifyReport {
 ///    collections;
 /// 4. every reference slot is null or points at the start of a live
 ///    object;
-/// 5. every handle-table root points at the start of a live object.
-pub fn verify_heap(vm: &Vm) -> Result<VerifyReport, String> {
+/// 5. every handle-table root, of every attached thread, points at the
+///    start of a live object.
+///
+/// The pass reads every thread's handle table, so it runs under the
+/// collector's stop-the-world rule, on the attached thread `t`: no
+/// collection may run, and every other attached thread must be parked or
+/// native; otherwise it reports that and checks nothing.
+pub fn verify_heap(t: &MotorThread) -> Result<VerifyReport, String> {
+    t.assert_cooperative();
+    t.vm()
+        .safepoint()
+        .with_world_stopped(|tables| {
+            // SAFETY: under the coordinator's mutex, with no collection
+            // running and every attached thread but `t` (which is in here)
+            // parked or native, the `SharedTable` protocol lets these reads
+            // race no write, and nobody can leave that state before this
+            // returns.
+            let handles: Vec<&HandleTable> = tables
+                .iter()
+                .map(|table| unsafe { &*table.get() })
+                .collect();
+            verify_stopped(t.vm(), &handles)
+        })
+        .unwrap_or_else(|| {
+            Err(
+                "the world is not stopped: a collection or a second cooperative thread is running"
+                    .into(),
+            )
+        })
+}
+
+fn verify_stopped(vm: &Vm, handles: &[&HandleTable]) -> Result<VerifyReport, String> {
     let st = vm.state();
     let reg = vm.registry();
     let type_count = reg.len() as u32;
@@ -112,7 +144,7 @@ pub fn verify_heap(vm: &Vm) -> Result<VerifyReport, String> {
     }
 
     // Pass 3: handle roots.
-    for root in st.handles.roots() {
+    for root in handles.iter().flat_map(|t| t.roots()) {
         report.handles_checked += 1;
         if !starts.contains(&root) {
             return Err(format!("handle points at non-object {root:#x}"));
@@ -126,7 +158,6 @@ pub fn verify_heap(vm: &Vm) -> Result<VerifyReport, String> {
 mod tests {
     use super::*;
     use crate::heap::HeapConfig;
-    use crate::thread::MotorThread;
     use crate::types::ElemKind;
     use crate::vm::VmConfig;
     use std::sync::Arc;
@@ -142,8 +173,8 @@ mod tests {
 
     #[test]
     fn fresh_heap_verifies() {
-        let vm = vm_small();
-        let r = verify_heap(&vm).unwrap();
+        let t = MotorThread::attach(vm_small());
+        let r = verify_heap(&t).unwrap();
         assert_eq!(r.objects, 0);
     }
 
@@ -173,18 +204,35 @@ mod tests {
             t.release(head);
             head = n;
         }
-        verify_heap(&vm).unwrap();
+        verify_heap(&t).unwrap();
         t.collect_minor();
-        let r = verify_heap(&vm).unwrap();
+        let r = verify_heap(&t).unwrap();
         assert!(r.objects >= 400, "chain and arrays survive");
         assert!(r.refs_checked >= 400);
         t.collect_full();
-        verify_heap(&vm).unwrap();
+        verify_heap(&t).unwrap();
         // Drop everything and collect: the heap must still verify.
         t.release(head);
         t.collect_full();
-        let r = verify_heap(&vm).unwrap();
+        let r = verify_heap(&t).unwrap();
         assert!(r.free_blocks >= 1, "sweep produced free blocks");
+    }
+
+    #[test]
+    fn checks_nothing_while_another_thread_may_run() {
+        let vm = vm_small();
+        let (t, other) = (
+            MotorThread::attach(Arc::clone(&vm)),
+            MotorThread::attach(Arc::clone(&vm)),
+        );
+        let h = other.alloc_prim_array(ElemKind::I32, 4);
+        let err = verify_heap(&t).unwrap_err();
+        assert!(err.contains("not stopped"), "{err}");
+        // Gone native, `other` cannot touch its table: its root is checked.
+        other.native(|| {
+            assert_eq!(verify_heap(&t).unwrap().handles_checked, 1);
+        });
+        other.release(h);
     }
 
     #[test]
@@ -197,14 +245,14 @@ mod tests {
         };
         let t = MotorThread::attach(Arc::clone(&vm));
         let h = t.alloc_instance(node);
-        verify_heap(&vm).unwrap();
+        verify_heap(&t).unwrap();
         // Corrupt the ref slot with a non-object value, bypassing the API.
-        let addr = vm.handle_addr(h);
+        let addr = t.handle_addr(h);
         // SAFETY: test-only deliberate corruption.
         unsafe {
             crate::object::ObjectRef(addr).write_ref_at(0, crate::object::ObjectRef(0xDEAD_BEE8));
         }
-        let err = verify_heap(&vm).unwrap_err();
+        let err = verify_heap(&t).unwrap_err();
         assert!(err.contains("dangling reference"), "{err}");
         // SAFETY: writes back a null reference to the slot corrupted
         // above; repairs the heap so drop paths stay sane.

@@ -1,9 +1,11 @@
 //! The VM façade: one managed runtime instance per MPI rank.
 //!
-//! A [`Vm`] owns the heap, the handle table, the pin table, the remembered
-//! set, the safepoint coordinator and the type registry. Mutator threads
-//! interact with it through [`crate::thread::MotorThread`], never directly —
-//! mirroring how SSCLI code reaches the runtime through FCalls.
+//! A [`Vm`] owns the heap, the pin table, the remembered set, the
+//! safepoint coordinator and the type registry. The handle tables — the
+//! root set — belong to the attached threads; the safepoint coordinator
+//! lists them for the collector. Mutator threads interact with the VM
+//! through [`crate::thread::MotorThread`], never directly — mirroring how
+//! SSCLI code reaches the runtime through FCalls.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -12,7 +14,7 @@ use motor_obs::{MetricsRegistry, SpanKind};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::gc;
-use crate::handles::{Handle, HandleTable};
+use crate::handles::HandleTable;
 use crate::heap::{AllocPressure, Heap, HeapConfig};
 use crate::pin::PinTable;
 use crate::safepoint::Safepoint;
@@ -30,8 +32,6 @@ pub struct VmConfig {
 pub struct VmState {
     /// The two-generation heap.
     pub heap: Heap,
-    /// GC-protected handle slots.
-    pub handles: HandleTable,
     /// Hard and conditional pins.
     pub pins: PinTable,
     /// Elder-to-young reference slots recorded by the write barrier.
@@ -65,7 +65,6 @@ impl Vm {
         Arc::new(Vm {
             state: Mutex::new(VmState {
                 heap: Heap::new(config.heap),
-                handles: HandleTable::new(),
                 pins: PinTable::new(),
                 remset: HashSet::new(),
             }),
@@ -184,15 +183,16 @@ impl Vm {
     /// Run a collection of the given kind. The caller must already hold
     /// the collector role from [`Safepoint::try_begin_gc`].
     pub(crate) fn collect_exclusive(&self, kind: AllocPressure) {
+        let roots = self.safepoint.tables();
+        // SAFETY: the caller holds the collector role, so every table's
+        // owner is parked, native, detached or the caller itself, which is
+        // in here and not in its table (the `SharedTable` protocol).
+        let handles: Vec<&mut HandleTable> =
+            roots.iter().map(|t| unsafe { &mut *t.get() }).collect();
         let mut st = self.state.lock();
         let reg = self.registry.read();
         let nt = self.never_transported.read();
-        let VmState {
-            heap,
-            handles,
-            pins,
-            remset,
-        } = &mut *st;
+        let VmState { heap, pins, remset } = &mut *st;
         let mut ctx = gc::CollectCtx {
             heap,
             handles,
@@ -208,12 +208,6 @@ impl Vm {
             AllocPressure::NeedsMinor => gc::minor(&mut ctx),
             AllocPressure::NeedsFull => gc::full(&mut ctx),
         }
-    }
-
-    /// Current address behind a handle (0 = null). The address is only
-    /// stable under the usual conditions (GC excluded, pinned, or elder).
-    pub fn handle_addr(&self, h: Handle) -> usize {
-        self.state.lock().handles.get(h)
     }
 }
 

@@ -264,10 +264,10 @@ fn nonblocking_transfer_survives_gc_via_conditional_pin() {
                 let mut req = mp.irecv(buf, 0, 0).unwrap();
                 // Collect while the receive is outstanding: the object is
                 // young, so only the conditional pin protects it.
-                let addr_before = proc.vm().handle_addr(buf);
+                let addr_before = t.handle_addr(buf);
                 t.collect_minor();
                 assert_eq!(
-                    proc.vm().handle_addr(buf),
+                    t.handle_addr(buf),
                     addr_before,
                     "conditional pin held the buffer in place"
                 );

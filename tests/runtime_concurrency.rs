@@ -71,7 +71,7 @@ fn concurrent_mutators_with_stop_the_world_collections() {
     assert_eq!(checksum.load(Ordering::Relaxed), expect);
     let snap = vm.stats_snapshot();
     assert!(snap.minor_collections > 0, "churn must have collected");
-    verify_heap(&vm).unwrap();
+    verify_heap(&MotorThread::attach(Arc::clone(&vm))).unwrap();
 }
 
 #[test]
@@ -113,5 +113,5 @@ fn native_regions_overlap_with_collections() {
     })
     .unwrap();
     assert!(vm.stats_snapshot().minor_collections > 0);
-    verify_heap(&vm).unwrap();
+    verify_heap(&MotorThread::attach(Arc::clone(&vm))).unwrap();
 }

@@ -445,7 +445,7 @@ proptest! {
         // Retargeted references built cycles and odd sharing on the heap;
         // the collector must still be able to walk and reclaim it.
         t.collect_full();
-        motor::runtime::verify_heap(&vm).map_err(|e| {
+        motor::runtime::verify_heap(&t).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("heap invariant: {e}"))
         })?;
     }
@@ -506,15 +506,15 @@ proptest! {
                 true => ser.serialize_array_range(h, 0, t.array_len(h)).unwrap().0,
                 false => ser.serialize(h).unwrap().0,
             };
-            let live = vm.state().handles.live();
+            let live = t.live_handles();
             let copy = ser.deserialize(&bytes).unwrap();
-            prop_assert_eq!(vm.state().handles.live(), live + 1, "one handle: the root's");
+            prop_assert_eq!(t.live_handles(), live + 1, "one handle: the root's");
             prop_assert_eq!(&again(copy), &bytes, "before any collection");
             t.collect_minor();
             prop_assert_eq!(&again(copy), &bytes, "after a minor collection");
             t.collect_full();
             prop_assert_eq!(&again(copy), &bytes, "after a full collection");
-            motor::runtime::verify_heap(&vm).map_err(|e| {
+            motor::runtime::verify_heap(&t).map_err(|e| {
                 proptest::test_runner::TestCaseError::fail(format!("heap invariant: {e}"))
             })?;
             prop_assert_eq!(ill_typed_slots(&t, copy), 0);
@@ -625,7 +625,7 @@ proptest! {
             prop_assert_eq!(t.get_prim::<i32>(*h, ftag), *expect);
         }
         // Full structural audit: headers, flags, ref slots, handle roots.
-        motor::runtime::verify_heap(&vm).map_err(|e| {
+        motor::runtime::verify_heap(&t).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("heap invariant: {e}"))
         })?;
     }
@@ -635,20 +635,20 @@ proptest! {
         let (vm, node) = fresh_vm();
         let t = MotorThread::attach(Arc::clone(&vm));
         let root = build_graph(&t, node, &spec);
-        motor::runtime::verify_heap(&vm).map_err(|e| {
+        motor::runtime::verify_heap(&t).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("pre-GC: {e}"))
         })?;
         t.collect_minor();
-        motor::runtime::verify_heap(&vm).map_err(|e| {
+        motor::runtime::verify_heap(&t).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("post-minor: {e}"))
         })?;
         t.collect_full();
-        motor::runtime::verify_heap(&vm).map_err(|e| {
+        motor::runtime::verify_heap(&t).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("post-full: {e}"))
         })?;
         t.release(root);
         t.collect_full();
-        motor::runtime::verify_heap(&vm).map_err(|e| {
+        motor::runtime::verify_heap(&t).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("post-release: {e}"))
         })?;
     }
