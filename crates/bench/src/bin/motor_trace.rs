@@ -7,9 +7,6 @@
 //!                                             the merged Chrome-trace JSON
 //! motor-trace summary <trace.json>            wait-time breakdown and
 //!                                             critical path of a trace
-//! motor-trace profile <BENCH_w.json> [--top N] time-bucket, overlap, IL
-//!                                             hotness and opcode-mix
-//!                                             reports from a bench artifact
 //! ```
 //!
 //! `record` runs a small SPMD program exercising every transport path —
@@ -29,13 +26,9 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use motor_bench::apps::AppResult;
 use motor_core::cluster::{run_cluster, ClusterConfig};
 use motor_core::Source;
 use motor_obs::{from_chrome_json, ClusterTrace, DoctorConfig};
-use motor_profile::{
-    report_opcode_mix, report_overlap, report_time_buckets, report_top_functions, FoldedStacks,
-};
 use motor_runtime::{ElemKind, TypeRegistry};
 
 /// Exit code the doctor uses to abort an injected-deadlock run.
@@ -47,12 +40,10 @@ fn main() {
         Some("record") => record(&args[1..]),
         Some("summary") => summary(&args[1..]),
         Some("doctor") => doctor(&args[1..]),
-        Some("profile") => profile(&args[1..]),
         _ => {
             eprintln!("usage: motor-trace record <out.json> [--ranks N] [--hold-ms N]");
             eprintln!("       motor-trace summary <trace.json>");
             eprintln!("       motor-trace doctor <record.json> [--ranks N] [--inject-deadlock]");
-            eprintln!("       motor-trace profile <BENCH_workload.json> [--top N]");
             2
         }
     };
@@ -307,86 +298,6 @@ fn summary(args: &[String]) -> i32 {
         }
     };
     print_summary(&trace);
-    0
-}
-
-/// `motor-trace profile BENCH_<workload>.json [--top N]` — render the
-/// profiling section of a bench artifact: time-bucket partition, overlap
-/// ratio, IL hotness, and opcode mix. When a sibling `.folded` file
-/// exists (same stem), its heaviest sampled stacks are listed too.
-fn profile(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("profile: missing BENCH_<workload>.json path");
-        return 2;
-    };
-    let mut top = 10usize;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => top = n,
-                _ => {
-                    eprintln!("profile: --top needs an integer >= 1");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("profile: unknown argument `{other}`");
-                return 2;
-            }
-        }
-    }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("profile: reading {path}: {e}");
-            return 1;
-        }
-    };
-    let Some(result) = AppResult::from_json(&text) else {
-        eprintln!("profile: {path} is not a bench artifact (apps run writes them)");
-        return 1;
-    };
-    let Some(section) = &result.profile else {
-        eprintln!(
-            "profile: {path} ({}) has no profile section — re-run `apps run`",
-            result.workload
-        );
-        return 1;
-    };
-    println!(
-        "workload {} ({}): {:.3} us/iter",
-        result.workload, result.config, result.us_per_iter
-    );
-    println!();
-    print!("{}", report_time_buckets(section));
-    println!();
-    print!("{}", report_overlap(section));
-    println!();
-    print!("{}", report_top_functions(section, top));
-    println!();
-    print!("{}", report_opcode_mix(section, top));
-
-    // The flamegraph input rides next to the JSON artifact.
-    let folded_path = path.replace(".json", ".folded");
-    if folded_path != *path {
-        if let Ok(text) = std::fs::read_to_string(&folded_path) {
-            match FoldedStacks::parse(&text) {
-                Ok(stacks) => {
-                    println!(
-                        "\nsampled stacks ({folded_path}, {} samples):",
-                        stacks.total()
-                    );
-                    let mut rows: Vec<_> = stacks.iter().collect();
-                    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-                    for (stack, n) in rows.into_iter().take(top) {
-                        println!("  {n:>8}  {stack}");
-                    }
-                }
-                Err(e) => eprintln!("profile: {folded_path} unparsable: {e}"),
-            }
-        }
-    }
     0
 }
 

@@ -15,15 +15,17 @@
 //!
 //! The `figures` binary drives these and prints the series the paper
 //! plots; `benches/` holds Criterion microbenches for each figure and for
-//! the design-choice ablations listed in DESIGN.md.
+//! the design-choice ablations listed in DESIGN.md, among them the two
+//! zero-cost ratios (typed API vs hand-written `Mp`, profiler on vs off).
+//! The `motor-trace` and `motor-analyze` binaries are the trace and lint
+//! tools. End-to-end numbers come from `benchmark/` at the repository
+//! root, not from this crate.
 
-pub mod apps;
 pub mod ilcorpus;
 pub mod protocol;
 pub mod series;
 pub mod workloads;
 
-pub use apps::{AppConfig, AppResult};
 pub use protocol::{PingPongProtocol, DEFAULT_PROTOCOL};
 pub use series::{fig10_object_pingpong_us, fig9_pingpong_us, Fig10Impl, Fig9Impl};
 pub use workloads::{fig10_object_counts, fig9_buffer_sizes, LinkedListSpec};

@@ -7,7 +7,7 @@
 //! registry, and interleaves interpreted compute with an `allreduce`
 //! between iterations (the CG convergence check shape). The test then
 //! asserts the full profiling story: the inner-loop function ranks
-//! hottest on every rank, the folded stacks parse and contain IL frames,
+//! hottest on every rank, the folded stacks contain IL frames,
 //! and the time-bucket partition covers ≥95% of each rank's measured
 //! wall clock with both compute and comm-wait time present.
 
@@ -78,7 +78,7 @@ struct RankReport {
     rank: usize,
     hottest: String,
     dot_backedges: u64,
-    folded: String,
+    folded: FoldedStacks,
     wall_nanos: u64,
     bucket_nanos: [u64; motor_obs::N_BUCKETS],
 }
@@ -149,7 +149,7 @@ fn four_rank_cg_kernel_hotness_and_coverage() {
                 rank,
                 hottest: top.name.clone(),
                 dot_backedges,
-                folded: folded.render(),
+                folded,
                 wall_nanos,
                 bucket_nanos,
             });
@@ -175,8 +175,8 @@ fn four_rank_cg_kernel_hotness_and_coverage() {
             r.rank
         );
 
-        // (2) The folded-stack output parses and carries IL frames.
-        let stacks = FoldedStacks::parse(&r.folded).expect("folded output parses");
+        // (2) The folded stacks carry IL frames.
+        let stacks = &r.folded;
         assert!(stacks.total() > 0, "rank {}: sampler sampled", r.rank);
         assert!(
             stacks.iter().any(|(k, _)| k.contains("cg_dot")),

@@ -21,8 +21,8 @@ const POLL_INTERVAL: u32 = 256;
 /// countdown never resets early, and the prime stride keeps it from
 /// phase-locking onto loop bodies of a round length. Sized so the
 /// sample-path work (two relaxed stores) amortizes to well under 1% of
-/// the dispatch cost — `BENCH_ablation_profile.json` gates the total
-/// profiler overhead at 2%.
+/// the dispatch cost; the `ablation_profile` group of the bench crate's
+/// `ablation_runtime` bench measures the total profiler overhead.
 #[cfg(feature = "profile")]
 const SAMPLE_INTERVAL: u32 = 251;
 

@@ -88,10 +88,11 @@
 //! flushes its own link under the lock it queued the frame under and
 //! pokes the peer; a rendezvous or synchronous send, a receive, and a
 //! send whose flush failed end with a pass. Every blocking call above the
-//! device (`wait`, `waitany`, `probe`) is `Device::wait_until`: a request
-//! that is already finished returns at once, before any wait is recorded;
-//! otherwise pass, climb the backoff ladder while nothing moves, then park
-//! on the device's [`Waker`] — never sleep blind. Two things bump that waker, in every progress mode: this
+//! device (`wait`, `waitany`, `probe`, and the drain that ends a rank) is
+//! `Device::wait_until`: a request that is already finished returns at
+//! once, before any wait is recorded; otherwise pass, climb the backoff
+//! ladder while nothing moves, then park on the device's [`Waker`] —
+//! never sleep blind. Two things bump that waker, in every progress mode: this
 //! device's own passes that moved something, and a *peer's* pass that
 //! moved bytes through the link the two share (written: we have input;
 //! consumed: we have room). The peer finds it in the link pair's wake
@@ -1101,16 +1102,43 @@ impl Device {
         self.wait_until(req.id(), || req.outcome(), yield_poll)
     }
 
-    /// Flush until a full pass moves nothing — the `MPI_Finalize`-style
-    /// drain a rank performs when its body returns. Buffered eager sends
-    /// complete as soon as the copy is queued on the channel, so frames
-    /// can still sit in an outgoing queue when the caller stops driving
-    /// progress; over transports that accept only partial writes (real
-    /// sockets under backpressure, fault-injected simulation links) those
-    /// frames would otherwise never reach the peer.
+    /// The `MPI_Finalize`-style drain a rank performs when its body
+    /// returns: the wait loop until no live link has outgoing data queued,
+    /// then every link's peer is told this end is finished. Buffered eager
+    /// sends complete as soon as the copy is queued on the channel, so
+    /// frames can still sit in an outgoing queue — behind a peer's full
+    /// ring, a socket under backpressure, a trickling simulated wire —
+    /// when the body returns, and once this thread stops nobody else
+    /// pumps them. Between passes that move nothing the drain parks like
+    /// any wait; the peer's pass that makes room wakes it.
+    ///
+    /// A peer that has finished reads nothing more: its link ends the
+    /// wait, and what is still queued to it is dropped with the device.
     pub fn drain(&self) -> MpcResult<()> {
-        while self.pass(Caller::Rank) {}
-        Ok(())
+        let drained = self.wait_until(0, || Ok((!self.owes_output()).then_some(())), || {});
+        self.finish();
+        drained
+    }
+
+    /// Tell every peer this end is finished: nothing queued to it is read
+    /// any more, so no peer's drain waits for it. The end of
+    /// [`Device::drain`], and all a rank whose body panicked does: pumping
+    /// then could read send windows in memory the unwinding has freed.
+    pub(crate) fn finish(&self) {
+        let links = self.links.read().clone();
+        for wake in links.iter().flatten().filter_map(|slot| slot.wake.as_ref()) {
+            wake.finish();
+        }
+    }
+
+    /// Whether a live link to a peer that has not finished still has
+    /// outgoing data queued.
+    fn owes_output(&self) -> bool {
+        let links = self.links.read().clone();
+        links.iter().flatten().any(|slot| {
+            !slot.wake.as_ref().is_some_and(WakeCells::peer_finished)
+                && slot.lock().is_some_and(|link| link.has_pending_out())
+        })
     }
 
     /// What a rank does before the memory its operations point into goes

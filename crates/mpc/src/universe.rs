@@ -244,6 +244,7 @@ impl Universe {
                 let universe = universe.clone();
                 let body = &body;
                 handles.push(s.spawn(move |_| {
+                    let _exit = RankExit(&device);
                     // This thread posts, waits and pumps for the rank: the
                     // one writer of its registry unless an engine helps.
                     device.metrics().claim();
@@ -260,10 +261,6 @@ impl Universe {
                         world,
                         parent: None,
                     });
-                    // Finalize-style drain: buffered eager sends complete
-                    // when queued, so over partial-write transports frames
-                    // may still sit in the channel when the body returns.
-                    let _ = device.drain();
                 }));
             }
             for h in handles {
@@ -313,6 +310,7 @@ impl Universe {
                 let universe = self.clone();
                 let ctx_alloc = Arc::clone(comm.ctx_alloc());
                 let handle = std::thread::spawn(move || {
+                    let _exit = RankExit(&device);
                     device.metrics().claim();
                     let world = Comm::assemble(
                         Arc::clone(&device),
@@ -333,7 +331,6 @@ impl Universe {
                         world,
                         parent: Some(parent),
                     });
-                    let _ = device.drain();
                 });
                 self.inner.children.lock().push(handle);
             }
@@ -351,6 +348,22 @@ impl Universe {
     /// Total processes ever created in this universe.
     pub fn world_size(&self) -> usize {
         self.inner.devices.lock().len()
+    }
+}
+
+/// A rank thread's last act on its device, by return or by panic. A body
+/// that returned drains: buffered eager sends complete when queued, so
+/// frames may still be queued when it returns. A body that panicked only
+/// finishes, so that no peer's drain waits for it.
+struct RankExit<'a>(&'a Device);
+
+impl Drop for RankExit<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.finish();
+        } else {
+            let _ = self.0.drain();
+        }
     }
 }
 

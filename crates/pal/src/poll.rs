@@ -18,7 +18,9 @@
 //! * [`WakeCells`]: how the bump crosses a link. The two ends of an
 //!   in-process pair share two cells; each end's owner publishes its
 //!   waker into its own, and whoever moves bytes through one end pokes
-//!   the other's — written means input there, consumed means room.
+//!   the other's — written means input there, consumed means room. An
+//!   owner that will never drive its end again marks it finished, which
+//!   pokes the other end too: a wait for room there is over.
 //!
 //! # The wake-up protocol
 //!
@@ -33,7 +35,7 @@
 //! generation, all `SeqCst`: either the notifier sees the count and
 //! signals, or the waiter sees the bump and does not park.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -180,12 +182,20 @@ struct Wired {
     windows: bool,
 }
 
+/// What the two ends of a pair share, one of each per end.
+#[derive(Default)]
+struct Cells {
+    wired: [OnceLock<Wired>; 2],
+    /// Set once the end's owner will not drive it again.
+    finished: [AtomicBool; 2],
+}
+
 /// One end's handle on the two wake cells an in-process link pair shares
 /// (created by the pair constructor, the way the window table is). Cheap
 /// to clone.
 #[derive(Clone)]
 pub struct WakeCells {
-    cells: Arc<[OnceLock<Wired>; 2]>,
+    cells: Arc<Cells>,
     /// Which cell is this end's own; the other is the peer's.
     side: usize,
 }
@@ -193,7 +203,7 @@ pub struct WakeCells {
 impl WakeCells {
     /// The two handles of one link pair.
     pub fn pair() -> (WakeCells, WakeCells) {
-        let cells = Arc::new([OnceLock::new(), OnceLock::new()]);
+        let cells = Arc::new(Cells::default());
         (
             WakeCells {
                 cells: Arc::clone(&cells),
@@ -207,22 +217,35 @@ impl WakeCells {
     /// this end advertises the pair's window table. An end is wired once;
     /// a second publish is ignored.
     pub fn publish(&self, waker: Arc<Waker>, windows: bool) {
-        let _ = self.cells[self.side].set(Wired { waker, windows });
+        let _ = self.cells.wired[self.side].set(Wired { waker, windows });
     }
 
     /// Whether the other end advertises the window table, once its owner
     /// has wired it. The two ends must agree: a table seen from one end
     /// only is pulled from and never exposed into.
     pub fn peer_windows(&self) -> Option<bool> {
-        self.cells[1 - self.side].get().map(|w| w.windows)
+        self.cells.wired[1 - self.side].get().map(|w| w.windows)
     }
 
     /// Bytes moved through this end: wake whatever is parked on the other
     /// one, if its owner has published a waker.
     pub fn poke_peer(&self) {
-        if let Some(wired) = self.cells[1 - self.side].get() {
+        if let Some(wired) = self.cells.wired[1 - self.side].get() {
             wired.waker.notify();
         }
+    }
+
+    /// This end's owner will not drive it again: nothing written to it
+    /// from now on is read. Marked before the poke, so a waiter at the
+    /// other end that missed the mark is woken to see it.
+    pub fn finish(&self) {
+        self.cells.finished[self.side].store(true, Ordering::SeqCst);
+        self.poke_peer();
+    }
+
+    /// Whether the other end's owner has [finished](Self::finish).
+    pub fn peer_finished(&self) -> bool {
+        self.cells.finished[1 - self.side].load(Ordering::SeqCst)
     }
 }
 
@@ -307,6 +330,10 @@ mod tests {
         assert_eq!((wa.generation(), wb.generation()), (0, 1));
         b.poke_peer();
         assert_eq!((wa.generation(), wb.generation()), (1, 1));
+        assert!(!a.peer_finished() && !b.peer_finished());
+        b.finish();
+        assert!(a.peer_finished() && !b.peer_finished());
+        assert_eq!((wa.generation(), wb.generation()), (2, 1), "finish pokes");
     }
 
     /// What the waiting thread does, in order: the wait protocol's three

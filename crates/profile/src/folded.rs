@@ -37,26 +37,9 @@ impl FoldedStacks {
         self.add(key, 1);
     }
 
-    /// Fold another accumulator into this one.
-    pub fn merge(&mut self, other: &FoldedStacks) {
-        for (k, n) in &other.counts {
-            self.add(k.clone(), *n);
-        }
-    }
-
     /// Total samples across all stacks.
     pub fn total(&self) -> u64 {
         self.counts.values().sum()
-    }
-
-    /// Number of distinct stacks.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// The `(stack, count)` pairs in canonical (lexicographic) order.
@@ -76,29 +59,6 @@ impl FoldedStacks {
         }
         out
     }
-
-    /// Parse folded text back (inverse of [`render`](Self::render);
-    /// blank lines are skipped). Errors name the offending line.
-    pub fn parse(text: &str) -> Result<FoldedStacks, String> {
-        let mut out = FoldedStacks::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, count) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("line {}: no count field: {line:?}", i + 1))?;
-            let n: u64 = count
-                .parse()
-                .map_err(|_| format!("line {}: bad count {count:?}", i + 1))?;
-            if key.is_empty() {
-                return Err(format!("line {}: empty stack", i + 1));
-            }
-            out.add(key.to_string(), n);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -106,36 +66,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_parse_round_trip() {
+    fn render_is_canonical() {
         let mut f = FoldedStacks::new();
-        f.add_frames(0, &["main", "cg_iter", "spmv"]);
-        f.add_frames(0, &["main", "cg_iter", "spmv"]);
         f.add_frames(1, &["main", "cg_iter", "dot"]);
-        f.add("rank0;main 3".rsplit_once(' ').unwrap().0.to_string(), 3);
-        let text = f.render();
-        assert!(text.contains("rank0;main;cg_iter;spmv 2\n"));
-        assert!(text.contains("rank1;main;cg_iter;dot 1\n"));
-        let back = FoldedStacks::parse(&text).unwrap();
-        assert_eq!(back, f);
-        assert_eq!(back.total(), 6);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = FoldedStacks::new();
-        a.add("rank0;f".into(), 2);
-        let mut b = FoldedStacks::new();
-        b.add("rank0;f".into(), 3);
-        b.add("rank1;g".into(), 1);
-        a.merge(&b);
-        assert_eq!(a.render(), "rank0;f 5\nrank1;g 1\n");
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(FoldedStacks::parse("justonefield").is_err());
-        assert!(FoldedStacks::parse("stack notanumber").is_err());
-        assert!(FoldedStacks::parse(" 5").is_err());
-        assert!(FoldedStacks::parse("ok 5\n\n").unwrap().total() == 5);
+        f.add_frames(0, &["main", "cg_iter", "spmv"]);
+        f.add_frames(0, &["main", "cg_iter", "spmv"]);
+        f.add("rank0;main".to_string(), 3);
+        assert_eq!(
+            f.render(),
+            "rank0;main 3\nrank0;main;cg_iter;spmv 2\nrank1;main;cg_iter;dot 1\n"
+        );
+        assert_eq!(f.total(), 6);
+        assert_eq!(f.iter().count(), 3);
     }
 }

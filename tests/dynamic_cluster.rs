@@ -4,8 +4,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use motor::core::cluster::{run_cluster_default, spawn_motor_children, ClusterConfig};
+use motor::core::cluster::{run_cluster, run_cluster_default, spawn_motor_children, ClusterConfig};
+use motor::mpc::{ProgressMode, Source};
 use motor::runtime::ElemKind;
 
 fn define_types(reg: &mut motor::runtime::TypeRegistry) {
@@ -130,4 +132,83 @@ fn hostile_size_header_from_a_child_is_a_typed_error() {
         assert_eq!((proc.thread().array_len(data), from), (4, 0));
     })
     .unwrap();
+}
+
+fn define_batch(reg: &mut motor::runtime::TypeRegistry) {
+    let arr = reg.prim_array(ElemKind::F64);
+    reg.define_class("Batch")
+        .prim("seq", ElemKind::I32)
+        .transportable("data", arr)
+        .build();
+}
+
+/// A child streams more objects to its parent than the link's ring holds
+/// and returns: the frames still queued when its body ends must reach the
+/// parent all the same. Both progress modes, under a watchdog so a hang
+/// fails the test instead of stalling the suite.
+#[test]
+fn child_stream_queued_at_return_reaches_the_parent() {
+    const BATCHES: usize = 32;
+    const LEN: usize = 1024;
+    for mode in [ProgressMode::Off, ProgressMode::Thread] {
+        let start = Instant::now();
+        let run = std::thread::spawn(move || {
+            run_cluster(
+                ClusterConfig::builder().ranks(1).progress(mode).build(),
+                define_batch,
+                |proc| {
+                    let inter = spawn_motor_children(
+                        proc,
+                        1,
+                        ClusterConfig::default(),
+                        define_batch,
+                        |child| {
+                            let t = child.thread();
+                            let cls = child.vm().registry().by_name("Batch").unwrap();
+                            let (fseq, fdata) =
+                                (t.field_index(cls, "seq"), t.field_index(cls, "data"));
+                            let parent = child.parent_comm().unwrap();
+                            for b in 0..BATCHES {
+                                let batch = t.alloc_instance(cls);
+                                t.set_prim::<i32>(batch, fseq, b as i32);
+                                let data = t.alloc_prim_array(ElemKind::F64, LEN);
+                                t.prim_write(data, 0, &[b as f64; LEN]);
+                                t.set_ref(batch, fdata, data);
+                                child.osend_inter(parent, batch, 0, 9).unwrap();
+                                t.release(batch);
+                                t.release(data);
+                            }
+                        },
+                    )
+                    .unwrap();
+                    let t = proc.thread();
+                    let cls = proc.vm().registry().by_name("Batch").unwrap();
+                    let (fseq, fdata) = (t.field_index(cls, "seq"), t.field_index(cls, "data"));
+                    let mut got = vec![0f64; LEN];
+                    for b in 0..BATCHES {
+                        let (batch, _) = proc.orecv_inter(&inter, Source::Any, 9).unwrap();
+                        assert_eq!(t.get_prim::<i32>(batch, fseq), b as i32, "in order");
+                        let data = t.get_ref(batch, fdata);
+                        t.prim_read(data, 0, &mut got);
+                        assert_eq!(got, vec![b as f64; LEN], "batch {b}");
+                        t.release(data);
+                        t.release(batch);
+                    }
+                },
+            )
+        });
+        while !run.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "{mode:?}: the stream hung"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        match run.join() {
+            Ok(result) => {
+                result.unwrap();
+            }
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
 }

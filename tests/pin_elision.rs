@@ -72,6 +72,11 @@ fn analyzed_module_elides_pin_checks() {
         snap.pin_checks_elided > 0,
         "proven classes skip pinned-set checks: {snap:?}"
     );
+    // What the collector looks at is a function of the allocation
+    // sequence alone, so the count is exact: a change to what the proof
+    // covers shows up here, not only as a slower `ablation_pins` group
+    // (crates/bench/benches/ablation_runtime.rs).
+    assert_eq!(snap.pin_checks_elided, 1_536, "{snap:?}");
 }
 
 #[test]
