@@ -119,9 +119,6 @@ fn record(args: &[String]) -> i32 {
             return 1;
         }
     };
-    for (r, off) in metrics.clock_offset_estimates.iter().enumerate() {
-        eprintln!("rank {r}: clock-offset estimate {off} ns (shared epoch; pure handshake noise)");
-    }
     let trace = metrics.trace();
     eprintln!(
         "merged {} ranks: {} spans, {} message edges",

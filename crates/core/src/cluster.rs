@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use motor_mpc::universe::{ChannelKind, Proc, Universe, UniverseConfig};
 use motor_mpc::{Comm, Source, Tag};
-use motor_obs::{estimate_clock_offset, Anomaly, ClusterTrace, DoctorConfig, MetricsSnapshot};
+use motor_obs::{Anomaly, ClusterTrace, DoctorConfig, MetricsSnapshot};
 use motor_runtime::{MotorThread, TypeRegistry, Vm, VmConfig};
 use parking_lot::Mutex;
 
@@ -176,14 +176,6 @@ pub struct ClusterMetrics {
     /// One snapshot per rank (transport and runtime alike), in rank
     /// order.
     pub per_rank: Vec<MetricsSnapshot>,
-    /// Per-rank clock-offset estimates (nanoseconds this rank's clock is
-    /// ahead of rank 0's) measured by the startup calibration handshake,
-    /// in rank order. `run_cluster` ranks share one time epoch, so the
-    /// true offset is zero and these record only the handshake's
-    /// measurement noise — a built-in sanity check on edge latencies. A
-    /// genuinely distributed deployment would instead apply them through
-    /// [`motor_obs::MetricsRegistry::set_clock_offset`].
-    pub clock_offset_estimates: Vec<i64>,
     /// Anomalies the `motor-doctor` watchdog diagnosed during the run
     /// (always empty when the doctor was not enabled).
     pub anomalies: Vec<Anomaly>,
@@ -316,39 +308,6 @@ impl MotorProc {
     }
 }
 
-/// Tag reserved for the startup clock-calibration handshake.
-const CLOCK_SYNC_TAG: i32 = 0x43_4c_4b;
-
-/// NTP-style clock-offset handshake against rank 0, run once per rank at
-/// cluster startup before the user body. Each rank r > 0 timestamps a
-/// request (`t0`), rank 0 answers with its own clock reading (`t_peer`),
-/// and r timestamps the reply (`t1`); the estimated offset is
-/// `midpoint(t0, t1) - t_peer` (see [`estimate_clock_offset`]). Returns
-/// how far this rank's clock reads ahead of rank 0's: zero on rank 0, and
-/// pure handshake noise here because `run_cluster` ranks share an epoch.
-fn calibrate_clock(comm: &Comm) -> CoreResult<i64> {
-    if comm.size() <= 1 {
-        return Ok(0);
-    }
-    let reg = comm.device().metrics();
-    if comm.rank() == 0 {
-        for peer in 1..comm.size() {
-            let mut req = [0u8; 1];
-            comm.recv_bytes(&mut req, peer, CLOCK_SYNC_TAG)?;
-            let t_peer = reg.now_nanos();
-            comm.send_bytes(&t_peer.to_le_bytes(), peer, CLOCK_SYNC_TAG)?;
-        }
-        Ok(0)
-    } else {
-        let t0 = reg.now_nanos();
-        comm.send_bytes(&[0u8], 0, CLOCK_SYNC_TAG)?;
-        let mut reply = [0u8; 8];
-        comm.recv_bytes(&mut reply, 0, CLOCK_SYNC_TAG)?;
-        let t1 = reg.now_nanos();
-        Ok(estimate_clock_offset(t0, t1, u64::from_le_bytes(reply)))
-    }
-}
-
 /// Run a Motor program on `config.ranks` ranks. `define_types` is applied
 /// to every rank's fresh type registry before the body starts (all ranks
 /// must know the application classes, as all SPMD programs do); `body` is
@@ -421,7 +380,6 @@ where
         start_monitor(Arc::clone(c), doctor.clone(), interval)
     });
     let snaps: Mutex<Vec<(usize, MetricsSnapshot)>> = Mutex::new(Vec::with_capacity(n));
-    let offsets: Mutex<Vec<(usize, i64)>> = Mutex::new(Vec::with_capacity(n));
     let result = Universe::run_with(n, universe, |proc| {
         let vm = Vm::with_metrics(config.vm.clone(), Arc::clone(proc.device().metrics()));
         {
@@ -432,8 +390,8 @@ where
         let comm = proc.world().clone();
         let pool = Arc::new(BufPool::new());
         pool.attach_metrics(Arc::clone(vm.metrics()));
-        // Register with the collector before the calibration handshake so
-        // even a startup deadlock is visible.
+        // Register with the collector before the body so even a startup
+        // deadlock is visible.
         let ticket = collector.as_ref().map(|c| {
             let t = c.register_in_group(
                 0,
@@ -444,8 +402,6 @@ where
             );
             (Arc::clone(c), t)
         });
-        let est = calibrate_clock(&comm).unwrap_or(0);
-        offsets.lock().push((comm.rank(), est));
         let mp = MotorProc {
             vm,
             thread,
@@ -489,11 +445,8 @@ where
     result?;
     let mut per_rank = snaps.into_inner();
     per_rank.sort_by_key(|&(r, _)| r);
-    let mut offs = offsets.into_inner();
-    offs.sort_by_key(|&(r, _)| r);
     Ok(ClusterMetrics {
         per_rank: per_rank.into_iter().map(|(_, s)| s).collect(),
-        clock_offset_estimates: offs.into_iter().map(|(_, o)| o).collect(),
         anomalies,
     })
 }

@@ -4,10 +4,9 @@
 //!
 //! Input is one [`MetricsSnapshot`] per rank (of the one registry its
 //! device and its VM record into, as `MotorProc::metrics()` returns it);
-//! the rank is the slice index. Every timestamp is shifted by that
-//! snapshot's calibrated clock offset so times from different ranks are
-//! comparable (see [`MetricsRegistry::set_clock_offset`] and
-//! [`estimate_clock_offset`]).
+//! the rank is the slice index. Every rank of a cluster stamps its events
+//! against the one epoch the cluster shares, so times from different ranks
+//! are comparable as they stand.
 //!
 //! Three artifacts come out:
 //!
@@ -28,7 +27,6 @@
 //! * Analyses — [`ClusterTrace::wait_breakdown`] and
 //!   [`ClusterTrace::critical_path`].
 //!
-//! [`MetricsRegistry::set_clock_offset`]: crate::MetricsRegistry::set_clock_offset
 //! [`SpanBegin`]: EventKind::SpanBegin
 //! [`SpanEnd`]: EventKind::SpanEnd
 //! [`MsgSend`]: EventKind::MsgSend
@@ -62,17 +60,6 @@ fn rndv_ctl_unpack(c: u64) -> (usize, bool) {
     ((c >> 1) as usize, c & 1 == 1)
 }
 
-/// NTP-style clock-offset estimate from one ping-pong handshake: `t0` is
-/// the local send time, `t1` the local reply-arrival time (same clock),
-/// `t_peer` the peer's timestamp stamped at the bounce. Returns the
-/// nanoseconds to *add* to the peer's timestamps to express them on the
-/// local clock; the estimate is exact when the two legs of the round
-/// trip are symmetric and off by at most half the round-trip otherwise.
-pub fn estimate_clock_offset(t0_local: u64, t1_local: u64, t_peer: u64) -> i64 {
-    let mid = (t0_local / 2 + t1_local / 2) as i64 + (t0_local % 2 + t1_local % 2) as i64 / 2;
-    mid - t_peer as i64
-}
-
 /// One interval on the cluster timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
@@ -83,9 +70,9 @@ pub struct TraceSpan {
     pub rank: usize,
     /// What the interval covers.
     pub kind: SpanKind,
-    /// Calibrated begin time (nanoseconds on the cluster clock).
+    /// Begin time (nanoseconds on the cluster clock).
     pub t_begin: i64,
-    /// Calibrated end time.
+    /// End time.
     pub t_end: i64,
     /// Kind-specific argument (usually [`crate::span_arg_peer_tag`]).
     pub arg: u64,
@@ -128,9 +115,9 @@ pub struct MessageEdge {
     pub bytes: u64,
     /// Whether the payload took the rendezvous path.
     pub rndv: bool,
-    /// Calibrated initiation time on the source rank.
+    /// Initiation time on the source rank.
     pub t_send: i64,
-    /// Calibrated completion time on the destination rank.
+    /// Completion time on the destination rank.
     pub t_recv: i64,
     /// Id of the op span containing the send, when one does.
     pub src_span: Option<u64>,
@@ -139,8 +126,7 @@ pub struct MessageEdge {
 }
 
 impl MessageEdge {
-    /// Calibrated one-way latency (may be negative only if calibration
-    /// residual error exceeds the true latency).
+    /// One-way latency on the cluster clock.
     pub fn latency_nanos(&self) -> i64 {
         self.t_recv - self.t_send
     }
@@ -250,8 +236,6 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
     let mut ctl_rcvd: CtlMap = HashMap::new();
 
     for (rank, snap) in snaps.iter().enumerate() {
-        let off = snap.clock_offset_nanos();
-        let cal = |t: u64| t as i64 + off;
         let mut evs: Vec<Event> = snap.events().to_vec();
         evs.sort_by_key(|e| e.t_nanos);
 
@@ -262,7 +246,7 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
         let mut open_rndv: HashMap<u64, (i64, u64, bool)> = HashMap::new();
 
         for e in &evs {
-            let t = cal(e.t_nanos);
+            let t = e.t_nanos as i64;
             match e.kind {
                 EventKind::SpanBegin => {
                     if let Some(kind) = SpanKind::from_u64(e.b) {
@@ -571,16 +555,6 @@ mod tests {
     use std::time::Instant;
 
     #[test]
-    fn offset_estimate_symmetric_is_exact() {
-        // Local clock: send at 1000, reply at 3000. Peer stamped 7000 at
-        // the bounce; the bounce happened at local 2000, so peer clock is
-        // 5000 ahead — subtract 5000 from peer times.
-        assert_eq!(estimate_clock_offset(1000, 3000, 7000), -5000);
-        // Peer behind by 400.
-        assert_eq!(estimate_clock_offset(1000, 3000, 1600), 400);
-    }
-
-    #[test]
     fn rndv_ctl_roundtrip() {
         for peer in [0usize, 3, 1 << 20] {
             for sent in [false, true] {
@@ -619,24 +593,6 @@ mod tests {
         let ids = t.span_ids();
         assert!(ids.contains(&e.src_span.unwrap()));
         assert!(ids.contains(&e.dst_span.unwrap()));
-    }
-
-    #[test]
-    fn clock_offset_shifts_one_rank() {
-        let snaps = {
-            let epoch = Instant::now();
-            let r0 = MetricsRegistry::with_epoch(epoch, 64);
-            let r1 = MetricsRegistry::with_epoch(epoch, 64);
-            r0.event3(EventKind::MsgSend, 1, 0, 8);
-            r1.event3(EventKind::MsgRecv, 0, 0, 8);
-            r1.set_clock_offset(1_000_000_000);
-            vec![r0.snapshot(), r1.snapshot()]
-        };
-        let t = build_cluster_trace(&snaps);
-        assert_eq!(t.edges.len(), 1);
-        // Rank 1's clock was shifted forward a full second, so the edge
-        // latency must reflect it.
-        assert!(t.edges[0].latency_nanos() >= 1_000_000_000);
     }
 
     #[test]

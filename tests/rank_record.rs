@@ -34,13 +34,7 @@ const RANK_KEYS: [&str; 15] = [
     "rank",
     "window_nanos",
 ];
-const METRICS_KEYS: [&str; 5] = [
-    "clock_offset_nanos",
-    "counters",
-    "events",
-    "events_through",
-    "hists",
-];
+const METRICS_KEYS: [&str; 4] = ["counters", "events", "events_through", "hists"];
 
 fn keys(v: &Value) -> Vec<&str> {
     match v {

@@ -70,9 +70,6 @@ fn four_rank_trace_matches_every_p2p_op(channel: ChannelKind) {
         .build();
     let metrics = run_cluster(config, |_| {}, body).unwrap();
 
-    assert_eq!(metrics.clock_offset_estimates.len(), RANKS);
-    assert_eq!(metrics.clock_offset_estimates[0], 0);
-
     let trace = metrics.trace();
     assert_eq!(trace.ranks, RANKS);
 
