@@ -382,7 +382,7 @@ fn bench_profiler(c: &mut Criterion) {
     let vmod = VerifiedModule::verify(m, &vm.registry()).expect("kernel verifies");
     let t = MotorThread::attach(vm);
     let names = vec!["kernel".to_string()];
-    let hot = Arc::new(IlHot::new(names, motor_interp::il::PROFILE_NAMES.to_vec()));
+    let hot = Arc::new(IlHot::new(names));
     let registry = Arc::new(MetricsRegistry::new());
     registry.profile_start();
     let sampler = Sampler::spawn(

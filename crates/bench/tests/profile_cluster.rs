@@ -3,20 +3,20 @@
 //!
 //! Each rank builds the same two-function IL module — `cg_dot`, the hot
 //! inner dot-product loop, and `cg_iterate`, the outer driver calling it
-//! — attaches the IL hotness profiler, arms a sampler over its own
+//! — attaches the IL position table, arms a sampler over its own
 //! registry, and interleaves interpreted compute with an `allreduce`
 //! between iterations (the CG convergence check shape). The test then
-//! asserts the full profiling story: the inner-loop function ranks
-//! hottest on every rank, the folded stacks contain IL frames,
-//! and the time-bucket partition covers ≥95% of each rank's measured
-//! wall clock with both compute and comm-wait time present.
+//! asserts the full profiling story: the folded stacks reach the hot
+//! IL function, and the time-bucket partition covers ≥95% of each
+//! rank's measured wall clock with both compute and comm-wait time
+//! present.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use motor_api::Communicator;
 use motor_core::cluster::{run_cluster, ClusterConfig};
-use motor_interp::il::{FnBuilder, Module, Op, PROFILE_NAMES};
+use motor_interp::il::{FnBuilder, Module, Op};
 use motor_interp::interp::Interp;
 use motor_interp::verify::VerifiedModule;
 use motor_mpc::ReduceOp;
@@ -26,8 +26,8 @@ use motor_profile::{FoldedStacks, ProfTarget, Sampler};
 
 const RANKS: usize = 4;
 const OUTER_ITERS: usize = 24;
-/// Inner-loop trip count: large enough that `cg_dot` dominates both the
-/// backedge counters and the sampled stacks.
+/// Inner-loop trip count: large enough that `cg_dot` dominates the
+/// sampled stacks.
 const DOT_TRIPS: i64 = 2_000;
 
 /// `cg_dot`: a `DOT_TRIPS`-iteration accumulate loop (the hot leaf), and
@@ -76,8 +76,6 @@ fn build_module() -> (Module, u16, u16) {
 /// What each rank reports back for assertion on the main thread.
 struct RankReport {
     rank: usize,
-    hottest: String,
-    dot_backedges: u64,
     folded: FoldedStacks,
     wall_nanos: u64,
     bucket_nanos: [u64; motor_obs::N_BUCKETS],
@@ -103,7 +101,7 @@ fn four_rank_cg_kernel_hotness_and_coverage() {
                 .iter()
                 .map(|f| f.name.clone())
                 .collect();
-            let hot = Arc::new(IlHot::new(names, PROFILE_NAMES.to_vec()));
+            let hot = Arc::new(IlHot::new(names));
             let interp = Interp::new(proc.thread(), &vmod).with_profiler(Arc::clone(&hot));
 
             let registry = Arc::clone(proc.vm().metrics());
@@ -138,17 +136,8 @@ fn four_rank_cg_kernel_hotness_and_coverage() {
                 *b = end.bucket_nanos[i].saturating_sub(base.bucket_nanos[i]);
             }
 
-            let top = hot.hottest().expect("kernel functions ran");
-            let by_name = hot.top_functions();
-            let dot_backedges = by_name
-                .iter()
-                .find(|f| f.name == "cg_dot")
-                .map(|f| f.backedges)
-                .unwrap_or(0);
             s.lock().unwrap().push(RankReport {
                 rank,
-                hottest: top.name.clone(),
-                dot_backedges,
                 folded,
                 wall_nanos,
                 bucket_nanos,
@@ -162,20 +151,7 @@ fn four_rank_cg_kernel_hotness_and_coverage() {
     assert_eq!(reports.len(), RANKS, "every rank reported");
 
     for r in reports.iter() {
-        // (1) The inner dot loop tops the hotness counters on every rank.
-        assert_eq!(
-            r.hottest, "cg_dot",
-            "rank {}: inner loop must rank hottest",
-            r.rank
-        );
-        assert_eq!(
-            r.dot_backedges,
-            OUTER_ITERS as u64 * 4 * DOT_TRIPS as u64,
-            "rank {}: backedge counter is exact",
-            r.rank
-        );
-
-        // (2) The folded stacks carry IL frames.
+        // (1) The folded stacks carry IL frames.
         let stacks = &r.folded;
         assert!(stacks.total() > 0, "rank {}: sampler sampled", r.rank);
         assert!(
@@ -188,7 +164,7 @@ fn four_rank_cg_kernel_hotness_and_coverage() {
                 .collect::<Vec<_>>()
         );
 
-        // (3) Buckets partition the measured window: coverage ≥95%, with
+        // (2) Buckets partition the measured window: coverage ≥95%, with
         // real compute time and real comm-wait time (the allreduces).
         let accounted: u64 = r.bucket_nanos.iter().sum();
         assert!(

@@ -18,11 +18,13 @@
 //!   shortest enabled interval and hands each frame to the doctor.
 //! * [`TelemetryServer`] is a minimal hand-rolled HTTP/1.1 listener (no
 //!   new dependencies, the same stance as the no-`syn` derive macro)
-//!   serving `GET /metrics` (Prometheus text, per-rank labels, plus
-//!   rate/window gauges from the newest frame), `/healthz` (doctor
-//!   classification as status code + JSON), `/flight` (an on-demand
-//!   flight record without aborting anything), and `/frames` (the delta
-//!   ring as a JSON time series).
+//!   serving `GET /metrics` (Prometheus text, per-rank labels, plus the
+//!   heap and in-flight gauges of the newest frame), `/healthz` (the
+//!   doctor's anomaly list as status code + JSON; empty, so 200, when no
+//!   doctor is attached), `/flight` (an on-demand flight record without
+//!   aborting anything), and `/frames` (the delta ring as a JSON time
+//!   series). At most [`MAX_CONNECTIONS`] requests are served at once;
+//!   a connection over the cap is closed as soon as it is accepted.
 //!
 //! Enable it per run with
 //! [`ClusterConfigBuilder::telemetry`](crate::cluster::ClusterConfigBuilder::telemetry)
@@ -41,10 +43,7 @@ use motor_mpc::Device;
 use motor_obs::telemetry::{
     frame_prometheus, frames_to_json, FrameRing, RankRecord, TelemetryFrame, DEFAULT_FRAME_CAPACITY,
 };
-use motor_obs::{
-    classify, spec, to_prometheus_multi, Anomaly, DoctorConfig, FlightRecord, Metric,
-    MetricsSnapshot,
-};
+use motor_obs::{spec, to_prometheus_multi, Anomaly, FlightRecord, Metric, MetricsSnapshot};
 use motor_runtime::Vm;
 use parking_lot::Mutex;
 
@@ -284,8 +283,8 @@ impl Collector {
 
     /// The `/metrics` document: every rank's snapshot rendered as
     /// one exposition document (each family's `# TYPE` emitted once, one
-    /// sample per rank with `group`/`rank` labels), followed by the
-    /// rate/window gauges from the newest frame. Takes fresh cumulative
+    /// sample per rank with `group`/`rank` labels), followed by the state
+    /// gauges of the newest frame. Takes fresh cumulative
     /// snapshots — scraping never advances the delta state.
     pub fn prometheus(&self) -> String {
         let hooks = self.sorted_hooks();
@@ -388,14 +387,7 @@ fn respond(
             collector.prometheus(),
         ),
         "/healthz" => {
-            let anomalies = match doctor {
-                Some(d) => d.anomalies(),
-                // No doctor attached: classify the newest frame
-                // statelessly with default thresholds.
-                None => collector.ring().latest().map_or_else(Vec::new, |frame| {
-                    classify(&frame.ranks, &DoctorConfig::default())
-                }),
-            };
+            let anomalies = doctor.map_or_else(Vec::new, |d| d.anomalies());
             let items: Vec<String> = anomalies.iter().map(Anomaly::to_json).collect();
             let status = if anomalies.is_empty() {
                 "ok"
@@ -456,6 +448,11 @@ fn parse_request_line(head: &str) -> (String, String) {
 const MAX_REQUEST_HEAD: usize = 8192;
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
+/// Connection threads alive at once. A client that only opens sockets
+/// holds each thread for up to twice [`REQUEST_DEADLINE`]; past the cap
+/// the accept loop closes new connections at once instead of spawning.
+pub const MAX_CONNECTIONS: usize = 32;
+
 fn handle_connection(mut stream: TcpStream, collector: &Collector, doctor: Option<&DoctorServer>) {
     let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut head = Vec::new();
@@ -500,15 +497,18 @@ fn handle_connection(mut stream: TcpStream, collector: &Collector, doctor: Optio
 
 /// The in-process scrape endpoint: a nonblocking accept loop on its own
 /// thread, one short-lived thread per connection (`Connection: close`
-/// always). Scrapes read shared state only — they never advance the
-/// delta ring or the doctor's windows, so two concurrent clients see
-/// consistent, independent responses.
+/// always), at most [`MAX_CONNECTIONS`] of them. Scrapes read shared
+/// state only — they never advance the delta ring or the doctor's
+/// windows, so two concurrent clients see consistent, independent
+/// responses.
 pub struct TelemetryServer {
     collector: Arc<Collector>,
     doctor: Option<Arc<DoctorServer>>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Mutex<Option<JoinHandle<()>>>,
+    /// Connection threads alive now.
+    live: AtomicUsize,
 }
 
 impl TelemetryServer {
@@ -529,6 +529,7 @@ impl TelemetryServer {
             local_addr,
             stop: Arc::new(AtomicBool::new(false)),
             accept: Mutex::new(None),
+            live: AtomicUsize::new(0),
         });
         let me = Arc::clone(&server);
         let thread = std::thread::Builder::new()
@@ -536,10 +537,13 @@ impl TelemetryServer {
             .spawn(move || {
                 while !me.stop.load(Ordering::Acquire) {
                     match listener.accept() {
+                        // Over the cap: dropping the stream closes it.
+                        Ok(_) if me.live.load(Ordering::Acquire) >= MAX_CONNECTIONS => {}
                         Ok((stream, _)) => {
                             let _ = stream.set_nonblocking(false);
+                            me.live.fetch_add(1, Ordering::AcqRel);
                             let conn = Arc::clone(&me);
-                            let _ = std::thread::Builder::new()
+                            let spawned = std::thread::Builder::new()
                                 .name("motor-telemetry-conn".into())
                                 .spawn(move || {
                                     handle_connection(
@@ -547,7 +551,11 @@ impl TelemetryServer {
                                         &conn.collector,
                                         conn.doctor.as_deref(),
                                     );
+                                    conn.live.fetch_sub(1, Ordering::AcqRel);
                                 });
+                            if spawned.is_err() {
+                                me.live.fetch_sub(1, Ordering::AcqRel);
+                            }
                         }
                         Err(_) => std::thread::sleep(Duration::from_millis(20)),
                     }
@@ -743,6 +751,25 @@ mod tests {
             c.flight_record(Vec::new()).ranks[0].snapshot.events().len(),
             8
         );
+    }
+
+    /// `/healthz` reports the doctor's anomaly list and nothing else: a
+    /// frame showing a dropped link leaves it at 200 with no doctor
+    /// attached, and turns it to 503 once a doctor has processed the
+    /// frame.
+    #[test]
+    fn healthz_is_the_doctors_list() {
+        let (c, device, _vm) = one_rank_collector(8);
+        device.metrics().add(Metric::LinksDropped, 1);
+        let frame = c.collect().expect("one rank registered");
+        let (status, _, _, body) = respond("/healthz", &c, None);
+        assert_eq!(status, 200, "{body}");
+        let doctor = DoctorServer::new(motor_obs::DoctorConfig::default(), Arc::clone(&c));
+        assert_eq!(respond("/healthz", &c, Some(&doctor)).0, 200);
+        assert_eq!(doctor.process(&frame.ranks).len(), 1);
+        let (status, _, _, body) = respond("/healthz", &c, Some(&doctor));
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("\"kind\":\"link_drop\""), "{body}");
     }
 
     /// What a hostile client sends instead of a request.

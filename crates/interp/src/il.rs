@@ -237,108 +237,6 @@ pub enum Op {
     FCall(FCallId),
 }
 
-/// Stable opcode names for the profiler's opcode-mix report, indexed by
-/// [`Op::profile_index`].
-pub const PROFILE_NAMES: [&str; 44] = [
-    "push_i",
-    "push_f",
-    "push_null",
-    "dup",
-    "pop",
-    "load",
-    "store",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "rem",
-    "neg",
-    "fadd",
-    "fsub",
-    "fmul",
-    "fdiv",
-    "i2f",
-    "f2i",
-    "cmp_eq",
-    "cmp_lt",
-    "cmp_le",
-    "br",
-    "br_true",
-    "br_false",
-    "call",
-    "ret",
-    "new",
-    "ld_fld_i",
-    "st_fld_i",
-    "ld_fld_f",
-    "st_fld_f",
-    "ld_fld_r",
-    "st_fld_r",
-    "new_arr",
-    "new_obj_arr",
-    "ld_elem_i",
-    "st_elem_i",
-    "ld_elem_f",
-    "st_elem_f",
-    "ld_elem_r",
-    "st_elem_r",
-    "arr_len",
-    "fcall",
-];
-
-impl Op {
-    /// Dense per-opcode index (operands ignored), used by the sampled
-    /// opcode-mix histogram; names in [`PROFILE_NAMES`].
-    pub fn profile_index(&self) -> usize {
-        match self {
-            Op::PushI(_) => 0,
-            Op::PushF(_) => 1,
-            Op::PushNull => 2,
-            Op::Dup => 3,
-            Op::Pop => 4,
-            Op::Load(_) => 5,
-            Op::Store(_) => 6,
-            Op::Add => 7,
-            Op::Sub => 8,
-            Op::Mul => 9,
-            Op::Div => 10,
-            Op::Rem => 11,
-            Op::Neg => 12,
-            Op::FAdd => 13,
-            Op::FSub => 14,
-            Op::FMul => 15,
-            Op::FDiv => 16,
-            Op::I2F => 17,
-            Op::F2I => 18,
-            Op::CmpEq => 19,
-            Op::CmpLt => 20,
-            Op::CmpLe => 21,
-            Op::Br(_) => 22,
-            Op::BrTrue(_) => 23,
-            Op::BrFalse(_) => 24,
-            Op::Call(_) => 25,
-            Op::Ret => 26,
-            Op::New(_) => 27,
-            Op::LdFldI(_) => 28,
-            Op::StFldI(_) => 29,
-            Op::LdFldF(_) => 30,
-            Op::StFldF(_) => 31,
-            Op::LdFldR(_) => 32,
-            Op::StFldR(_) => 33,
-            Op::NewArr(_) => 34,
-            Op::NewObjArr(_) => 35,
-            Op::LdElemI => 36,
-            Op::StElemI => 37,
-            Op::LdElemF => 38,
-            Op::StElemF => 39,
-            Op::LdElemR => 40,
-            Op::StElemR => 41,
-            Op::ArrLen => 42,
-            Op::FCall(_) => 43,
-        }
-    }
-}
-
 /// A function body.
 #[derive(Debug, Clone)]
 pub struct Function {

@@ -1,5 +1,5 @@
 //! Continuous-profiling primitives: per-rank time-bucket accounting,
-//! comm/compute overlap tracking, and the IL hotness table.
+//! comm/compute overlap tracking, and the IL position the sampler reads.
 //!
 //! Everything here is lock-free and built for a **single writer** — the
 //! rank thread — with any number of concurrent readers (the sampling
@@ -77,24 +77,6 @@ pub struct PhaseSnapshot {
     pub inflight_nanos: u64,
     /// Portion of `inflight_nanos` spent computing (nanoseconds).
     pub overlap_nanos: u64,
-}
-
-impl PhaseSnapshot {
-    /// Total accounted wall clock: the buckets partition the window from
-    /// `start_at` to the observation instant, so this *is* the window.
-    pub fn wall_nanos(&self) -> u64 {
-        self.bucket_nanos.iter().sum()
-    }
-
-    /// Comm/compute overlap ratio: the fraction of in-flight op time
-    /// that overlapped computation. `None` when nothing was in flight.
-    pub fn overlap_ratio(&self) -> Option<f64> {
-        if self.inflight_nanos == 0 {
-            None
-        } else {
-            Some(self.overlap_nanos as f64 / self.inflight_nanos as f64)
-        }
-    }
 }
 
 /// A cheap identity for the calling thread: the address of one of its
@@ -307,30 +289,8 @@ impl PhaseStats {
     }
 }
 
-/// Per-function hotness counters.
-#[derive(Debug, Default)]
-pub struct FuncHot {
-    /// Invocations of the function.
-    pub calls: AtomicU64,
-    /// Loop back-edges taken inside the function.
-    pub backedges: AtomicU64,
-}
-
-/// One function's hotness, snapshotted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuncHotness {
-    /// Function name.
-    pub name: String,
-    /// Invocations.
-    pub calls: u64,
-    /// Loop back-edges taken.
-    pub backedges: u64,
-}
-
-/// Lock-free IL hotness table for one interpreter (= one rank thread):
-/// per-function invocation and back-edge counters, a sampled opcode-mix
-/// histogram, and the sampler-visible current state (shadow call stack
-/// plus current function/pc).
+/// The sampler-visible position of one interpreter (= one rank thread):
+/// a shadow call stack plus the current function/pc.
 ///
 /// The interpreter is the single writer; the sampling profiler thread
 /// reads concurrently. The shadow stack is captured opportunistically —
@@ -340,9 +300,6 @@ pub struct FuncHotness {
 #[derive(Debug)]
 pub struct IlHot {
     names: Vec<String>,
-    funcs: Vec<FuncHot>,
-    op_names: Vec<&'static str>,
-    op_mix: Vec<AtomicU64>,
     /// `(func + 1) << 32 | pc`; 0 when idle.
     cur: AtomicU64,
     depth: AtomicUsize,
@@ -350,15 +307,10 @@ pub struct IlHot {
 }
 
 impl IlHot {
-    /// Table for `names.len()` functions and the given opcode name set.
-    pub fn new(names: Vec<String>, op_names: Vec<&'static str>) -> IlHot {
-        let funcs = (0..names.len()).map(|_| FuncHot::default()).collect();
-        let op_mix = (0..op_names.len()).map(|_| AtomicU64::new(0)).collect();
+    /// Table for the functions `names`, by index.
+    pub fn new(names: Vec<String>) -> IlHot {
         IlHot {
             names,
-            funcs,
-            op_names,
-            op_mix,
             cur: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
             stack: std::array::from_fn(|_| AtomicU32::new(0)),
@@ -373,13 +325,6 @@ impl IlHot {
     /// Function `f` was invoked (interpreter hook).
     #[inline]
     pub fn on_call(&self, f: u32) {
-        if let Some(c) = self.funcs.get(f as usize) {
-            // Single-writer (the interpreter thread): a plain load+store
-            // increment compiles to unlocked movs, where fetch_add is a
-            // full `lock xadd` — and this runs on every function entry.
-            c.calls
-                .store(c.calls.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
         let d = self.depth.load(Ordering::Relaxed);
         if d < MAX_IL_STACK {
             self.stack[d].store(f, Ordering::Relaxed);
@@ -401,26 +346,10 @@ impl IlHot {
         self.cur.store(cur, Ordering::Relaxed);
     }
 
-    /// A backward branch was taken at `pc` in function `f`.
+    /// The interpreter is at `pc` in function `f` (interpreter hook, on
+    /// back-edges and every few hundred ops).
     #[inline]
-    pub fn on_backedge(&self, f: u32, pc: u32) {
-        if let Some(c) = self.funcs.get(f as usize) {
-            // Single-writer increment (see `on_call`) — this one runs on
-            // every loop trip of every interpreted function.
-            c.backedges
-                .store(c.backedges.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
-        self.cur.store(Self::pack(f, pc), Ordering::Relaxed);
-    }
-
-    /// Periodic opcode-mix sample: the interpreter is executing opcode
-    /// `op_idx` at `pc` in function `f`.
-    #[inline]
-    pub fn sample_op(&self, op_idx: usize, f: u32, pc: u32) {
-        if let Some(c) = self.op_mix.get(op_idx) {
-            // Single-writer increment (see `on_call`).
-            c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
+    pub fn at(&self, f: u32, pc: u32) {
         self.cur.store(Self::pack(f, pc), Ordering::Relaxed);
     }
 
@@ -449,42 +378,6 @@ impl IlHot {
     pub fn names(&self) -> &[String] {
         &self.names
     }
-
-    /// Opcode names, by profile index.
-    pub fn op_names(&self) -> &[&'static str] {
-        &self.op_names
-    }
-
-    /// Sampled opcode-mix counts, by profile index.
-    pub fn op_counts(&self) -> Vec<u64> {
-        self.op_mix
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-function hotness, sorted hottest first (back-edges weigh the
-    /// ranking — a function's loop trips dominate its call count — with
-    /// calls as the tie-breaker).
-    pub fn top_functions(&self) -> Vec<FuncHotness> {
-        let mut v: Vec<FuncHotness> = self
-            .names
-            .iter()
-            .zip(&self.funcs)
-            .map(|(name, f)| FuncHotness {
-                name: name.clone(),
-                calls: f.calls.load(Ordering::Relaxed),
-                backedges: f.backedges.load(Ordering::Relaxed),
-            })
-            .collect();
-        v.sort_by(|a, b| (b.backedges, b.calls, &a.name).cmp(&(a.backedges, a.calls, &b.name)));
-        v
-    }
-
-    /// The hottest function by [`Self::top_functions`] order.
-    pub fn hottest(&self) -> Option<FuncHotness> {
-        self.top_functions().into_iter().next()
-    }
 }
 
 #[cfg(test)]
@@ -503,7 +396,7 @@ mod tests {
         assert_eq!(s.bucket_nanos[TimeBucket::Compute as usize], 150);
         assert_eq!(s.bucket_nanos[TimeBucket::CommWait as usize], 150);
         assert_eq!(s.bucket_nanos[TimeBucket::Gc as usize], 50);
-        assert_eq!(s.wall_nanos(), 350);
+        assert_eq!(s.bucket_nanos.iter().sum::<u64>(), 350);
     }
 
     #[test]
@@ -513,7 +406,7 @@ mod tests {
         p.pop_at(60);
         assert_eq!(p.read_at(100), PhaseSnapshot::default());
         p.start_at(100);
-        assert_eq!(p.read_at(150).wall_nanos(), 50);
+        assert_eq!(p.read_at(150).bucket_nanos.iter().sum::<u64>(), 50);
     }
 
     #[test]
@@ -541,8 +434,7 @@ mod tests {
         let s = p.read_at(1000);
         assert_eq!(s.inflight_nanos, 500);
         assert_eq!(s.overlap_nanos, 400);
-        assert_eq!(s.overlap_ratio(), Some(0.8));
-        assert_eq!(s.wall_nanos(), 1000);
+        assert_eq!(s.bucket_nanos.iter().sum::<u64>(), 1000);
     }
 
     /// A request dropped on a helper thread ends its interval there: the
@@ -570,7 +462,7 @@ mod tests {
         let s = p.read_at(400);
         assert_eq!(s.bucket_nanos[TimeBucket::Compute as usize], 400);
         assert_eq!(s.inflight_nanos, 0);
-        assert_eq!(s.wall_nanos(), 400);
+        assert_eq!(s.bucket_nanos.iter().sum::<u64>(), 400);
     }
 
     #[test]
@@ -598,36 +490,20 @@ mod tests {
     }
 
     #[test]
-    fn hotness_table_counts_and_ranks() {
-        let h = IlHot::new(
-            vec!["main".into(), "dot".into(), "axpy".into()],
-            vec!["add", "br"],
-        );
+    fn position_follows_calls_returns_and_at() {
+        let h = IlHot::new(vec!["main".into(), "dot".into()]);
         h.on_call(0);
-        for _ in 0..10 {
-            h.on_call(1);
-            for pc in 0..100 {
-                h.on_backedge(1, pc);
-            }
-            h.on_return();
-        }
-        h.on_call(2);
-        h.on_backedge(2, 7);
+        h.on_call(1);
+        h.at(1, 7);
+        assert_eq!(h.current(), Some((1, 7)));
         h.on_return();
-        h.sample_op(1, 2, 7);
         h.on_return();
-        let top = h.top_functions();
-        assert_eq!(top[0].name, "dot");
-        assert_eq!(top[0].calls, 10);
-        assert_eq!(top[0].backedges, 1000);
-        assert_eq!(h.hottest().unwrap().name, "dot");
-        assert_eq!(h.op_counts(), vec![0, 1]);
         assert_eq!(h.current(), None, "returned to idle");
     }
 
     #[test]
     fn shadow_stack_tracks_nesting() {
-        let h = IlHot::new(vec!["a".into(), "b".into()], vec![]);
+        let h = IlHot::new(vec!["a".into(), "b".into()]);
         h.on_call(0);
         h.on_call(1);
         assert_eq!(h.stack_snapshot(), vec![0, 1]);

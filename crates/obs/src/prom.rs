@@ -11,7 +11,7 @@
 //! (and usable as a cheap pre-scrape sanity check): metric-name grammar,
 //! label quoting, numeric sample values, and TYPE-before-samples.
 
-use crate::{profile::TimeBucket, Hist, Metric, MetricsSnapshot, HIST_BUCKETS};
+use crate::{Hist, Metric, MetricsSnapshot, HIST_BUCKETS};
 
 /// `{k="v",...}` for `labels` followed by `extra` (empty when there are
 /// none).
@@ -70,33 +70,6 @@ pub fn to_prometheus_multi(snaps: &[(&MetricsSnapshot, &[(&str, &str)])]) -> Str
             ));
         }
     }
-    // Derived profiling gauges: where the rank's wall clock went
-    // (fraction per time bucket) and how much non-blocking communication
-    // overlapped computation. The raw nanos already travel as prof_*
-    // counters above; these save every dashboard the same division.
-    out.push_str("# TYPE motor_profile_bucket_fraction gauge\n");
-    for (snap, labels) in snaps {
-        let wall: u64 = snap.bucket_nanos().iter().sum();
-        for (bucket, nanos) in TimeBucket::ALL.iter().zip(snap.bucket_nanos()) {
-            let frac = if wall == 0 {
-                0.0
-            } else {
-                nanos as f64 / wall as f64
-            };
-            out.push_str(&format!(
-                "motor_profile_bucket_fraction{} {frac}\n",
-                label_block(labels, Some(("bucket", bucket.name())))
-            ));
-        }
-    }
-    out.push_str("# TYPE motor_profile_overlap_ratio gauge\n");
-    for (snap, labels) in snaps {
-        out.push_str(&format!(
-            "motor_profile_overlap_ratio{} {}\n",
-            label_block(labels, None),
-            snap.overlap_ratio().unwrap_or(0.0)
-        ));
-    }
     for h in Hist::ALL {
         let family = format!("motor_{}", h.name());
         out.push_str(&format!("# TYPE {family} histogram\n"));
@@ -108,7 +81,8 @@ pub fn to_prometheus_multi(snaps: &[(&MetricsSnapshot, &[(&str, &str)])]) -> Str
             let mut cumulative = 0u64;
             for k in 0..=last.min(HIST_BUCKETS - 1) {
                 cumulative += hs.buckets[k];
-                // Bucket 0 holds exactly 0, bucket k covers (2^(k-1), 2^k].
+                // Bucket 0 holds exactly 0, bucket 1 holds 1 and 2, and
+                // bucket k ≥ 2 covers (2^(k-1), 2^k].
                 let le = if k == 0 { 0 } else { 1u64 << k };
                 out.push_str(&format!(
                     "{family}_bucket{} {cumulative}\n",
@@ -309,34 +283,6 @@ mod tests {
         assert!(text.contains("# TYPE motor_posted_queue_peak gauge"));
         assert!(text.contains("# TYPE motor_unexpected_queue_peak gauge"));
         assert!(text.contains("# TYPE motor_sends_eager counter"));
-    }
-
-    #[test]
-    fn profile_gauges_exported_and_valid() {
-        use crate::profile::TimeBucket;
-        let r = MetricsRegistry::new();
-        r.profile_start();
-        {
-            let _comm = r.phase_scope(TimeBucket::CommWait);
-        }
-        let text = to_prometheus(&r.snapshot(), &[("rank", "1")]);
-        check_prometheus_text(&text).expect("valid exposition format");
-        assert!(text.contains("# TYPE motor_profile_bucket_fraction gauge"));
-        assert!(text.contains("# TYPE motor_profile_overlap_ratio gauge"));
-        for b in TimeBucket::ALL {
-            assert!(
-                text.contains(&format!(
-                    "motor_profile_bucket_fraction{{rank=\"1\",bucket=\"{}\"}}",
-                    b.name()
-                )),
-                "missing bucket gauge {}",
-                b.name()
-            );
-        }
-        // Nothing in flight: ratio reported as 0.
-        assert!(text.contains("motor_profile_overlap_ratio{rank=\"1\"} 0"));
-        // Raw nanos counters travel too.
-        assert!(text.contains("motor_prof_comm_wait_nanos{rank=\"1\"}"));
     }
 
     #[test]

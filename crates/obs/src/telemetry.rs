@@ -350,38 +350,18 @@ pub fn frames_from_json(text: &str) -> Result<Vec<TelemetryFrame>, String> {
         .collect()
 }
 
-/// Rate and sliding-window gauges derived from the newest frame,
-/// rendered in Prometheus text exposition (appended to `/metrics` after
-/// the cumulative families). Everything here is a gauge: rates go up and
-/// down, window percentiles reset every tick.
+/// The state gauges of the newest frame, rendered in Prometheus text
+/// exposition (appended to `/metrics` after the cumulative families):
+/// heap occupancy and in-flight operations, which no counter carries.
+/// Rates and window percentiles are not exported here; a scraper derives
+/// them from the cumulative families with `rate()` and
+/// `histogram_quantile()`.
 pub fn frame_prometheus(f: &TelemetryFrame) -> String {
-    type Gauge = fn(&RankRecord) -> f64;
-    let families: [(&str, Gauge); 11] = [
-        ("motor_rate_msgs_out_per_sec", |r| r.per_sec(r.msgs_out())),
-        ("motor_rate_msgs_in_per_sec", |r| r.per_sec(r.msgs_in())),
-        ("motor_rate_bytes_out_per_sec", |r| {
-            r.per_sec(r.snapshot.get(Metric::ChanBytesOut))
-        }),
-        ("motor_rate_bytes_in_per_sec", |r| {
-            r.per_sec(r.snapshot.get(Metric::ChanBytesIn))
-        }),
-        ("motor_window_gc_stall_p50_nanos", |r| {
-            r.gc_stalls().p50() as f64
-        }),
-        ("motor_window_gc_stall_p99_nanos", |r| {
-            r.gc_stalls().p99() as f64
-        }),
-        ("motor_window_wait_p99_nanos", |r| {
-            r.snapshot.percentile(Hist::WaitNanos, 0.99) as f64
-        }),
-        ("motor_window_overlap_ratio", |r| {
-            r.snapshot.overlap_ratio().unwrap_or(0.0)
-        }),
-        ("motor_heap_used_bytes", |r| r.heap_used_bytes as f64),
-        ("motor_heap_capacity_bytes", |r| {
-            r.heap_capacity_bytes as f64
-        }),
-        ("motor_inflight_ops", |r| r.inflight.len() as f64),
+    type Gauge = fn(&RankRecord) -> u64;
+    let families: [(&str, Gauge); 3] = [
+        ("motor_heap_used_bytes", |r| r.heap_used_bytes),
+        ("motor_heap_capacity_bytes", |r| r.heap_capacity_bytes),
+        ("motor_inflight_ops", |r| r.inflight.len() as u64),
     ];
     let mut out = String::new();
     for (family, value) in families {
@@ -593,10 +573,6 @@ mod tests {
     fn frame_gauges_pass_exposition_check() {
         let text = frame_prometheus(&frame(1));
         check_prometheus_text(&text).expect("valid exposition format");
-        assert!(text.contains("# TYPE motor_rate_msgs_out_per_sec gauge"));
-        assert!(text.contains("motor_rate_msgs_out_per_sec{group=\"1\",rank=\"1\"} 10000"));
-        // One stall of 1500 ns: the middle of its log2 bucket (1024, 2048].
-        assert!(text.contains("motor_window_gc_stall_p99_nanos{group=\"1\",rank=\"0\"} 1536"));
         assert!(text.contains("motor_heap_used_bytes{group=\"1\",rank=\"0\"} 1048576"));
     }
 }

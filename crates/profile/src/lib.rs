@@ -4,14 +4,14 @@
 //! profile; the first two are accrued by the layers they describe and
 //! this crate adds the third:
 //!
-//! * **IL hotness** — per-function call/back-edge counters and a sampled
-//!   opcode mix, maintained by the interpreter's `profile` feature in a
+//! * **IL position** — the shadow call stack and the current
+//!   function/pc, published by the interpreter's `profile` feature in a
 //!   [`motor_obs::IlHot`] table.
 //! * **Time buckets** — per-rank wall-clock partition into
 //!   compute / comm-wait / progress / GC / serialize, accrued online by
 //!   the span layer ([`motor_obs::PhaseStats`]), read in-process through
 //!   `MetricsRegistry::phase_snapshot` and exported as `prof_*` counters
-//!   (the `motor_profile_*` gauges of the Prometheus export).
+//!   (the `motor_prof_*` families of the Prometheus export).
 //! * **Sampled stacks** — a [`Sampler`] thread periodically snapshots
 //!   each rank's interpreter state (current function, shadow call stack,
 //!   current time bucket), stamps a `prof_sample` event into the trace

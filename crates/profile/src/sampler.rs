@@ -28,7 +28,7 @@ pub struct ProfTarget {
     /// The rank's metrics registry (it received `profile_start`, so its
     /// phase machine is live).
     pub registry: Arc<MetricsRegistry>,
-    /// The rank's IL hotness table, if the rank runs interpreted code
+    /// The rank's IL position table, if the rank runs interpreted code
     /// with the interpreter's `profile` feature on. `None` for native
     /// ranks — samples then fold to the rank's current time bucket.
     pub hot: Option<Arc<IlHot>>,
@@ -172,10 +172,7 @@ mod tests {
     fn target_with_hot() -> (ProfTarget, Arc<IlHot>) {
         let registry = Arc::new(MetricsRegistry::new());
         registry.profile_start();
-        let hot = Arc::new(IlHot::new(
-            vec!["main".into(), "kernel".into()],
-            vec!["add", "br"],
-        ));
+        let hot = Arc::new(IlHot::new(vec!["main".into(), "kernel".into()]));
         (
             ProfTarget {
                 rank: 0,
@@ -192,7 +189,7 @@ mod tests {
         let registry = Arc::clone(&t.registry);
         hot.on_call(0);
         hot.on_call(1);
-        hot.sample_op(0, 1, 7);
+        hot.at(1, 7);
         let mut core = SamplerCore::new(vec![t]);
         core.sample_once();
         let (folded, rounds) = core.finish();

@@ -177,12 +177,14 @@ echo "==> live telemetry smoke test (4 ranks, scraped mid-run)"
 # Hold a 4-rank workload open for a few seconds with the telemetry
 # endpoint up, then attach motor-top to it while it runs: `--once` must
 # validate /metrics against the exposition format and render every rank;
-# `--raw healthz` must report ok. The timeout is the backstop against the
-# held workload never finishing.
+# `--raw healthz` must report ok. /healthz reports the doctor's anomaly
+# list, so the doctor runs too: "ok" then means the watchdog found
+# nothing. The timeout is the backstop against the held workload never
+# finishing.
 cargo build -q -p motor-top
 top_bin="target/debug/motor-top"
 telemetry_addr="127.0.0.1:9613"
-MOTOR_TELEMETRY="addr=$telemetry_addr,interval_ms=50" \
+MOTOR_DOCTOR=1 MOTOR_TELEMETRY="addr=$telemetry_addr,interval_ms=50" \
   timeout 120 "$doctor_bin" record "$trace_out" --ranks 4 --hold-ms 6000 &
 record_pid=$!
 top_ok=0
@@ -226,10 +228,7 @@ if [ "$bogus_rc" -eq 0 ] || ! echo "$bogus_err" | grep -q 'MOTOR_DOCTOR.*"bogus"
   exit 1
 fi
 
-echo "==> non-test Rust lines per crate (scripts/loc.sh)"
+echo "==> non-test Rust lines per crate, and the observability plane (scripts/loc.sh)"
 scripts/loc.sh
-echo "==> of which the observability plane (compare with crates/mpc above)"
-scripts/loc.sh crates/obs/src/*.rs crates/top/src/*.rs crates/profile/src/*.rs \
-  crates/core/src/telemetry.rs crates/core/src/doctor.rs | tail -n 1
 
 echo "OK"
