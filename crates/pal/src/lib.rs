@@ -22,7 +22,7 @@
 //!   straight out of the sender's buffer instead of through the rings.
 //! * [`poll`] — the *polling-wait* primitives. Motor replaced MPICH2's
 //!   blocking system calls with a polling wait that periodically yields to
-//!   the garbage collector; the backoff ladder, the generation
+//!   the garbage collector; the backoff ladder, the eventcount
 //!   [`poll::Waker`] a wait parks on and the [`poll::WakeCells`] through
 //!   which moving bytes wakes the peer are the pieces that loop is built
 //!   from.
