@@ -30,17 +30,20 @@
 //!   blocking collective is one trip through `Device::wait_until`;
 //!   [`Schedule::new`] carries `isend_ptr`'s window contract for callers
 //!   that step schedules themselves (`SimNet`, 64 ranks on one thread).
+//! * **Dead peers.** A receive names its source to the device by global
+//!   rank, so a receive from a peer whose link is gone fails with
+//!   `PeerClosed(global rank)` in a collective and on any communicator.
+//!   A rank that never touches the dead link still waits (no revoke yet).
 //! * **Not yet:** engine-driven advance (only the caller advances a
 //!   schedule), `i*` collectives, algorithm selection, a per-communicator
-//!   collective tag sequence, reuse of the step and request `Vec`s; a
-//!   receive from a dead peer waits like any other.
+//!   collective tag sequence, reuse of the step and request `Vec`s.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use motor_obs::{Metric, SpanKind};
 
-use crate::device::Device;
+use crate::device::{Device, ANY_SOURCE};
 use crate::dtype::{as_bytes, as_bytes_mut, DType, MpcPrim, ReduceOp};
 use crate::error::{MpcError, MpcResult};
 use crate::packet::Envelope;
@@ -102,6 +105,16 @@ impl Comm {
             .get(comm_rank)
             .copied()
             .ok_or(MpcError::InvalidRank(comm_rank as i32))
+    }
+
+    /// A receive's or probe's source as the device names it: the global
+    /// rank of a communicator rank (`InvalidRank` outside the group), or
+    /// the wildcard.
+    fn device_source(&self, src: Source) -> MpcResult<i32> {
+        match src {
+            Source::Rank(r) => Ok(self.global_rank(r)? as i32),
+            Source::Any => Ok(ANY_SOURCE),
+        }
     }
 
     /// The underlying device (the FCall layer and baselines reach through
@@ -180,22 +193,9 @@ impl Comm {
         src: impl Into<Source>,
         tag: impl Into<Tag>,
     ) -> MpcResult<Request> {
-        let src = src.into();
-        if let Some(r) = src.rank() {
-            if r >= self.size() {
-                return Err(MpcError::InvalidRank(r as i32));
-            }
-        }
+        let (src, tag) = (self.device_source(src.into())?, tag.into().to_device());
         // SAFETY: forwarded caller contract.
-        unsafe {
-            self.device.irecv_raw(
-                src.to_device(),
-                tag.into().to_device(),
-                self.context,
-                ptr,
-                cap,
-            )
-        }
+        unsafe { self.device.irecv_raw(src, tag, self.context, ptr, cap) }
     }
 
     // ------------------------------------------------------------------
@@ -326,15 +326,15 @@ impl Comm {
         tag: impl Into<Tag>,
         yield_poll: impl FnMut(),
     ) -> MpcResult<Status> {
-        let (src, tag) = (src.into().to_device(), tag.into().to_device());
+        let (src, tag) = (self.device_source(src.into())?, tag.into().to_device());
         let peek = || self.device.peek(src, tag, self.context);
         self.device.wait_until(0, peek, yield_poll)
     }
 
     /// Non-blocking probe.
     pub fn iprobe(&self, src: impl Into<Source>, tag: impl Into<Tag>) -> MpcResult<Option<Status>> {
-        self.device
-            .iprobe(src.into().to_device(), tag.into().to_device(), self.context)
+        let (src, tag) = (self.device_source(src.into())?, tag.into().to_device());
+        self.device.iprobe(src, tag, self.context)
     }
 
     // ------------------------------------------------------------------

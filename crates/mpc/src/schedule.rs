@@ -192,7 +192,8 @@ impl<'c> Schedule<'c> {
                         }
                         Step::Recv(from, tag, block) => {
                             let (ptr, len) = self.window(block);
-                            dev.irecv_raw(from as i32, tag, ctx, ptr, len).map(Some)
+                            let recv = |g| dev.irecv_raw(g as i32, tag, ctx, ptr, len);
+                            comm.global_rank(from).and_then(recv).map(Some)
                         }
                         Step::ReduceInto(acc, from, dtype, op) => {
                             let ((a, n), (b, m)) = (self.window(acc), self.window(from));

@@ -19,9 +19,8 @@ use crate::channel::LinkState;
 use crate::comm::Comm;
 use crate::device::{Device, DeviceConfig};
 use crate::error::{MpcError, MpcResult};
-use crate::packet::Envelope;
 use crate::progress::{ProgressEngine, ProgressMode};
-use crate::request::{Request, Status};
+use crate::request::Status;
 
 /// Which PAL transport connects ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,12 +318,7 @@ impl Universe {
                         i,
                         ctx_alloc,
                     );
-                    let parent = InterComm {
-                        device: Arc::clone(&device),
-                        context: inter_ctx,
-                        local_rank: i,
-                        remote: parent_group,
-                    };
+                    let parent = InterComm::new(&world, inter_ctx, parent_group);
                     entry(Proc {
                         universe,
                         device: Arc::clone(&device),
@@ -337,12 +331,8 @@ impl Universe {
         }
         comm.bcast_slice(&mut coords, 0)?;
         let [_, inter_ctx, base, n] = coords;
-        Ok(InterComm {
-            device: Arc::clone(comm.device()),
-            context: inter_ctx,
-            local_rank: comm.rank(),
-            remote: Arc::new((base as usize..base as usize + n as usize).collect()),
-        })
+        let children = (base as usize..base as usize + n as usize).collect();
+        Ok(InterComm::new(comm, inter_ctx, Arc::new(children)))
     }
 
     /// Total processes ever created in this universe.
@@ -368,36 +358,33 @@ impl Drop for RankExit<'_> {
 }
 
 /// An intercommunicator: point-to-point communication with a *remote*
-/// group (the MPI-2 `MPI_Comm_spawn` result).
+/// group (the MPI-2 `MPI_Comm_spawn` result). Underneath it is a
+/// communicator on the intercommunicator's context whose group is the
+/// remote one and whose rank is this process's local rank, so a message
+/// carries the local rank as its source and names its peer by the remote
+/// group's table, as on any communicator. No collective is offered.
 pub struct InterComm {
-    device: Arc<Device>,
-    context: u32,
-    local_rank: usize,
-    /// Remote group: remote rank → global rank.
-    remote: Arc<Vec<usize>>,
+    comm: Comm,
 }
 
 impl InterComm {
+    /// The intercommunicator on `context` between `local`'s group, this
+    /// process at its rank there, and `remote`.
+    fn new(local: &Comm, context: u32, remote: Arc<Vec<usize>>) -> InterComm {
+        let (device, ctx_alloc) = (Arc::clone(local.device()), Arc::clone(local.ctx_alloc()));
+        InterComm {
+            comm: Comm::assemble(device, context, remote, local.rank(), ctx_alloc),
+        }
+    }
+
     /// Number of processes in the remote group.
     pub fn remote_size(&self) -> usize {
-        self.remote.len()
+        self.comm.size()
     }
 
     /// This process's rank in its local group.
     pub fn local_rank(&self) -> usize {
-        self.local_rank
-    }
-
-    fn envelope(&self, tag: i32) -> Envelope {
-        Envelope {
-            src: self.local_rank as u32,
-            gsrc: self.device.rank() as u32,
-            tag,
-            context: self.context,
-            len: 0,
-            sreq: 0,
-            flags: 0,
-        }
+        self.comm.rank()
     }
 
     /// Blocking send to a remote-group rank.
@@ -407,18 +394,7 @@ impl InterComm {
         remote_rank: usize,
         tag: impl Into<crate::Tag>,
     ) -> MpcResult<()> {
-        let g = *self
-            .remote
-            .get(remote_rank)
-            .ok_or(MpcError::InvalidRank(remote_rank as i32))?;
-        let tag = tag.into().to_device();
-        // SAFETY: `buf` is borrowed across the wait below.
-        let req: Request = unsafe {
-            self.device
-                .isend_raw(g, self.envelope(tag), buf.as_ptr(), buf.len(), false)?
-        };
-        self.device.wait_with(&req, || {})?;
-        Ok(())
+        self.comm.send_bytes(buf, remote_rank, tag)
     }
 
     /// Blocking receive from a remote-group rank (or [`crate::Source::Any`]).
@@ -428,21 +404,7 @@ impl InterComm {
         remote_rank: impl Into<crate::Source>,
         tag: impl Into<crate::Tag>,
     ) -> MpcResult<Status> {
-        let src = remote_rank.into().to_device();
-        let tag = tag.into().to_device();
-        // SAFETY: `buf` is borrowed across the wait below.
-        let req = unsafe {
-            self.device
-                .irecv_raw(src, tag, self.context, buf.as_mut_ptr(), buf.len())?
-        };
-        let status = self.device.wait_with(&req, || {})?;
-        if status.truncated {
-            return Err(MpcError::Truncation {
-                message: status.count,
-                buffer: buf.len(),
-            });
-        }
-        Ok(status)
+        self.comm.recv_bytes(buf, remote_rank, tag)
     }
 }
 

@@ -286,8 +286,8 @@ mod matcher {
     }
 
     impl Oracle {
-        fn awaits_dead_peer(&self, src: i32, context: u32) -> bool {
-            context == 0 && src >= 0 && self.dead[src as usize]
+        fn awaits_dead_peer(&self, src: i32) -> bool {
+            src >= 0 && self.dead[src as usize]
         }
 
         fn post(&mut self, recv: usize, src: i32, tag: i32, context: u32) -> Outcome {
@@ -297,7 +297,7 @@ mod matcher {
                 .position(|&(_, s, t, c)| accepts((src, tag, context), (s, t, c)));
             match hit {
                 Some(pos) => Outcome::Got(self.unexpected.remove(pos).0),
-                None if self.awaits_dead_peer(src, context) => Outcome::PeerClosed,
+                None if self.awaits_dead_peer(src) => Outcome::PeerClosed,
                 None => {
                     self.posted.push((recv, src, tag, context));
                     Outcome::Pending
@@ -328,7 +328,7 @@ mod matcher {
                 .find(|&&(_, s, t, c)| accepts((src, tag, context), (s, t, c)));
             match hit {
                 Some(&(_, s, t, _)) => Ok(Some((s, t))),
-                None if self.awaits_dead_peer(src, context) => Err(()),
+                None if self.awaits_dead_peer(src) => Err(()),
                 None => Ok(None),
             }
         }
@@ -338,7 +338,7 @@ mod matcher {
             self.dead[peer] = true;
             let (failed, kept) = std::mem::take(&mut self.posted)
                 .into_iter()
-                .partition(|&(_, s, _, c)| c == 0 && s == peer as i32);
+                .partition(|&(_, s, ..)| s == peer as i32);
             self.posted = kept;
             failed.into_iter().map(|(recv, ..)| recv).collect()
         }
@@ -443,10 +443,17 @@ mod matcher {
         );
     }
 
+    /// The fixed 64 seeds, and with `MOTOR_SIM_SEEDS` set (the nightly
+    /// sweep) the seed matrix too.
     #[test]
     fn keyed_matcher_agrees_with_the_linear_scan() {
         for seed in 0..if cfg!(miri) { 2 } else { 64 } {
             one_interleaving(0x5eed_0000 + seed);
+        }
+        if std::env::var_os("MOTOR_SIM_SEEDS").is_some() {
+            for seed in motor_sim::seed_matrix() {
+                one_interleaving(seed);
+            }
         }
     }
 

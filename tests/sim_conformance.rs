@@ -18,17 +18,21 @@
 //! * the Oomp object serializer round-tripping under a byte trickle;
 //! * a peer closing its link mid-rendezvous surfacing a clean
 //!   `MpcError::PeerClosed` (and a doctor `LinkDrop` anomaly), not a hang;
-//! * a blocking probe on a dead peer doing the same;
+//! * a blocking probe on a dead peer doing the same, and every receive,
+//!   probe and collective from a dead peer failing on a `dup` or a
+//!   reordering `split` as on the world, naming the peer by global rank;
+//! * a probe for a rank outside the communicator refused as `InvalidRank`;
 //! * every collective, as a schedule stepped on the single-threaded
 //!   fabric at 16 and 64 ranks, equal to a serial oracle.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use motor::mpc::device::DeviceConfig;
 use motor::mpc::dtype::as_bytes;
 use motor::mpc::schedule::{Coll, Schedule as Sched};
-use motor::mpc::universe::{Universe, UniverseConfig};
+use motor::mpc::universe::{Proc, Universe, UniverseConfig};
 use motor::mpc::{Comm, DType, MpcError, ReduceOp};
 use motor::obs::{classify, DoctorConfig, EventKind, Metric, RankRecord, MSG_RNDV_FLAG};
 use motor::pal::TickSource;
@@ -487,6 +491,123 @@ fn probe_on_dead_peer_returns_peer_closed() {
         polls.load(Ordering::Relaxed) < 10_000,
         "the dead link is noticed by the first pump, not after a spin"
     );
+}
+
+/// Run an `n`-rank universe over `fabric` on its own thread, failing if
+/// it has not returned within 30 s: a receive that waits for ever on a
+/// dead peer fails the test instead of stalling the suite.
+fn run_watched(n: usize, fabric: &SimFabric, body: impl Fn(Proc) + Send + Sync + 'static) {
+    let cfg = UniverseConfig {
+        link_factory: Some(fabric.factory()),
+        ..UniverseConfig::default()
+    };
+    let limit = Duration::from_secs(30);
+    let start = Instant::now();
+    let run = std::thread::spawn(move || Universe::run_with(n, cfg, body));
+    while !run.is_finished() {
+        assert!(
+            start.elapsed() < limit,
+            "the run hung (still running after {limit:?})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    match run.join() {
+        Ok(result) => result.unwrap(),
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
+}
+
+/// A probe for a rank outside the communicator is refused like a receive
+/// for one, blocking or not, instead of waiting for a message no rank can
+/// send.
+#[test]
+fn probe_outside_the_group_is_invalid_rank() {
+    let fabric = SimFabric::new(7, FaultPlan::clean());
+    run_watched(2, &fabric, |proc| {
+        let world = proc.world();
+        let outside = world.size() + 5;
+        match world.probe(outside, 5) {
+            Err(MpcError::InvalidRank(r)) => assert_eq!(r as usize, outside),
+            other => panic!("probe: expected InvalidRank({outside}), got {other:?}"),
+        }
+        match world.iprobe(outside, 5) {
+            Err(MpcError::InvalidRank(r)) => assert_eq!(r as usize, outside),
+            other => panic!("iprobe: expected InvalidRank({outside}), got {other:?}"),
+        }
+    });
+}
+
+/// On a `dup` of the world, whose context is not the world's, a probe, a
+/// non-blocking probe and a receive from a peer whose link is gone each
+/// return `PeerClosed`.
+#[test]
+fn dead_peer_fails_probes_and_receives_on_a_dup() {
+    let fabric = Arc::new(SimFabric::new(11, FaultPlan::clean()));
+    let (links, gate) = (Arc::clone(&fabric), Barrier::new(2));
+    run_watched(2, &fabric, move |proc| {
+        let dup = proc.world().dup().unwrap();
+        // Both ranks hold the dup before the link goes.
+        gate.wait();
+        if dup.rank() == 0 {
+            links.close_link(0, 1);
+            match dup.probe(1, 5) {
+                Err(MpcError::PeerClosed(1)) => {}
+                other => panic!("probe: expected PeerClosed(1), got {other:?}"),
+            }
+            match dup.iprobe(1, 5) {
+                Err(MpcError::PeerClosed(1)) => {}
+                other => panic!("iprobe: expected PeerClosed(1), got {other:?}"),
+            }
+            match dup.recv_bytes(&mut [0u8; 4], 1, 5) {
+                Err(MpcError::PeerClosed(1)) => {}
+                other => panic!("recv: expected PeerClosed(1), got {other:?}"),
+            }
+        }
+    });
+}
+
+/// On a 3-rank `split` whose key reverses the rank order, comm rank 0 is
+/// global rank 2: a receive from it after its link dies fails with
+/// `PeerClosed` naming the global rank.
+#[test]
+fn dead_peer_on_a_reordered_split_is_named_by_global_rank() {
+    let fabric = Arc::new(SimFabric::new(13, FaultPlan::clean()));
+    let (links, gate) = (Arc::clone(&fabric), Barrier::new(3));
+    run_watched(3, &fabric, move |proc| {
+        let world = proc.world();
+        let rev = world.split(0, -(world.rank() as i32)).unwrap();
+        assert_eq!(rev.rank(), 2 - world.rank());
+        gate.wait();
+        if world.rank() == 0 {
+            links.close_link(0, 2);
+            match rev.recv_bytes(&mut [0u8; 4], 0, 5) {
+                Err(MpcError::PeerClosed(2)) => {}
+                other => panic!("expected PeerClosed(2), got {other:?}"),
+            }
+        }
+    });
+}
+
+/// A collective on a `dup` whose one link is already gone ends with
+/// `PeerClosed` on both ranks: the schedule's receive from the dead peer
+/// fails in the collective context.
+#[test]
+fn barrier_on_a_dup_over_a_dead_link_fails_on_both_ranks() {
+    let fabric = Arc::new(SimFabric::new(17, FaultPlan::clean()));
+    let (links, gate) = (Arc::clone(&fabric), Barrier::new(2));
+    run_watched(2, &fabric, move |proc| {
+        let dup = proc.world().dup().unwrap();
+        gate.wait();
+        if dup.rank() == 0 {
+            links.close_link(0, 1);
+        }
+        gate.wait();
+        let (me, peer) = (dup.rank(), 1 - dup.rank());
+        match dup.barrier() {
+            Err(MpcError::PeerClosed(p)) if p == peer => {}
+            other => panic!("rank {me}: expected PeerClosed({peer}), got {other:?}"),
+        }
+    });
 }
 
 /// Identical seeds replay identical runs: schedule, virtual time and the
