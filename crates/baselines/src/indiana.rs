@@ -111,7 +111,7 @@ impl<'t> Indiana<'t> {
     ) -> CoreResult<MpStatus> {
         let src = src.into();
         let (ptr, len) = self.window(obj)?;
-        self.pinvoke(&[ptr as u64, len as u64, src.to_device() as u64, tag as u64]);
+        self.pinvoke(&[ptr as u64, len as u64, src.peer_word() as u64, tag as u64]);
         let pin = self.thread.pin(obj);
         let res = (|| -> CoreResult<MpStatus> {
             // SAFETY: pinned for the duration.
@@ -144,7 +144,7 @@ impl<'t> Indiana<'t> {
     pub fn recv_object(&self, src: impl Into<motor_mpc::Source>, tag: i32) -> CoreResult<Handle> {
         let src = src.into();
         let mut size = [0u8; 8];
-        self.pinvoke(&[src.to_device() as u64, tag as u64]);
+        self.pinvoke(&[src.peer_word() as u64, tag as u64]);
         let st = self.comm.recv_bytes(&mut size, src, tag)?;
         let len = u64::from_le_bytes(size) as usize;
         let mut blob = vec![0u8; len];

@@ -32,6 +32,8 @@ use motor_core::{CoreError, CoreResult};
 use motor_runtime::object::ObjectRef;
 use motor_runtime::{ClassId, ElemKind, FieldType, Handle, MotorThread, TypeKind};
 
+use crate::cliser::{put_str, put_u16, put_u32, write_prim};
+
 /// Java-serializer failures.
 #[derive(Debug)]
 pub enum JavaSerError {
@@ -74,17 +76,6 @@ const REC_OBJECT: u8 = 0x73; // TC_OBJECT
 const REC_ARRAY: u8 = 0x75; // TC_ARRAY
 const REC_REFERENCE: u8 = 0x71; // TC_REFERENCE
 const REC_NULL: u8 = 0x70; // TC_NULL
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
 
 /// The handle table with the linear→hash rebuild behaviour.
 struct HandleTable {
@@ -518,26 +509,6 @@ impl Decoder<'_, '_> {
                 }
             }
         }
-    }
-}
-
-fn write_prim(t: &MotorThread, h: Handle, fi: usize, k: ElemKind, raw: &[u8]) {
-    macro_rules! w {
-        ($ty:ty) => {
-            t.set_prim::<$ty>(h, fi, <$ty>::from_le_bytes(raw.try_into().unwrap()))
-        };
-    }
-    match k {
-        ElemKind::Bool | ElemKind::U8 => w!(u8),
-        ElemKind::I8 => w!(i8),
-        ElemKind::I16 => w!(i16),
-        ElemKind::U16 | ElemKind::Char => w!(u16),
-        ElemKind::I32 => w!(i32),
-        ElemKind::U32 => w!(u32),
-        ElemKind::I64 => w!(i64),
-        ElemKind::U64 => w!(u64),
-        ElemKind::F32 => w!(f32),
-        ElemKind::F64 => w!(f64),
     }
 }
 

@@ -113,7 +113,7 @@ impl<'t> MpiJava<'t> {
         self.jni(
             "recv",
             "(Ljava/lang/Object;IIII)Lmpi/Status;",
-            &[len as u64, src.to_device() as u64],
+            &[len as u64, src.peer_word() as u64],
         );
         let pin = self.thread.pin(obj);
         let res = (|| -> CoreResult<MpStatus> {
@@ -162,7 +162,7 @@ impl<'t> MpiJava<'t> {
         self.jni(
             "recv",
             "(Ljava/lang/Object;IIII)Lmpi/Status;",
-            &[src.to_device() as u64, tag as u64],
+            &[src.peer_word() as u64, tag as u64],
         );
         let mut size = [0u8; 8];
         let st = self.comm.recv_bytes(&mut size, src, tag)?;

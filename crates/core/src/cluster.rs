@@ -332,7 +332,6 @@ where
         .device
         .epoch
         .get_or_insert_with(std::time::Instant::now);
-    let policy = config.policy;
     // A doctor/telemetry config requested explicitly wins; otherwise the
     // MOTOR_DOCTOR / MOTOR_TELEMETRY environment variables may enable
     // them at run time. The collector (and its monitor thread) exists
@@ -379,53 +378,19 @@ where
         }
         start_monitor(Arc::clone(c), doctor.clone(), interval)
     });
+    let start = RankStart {
+        vm: config.vm,
+        policy: config.policy,
+        collector: collector.as_ref().map(|c| (Arc::clone(c), 0)),
+        doctor: doctor.clone(),
+        telemetry: telemetry.clone(),
+    };
     let snaps: Mutex<Vec<(usize, MetricsSnapshot)>> = Mutex::new(Vec::with_capacity(n));
     let result = Universe::run_with(n, universe, |proc| {
-        let vm = Vm::with_metrics(config.vm.clone(), Arc::clone(proc.device().metrics()));
-        {
-            let mut reg = vm.registry_mut();
-            define_types(&mut reg);
-        }
-        let thread = MotorThread::attach(Arc::clone(&vm));
-        let comm = proc.world().clone();
-        let pool = Arc::new(BufPool::new());
-        pool.attach_metrics(Arc::clone(vm.metrics()));
-        // Register with the collector before the body so even a startup
-        // deadlock is visible.
-        let ticket = collector.as_ref().map(|c| {
-            let t = c.register_in_group(
-                0,
-                comm.rank(),
-                format!("rank {}", comm.rank()),
-                Arc::clone(comm.device()),
-                Arc::clone(&vm),
-            );
-            (Arc::clone(c), t)
+        start.run(proc, &define_types, |mp| {
+            body(mp);
+            snaps.lock().push((mp.rank(), mp.metrics()));
         });
-        let mp = MotorProc {
-            vm,
-            thread,
-            comm,
-            pool,
-            walk: RefCell::default(),
-            policy,
-            proc_: proc,
-            monitor: ticket,
-            doctor: doctor.clone(),
-            telemetry: telemetry.clone(),
-        };
-        // Arm time-bucket accounting on the rank's registry, which this
-        // thread already owns: from here to the exit snapshot every
-        // classified span and phase scope attributes this rank's wall
-        // clock, so the prof_* counters in the collected snapshots
-        // partition the body's run time.
-        mp.vm.metrics().profile_start();
-        body(&mp);
-        snaps.lock().push((mp.rank(), mp.metrics()));
-        if let Some((c, t)) = &mp.monitor {
-            c.mark_done(*t);
-        }
-        finalize_before_heap_drops(&mp);
     });
     if let Some(m) = monitor {
         m.stop();
@@ -449,6 +414,70 @@ where
         per_rank: per_rank.into_iter().map(|(_, s)| s).collect(),
         anomalies,
     })
+}
+
+/// What a Motor rank starts with, world rank or spawned child alike: its
+/// VM configuration and pin policy, and the monitoring it joins — the
+/// collector with the rank's spawn group (0 for the initial world), the
+/// doctor and the telemetry endpoint.
+struct RankStart {
+    vm: VmConfig,
+    policy: PinPolicy,
+    collector: Option<(Arc<Collector>, usize)>,
+    doctor: Option<Arc<DoctorServer>>,
+    telemetry: Option<Arc<TelemetryServer>>,
+}
+
+impl RankStart {
+    /// Run a rank on `proc`, whose thread already owns the device's
+    /// registry: a fresh VM recording into that registry, with the
+    /// application's types; registration with the collector before the
+    /// body, so even a startup deadlock is visible; and time-bucket
+    /// accounting armed, so from here to the body's end every classified
+    /// span and phase scope attributes the rank's wall clock and the
+    /// `prof_*` counters of its snapshots partition the body's run time.
+    /// Then `body`, and the rank is marked done and finalized.
+    fn run(
+        &self,
+        proc: Proc,
+        define_types: &dyn Fn(&mut TypeRegistry),
+        body: impl FnOnce(&MotorProc),
+    ) {
+        let vm = Vm::with_metrics(self.vm.clone(), Arc::clone(proc.device().metrics()));
+        define_types(&mut vm.registry_mut());
+        let thread = MotorThread::attach(Arc::clone(&vm));
+        let comm = proc.world().clone();
+        let pool = Arc::new(BufPool::new());
+        pool.attach_metrics(Arc::clone(vm.metrics()));
+        let monitor = self.collector.as_ref().map(|(c, group)| {
+            let rank = comm.rank();
+            let label = match group {
+                0 => format!("rank {rank}"),
+                g => format!("child {g}.{rank}"),
+            };
+            let device = Arc::clone(comm.device());
+            let t = c.register_in_group(*group, rank, label, device, Arc::clone(&vm));
+            (Arc::clone(c), t)
+        });
+        let mp = MotorProc {
+            vm,
+            thread,
+            comm,
+            pool,
+            walk: RefCell::default(),
+            policy: self.policy,
+            proc_: proc,
+            monitor,
+            doctor: self.doctor.clone(),
+            telemetry: self.telemetry.clone(),
+        };
+        mp.vm.metrics().profile_start();
+        body(&mp);
+        if let Some((c, t)) = &mp.monitor {
+            c.mark_done(*t);
+        }
+        finalize_before_heap_drops(&mp);
+    }
 }
 
 /// Last step of a rank body, while `mp`'s `Vm` — and with it the heap —
@@ -495,55 +524,21 @@ where
     D: Fn(&mut TypeRegistry) + Send + Sync + 'static,
     B: Fn(&MotorProc) + Send + Sync + 'static,
 {
-    let vm_config = config.vm;
-    let policy = config.policy;
     // Children join the parent's monitoring in a fresh spawn group: their
     // world ranks restart at 0, so peer cross-matching must not mix them
     // with the parents' world.
-    let collector = proc.collector().map(Arc::clone);
-    let doctor = proc.doctor().map(Arc::clone);
-    let telemetry = proc.telemetry().map(Arc::clone);
-    let group = collector.as_ref().map_or(0, |c| c.alloc_group());
+    let start = RankStart {
+        vm: config.vm,
+        policy: config.policy,
+        collector: proc.collector().map(|c| (Arc::clone(c), c.alloc_group())),
+        doctor: proc.doctor().cloned(),
+        telemetry: proc.telemetry().cloned(),
+    };
     let inter = proc
         .proc_
         .universe()
         .spawn_children(proc.comm(), count, move |child: Proc| {
-            let vm = Vm::with_metrics(vm_config.clone(), Arc::clone(child.device().metrics()));
-            {
-                let mut reg = vm.registry_mut();
-                define_types(&mut reg);
-            }
-            let thread = MotorThread::attach(Arc::clone(&vm));
-            let comm = child.world().clone();
-            let pool = Arc::new(BufPool::new());
-            pool.attach_metrics(Arc::clone(vm.metrics()));
-            let ticket = collector.as_ref().map(|c| {
-                let t = c.register_in_group(
-                    group,
-                    comm.rank(),
-                    format!("child {}.{}", group, comm.rank()),
-                    Arc::clone(comm.device()),
-                    Arc::clone(&vm),
-                );
-                (Arc::clone(c), t)
-            });
-            let mp = MotorProc {
-                vm,
-                thread,
-                comm,
-                pool,
-                walk: RefCell::default(),
-                policy,
-                proc_: child,
-                monitor: ticket,
-                doctor: doctor.clone(),
-                telemetry: telemetry.clone(),
-            };
-            entry(&mp);
-            if let Some((c, t)) = &mp.monitor {
-                c.mark_done(*t);
-            }
-            finalize_before_heap_drops(&mp);
+            start.run(child, &define_types, &entry)
         })?;
     Ok(inter)
 }

@@ -81,15 +81,6 @@ pub(crate) enum Proof {
     Proved,
 }
 
-/// Peer value recorded in trace span args: the rank, or `u32::MAX` for
-/// a wildcard ([`Source::Any`]) receive.
-fn source_peer(src: Source) -> usize {
-    match src {
-        Source::Rank(r) => r,
-        Source::Any => u32::MAX as usize,
-    }
-}
-
 /// A resolved transport buffer: the object, its zero-copy window and
 /// whether it sits in the young generation, the one fact the pinning
 /// policy decides on.
@@ -416,7 +407,7 @@ impl<'t> Mp<'t> {
         tag: Tag,
         proof: Proof,
     ) -> CoreResult<MpStatus> {
-        let _span = self.p2p_span(SpanKind::MpRecv, source_peer(src), tag);
+        let _span = self.p2p_span(SpanKind::MpRecv, src.peer_word(), tag);
         let fc = Fcall::enter(self.thread);
         let w = self.window(&fc, obj, sub, proof)?;
         // SAFETY: as in `send`.
@@ -488,7 +479,7 @@ impl<'t> Mp<'t> {
         tag: Tag,
         proof: Proof,
     ) -> CoreResult<MpRequest> {
-        let peer = source_peer(src);
+        let peer = src.peer_word();
         let span = self.p2p_span(SpanKind::MpIrecv, peer, tag);
         let fc = Fcall::enter(self.thread);
         let w = self.window(&fc, obj, None, proof)?;
@@ -536,7 +527,7 @@ impl<'t> Mp<'t> {
         let fc = Fcall::enter(self.thread);
         let src = src.into();
         let tag = tag.into();
-        let _span = self.p2p_span(SpanKind::MpProbe, source_peer(src), tag);
+        let _span = self.p2p_span(SpanKind::MpProbe, src.peer_word(), tag);
         Ok(self.comm.probe_with(src, tag, || fc.poll())?.into())
     }
 

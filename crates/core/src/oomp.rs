@@ -311,13 +311,8 @@ impl<'t> Oomp<'t> {
     ) -> CoreResult<(Handle, MpStatus)> {
         let src = src.into();
         let tag = tag.into();
-        let peer = match src {
-            Source::Rank(r) => r,
-            Source::Any => u32::MAX as usize,
-        };
-        let _span = self
-            .metrics()
-            .span(SpanKind::Orecv, span_arg_peer_tag(peer, tag.to_device()));
+        let peer = span_arg_peer_tag(src.peer_word(), tag.to_device());
+        let _span = self.metrics().span(SpanKind::Orecv, peer);
         let _fc = Fcall::enter(self.thread);
         self.maintain_pool();
         self.metrics().bump(Metric::OompOrecvs);

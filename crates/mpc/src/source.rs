@@ -21,20 +21,12 @@ pub enum Source {
 }
 
 impl Source {
-    /// The `i32` encoding (`-1` wildcard, rank otherwise). The device
-    /// matches on global ranks, which `Comm` translates a rank to.
-    pub fn to_device(self) -> i32 {
+    /// The source as one word where a rank goes — a trace span's peer, a
+    /// cost model's argument: the rank, or `u32::MAX` for the wildcard.
+    pub fn peer_word(self) -> usize {
         match self {
-            Source::Rank(r) => r as i32,
-            Source::Any => crate::device::ANY_SOURCE,
-        }
-    }
-
-    /// The concrete rank, if any.
-    pub fn rank(self) -> Option<usize> {
-        match self {
-            Source::Rank(r) => Some(r),
-            Source::Any => None,
+            Source::Rank(r) => r,
+            Source::Any => u32::MAX as usize,
         }
     }
 }
@@ -61,9 +53,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Source::from(4), Source::Rank(4));
-        assert_eq!(Source::Rank(4).to_device(), 4);
-        assert_eq!(Source::Any.to_device(), crate::device::ANY_SOURCE);
-        assert_eq!(Source::Rank(7).rank(), Some(7));
-        assert_eq!(Source::Any.rank(), None);
+        assert_eq!(Source::Rank(7).peer_word(), 7);
+        assert_eq!(Source::Any.peer_word(), u32::MAX as usize);
     }
 }

@@ -238,28 +238,10 @@ impl Universe {
         let result: Result<(), Box<dyn std::any::Any + Send>> = crossbeam::thread::scope(|s| {
             let mut handles = Vec::new();
             for (rank, device) in devices.iter().enumerate() {
-                let device = Arc::clone(device);
-                let group = Arc::clone(&group);
-                let universe = universe.clone();
-                let body = &body;
+                let (device, group) = (Arc::clone(device), Arc::clone(&group));
+                let (universe, body) = (universe.clone(), &body);
                 handles.push(s.spawn(move |_| {
-                    let _exit = RankExit(&device);
-                    // This thread posts, waits and pumps for the rank: the
-                    // one writer of its registry unless an engine helps.
-                    device.metrics().claim();
-                    let world = Comm::assemble(
-                        Arc::clone(&device),
-                        0,
-                        group,
-                        rank,
-                        Arc::clone(&universe.inner.ctx_alloc),
-                    );
-                    body(Proc {
-                        universe,
-                        device: Arc::clone(&device),
-                        world,
-                        parent: None,
-                    });
+                    universe.run_rank(device, (0, group, rank), None, body);
                 }));
             }
             for h in handles {
@@ -303,28 +285,11 @@ impl Universe {
             let parent_group = Arc::new(comm.group().as_ref().clone());
             let entry = Arc::new(entry);
             for (i, device) in fresh.into_iter().enumerate() {
-                let child_group = Arc::clone(&child_group);
-                let parent_group = Arc::clone(&parent_group);
-                let entry = Arc::clone(&entry);
-                let universe = self.clone();
-                let ctx_alloc = Arc::clone(comm.ctx_alloc());
+                let world = (child_world_ctx, Arc::clone(&child_group), i);
+                let parent = Some((inter_ctx, Arc::clone(&parent_group)));
+                let (universe, entry) = (self.clone(), Arc::clone(&entry));
                 let handle = std::thread::spawn(move || {
-                    let _exit = RankExit(&device);
-                    device.metrics().claim();
-                    let world = Comm::assemble(
-                        Arc::clone(&device),
-                        child_world_ctx,
-                        child_group,
-                        i,
-                        ctx_alloc,
-                    );
-                    let parent = InterComm::new(&world, inter_ctx, parent_group);
-                    entry(Proc {
-                        universe,
-                        device: Arc::clone(&device),
-                        world,
-                        parent: Some(parent),
-                    });
+                    universe.run_rank(device, world, parent, &*entry);
                 });
                 self.inner.children.lock().push(handle);
             }
@@ -333,6 +298,32 @@ impl Universe {
         let [_, inter_ctx, base, n] = coords;
         let children = (base as usize..base as usize + n as usize).collect();
         Ok(InterComm::new(comm, inter_ctx, Arc::new(children)))
+    }
+
+    /// A rank thread's life, world rank or spawned child alike: claim the
+    /// device's registry for this thread, which posts, waits and pumps for
+    /// the rank (the one writer of its registry unless an engine helps);
+    /// assemble the world communicator `(context, group, rank)` and, for a
+    /// child, the intercommunicator `(context, remote group)` to its
+    /// parents; run `body`; and leave through [`RankExit`].
+    fn run_rank(
+        self,
+        device: Arc<Device>,
+        (context, group, rank): (u32, Arc<Vec<usize>>, usize),
+        parent: Option<(u32, Arc<Vec<usize>>)>,
+        body: impl FnOnce(Proc),
+    ) {
+        let _exit = RankExit(&device);
+        device.metrics().claim();
+        let ctx_alloc = Arc::clone(&self.inner.ctx_alloc);
+        let world = Comm::assemble(Arc::clone(&device), context, group, rank, ctx_alloc);
+        let parent = parent.map(|(context, remote)| InterComm::new(&world, context, remote));
+        body(Proc {
+            universe: self,
+            device: Arc::clone(&device),
+            world,
+            parent,
+        });
     }
 
     /// Total processes ever created in this universe.

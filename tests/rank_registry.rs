@@ -84,3 +84,22 @@ fn every_rank_and_child_has_one_registry() {
         }
     }
 }
+
+/// Every rank accounts its time from its start, a spawned child as a world
+/// rank: the time buckets of each one's own snapshot add up to more than
+/// nothing.
+#[test]
+fn every_rank_and_child_accounts_its_time() {
+    fn bucket_sum(proc: &MotorProc) -> u64 {
+        proc.comm().barrier().expect("barrier");
+        proc.metrics().bucket_nanos().iter().sum()
+    }
+    run_cluster(config(), define_types, |proc| {
+        assert!(bucket_sum(proc) > 0, "world rank {}", proc.rank());
+        spawn_motor_children(proc, 2, config(), define_types, |child| {
+            assert!(bucket_sum(child) > 0, "child {}", child.rank());
+        })
+        .expect("spawn");
+    })
+    .expect("cluster");
+}
