@@ -34,25 +34,37 @@
 //!   through the link (`OutItem::Raw`) and completes when the last byte
 //!   has been handed to the transport; the receiver completes when the
 //!   last byte has landed.
-//! * **Single copy** (table): RTS → the receiver copies → FIN. The sender
+//! * **Single copy** (table): RTS → both ranks copy → FIN. The sender
 //!   *exposed* its window before queueing the RTS; the receiver looks it
-//!   up by `(link, sreq)`, copies `min(len, cap)` bytes with one
-//!   `memcpy`, and replies FIN — the `SyncAck(sreq)` frame, which already
-//!   means "matched, done with your buffer". The receive completes when
-//!   the FIN is on the link (so a receiver that stops driving its device
-//!   the moment its wait returns cannot strand the sender); the send
-//!   completes when the FIN arrives. No address crosses the byte parser:
-//!   the frames are the same five kinds, byte for byte. The sender has
-//!   nothing to do while the receiver copies and may well park; the pass
-//!   that puts the FIN on the link wakes it.
+//!   up by `(link, sreq)` and pulls `min(len, cap)` bytes, and replies
+//!   FIN — the `SyncAck(sreq)` frame, which already means "matched, done
+//!   with your buffer". The copy is shared: a pull longer than one chunk
+//!   publishes its destination in the sender's window entry, pokes the
+//!   sender's waker, and copies chunks claimed from a shared cursor,
+//!   while every [`Device::pass`] of the sender — its wait, its posts,
+//!   its engine thread — claims and copies chunks of its own windows
+//!   too (`Windows::help`): the sender waits for the FIN anyway, so it
+//!   spends the wait on half the copy. A sender that never passes costs
+//!   nothing; the receiver copies every chunk nobody claimed. The pull
+//!   returns once every chunk is in, whoever copied it. The receive
+//!   completes when the FIN is on the link (so a receiver that stops
+//!   driving its device the moment its wait returns cannot strand the
+//!   sender); the send completes when the FIN arrives. No address
+//!   crosses the byte parser: the frames are the same five kinds, byte
+//!   for byte, and one pull per message is counted (`RndvPulls`).
 //!
-//! **Window lifetime.** A window is pullable from exposure until the
+//! **Window lifetime.** A window is readable from exposure until the
 //! send's request completes *or fails*. The exposure lives in the
 //! `PendingSend`, and every path that ends one — FIN, `fail_peer_ops`,
 //! [`Device::finalize`], dropping the device — revokes (drops) it *before*
-//! it completes, fails or forgets the request. Revoke waits for a pull in
-//! progress and excludes later ones, per window; a receive that matches a
-//! revoked window fails with `PeerClosed` and reads nothing.
+//! it completes, fails or forgets the request. Both copiers hold the
+//! window's revoke lock shared across their copies and a revoke takes it
+//! exclusive, so a revoke waits for every copy in progress and excludes
+//! later ones, per window; a receive that matches a revoked window fails
+//! with `PeerClosed` and reads nothing. The receiver's buffer is written
+//! only until its pull returns: the pull waits for every chunk the sender
+//! claimed before it queues the FIN ([`motor_pal::window`] has the
+//! rules).
 //!
 //! # Locking model
 //!
@@ -77,9 +89,10 @@
 //! 3. At most one link mutex is held per thread at a time.
 //! 4. No payload copy under `match_state`, and none under a link mutex:
 //!    a single-copy pull is deferred like a reply frame and runs with no
-//!    device lock held, so an engine thread is never parked behind a
-//!    256 KiB `memcpy`. The only lock held across the copy is
-//!    the pulled window's own.
+//!    device lock held, and the sender's share of it runs in `pass`
+//!    after the sweep's links are unlocked, so an engine thread is never
+//!    parked behind a `memcpy`. The only lock held across either copy is
+//!    the window's revoke lock, shared by the two copiers.
 //!
 //! # One pass, one wait
 //!
@@ -836,8 +849,9 @@ impl Device {
         }
     }
 
-    /// The single-copy rendezvous, receiver side: one copy from the
-    /// sender's exposed window into `recv`'s, then the FIN — the
+    /// The single-copy rendezvous, receiver side: the copy from the
+    /// sender's exposed window into `recv`'s, shared with the sender's
+    /// passes and complete when this returns, then the FIN — the
     /// `SyncAck(sreq)` frame, "matched, done with your buffer" — whose
     /// departure completes `recv.req` (no stranded FIN: see
     /// [`LinkState::queue_bytes_completing`]). A window that is gone —
@@ -845,11 +859,18 @@ impl Device {
     /// `PeerClosed` and nothing is read.
     fn pull(&self, windows: &Windows, env: &Envelope, recv: PostedRecv) {
         let gsrc = env.gsrc as usize;
+        let Some(slot) = self.slot(gsrc) else {
+            recv.req.fail(gsrc);
+            return;
+        };
         // SAFETY: `recv` was built by `irecv_raw`, whose caller keeps the
-        // window valid until `recv.req` completes — after this copy; the
-        // two windows are distinct live buffers of two ranks.
-        let pulled = unsafe { windows.pull(env.sreq, recv.ptr as *mut u8, recv.cap) };
-        let (Some(total), Some(slot)) = (pulled, self.slot(gsrc)) else {
+        // window valid until `recv.req` completes — after this call, which
+        // returns once every chunk is in, whoever copied it; the two
+        // windows are distinct live buffers of two ranks. Publishing the
+        // destination wakes the sender to help.
+        let pulled =
+            unsafe { windows.pull(env.sreq, recv.ptr as *mut u8, recv.cap, || slot.poke_peer()) };
+        let Some(total) = pulled else {
             recv.req.fail(gsrc);
             return;
         };
@@ -913,9 +934,10 @@ impl Device {
 
     /// The one progress hook. A sweep pumps every link — flush its
     /// outgoing queue, parse what came in, run the protocol handlers —
-    /// then carries out what the handlers deferred; `caller` says how many
-    /// sweeps are chained while work moves and whose work it is. Returns
-    /// whether anything moved.
+    /// then carries out what the handlers deferred and copies chunks of
+    /// this rank's windows that a receiver is pulling; `caller` says how
+    /// many sweeps are chained while work moves and whose work it is.
+    /// Returns whether anything moved.
     ///
     /// Moving bytes through a link, in either direction, wakes whatever is
     /// parked at its other end. A link whose transport fails, or whose
@@ -946,6 +968,11 @@ impl Device {
                 // A reply to a peer that died meanwhile has nowhere to go.
                 let _ = self.run_deferred(d);
                 moved = true;
+            }
+            // Copy chunks of our own windows that a receiver is pulling
+            // (rule 4): one relaxed load per shm link when none is.
+            for windows in links.iter().flatten().filter_map(|s| s.windows.as_ref()) {
+                moved |= windows.help();
             }
             if !moved {
                 break;
@@ -2026,6 +2053,31 @@ mod tests {
             d0.wait_with(&sreq, || {}).unwrap();
             assert_eq!(receiver.join().unwrap(), data);
         });
+    }
+
+    /// The shared copy leans on no help: a sender that posts a 256 KiB
+    /// rendezvous and never passes again has every chunk copied by the
+    /// receiver, whose receive completes with every byte.
+    #[test]
+    fn rndv_sender_that_never_passes_again_is_pulled_whole() {
+        let (d0, d1) = duo();
+        let data = pattern(256 * 1024, 8);
+        let sreq = send(&d0, 1, env(0, 0, 3), &data, false).unwrap();
+        let buf = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut buf = vec![0u8; data.len()];
+                let r = recv(&d1, 0, 3, 0, &mut buf).unwrap();
+                let st = d1.wait_with(&r, || {}).unwrap();
+                assert_eq!((st.count, st.truncated), (data.len(), false));
+                buf
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(buf == data, "the receive holds every byte");
+        assert_eq!(d1.metrics().snapshot().get(Metric::RndvPulls), 1);
+        assert!(!sreq.is_complete(), "the sender has not passed since");
+        d0.wait_with(&sreq, || {}).unwrap();
     }
 
     /// Windows of eight 256 KiB messages (the `stream_large` shape) while

@@ -59,10 +59,13 @@ impl<F: Fn() -> bool + Send + Sync> PinCondition for F {
 
 #[doc(hidden)]
 pub mod interleave {
-    //! Two real threads in a forced order: the harness the window table's,
+    //! Real threads in a forced order: the harnesses the window table's,
     //! the waker's and (in `motor-obs`) the in-flight table's interleaving
-    //! tests share. Test support; compiled always so that other crates'
-    //! tests can reach it.
+    //! tests share. [`two_threads`] gates a second thread from the first;
+    //! [`conduct`] steps any number of workers from stop to stop, each
+    //! stop a point the code under test reports. Test support; compiled
+    //! always so that other crates' tests can reach it.
+    use std::cell::Cell;
     use std::sync::mpsc;
 
     /// The first thread's handle on the second, which waits for its turn
@@ -104,6 +107,111 @@ pub mod interleave {
             });
             let a = first(&Turn { give, done });
             (a, second.join().unwrap())
+        })
+    }
+
+    /// A worker's end of a [`Conductor`]: it reports where it stopped
+    /// and waits to be sent on. Once the conductor is gone, stops no
+    /// longer wait. Dropping the baton tells the conductor the worker has
+    /// finished.
+    pub struct Baton<P> {
+        at: mpsc::Sender<P>,
+        go: mpsc::Receiver<()>,
+    }
+
+    impl<P> Baton<P> {
+        /// Report `point` and wait to be sent on.
+        pub fn stop(&self, point: P) {
+            if self.at.send(point).is_ok() {
+                let _ = self.go.recv();
+            }
+        }
+    }
+
+    /// One worker as the conductor sees it.
+    struct Worker<P> {
+        go: mpsc::Sender<()>,
+        at: mpsc::Receiver<P>,
+        running: Cell<bool>,
+        finished: Cell<bool>,
+    }
+
+    /// The test's end of [`conduct`]: sends workers on, by index, and
+    /// waits for them at their next stop.
+    pub struct Conductor<P> {
+        workers: Vec<Worker<P>>,
+    }
+
+    impl<P> Conductor<P> {
+        /// Send worker `w` on without waiting for it: it runs
+        /// concurrently with whatever the conductor does next.
+        pub fn go(&self, w: usize) {
+            let worker = &self.workers[w];
+            assert!(!worker.running.get(), "worker {w} is already running");
+            let _ = worker.go.send(());
+            worker.running.set(true);
+        }
+
+        /// Wait until worker `w`, sent on, stops again: `Some(point)`, or
+        /// `None` once it has finished.
+        pub fn stopped(&self, w: usize) -> Option<P> {
+            let worker = &self.workers[w];
+            assert!(worker.running.get(), "worker {w} was not sent on");
+            worker.running.set(false);
+            let at = worker.at.recv().ok();
+            worker.finished.set(at.is_none());
+            at
+        }
+
+        /// [`Self::go`], then [`Self::stopped`].
+        pub fn step(&self, w: usize) -> Option<P> {
+            self.go(w);
+            self.stopped(w)
+        }
+
+        /// Let worker `w` run to its end through all its stops.
+        pub fn finish(&self, w: usize) {
+            let worker = &self.workers[w];
+            if worker.running.get() {
+                self.stopped(w);
+            }
+            while !worker.finished.get() {
+                self.step(w);
+            }
+        }
+    }
+
+    /// A worker body for [`conduct`].
+    pub type Work<'a, P> = Box<dyn FnOnce(Baton<P>) + Send + 'a>;
+
+    /// Run each of `workers` on a thread of its own, each held until the
+    /// conductor first sends it on, and `conductor` on this one. When
+    /// `conductor` returns, the workers run on freely; `conduct` returns
+    /// once all have finished.
+    pub fn conduct<'a, P: Send + 'a>(
+        workers: Vec<Work<'a, P>>,
+        conductor: impl FnOnce(&Conductor<P>),
+    ) {
+        std::thread::scope(|s| {
+            let mut ends = Vec::new();
+            for work in workers {
+                let (go, go_rx) = mpsc::channel();
+                let (at_tx, at) = mpsc::channel();
+                s.spawn(move || {
+                    let _ = go_rx.recv();
+                    work(Baton {
+                        at: at_tx,
+                        go: go_rx,
+                    });
+                });
+                ends.push(Worker {
+                    go,
+                    at,
+                    running: Cell::new(false),
+                    finished: Cell::new(false),
+                });
+            }
+            conductor(&Conductor { workers: ends });
         })
     }
 }

@@ -289,7 +289,7 @@ mod tests {
         let _exp = unsafe { wa.expose(1, src.as_ptr(), src.len()) };
         let mut dst = [0u8; 16];
         // SAFETY: `dst` is 16 writable bytes.
-        assert_eq!(unsafe { wb.pull(1, dst.as_mut_ptr(), 16) }, Some(16));
+        assert_eq!(unsafe { wb.pull(1, dst.as_mut_ptr(), 16, || {}) }, Some(16));
         assert_eq!(dst, src);
         let (c, d) = tcp_pair().unwrap();
         assert!(c.windows().is_none() && d.windows().is_none());
