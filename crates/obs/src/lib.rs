@@ -887,9 +887,11 @@ impl MetricsRegistry {
     }
 
     /// [`Self::event3`] stamped with a clock reading the caller already
-    /// took (a span edge shares one reading between the ring, the phase
-    /// machine and the in-flight table).
-    pub(crate) fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
+    /// took ([`Self::now_nanos`]): a span edge shares one reading between
+    /// the ring, the phase machine and the in-flight table, and a streamed
+    /// sender stamps its `RndvDone` with the reading from before the write
+    /// that completed it.
+    pub fn event_at(&self, t_nanos: u64, kind: EventKind, a: u64, b: u64, c: u64) {
         let words = [t_nanos, kind as u64, a, b, c];
         let side = self.side();
         // The shared ring's writers take turns. Nothing panics while the
