@@ -140,7 +140,7 @@ struct RankHooks {
 impl RankHooks {
     /// Observe the rank: the one place a [`RankRecord`] is built from a
     /// live rank. Pure but for dating the table's signs of life (see
-    /// [`motor_obs::InflightTable::last_beat_nanos`]) — windowing is the
+    /// [`motor_obs::MetricsRegistry::last_progress_nanos`]) — windowing is the
     /// caller's [`RankRecord::since`]. `events` drains the event ring as
     /// well — what a flight record wants, and a collection tick does not.
     fn observe(&self, events: bool) -> RankRecord {

@@ -7,15 +7,13 @@
 //! starving progress is invisible until then (or forever, if the run
 //! never ends). This module is the active half:
 //!
-//! * [`InflightTable`] — a lock-free slot table where every blocking
+//! * The in-flight table ([`crate::MetricsRegistry::inflight_ops`]) — a
+//!   lock-free slot table where every blocking
 //!   `System.MP`/`System.MP.OO` operation, collective, and outstanding
 //!   `Isend`/`Irecv` registers entry, heartbeats, and exit, so at any
 //!   instant a rank can report *what am I doing, since when, waiting on
-//!   whom*. Claiming and releasing a slot is a pop and a push on a tagged
-//!   free list — constant cost whether the table is empty or full — and
-//!   publication reuses the seqlock discipline of the event ring: the
-//!   claimant publishes a generation token with a release store; readers
-//!   validate the token around their loads.
+//!   whom*. A slot is claimed and released, from any thread, by one bit
+//!   of an occupancy bitmap, and is one of the event ring's seqlock cells.
 //! * [`classify`] — the watchdog's pure decision procedure: given one
 //!   [`RankRecord`] per rank (a frame's: each the tick's observation
 //!   since the previous one) it reports [`Anomaly`]s — *stall*, *deadlock
@@ -30,43 +28,26 @@
 //! past the deadline, and a *deadlock suspect* additionally requires the
 //! blamed peer to show no matching activity (or a wait-for cycle).
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::span::{span_arg_unpack, SpanKind};
 use crate::telemetry::RankRecord;
-use crate::{spec, Hist, Metric};
+use crate::{spec, EventSlot, Hist, Metric};
 
-/// Default number of slots in an [`InflightTable`].
-pub const DEFAULT_INFLIGHT_CAPACITY: usize = 128;
+/// Number of slots in a registry's in-flight table, and the most any
+/// table holds.
+pub(crate) const DEFAULT_INFLIGHT_CAPACITY: usize = 128;
 
 /// Sentinel slot index meaning "not registered" (table was full, or the
 /// op chose not to register). All table operations ignore it.
 pub const INFLIGHT_NONE: usize = usize::MAX;
 
-// Slot states: 0 = free, or popped and being written by its claimant;
-// >= FIRST_TOKEN = published generation token.
-const FIRST_TOKEN: u64 = 2;
+// Payload words of a slot that the table reads or writes alone.
+const BEATS: usize = 3;
+const TOKEN: usize = 4;
 
-// The free-list head packs the first free slot (index + 1; 0 = none) under
-// a count of the pops so far. The count makes a pop's compare-exchange
-// fail if the head it read has been popped and pushed back meanwhile
-// (ABA), and numbers the registrations: it is the token.
-const IDX_BITS: u32 = 16;
-const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
-
-struct InflightSlot {
-    /// Seqlock word: free / published token (see above).
-    state: AtomicU64,
-    kind: AtomicU64,
-    arg: AtomicU64,
-    since_nanos: AtomicU64,
-    beats: AtomicU64,
-    /// While on the free list: the next free slot (index + 1; 0 = none).
-    next_free: AtomicU64,
-}
-
-/// One published entry of an [`InflightTable`].
+/// One published entry of the in-flight table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InflightOp {
     /// Generation token (unique per registration within one table).
@@ -110,15 +91,32 @@ impl InflightOp {
     }
 }
 
-/// Lock-free in-flight op table: fixed slots on a tagged free list,
-/// seqlock-published entries.
+/// Where the forced-order tests can stop a writer or an observer
+/// (`tests` below); no-ops otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Point {
+    /// `begin` has invalidated its slot and not yet filled it.
+    Invalidated,
+    /// `begin` has filled its slot and not yet published it.
+    Filled,
+    /// An observer has seen the progress count move and not yet dated it.
+    Moved,
+}
+
+/// Lock-free in-flight op table: fixed seqlock slots, claimed by one bit
+/// each.
 ///
 /// Writers ([`begin`](Self::begin) / [`beat`](Self::beat) /
-/// [`end`](Self::end)) never block and never scan: a claim pops the free
-/// list, a release pushes, and on a full table the registration is dropped
-/// — counted in [`overflows`](Self::overflows) — after one load. Readers
-/// ([`snapshot`](Self::snapshot)) are wait-free and skip entries caught
-/// mid-publish.
+/// [`end`](Self::end)) never block. A claim sets the first clear bit of
+/// `taken` with one `fetch_or`, and tries the next clear bit if that one
+/// was set meanwhile; a full table costs one load per word, and
+/// the registration is dropped and counted ([`overflows`](Self::overflows)).
+/// A release, on any thread, clears the slot and then its bit with one
+/// `fetch_and`. A bit is set at most once between two clears, so a slot
+/// has one writer at a time, its claimant, and nothing can suffer ABA.
+/// The token a slot publishes starts at `idx + 1` and steps by the
+/// capacity. Readers ([`snapshot`](Self::snapshot)) are wait-free and
+/// skip entries caught mid-publish.
 ///
 /// **Signs of life are counted by the writers and dated by the reader.**
 /// A heartbeat or a moved progress pass bumps a counter and reads no
@@ -127,36 +125,35 @@ impl InflightOp {
 /// count with the one it saw last and, if it moved, dates the progress
 /// with its own reading. The date is late by at most the watcher's
 /// interval, which only ever makes a rank look more alive.
-pub struct InflightTable {
-    slots: Vec<InflightSlot>,
-    /// Free-list head: see `IDX_BITS`.
-    free: AtomicU64,
+pub(crate) struct InflightTable {
+    /// Bit `i % 64` of word `i / 64` is set while slot `i` is claimed;
+    /// the bits past the capacity are set from the start. Inline rather
+    /// than a 16-byte allocation of its own, which would share a cache
+    /// line with whatever the allocator puts beside it.
+    taken: [AtomicU64; DEFAULT_INFLIGHT_CAPACITY.div_ceil(64)],
+    /// Payload `[since, kind, arg, beats, token]`, published under the
+    /// token.
+    slots: Box<[EventSlot]>,
     overflows: AtomicU64,
     /// Signs of life anywhere in this table — the rank-wide progress the
     /// watchdog compares against.
     progress: AtomicU64,
-    /// The `progress` the last observation saw, and when it saw it move.
+    /// The `progress` the observers have dated, and the date: stored
+    /// first, so an observer that sees a count also sees its date.
     seen_progress: AtomicU64,
     seen_at_nanos: AtomicU64,
 }
 
 impl InflightTable {
-    /// Table with `capacity` slots (rounded up to 1).
+    /// Table with `capacity` slots, clamped to
+    /// `1..=DEFAULT_INFLIGHT_CAPACITY`.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        assert!((capacity as u64) < IDX_MASK, "in-flight table too large");
+        let capacity = capacity.clamp(1, DEFAULT_INFLIGHT_CAPACITY);
         InflightTable {
-            slots: (1..=capacity as u64)
-                .map(|this| InflightSlot {
-                    state: AtomicU64::new(0),
-                    kind: AtomicU64::new(0),
-                    arg: AtomicU64::new(0),
-                    since_nanos: AtomicU64::new(0),
-                    beats: AtomicU64::new(0),
-                    next_free: AtomicU64::new(if this == capacity as u64 { 0 } else { this + 1 }),
-                })
-                .collect(),
-            free: AtomicU64::new(1),
+            taken: std::array::from_fn(|w| {
+                AtomicU64::new(u64::MAX.unbounded_shl(capacity.saturating_sub(64 * w) as u32))
+            }),
+            slots: (0..capacity).map(|_| EventSlot::empty()).collect(),
             overflows: AtomicU64::new(0),
             progress: AtomicU64::new(0),
             seen_progress: AtomicU64::new(0),
@@ -164,48 +161,43 @@ impl InflightTable {
         }
     }
 
-    /// Pop the free list. Returns the slot and the pop count, or `None`
-    /// when every slot is taken — and how many slots it looked at, which
-    /// does not depend on the occupancy: one per attempt, none when full.
-    fn claim(&self) -> (Option<(usize, u64)>, u32) {
-        let mut head = self.free.load(Ordering::Acquire);
-        let mut looked = 0;
-        loop {
-            let Some(idx) = ((head & IDX_MASK) as usize).checked_sub(1) else {
-                return (None, looked);
-            };
-            looked += 1;
-            // Stale if the slot was popped meanwhile; the count in `head`
-            // then differs and the exchange fails.
-            let next = self.slots[idx].next_free.load(Ordering::Relaxed);
-            let popped = ((head >> IDX_BITS) + 1) << IDX_BITS | next;
-            match self
-                .free
-                .compare_exchange_weak(head, popped, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return (Some((idx, popped >> IDX_BITS)), looked),
-                Err(seen) => head = seen,
+    /// Set the first clear bit of `taken`: the claimed slot, or `None`
+    /// when every slot is taken.
+    fn claim(&self) -> Option<usize> {
+        for (w, word) in self.taken.iter().enumerate() {
+            let mut seen = word.load(Ordering::Relaxed);
+            while seen != u64::MAX {
+                let bit = (!seen).trailing_zeros();
+                // Acquire: the release that cleared the bit, and the last
+                // claimant's writes before it, come first. Only the one
+                // bit is tested, so this is a single `lock bts` on x86.
+                if word.fetch_or(1 << bit, Ordering::Acquire) & (1 << bit) == 0 {
+                    return Some(64 * w + bit as usize);
+                }
+                seen |= 1 << bit;
             }
         }
+        None
     }
 
     /// Register an op. Returns the claimed slot index, or
     /// [`INFLIGHT_NONE`] if the table is full (the drop is counted).
     pub fn begin(&self, kind: SpanKind, arg: u64, now_nanos: u64) -> usize {
-        let (Some((idx, pops)), _) = self.claim() else {
+        let Some(idx) = self.claim() else {
             self.overflows.fetch_add(1, Ordering::Relaxed);
             return INFLIGHT_NONE;
         };
         let slot = &self.slots[idx];
-        // Seqlock write side, as in the event ring: the slot was
-        // invalidated by the `end` that freed it, which the pop above
-        // acquired; this fence orders that before the payload stores.
-        fence(Ordering::Release);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.arg.store(arg, Ordering::Relaxed);
-        slot.since_nanos.store(now_nanos, Ordering::Relaxed);
-        slot.beats.store(0, Ordering::Relaxed);
-        slot.state.store(pops + FIRST_TOKEN - 1, Ordering::Release);
+        // The slot's last token stays in its payload across the release.
+        let token = match slot.words[TOKEN].load(Ordering::Relaxed) {
+            0 => idx as u64 + 1,
+            last => last + self.slots.len() as u64,
+        };
+        slot.invalidate();
+        pause(Point::Invalidated);
+        slot.fill([now_nanos, kind as u64, arg, 0, token]);
+        pause(Point::Filled);
+        slot.publish(token);
         idx
     }
 
@@ -214,8 +206,8 @@ impl InflightTable {
     pub fn beat(&self, idx: usize) {
         self.note_progress();
         if let Some(slot) = self.slots.get(idx) {
-            let beats = slot.beats.load(Ordering::Relaxed);
-            slot.beats.store(beats + 1, Ordering::Relaxed);
+            let beats = &slot.words[BEATS];
+            beats.store(beats.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         }
     }
 
@@ -225,30 +217,17 @@ impl InflightTable {
         self.progress.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Deregister an op (idempotent on [`INFLIGHT_NONE`], and on a
-    /// registration already ended).
+    /// Deregister an op, from any thread (idempotent on [`INFLIGHT_NONE`],
+    /// and on a registration already ended).
     pub fn end(&self, idx: usize) {
         let Some(slot) = self.slots.get(idx) else {
             return;
         };
-        if slot.state.load(Ordering::Relaxed) < FIRST_TOKEN {
+        if slot.published().is_none() {
             return;
         }
-        slot.state.store(0, Ordering::Release);
-        let mut head = self.free.load(Ordering::Relaxed);
-        loop {
-            slot.next_free.store(head & IDX_MASK, Ordering::Relaxed);
-            let pushed = (head & !IDX_MASK) | (idx as u64 + 1);
-            match self.free.compare_exchange_weak(
-                head,
-                pushed,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => head = seen,
-            }
-        }
+        slot.clear();
+        self.taken[idx / 64].fetch_and(!(1 << (idx % 64)), Ordering::Release);
     }
 
     /// Registrations dropped because the table was full.
@@ -257,46 +236,35 @@ impl InflightTable {
     }
 
     /// Observe the table's signs of life at `now_nanos`: if any were
-    /// recorded since the previous observation, the progress is dated
+    /// recorded since the observers last dated them, the progress is dated
     /// `now_nanos`. Returns the date of the last progress so observed (0
     /// if none ever was).
+    ///
+    /// The date is stored before the count it dates is published, so an
+    /// observer that finds the count unchanged returns that date or a
+    /// later one, however the observers interleave.
     pub fn last_beat_nanos(&self, now_nanos: u64) -> u64 {
         let progress = self.progress.load(Ordering::Relaxed);
-        if self.seen_progress.swap(progress, Ordering::Relaxed) != progress {
-            self.seen_at_nanos.store(now_nanos, Ordering::Relaxed);
+        if self.seen_progress.load(Ordering::Acquire) < progress {
+            pause(Point::Moved);
+            self.seen_at_nanos.fetch_max(now_nanos, Ordering::Relaxed);
+            self.seen_progress.fetch_max(progress, Ordering::Release);
         }
         self.seen_at_nanos.load(Ordering::Relaxed)
     }
 
-    /// Wait-free copy of every published entry, observed at `now_nanos`
-    /// (see [`last_beat_nanos`](Self::last_beat_nanos)). Entries caught
-    /// mid-claim or recycled while being read are skipped (seqlock
-    /// validation).
+    /// Wait-free copy of every published entry, oldest first, observed at
+    /// `now_nanos` (see [`last_beat_nanos`](Self::last_beat_nanos)).
+    /// Entries caught mid-claim or recycled while being read are skipped
+    /// (seqlock validation).
     pub fn snapshot(&self, now_nanos: u64) -> Vec<InflightOp> {
         let last_beat = self.last_beat_nanos(now_nanos);
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            let token = slot.state.load(Ordering::Acquire);
-            if token < FIRST_TOKEN {
-                continue;
-            }
-            let (k, arg, since, beats) = (
-                slot.kind.load(Ordering::Relaxed),
-                slot.arg.load(Ordering::Relaxed),
-                slot.since_nanos.load(Ordering::Relaxed),
-                slot.beats.load(Ordering::Relaxed),
-            );
-            // Seqlock read validation, as in the event ring: the acquire
-            // fence orders the payload loads before the re-check, so a
-            // matching token proves the slot was not recycled mid-read.
-            fence(Ordering::Acquire);
-            if slot.state.load(Ordering::Relaxed) != token {
-                continue;
-            }
-            if let Some(kind) = SpanKind::from_u64(k) {
-                out.push(InflightOp {
+        let mut out: Vec<InflightOp> = (self.slots.iter())
+            .filter_map(|slot| {
+                let (token, [since, kind, arg, beats, _]) = slot.read_words()?;
+                Some(InflightOp {
                     token,
-                    kind,
+                    kind: SpanKind::from_u64(kind)?,
                     arg,
                     since_nanos: since,
                     // Every heartbeat is also table-wide progress, so the
@@ -307,10 +275,10 @@ impl InflightTable {
                         since
                     },
                     beats,
-                });
-            }
-        }
-        out.sort_by_key(|op| op.token);
+                })
+            })
+            .collect();
+        out.sort_by_key(|op| (op.since_nanos, op.token));
         out
     }
 }
@@ -815,10 +783,19 @@ impl FlightRecord {
     }
 }
 
+#[cfg(not(test))]
+#[inline(always)]
+fn pause(_at: Point) {}
+
+#[cfg(test)]
+use tests::pause;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span_arg_peer_tag;
+    use crate::tests::Cut;
+    use motor_pal::interleave::{conduct, Baton, Conductor, Work};
 
     fn op(kind: SpanKind, peer: usize, tag: i32, since: u64, beat: u64) -> InflightOp {
         InflightOp {
@@ -898,32 +875,47 @@ mod tests {
         assert_eq!(t.begin(SpanKind::Barrier, 0, 5), INFLIGHT_NONE);
     }
 
-    /// The cost of a claim does not depend on the occupancy: one slot
-    /// looked at while there is room, none once the table is full (the
-    /// scan this replaces looked at all 128 on every full-table claim).
+    /// A full table claims nothing, at any number of attempts, and a
+    /// freed slot comes back with a token it has not published before.
     #[test]
-    fn a_claim_looks_at_a_constant_number_of_slots() {
-        let t = InflightTable::new(DEFAULT_INFLIGHT_CAPACITY);
-        let held: Vec<usize> = (0..DEFAULT_INFLIGHT_CAPACITY as u64)
+    fn a_full_table_claims_nothing_and_a_freed_slot_comes_back_with_a_new_token() {
+        const CAP: usize = DEFAULT_INFLIGHT_CAPACITY;
+        let t = InflightTable::new(CAP);
+        let held: Vec<usize> = (0..CAP as u64)
             .map(|i| t.begin(SpanKind::MpIrecv, 0, i))
             .collect();
-        assert!(held.iter().all(|&idx| idx != INFLIGHT_NONE));
-        assert_eq!(t.claim(), (None, 0), "a full table is one load of the head");
+        assert_eq!(held, (0..CAP).collect::<Vec<_>>());
+        assert_eq!(t.claim(), None);
         for i in 0..1000 {
             assert_eq!(t.begin(SpanKind::MpIrecv, 0, i), INFLIGHT_NONE);
         }
         assert_eq!(t.overflows(), 1000);
-        // Tokens number the registrations in order.
         let tokens: Vec<u64> = t.snapshot(0).iter().map(|op| op.token).collect();
-        assert_eq!(
-            tokens,
-            (2..2 + DEFAULT_INFLIGHT_CAPACITY as u64).collect::<Vec<_>>()
-        );
-        // With room — one slot or all of them — a claim looks at one.
+        assert_eq!(tokens, (1..=CAP as u64).collect::<Vec<_>>());
         t.end(held[77]);
-        let (claimed, looked) = t.claim();
-        assert_eq!((claimed.map(|c| c.0), looked), (Some(held[77]), 1));
-        assert_eq!(InflightTable::new(DEFAULT_INFLIGHT_CAPACITY).claim().1, 1);
+        assert_eq!(t.begin(SpanKind::MpIrecv, 0, 5000), held[77]);
+        let back = t.snapshot(0).pop().unwrap();
+        assert_eq!((back.token, back.since_nanos), (78 + CAP as u64, 5000));
+        assert_eq!(t.claim(), None);
+    }
+
+    /// Registrations begun on one thread and ended on another give their
+    /// slots back: afterwards every slot can be claimed again, once.
+    #[test]
+    fn a_registration_ended_on_another_thread_gives_its_slot_back() {
+        const CAP: usize = DEFAULT_INFLIGHT_CAPACITY;
+        let t = InflightTable::new(CAP);
+        let held: Vec<usize> = (0..CAP as u64)
+            .map(|i| t.begin(SpanKind::MpIsend, span_arg_peer_tag(1, 7), i))
+            .collect();
+        std::thread::scope(|s| {
+            s.spawn(|| held.iter().for_each(|&idx| t.end(idx)));
+        });
+        assert!(t.snapshot(0).is_empty());
+        let mut again: Vec<usize> = (0..CAP).map(|_| t.begin(SpanKind::MpSend, 0, 0)).collect();
+        again.sort_unstable();
+        assert_eq!(again, (0..CAP).collect::<Vec<_>>(), "a slot claimed twice");
+        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), INFLIGHT_NONE);
     }
 
     #[test]
@@ -966,15 +958,15 @@ mod tests {
             0,
             "four writers never need more than four slots"
         );
-        // Every slot is back on the free list exactly once.
+        // Every slot was given back, once.
         let all: Vec<usize> = (0..8).map(|i| t.begin(SpanKind::MpSend, 0, i)).collect();
         let mut sorted = all.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..8).collect::<Vec<_>>());
     }
 
-    /// One thread's claim or release, cut where another thread can get
-    /// in: between reading the free-list head and exchanging it.
+    /// One thread's claims, releases and snapshots, with the places where
+    /// a second thread gets its turn.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Step {
         /// Second thread runs to completion here.
@@ -987,8 +979,8 @@ mod tests {
     }
 
     /// What the second thread does with its turn: a whole claim/release
-    /// cycle that hands the first thread's slot back under it (the ABA
-    /// shape), or claims that take the slots the first thread is about to.
+    /// cycle on the slot the first thread is about to claim, or claims
+    /// that take the slots the first thread is about to.
     #[derive(Debug, Clone, Copy)]
     enum Other {
         CycleOne,
@@ -1039,8 +1031,8 @@ mod tests {
             },
         );
         // Whatever the order: nobody shares a slot, the table shows
-        // exactly the registrations still held, and the free list holds
-        // exactly the rest.
+        // exactly the registrations still held, and the rest can be
+        // claimed.
         let mut held: Vec<usize> = mine.iter().chain(&theirs).copied().collect();
         assert!(
             held.iter().all(|&i| i != INFLIGHT_NONE),
@@ -1070,7 +1062,7 @@ mod tests {
     /// first thread's claim, release and snapshot — before, between and
     /// racing — on two real threads in a forced order.
     #[test]
-    fn every_order_of_claim_release_and_snapshot_keeps_the_free_list() {
+    fn every_order_of_claim_release_and_snapshot_keeps_one_claimant_per_slot() {
         use Step::*;
         let schedules: [&[Step]; 7] = [
             &[Gate, Begin, Snapshot, End],
@@ -1091,34 +1083,121 @@ mod tests {
         }
     }
 
-    /// The ABA shape, step by step on one thread: a pop that read the head
-    /// before the slot was claimed, released and pushed back must not
-    /// install the stale successor it read.
+    thread_local! {
+        /// The point this thread stops at, if it is the first worker of
+        /// a forced-order test.
+        static PAUSE: std::cell::RefCell<Option<(Baton<Point>, Point)>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    /// Stop at `at` if this thread is a worker that stops there.
+    pub(super) fn pause(at: Point) {
+        PAUSE.with_borrow(|hook| match hook {
+            Some((baton, stop)) if *stop == at => baton.stop(at),
+            _ => {}
+        });
+    }
+
+    /// Run `first` on a thread that stops at `at`, and `second` on another
+    /// while it is stopped there: to its end before `first` goes on
+    /// (`Gate`), or alongside the rest of `first` (`Race`). Without `at`,
+    /// `second` starts before `first` does. Returns what both produced.
+    fn cut<A: Send, B: Send>(
+        at: Option<Point>,
+        how: Cut,
+        first: impl FnOnce() -> A + Send,
+        second: impl FnOnce() -> B + Send,
+    ) -> (A, B) {
+        let (mut a, mut b) = (None, None);
+        let (a_, b_) = (&mut a, &mut b);
+        let workers: Vec<Work<'_, Point>> = vec![
+            Box::new(move |baton| {
+                PAUSE.set(at.map(|at| (baton, at)));
+                *a_ = Some(first());
+                PAUSE.set(None);
+            }),
+            Box::new(move |_| *b_ = Some(second())),
+        ];
+        conduct(workers, |c: &Conductor<Point>| {
+            if at.is_some() {
+                assert_eq!(c.step(0), at, "the first worker never got there");
+            }
+            match how {
+                Cut::Gate => c.finish(1),
+                Cut::Race => c.go(1),
+            }
+            c.finish(0);
+            c.finish(1);
+        });
+        (a.unwrap(), b.unwrap())
+    }
+
+    /// A reader placed before `begin`, between its invalidation, its fill
+    /// and its publication, or racing them, on a slot whose last
+    /// registration has ended: it shows nothing, or the new entry whole —
+    /// never the old payload under the new token.
     #[test]
-    fn a_stale_pop_fails_on_the_pop_count() {
-        let t = InflightTable::new(3);
-        // What a claimant sees first: head = slot 0, successor = slot 1.
-        let stale_head = t.free.load(Ordering::Acquire);
-        let stale_next = t.slots[0].next_free.load(Ordering::Relaxed);
-        assert_eq!((stale_head & IDX_MASK, stale_next), (1, 2));
-        // Meanwhile: slots 0 and 1 are claimed, slot 0 comes back. The
-        // head names slot 0 again, but its successor is now slot 2.
-        let a = t.begin(SpanKind::MpSend, 0, 0);
-        let b = t.begin(SpanKind::MpSend, 0, 0);
-        t.end(a);
-        assert_eq!((a, b), (0, 1));
-        let head = t.free.load(Ordering::Acquire);
-        assert_eq!(head & IDX_MASK, stale_head & IDX_MASK, "same slot on top");
-        assert_ne!(head, stale_head, "told apart by the pop count");
-        // The stale exchange would have put the claimed slot 1 on the list.
-        let stale = ((stale_head >> IDX_BITS) + 1) << IDX_BITS | stale_next;
-        assert!(t
-            .free
-            .compare_exchange(stale_head, stale, Ordering::AcqRel, Ordering::Acquire)
-            .is_err());
-        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), 0);
-        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), 2);
-        assert_eq!(t.begin(SpanKind::MpSend, 0, 0), INFLIGHT_NONE);
+    fn a_reader_between_the_steps_of_a_claim_sees_no_entry_or_the_whole_new_one() {
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        let points = [None, Some(Point::Invalidated), Some(Point::Filled)];
+        for (at, how) in (points.into_iter())
+            .flat_map(|at| [(at, Cut::Gate), (at, Cut::Race)])
+            .cycle()
+            .take(6 * rounds)
+        {
+            let t = InflightTable::new(1);
+            t.end(t.begin(SpanKind::MpSend, span_arg_peer_tag(1, 5), 10));
+            let (idx, seen) = cut(
+                at,
+                how,
+                || t.begin(SpanKind::MpRecv, span_arg_peer_tag(2, 9), 20),
+                || t.snapshot(30),
+            );
+            let whole = InflightOp {
+                token: 2,
+                kind: SpanKind::MpRecv,
+                arg: span_arg_peer_tag(2, 9),
+                since_nanos: 20,
+                beat_nanos: 20,
+                beats: 0,
+            };
+            assert_eq!(idx, 0);
+            for op in &seen {
+                assert_eq!(op, &whole, "at {at:?}, {how:?}");
+            }
+            if how == Cut::Gate {
+                assert!(
+                    seen.is_empty(),
+                    "at {at:?}: an entry before its publication"
+                );
+            }
+            assert_eq!(t.snapshot(40), [whole]);
+        }
+    }
+
+    /// Two observers dating the same progress — the collector's tick and a
+    /// scrape: the first stopped between seeing the count move and dating
+    /// it, the second run to its end there, or alongside. Neither returns a
+    /// date older than the first one's reading, and once both are done the
+    /// count stands dated by the later of the dates they returned.
+    #[test]
+    fn an_observer_never_dates_progress_before_a_racing_observer_saw_it() {
+        let rounds = if cfg!(miri) { 2 } else { 100 };
+        for how in [Cut::Gate, Cut::Race].into_iter().cycle().take(2 * rounds) {
+            let t = InflightTable::new(1);
+            t.note_progress();
+            let (first, second) = cut(
+                Some(Point::Moved),
+                how,
+                || t.last_beat_nanos(100),
+                || t.last_beat_nanos(200),
+            );
+            assert!(first >= 100 && second >= 100, "{how:?}: {first}, {second}");
+            assert_eq!(t.last_beat_nanos(300), first.max(second), "{how:?}");
+            if how == Cut::Gate {
+                assert_eq!(second, 200);
+            }
+        }
     }
 
     #[test]

@@ -90,8 +90,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use doctor::{
-    classify, Anomaly, AnomalyKind, DoctorConfig, FlightRecord, InflightOp, InflightTable,
-    INFLIGHT_NONE,
+    classify, Anomaly, AnomalyKind, DoctorConfig, FlightRecord, InflightOp, INFLIGHT_NONE,
 };
 pub use export::{from_chrome_json, to_chrome_json};
 pub use profile::{IlHot, PhaseSnapshot, PhaseStats, TimeBucket, N_BUCKETS};
@@ -413,6 +412,9 @@ pub struct Event {
 /// Slot state while its writer writes the payload: readers skip it.
 const SLOT_WRITING: u64 = u64::MAX;
 
+/// One seqlock cell with one writer at a time: a slot of an event ring,
+/// and of the in-flight table ([`doctor`]), which publishes a token where
+/// a ring publishes a sequence number.
 struct EventSlot {
     // 0 = empty, SLOT_WRITING = being written; otherwise the 1-based
     // sequence number within the ring, published last with Release so
@@ -430,7 +432,7 @@ impl EventSlot {
         }
     }
 
-    /// Writer, step 1: invalidate the slot. The ring's one writer is the
+    /// Writer, step 1: invalidate the slot. The slot's one writer is the
     /// caller, so a store does; the fence orders it before the payload
     /// stores for a reader (the seqlock write side).
     fn invalidate(&self) {
@@ -469,21 +471,31 @@ impl EventSlot {
         self.seq.load(Ordering::Relaxed) == seq
     }
 
-    /// The three reader steps: the slot's event (sequence within its ring
-    /// as stored), unless it is empty, being written, or was overwritten
-    /// while being read.
-    fn read(&self) -> Option<Event> {
+    /// The three reader steps: the slot's sequence and payload, unless it
+    /// is empty, being written, or was overwritten while being read.
+    fn read_words(&self) -> Option<(u64, [u64; 5])> {
         let seq = self.published()?;
-        let [t_nanos, kind, a, b, c] = self.payload();
-        let kind = EventKind::from_u64(kind)?;
-        self.still(seq).then_some(Event {
+        let words = self.payload();
+        self.still(seq).then_some((seq, words))
+    }
+
+    /// The slot's event (sequence within its ring as stored).
+    fn read(&self) -> Option<Event> {
+        let (seq, [t_nanos, kind, a, b, c]) = self.read_words()?;
+        Some(Event {
             seq,
             t_nanos,
-            kind,
+            kind: EventKind::from_u64(kind)?,
             a,
             b,
             c,
         })
+    }
+
+    /// Empty the slot again, as its one writer (the in-flight table's
+    /// release); the payload stays for that writer's successor.
+    fn clear(&self) {
+        self.seq.store(0, Ordering::Relaxed);
     }
 }
 
@@ -597,6 +609,11 @@ fn add_to(cell: &AtomicU64, n: u64, owned: bool) {
 /// sides' counters and buckets, take the larger of their peaks and merge
 /// the two rings by time, so nothing a reader sees depends on which side
 /// a write went to.
+///
+/// The in-flight table ([`Self::op_begin`]) has no sides: a registration
+/// may end on another thread than the one that began it, so any thread
+/// claims and releases a slot, by one bit each, and the slot's claimant
+/// is its one writer (see [`doctor`]).
 pub struct MetricsRegistry {
     /// `[OWNER, SHARED]`.
     cells: [Cells; 2],
@@ -608,7 +625,7 @@ pub struct MetricsRegistry {
     shared_writer: Mutex<()>,
     ring_capacity: usize,
     epoch: Instant,
-    /// What this rank is doing right now (see [`doctor::InflightTable`]).
+    /// What this rank is doing right now (see `doctor::InflightTable`).
     inflight: doctor::InflightTable,
     /// Time-bucket and overlap accounting (see [`profile::PhaseStats`]).
     /// Dormant (all transitions no-ops) until [`Self::profile_start`]. Its
@@ -766,7 +783,9 @@ impl MetricsRegistry {
 
     /// Registry clock at which a sign of life on this registry's table was
     /// last *observed* — by this call or an earlier one (0 if never). The
-    /// writers only count; see [`doctor::InflightTable::last_beat_nanos`].
+    /// writers only count: an observer that finds the count moved since
+    /// the last observation dates it with its own reading, late by at most
+    /// its interval, so a rank only ever looks more alive.
     pub fn last_progress_nanos(&self) -> u64 {
         self.inflight.last_beat_nanos(self.now_nanos())
     }
@@ -1573,7 +1592,7 @@ mod tests {
     /// Where the second thread gets its turn among the first one's steps:
     /// run to completion there, or start there and race what follows.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Cut {
+    pub(crate) enum Cut {
         Gate,
         Race,
     }

@@ -295,7 +295,7 @@ impl SpanGuard<'_> {
     /// Report a sign of life to the in-flight table: the operation is
     /// still advancing (call from polling loops so a long-but-live wait
     /// is not mistaken for a stall). Counted, not timed: whoever watches
-    /// the table dates it (see [`crate::doctor::InflightTable`]).
+    /// the table dates it (see [`MetricsRegistry::last_progress_nanos`]).
     pub fn heartbeat(&self) {
         self.registry.inflight.beat(self.inflight);
     }
