@@ -16,11 +16,6 @@
 //! * **Pin-check elision** — what motor-lint's never-transported proof
 //!   buys the minor collector (`tests/pin_elision.rs` pins the count of
 //!   checks it skips).
-//! * **Profiler on vs off** — the IL hotness hooks and a sampler thread
-//!   against the bare interpreter.
-//!
-//! The last two are zero-cost claims: the second row of each group over
-//! the first should read 1.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,8 +29,6 @@ use motor_core::PinPolicy;
 use motor_interp::{FnBuilder, Interp, Module, Op, Value, VerifiedModule};
 use motor_mpc::universe::{Universe, UniverseConfig};
 use motor_mpc::DeviceConfig;
-use motor_obs::{IlHot, MetricsRegistry};
-use motor_profile::{ProfTarget, Sampler};
 use motor_runtime::heap::HeapConfig;
 use motor_runtime::{ElemKind, MotorThread, Vm, VmConfig};
 use parking_lot::Mutex;
@@ -349,64 +342,9 @@ fn bench_pin_elision(c: &mut Criterion) {
     g.finish();
 }
 
-/// The profiler's cost: one IL loop (about 14 dispatched ops a trip)
-/// interpreted bare (`off`) and with the hotness hooks live while a
-/// sampler thread reads them (`on`). With the interpreter's `profile`
-/// feature compiled out the hooks do not exist at all; this measures the
-/// enabled path.
-fn bench_profiler(c: &mut Criterion) {
-    let mut f = FnBuilder::new("kernel", 0, 2, true);
-    let (top, done) = (f.label(), f.label());
-    f.op(Op::PushI(10_000)).op(Op::Store(0));
-    f.op(Op::PushI(0)).op(Op::Store(1));
-    f.bind(top);
-    f.op(Op::Load(0))
-        .op(Op::PushI(0))
-        .op(Op::CmpLe)
-        .br_true(done);
-    f.op(Op::Load(1))
-        .op(Op::Load(0))
-        .op(Op::PushI(3))
-        .op(Op::Mul);
-    f.op(Op::PushI(1)).op(Op::Sub).op(Op::Add).op(Op::Store(1));
-    f.op(Op::Load(0))
-        .op(Op::PushI(1))
-        .op(Op::Sub)
-        .op(Op::Store(0));
-    f.br(top);
-    f.bind(done);
-    f.op(Op::Load(1)).op(Op::Ret);
-    let mut m = Module::new();
-    let kernel = m.add(f.build());
-    let vm = Vm::new(VmConfig::default());
-    let vmod = VerifiedModule::verify(m, &vm.registry()).expect("kernel verifies");
-    let t = MotorThread::attach(vm);
-    let names = vec!["kernel".to_string()];
-    let hot = Arc::new(IlHot::new(names));
-    let registry = Arc::new(MetricsRegistry::new());
-    registry.profile_start();
-    let sampler = Sampler::spawn(
-        vec![ProfTarget {
-            rank: 0,
-            registry,
-            hot: Some(Arc::clone(&hot)),
-        }],
-        Duration::from_micros(250),
-    );
-    let mut g = c.benchmark_group("ablation_profile");
-    g.sample_size(10);
-    let off = Interp::new(&t, &vmod);
-    let on = Interp::new(&t, &vmod).with_profiler(hot);
-    g.bench_function("off", |b| b.iter(|| off.call(kernel, &[]).unwrap()));
-    g.bench_function("on", |b| b.iter(|| on.call(kernel, &[]).unwrap()));
-    g.finish();
-    sampler.stop();
-}
-
 criterion_group!(
     benches,
     bench_pin_elision,
-    bench_profiler,
     bench_handle_path,
     bench_pinning_policy,
     bench_call_transitions,

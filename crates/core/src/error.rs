@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn mpc_error_converts() {
-        let e: CoreError = motor_mpc::MpcError::Shutdown.into();
+        let e: CoreError = motor_mpc::MpcError::InvalidRank(1).into();
         assert!(matches!(e, CoreError::Mpc(_)));
     }
 }

@@ -15,17 +15,6 @@ use crate::verify::{FuncMeta, VerifiedModule};
 /// Straight-line instruction budget between forced polls.
 const POLL_INTERVAL: u32 = 256;
 
-/// Instructions between position stores (`profile` feature). Prime and
-/// unrelated to [`POLL_INTERVAL`] — the poll countdown resets on every
-/// back edge, so a tight loop would never reach a poll-based sample; this
-/// countdown never resets early, and the prime stride keeps it from
-/// phase-locking onto loop bodies of a round length. Sized so the
-/// sample-path work (two relaxed stores) amortizes to well under 1% of
-/// the dispatch cost; the `ablation_profile` group of the bench crate's
-/// `ablation_runtime` bench measures the total profiler overhead.
-#[cfg(feature = "profile")]
-const SAMPLE_INTERVAL: u32 = 251;
-
 /// A value on the evaluation stack or in a local slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
@@ -126,9 +115,6 @@ pub struct Interp<'t, 'm> {
     host: Option<&'m dyn FcallHost>,
     /// The module's transport proof (granted by `motor-analyze`).
     trusted: bool,
-    /// IL hotness table fed by the dispatch loop (None = hooks dormant).
-    #[cfg(feature = "profile")]
-    prof: Option<std::sync::Arc<motor_obs::IlHot>>,
 }
 
 /// One activation frame's handle arena: handles minted during the call,
@@ -172,8 +158,6 @@ impl<'t, 'm> Interp<'t, 'm> {
             meta: Some(verified.meta()),
             host: None,
             trusted: verified.has_transport_proof(),
-            #[cfg(feature = "profile")]
-            prof: None,
         }
     }
 
@@ -187,25 +171,12 @@ impl<'t, 'm> Interp<'t, 'm> {
             meta: None,
             host: None,
             trusted: false,
-            #[cfg(feature = "profile")]
-            prof: None,
         }
     }
 
     /// Bind the message-passing host used by `Op::FCall`.
     pub fn with_host(mut self, host: &'m dyn FcallHost) -> Self {
         self.host = Some(host);
-        self
-    }
-
-    /// Attach an IL position table: the dispatch loop then keeps the
-    /// sampler-visible shadow stack up to date on every call and return,
-    /// and the current function/pc on every loop back edge and every
-    /// [`SAMPLE_INTERVAL`] instructions. The table should be built with
-    /// one name per module function (same indexing as `Op::Call`).
-    #[cfg(feature = "profile")]
-    pub fn with_profiler(mut self, prof: std::sync::Arc<motor_obs::IlHot>) -> Self {
-        self.prof = Some(prof);
         self
     }
 
@@ -230,15 +201,7 @@ impl<'t, 'm> Interp<'t, 'm> {
         locals.resize(f.locals as usize, Value::I(0));
         let mut stack: Vec<Value> = Vec::with_capacity(16);
         let mut arena = Arena::new();
-        #[cfg(feature = "profile")]
-        if let Some(p) = &self.prof {
-            p.on_call(idx as u32);
-        }
-        let result = self.run(f, meta, idx, &mut locals, &mut stack, &mut arena);
-        #[cfg(feature = "profile")]
-        if let Some(p) = &self.prof {
-            p.on_return();
-        }
+        let result = self.run(f, meta, &mut locals, &mut stack, &mut arena);
         match result {
             Ok(ret) => {
                 // Transfer the return handle out of the arena by cloning.
@@ -266,22 +229,13 @@ impl<'t, 'm> Interp<'t, 'm> {
         &self,
         f: &Function,
         meta: Option<&FuncMeta>,
-        fidx: u16,
         locals: &mut [Value],
         stack: &mut Vec<Value>,
         arena: &mut Arena,
     ) -> Result<Option<Value>, TrapKind> {
-        #[cfg(not(feature = "profile"))]
-        let _ = fidx;
         let code = &f.code;
         let mut pc: usize = 0;
         let mut since_poll: u32 = 0;
-        #[cfg(feature = "profile")]
-        let mut since_sample: u32 = SAMPLE_INTERVAL;
-        // Hoisted once: keeps the per-op profiler check a register test
-        // instead of a field reload inside the dispatch loop.
-        #[cfg(feature = "profile")]
-        let prof = self.prof.as_deref();
         macro_rules! pop {
             () => {
                 stack.pop().ok_or(TrapKind::StackUnderflow)?
@@ -303,14 +257,6 @@ impl<'t, 'm> Interp<'t, 'm> {
             if since_poll >= POLL_INTERVAL {
                 since_poll = 0;
                 self.thread.poll();
-            }
-            #[cfg(feature = "profile")]
-            if let Some(p) = prof {
-                since_sample -= 1;
-                if since_sample == 0 {
-                    since_sample = SAMPLE_INTERVAL;
-                    p.at(fidx as u32, op_pc as u32);
-                }
             }
             match op {
                 Op::PushI(v) => stack.push(Value::I(v)),
@@ -430,10 +376,6 @@ impl<'t, 'm> Interp<'t, 'm> {
                         // Backward-branch safepoint (the JIT poll).
                         self.thread.poll();
                         since_poll = 0;
-                        #[cfg(feature = "profile")]
-                        if let Some(p) = prof {
-                            p.at(fidx as u32, op_pc as u32);
-                        }
                     }
                     pc = (pc as i64 + rel as i64) as usize;
                 }
@@ -443,10 +385,6 @@ impl<'t, 'm> Interp<'t, 'm> {
                         if rel < 0 {
                             self.thread.poll();
                             since_poll = 0;
-                            #[cfg(feature = "profile")]
-                            if let Some(p) = prof {
-                                p.at(fidx as u32, op_pc as u32);
-                            }
                         }
                         pc = (pc as i64 + rel as i64) as usize;
                     }
@@ -457,10 +395,6 @@ impl<'t, 'm> Interp<'t, 'm> {
                         if rel < 0 {
                             self.thread.poll();
                             since_poll = 0;
-                            #[cfg(feature = "profile")]
-                            if let Some(p) = prof {
-                                p.at(fidx as u32, op_pc as u32);
-                            }
                         }
                         pc = (pc as i64 + rel as i64) as usize;
                     }
@@ -1187,49 +1121,4 @@ mod tests {
     }
 
     use motor_runtime::ElemKind;
-
-    #[cfg(feature = "profile")]
-    #[test]
-    fn profiler_hooks_unwind_to_idle() {
-        use motor_obs::IlHot;
-        use std::sync::Arc;
-
-        // leaf(): a 100-trip empty loop, called 5 times by driver().
-        let mut leaf = FnBuilder::new("leaf", 0, 1, true);
-        let top = leaf.label();
-        let done = leaf.label();
-        leaf.op(Op::PushI(100)).op(Op::Store(0));
-        leaf.bind(top);
-        leaf.op(Op::Load(0))
-            .op(Op::PushI(0))
-            .op(Op::CmpLe)
-            .br_true(done);
-        leaf.op(Op::Load(0))
-            .op(Op::PushI(1))
-            .op(Op::Sub)
-            .op(Op::Store(0));
-        leaf.br(top);
-        leaf.bind(done);
-        leaf.op(Op::PushI(0)).op(Op::Ret);
-        let mut m = Module::new();
-        let leaf_idx = m.add(leaf.build());
-        let mut driver = FnBuilder::new("driver", 0, 1, true);
-        for _ in 0..5 {
-            driver.op(Op::Call(leaf_idx)).op(Op::Pop);
-        }
-        driver.op(Op::PushI(0)).op(Op::Ret);
-        let driver_idx = m.add(driver.build());
-
-        let vm = vm_small();
-        let vmod = verified(m, &vm);
-        let t = motor_runtime::MotorThread::attach(vm);
-        let names = vmod.module().functions.iter().map(|f| f.name.clone());
-        let prof = Arc::new(IlHot::new(names.collect()));
-        let i = Interp::new(&t, &vmod).with_profiler(Arc::clone(&prof));
-        i.call(driver_idx, &[]).unwrap();
-
-        // Interpreter idle again: stack unwound, no current frame.
-        assert_eq!(prof.current(), None);
-        assert!(prof.stack_snapshot().is_empty());
-    }
 }

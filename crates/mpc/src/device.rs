@@ -152,9 +152,10 @@ pub struct DeviceConfig {
     /// `None` gives the registry a private epoch.
     pub epoch: Option<std::time::Instant>,
     /// Backoff ladder of the wait loop (spin → yield → park on the
-    /// device's waker). Simulation pins this to
-    /// [`motor_pal::BackoffConfig::no_sleep`] so waits never couple
-    /// virtual time to the host scheduler.
+    /// device's waker). The benchmark harness (`universe_config` in
+    /// `benchmark/src/harness.rs`) sets
+    /// [`motor_pal::BackoffConfig::no_sleep`] so its waits never reach the
+    /// sleeping tier; the simulator never waits on a device.
     pub wait_backoff: motor_pal::BackoffConfig,
 }
 

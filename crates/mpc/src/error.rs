@@ -19,8 +19,6 @@ pub enum MpcError {
     /// The link to a peer (global rank) closed while operations toward it
     /// were in flight; those operations will never complete.
     PeerClosed(usize),
-    /// The communicator/universe is shutting down.
-    Shutdown,
     /// Malformed packet on the wire (corruption or protocol bug).
     Protocol(String),
 }
@@ -42,7 +40,6 @@ impl fmt::Display for MpcError {
             MpcError::PeerClosed(p) => {
                 write!(f, "link to peer rank {p} closed with operations in flight")
             }
-            MpcError::Shutdown => write!(f, "communicator shut down"),
             MpcError::Protocol(s) => write!(f, "protocol violation: {s}"),
         }
     }
@@ -75,7 +72,6 @@ mod tests {
             buffer: 10,
         };
         assert!(t.to_string().contains("100") && t.to_string().contains("10"));
-        assert!(MpcError::Shutdown.to_string().contains("shut down"));
         assert!(MpcError::PeerClosed(3).to_string().contains("rank 3"));
     }
 

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use crate::channel::LinkState;
 use crate::comm::Comm;
 use crate::device::{Device, DeviceConfig};
-use crate::error::{MpcError, MpcResult};
+use crate::error::MpcResult;
 use crate::progress::{ProgressEngine, ProgressMode};
 use crate::request::Status;
 
@@ -235,20 +235,19 @@ impl Universe {
         let universe = Universe::new(config);
         let devices = universe.add_processes(n)?;
         let group = Arc::new((0..n).collect::<Vec<usize>>());
-        let result: Result<(), Box<dyn std::any::Any + Send>> = crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for (rank, device) in devices.iter().enumerate() {
                 let (device, group) = (Arc::clone(device), Arc::clone(&group));
                 let (universe, body) = (universe.clone(), &body);
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     universe.run_rank(device, (0, group, rank), None, body);
                 }));
             }
             for h in handles {
                 h.join().expect("rank body panicked");
             }
-        })
-        .map(|_| ());
+        });
         // Join dynamically spawned children too.
         let children: Vec<_> = universe.inner.children.lock().drain(..).collect();
         for c in children {
@@ -256,7 +255,6 @@ impl Universe {
         }
         // Park-and-join the progress threads before the devices go away.
         universe.inner.engine.stop();
-        result.map_err(|_| MpcError::Shutdown)?;
         Ok(())
     }
 
@@ -404,6 +402,7 @@ mod tests {
     use super::*;
     use crate::device::ANY_TAG;
     use crate::dtype::ReduceOp;
+    use crate::error::MpcError;
     use crate::source::Source;
     use std::sync::atomic::AtomicUsize;
 

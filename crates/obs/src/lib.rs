@@ -93,7 +93,7 @@ pub use doctor::{
     classify, Anomaly, AnomalyKind, DoctorConfig, FlightRecord, InflightOp, INFLIGHT_NONE,
 };
 pub use export::{from_chrome_json, to_chrome_json};
-pub use profile::{IlHot, PhaseSnapshot, PhaseStats, TimeBucket, N_BUCKETS};
+pub use profile::{PhaseSnapshot, PhaseStats, TimeBucket, N_BUCKETS};
 pub use prom::{check_prometheus_text, to_prometheus, to_prometheus_multi};
 #[cfg(debug_assertions)]
 pub use span::clock_reads;
@@ -259,8 +259,6 @@ named_enum! {
     ProfInflightNanos => "prof_inflight_nanos",
     /// Portion of `prof_inflight_nanos` that overlapped computation.
     ProfOverlapNanos => "prof_overlap_nanos",
-    /// Interpreter-state samples taken by the profiler thread.
-    ProfSamples => "prof_samples",
 
     // ---- static analysis (motor-analyze lint) ----
     /// Definite communication errors reported by the lint passes.
@@ -381,11 +379,6 @@ named_enum! {
         PinAcquire => "pin_acquire",
         /// A hard pin was released (`a` = object address).
         PinRelease => "pin_release",
-        /// A profiler sample of the rank's interpreter state
-        /// (`a` = `(func + 1) << 32 | pc`, 0 when no IL is running;
-        /// `b` = the native [`profile::TimeBucket`] index at the sample;
-        /// `c` = IL shadow-stack depth).
-        ProfSample => "prof_sample",
     }
 }
 
@@ -600,8 +593,8 @@ fn add_to(cell: &AtomicU64, n: u64, owned: bool) {
 /// others. That thread [claims](Self::claim) it and from then on writes
 /// its own side without a lock: counters and histogram buckets by a plain
 /// load and store, peaks by load/compare/store, events into an owner ring
-/// by plain stores. Every other thread — a progress engine, the
-/// profiler's sampler, a second mutator, the simulator's driver, a test —
+/// by plain stores. Every other thread — a progress engine, a second
+/// mutator, the simulator's driver, a test —
 /// writes the shared side, exactly as an unclaimed registry is written:
 /// counters and buckets by a relaxed RMW, peaks by a CAS loop, and events
 /// into the shared ring under the registry's writer lock, appended as the
@@ -713,12 +706,6 @@ impl MetricsRegistry {
     /// [claims](Self::claim) the registry for that thread. Idempotent.
     pub fn profile_start(&self) {
         self.phases.start_at(self.now_nanos());
-    }
-
-    /// The phase machine (explicit-timestamp transitions for virtual-
-    /// clock tests, current-bucket queries by the sampler).
-    pub fn phases(&self) -> &profile::PhaseStats {
-        &self.phases
     }
 
     /// Enter a time bucket outside the span layer (e.g. collective

@@ -1,9 +1,9 @@
-//! Continuous-profiling primitives: per-rank time-bucket accounting,
-//! comm/compute overlap tracking, and the IL position the sampler reads.
+//! Continuous-profiling primitives: per-rank time-bucket accounting and
+//! comm/compute overlap tracking.
 //!
 //! Everything here is lock-free and built for a **single writer** — the
-//! rank thread — with any number of concurrent readers (the sampling
-//! profiler thread, `motor-doctor`, snapshot collection). Writes are
+//! rank thread — with any number of concurrent readers (`motor-doctor`,
+//! snapshot collection). Writes are
 //! relaxed atomics; a racing reader can observe a slightly stale value
 //! but never a torn or corrupt one. The phase stack enforces its writer:
 //! the thread that starts the clock owns it — the same [`Owner`] that
@@ -38,7 +38,7 @@
 //! [`MetricsRegistry`](crate::MetricsRegistry) wrappers feed it the
 //! registry clock.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of [`TimeBucket`]s.
 pub const N_BUCKETS: usize = TimeBucket::COUNT;
@@ -46,9 +46,6 @@ pub const N_BUCKETS: usize = TimeBucket::COUNT;
 /// Maximum phase-nesting depth tracked exactly; deeper nesting keeps
 /// billing the bucket at the cap (and still pops correctly).
 const MAX_PHASE_DEPTH: usize = 32;
-
-/// Maximum IL shadow-stack depth captured for flamegraph samples.
-pub const MAX_IL_STACK: usize = 64;
 
 named_enum! {
     /// Where a slice of a rank's wall clock went.
@@ -254,12 +251,6 @@ impl PhaseStats {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
     }
 
-    /// The bucket currently accruing time.
-    #[inline]
-    pub fn current_bucket(&self) -> TimeBucket {
-        TimeBucket::ALL[self.cur.load(Ordering::Relaxed).min(N_BUCKETS - 1)]
-    }
-
     /// Totals as of `now`, including the still-open segment. Read-only:
     /// safe to call from any thread while the owner keeps transitioning
     /// (a racing reader sees totals at most one segment stale).
@@ -286,97 +277,6 @@ impl PhaseStats {
             }
         }
         snap
-    }
-}
-
-/// The sampler-visible position of one interpreter (= one rank thread):
-/// a shadow call stack plus the current function/pc.
-///
-/// The interpreter is the single writer; the sampling profiler thread
-/// reads concurrently. The shadow stack is captured opportunistically —
-/// a sample racing a call/return may drop or duplicate the youngest
-/// frame, which is exactly the tolerance a statistical profiler has
-/// anyway.
-#[derive(Debug)]
-pub struct IlHot {
-    names: Vec<String>,
-    /// `(func + 1) << 32 | pc`; 0 when idle.
-    cur: AtomicU64,
-    depth: AtomicUsize,
-    stack: [AtomicU32; MAX_IL_STACK],
-}
-
-impl IlHot {
-    /// Table for the functions `names`, by index.
-    pub fn new(names: Vec<String>) -> IlHot {
-        IlHot {
-            names,
-            cur: AtomicU64::new(0),
-            depth: AtomicUsize::new(0),
-            stack: std::array::from_fn(|_| AtomicU32::new(0)),
-        }
-    }
-
-    #[inline]
-    fn pack(f: u32, pc: u32) -> u64 {
-        ((f as u64 + 1) << 32) | pc as u64
-    }
-
-    /// Function `f` was invoked (interpreter hook).
-    #[inline]
-    pub fn on_call(&self, f: u32) {
-        let d = self.depth.load(Ordering::Relaxed);
-        if d < MAX_IL_STACK {
-            self.stack[d].store(f, Ordering::Relaxed);
-        }
-        self.depth.store(d + 1, Ordering::Relaxed);
-        self.cur.store(Self::pack(f, 0), Ordering::Relaxed);
-    }
-
-    /// The current function returned (interpreter hook).
-    #[inline]
-    pub fn on_return(&self) {
-        let d = self.depth.load(Ordering::Relaxed).saturating_sub(1);
-        self.depth.store(d, Ordering::Relaxed);
-        let cur = if d == 0 || d > MAX_IL_STACK {
-            0
-        } else {
-            Self::pack(self.stack[d - 1].load(Ordering::Relaxed), u32::MAX)
-        };
-        self.cur.store(cur, Ordering::Relaxed);
-    }
-
-    /// The interpreter is at `pc` in function `f` (interpreter hook, on
-    /// back-edges and every few hundred ops).
-    #[inline]
-    pub fn at(&self, f: u32, pc: u32) {
-        self.cur.store(Self::pack(f, pc), Ordering::Relaxed);
-    }
-
-    /// Currently executing `(function, pc)`, if the interpreter is live.
-    pub fn current(&self) -> Option<(u32, u32)> {
-        let v = self.cur.load(Ordering::Relaxed);
-        if v == 0 {
-            None
-        } else {
-            Some(((v >> 32) as u32 - 1, v as u32))
-        }
-    }
-
-    /// Opportunistic copy of the shadow call stack, outermost first.
-    /// Frames with out-of-range function indices (torn reads) are
-    /// dropped.
-    pub fn stack_snapshot(&self) -> Vec<u32> {
-        let d = self.depth.load(Ordering::Relaxed).min(MAX_IL_STACK);
-        (0..d)
-            .map(|i| self.stack[i].load(Ordering::Relaxed))
-            .filter(|&f| (f as usize) < self.names.len())
-            .collect()
-    }
-
-    /// Function names, by index.
-    pub fn names(&self) -> &[String] {
-        &self.names
     }
 }
 
@@ -475,7 +375,10 @@ mod tests {
         for i in 0..(MAX_PHASE_DEPTH + 10) as u64 {
             p.pop_at(100 + i);
         }
-        assert_eq!(p.current_bucket(), TimeBucket::Compute);
+        // Serialize from 0 to the last pop at 141, compute after it.
+        let s = p.read_at(200);
+        assert_eq!(s.bucket_nanos[TimeBucket::Serialize as usize], 141);
+        assert_eq!(s.bucket_nanos[TimeBucket::Compute as usize], 59);
     }
 
     #[test]
@@ -489,29 +392,48 @@ mod tests {
         assert_eq!(s.inflight_nanos, 10);
     }
 
-    #[test]
-    fn position_follows_calls_returns_and_at() {
-        let h = IlHot::new(vec!["main".into(), "dot".into()]);
-        h.on_call(0);
-        h.on_call(1);
-        h.at(1, 7);
-        assert_eq!(h.current(), Some((1, 7)));
-        h.on_return();
-        h.on_return();
-        assert_eq!(h.current(), None, "returned to idle");
+    /// Drive the phase machine through a seeded script of transitions on
+    /// a virtual clock and return its totals at the end.
+    fn seeded_run(seed: u64) -> PhaseSnapshot {
+        use motor_pal::clock::{TickSource, VirtualClock};
+        // splitmix64: a tiny deterministic RNG for the script.
+        let mut state = seed;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            (z ^ (z >> 31)) % n
+        };
+        let clock = VirtualClock::new();
+        let p = PhaseStats::new();
+        p.start_at(clock.now_ticks());
+        let mut pushed = 0u32;
+        for _ in 0..4_000 {
+            let now = clock.advance(1 + below(997));
+            match below(10) {
+                0 | 1 if p.push_at(TimeBucket::ALL[below(5) as usize], now) => pushed += 1,
+                2 if pushed > 0 => {
+                    p.pop_at(now);
+                    pushed -= 1;
+                }
+                3 => p.async_begin_at(now),
+                4 => p.async_end_at(now),
+                _ => {} // compute: time passes, nothing transitions
+            }
+        }
+        p.read_at(clock.now_ticks())
     }
 
+    /// Every transition takes an explicit timestamp, so under a virtual
+    /// clock the same script gives identical totals.
     #[test]
-    fn shadow_stack_tracks_nesting() {
-        let h = IlHot::new(vec!["a".into(), "b".into()]);
-        h.on_call(0);
-        h.on_call(1);
-        assert_eq!(h.stack_snapshot(), vec![0, 1]);
-        assert_eq!(h.current(), Some((1, 0)));
-        h.on_return();
-        assert_eq!(h.stack_snapshot(), vec![0]);
-        assert_eq!(h.current(), Some((0, u32::MAX)));
-        h.on_return();
-        assert!(h.stack_snapshot().is_empty());
+    fn same_seed_reproduces_bucket_totals_exactly() {
+        let a = seeded_run(0xC0FFEE);
+        assert_eq!(a, seeded_run(0xC0FFEE), "bucket totals must be identical");
+        assert!(a.bucket_nanos.iter().sum::<u64>() > 0);
+        assert!(a.bucket_nanos.iter().filter(|&&n| n > 0).count() >= 3);
+        // A constant-output script would make the check above vacuous.
+        assert_ne!(seeded_run(1), seeded_run(2));
     }
 }

@@ -336,8 +336,6 @@ pub fn build_cluster_trace(snaps: &[MetricsSnapshot]) -> ClusterTrace {
                         _ => {}
                     }
                 }
-                // Instantaneous profiler samples; not intervals.
-                EventKind::ProfSample => {}
             }
         }
     }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 /// A source of monotonic ticks.
 ///
 /// Production code reads the host monotonic clock; deterministic simulation
-/// substitutes a [`VirtualClock`] whose time only advances when the
+/// reads a [`VirtualClock`] whose time only advances when the
 /// scheduler says so. A "tick" is deliberately unitless — the simulation
 /// harness decides what one tick means (it uses them as scheduler steps and
 /// reports them as nanoseconds when building flight records).
@@ -48,34 +48,6 @@ impl TickSource for VirtualClock {
     }
 }
 
-/// The host monotonic clock as a [`TickSource`] (ticks are nanoseconds
-/// since the source was created).
-#[derive(Debug)]
-pub struct HostTicks {
-    origin: Instant,
-}
-
-impl HostTicks {
-    /// A tick source anchored at the current instant.
-    pub fn new() -> Self {
-        HostTicks {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for HostTicks {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TickSource for HostTicks {
-    fn now_ticks(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-}
-
 /// A monotonic stopwatch.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
@@ -95,21 +67,9 @@ impl Stopwatch {
         self.start.elapsed()
     }
 
-    /// Elapsed time in whole microseconds.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.elapsed().as_micros() as u64
-    }
-
     /// Elapsed time in fractional microseconds (nanosecond resolution).
     pub fn elapsed_micros_f64(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e6
-    }
-
-    /// Restart the stopwatch, returning the elapsed duration up to now.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.elapsed();
-        self.start = Instant::now();
-        e
     }
 }
 
@@ -123,16 +83,6 @@ mod tests {
         let a = sw.elapsed();
         let b = sw.elapsed();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn lap_resets() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let first = sw.lap();
-        assert!(first >= Duration::from_millis(1));
-        // After the lap the elapsed time restarts near zero.
-        assert!(sw.elapsed() < first + Duration::from_millis(1));
     }
 
     #[test]
@@ -152,13 +102,5 @@ mod tests {
         assert_eq!(c.now_ticks(), 3);
         c.advance(7);
         assert_eq!(c.now_ticks(), 10);
-    }
-
-    #[test]
-    fn host_ticks_are_monotonic() {
-        let h = HostTicks::new();
-        let a = h.now_ticks();
-        let b = h.now_ticks();
-        assert!(b >= a);
     }
 }

@@ -35,7 +35,7 @@ pub mod poll;
 pub mod ring;
 pub mod window;
 
-pub use clock::{HostTicks, TickSource, VirtualClock};
+pub use clock::{TickSource, VirtualClock};
 pub use error::{PalError, PalResult};
 pub use link::{shm_pair, tcp_pair, BoxedLink, ByteLink};
 pub use poll::{Backoff, BackoffConfig, WakeCells, Waker};

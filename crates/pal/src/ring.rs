@@ -17,18 +17,24 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
-
 use crate::error::{PalError, PalResult};
+
+/// A counter alone on its cache lines: the producer's and the consumer's
+/// counters sit 128 bytes apart, so that neither side's stores (nor the
+/// adjacent-line prefetch) invalidate the line the other side writes.
+#[repr(align(128))]
+struct Padded(AtomicUsize);
+
+const _: () = assert!(std::mem::align_of::<Padded>() == 128);
 
 /// Shared state of one ring.
 struct Ring {
     buf: Box<[UnsafeCell<u8>]>,
     mask: usize,
     /// Read position (owned by the consumer, published to the producer).
-    head: CachePadded<AtomicUsize>,
+    head: Padded,
     /// Write position (owned by the producer, published to the consumer).
-    tail: CachePadded<AtomicUsize>,
+    tail: Padded,
     closed: AtomicBool,
 }
 
@@ -72,8 +78,8 @@ pub fn ring(capacity: usize) -> (RingProducer, RingConsumer) {
     let ring = Arc::new(Ring {
         buf,
         mask: cap - 1,
-        head: CachePadded::new(AtomicUsize::new(0)),
-        tail: CachePadded::new(AtomicUsize::new(0)),
+        head: Padded(AtomicUsize::new(0)),
+        tail: Padded(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
     });
     (
@@ -98,7 +104,7 @@ impl RingProducer {
 
     /// Bytes that can currently be written without blocking.
     pub fn free(&self) -> usize {
-        let head = self.ring.head.load(Ordering::Acquire);
+        let head = self.ring.head.0.load(Ordering::Acquire);
         self.ring.capacity() - self.tail.wrapping_sub(head)
     }
 
@@ -111,7 +117,7 @@ impl RingProducer {
         let cap = self.ring.capacity();
         // The cached head understates the room: re-read only when short.
         if cap - self.tail.wrapping_sub(self.head) < src.len() {
-            self.head = self.ring.head.load(Ordering::Acquire);
+            self.head = self.ring.head.0.load(Ordering::Acquire);
         }
         let n = (cap - self.tail.wrapping_sub(self.head)).min(src.len());
         if n == 0 {
@@ -128,7 +134,7 @@ impl RingProducer {
             }
         }
         self.tail = self.tail.wrapping_add(n);
-        self.ring.tail.store(self.tail, Ordering::Release);
+        self.ring.tail.0.store(self.tail, Ordering::Release);
         Ok(n)
     }
 
@@ -151,7 +157,7 @@ impl RingConsumer {
 
     /// Bytes currently available to read.
     pub fn available(&self) -> usize {
-        let tail = self.ring.tail.load(Ordering::Acquire);
+        let tail = self.ring.tail.0.load(Ordering::Acquire);
         tail.wrapping_sub(self.head)
     }
 
@@ -160,7 +166,7 @@ impl RingConsumer {
     pub fn try_read(&mut self, dst: &mut [u8]) -> PalResult<usize> {
         // The cached tail understates the input: re-read only when short.
         if self.tail.wrapping_sub(self.head) < dst.len() {
-            self.tail = self.ring.tail.load(Ordering::Acquire);
+            self.tail = self.ring.tail.0.load(Ordering::Acquire);
         }
         let mut n = self.tail.wrapping_sub(self.head).min(dst.len());
         if n == 0 {
@@ -171,7 +177,7 @@ impl RingConsumer {
             if !self.is_closed() {
                 return Ok(0);
             }
-            self.tail = self.ring.tail.load(Ordering::Acquire);
+            self.tail = self.ring.tail.0.load(Ordering::Acquire);
             n = self.tail.wrapping_sub(self.head).min(dst.len());
             if n == 0 {
                 return Err(PalError::Disconnected);
@@ -189,7 +195,7 @@ impl RingConsumer {
             }
         }
         self.head = self.head.wrapping_add(n);
-        self.ring.head.store(self.head, Ordering::Release);
+        self.ring.head.0.store(self.head, Ordering::Release);
         Ok(n)
     }
 

@@ -76,13 +76,6 @@ echo "==> benchmark package builds against the stack (--smoke)"
 # pipeline; `--smoke` is the one mode a debug build is allowed to run.
 cargo run --offline --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
-echo "==> interpreter builds with profiling compiled out"
-# The bench crate's benches and tests turn the interpreter's `profile`
-# feature on for the workspace's test builds (cargo feature unification);
-# checking the crate alone proves the hook-free default configuration
-# still builds — that is the configuration the zero-cost claim is about.
-cargo check -q -p motor-interp
-
 echo "==> whole-program IL lint gate (motor-analyze lint)"
 # motor-lint over the in-tree IL corpus: every module must come back
 # with zero definite diagnostics (cross-rank match checking, request
@@ -225,6 +218,36 @@ bogus_rc=$?
 set -e
 if [ "$bogus_rc" -eq 0 ] || ! echo "$bogus_err" | grep -q 'MOTOR_DOCTOR.*"bogus"'; then
   echo "spec smoke test: MOTOR_DOCTOR=bogus=1 exited $bogus_rc: $bogus_err" >&2
+  exit 1
+fi
+
+echo "==> scripts/loc.sh skips each #[cfg(test)] item, not the rest of the file"
+# A test-only `use` and a test-only `impl` (with braces in a string, a
+# character literal and a comment) above live code: 5 of the 16 lines
+# are live.
+loc_fixture="$(mktemp -t motor-loc.XXXXXX.rs)"
+cat > "$loc_fixture" <<'FIXTURE'
+use std::fmt;
+#[cfg(test)]
+use tests::pause;
+#[cfg(test)]
+impl Foo {
+    fn brace(&self) -> char {
+        let _s = "}}";
+        '}' // }
+    }
+}
+pub struct Foo;
+pub fn live() -> char {
+    '{'
+}
+#[cfg(test)]
+mod tests {}
+FIXTURE
+loc_count="$(scripts/loc.sh "$loc_fixture" | awk 'END { print $1 }')"
+rm -f "$loc_fixture"
+if [ "$loc_count" != 5 ]; then
+  echo "loc.sh self-test: expected 5 live lines, counted '$loc_count'" >&2
   exit 1
 fi
 

@@ -22,8 +22,8 @@
 //!   object-model checks on proved modules.
 //! * [`baselines`] — the managed-wrapper comparison systems (Indiana-style
 //!   P/Invoke bindings, mpiJava-style JNI bindings and serializers).
-//! * [`profile`] — continuous profiling: the sampling profiler, folded
-//!   flamegraph stacks, time-bucket and comm/compute-overlap reports.
+//! * [`obs`] — observability: the per-rank metrics registry, event-trace
+//!   rings, and time-bucket and comm/compute-overlap accounting.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture.
 
@@ -35,7 +35,6 @@ pub use motor_interp as interp;
 pub use motor_mpc as mpc;
 pub use motor_obs as obs;
 pub use motor_pal as pal;
-pub use motor_profile as profile;
 pub use motor_runtime as runtime;
 
 /// Everything a typical Motor program needs, in one import.

@@ -112,9 +112,9 @@ fn random_traffic_stress_across_ranks() {
         // Interleave sends and receives; sizes vary eager↔rendezvous.
         let size_of =
             |from: usize, to: usize, k: usize| 1 + ((from * 7919 + to * 104729 + k * 31) % 90_000);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let w2 = world.clone();
-            let sender = s.spawn(move |_| {
+            let sender = s.spawn(move || {
                 for to in 0..RANKS {
                     if to == me {
                         continue;
@@ -139,8 +139,7 @@ fn random_traffic_stress_across_ranks() {
                 }
             }
             sender.join().unwrap();
-        })
-        .unwrap();
+        });
         world.barrier().unwrap();
     })
     .unwrap();

@@ -21,11 +21,11 @@ fn concurrent_mutators_with_stop_the_world_collections() {
     const PER_THREAD: usize = 400;
     let checksum = Arc::new(AtomicU64::new(0));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..THREADS {
             let vm = Arc::clone(&vm);
             let checksum = Arc::clone(&checksum);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let t = MotorThread::attach(vm);
                 // Each thread keeps a live window of arrays while churning
                 // garbage, forcing frequent minor collections that must
@@ -57,8 +57,7 @@ fn concurrent_mutators_with_stop_the_world_collections() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Every array was read back exactly once.
     let expect: u64 = (0..THREADS as u64)
@@ -86,9 +85,9 @@ fn native_regions_overlap_with_collections() {
             ..Default::default()
         },
     });
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let vm1 = Arc::clone(&vm);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let t = MotorThread::attach(vm1);
             let keep = t.alloc_prim_array(ElemKind::I32, 8);
             t.prim_write(keep, 0, &[7i32; 8]);
@@ -103,15 +102,14 @@ fn native_regions_overlap_with_collections() {
             }
         });
         let vm2 = Arc::clone(&vm);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let t = MotorThread::attach(vm2);
             for _ in 0..3_000 {
                 let h = t.alloc_prim_array(ElemKind::U8, 128);
                 t.release(h);
             }
         });
-    })
-    .unwrap();
+    });
     assert!(vm.stats_snapshot().minor_collections > 0);
     verify_heap(&MotorThread::attach(Arc::clone(&vm))).unwrap();
 }
